@@ -90,22 +90,39 @@ pub(crate) struct CombineRecord {
     pub raw: Option<Vec<PairRaw>>,
 }
 
-/// Sorts, dedups by fingerprint and truncates a push buffer — the final
-/// step every combination (fresh or incremental) must share so results are
-/// byte-for-byte identical.
-pub(crate) fn finalize(out: Vec<FullPath>, max_paths: usize) -> Vec<FullPath> {
-    // Dedup by fingerprint, shortest first; fingerprint breaks ties so the
-    // "lowest path identifier" rule of §5.4 is reproducible. The
-    // fingerprint hashes every hop, so decorate once per path rather than
-    // recomputing it per comparison (sort) and per element (dedup).
-    let mut keyed: Vec<((usize, [u8; 8]), FullPath)> = out
-        .into_iter()
-        .map(|p| ((p.len(), p.fingerprint_key()), p))
-        .collect();
-    keyed.sort_by_key(|a| a.0);
-    keyed.dedup_by(|a, b| a.0 .1 == b.0 .1);
-    keyed.truncate(max_paths);
-    keyed.into_iter().map(|(_, p)| p).collect()
+/// Picks the answer out of the raw candidates, given in push order: shortest
+/// first, equal lengths by fingerprint (the "lowest path identifier" rule of
+/// §5.4, reproducibly), one path per fingerprint, at most `max_paths`. The
+/// final step every combination (fresh or incremental) shares, so results
+/// are byte-for-byte identical.
+///
+/// Only the winners are cloned, and only the lengths that reach the answer
+/// are fingerprinted: paths that share a fingerprint share their hops and so
+/// their length, which lets each length be ordered and deduplicated on its
+/// own, and the walk stop at the one that fills the answer. A candidate
+/// beyond it costs its place in the length sort and nothing else.
+pub(crate) fn finalize<'a>(
+    raw: impl IntoIterator<Item = &'a FullPath>,
+    max_paths: usize,
+) -> Vec<FullPath> {
+    let mut by_len: Vec<&FullPath> = raw.into_iter().collect();
+    by_len.sort_by_key(|p| p.len());
+    let mut picked: Vec<&FullPath> = Vec::with_capacity(max_paths.min(by_len.len()));
+    for same_len in by_len.chunk_by(|a, b| a.len() == b.len()) {
+        if picked.len() >= max_paths {
+            break;
+        }
+        // The fingerprint hashes every hop: decorate once per path rather
+        // than once per comparison. Both sorts are stable, so of equal
+        // paths the first pushed survives.
+        let mut keyed: Vec<([u8; 8], &FullPath)> =
+            same_len.iter().map(|p| (p.fingerprint_key(), *p)).collect();
+        keyed.sort_by_key(|k| k.0);
+        keyed.dedup_by_key(|k| k.0);
+        let room = max_paths - picked.len();
+        picked.extend(keyed.into_iter().map(|(_, p)| p).take(room));
+    }
+    picked.into_iter().cloned().collect()
 }
 
 /// [`combine_paths`] with dependency (and optionally raw per-pair)
@@ -136,7 +153,6 @@ pub(crate) fn combine_paths_recorded(
     let dst_downs = store.up_segment_handles(dst);
     let src_is_core = src_ups.is_empty();
     let dst_is_core = dst_downs.is_empty();
-    let mut raw: Option<Vec<PairRaw>> = None;
 
     fn push_ok(out: &mut Vec<FullPath>, p: Result<FullPath, crate::ControlError>) {
         if let Ok(p) = p {
@@ -228,35 +244,38 @@ pub(crate) fn combine_paths_recorded(
             }
         }
         (false, false) => {
-            let mut pairs: Vec<PairRaw> = Vec::new();
+            // Each pair's output is built where the record keeps it; the
+            // answer is picked from there.
+            let mut pairs: Vec<PairRaw> = Vec::with_capacity(src_ups.len() * dst_downs.len());
             for u in src_ups {
                 for d in dst_downs {
-                    let start = out.len();
+                    let mut paths = Vec::new();
                     let core_dep =
-                        combine_pair(store, src, dst, u, d, &mut |p| push_ok(&mut out, p));
+                        combine_pair(store, src, dst, u, d, &mut |p| push_ok(&mut paths, p));
                     if let Some(dep) = core_dep {
                         deps.insert(dep);
                     }
-                    if record_raw {
-                        pairs.push(PairRaw {
-                            up_id: u.id(),
-                            down_id: d.id(),
-                            core_dep,
-                            paths: Arc::new(out[start..].to_vec()),
-                        });
-                    }
+                    paths.shrink_to_fit();
+                    pairs.push(PairRaw {
+                        up_id: u.id(),
+                        down_id: d.id(),
+                        core_dep,
+                        paths: Arc::new(paths),
+                    });
                 }
             }
-            if record_raw {
-                raw = Some(pairs);
-            }
+            return CombineRecord {
+                paths: finalize(pairs.iter().flat_map(|pr| pr.paths.iter()), max_paths),
+                deps: deps.into_iter().collect(),
+                raw: record_raw.then_some(pairs),
+            };
         }
     }
 
     CombineRecord {
-        paths: finalize(out, max_paths),
+        paths: finalize(&out, max_paths),
         deps: deps.into_iter().collect(),
-        raw,
+        raw: None,
     }
 }
 
@@ -466,6 +485,73 @@ mod tests {
         let store = diamond_store();
         let paths = combine_paths(&store, ia("71-10"), ia("71-11"), 1);
         assert_eq!(paths.len(), 1);
+    }
+
+    /// `finalize` as first written: every candidate keyed and cloned, one
+    /// sort of the whole list.
+    fn whole_list_finalize(raw: &[FullPath], max_paths: usize) -> Vec<FullPath> {
+        let mut keyed: Vec<((usize, [u8; 8]), FullPath)> = raw
+            .iter()
+            .map(|p| ((p.len(), p.fingerprint_key()), p.clone()))
+            .collect();
+        keyed.sort_by_key(|a| a.0);
+        keyed.dedup_by(|a, b| a.0 .1 == b.0 .1);
+        keyed.truncate(max_paths);
+        keyed.into_iter().map(|(_, p)| p).collect()
+    }
+
+    #[test]
+    fn finalize_by_length_equals_the_whole_list_sort_at_every_cap() {
+        // Three meshed cores and two doubly-homed leaves under a shared
+        // mid AS: core-transit, same-core and shortcut candidates of several
+        // lengths, many of them reaching the same hops by different
+        // segments.
+        let mut g = ControlGraph::new();
+        for core in ["71-1", "71-2", "71-3"] {
+            g.add_as(ia(core), true);
+        }
+        for leaf in ["71-10", "71-100", "71-101", "71-20"] {
+            g.add_as(ia(leaf), false);
+        }
+        for (a, b) in [("71-1", "71-2"), ("71-2", "71-3"), ("71-1", "71-3")] {
+            g.connect(ia(a), ia(b), LinkType::Core).unwrap();
+        }
+        for (parent, child) in [
+            ("71-1", "71-10"),
+            ("71-2", "71-10"),
+            ("71-10", "71-100"),
+            ("71-10", "71-101"),
+            ("71-2", "71-20"),
+            ("71-3", "71-20"),
+            ("71-20", "71-101"),
+        ] {
+            g.connect(ia(parent), ia(child), LinkType::Child).unwrap();
+        }
+        let store = BeaconEngine::new(&g, 1_700_000_000, BeaconConfig::default())
+            .run()
+            .unwrap();
+        let record = combine_paths_recorded(&store, ia("71-100"), ia("71-101"), usize::MAX, true);
+        let mut raw: Vec<FullPath> = record
+            .raw
+            .expect("leaf to leaf records its pairs")
+            .iter()
+            .flat_map(|pr| pr.paths.iter().cloned())
+            .collect();
+        let lengths: BTreeSet<usize> = raw.iter().map(FullPath::len).collect();
+        assert!(lengths.len() >= 3, "lengths {lengths:?}");
+        assert!(record.paths.len() < raw.len(), "no duplicate among the raw");
+        // Every candidate once more, last first: of equal paths the one
+        // pushed first must still be the one kept.
+        let again: Vec<FullPath> = raw.iter().rev().cloned().collect();
+        raw.extend(again);
+        for cap in (0..=record.paths.len() + 1).chain([usize::MAX]) {
+            assert_eq!(
+                finalize(&raw, cap),
+                whole_list_finalize(&raw, cap),
+                "cap {cap}"
+            );
+        }
+        assert_eq!(finalize(&raw, usize::MAX), record.paths);
     }
 
     /// Same-core and shortcut combinations in a deeper hierarchy:

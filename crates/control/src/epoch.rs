@@ -133,6 +133,31 @@ impl PathSnapshot {
     }
 }
 
+/// A caller's own copy of a shared answer.
+///
+/// An answer is two small heap blocks per path, placed wherever the
+/// combinator's allocations fell, and by the next time its pair is asked
+/// for they have usually left the processor's caches. A path-by-path clone
+/// then waits for them one memory round trip after another: each path's
+/// reference-count increments are ordered ahead of the loads for the next
+/// path. How long a round trip takes is the machine's business (it doubles
+/// when a neighbour is busy), so the copy's cost would follow it. Reading
+/// every block once first, with plain loads that overlap, pays the round
+/// trips side by side; the clone then finds its source near.
+fn copy_out(answer: &[FullPath]) -> Vec<FullPath> {
+    let mut read = 0usize;
+    for p in answer {
+        for u in &p.uses {
+            read = read.wrapping_add(Arc::strong_count(&u.segment));
+        }
+        for h in &p.hops {
+            read = read.wrapping_add(usize::from(h.egress));
+        }
+    }
+    std::hint::black_box(read);
+    answer.to_vec()
+}
+
 type CacheKey = (IsdAsn, IsdAsn, u64, usize);
 /// Entry state carried out of the shard lock when an incremental
 /// recombination is worth attempting.
@@ -373,7 +398,7 @@ impl EpochPathDb {
     /// [`combine_paths`](crate::combine::combine_paths) against the
     /// currently-published snapshot: byte-for-byte the same result.
     pub fn paths(&self, src: IsdAsn, dst: IsdAsn, max_paths: usize) -> Vec<FullPath> {
-        self.query(src, dst, max_paths, None).0.as_ref().clone()
+        copy_out(&self.query(src, dst, max_paths, None).0)
     }
 
     /// [`paths`](Self::paths) without the final copy: the shared path
@@ -397,10 +422,7 @@ impl EpochPathDb {
         max_paths: usize,
         policy: &PathPolicy,
     ) -> Vec<FullPath> {
-        self.query(src, dst, max_paths, Some(policy))
-            .0
-            .as_ref()
-            .clone()
+        copy_out(&self.query(src, dst, max_paths, Some(policy)).0)
     }
 
     /// Pre-warms the cache for a batch of (src, dst) pairs against one

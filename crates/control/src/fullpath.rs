@@ -67,11 +67,16 @@ impl SegmentUse {
     }
 
     /// Entry indices in traversal order.
-    fn traversal_indices(&self) -> Vec<usize> {
-        match self.dir {
-            Direction::Cons => (self.from_idx..=self.to_idx).collect(),
-            Direction::AgainstCons => (self.from_idx..=self.to_idx).rev().collect(),
-        }
+    fn traversal_indices(&self) -> impl Iterator<Item = usize> {
+        let (from, to) = (self.from_idx, self.to_idx);
+        let against = self.dir == Direction::AgainstCons;
+        (from..=to).map(move |i| if against { to - (i - from) } else { i })
+    }
+
+    /// The AS of the entry traversed first (`last == false`) or last.
+    fn end_ia(&self, last: bool) -> IsdAsn {
+        let at_to = last == (self.dir == Direction::Cons);
+        self.segment.entries[if at_to { self.to_idx } else { self.from_idx }].ia
     }
 
     /// The hop field for entry `idx`, honouring peer substitution.
@@ -185,9 +190,6 @@ impl FullPath {
                 uses.len()
             )));
         }
-        // Per-use traversal hop lists of (ia, traversal-ingress,
-        // traversal-egress) triples.
-        let mut per_use: Vec<Vec<(IsdAsn, u16, u16)>> = Vec::with_capacity(uses.len());
         for u in &uses {
             if u.from_idx > u.to_idx || u.to_idx >= u.segment.len() {
                 return Err(ControlError::BadSegment(format!(
@@ -197,16 +199,6 @@ impl FullPath {
                     u.segment.len()
                 )));
             }
-            let mut list = Vec::with_capacity(u.hop_count());
-            for idx in u.traversal_indices() {
-                let hf = u.hop_field_at(idx)?;
-                let (ing, eg) = match u.dir {
-                    Direction::Cons => (hf.cons_ingress, hf.cons_egress),
-                    Direction::AgainstCons => (hf.cons_egress, hf.cons_ingress),
-                };
-                list.push((u.segment.entries[idx].ia, ing, eg));
-            }
-            per_use.push(list);
         }
         // Merge at segment boundaries: when two adjacent uses join at the
         // same AS, the packet crosses that AS internally — it enters via the
@@ -214,25 +206,32 @@ impl FullPath {
         // boundary-facing interfaces of the two hop fields are not used for
         // forwarding. Peering junctions cross a link between two *different*
         // ASes and are not merged.
-        let mut hops: Vec<PathHop> = Vec::new();
-        for list in per_use {
-            let mut iter = list.into_iter();
-            if let Some((ia, ing, eg)) = iter.next() {
+        //
+        // The combinator assembles every candidate of a pair and keeps a
+        // fraction, so this runs without scratch lists: the hops are sized
+        // exactly and written once, in traversal order.
+        let merged = uses
+            .windows(2)
+            .filter(|w| w[0].end_ia(true) == w[1].end_ia(false))
+            .count();
+        let listed: usize = uses.iter().map(SegmentUse::hop_count).sum();
+        let mut hops: Vec<PathHop> = Vec::with_capacity(listed - merged);
+        for u in &uses {
+            for (step, idx) in u.traversal_indices().enumerate() {
+                let hf = u.hop_field_at(idx)?;
+                let (ingress, egress) = match u.dir {
+                    Direction::Cons => (hf.cons_ingress, hf.cons_egress),
+                    Direction::AgainstCons => (hf.cons_egress, hf.cons_ingress),
+                };
+                let ia = u.segment.entries[idx].ia;
                 match hops.last_mut() {
-                    Some(last) if last.ia == ia => last.egress = eg,
+                    Some(last) if step == 0 && last.ia == ia => last.egress = egress,
                     _ => hops.push(PathHop {
                         ia,
-                        ingress: ing,
-                        egress: eg,
+                        ingress,
+                        egress,
                     }),
                 }
-            }
-            for (ia, ing, eg) in iter {
-                hops.push(PathHop {
-                    ia,
-                    ingress: ing,
-                    egress: eg,
-                });
             }
         }
         // The path's end points never use their outward-facing interfaces.
@@ -253,11 +252,8 @@ impl FullPath {
             )));
         }
         // No AS may appear twice (loop freedom).
-        let mut seen: Vec<IsdAsn> = hops.iter().map(|h| h.ia).collect();
-        seen.sort_unstable();
-        let before = seen.len();
-        seen.dedup();
-        if seen.len() != before {
+        let revisits = |(i, h): (usize, &PathHop)| hops[..i].iter().any(|g| g.ia == h.ia);
+        if hops.iter().enumerate().any(revisits) {
             return Err(ControlError::BadSegment("path visits an AS twice".into()));
         }
         Ok(FullPath {
@@ -297,7 +293,7 @@ impl FullPath {
     /// A short stable fingerprint (hex) identifying the path by its
     /// interface sequence — the paper's "path identifier".
     pub fn fingerprint(&self) -> String {
-        scion_crypto::sha256::to_hex(&self.fingerprint_key())
+        fingerprint_hex(&self.fingerprint_key())
     }
 
     /// The raw 8-byte digest behind [`Self::fingerprint`]. Fixed-width
@@ -347,6 +343,12 @@ impl FullPath {
     pub fn ases(&self) -> Vec<IsdAsn> {
         self.hops.iter().map(|h| h.ia).collect()
     }
+}
+
+/// The hex [`FullPath::fingerprint`] of a [`FullPath::fingerprint_key`], for
+/// callers that keep keys and render them only at a string boundary.
+pub fn fingerprint_hex(key: &[u8; 8]) -> String {
+    scion_crypto::sha256::to_hex(key)
 }
 
 /// Symmetric-difference disjointness: `1 − 2·|A∩B| / (|A|+|B|)` over the

@@ -465,7 +465,6 @@ pub(crate) fn incremental_recombine(
         return None; // shape changed under us — recombine fully
     }
 
-    let mut out: Vec<FullPath> = Vec::new();
     let mut deps: BTreeSet<BucketDep> = BTreeSet::new();
     deps.insert(BucketDep::UpDown(src));
     deps.insert(BucketDep::UpDown(dst));
@@ -482,30 +481,30 @@ pub(crate) fn incremental_recombine(
                 if let Some(dep) = pr.core_dep {
                     deps.insert(dep);
                 }
-                out.extend(pr.paths.iter().cloned());
                 pairs.push((*pr).clone()); // Arc bump, not a deep path clone
             } else {
-                let start = out.len();
+                let mut paths = Vec::new();
                 let core_dep = combine_pair(store, src, dst, u, d, &mut |p| {
                     if let Ok(p) = p {
-                        out.push(p);
+                        paths.push(p);
                     }
                 });
                 if let Some(dep) = core_dep {
                     deps.insert(dep);
                 }
+                paths.shrink_to_fit();
                 pairs.push(PairRaw {
                     up_id: u.id(),
                     down_id: d.id(),
                     core_dep,
-                    paths: std::sync::Arc::new(out[start..].to_vec()),
+                    paths: std::sync::Arc::new(paths),
                 });
             }
         }
     }
 
     Some(CombineRecord {
-        paths: finalize(out, max_paths),
+        paths: finalize(pairs.iter().flat_map(|pr| pr.paths.iter()), max_paths),
         deps: deps.into_iter().collect(),
         raw: Some(pairs),
     })

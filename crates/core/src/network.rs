@@ -354,14 +354,7 @@ impl SciEraNetwork {
     /// links never invalidates the cache.
     pub fn paths(&self, src: IsdAsn, dst: IsdAsn) -> Vec<FullPath> {
         let paths = self.pathdb.paths(src, dst, 200);
-        let inner = self.inner.lock();
-        paths
-            .into_iter()
-            .filter(|p| {
-                let down = |i: usize| inner.link_down[i];
-                inner.topo.path_alive(p, &down)
-            })
-            .collect()
+        self.inner.lock().live(paths)
     }
 
     /// The shared memoized path database (e.g. to plug into an end-host
@@ -640,7 +633,67 @@ impl SciEraNetwork {
     }
 }
 
+/// What lies across the link leaving an AS through one of its interfaces:
+/// everything a walker needs to take its next step.
+struct Crossing {
+    up: bool,
+    latency_ms: f64,
+    /// The AS at the far end, and the interface the link enters it through.
+    next: IsdAsn,
+    next_if: u16,
+}
+
 impl Inner {
+    /// The link attached at `(ia, ifid)`, seen from `ia`. Every forwarding
+    /// step of every walker goes through here.
+    fn crossing(&self, ia: IsdAsn, ifid: u16) -> Option<Crossing> {
+        let li = self.topo.link_index_of(ia, ifid)?;
+        let l = &self.topo.links[li];
+        let (next, next_if) = if l.spec.a == ia {
+            (l.spec.b, l.ifid_b)
+        } else {
+            (l.spec.a, l.ifid_a)
+        };
+        Some(Crossing {
+            up: !self.link_down[li],
+            latency_ms: l.spec.latency_ms,
+            next,
+            next_if,
+        })
+    }
+
+    /// [`Inner::crossing`] for the delivering walks: an unknown interface
+    /// is an error, and a dead link sends the fast failure notification
+    /// (SCMP `ExternalInterfaceDown`, built by the router at `at` from the
+    /// offending packet) to the source host's inbox.
+    fn cross(
+        &mut self,
+        at: IsdAsn,
+        ifid: u16,
+        src_host: ScionAddr,
+        offending: impl FnOnce() -> Option<ScionPacket>,
+    ) -> Result<Crossing, NetError> {
+        let c = self
+            .crossing(at, ifid)
+            .ok_or_else(|| NetError::Unknown(format!("{at} ifid {ifid}")))?;
+        if c.up {
+            return Ok(c);
+        }
+        let scmp =
+            offending().and_then(|p| self.routers.get(&at)?.external_interface_down(&p, ifid));
+        if let Some(scmp) = scmp {
+            self.inboxes.entry(src_host).or_default().push_back(scmp);
+        }
+        Err(NetError::LinkDown { at, ifid })
+    }
+
+    /// `paths` less those crossing a link that is down.
+    fn live(&self, mut paths: Vec<FullPath>) -> Vec<FullPath> {
+        let down = |i: usize| self.link_down[i];
+        paths.retain(|p| self.topo.path_alive(p, &down));
+        paths
+    }
+
     /// Walks a traceroute probe until an alerted router answers; returns
     /// (answering AS, interface, probe RTT in ms).
     fn walk_traceroute(&mut self, packet: ScionPacket) -> Option<(IsdAsn, u64, f64)> {
@@ -662,19 +715,10 @@ impl Inner {
             match router.process(pkt, ingress, self.now_unix).ok()? {
                 Decision::Deliver(_) => return None, // no alerted hop answered
                 Decision::Forward { ifid, packet: p } => {
-                    let li = self.topo.link_index_of(current, ifid)?;
-                    if self.link_down[li] {
-                        return None;
-                    }
-                    latency += self.topo.links[li].spec.latency_ms;
-                    let l = &self.topo.links[li];
-                    let (next, next_if) = if l.spec.a == current {
-                        (l.spec.b, l.ifid_b)
-                    } else {
-                        (l.spec.a, l.ifid_a)
-                    };
-                    current = next;
-                    ingress = next_if;
+                    let c = self.crossing(current, ifid).filter(|c| c.up)?;
+                    latency += c.latency_ms;
+                    current = c.next;
+                    ingress = c.next_if;
                     pkt = p;
                 }
             }
@@ -730,34 +774,14 @@ impl Inner {
                     });
                 }
                 Ok(FrameDecision::Forward { ifid }) => {
-                    let li = self
-                        .topo
-                        .link_index_of(current, ifid)
-                        .ok_or_else(|| NetError::Unknown(format!("{current} ifid {ifid}")))?;
-                    if self.link_down[li] {
-                        // Fast failure notification back to the source; the
-                        // decode here is the SCMP slow path, off the happy
-                        // path by construction.
-                        let router = self.routers.get(&current).unwrap();
-                        if let Ok(p) = ScionPacket::decode(&frame) {
-                            if let Some(scmp) = router.external_interface_down(&p, ifid) {
-                                self.inboxes.entry(src_host).or_default().push_back(scmp);
-                            }
-                        }
-                        return Err(NetError::LinkDown { at: current, ifid });
-                    }
-                    latency += self.topo.links[li].spec.latency_ms;
-                    let (next, next_if) = {
-                        let l = &self.topo.links[li];
-                        if l.spec.a == current {
-                            (l.spec.b, l.ifid_b)
-                        } else {
-                            (l.spec.a, l.ifid_a)
-                        }
-                    };
-                    route.push(next);
-                    current = next;
-                    ingress = next_if;
+                    // The decode is the SCMP slow path, off the happy path
+                    // by construction.
+                    let c =
+                        self.cross(current, ifid, src_host, || ScionPacket::decode(&frame).ok())?;
+                    latency += c.latency_ms;
+                    route.push(c.next);
+                    current = c.next;
+                    ingress = c.next_if;
                 }
                 Err(FrameError::Drop(e)) => {
                     return Err(NetError::Dropped(format!("{current}: {e:?}")))
@@ -802,30 +826,11 @@ impl Inner {
                     });
                 }
                 Ok(Decision::Forward { ifid, packet: p }) => {
-                    let li = self
-                        .topo
-                        .link_index_of(current, ifid)
-                        .ok_or_else(|| NetError::Unknown(format!("{current} ifid {ifid}")))?;
-                    if self.link_down[li] {
-                        // Fast failure notification back to the source.
-                        let router = self.routers.get(&current).unwrap();
-                        if let Some(scmp) = router.external_interface_down(&p, ifid) {
-                            self.inboxes.entry(src_host).or_default().push_back(scmp);
-                        }
-                        return Err(NetError::LinkDown { at: current, ifid });
-                    }
-                    latency += self.topo.links[li].spec.latency_ms;
-                    let (next, next_if) = {
-                        let l = &self.topo.links[li];
-                        if l.spec.a == current {
-                            (l.spec.b, l.ifid_b)
-                        } else {
-                            (l.spec.a, l.ifid_a)
-                        }
-                    };
-                    route.push(next);
-                    current = next;
-                    ingress = next_if;
+                    let c = self.cross(current, ifid, src_host, || Some(p.clone()))?;
+                    latency += c.latency_ms;
+                    route.push(c.next);
+                    current = c.next;
+                    ingress = c.next_if;
                     pkt = p;
                 }
                 Err(e) => return Err(NetError::Dropped(format!("{current}: {e:?}"))),
@@ -896,25 +901,17 @@ impl Inner {
                         report.delivered += 1;
                         pool.recycle(frame);
                     }
-                    Ok(FrameDecision::Forward { ifid }) => {
-                        match self.topo.link_index_of(ia, ifid) {
-                            Some(li) if !self.link_down[li] => {
-                                let l = &self.topo.links[li];
-                                let (next_ia, next_if) = if l.spec.a == ia {
-                                    (l.spec.b, l.ifid_b)
-                                } else {
-                                    (l.spec.a, l.ifid_a)
-                                };
-                                if !shards.enqueue((next_ia, next_if), frame) {
-                                    report.dropped += 1;
-                                }
-                            }
-                            _ => {
+                    Ok(FrameDecision::Forward { ifid }) => match self.crossing(ia, ifid) {
+                        Some(c) if c.up => {
+                            if !shards.enqueue((c.next, c.next_if), frame) {
                                 report.dropped += 1;
-                                pool.recycle(frame);
                             }
                         }
-                    }
+                        _ => {
+                            report.dropped += 1;
+                            pool.recycle(frame);
+                        }
+                    },
                     Err(_) => {
                         report.dropped += 1;
                         pool.recycle(frame);
@@ -1157,14 +1154,7 @@ impl scion_pan::socket::PanTransport for SimTransport {
 
     fn lookup_paths(&mut self, dst: IsdAsn) -> Vec<FullPath> {
         let paths = self.pathdb.paths(self.local.ia, dst, 200);
-        let inner = self.net.lock();
-        paths
-            .into_iter()
-            .filter(|p| {
-                let down = |i: usize| inner.link_down[i];
-                inner.topo.path_alive(p, &down)
-            })
-            .collect()
+        self.net.lock().live(paths)
     }
 }
 
@@ -1489,6 +1479,85 @@ mod tests {
         }
         SciEraNetwork::probe_round(&net);
         assert!(net.path_state(src, dst, &fp).unwrap().0, "path revives");
+    }
+
+    /// Both delivering walks take every step through `Inner::cross`: over a
+    /// synthetic deployment they agree hop for hop, and a cut link yields
+    /// the same `LinkDown` and the same SCMP to the source from either.
+    #[test]
+    fn both_walks_share_one_forwarding_step() {
+        use sciera_topology::synth::{synthesize, SynthConfig};
+        use scion_pan::socket::PanTransport;
+        let topo = synthesize(&SynthConfig::sized(40));
+        let net = SciEraNetwork::build_from_topology(topo, NetworkConfig::default());
+        let ases: Vec<IsdAsn> = net.secrets.keys().copied().collect();
+        let longest: Vec<FullPath> = ases
+            .iter()
+            .zip(ases.iter().rev())
+            .filter(|(s, d)| s != d)
+            .filter_map(|(&s, &d)| net.paths(s, d).into_iter().max_by_key(FullPath::len))
+            .filter(|p| p.len() >= 3)
+            .collect();
+        assert!(longest.len() >= 8, "only {} multi-hop pairs", longest.len());
+
+        for (n, p) in longest.iter().enumerate() {
+            let src = net.attach_host(ScionAddr::new(p.src, HostAddr::v4(10, 9, 0, 1)));
+            let dst = ScionAddr::new(p.dst, HostAddr::v4(10, 9, 0, 2));
+            let packet = |traced: bool| {
+                let mut pkt = ScionPacket::new(
+                    src.addr,
+                    dst,
+                    L4Protocol::Udp,
+                    DataPlanePath::Scion(p.to_dataplane().unwrap()),
+                    scion_proto::udp::UdpDatagram::new(1, 2, vec![n as u8; 48]).encode(),
+                );
+                // Traced packets take the packet-level walk, untraced ones
+                // the frame-level walk.
+                pkt.trace = traced.then(|| TraceContext::root(n as u64 + 1));
+                pkt
+            };
+            let by_frame = net.walk_frame(packet(false).encode().unwrap()).unwrap();
+            let by_packet = net.walk_packet(packet(true)).unwrap();
+            assert_eq!(by_frame.route, p.ases());
+            assert_eq!(by_packet.route, by_frame.route);
+            assert_eq!(by_packet.latency_ms, by_frame.latency_ms);
+            assert_eq!(by_packet.packet.payload, by_frame.packet.payload);
+            assert_eq!(by_packet.packet.path, by_frame.packet.path);
+
+            // Cut the link out of the path's second AS.
+            let at = p.hops[1];
+            let cut = net
+                .inner
+                .lock()
+                .topo
+                .link_index_of(at.ia, at.egress)
+                .unwrap();
+            net.set_link_index(cut, false);
+            let down = Err(NetError::LinkDown {
+                at: at.ia,
+                ifid: at.egress,
+            });
+            assert_eq!(
+                net.walk_frame(packet(false).encode().unwrap()).map(|_| ()),
+                down
+            );
+            assert_eq!(net.walk_packet(packet(true)).map(|_| ()), down);
+            let mut inbox = src.transport();
+            for walk in ["frame", "packet"] {
+                let scmp = inbox.recv_packet().expect("one SCMP per failed walk");
+                assert_eq!(scmp.next_hdr, L4Protocol::Scmp, "{walk} walk");
+                assert_eq!(
+                    ScmpMessage::decode(&scmp.payload).unwrap(),
+                    ScmpMessage::ExternalInterfaceDown {
+                        ia: at.ia,
+                        interface: at.egress as u64,
+                    },
+                    "{walk} walk"
+                );
+            }
+            assert!(inbox.recv_packet().is_none());
+            net.set_link_index(cut, true);
+        }
     }
 
     #[test]

@@ -156,9 +156,11 @@ pub fn sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
 
 /// Renders a digest as lowercase hex, handy in tests and log lines.
 pub fn to_hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        s.push(DIGITS[(b >> 4) as usize] as char);
+        s.push(DIGITS[(b & 0xf) as usize] as char);
     }
     s
 }
@@ -166,6 +168,14 @@ pub fn to_hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn to_hex_renders_every_byte_value_like_the_formatter() {
+        let all: Vec<u8> = (0u8..=255).collect();
+        let expected: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(to_hex(&all), expected);
+        assert_eq!(to_hex(&[]), "");
+    }
 
     #[test]
     fn fips_vector_abc() {

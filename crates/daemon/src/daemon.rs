@@ -184,7 +184,7 @@ impl<P: PathProvider> Daemon<P> {
         cache.insert(
             dst,
             CacheEntry {
-                paths: paths.clone(),
+                paths,
                 fetched_at: now,
             },
         );

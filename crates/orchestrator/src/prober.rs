@@ -172,6 +172,7 @@ impl PathProber {
             for path in &pair.paths {
                 self.seq = self.seq.wrapping_add(1);
                 self.sent.inc();
+                let fingerprint = path.fingerprint();
                 let outcome =
                     transport.echo(pair.src, pair.dst, path, self.config.echo_id, self.seq);
                 match &outcome {
@@ -194,7 +195,7 @@ impl PathProber {
                                     "probe hit a dead interface",
                                 )
                                 .field("dst", pair.dst)
-                                .field("path", path.fingerprint())
+                                .field("path", &fingerprint)
                                 .field("ia", ia)
                                 .field("interface", interface),
                             );
@@ -207,14 +208,14 @@ impl PathProber {
                 board.observe(
                     pair.src,
                     pair.dst,
-                    path.fingerprint(),
+                    fingerprint.clone(),
                     path.interfaces(),
                     &outcome,
                 );
                 results.push(ProbeResult {
                     src: pair.src,
                     dst: pair.dst,
-                    fingerprint: path.fingerprint(),
+                    fingerprint,
                     outcome,
                 });
             }

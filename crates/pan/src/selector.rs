@@ -8,9 +8,10 @@
 
 use std::collections::HashMap;
 
-use scion_control::fullpath::{disjointness, FullPath};
+use scion_control::fullpath::{disjointness, fingerprint_hex, FullPath};
 use scion_control::policy::{PathPolicy, Preference};
 use scion_proto::addr::IsdAsn;
+use scion_proto::path::ScionPath;
 
 use crate::PanError;
 
@@ -56,12 +57,22 @@ pub struct PathMetadata {
     pub carbon_g_per_gb: HashMap<String, f64>,
 }
 
+/// A path's [`FullPath::fingerprint_key`]: what the selector ranks, pins and
+/// dead-lists on. Fixed-width lowercase hex compares like the bytes it
+/// renders, so every order below equals the order of the hex fingerprints;
+/// the hex form appears only where strings cross the API (`pin`, `listing`,
+/// and the `rtt`/`metadata` maps).
+type Key = [u8; 8];
+
 /// The path selector: holds candidate paths, policy, preference order, and
 /// the currently pinned path.
 #[derive(Debug, Clone)]
 pub struct PathSelector {
     /// All candidate paths (unfiltered, as fetched).
     candidates: Vec<FullPath>,
+    /// Each candidate's key, parallel to `candidates`; hashed once per
+    /// refresh.
+    keys: Vec<Key>,
     /// Filter policy.
     pub policy: PathPolicy,
     /// Sort preference.
@@ -70,9 +81,14 @@ pub struct PathSelector {
     pub rtt: RttEstimator,
     /// Advertised metadata feeding bandwidth/green preferences.
     pub metadata: PathMetadata,
-    current: Option<String>,
-    /// Fingerprints ruled out by SCMP notifications until refreshed.
-    dead: Vec<String>,
+    current: Option<Key>,
+    /// Paths ruled out by SCMP notifications until refreshed.
+    dead: Vec<Key>,
+    /// The pinned path as the data plane carries it, assembled on the first
+    /// send over it. Only [`PathSelector::set_pin`] and
+    /// [`PathSelector::refresh`] change what `current` resolves to, and both
+    /// drop this.
+    pinned_dataplane: Option<ScionPath>,
 }
 
 impl PathSelector {
@@ -80,6 +96,7 @@ impl PathSelector {
     /// policy).
     pub fn new(candidates: Vec<FullPath>) -> Self {
         PathSelector {
+            keys: candidates.iter().map(FullPath::fingerprint_key).collect(),
             candidates,
             policy: PathPolicy::default(),
             preference: Preference::Shortest,
@@ -87,89 +104,100 @@ impl PathSelector {
             metadata: PathMetadata::default(),
             current: None,
             dead: Vec::new(),
+            pinned_dataplane: None,
         }
     }
 
     /// Replaces the candidate set (after a daemon refresh) and clears the
     /// dead list; keeps the pinned path if it still exists.
     pub fn refresh(&mut self, candidates: Vec<FullPath>) {
+        self.keys = candidates.iter().map(FullPath::fingerprint_key).collect();
         self.candidates = candidates;
         self.dead.clear();
-        if let Some(cur) = &self.current {
-            if !self.candidates.iter().any(|p| &p.fingerprint() == cur) {
-                self.current = None;
-            }
+        // A path of the same fingerprint may be built from renewed
+        // segments, so the assembled form never outlives a refresh.
+        self.pinned_dataplane = None;
+        self.current = self.current.filter(|cur| self.keys.contains(cur));
+    }
+
+    fn set_pin(&mut self, pin: Option<Key>) {
+        self.current = pin;
+        self.pinned_dataplane = None;
+    }
+
+    /// Candidates passing policy filtering and dead-path exclusion, as
+    /// indices into `candidates`.
+    fn usable(&self) -> Vec<usize> {
+        (0..self.candidates.len())
+            .filter(|&i| self.policy.permits(&self.candidates[i]))
+            .filter(|&i| !self.dead.contains(&self.keys[i]))
+            .collect()
+    }
+
+    /// Orders `usable` by ascending `score` of each path's hex fingerprint
+    /// (taken once per path), then by hop count if `then_hops`, then by
+    /// fingerprint.
+    fn sort_scored(&self, usable: &mut [usize], then_hops: bool, score: impl Fn(&str) -> f64) {
+        let mut scored: Vec<(f64, usize, Key, usize)> = usable
+            .iter()
+            .map(|&i| {
+                let hops = if then_hops {
+                    self.candidates[i].len()
+                } else {
+                    0
+                };
+                (
+                    score(&fingerprint_hex(&self.keys[i])),
+                    hops,
+                    self.keys[i],
+                    i,
+                )
+            })
+            .collect();
+        scored.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("path scores are not NaN")
+                .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
+        });
+        for (slot, (.., i)) in usable.iter_mut().zip(scored) {
+            *slot = i;
         }
     }
 
-    /// Usable paths after policy filtering and dead-path exclusion, in
-    /// preference order.
-    pub fn ranked(&self) -> Vec<&FullPath> {
-        let mut usable: Vec<&FullPath> = self
-            .candidates
-            .iter()
-            .filter(|p| self.policy.permits(p))
-            .filter(|p| !self.dead.contains(&p.fingerprint()))
-            .collect();
+    /// [`PathSelector::ranked`] as indices into `candidates`.
+    fn ranked_indices(&self) -> Vec<usize> {
+        let mut usable = self.usable();
+        let shortest_first = |usable: &mut [usize]| {
+            usable.sort_by_key(|&i| (self.candidates[i].len(), self.keys[i]));
+        };
         match self.preference {
-            Preference::Shortest => usable.sort_by_key(|p| (p.len(), p.fingerprint())),
-            Preference::Latency => usable.sort_by(|a, b| {
-                let ra = self.rtt.estimate(&a.fingerprint()).unwrap_or(f64::MAX);
-                let rb = self.rtt.estimate(&b.fingerprint()).unwrap_or(f64::MAX);
-                ra.partial_cmp(&rb)
-                    .unwrap()
-                    .then_with(|| a.len().cmp(&b.len()))
-                    .then_with(|| a.fingerprint().cmp(&b.fingerprint()))
+            Preference::Shortest => shortest_first(&mut usable),
+            Preference::Latency => self.sort_scored(&mut usable, true, |fp| {
+                self.rtt.estimate(fp).unwrap_or(f64::MAX)
             }),
-            Preference::Bandwidth => usable.sort_by(|a, b| {
-                let ba = self
-                    .metadata
-                    .bandwidth_mbps
-                    .get(&a.fingerprint())
-                    .copied()
-                    .unwrap_or(0.0);
-                let bb = self
-                    .metadata
-                    .bandwidth_mbps
-                    .get(&b.fingerprint())
-                    .copied()
-                    .unwrap_or(0.0);
-                bb.partial_cmp(&ba)
-                    .unwrap()
-                    .then_with(|| a.fingerprint().cmp(&b.fingerprint()))
+            // Highest bandwidth first.
+            Preference::Bandwidth => self.sort_scored(&mut usable, false, |fp| {
+                -self.metadata.bandwidth_mbps.get(fp).copied().unwrap_or(0.0)
             }),
-            Preference::Green => usable.sort_by(|a, b| {
-                let ca = self
-                    .metadata
-                    .carbon_g_per_gb
-                    .get(&a.fingerprint())
-                    .copied()
-                    .unwrap_or(f64::MAX);
-                let cb = self
-                    .metadata
-                    .carbon_g_per_gb
-                    .get(&b.fingerprint())
-                    .copied()
-                    .unwrap_or(f64::MAX);
-                ca.partial_cmp(&cb)
-                    .unwrap()
-                    .then_with(|| a.fingerprint().cmp(&b.fingerprint()))
+            Preference::Green => self.sort_scored(&mut usable, false, |fp| {
+                let carbon = self.metadata.carbon_g_per_gb.get(fp);
+                carbon.copied().unwrap_or(f64::MAX)
             }),
             Preference::Disjoint => {
                 // Greedy max-min disjointness ordering starting from the
                 // shortest path.
-                usable.sort_by_key(|p| (p.len(), p.fingerprint()));
-                let mut ordered: Vec<&FullPath> = Vec::with_capacity(usable.len());
+                shortest_first(&mut usable);
+                let mut ordered: Vec<usize> = Vec::with_capacity(usable.len());
                 while !usable.is_empty() {
                     let next_idx = if ordered.is_empty() {
                         0
                     } else {
                         let mut best = 0;
                         let mut best_score = f64::MIN;
-                        for (i, cand) in usable.iter().enumerate() {
+                        for (i, &cand) in usable.iter().enumerate() {
                             let score = ordered
                                 .iter()
-                                .map(|o| disjointness(cand, o))
+                                .map(|&o| disjointness(&self.candidates[cand], &self.candidates[o]))
                                 .fold(f64::MAX, f64::min);
                             if score > best_score {
                                 best_score = score;
@@ -186,41 +214,66 @@ impl PathSelector {
         usable
     }
 
+    /// Usable paths after policy filtering and dead-path exclusion, in
+    /// preference order.
+    pub fn ranked(&self) -> Vec<&FullPath> {
+        self.ranked_indices()
+            .into_iter()
+            .map(|i| &self.candidates[i])
+            .collect()
+    }
+
+    /// Index of the active path: the pinned one if alive, otherwise the
+    /// best ranked (which becomes pinned).
+    fn active_index(&mut self) -> Result<usize, PanError> {
+        if let Some(cur) = self.current.filter(|cur| !self.dead.contains(cur)) {
+            if let Some(i) = self.keys.iter().position(|k| *k == cur) {
+                return Ok(i);
+            }
+        }
+        let best = *self
+            .ranked_indices()
+            .first()
+            .ok_or_else(|| PanError::NoUsablePath("all paths filtered or dead".into()))?;
+        self.set_pin(Some(self.keys[best]));
+        Ok(best)
+    }
+
     /// The active path: the pinned one if alive, otherwise the best ranked
     /// (which becomes pinned).
     pub fn active(&mut self) -> Result<FullPath, PanError> {
-        if let Some(cur) = &self.current {
-            if let Some(p) = self
-                .candidates
-                .iter()
-                .find(|p| &p.fingerprint() == cur && !self.dead.contains(cur))
-            {
-                return Ok(p.clone());
-            }
+        self.active_index().map(|i| self.candidates[i].clone())
+    }
+
+    /// The active path ([`PathSelector::active`]) assembled for the data
+    /// plane. While the pin holds this is one stored path, so a connected
+    /// socket's steady-state send neither ranks nor re-assembles.
+    pub(crate) fn active_dataplane(&mut self) -> Result<&ScionPath, PanError> {
+        if self.pinned_dataplane.is_none() {
+            let active = self.active_index()?;
+            let assembled = self.candidates[active]
+                .to_dataplane()
+                .map_err(|e| PanError::NoUsablePath(e.to_string()))?;
+            self.pinned_dataplane = Some(assembled);
         }
-        let best = self
-            .ranked()
-            .first()
-            .cloned()
-            .cloned()
-            .ok_or_else(|| PanError::NoUsablePath("all paths filtered or dead".into()))?;
-        self.current = Some(best.fingerprint());
-        Ok(best)
+        Ok(self.pinned_dataplane.as_ref().expect("assembled above"))
     }
 
     /// Pins an explicit path choice (`--interactive` selection).
     pub fn pin(&mut self, fingerprint: &str) -> Result<(), PanError> {
-        if self
-            .candidates
+        let known = self
+            .keys
             .iter()
-            .any(|p| p.fingerprint() == fingerprint)
-        {
-            self.current = Some(fingerprint.to_string());
-            Ok(())
-        } else {
-            Err(PanError::NoUsablePath(format!(
+            .find(|k| fingerprint_hex(k) == fingerprint)
+            .copied();
+        match known {
+            Some(key) => {
+                self.set_pin(Some(key));
+                Ok(())
+            }
+            None => Err(PanError::NoUsablePath(format!(
                 "unknown path {fingerprint}"
-            )))
+            ))),
         }
     }
 
@@ -230,17 +283,14 @@ impl PathSelector {
     /// call.
     pub fn interface_down(&mut self, ia: IsdAsn, ifid: u16) -> usize {
         let mut killed = 0;
-        for p in &self.candidates {
-            let fp = p.fingerprint();
-            if !self.dead.contains(&fp) && p.interfaces().contains(&(ia, ifid)) {
-                self.dead.push(fp);
+        for (p, key) in self.candidates.iter().zip(&self.keys) {
+            if !self.dead.contains(key) && p.interfaces().contains(&(ia, ifid)) {
+                self.dead.push(*key);
                 killed += 1;
             }
         }
-        if let Some(cur) = &self.current {
-            if self.dead.contains(cur) {
-                self.current = None;
-            }
+        if self.current.is_some_and(|cur| self.dead.contains(&cur)) {
+            self.set_pin(None);
         }
         killed
     }
@@ -248,24 +298,25 @@ impl PathSelector {
     /// Interactive listing: (index, fingerprint, AS sequence, hop count),
     /// what the `bat --interactive` flag shows the user.
     pub fn listing(&self) -> Vec<(usize, String, String, usize)> {
-        self.ranked()
-            .iter()
+        self.ranked_indices()
+            .into_iter()
             .enumerate()
-            .map(|(i, p)| {
+            .map(|(rank, i)| {
+                let p = &self.candidates[i];
                 let seq = p
                     .ases()
                     .iter()
                     .map(|a| a.to_string())
                     .collect::<Vec<_>>()
                     .join(" > ");
-                (i, p.fingerprint(), seq, p.len())
+                (rank, fingerprint_hex(&self.keys[i]), seq, p.len())
             })
             .collect()
     }
 
     /// Number of live candidates.
     pub fn live_count(&self) -> usize {
-        self.ranked().len()
+        self.usable().len()
     }
 
     /// Usable paths ranked by an adaptive (measurement-driven) policy
@@ -279,24 +330,23 @@ impl PathSelector {
         policy: &crate::adaptive::AdaptivePolicy,
         view: &crate::adaptive::PathStatsView,
     ) -> Vec<&FullPath> {
-        let usable: Vec<&FullPath> = self
-            .candidates
-            .iter()
-            .filter(|p| self.policy.permits(p))
-            .filter(|p| !self.dead.contains(&p.fingerprint()))
-            .collect();
+        let usable = self.usable();
         let cands: Vec<crate::adaptive::Candidate> = usable
             .iter()
-            .map(|p| crate::adaptive::Candidate::of(p))
+            .map(|&i| crate::adaptive::Candidate {
+                fingerprint: fingerprint_hex(&self.keys[i]),
+                hops: self.candidates[i].len(),
+            })
             .collect();
         policy
             .rank(view, &cands)
             .into_iter()
             .map(|c| {
-                *usable
+                let at = cands
                     .iter()
-                    .find(|p| p.fingerprint() == c.fingerprint)
-                    .expect("ranked candidate came from usable")
+                    .position(|known| known.fingerprint == c.fingerprint)
+                    .expect("ranked candidate came from usable");
+                &self.candidates[usable[at]]
             })
             .collect()
     }
@@ -443,6 +493,166 @@ mod tests {
         s.metadata.carbon_g_per_gb.insert(fps[1].clone(), 5.0);
         s.metadata.carbon_g_per_gb.insert(fps[2].clone(), 90.0);
         assert_eq!(s.ranked()[0].fingerprint(), fps[1]);
+    }
+
+    /// The ranking as specified on hex fingerprints — the string-keyed
+    /// selector's sort, one `fingerprint()` per use — by fingerprint.
+    fn reference_ranked(s: &PathSelector, dead: &[String]) -> Vec<String> {
+        let mut usable: Vec<&FullPath> = s
+            .candidates
+            .iter()
+            .filter(|p| s.policy.permits(p) && !dead.contains(&p.fingerprint()))
+            .collect();
+        let by_fingerprint = |a: &&FullPath, b: &&FullPath| a.fingerprint().cmp(&b.fingerprint());
+        match s.preference {
+            Preference::Shortest | Preference::Disjoint => {
+                usable.sort_by_key(|p| (p.len(), p.fingerprint()))
+            }
+            Preference::Latency => {
+                let rtt = |p: &FullPath| s.rtt.estimate(&p.fingerprint()).unwrap_or(f64::MAX);
+                usable.sort_by(|a, b| {
+                    rtt(a)
+                        .partial_cmp(&rtt(b))
+                        .unwrap()
+                        .then_with(|| a.len().cmp(&b.len()))
+                        .then_with(|| by_fingerprint(a, b))
+                })
+            }
+            Preference::Bandwidth => {
+                let known = &s.metadata.bandwidth_mbps;
+                let bw = |p: &FullPath| known.get(&p.fingerprint()).copied().unwrap_or(0.0);
+                usable.sort_by(|a, b| {
+                    bw(b)
+                        .partial_cmp(&bw(a))
+                        .unwrap()
+                        .then_with(|| by_fingerprint(a, b))
+                })
+            }
+            Preference::Green => {
+                let known = &s.metadata.carbon_g_per_gb;
+                let co2 = |p: &FullPath| known.get(&p.fingerprint()).copied().unwrap_or(f64::MAX);
+                usable.sort_by(|a, b| {
+                    co2(a)
+                        .partial_cmp(&co2(b))
+                        .unwrap()
+                        .then_with(|| by_fingerprint(a, b))
+                })
+            }
+        }
+        if s.preference == Preference::Disjoint && !usable.is_empty() {
+            // Greedy max-min disjointness from the shortest path; the first
+            // of equally disjoint candidates wins.
+            let mut ordered: Vec<&FullPath> = vec![usable.remove(0)];
+            while !usable.is_empty() {
+                let spread = |cand: &FullPath| {
+                    ordered
+                        .iter()
+                        .map(|o| disjointness(cand, o))
+                        .fold(f64::MAX, f64::min)
+                };
+                let mut best = 0;
+                for i in 1..usable.len() {
+                    if spread(usable[i]) > spread(usable[best]) {
+                        best = i;
+                    }
+                }
+                ordered.push(usable.remove(best));
+            }
+            usable = ordered;
+        }
+        usable.iter().map(|p| p.fingerprint()).collect()
+    }
+
+    /// Many paths between one pair with ties in hop count and in every
+    /// score, so the fingerprint tie-break decides most of the order; each
+    /// run of four leaves the source through the same interface.
+    fn many_candidates() -> Vec<FullPath> {
+        let mids = ["71-1", "71-2", "71-3", "71-4"];
+        (0..40usize)
+            .map(|n| {
+                let mut ases = vec!["71-10"];
+                ases.extend(mids.iter().cycle().skip(n).take(1 + n % 3));
+                ases.push("71-11");
+                path(1 + n as u16 / 4, &ases)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn key_order_is_fingerprint_order_for_every_preference() {
+        for preference in [
+            Preference::Shortest,
+            Preference::Latency,
+            Preference::Bandwidth,
+            Preference::Green,
+            Preference::Disjoint,
+        ] {
+            let mut s = PathSelector::new(many_candidates());
+            s.preference = preference;
+            // Scores for two paths in three, each value shared by several.
+            for (i, p) in many_candidates()
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % 3 != 0)
+            {
+                let v = (i % 4) as f64 * 10.0;
+                s.rtt.record(&p.fingerprint(), v);
+                s.metadata.bandwidth_mbps.insert(p.fingerprint(), v);
+                s.metadata.carbon_g_per_gb.insert(p.fingerprint(), v);
+            }
+            let mut dead: Vec<String> = Vec::new();
+            let check = |s: &PathSelector, dead: &[String], when: &str| {
+                let want = reference_ranked(s, dead);
+                let ranked: Vec<String> = s.ranked().iter().map(|p| p.fingerprint()).collect();
+                assert_eq!(ranked, want, "{preference:?} ranked {when}");
+                let listing = s.listing();
+                let listed: Vec<String> = listing.iter().map(|l| l.1.clone()).collect();
+                assert_eq!(listed, want, "{preference:?} listing {when}");
+                assert!(listing.iter().enumerate().all(|(i, l)| l.0 == i));
+                assert_eq!(s.live_count(), want.len());
+                want
+            };
+            let want = check(&s, &dead, "fresh");
+            assert_eq!(want.len(), 40);
+            let first = s.active().unwrap();
+            assert_eq!(first.fingerprint(), want[0]);
+
+            // An interface of the active path dies: everything crossing
+            // it leaves the ranking, and the next best takes over.
+            let (ia_down, if_down) = first.interfaces()[0];
+            dead = many_candidates()
+                .iter()
+                .filter(|p| p.interfaces().contains(&(ia_down, if_down)))
+                .map(|p| p.fingerprint())
+                .collect();
+            assert_eq!(dead.len(), 4);
+            assert_eq!(s.interface_down(ia_down, if_down), 4);
+            let want = check(&s, &dead, "after interface_down");
+            assert_eq!(s.active().unwrap().fingerprint(), want[0]);
+
+            // A pin overrides the ranking without disturbing it.
+            s.pin(&want[5]).unwrap();
+            check(&s, &dead, "after pin");
+            assert_eq!(s.active().unwrap().fingerprint(), want[5]);
+            let upper = want[6].to_uppercase();
+            assert!(s.pin(&upper).is_err(), "fingerprints are lowercase hex");
+            assert_eq!(s.active().unwrap().fingerprint(), want[5]);
+
+            // A refresh that still holds the pin keeps it and revives the
+            // dead; one that lacks it falls back to the best ranked.
+            let pinned = want[5].clone();
+            let mut reversed = many_candidates();
+            reversed.reverse();
+            s.refresh(reversed);
+            let want = check(&s, &[], "after refresh");
+            assert_eq!(want.len(), 40);
+            assert_eq!(s.active().unwrap().fingerprint(), pinned);
+            let mut without: Vec<FullPath> = many_candidates();
+            without.retain(|p| p.fingerprint() != pinned);
+            s.refresh(without);
+            let want = check(&s, &[], "after refresh without the pin");
+            assert_eq!(s.active().unwrap().fingerprint(), want[0]);
+        }
     }
 
     #[test]

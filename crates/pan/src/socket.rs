@@ -117,14 +117,7 @@ impl<T: PanTransport> PanSocket<T> {
                 let paths = self.transport.lookup_paths(remote.ia);
                 self.selector.refresh(paths);
             }
-            let full = self
-                .selector
-                .active()
-                .map_err(|_| PanError::NoUsablePath(format!("to {}", remote.ia)))?;
-            DataPlanePath::Scion(
-                full.to_dataplane()
-                    .map_err(|e| PanError::NoUsablePath(e.to_string()))?,
-            )
+            DataPlanePath::Scion(self.selector.active_dataplane()?.clone())
         };
         let datagram = UdpDatagram::new(self.local_port, port, payload.to_vec());
         let packet = ScionPacket::new(self.local, remote, L4Protocol::Udp, path, datagram.encode());
@@ -225,13 +218,19 @@ mod tests {
     }
 
     fn fake_path(src: &str, dst: &str) -> FullPath {
+        fake_path_over(src, dst, 5)
+    }
+
+    /// A path leaving `dst` (the segment's origin) through `ifid` and
+    /// entering `src` through `ifid + 1`.
+    fn fake_path_over(src: &str, dst: &str, ifid: u16) -> FullPath {
         // A structurally valid 2-hop path needs real segments for
         // to_dataplane(); build one through the segment builder.
         use scion_control::fullpath::{Direction, SegmentUse};
         use scion_control::segment::{AsSecrets, SegmentBuilder, SegmentType};
         let mut b = SegmentBuilder::originate(SegmentType::UpDown, 1_700_000_000, 0x77);
-        b.extend(&AsSecrets::derive(ia(dst)), 0, 5, &[]);
-        b.extend(&AsSecrets::derive(ia(src)), 6, 0, &[]);
+        b.extend(&AsSecrets::derive(ia(dst)), 0, ifid, &[]);
+        b.extend(&AsSecrets::derive(ia(src)), ifid + 1, 0, &[]);
         let seg = b.finish();
         FullPath::assemble(
             ia(src),
@@ -326,22 +325,66 @@ mod tests {
         let p1 = fake_path("71-10", "71-1");
         let mut transport = Loop::new(vec![p1.clone()]);
         // Queue an SCMP killing p1's interface at 71-1 (ifid 5).
-        transport.inbox.push_back(ScionPacket::new(
-            addr("71-1"),
-            addr("71-10"),
-            L4Protocol::Scmp,
-            DataPlanePath::Empty,
-            ScmpMessage::ExternalInterfaceDown {
-                ia: ia("71-1"),
-                interface: 5,
-            }
-            .encode(),
-        ));
+        transport.inbox.push_back(interface_down("71-1", 5));
         let mut sock = PanSocket::bind(addr("71-10"), 5353, transport);
         sock.connect(addr("71-1"), 53).unwrap();
         assert!(sock.poll_recv().is_none()); // consumes the SCMP
                                              // The only path is dead now.
         assert!(matches!(sock.send(b"x"), Err(PanError::NoUsablePath(_))));
+    }
+
+    fn interface_down(at: &str, interface: u64) -> ScionPacket {
+        ScionPacket::new(
+            addr(at),
+            addr("71-10"),
+            L4Protocol::Scmp,
+            DataPlanePath::Empty,
+            ScmpMessage::ExternalInterfaceDown {
+                ia: ia(at),
+                interface,
+            }
+            .encode(),
+        )
+    }
+
+    #[test]
+    fn pinned_dataplane_path_is_never_served_stale() {
+        let (p1, p2) = (
+            fake_path_over("71-10", "71-1", 5),
+            fake_path_over("71-10", "71-1", 7),
+        );
+        let wire = |p: &FullPath| DataPlanePath::Scion(p.to_dataplane().unwrap());
+        let transport = Loop::new(vec![p1.clone(), p2.clone()]);
+        let mut sock = PanSocket::bind(addr("71-10"), 5353, transport);
+        sock.connect(addr("71-1"), 53).unwrap();
+        let first = sock.selector_mut().active().unwrap();
+        let (first, second) = if first == p1 { (p1, p2) } else { (p2, p1) };
+        sock.send(b"a").unwrap();
+        sock.send(b"b").unwrap();
+
+        // The pinned path dies: the very next send fails over.
+        let (_, dead_if) = first.interfaces()[0];
+        sock.transport
+            .inbox
+            .push_back(interface_down("71-10", dead_if as u64));
+        assert!(sock.poll_recv().is_none());
+        sock.send(b"c").unwrap();
+
+        // An explicit pin back (allowed: the application's call) and a
+        // refresh whose answer lacks that path: the pin is dropped.
+        sock.selector_mut()
+            .refresh(vec![first.clone(), second.clone()]);
+        sock.selector_mut().pin(&first.fingerprint()).unwrap();
+        sock.send(b"d").unwrap();
+        sock.selector_mut().refresh(vec![second.clone()]);
+        sock.send(b"e").unwrap();
+
+        let t = sock.into_transport();
+        assert_eq!(t.lookups, 1, "connected sends never look paths up");
+        let sent: Vec<&DataPlanePath> = t.out.iter().map(|p| &p.path).collect();
+        let (first, second) = (wire(&first), wire(&second));
+        assert_ne!(first, second);
+        assert_eq!(sent, [&first, &first, &second, &first, &second]);
     }
 
     #[test]

@@ -261,19 +261,84 @@ pub struct BuiltLink {
 }
 
 /// The realised topology: control graph plus interface-to-link mapping.
+///
+/// Build one with [`BuiltTopology::new`]. Which ASes and interfaces a link
+/// joins is fixed from then on — the `(ia, ifid)` index is derived from it
+/// once — while a link's latency and label may be rewritten in place.
 pub struct BuiltTopology {
     /// The control graph (input to beaconing).
     pub graph: ControlGraph,
     /// All links with assigned interface IDs.
     pub links: Vec<BuiltLink>,
+    index: LinkIndex,
+}
+
+/// `(ia, ifid) → link`: one table per AS, indexed by interface ID.
+/// `ControlGraph::connect` hands out interface IDs densely from 1, so the
+/// tables have no holes beyond slot 0 and the whole index is a few bytes
+/// per interface.
+struct LinkIndex {
+    /// Every AS with a link (as `IsdAsn::to_u64`, ascending) and the start
+    /// and end of its table in `slots`.
+    tables: Vec<(u64, u32, u32)>,
+    /// Link index plus one; 0 marks an interface no link is attached at.
+    slots: Vec<u32>,
+}
+
+impl LinkIndex {
+    fn build(links: &[BuiltLink]) -> Self {
+        let mut ends: Vec<(u64, u16, u32)> = links
+            .iter()
+            .enumerate()
+            .flat_map(|(i, l)| {
+                [
+                    (l.spec.a.to_u64(), l.ifid_a, i as u32 + 1),
+                    (l.spec.b.to_u64(), l.ifid_b, i as u32 + 1),
+                ]
+            })
+            .collect();
+        // Ascending by (AS, interface, link), so each AS's table is sized by
+        // its last end and the lowest link wins a doubly-claimed interface.
+        ends.sort_unstable();
+        let mut tables = Vec::new();
+        let mut slots: Vec<u32> = Vec::new();
+        for run in ends.chunk_by(|x, y| x.0 == y.0) {
+            let start = slots.len();
+            slots.resize(start + run[run.len() - 1].1 as usize + 1, 0);
+            for &(_, ifid, link) in run.iter().rev() {
+                slots[start + ifid as usize] = link;
+            }
+            tables.push((run[0].0, start as u32, slots.len() as u32));
+        }
+        LinkIndex { tables, slots }
+    }
+
+    fn get(&self, ia: IsdAsn, ifid: u16) -> Option<usize> {
+        let t = self
+            .tables
+            .binary_search_by_key(&ia.to_u64(), |&(ia, _, _)| ia)
+            .ok()?;
+        let (_, start, end) = self.tables[t];
+        let slot = *self.slots[start as usize..end as usize].get(ifid as usize)?;
+        (ifid != 0 && slot != 0).then(|| slot as usize - 1)
+    }
 }
 
 impl BuiltTopology {
+    /// Wraps a validated graph and its links, indexing the links by the
+    /// interfaces they attach at.
+    pub fn new(graph: ControlGraph, links: Vec<BuiltLink>) -> Self {
+        let index = LinkIndex::build(&links);
+        BuiltTopology {
+            graph,
+            links,
+            index,
+        }
+    }
+
     /// Index of the link attached at `(ia, ifid)`.
     pub fn link_index_of(&self, ia: IsdAsn, ifid: u16) -> Option<usize> {
-        self.links.iter().position(|l| {
-            (l.spec.a == ia && l.ifid_a == ifid) || (l.spec.b == ia && l.ifid_b == ifid)
-        })
+        self.index.get(ia, ifid)
     }
 
     /// One-way latency of the link attached at `(ia, ifid)`.
@@ -290,7 +355,6 @@ impl BuiltTopology {
     /// `None` if the path crosses a downed or unknown link.
     pub fn path_rtt_ms(&self, path: &FullPath, link_down: &dyn Fn(usize) -> bool) -> Option<f64> {
         let mut one_way = 0.0;
-        let mut hops = 0u32;
         for h in &path.hops {
             if h.egress != 0 {
                 let idx = self.link_index_of(h.ia, h.egress)?;
@@ -298,10 +362,8 @@ impl BuiltTopology {
                     return None;
                 }
                 one_way += self.links[idx].spec.latency_ms;
-                hops += 1;
             }
         }
-        let _ = hops;
         // Per-AS cost: border-router processing plus the intra-AS IP
         // underlay crossing of §4.3.1 (SCION packets traverse AS-internal
         // IP segments between border routers and services).
@@ -334,7 +396,66 @@ pub fn build_control_graph() -> BuiltTopology {
     graph
         .validate()
         .expect("SCIERA topology is structurally valid");
-    BuiltTopology { graph, links }
+    BuiltTopology::new(graph, links)
+}
+
+#[cfg(test)]
+mod index_tests {
+    use super::*;
+    use crate::synth::{synthesize, SynthConfig};
+    use proptest::prelude::*;
+
+    /// The scan the index replaced, kept as its oracle.
+    fn scan(topo: &BuiltTopology, ia: IsdAsn, ifid: u16) -> Option<usize> {
+        topo.links.iter().position(|l| {
+            (l.spec.a == ia && l.ifid_a == ifid) || (l.spec.b == ia && l.ifid_b == ifid)
+        })
+    }
+
+    fn assert_index_matches_scan(topo: &BuiltTopology) {
+        for (i, l) in topo.links.iter().enumerate() {
+            for (ia, ifid) in [(l.spec.a, l.ifid_a), (l.spec.b, l.ifid_b)] {
+                assert_eq!(topo.link_index_of(ia, ifid), Some(i));
+                assert_eq!(topo.link_index_of(ia, ifid), scan(topo, ia, ifid));
+                assert_eq!(topo.link_index_of(ia, 0), None, "{ia} has no interface 0");
+            }
+        }
+        for node in topo.graph.ases() {
+            // Dense interface IDs: the first unassigned one, and far past it.
+            let next = node.interfaces.len() as u16 + 1;
+            for ifid in [next, next + 1, u16::MAX] {
+                assert_eq!(scan(topo, node.ia, ifid), None);
+                assert_eq!(topo.link_index_of(node.ia, ifid), None);
+            }
+        }
+        // ASes the topology does not contain, sorting before and after it.
+        for stranger in [IsdAsn::from_u64(0), IsdAsn::from_u64(u64::MAX)] {
+            for ifid in [0, 1, u16::MAX] {
+                assert_eq!(topo.link_index_of(stranger, ifid), None);
+            }
+        }
+    }
+
+    #[test]
+    fn index_matches_scan_on_the_sciera_topology() {
+        assert_index_matches_scan(&build_control_graph());
+    }
+
+    #[test]
+    fn an_empty_topology_has_no_links_to_find() {
+        let topo = BuiltTopology::new(ControlGraph::new(), Vec::new());
+        assert_eq!(topo.link_index_of(ia("71-20965"), 1), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn index_matches_scan_on_synthetic_topologies(n in 12usize..400, seed in any::<u64>()) {
+            let topo = synthesize(&SynthConfig { seed, ..SynthConfig::sized(n) });
+            assert_index_matches_scan(&topo);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -341,7 +341,7 @@ pub fn synthesize(cfg: &SynthConfig) -> BuiltTopology {
     graph
         .validate()
         .expect("synthetic topology is structurally valid");
-    BuiltTopology { graph, links }
+    BuiltTopology::new(graph, links)
 }
 
 #[cfg(test)]

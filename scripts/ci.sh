@@ -126,6 +126,15 @@ if grep -q '"bottleneck": "beacon.propagate"' target/scale_smoke.json; then
     echo "scale smoke: beacon.propagate is a bottleneck again" >&2
     exit 1
 fi
+# The forwarding stage's per-operation cost must not grow with the
+# topology: it did (420 ns at N=100, 1 942 ns at N=1000) while every
+# forwarded frame scanned the link list for its `(ia, ifid)`.
+read -r ns_100 ns_1000 < <(grep -o '"router_ns_per_op": [0-9]*' target/scale_smoke.json |
+    awk '{print $2}' | tr '\n' ' ')
+if [ "$((ns_1000 * 2))" -gt "$((ns_100 * 3))" ]; then
+    echo "scale smoke: router_ns_per_op $ns_100 ns at N=100 but $ns_1000 ns at N=1000 (limit 1.5x)" >&2
+    exit 1
+fi
 
 # Dynamics-campaign smoke: a short seeded campaign over a 40-AS synthetic
 # deployment. The bench itself asserts schema validity and byte-for-byte
@@ -140,6 +149,15 @@ test -s target/dynamics_smoke/paths.jsonl
 test -s target/dynamics_smoke/events.jsonl
 test -s target/dynamics_smoke/bench.json
 
+# The benchmark package is frozen against the product's public surface
+# (BENCHMARK.json `paths`): build it, run every workload briefly with its
+# output checks on, and run its own tests, so drift shows here first.
+echo "==> benchmark/run.sh --smoke"
+benchmark/run.sh --smoke >/dev/null
+
+echo "==> (cd benchmark && cargo test --offline)"
+(cd benchmark && cargo test -q --offline --target-dir ../target)
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -149,10 +167,11 @@ cargo clippy --workspace -- -D warnings
 # The dataplane and wire-format crates carry the forwarding hot path, the
 # control crate the combination/beaconing hot path, netsim the frame
 # pool + dispatch loop under the batched pipeline, and topology the
-# synthetic-generator inner loops the scale sweep leans on: hold them to
-# the allocation-hygiene lints as hard errors.
-echo "==> cargo clippy -p scion-dataplane -p scion-proto -p scion-control -p netsim -p sciera-topology (hot-path lints)"
-cargo clippy -p scion-dataplane -p scion-proto -p scion-control -p netsim -p sciera-topology -- \
+# synthetic-generator inner loops the scale sweep leans on, and pan every
+# host's connect and send: hold them to the allocation-hygiene lints as
+# hard errors.
+echo "==> cargo clippy -p scion-dataplane -p scion-proto -p scion-control -p netsim -p sciera-topology -p scion-pan (hot-path lints)"
+cargo clippy -p scion-dataplane -p scion-proto -p scion-control -p netsim -p sciera-topology -p scion-pan -- \
     -D warnings -D clippy::redundant_clone -D clippy::needless_collect
 
 echo "==> ci OK"
