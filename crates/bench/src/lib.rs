@@ -6,6 +6,8 @@
 //! (25 days at 60 s aggregation); the default is a scaled campaign that
 //! preserves the shapes at a fraction of the wall-clock cost.
 
+#![forbid(unsafe_code)]
+
 use sciera_measure::campaign::{Campaign, CampaignConfig, MeasurementStore};
 use sciera_telemetry::Telemetry;
 

@@ -96,11 +96,14 @@ pub(crate) struct CombineRecord {
 /// final step every combination (fresh or incremental) shares, so results
 /// are byte-for-byte identical.
 ///
-/// Only the winners are cloned, and only the lengths that reach the answer
-/// are fingerprinted: paths that share a fingerprint share their hops and so
-/// their length, which lets each length be ordered and deduplicated on its
-/// own, and the walk stop at the one that fills the answer. A candidate
-/// beyond it costs its place in the length sort and nothing else.
+/// The winners are handles to the candidates' own bodies, not copies, and
+/// leave here with their fingerprint key memoised. Only the lengths that
+/// reach the answer are fingerprinted: paths that share a fingerprint share
+/// their hops and so their length, which lets each length be ordered and
+/// deduplicated on its own, and the walk stop at the one that fills the
+/// answer. A candidate beyond it costs its place in the length sort and
+/// nothing else; one hashed here keeps its key, so a pair carried into the
+/// next recombination is not hashed again.
 pub(crate) fn finalize<'a>(
     raw: impl IntoIterator<Item = &'a FullPath>,
     max_paths: usize,
@@ -500,12 +503,11 @@ mod tests {
         keyed.into_iter().map(|(_, p)| p).collect()
     }
 
-    #[test]
-    fn finalize_by_length_equals_the_whole_list_sort_at_every_cap() {
-        // Three meshed cores and two doubly-homed leaves under a shared
-        // mid AS: core-transit, same-core and shortcut candidates of several
-        // lengths, many of them reaching the same hops by different
-        // segments.
+    /// Three meshed cores and two doubly-homed leaves under a shared mid AS:
+    /// core-transit, same-core and shortcut candidates of several lengths
+    /// between 71-100 and 71-101, many of them reaching the same hops by
+    /// different segments.
+    fn layered_store() -> SegmentStore {
         let mut g = ControlGraph::new();
         for core in ["71-1", "71-2", "71-3"] {
             g.add_as(ia(core), true);
@@ -527,9 +529,14 @@ mod tests {
         ] {
             g.connect(ia(parent), ia(child), LinkType::Child).unwrap();
         }
-        let store = BeaconEngine::new(&g, 1_700_000_000, BeaconConfig::default())
+        BeaconEngine::new(&g, 1_700_000_000, BeaconConfig::default())
             .run()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn finalize_by_length_equals_the_whole_list_sort_at_every_cap() {
+        let store = layered_store();
         let record = combine_paths_recorded(&store, ia("71-100"), ia("71-101"), usize::MAX, true);
         let mut raw: Vec<FullPath> = record
             .raw
@@ -552,6 +559,35 @@ mod tests {
             );
         }
         assert_eq!(finalize(&raw, usize::MAX), record.paths);
+    }
+
+    #[test]
+    fn winners_are_the_candidates_themselves_and_only_reached_lengths_are_hashed() {
+        use crate::fullpath::approx_shared_bytes;
+        let store = layered_store();
+        let record = combine_paths_recorded(&store, ia("71-100"), ia("71-101"), 1, true);
+        let raw: Vec<&FullPath> = record
+            .raw
+            .as_ref()
+            .expect("leaf to leaf records its pairs")
+            .iter()
+            .flat_map(|pr| pr.paths.iter())
+            .collect();
+        let [winner] = &record.paths[..] else {
+            panic!("cap 1 answers with one path");
+        };
+        // The winner adds a handle to the record, not a body.
+        assert_eq!(
+            approx_shared_bytes(raw.iter().copied().chain([winner])),
+            approx_shared_bytes(raw.iter().copied()) + std::mem::size_of::<FullPath>()
+        );
+        // It leaves with its key; a candidate of a length the answer never
+        // reached was not hashed.
+        assert!(winner.key_is_memoised());
+        assert!(raw.iter().any(|p| p.len() > winner.len()));
+        for p in raw {
+            assert_eq!(p.key_is_memoised(), p.len() == winner.len(), "{p:?}");
+        }
     }
 
     /// Same-core and shortcut combinations in a deeper hierarchy:

@@ -49,7 +49,7 @@ use scion_proto::addr::IsdAsn;
 
 use crate::combine::{combine_paths_recorded, CombineRecord, PairRaw};
 use crate::fullpath::FullPath;
-use crate::pathdb::{incremental_recombine, policy_fingerprint};
+use crate::pathdb::{answer_bytes, incremental_recombine, policy_fingerprint};
 use crate::policy::PathPolicy;
 use crate::store::{BucketDep, SegmentStore};
 
@@ -131,31 +131,6 @@ impl PathSnapshot {
     pub fn age(&self) -> std::time::Duration {
         self.published_at.elapsed()
     }
-}
-
-/// A caller's own copy of a shared answer.
-///
-/// An answer is two small heap blocks per path, placed wherever the
-/// combinator's allocations fell, and by the next time its pair is asked
-/// for they have usually left the processor's caches. A path-by-path clone
-/// then waits for them one memory round trip after another: each path's
-/// reference-count increments are ordered ahead of the loads for the next
-/// path. How long a round trip takes is the machine's business (it doubles
-/// when a neighbour is busy), so the copy's cost would follow it. Reading
-/// every block once first, with plain loads that overlap, pays the round
-/// trips side by side; the clone then finds its source near.
-fn copy_out(answer: &[FullPath]) -> Vec<FullPath> {
-    let mut read = 0usize;
-    for p in answer {
-        for u in &p.uses {
-            read = read.wrapping_add(Arc::strong_count(&u.segment));
-        }
-        for h in &p.hops {
-            read = read.wrapping_add(usize::from(h.egress));
-        }
-    }
-    std::hint::black_box(read);
-    answer.to_vec()
 }
 
 type CacheKey = (IsdAsn, IsdAsn, u64, usize);
@@ -396,13 +371,16 @@ impl EpochPathDb {
 
     /// Memoized equivalent of
     /// [`combine_paths`](crate::combine::combine_paths) against the
-    /// currently-published snapshot: byte-for-byte the same result.
+    /// currently-published snapshot: byte-for-byte the same result. The
+    /// answer is the caller's own list of handles to the cached paths — a
+    /// reference-count bump per path, no copy — and paths being immutable,
+    /// nothing the cache does later changes what the caller holds.
     pub fn paths(&self, src: IsdAsn, dst: IsdAsn, max_paths: usize) -> Vec<FullPath> {
-        copy_out(&self.query(src, dst, max_paths, None).0)
+        self.query(src, dst, max_paths, None).0.to_vec()
     }
 
-    /// [`paths`](Self::paths) without the final copy: the shared path
-    /// list straight from the cache (the warm fast path of the SLO
+    /// [`paths`](Self::paths) without the caller's own list: the shared
+    /// one straight from the cache (the warm fast path of the SLO
     /// harness), plus the snapshot generation it was served from.
     pub fn paths_with_generation(
         &self,
@@ -422,7 +400,7 @@ impl EpochPathDb {
         max_paths: usize,
         policy: &PathPolicy,
     ) -> Vec<FullPath> {
-        copy_out(&self.query(src, dst, max_paths, Some(policy)).0)
+        self.query(src, dst, max_paths, Some(policy)).0.to_vec()
     }
 
     /// Pre-warms the cache for a batch of (src, dst) pairs against one
@@ -485,8 +463,8 @@ impl EpochPathDb {
     }
 
     /// Approximate resident bytes of the cache (finalized paths plus
-    /// retained raw recombination state), matching the mutex database's
-    /// accounting.
+    /// retained raw recombination state, a body shared between the two
+    /// counted once), matching the mutex database's accounting.
     pub fn approx_cache_bytes(&self) -> usize {
         self.inner
             .shards
@@ -496,20 +474,7 @@ impl EpochPathDb {
                 s.entries
                     .values()
                     .map(|e| {
-                        std::mem::size_of::<Entry>()
-                            + e.paths.iter().map(|p| p.approx_bytes()).sum::<usize>()
-                            + e.raw.as_ref().map_or(0, |pairs| {
-                                pairs
-                                    .iter()
-                                    .map(|pr| {
-                                        std::mem::size_of_val(pr)
-                                            + pr.paths
-                                                .iter()
-                                                .map(|p| p.approx_bytes())
-                                                .sum::<usize>()
-                                    })
-                                    .sum()
-                            })
+                        std::mem::size_of::<Entry>() + answer_bytes(&e.paths, e.raw.as_deref())
                     })
                     .sum::<usize>()
             })

@@ -8,6 +8,9 @@
 //! construction-direction flag, peering flag and segment-identifier
 //! initialisation, and the hop fields exactly as MACed during beaconing.
 
+use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
 
 use scion_proto::addr::IsdAsn;
@@ -150,9 +153,11 @@ pub struct PathHop {
     pub egress: u16,
 }
 
-/// A combined end-to-end path.
+/// What a combined path *is*: end points, shape, the segment uses it is made
+/// of and the AS-level hops derived from them. Plain data; a [`FullPath`] is a
+/// shared, immutable handle to one.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FullPath {
+pub struct PathBody {
     /// Source AS.
     pub src: IsdAsn,
     /// Destination AS.
@@ -165,13 +170,109 @@ pub struct FullPath {
     pub hops: Vec<PathHop>,
 }
 
+/// The allocation behind a [`FullPath`]: the body and, beside it, the
+/// fingerprint key of its hops once somebody has asked for it.
+struct Shared {
+    key: OnceLock<[u8; 8]>,
+    body: PathBody,
+}
+
+/// A combined end-to-end path: a cheap-to-clone handle to an immutable
+/// [`PathBody`], read through `Deref` (`p.hops`, `p.src`, …).
+///
+/// A clone shares the body (one reference-count bump), so a cached answer of
+/// 200 paths is handed out without copying a hop. There is no mutable access
+/// to a body, which is what lets [`FullPath::fingerprint_key`] be computed
+/// once per body and kept: nothing can change the hops it was taken over.
+///
+/// ```compile_fail
+/// use scion_control::fullpath::{FullPath, PathHop};
+/// fn grow(path: &mut FullPath, hop: PathHop) {
+///     path.hops.push(hop); // no `DerefMut`: a body is never mutated
+/// }
+/// ```
+#[derive(Clone)]
+pub struct FullPath(Arc<Shared>);
+
+impl std::ops::Deref for FullPath {
+    type Target = PathBody;
+
+    fn deref(&self) -> &PathBody {
+        &self.0.body
+    }
+}
+
+/// By value: two handles are equal when their bodies are, wherever those
+/// live. The memoised key is a function of the body and takes no part.
+impl PartialEq for FullPath {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0.body == other.0.body
+    }
+}
+
+impl Eq for FullPath {}
+
+impl std::fmt::Debug for FullPath {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.body.fmt(f)
+    }
+}
+
+/// A path serialises as its body, so the JSON form is the one it had as a
+/// plain struct.
+impl Serialize for FullPath {
+    fn serialize(&self) -> serde::Value {
+        self.0.body.serialize()
+    }
+}
+
+impl Deserialize for FullPath {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        PathBody::deserialize(v).map(FullPath::from_body)
+    }
+}
+
+/// SHA-256 over the hops' `(ISD-AS, ingress, egress)` triples, first 8 bytes.
+fn hash_hops(hops: &[PathHop]) -> [u8; 8] {
+    let mut bytes = Vec::with_capacity(hops.len() * 12);
+    for h in hops {
+        bytes.extend_from_slice(&h.ia.to_u64().to_be_bytes());
+        bytes.extend_from_slice(&h.ingress.to_be_bytes());
+        bytes.extend_from_slice(&h.egress.to_be_bytes());
+    }
+    let d = scion_crypto::sha256::sha256(&bytes);
+    let mut key = [0u8; 8];
+    key.copy_from_slice(&d[..8]);
+    key
+}
+
 impl FullPath {
-    /// Approximate resident size of this path in bytes: the struct plus the
-    /// heap behind its use and hop vectors. Segment bodies are shared
+    /// Wraps `body` as it is, without deriving or checking anything:
+    /// [`FullPath::assemble`] is the constructor that validates. For tests
+    /// and tools that need a path of given hops without real segments.
+    pub fn from_body(body: PathBody) -> Self {
+        FullPath(Arc::new(Shared {
+            key: OnceLock::new(),
+            body,
+        }))
+    }
+
+    /// Whether this body's key has been taken yet (tests of who pays for
+    /// the hash).
+    #[cfg(test)]
+    pub(crate) fn key_is_memoised(&self) -> bool {
+        self.0.key.get().is_some()
+    }
+
+    /// Approximate resident size of the body this handle points at, in
+    /// bytes: the shared header (reference counts and the memoised key), the
+    /// body, and the heap behind its use and hop vectors. A further handle
+    /// to the same body costs a pointer, not this. Segment bodies are shared
     /// interned handles and intentionally not counted — the store owns them
     /// (see `SegmentStore::approx_bytes`).
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<FullPath>()
+        2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<Shared>()
             + self.uses.capacity() * std::mem::size_of::<SegmentUse>()
             + self.hops.capacity() * std::mem::size_of::<PathHop>()
     }
@@ -256,13 +357,13 @@ impl FullPath {
         if hops.iter().enumerate().any(revisits) {
             return Err(ControlError::BadSegment("path visits an AS twice".into()));
         }
-        Ok(FullPath {
+        Ok(FullPath::from_body(PathBody {
             src,
             dst,
             kind,
             uses,
             hops,
-        })
+        }))
     }
 
     /// Number of AS-level hops.
@@ -296,21 +397,13 @@ impl FullPath {
         fingerprint_hex(&self.fingerprint_key())
     }
 
-    /// The raw 8-byte digest behind [`Self::fingerprint`]. Fixed-width
-    /// lowercase hex is order-preserving, so sorting by this key equals
-    /// sorting by the hex string without allocating it — the combinator's
-    /// sort/dedup step leans on that.
+    /// The raw 8-byte digest behind [`Self::fingerprint`]: hashed on the
+    /// first call, a load on every later one, from any handle to this body.
+    /// Fixed-width lowercase hex is order-preserving, so sorting by this key
+    /// equals sorting by the hex string without allocating it — the
+    /// combinator's sort/dedup step and the selector's ranking lean on that.
     pub fn fingerprint_key(&self) -> [u8; 8] {
-        let mut bytes = Vec::with_capacity(self.hops.len() * 12);
-        for h in &self.hops {
-            bytes.extend_from_slice(&h.ia.to_u64().to_be_bytes());
-            bytes.extend_from_slice(&h.ingress.to_be_bytes());
-            bytes.extend_from_slice(&h.egress.to_be_bytes());
-        }
-        let d = scion_crypto::sha256::sha256(&bytes);
-        let mut key = [0u8; 8];
-        key.copy_from_slice(&d[..8]);
-        key
+        *self.0.key.get_or_init(|| hash_hops(&self.0.body.hops))
     }
 
     /// Earliest expiry over all used segments (Unix seconds).
@@ -343,6 +436,24 @@ impl FullPath {
     pub fn ases(&self) -> Vec<IsdAsn> {
         self.hops.iter().map(|h| h.ia).collect()
     }
+}
+
+/// Approximate resident bytes behind a collection of path handles: a pointer
+/// per handle, and each distinct body ([`FullPath::approx_bytes`]) once,
+/// however many of the handles share it.
+pub(crate) fn approx_shared_bytes<'a>(handles: impl IntoIterator<Item = &'a FullPath>) -> usize {
+    let mut counted: HashSet<*const Shared> = HashSet::new();
+    handles
+        .into_iter()
+        .map(|p| {
+            let body = if counted.insert(Arc::as_ptr(&p.0)) {
+                p.approx_bytes()
+            } else {
+                0
+            };
+            std::mem::size_of::<FullPath>() + body
+        })
+        .sum()
 }
 
 /// The hex [`FullPath::fingerprint`] of a [`FullPath::fingerprint_key`], for
@@ -445,6 +556,103 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// Three hops and no segments: what `from_body` is for.
+    fn bare_path() -> FullPath {
+        let hop = |s: &str, ingress, egress| PathHop {
+            ia: ia(s),
+            ingress,
+            egress,
+        };
+        FullPath::from_body(PathBody {
+            src: ia("71-100"),
+            dst: ia("71-2:0:3b"),
+            kind: PathKind::SameCore,
+            uses: Vec::new(),
+            hops: vec![
+                hop("71-100", 0, 31),
+                hop("71-1", 11, 12),
+                hop("71-2:0:3b", 7, 0),
+            ],
+        })
+    }
+
+    #[test]
+    fn equality_is_by_value_and_a_clone_shares_its_body() {
+        let (a, b) = (core_transit(), core_transit());
+        assert!(!Arc::ptr_eq(&a.0, &b.0), "assembled separately");
+        assert_eq!(a, b);
+        let c = a.clone();
+        assert!(Arc::ptr_eq(&a.0, &c.0), "a clone is a second handle");
+        assert_eq!(a, c);
+        assert_ne!(a, bare_path());
+        // The key is derived state: taking it on one side changes nothing.
+        a.fingerprint_key();
+        assert!(a.key_is_memoised() && !b.key_is_memoised());
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn the_memoised_key_is_the_plain_hash_of_the_hops() {
+        for p in [core_transit(), bare_path()] {
+            // Assembled, never finalised: nobody has hashed it yet.
+            assert!(!p.key_is_memoised());
+            let handle = p.clone();
+            let first = p.fingerprint_key();
+            assert_eq!(first, hash_hops(&p.hops));
+            // Kept beside the body, so every handle sees it.
+            assert!(handle.key_is_memoised());
+            assert_eq!(handle.fingerprint_key(), first);
+            assert_eq!(p.fingerprint(), fingerprint_hex(&first));
+            // An equal body elsewhere hashes to the same key on its own.
+            let twin = FullPath::from_body(PathBody::clone(&p));
+            assert!(!twin.key_is_memoised());
+            assert_eq!(twin.fingerprint_key(), first);
+        }
+        // The fingerprints themselves are part of the dataset format.
+        assert_eq!(bare_path().fingerprint(), "20b7c2d6a87773e4");
+    }
+
+    #[test]
+    fn a_path_serialises_as_its_body() {
+        let golden = concat!(
+            r#"{"src":{"isd":71,"asn":100},"dst":{"isd":71,"asn":8589934651},"#,
+            r#""kind":"SameCore","uses":[],"hops":["#,
+            r#"{"ia":{"isd":71,"asn":100},"ingress":0,"egress":31},"#,
+            r#"{"ia":{"isd":71,"asn":1},"ingress":11,"egress":12},"#,
+            r#"{"ia":{"isd":71,"asn":8589934651},"ingress":7,"egress":0}]}"#
+        );
+        let p = bare_path();
+        assert_eq!(serde_json::to_string(&p).unwrap(), golden);
+        let back: FullPath = serde_json::from_str(golden).unwrap();
+        assert_eq!(back, p);
+        assert_eq!(back.fingerprint_key(), p.fingerprint_key());
+        // With real segments behind it, and with the key already taken.
+        let p = core_transit();
+        p.fingerprint_key();
+        let text = serde_json::to_string(&p).unwrap();
+        assert_eq!(text, serde_json::to_string(&PathBody::clone(&p)).unwrap());
+        let back: FullPath = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, p);
+        assert_eq!(back.to_dataplane().unwrap(), p.to_dataplane().unwrap());
+    }
+
+    #[test]
+    fn shared_bodies_are_counted_once() {
+        let (a, b) = (core_transit(), bare_path());
+        let handle = std::mem::size_of::<FullPath>();
+        assert_eq!(handle, std::mem::size_of::<usize>());
+        assert!(a.approx_bytes() > std::mem::size_of::<PathBody>() + 8);
+        let one = approx_shared_bytes([&a]);
+        assert_eq!(one, handle + a.approx_bytes());
+        let copies = [a.clone(), a.clone(), b.clone()];
+        assert_eq!(
+            approx_shared_bytes(copies.iter().chain([&a, &b])),
+            5 * handle + a.approx_bytes() + b.approx_bytes()
+        );
+        // An equal body in its own allocation is its own memory.
+        assert_eq!(approx_shared_bytes([&a, &core_transit()]), 2 * one);
     }
 
     #[test]

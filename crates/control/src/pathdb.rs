@@ -35,7 +35,7 @@ use sciera_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use scion_proto::addr::IsdAsn;
 
 use crate::combine::{combine_pair, combine_paths_recorded, finalize, CombineRecord, PairRaw};
-use crate::fullpath::FullPath;
+use crate::fullpath::{approx_shared_bytes, FullPath};
 use crate::policy::PathPolicy;
 use crate::store::{BucketDep, SegmentStore};
 
@@ -172,24 +172,13 @@ impl PathDb {
     }
 
     /// Approximate resident bytes of the cache itself: finalized paths plus
-    /// retained raw recombination state. Interned segment bodies are the
-    /// store's (see [`SegmentStore::approx_bytes`]).
+    /// retained raw recombination state, a body shared between the two
+    /// counted once. Interned segment bodies are the store's (see
+    /// [`SegmentStore::approx_bytes`]).
     pub fn approx_cache_bytes(&self) -> usize {
         self.entries
             .values()
-            .map(|e| {
-                std::mem::size_of::<Entry>()
-                    + e.paths.iter().map(|p| p.approx_bytes()).sum::<usize>()
-                    + e.raw.as_ref().map_or(0, |pairs| {
-                        pairs
-                            .iter()
-                            .map(|pr| {
-                                std::mem::size_of_val(pr)
-                                    + pr.paths.iter().map(|p| p.approx_bytes()).sum::<usize>()
-                            })
-                            .sum()
-                    })
-            })
+            .map(|e| std::mem::size_of::<Entry>() + answer_bytes(&e.paths, e.raw.as_deref()))
             .sum()
     }
 
@@ -402,6 +391,20 @@ impl PathDb {
         self.combine_ns.record(start.elapsed().as_nanos() as f64);
         self.paths_combined.add(paths.len() as u64);
     }
+}
+
+/// Approximate resident bytes of one cached answer: the winners and the raw
+/// per-pair candidates kept for recombination. `finalize` picks winners
+/// *among* the raw candidates, so the two lists share bodies; each body is
+/// counted once and each further handle as a pointer.
+pub(crate) fn answer_bytes(paths: &[FullPath], raw: Option<&[PairRaw]>) -> usize {
+    let raw = raw.unwrap_or_default();
+    std::mem::size_of_val(raw)
+        + approx_shared_bytes(
+            raw.iter()
+                .flat_map(|pr| pr.paths.iter())
+                .chain(paths.iter()),
+        )
 }
 
 /// Acquires the shared `Arc<Mutex<PathDb>>` hot lock with wait accounting.
@@ -657,6 +660,31 @@ mod tests {
         // Unknown interfaces drop nothing; results still match fresh.
         assert_eq!(db.invalidate_paths_crossing(ia("71-2"), 999), 0);
         assert_matches_fresh(&mut db, "71-10", "71-20");
+    }
+
+    #[test]
+    fn cache_accounting_counts_a_shared_body_once() {
+        let store = mesh();
+        let handle = std::mem::size_of::<FullPath>();
+        // Leaf to leaf: the winners are among the retained raw candidates.
+        let record = combine_paths_recorded(&store, ia("71-10"), ia("71-30"), 100, true);
+        let raw = record
+            .raw
+            .as_deref()
+            .expect("leaf to leaf records its pairs");
+        assert!(!record.paths.is_empty());
+        assert_eq!(
+            answer_bytes(&record.paths, Some(raw)),
+            answer_bytes(&[], Some(raw)) + record.paths.len() * handle
+        );
+        // Core to leaf keeps no raw state: the winners own their bodies.
+        let record = combine_paths_recorded(&store, ia("71-1"), ia("71-30"), 100, true);
+        assert!(record.raw.is_none());
+        let bodies: usize = record.paths.iter().map(FullPath::approx_bytes).sum();
+        assert_eq!(
+            answer_bytes(&record.paths, None),
+            bodies + record.paths.len() * handle
+        );
     }
 
     #[test]

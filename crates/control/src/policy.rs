@@ -299,7 +299,7 @@ impl PathPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fullpath::{PathHop, PathKind};
+    use crate::fullpath::{PathBody, PathHop, PathKind};
     use scion_proto::addr::ia;
 
     /// Builds a FullPath directly from hops (tests don't need real segments
@@ -314,13 +314,13 @@ mod tests {
                 egress: if i == ases.len() - 1 { 0 } else { 2 },
             })
             .collect();
-        FullPath {
+        FullPath::from_body(PathBody {
             src: hops.first().unwrap().ia,
             dst: hops.last().unwrap().ia,
             kind: PathKind::CoreTransit,
             uses: Vec::new(),
             hops,
-        }
+        })
     }
 
     #[test]

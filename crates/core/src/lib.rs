@@ -36,4 +36,6 @@ pub mod network;
 
 pub use console::OperatorConsole;
 pub use evolution::RegionalSplit;
-pub use network::{HostHandle, NetError, NetworkConfig, SciEraNetwork, SimTransport};
+pub use network::{
+    HostHandle, NetError, NetworkConfig, SciEraNetwork, SimTransport, LOOKUP_MAX_PATHS,
+};

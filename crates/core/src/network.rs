@@ -35,6 +35,12 @@ use scion_proto::trace::TraceContext;
 
 use crate::console::OperatorConsole;
 
+/// Most paths one lookup answers with, whoever asks: an operator through
+/// [`SciEraNetwork::paths`] or a host through [`SimTransport`]'s
+/// `lookup_paths`. The daemon's response-size cap, so the two see the same
+/// answer a daemon would give.
+pub const LOOKUP_MAX_PATHS: usize = scion_control::combine::DEFAULT_MAX_PATHS;
+
 /// Errors from network operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
@@ -353,7 +359,7 @@ impl SciEraNetwork {
     /// administrative link state is applied as a post-filter, so toggling
     /// links never invalidates the cache.
     pub fn paths(&self, src: IsdAsn, dst: IsdAsn) -> Vec<FullPath> {
-        let paths = self.pathdb.paths(src, dst, 200);
+        let paths = self.pathdb.paths(src, dst, LOOKUP_MAX_PATHS);
         self.inner.lock().live(paths)
     }
 
@@ -1153,7 +1159,7 @@ impl scion_pan::socket::PanTransport for SimTransport {
     }
 
     fn lookup_paths(&mut self, dst: IsdAsn) -> Vec<FullPath> {
-        let paths = self.pathdb.paths(self.local.ia, dst, 200);
+        let paths = self.pathdb.paths(self.local.ia, dst, LOOKUP_MAX_PATHS);
         self.net.lock().live(paths)
     }
 }

@@ -295,12 +295,12 @@ impl<P: PathProvider> Daemon<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scion_control::fullpath::{PathHop, PathKind};
+    use scion_control::fullpath::{PathBody, PathHop, PathKind};
     use scion_proto::addr::ia;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn fake_path(src: &str, mid: &str, dst: &str) -> FullPath {
-        FullPath {
+        FullPath::from_body(PathBody {
             src: ia(src),
             dst: ia(dst),
             kind: PathKind::SameCore,
@@ -322,7 +322,7 @@ mod tests {
                     egress: 0,
                 },
             ],
-        }
+        })
     }
 
     struct CountingProvider {

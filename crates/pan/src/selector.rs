@@ -58,10 +58,11 @@ pub struct PathMetadata {
 }
 
 /// A path's [`FullPath::fingerprint_key`]: what the selector ranks, pins and
-/// dead-lists on. Fixed-width lowercase hex compares like the bytes it
-/// renders, so every order below equals the order of the hex fingerprints;
-/// the hex form appears only where strings cross the API (`pin`, `listing`,
-/// and the `rtt`/`metadata` maps).
+/// dead-lists on. Each path carries its own (hashed once per body, however
+/// many lookups hand it out), so taking one is a load. Fixed-width lowercase
+/// hex compares like the bytes it renders, so every order below equals the
+/// order of the hex fingerprints; the hex form appears only where strings
+/// cross the API (`pin`, `listing`, and the `rtt`/`metadata` maps).
 type Key = [u8; 8];
 
 /// The path selector: holds candidate paths, policy, preference order, and
@@ -70,9 +71,6 @@ type Key = [u8; 8];
 pub struct PathSelector {
     /// All candidate paths (unfiltered, as fetched).
     candidates: Vec<FullPath>,
-    /// Each candidate's key, parallel to `candidates`; hashed once per
-    /// refresh.
-    keys: Vec<Key>,
     /// Filter policy.
     pub policy: PathPolicy,
     /// Sort preference.
@@ -96,7 +94,6 @@ impl PathSelector {
     /// policy).
     pub fn new(candidates: Vec<FullPath>) -> Self {
         PathSelector {
-            keys: candidates.iter().map(FullPath::fingerprint_key).collect(),
             candidates,
             policy: PathPolicy::default(),
             preference: Preference::Shortest,
@@ -111,13 +108,19 @@ impl PathSelector {
     /// Replaces the candidate set (after a daemon refresh) and clears the
     /// dead list; keeps the pinned path if it still exists.
     pub fn refresh(&mut self, candidates: Vec<FullPath>) {
-        self.keys = candidates.iter().map(FullPath::fingerprint_key).collect();
         self.candidates = candidates;
         self.dead.clear();
         // A path of the same fingerprint may be built from renewed
         // segments, so the assembled form never outlives a refresh.
         self.pinned_dataplane = None;
-        self.current = self.current.filter(|cur| self.keys.contains(cur));
+        self.current = self.current.filter(|cur| self.position_of(*cur).is_some());
+    }
+
+    /// Index of the candidate whose key is `key`.
+    fn position_of(&self, key: Key) -> Option<usize> {
+        self.candidates
+            .iter()
+            .position(|p| p.fingerprint_key() == key)
     }
 
     fn set_pin(&mut self, pin: Option<Key>) {
@@ -130,7 +133,7 @@ impl PathSelector {
     fn usable(&self) -> Vec<usize> {
         (0..self.candidates.len())
             .filter(|&i| self.policy.permits(&self.candidates[i]))
-            .filter(|&i| !self.dead.contains(&self.keys[i]))
+            .filter(|&i| !self.dead.contains(&self.candidates[i].fingerprint_key()))
             .collect()
     }
 
@@ -141,17 +144,10 @@ impl PathSelector {
         let mut scored: Vec<(f64, usize, Key, usize)> = usable
             .iter()
             .map(|&i| {
-                let hops = if then_hops {
-                    self.candidates[i].len()
-                } else {
-                    0
-                };
-                (
-                    score(&fingerprint_hex(&self.keys[i])),
-                    hops,
-                    self.keys[i],
-                    i,
-                )
+                let p = &self.candidates[i];
+                let key = p.fingerprint_key();
+                let hops = if then_hops { p.len() } else { 0 };
+                (score(&fingerprint_hex(&key)), hops, key, i)
             })
             .collect();
         scored.sort_by(|a, b| {
@@ -168,7 +164,10 @@ impl PathSelector {
     fn ranked_indices(&self) -> Vec<usize> {
         let mut usable = self.usable();
         let shortest_first = |usable: &mut [usize]| {
-            usable.sort_by_key(|&i| (self.candidates[i].len(), self.keys[i]));
+            usable.sort_by_key(|&i| {
+                let p = &self.candidates[i];
+                (p.len(), p.fingerprint_key())
+            });
         };
         match self.preference {
             Preference::Shortest => shortest_first(&mut usable),
@@ -227,7 +226,7 @@ impl PathSelector {
     /// best ranked (which becomes pinned).
     fn active_index(&mut self) -> Result<usize, PanError> {
         if let Some(cur) = self.current.filter(|cur| !self.dead.contains(cur)) {
-            if let Some(i) = self.keys.iter().position(|k| *k == cur) {
+            if let Some(i) = self.position_of(cur) {
                 return Ok(i);
             }
         }
@@ -235,7 +234,7 @@ impl PathSelector {
             .ranked_indices()
             .first()
             .ok_or_else(|| PanError::NoUsablePath("all paths filtered or dead".into()))?;
-        self.set_pin(Some(self.keys[best]));
+        self.set_pin(Some(self.candidates[best].fingerprint_key()));
         Ok(best)
     }
 
@@ -262,11 +261,10 @@ impl PathSelector {
     /// Pins an explicit path choice (`--interactive` selection).
     pub fn pin(&mut self, fingerprint: &str) -> Result<(), PanError> {
         let known = self
-            .keys
+            .candidates
             .iter()
-            .find(|k| fingerprint_hex(k) == fingerprint)
-            .copied();
-        match known {
+            .find(|p| p.fingerprint() == fingerprint);
+        match known.map(FullPath::fingerprint_key) {
             Some(key) => {
                 self.set_pin(Some(key));
                 Ok(())
@@ -283,9 +281,10 @@ impl PathSelector {
     /// call.
     pub fn interface_down(&mut self, ia: IsdAsn, ifid: u16) -> usize {
         let mut killed = 0;
-        for (p, key) in self.candidates.iter().zip(&self.keys) {
-            if !self.dead.contains(key) && p.interfaces().contains(&(ia, ifid)) {
-                self.dead.push(*key);
+        for p in &self.candidates {
+            let key = p.fingerprint_key();
+            if !self.dead.contains(&key) && p.interfaces().contains(&(ia, ifid)) {
+                self.dead.push(key);
                 killed += 1;
             }
         }
@@ -309,7 +308,7 @@ impl PathSelector {
                     .map(|a| a.to_string())
                     .collect::<Vec<_>>()
                     .join(" > ");
-                (rank, fingerprint_hex(&self.keys[i]), seq, p.len())
+                (rank, p.fingerprint(), seq, p.len())
             })
             .collect()
     }
@@ -334,7 +333,7 @@ impl PathSelector {
         let cands: Vec<crate::adaptive::Candidate> = usable
             .iter()
             .map(|&i| crate::adaptive::Candidate {
-                fingerprint: fingerprint_hex(&self.keys[i]),
+                fingerprint: self.candidates[i].fingerprint(),
                 hops: self.candidates[i].len(),
             })
             .collect();
@@ -355,7 +354,7 @@ impl PathSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scion_control::fullpath::{PathHop, PathKind};
+    use scion_control::fullpath::{PathBody, PathHop, PathKind};
     use scion_proto::addr::ia;
 
     fn path(id: u16, ases: &[&str]) -> FullPath {
@@ -372,13 +371,13 @@ mod tests {
                 },
             })
             .collect();
-        FullPath {
+        FullPath::from_body(PathBody {
             src: hops.first().unwrap().ia,
             dst: hops.last().unwrap().ia,
             kind: PathKind::CoreTransit,
             uses: Vec::new(),
             hops,
-        }
+        })
     }
 
     fn candidates() -> Vec<FullPath> {
@@ -652,6 +651,77 @@ mod tests {
             s.refresh(without);
             let want = check(&s, &[], "after refresh without the pin");
             assert_eq!(s.active().unwrap().fingerprint(), want[0]);
+        }
+    }
+
+    /// Everything a selector shows of itself, after a fixed run of events.
+    fn observed(mut s: PathSelector, preference: Preference) -> Vec<String> {
+        s.preference = preference;
+        let mut seen: Vec<String> = Vec::new();
+        let mut note = |s: &PathSelector, what: String| {
+            seen.push(what);
+            seen.extend(s.ranked().iter().map(|p| p.fingerprint()));
+            seen.extend(s.listing().into_iter().map(|l| format!("{l:?}")));
+        };
+        note(&s, "fresh".into());
+        let first = s.active().unwrap();
+        let (ia_down, if_down) = first.interfaces()[0];
+        let killed = s.interface_down(ia_down, if_down);
+        note(&s, format!("{} down took {killed}", first.fingerprint()));
+        let last = s.ranked().last().unwrap().fingerprint();
+        s.pin(&last).unwrap();
+        let active = s.active().unwrap().fingerprint();
+        note(&s, format!("pinned {active}"));
+        seen
+    }
+
+    #[test]
+    fn memoised_and_absent_keys_select_alike() {
+        use scion_control::beacon::{BeaconConfig, BeaconEngine};
+        use scion_control::epoch::EpochPathDb;
+        use scion_control::graph::{ControlGraph, LinkType};
+        // Three meshed cores, two leaves homed on two of them each and
+        // peered: a dozen paths of three lengths.
+        let mut g = ControlGraph::new();
+        for core in ["71-1", "71-2", "71-3"] {
+            g.add_as(ia(core), true);
+        }
+        for (a, b) in [("71-1", "71-2"), ("71-2", "71-3"), ("71-1", "71-3")] {
+            g.connect(ia(a), ia(b), LinkType::Core).unwrap();
+        }
+        for (leaf, parents) in [("71-10", ["71-1", "71-2"]), ("71-11", ["71-2", "71-3"])] {
+            g.add_as(ia(leaf), false);
+            for parent in parents {
+                g.connect(ia(parent), ia(leaf), LinkType::Child).unwrap();
+            }
+        }
+        g.connect(ia("71-10"), ia("71-11"), LinkType::Peer).unwrap();
+        let store = BeaconEngine::new(&g, 1_700_000_000, BeaconConfig::default())
+            .run()
+            .unwrap();
+        // From the database: picked by `finalize`, keys already taken.
+        let served = EpochPathDb::new(store).paths(ia("71-10"), ia("71-11"), 200);
+        assert!(served.len() >= 6, "{} paths", served.len());
+        // Equal bodies of their own, never hashed.
+        let rebuilt = |paths: &[FullPath]| -> Vec<FullPath> {
+            paths
+                .iter()
+                .map(|p| FullPath::from_body(PathBody::clone(p)))
+                .collect()
+        };
+        assert_eq!(rebuilt(&served), served);
+        for preference in [
+            Preference::Shortest,
+            Preference::Latency,
+            Preference::Bandwidth,
+            Preference::Green,
+            Preference::Disjoint,
+        ] {
+            assert_eq!(
+                observed(PathSelector::new(served.clone()), preference),
+                observed(PathSelector::new(rebuilt(&served)), preference),
+                "{preference:?}"
+            );
         }
     }
 

@@ -19,6 +19,8 @@
 //! shares one registry: identically named counters aggregate across
 //! components, while events carry per-node identity.
 
+#![forbid(unsafe_code)]
+
 mod event;
 pub mod export;
 mod metrics;

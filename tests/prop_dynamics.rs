@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use sciera::control::fullpath::{FullPath, PathHop, PathKind};
+use sciera::control::fullpath::{FullPath, PathBody, PathHop, PathKind};
 use sciera::measure::dynamics::{run_campaign, DynamicsConfig, DynamicsDataset, DynamicsNet};
 use sciera::orchestrator::health::HealthBoard;
 use sciera::orchestrator::prober::{
@@ -60,13 +60,13 @@ fn path_over(src: IsdAsn, dst: IsdAsn, links: &[usize]) -> FullPath {
         ingress: link_ifid(*links.last().unwrap()),
         egress: 0,
     });
-    FullPath {
+    FullPath::from_body(PathBody {
         src,
         dst,
         kind: PathKind::SingleSegment,
         uses: Vec::new(),
         hops,
-    }
+    })
 }
 
 /// Scripted link universe behind the real prober + health board.

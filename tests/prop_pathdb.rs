@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use sciera::control::beacon::{BeaconConfig, BeaconEngine};
 use sciera::control::combine::combine_paths;
 use sciera::control::epoch::EpochPathDb;
+use sciera::control::fullpath::{FullPath, PathBody};
 use sciera::control::graph::{ControlGraph, LinkType};
 use sciera::control::pathdb::PathDb;
 use sciera::control::segment::{PathSegment, SegmentType};
@@ -283,6 +284,79 @@ proptest! {
                 combine_paths(snap.store(), s, d, 64),
                 "prefetched epoch != fresh for {}->{}", s, d
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// An answer is a list of handles to bodies the cache also holds, not a
+    /// copy. What the copy gave for free has to hold all the same: asking
+    /// twice gives equal answers, both equal to a fresh combination, at caps
+    /// below, at and above what a pair has; and an answer a caller keeps is
+    /// still the answer it was given after the store has changed under the
+    /// cache, been republished, and every entry recombined.
+    #[test]
+    fn shared_answers_behave_as_values(
+        topo in arb_topo(),
+        picks in prop::collection::vec((any::<u8>(), any::<u8>()), 6),
+    ) {
+        let Some(graph) = build(&topo) else {
+            return Ok(()); // degenerate spec: nothing to check
+        };
+        let store = BeaconEngine::new(&graph, 1_700_000_000, BeaconConfig {
+            candidates_per_origin: 8,
+            ..Default::default()
+        })
+        .run()
+        .expect("beaconing converges");
+        let edb = EpochPathDb::new(store);
+        let all: Vec<IsdAsn> = graph.ases().map(|a| a.ia).collect();
+        let queries: Vec<(IsdAsn, IsdAsn, usize)> = picks
+            .iter()
+            .map(|&(s, d)| (all[s as usize % all.len()], all[d as usize % all.len()]))
+            .filter(|(s, d)| s != d)
+            .flat_map(|(s, d)| [1, 7, 50, 200, usize::MAX].map(|cap| (s, d, cap)))
+            .collect();
+
+        // What a caller holds, and beside it a copy that shares nothing.
+        let mut held: Vec<(Vec<FullPath>, Vec<FullPath>, Vec<String>)> = Vec::new();
+        for &(s, d, cap) in &queries {
+            let first = edb.paths(s, d, cap);
+            let second = edb.paths(s, d, cap);
+            prop_assert_eq!(&first, &second, "warm hit differs, {}->{} cap {}", s, d, cap);
+            let fresh = combine_paths(edb.snapshot().store(), s, d, cap);
+            prop_assert_eq!(&first, &fresh, "answer != fresh, {}->{} cap {}", s, d, cap);
+            prop_assert!(first.len() <= cap);
+            let copy = first
+                .iter()
+                .map(|p| FullPath::from_body(PathBody::clone(p)))
+                .collect();
+            let fingerprints = fresh.iter().map(FullPath::fingerprint).collect();
+            held.push((first, copy, fingerprints));
+        }
+
+        // Cut an interface some held path crosses, so at least one entry is
+        // recombined rather than revalidated, and ask for everything again.
+        let crossed = held
+            .iter()
+            .find_map(|(answer, ..)| answer.first()?.interfaces().first().copied());
+        if let Some((at, ifid)) = crossed {
+            let gen = edb.generation();
+            edb.mutate_store(|s| s.invalidate_interface(at, ifid));
+            prop_assert!(edb.generation() > gen, "the cut must republish");
+        }
+        for &(s, d, cap) in &queries {
+            let after = edb.paths(s, d, cap);
+            let fresh = combine_paths(edb.snapshot().store(), s, d, cap);
+            prop_assert_eq!(after, fresh, "after the cut, {}->{} cap {}", s, d, cap);
+        }
+
+        for (answer, copy, fingerprints) in &held {
+            prop_assert_eq!(answer, copy, "a held answer changed");
+            let now: Vec<String> = answer.iter().map(FullPath::fingerprint).collect();
+            prop_assert_eq!(&now, fingerprints);
         }
     }
 }

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use sciera::control::fullpath::{FullPath, PathHop, PathKind};
+use sciera::control::fullpath::{FullPath, PathBody, PathHop, PathKind};
 use sciera::control::policy::{Acl, HopPredicate, Sequence, TransitPolicy};
 use sciera::prelude::*;
 
@@ -19,13 +19,13 @@ fn path_from(ases: &[u16]) -> FullPath {
             egress: if i + 1 == ases.len() { 0 } else { 2 },
         })
         .collect();
-    FullPath {
+    FullPath::from_body(PathBody {
         src: hops.first().unwrap().ia,
         dst: hops.last().unwrap().ia,
         kind: PathKind::CoreTransit,
         uses: Vec::new(),
         hops,
-    }
+    })
 }
 
 /// Brute-force reference for sequence matching over a small alphabet:
