@@ -15,12 +15,11 @@
 //! is exactly what yields the large path counts of Fig. 8.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use sciera_telemetry::Telemetry;
 use scion_proto::addr::IsdAsn;
 
-use crate::fullpath::{Direction, FullPath, PathKind, SegmentUse};
+use crate::fullpath::{joined_hop_count, Direction, FullPath, PathKind, UseRef};
 use crate::store::{BucketDep, SegmentHandle, SegmentStore};
 
 /// [`combine_paths`] wrapped with telemetry: wall-clock duration of the
@@ -58,156 +57,89 @@ pub fn combine_paths(
     dst: IsdAsn,
     max_paths: usize,
 ) -> Vec<FullPath> {
-    combine_paths_recorded(store, src, dst, max_paths, false).paths
+    combine_paths_recorded(store, src, dst, max_paths).paths
 }
 
-/// Raw (pre-finalization) combination output of one (up, down) segment
-/// pair, kept by the memoizer so a core-bucket change recombines only the
-/// pairs that consulted that bucket.
-#[derive(Debug, Clone)]
-pub(crate) struct PairRaw {
-    pub up_id: [u8; 32],
-    pub down_id: [u8; 32],
-    /// The core bucket this pair consulted (`None` for a same-core join,
-    /// which depends only on the two segments themselves).
-    pub core_dep: Option<BucketDep>,
-    /// Shared so incremental recombination can carry an untouched pair
-    /// into the next record with an `Arc` bump instead of a deep clone.
-    pub paths: Arc<Vec<FullPath>>,
-}
-
-/// A combination result plus everything the memoizer needs to revalidate
-/// it: the exact set of store buckets consulted and, for the leaf-to-leaf
-/// shape, the per-pair raw output.
+/// A combination result plus what the memoizer needs to revalidate it: the
+/// exact set of store buckets consulted.
 #[derive(Debug, Clone)]
 pub(crate) struct CombineRecord {
     pub paths: Vec<FullPath>,
     /// Every bucket whose contents influenced `paths`, including empty
     /// buckets (their emptiness decided the combination shape).
     pub deps: Vec<BucketDep>,
-    /// Per-pair raw results, in (up-index, down-index) push order; `Some`
-    /// only for the leaf-to-leaf shape when `record_raw` was requested.
-    pub raw: Option<Vec<PairRaw>>,
 }
 
-/// Picks the answer out of the raw candidates, given in push order: shortest
-/// first, equal lengths by fingerprint (the "lowest path identifier" rule of
-/// §5.4, reproducibly), one path per fingerprint, at most `max_paths`. The
-/// final step every combination (fresh or incremental) shares, so results
-/// are byte-for-byte identical.
-///
-/// The winners are handles to the candidates' own bodies, not copies, and
-/// leave here with their fingerprint key memoised. Only the lengths that
-/// reach the answer are fingerprinted: paths that share a fingerprint share
-/// their hops and so their length, which lets each length be ordered and
-/// deduplicated on its own, and the walk stop at the one that fills the
-/// answer. A candidate beyond it costs its place in the length sort and
-/// nothing else; one hashed here keeps its key, so a pair carried into the
-/// next recombination is not hashed again.
-pub(crate) fn finalize<'a>(
-    raw: impl IntoIterator<Item = &'a FullPath>,
-    max_paths: usize,
-) -> Vec<FullPath> {
-    let mut by_len: Vec<&FullPath> = raw.into_iter().collect();
-    by_len.sort_by_key(|p| p.len());
-    let mut picked: Vec<&FullPath> = Vec::with_capacity(max_paths.min(by_len.len()));
-    for same_len in by_len.chunk_by(|a, b| a.len() == b.len()) {
-        if picked.len() >= max_paths {
-            break;
+/// A candidate path, planned but not built: its shape, the segment ranges it
+/// would use, borrowed from the store, and the number of hops it will have
+/// if it assembles ([`joined_hop_count`], the rule [`FullPath::assemble`]
+/// itself sizes and merges by). Whether it *does* assemble — end points,
+/// peer entries, loop freedom — is `assemble`'s to say, once an answer
+/// reaches this length.
+#[derive(Clone, Copy)]
+struct Plan<'a> {
+    kind: PathKind,
+    uses: [Option<UseRef<'a>>; 3],
+    len: usize,
+}
+
+impl<'a> Plan<'a> {
+    fn new<const N: usize>(kind: PathKind, uses: [UseRef<'a>; N]) -> Self {
+        let mut slots = [None; 3];
+        for (slot, u) in slots.iter_mut().zip(uses) {
+            *slot = Some(u);
         }
-        // The fingerprint hashes every hop: decorate once per path rather
-        // than once per comparison. Both sorts are stable, so of equal
-        // paths the first pushed survives.
-        let mut keyed: Vec<([u8; 8], &FullPath)> =
-            same_len.iter().map(|p| (p.fingerprint_key(), *p)).collect();
-        keyed.sort_by_key(|k| k.0);
-        keyed.dedup_by_key(|k| k.0);
-        let room = max_paths - picked.len();
-        picked.extend(keyed.into_iter().map(|(_, p)| p).take(room));
+        Plan {
+            kind,
+            uses: slots,
+            len: joined_hop_count(uses),
+        }
     }
-    picked.into_iter().cloned().collect()
+
+    fn assemble(&self, src: IsdAsn, dst: IsdAsn) -> Option<FullPath> {
+        // Sized exactly: the cache keeps this list for as long as the path.
+        let planned = self.uses.iter().flatten();
+        let mut uses = Vec::with_capacity(planned.clone().count());
+        uses.extend(planned.map(|u| u.to_use()));
+        FullPath::assemble(src, dst, self.kind, uses).ok()
+    }
 }
 
-/// [`combine_paths`] with dependency (and optionally raw per-pair)
-/// recording. The plain entry point runs this with recording off, so there
-/// is exactly one combination code path.
-pub(crate) fn combine_paths_recorded(
-    store: &SegmentStore,
-    src: IsdAsn,
-    dst: IsdAsn,
-    max_paths: usize,
-    record_raw: bool,
-) -> CombineRecord {
-    if src == dst {
-        return CombineRecord {
-            paths: Vec::new(),
-            deps: Vec::new(),
-            raw: None,
-        };
-    }
-    let mut out: Vec<FullPath> = Vec::new();
+/// Every composition of the store's segments that could be a path from `src`
+/// to `dst`, in the order the answer breaks ties by, and the buckets that
+/// were read to list them. All four shapes (each end core or not) come
+/// through here.
+fn enumerate(store: &SegmentStore, src: IsdAsn, dst: IsdAsn) -> (Vec<Plan<'_>>, Vec<BucketDep>) {
+    use Direction::{AgainstCons, Cons};
+    let mut plans: Vec<Plan> = Vec::new();
     // The combination shape is decided by bucket emptiness, so the two
     // endpoint buckets are dependencies even when empty.
     let mut deps: BTreeSet<BucketDep> = BTreeSet::new();
     deps.insert(BucketDep::UpDown(src));
     deps.insert(BucketDep::UpDown(dst));
+    let mut core_between = |from: IsdAsn, to: IsdAsn| {
+        deps.insert(BucketDep::Core { from, to });
+        store.core_between_handles(from, to)
+    };
 
     let src_ups = store.up_segment_handles(src);
     let dst_downs = store.up_segment_handles(dst);
-    let src_is_core = src_ups.is_empty();
-    let dst_is_core = dst_downs.is_empty();
-
-    fn push_ok(out: &mut Vec<FullPath>, p: Result<FullPath, crate::ControlError>) {
-        if let Ok(p) = p {
-            out.push(p);
-        }
-    }
-
-    match (src_is_core, dst_is_core) {
+    match (src_ups.is_empty(), dst_downs.is_empty()) {
         (true, true) => {
-            deps.insert(BucketDep::Core { from: src, to: dst });
-            for cs in store.core_between_handles(src, dst) {
-                push_ok(
-                    &mut out,
-                    FullPath::assemble(
-                        src,
-                        dst,
-                        PathKind::SingleSegment,
-                        vec![SegmentUse::whole(cs.clone(), Direction::AgainstCons)],
-                    ),
-                );
+            for cs in core_between(src, dst) {
+                let uses = [UseRef::whole(cs, AgainstCons)];
+                plans.push(Plan::new(PathKind::SingleSegment, uses));
             }
         }
         (true, false) => {
             for d in dst_downs {
                 if d.origin() == src {
-                    push_ok(
-                        &mut out,
-                        FullPath::assemble(
-                            src,
-                            dst,
-                            PathKind::SingleSegment,
-                            vec![SegmentUse::whole(d.clone(), Direction::Cons)],
-                        ),
-                    );
+                    let uses = [UseRef::whole(d, Cons)];
+                    plans.push(Plan::new(PathKind::SingleSegment, uses));
                 } else {
-                    deps.insert(BucketDep::Core {
-                        from: src,
-                        to: d.origin(),
-                    });
-                    for cs in store.core_between_handles(src, d.origin()) {
-                        push_ok(
-                            &mut out,
-                            FullPath::assemble(
-                                src,
-                                dst,
-                                PathKind::CoreEnd,
-                                vec![
-                                    SegmentUse::whole(cs.clone(), Direction::AgainstCons),
-                                    SegmentUse::whole(d.clone(), Direction::Cons),
-                                ],
-                            ),
-                        );
+                    for cs in core_between(src, d.origin()) {
+                        let uses = [UseRef::whole(cs, AgainstCons), UseRef::whole(d, Cons)];
+                        plans.push(Plan::new(PathKind::CoreEnd, uses));
                     }
                 }
             }
@@ -215,112 +147,49 @@ pub(crate) fn combine_paths_recorded(
         (false, true) => {
             for u in src_ups {
                 if u.origin() == dst {
-                    push_ok(
-                        &mut out,
-                        FullPath::assemble(
-                            src,
-                            dst,
-                            PathKind::SingleSegment,
-                            vec![SegmentUse::whole(u.clone(), Direction::AgainstCons)],
-                        ),
-                    );
+                    let uses = [UseRef::whole(u, AgainstCons)];
+                    plans.push(Plan::new(PathKind::SingleSegment, uses));
                 } else {
-                    deps.insert(BucketDep::Core {
-                        from: u.origin(),
-                        to: dst,
-                    });
-                    for cs in store.core_between_handles(u.origin(), dst) {
-                        push_ok(
-                            &mut out,
-                            FullPath::assemble(
-                                src,
-                                dst,
-                                PathKind::CoreEnd,
-                                vec![
-                                    SegmentUse::whole(u.clone(), Direction::AgainstCons),
-                                    SegmentUse::whole(cs.clone(), Direction::AgainstCons),
-                                ],
-                            ),
-                        );
+                    for cs in core_between(u.origin(), dst) {
+                        let uses = [
+                            UseRef::whole(u, AgainstCons),
+                            UseRef::whole(cs, AgainstCons),
+                        ];
+                        plans.push(Plan::new(PathKind::CoreEnd, uses));
                     }
                 }
             }
         }
         (false, false) => {
-            // Each pair's output is built where the record keeps it; the
-            // answer is picked from there.
-            let mut pairs: Vec<PairRaw> = Vec::with_capacity(src_ups.len() * dst_downs.len());
             for u in src_ups {
                 for d in dst_downs {
-                    let mut paths = Vec::new();
-                    let core_dep =
-                        combine_pair(store, src, dst, u, d, &mut |p| push_ok(&mut paths, p));
-                    if let Some(dep) = core_dep {
-                        deps.insert(dep);
-                    }
-                    paths.shrink_to_fit();
-                    pairs.push(PairRaw {
-                        up_id: u.id(),
-                        down_id: d.id(),
-                        core_dep,
-                        paths: Arc::new(paths),
-                    });
+                    plan_pair(u, d, &mut core_between, &mut plans);
                 }
             }
-            return CombineRecord {
-                paths: finalize(pairs.iter().flat_map(|pr| pr.paths.iter()), max_paths),
-                deps: deps.into_iter().collect(),
-                raw: record_raw.then_some(pairs),
-            };
         }
     }
-
-    CombineRecord {
-        paths: finalize(&out, max_paths),
-        deps: deps.into_iter().collect(),
-        raw: None,
-    }
+    (plans, deps.into_iter().collect())
 }
 
-/// All combinations of one up and one down segment. Returns the core
-/// bucket consulted for transit, if any.
-pub(crate) fn combine_pair(
-    store: &SegmentStore,
-    src: IsdAsn,
-    dst: IsdAsn,
-    up: &SegmentHandle,
-    down: &SegmentHandle,
-    push: &mut impl FnMut(Result<FullPath, crate::ControlError>),
-) -> Option<BucketDep> {
-    let cu = up.origin();
-    let cd = down.origin();
-    let mut core_dep = None;
+/// All combinations of one up and one down segment.
+fn plan_pair<'a>(
+    up: &'a SegmentHandle,
+    down: &'a SegmentHandle,
+    core_between: &mut impl FnMut(IsdAsn, IsdAsn) -> &'a [SegmentHandle],
+    plans: &mut Vec<Plan<'a>>,
+) {
+    use Direction::{AgainstCons, Cons};
+    let whole_up = UseRef::whole(up, AgainstCons);
+    let whole_down = UseRef::whole(down, Cons);
 
-    // Same-core join.
-    if cu == cd {
-        push(FullPath::assemble(
-            src,
-            dst,
-            PathKind::SameCore,
-            vec![
-                SegmentUse::whole(up.clone(), Direction::AgainstCons),
-                SegmentUse::whole(down.clone(), Direction::Cons),
-            ],
-        ));
+    if up.origin() == down.origin() {
+        // Same-core join.
+        plans.push(Plan::new(PathKind::SameCore, [whole_up, whole_down]));
     } else {
         // Core transit.
-        core_dep = Some(BucketDep::Core { from: cu, to: cd });
-        for cs in store.core_between_handles(cu, cd) {
-            push(FullPath::assemble(
-                src,
-                dst,
-                PathKind::CoreTransit,
-                vec![
-                    SegmentUse::whole(up.clone(), Direction::AgainstCons),
-                    SegmentUse::whole(cs.clone(), Direction::AgainstCons),
-                    SegmentUse::whole(down.clone(), Direction::Cons),
-                ],
-            ));
+        for cs in core_between(up.origin(), down.origin()) {
+            let uses = [whole_up, UseRef::whole(cs, AgainstCons), whole_down];
+            plans.push(Plan::new(PathKind::CoreTransit, uses));
         }
     }
 
@@ -330,27 +199,17 @@ pub(crate) fn combine_pair(
             if j == 0 {
                 continue; // shared core handled above
             }
-            push(FullPath::assemble(
-                src,
-                dst,
-                PathKind::Shortcut,
-                vec![
-                    SegmentUse {
-                        segment: up.clone(),
-                        dir: Direction::AgainstCons,
-                        from_idx: i,
-                        to_idx: up.len() - 1,
-                        peer_with: None,
-                    },
-                    SegmentUse {
-                        segment: down.clone(),
-                        dir: Direction::Cons,
-                        from_idx: j,
-                        to_idx: down.len() - 1,
-                        peer_with: None,
-                    },
-                ],
-            ));
+            let uses = [
+                UseRef {
+                    from_idx: i,
+                    ..whole_up
+                },
+                UseRef {
+                    from_idx: j,
+                    ..whole_down
+                },
+            ];
+            plans.push(Plan::new(PathKind::Shortcut, uses));
         }
     }
 
@@ -367,38 +226,88 @@ pub(crate) fn combine_pair(
                 {
                     continue;
                 }
-                push(FullPath::assemble(
-                    src,
-                    dst,
-                    PathKind::Peering,
-                    vec![
-                        SegmentUse {
-                            segment: up.clone(),
-                            dir: Direction::AgainstCons,
-                            from_idx: i,
-                            to_idx: up.len() - 1,
-                            peer_with: Some(pe.peer),
-                        },
-                        SegmentUse {
-                            segment: down.clone(),
-                            dir: Direction::Cons,
-                            from_idx: j,
-                            to_idx: down.len() - 1,
-                            peer_with: Some(ue.ia),
-                        },
-                    ],
-                ));
+                let uses = [
+                    UseRef {
+                        from_idx: i,
+                        peer_with: Some(pe.peer),
+                        ..whole_up
+                    },
+                    UseRef {
+                        from_idx: j,
+                        peer_with: Some(ue.ia),
+                        ..whole_down
+                    },
+                ];
+                plans.push(Plan::new(PathKind::Peering, uses));
             }
         }
     }
-    core_dep
+}
+
+/// Picks the answer out of the plans, given in push order: shortest first,
+/// equal lengths by fingerprint (the "lowest path identifier" rule of §5.4,
+/// reproducibly), one path per fingerprint, at most `max_paths`.
+///
+/// Paths that share a fingerprint share their hops and so their length, which
+/// lets each length be assembled, ordered and deduplicated on its own, and
+/// the walk stop at the one that fills the answer. A plan of a length the
+/// answer never reaches costs its place in the length sort and nothing else:
+/// no allocation, no hash. `assemble` is [`Plan::assemble`]; it is a
+/// parameter so a test can count what was built.
+fn pick<'a>(
+    plans: &[Plan<'a>],
+    max_paths: usize,
+    mut assemble: impl FnMut(&Plan<'a>) -> Option<FullPath>,
+) -> Vec<FullPath> {
+    let mut by_len: Vec<&Plan> = plans.iter().collect();
+    by_len.sort_by_key(|p| p.len);
+    let mut picked: Vec<FullPath> = Vec::with_capacity(max_paths.min(by_len.len()));
+    for same_len in by_len.chunk_by(|a, b| a.len == b.len) {
+        if picked.len() >= max_paths {
+            break;
+        }
+        // The fingerprint hashes every hop: decorate once per path rather
+        // than once per comparison. Both sorts are stable, so of equal
+        // paths the first pushed survives.
+        let mut keyed: Vec<([u8; 8], FullPath)> = same_len
+            .iter()
+            .filter_map(|plan| assemble(plan))
+            .map(|p| (p.fingerprint_key(), p))
+            .collect();
+        keyed.sort_by_key(|k| k.0);
+        keyed.dedup_by_key(|k| k.0);
+        let room = max_paths - picked.len();
+        picked.extend(keyed.into_iter().map(|(_, p)| p).take(room));
+    }
+    picked
+}
+
+/// [`combine_paths`] with dependency recording. The plain entry point runs
+/// this and drops the record, so there is exactly one combination code path.
+pub(crate) fn combine_paths_recorded(
+    store: &SegmentStore,
+    src: IsdAsn,
+    dst: IsdAsn,
+    max_paths: usize,
+) -> CombineRecord {
+    if src == dst {
+        return CombineRecord {
+            paths: Vec::new(),
+            deps: Vec::new(),
+        };
+    }
+    let (plans, deps) = enumerate(store, src, dst);
+    CombineRecord {
+        paths: pick(&plans, max_paths, |plan| plan.assemble(src, dst)),
+        deps,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::beacon::{BeaconConfig, BeaconEngine};
-    use crate::fullpath::PathKind;
+    use crate::fullpath::SegmentUse;
     use crate::graph::{ControlGraph, LinkType};
     use scion_proto::addr::ia;
 
@@ -490,7 +399,99 @@ mod tests {
         assert_eq!(paths.len(), 1);
     }
 
-    /// `finalize` as first written: every candidate keyed and cloned, one
+    /// The combinator as first written, kept as the oracle: every candidate
+    /// of every shape assembled on the spot, failures dropped, push order.
+    fn eager_candidates(store: &SegmentStore, src: IsdAsn, dst: IsdAsn) -> Vec<FullPath> {
+        use Direction::{AgainstCons, Cons};
+        use PathKind::*;
+        let mut out = Vec::new();
+        if src == dst {
+            return out;
+        }
+        let mut push = |kind, uses| out.extend(FullPath::assemble(src, dst, kind, uses));
+        let whole = |s: &SegmentHandle, dir| SegmentUse::whole(s.clone(), dir);
+        let cut = |s: &SegmentHandle, dir, from_idx, peer_with| SegmentUse {
+            segment: s.clone(),
+            dir,
+            from_idx,
+            to_idx: s.len() - 1,
+            peer_with,
+        };
+        let core = |from, to| store.core_between_handles(from, to);
+        let ups = store.up_segment_handles(src);
+        let downs = store.up_segment_handles(dst);
+        match (ups.is_empty(), downs.is_empty()) {
+            (true, true) => {
+                for cs in core(src, dst) {
+                    push(SingleSegment, vec![whole(cs, AgainstCons)]);
+                }
+            }
+            (true, false) => {
+                for d in downs {
+                    if d.origin() == src {
+                        push(SingleSegment, vec![whole(d, Cons)]);
+                        continue;
+                    }
+                    for cs in core(src, d.origin()) {
+                        push(CoreEnd, vec![whole(cs, AgainstCons), whole(d, Cons)]);
+                    }
+                }
+            }
+            (false, true) => {
+                for u in ups {
+                    if u.origin() == dst {
+                        push(SingleSegment, vec![whole(u, AgainstCons)]);
+                        continue;
+                    }
+                    for cs in core(u.origin(), dst) {
+                        push(CoreEnd, vec![whole(u, AgainstCons), whole(cs, AgainstCons)]);
+                    }
+                }
+            }
+            (false, false) => {
+                for (u, d) in ups.iter().flat_map(|u| downs.iter().map(move |d| (u, d))) {
+                    if u.origin() == d.origin() {
+                        push(SameCore, vec![whole(u, AgainstCons), whole(d, Cons)]);
+                    } else {
+                        for cs in core(u.origin(), d.origin()) {
+                            let uses = vec![
+                                whole(u, AgainstCons),
+                                whole(cs, AgainstCons),
+                                whole(d, Cons),
+                            ];
+                            push(CoreTransit, uses);
+                        }
+                    }
+                    for (i, ue) in u.entries.iter().enumerate().skip(1) {
+                        if let Some(j) = d.position_of(ue.ia).filter(|j| *j > 0) {
+                            let uses = vec![cut(u, AgainstCons, i, None), cut(d, Cons, j, None)];
+                            push(Shortcut, uses);
+                        }
+                    }
+                    for (i, ue) in u.entries.iter().enumerate() {
+                        for pe in &ue.peers {
+                            let Some(j) = d.position_of(pe.peer) else {
+                                continue;
+                            };
+                            let back = |p: &&crate::segment::PeerEntry| {
+                                p.peer == ue.ia && p.peer_ifid == pe.peer_remote_ifid
+                            };
+                            if d.entries[j].peers.iter().any(|p| back(&p)) {
+                                let uses = vec![
+                                    cut(u, AgainstCons, i, Some(pe.peer)),
+                                    cut(d, Cons, j, Some(ue.ia)),
+                                ];
+                                push(Peering, uses);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The answer as first picked: every candidate keyed and cloned, one
     /// sort of the whole list.
     fn whole_list_finalize(raw: &[FullPath], max_paths: usize) -> Vec<FullPath> {
         let mut keyed: Vec<((usize, [u8; 8]), FullPath)> = raw
@@ -501,6 +502,52 @@ mod tests {
         keyed.dedup_by(|a, b| a.0 .1 == b.0 .1);
         keyed.truncate(max_paths);
         keyed.into_iter().map(|(_, p)| p).collect()
+    }
+
+    /// Checks one pair against the oracle. Every plan that assembles has the
+    /// length it was planned with, and the plans that assemble are the
+    /// oracle's candidates, in its order (so a plan that fails is one the
+    /// oracle dropped too); at every cap of `caps`, `combine_paths` answers
+    /// what the whole-list sort of those candidates does. Returns how many
+    /// plans there were and how many assembled.
+    fn check_against_oracle(
+        store: &SegmentStore,
+        src: IsdAsn,
+        dst: IsdAsn,
+        caps: impl IntoIterator<Item = usize>,
+    ) -> (usize, usize) {
+        let eager = eager_candidates(store, src, dst);
+        let plans = if src == dst {
+            Vec::new()
+        } else {
+            enumerate(store, src, dst).0
+        };
+        let mut built = Vec::new();
+        for plan in &plans {
+            if let Some(p) = plan.assemble(src, dst) {
+                assert_eq!(p.len(), plan.len, "{src}->{dst}: {p:?}");
+                // A cached path holds no spare capacity.
+                assert_eq!(p.uses.capacity(), p.uses.len());
+                assert_eq!(p.hops.capacity(), p.hops.len());
+                built.push(p);
+            }
+        }
+        assert_eq!(built, eager, "{src}->{dst}");
+        for cap in caps {
+            assert_eq!(
+                combine_paths(store, src, dst, cap),
+                whole_list_finalize(&eager, cap),
+                "{src}->{dst} cap {cap}"
+            );
+        }
+        (plans.len(), eager.len())
+    }
+
+    fn ases_of(store: &SegmentStore) -> BTreeSet<IsdAsn> {
+        store
+            .all_segments()
+            .flat_map(|s| s.entries.iter().map(|e| e.ia))
+            .collect()
     }
 
     /// Three meshed cores and two doubly-homed leaves under a shared mid AS:
@@ -535,59 +582,87 @@ mod tests {
     }
 
     #[test]
-    fn finalize_by_length_equals_the_whole_list_sort_at_every_cap() {
-        let store = layered_store();
-        let record = combine_paths_recorded(&store, ia("71-100"), ia("71-101"), usize::MAX, true);
-        let mut raw: Vec<FullPath> = record
-            .raw
-            .expect("leaf to leaf records its pairs")
-            .iter()
-            .flat_map(|pr| pr.paths.iter().cloned())
-            .collect();
-        let lengths: BTreeSet<usize> = raw.iter().map(FullPath::len).collect();
-        assert!(lengths.len() >= 3, "lengths {lengths:?}");
-        assert!(record.paths.len() < raw.len(), "no duplicate among the raw");
-        // Every candidate once more, last first: of equal paths the one
-        // pushed first must still be the one kept.
-        let again: Vec<FullPath> = raw.iter().rev().cloned().collect();
-        raw.extend(again);
-        for cap in (0..=record.paths.len() + 1).chain([usize::MAX]) {
+    fn plan_first_equals_the_eager_oracle_at_every_cap() {
+        for store in [diamond_store(), layered_store()] {
+            let ases = ases_of(&store);
+            let mut shapes = BTreeSet::new();
+            let (mut planned, mut assembled) = (0, 0);
+            for &s in &ases {
+                for &d in &ases {
+                    // Every cap up to one past the whole answer.
+                    let whole = combine_paths(&store, s, d, usize::MAX).len();
+                    let caps = (0..=whole + 1).chain([usize::MAX]);
+                    let (plans, built) = check_against_oracle(&store, s, d, caps);
+                    if built > 0 {
+                        let is_core = |a| store.up_segment_handles(a).is_empty();
+                        shapes.insert((is_core(s), is_core(d)));
+                    }
+                    planned += plans;
+                    assembled += built;
+                }
+            }
             assert_eq!(
-                finalize(&raw, cap),
-                whole_list_finalize(&raw, cap),
-                "cap {cap}"
+                shapes.len(),
+                4,
+                "core/core, core/leaf, leaf/core, leaf/leaf"
             );
+            assert!(assembled > 0);
+            if ases.contains(&ia("71-100")) {
+                assert!(assembled < planned, "no plan fails on the layered store");
+            }
         }
-        assert_eq!(finalize(&raw, usize::MAX), record.paths);
     }
 
     #[test]
-    fn winners_are_the_candidates_themselves_and_only_reached_lengths_are_hashed() {
-        use crate::fullpath::approx_shared_bytes;
+    fn of_equal_paths_the_first_pushed_survives() {
         let store = layered_store();
-        let record = combine_paths_recorded(&store, ia("71-100"), ia("71-101"), 1, true);
-        let raw: Vec<&FullPath> = record
-            .raw
-            .as_ref()
-            .expect("leaf to leaf records its pairs")
-            .iter()
-            .flat_map(|pr| pr.paths.iter())
-            .collect();
-        let [winner] = &record.paths[..] else {
+        let (src, dst) = (ia("71-100"), ia("71-101"));
+        let (plans, _) = enumerate(&store, src, dst);
+        let lengths: BTreeSet<usize> = plans.iter().map(|p| p.len).collect();
+        assert!(lengths.len() >= 3, "lengths {lengths:?}");
+        // Every plan once more, last first.
+        let twice: Vec<Plan> = plans.iter().chain(plans.iter().rev()).copied().collect();
+        let built: Vec<FullPath> = twice.iter().filter_map(|p| p.assemble(src, dst)).collect();
+        let answer = combine_paths(&store, src, dst, usize::MAX);
+        assert!(
+            2 * answer.len() < built.len(),
+            "no duplicate to choose among"
+        );
+        for cap in (0..=answer.len() + 1).chain([usize::MAX]) {
+            assert_eq!(
+                pick(&twice, cap, |p| p.assemble(src, dst)),
+                whole_list_finalize(&built, cap),
+                "cap {cap}"
+            );
+        }
+        assert_eq!(pick(&twice, usize::MAX, |p| p.assemble(src, dst)), answer);
+    }
+
+    #[test]
+    fn only_the_lengths_an_answer_reaches_are_assembled() {
+        let store = layered_store();
+        let (src, dst) = (ia("71-100"), ia("71-101"));
+        let (plans, _) = enumerate(&store, src, dst);
+        let mut assembled: Vec<usize> = Vec::new();
+        let mut tally = |plan: &Plan| {
+            assembled.push(plan.len);
+            plan.assemble(src, dst)
+        };
+        assert!(pick(&plans, 0, &mut tally).is_empty());
+        let answer = pick(&plans, 1, &mut tally);
+        let [winner] = &answer[..] else {
             panic!("cap 1 answers with one path");
         };
-        // The winner adds a handle to the record, not a body.
-        assert_eq!(
-            approx_shared_bytes(raw.iter().copied().chain([winner])),
-            approx_shared_bytes(raw.iter().copied()) + std::mem::size_of::<FullPath>()
-        );
-        // It leaves with its key; a candidate of a length the answer never
-        // reached was not hashed.
+        assert_eq!(answer, combine_paths(&store, src, dst, 1));
+        // It leaves with its key, and nothing of another length was built.
         assert!(winner.key_is_memoised());
-        assert!(raw.iter().any(|p| p.len() > winner.len()));
-        for p in raw {
-            assert_eq!(p.key_is_memoised(), p.len() == winner.len(), "{p:?}");
-        }
+        assert!(!assembled.is_empty() && assembled.iter().all(|len| *len == winner.len()));
+        let longer = plans.iter().filter(|p| p.len > winner.len()).count();
+        assert!(longer > 0);
+        assert_eq!(
+            assembled.len(),
+            plans.iter().filter(|p| p.len == winner.len()).count()
+        );
     }
 
     /// Same-core and shortcut combinations in a deeper hierarchy:
@@ -630,6 +705,76 @@ mod tests {
                 ases.sort_unstable();
                 ases.dedup();
                 assert_eq!(ases.len(), n, "loop in path {s}->{d}");
+            }
+        }
+    }
+
+    /// A random three-tier graph in the manner of `tests/prop_control.rs`,
+    /// denser so that the larger caps bite: a core ring plus extra core links,
+    /// mids under one to three cores, leaves under one to three mids, up to
+    /// three peerings between non-core ASes. `picks` supplies every choice.
+    fn random_graph(n_core: usize, n_mid: usize, n_leaf: usize, picks: &[u8; 64]) -> ControlGraph {
+        let mut picks = picks.iter().map(|p| *p as usize);
+        let mut pick = move |n: usize| picks.next().expect("64 picks are enough") % n;
+        let core = |i: usize| ia(&format!("71-{}", 100 + i));
+        let mid = |i: usize| ia(&format!("71-{}", 200 + i));
+        let leaf = |i: usize| ia(&format!("71-{}", 300 + i));
+        let noncore = |i: usize| if i < n_mid { mid(i) } else { leaf(i - n_mid) };
+        let mut g = ControlGraph::new();
+        (0..n_core).for_each(|i| g.add_as(core(i), true));
+        (0..n_mid + n_leaf).for_each(|i| g.add_as(noncore(i), false));
+        let mut link = |a: IsdAsn, b: IsdAsn, lt| {
+            if a != b {
+                g.connect(a, b, lt).unwrap();
+            }
+        };
+        for i in 1..n_core {
+            link(core(i - 1), core(i), LinkType::Core);
+        }
+        for _ in 0..2 * n_core {
+            link(core(pick(n_core)), core(pick(n_core)), LinkType::Core);
+        }
+        for m in 0..n_mid {
+            for _ in 0..=pick(3) {
+                link(core(pick(n_core)), mid(m), LinkType::Child);
+            }
+        }
+        for l in 0..n_leaf {
+            for _ in 0..=pick(3) {
+                link(mid(pick(n_mid)), leaf(l), LinkType::Child);
+            }
+        }
+        for _ in 0..pick(4) {
+            let (a, b) = (pick(n_mid + n_leaf), pick(n_mid + n_leaf));
+            link(noncore(a), noncore(b), LinkType::Peer);
+        }
+        g
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn plan_first_equals_the_eager_oracle_on_random_topologies(
+            n_core in 2usize..6,
+            n_mid in 2usize..5,
+            n_leaf in 2usize..6,
+            picks: [u8; 64],
+            src_pick: u8,
+            dst_pick: u8,
+        ) {
+            let g = random_graph(n_core, n_mid, n_leaf, &picks);
+            let store = BeaconEngine::new(&g, 1_700_000_000, BeaconConfig::default())
+                .run()
+                .expect("beaconing converges on any valid graph");
+            // One pair among all ASes, for the shapes with a core end, and one
+            // among the leaves, where the candidates multiply.
+            let all: Vec<IsdAsn> = g.ases().map(|a| a.ia).collect();
+            let leaves = &all[all.len() - n_leaf..];
+            for pool in [&all[..], leaves] {
+                let s = pool[src_pick as usize % pool.len()];
+                let d = pool[dst_pick as usize % pool.len()];
+                check_against_oracle(&store, s, d, [1, 7, 50, 200, usize::MAX]);
             }
         }
     }

@@ -47,9 +47,9 @@ use parking_lot::{Mutex, RwLock};
 use sciera_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use scion_proto::addr::IsdAsn;
 
-use crate::combine::{combine_paths_recorded, CombineRecord, PairRaw};
-use crate::fullpath::FullPath;
-use crate::pathdb::{answer_bytes, incremental_recombine, policy_fingerprint};
+use crate::combine::{combine_paths_recorded, CombineRecord};
+use crate::fullpath::{approx_shared_bytes, FullPath};
+use crate::pathdb::policy_fingerprint;
 use crate::policy::PathPolicy;
 use crate::store::{BucketDep, SegmentStore};
 
@@ -61,11 +61,6 @@ pub struct EpochConfig {
     /// Total cached entries across all shards (per-shard capacity is
     /// `capacity / shards`, at least 1).
     pub capacity: usize,
-    /// Maximum raw per-pair paths retained per entry for incremental
-    /// recombination (same bound as [`PathDbConfig::raw_limit`]).
-    ///
-    /// [`PathDbConfig::raw_limit`]: crate::pathdb::PathDbConfig::raw_limit
-    pub raw_limit: usize,
     /// Admission control: cache-miss combinations in flight at once
     /// across all readers. `0` (the default) disables the gate. A bounded
     /// budget keeps a miss storm from convoying every reader thread into
@@ -84,7 +79,6 @@ impl Default for EpochConfig {
         EpochConfig {
             shards: 16,
             capacity: 4096,
-            raw_limit: 4096,
             max_inflight: 0,
             max_waiters: 64,
         }
@@ -134,9 +128,6 @@ impl PathSnapshot {
 }
 
 type CacheKey = (IsdAsn, IsdAsn, u64, usize);
-/// Entry state carried out of the shard lock when an incremental
-/// recombination is worth attempting.
-type IncrState = (Vec<(BucketDep, u64)>, Vec<PairRaw>);
 
 #[derive(Clone)]
 struct Entry {
@@ -145,7 +136,6 @@ struct Entry {
     generation: u64,
     deps: Vec<(BucketDep, u64)>,
     paths: Arc<Vec<FullPath>>,
-    raw: Option<Vec<PairRaw>>,
     last_used: u64,
 }
 
@@ -164,7 +154,6 @@ struct Metrics {
     evicts: Counter,
     invalidates: Counter,
     revalidates: Counter,
-    partials: Counter,
     publishes: Counter,
     publish_ns: Histogram,
     generation_gauge: Gauge,
@@ -187,7 +176,6 @@ impl Metrics {
             evicts: telemetry.counter("pathdb.cache.evict"),
             invalidates: telemetry.counter("pathdb.cache.invalidate"),
             revalidates: telemetry.counter("pathdb.cache.revalidate"),
-            partials: telemetry.counter("pathdb.cache.partial"),
             publishes: telemetry.counter("pathdb.publish.count"),
             publish_ns: telemetry.histogram("pathdb.publish_ns"),
             generation_gauge: telemetry.gauge("store.generation"),
@@ -270,9 +258,7 @@ impl EpochPathDb {
         let cfg = EpochConfig {
             shards: cfg.shards.max(1),
             capacity: cfg.capacity.max(1),
-            raw_limit: cfg.raw_limit,
-            max_inflight: cfg.max_inflight,
-            max_waiters: cfg.max_waiters,
+            ..cfg
         };
         let metrics = Metrics::new(Telemetry::quiet());
         metrics.generation_gauge.set(store.generation());
@@ -362,7 +348,7 @@ impl EpochPathDb {
             let mut s = shard.lock();
             let before = s.entries.len();
             s.entries
-                .retain(|_, e| !e.paths.iter().any(|p| p.interfaces().contains(&(ia, ifid))));
+                .retain(|_, e| !e.paths.iter().any(|p| p.crosses(ia, ifid)));
             dropped += before - s.entries.len();
         }
         m.invalidates.add(dropped as u64);
@@ -429,7 +415,7 @@ impl EpochPathDb {
         }
         let _prof = m.telemetry.prof_scope("pathdb.combine");
         let combine = |&(src, dst): &(IsdAsn, IsdAsn)| {
-            combine_paths_recorded(&snap.store, src, dst, max_paths, true)
+            combine_paths_recorded(&snap.store, src, dst, max_paths)
         };
         #[cfg(feature = "parallel")]
         let records: Vec<CombineRecord> = crate::pool::WorkerPool::default().map(&todo, combine);
@@ -462,9 +448,8 @@ impl EpochPathDb {
         }
     }
 
-    /// Approximate resident bytes of the cache (finalized paths plus
-    /// retained raw recombination state, a body shared between the two
-    /// counted once), matching the mutex database's accounting.
+    /// Approximate resident bytes of the cache (each entry and the paths
+    /// of its answer), matching the mutex database's accounting.
     pub fn approx_cache_bytes(&self) -> usize {
         self.inner
             .shards
@@ -473,9 +458,7 @@ impl EpochPathDb {
                 let s = shard.lock();
                 s.entries
                     .values()
-                    .map(|e| {
-                        std::mem::size_of::<Entry>() + answer_bytes(&e.paths, e.raw.as_deref())
-                    })
+                    .map(|e| std::mem::size_of::<Entry>() + approx_shared_bytes(&*e.paths))
                     .sum::<usize>()
             })
             .sum()
@@ -544,9 +527,6 @@ impl EpochPathDb {
         let idx = self.shard_of(&key);
 
         // Warm fast path plus staleness triage, all under one shard lock.
-        // `incr` carries the (deps, raw) state out of the lock when an
-        // incremental recombination is worth attempting.
-        let mut incr: Option<IncrState> = None;
         {
             let mut shard = self.inner.shards[idx].lock();
             shard.tick += 1;
@@ -565,13 +545,11 @@ impl EpochPathDb {
                 // them, the combination is identical at both — serve it,
                 // and fast-forward the entry when the snapshot is the
                 // newer side.
-                let changed: Vec<BucketDep> = e
+                let unchanged = e
                     .deps
                     .iter()
-                    .filter(|(dep, f)| snap.store.bucket_fingerprint(*dep) != *f)
-                    .map(|(dep, _)| *dep)
-                    .collect();
-                if changed.is_empty() {
+                    .all(|(dep, f)| snap.store.bucket_fingerprint(*dep) == *f);
+                if unchanged {
                     if gen > e.generation {
                         e.generation = gen;
                     }
@@ -582,15 +560,8 @@ impl EpochPathDb {
                     self.finish(&m, start, &paths);
                     return (paths, gen);
                 }
+                // A consulted bucket changed: the entry is recombined, whole.
                 m.invalidates.inc();
-                let only_core = changed
-                    .iter()
-                    .all(|dep| matches!(dep, BucketDep::Core { .. }));
-                if only_core {
-                    if let Some(raw) = &e.raw {
-                        incr = Some((e.deps.clone(), raw.clone()));
-                    }
-                }
             } else {
                 m.misses.inc();
             }
@@ -611,26 +582,17 @@ impl EpochPathDb {
         };
 
         // Combine against the snapshot with no locks held.
-        let record = incr
-            .and_then(|(deps, raw)| {
-                let _c = m.telemetry.prof_scope("pathdb.recombine");
-                let partial = incremental_recombine(&snap.store, src, dst, max_paths, &deps, &raw);
-                if partial.is_some() {
-                    m.partials.inc();
-                }
-                partial
-            })
-            .unwrap_or_else(|| {
-                let _c = m.telemetry.prof_scope("pathdb.combine");
-                combine_paths_recorded(&snap.store, src, dst, max_paths, true)
-            });
+        let record = {
+            let _c = m.telemetry.prof_scope("pathdb.combine");
+            combine_paths_recorded(&snap.store, src, dst, max_paths)
+        };
         let paths = self.install(&m, &snap, key, record, policy);
         self.finish(&m, start, &paths);
         (paths, gen)
     }
 
     /// Installs a combination record produced against `snap`, applying the
-    /// policy filter and the raw-retention bound. Never moves an entry
+    /// policy filter. Never moves an entry
     /// backwards: if a concurrent reader already installed a result from
     /// a newer snapshot, that entry is kept and our (older, still
     /// internally-consistent) paths are only returned to the caller.
@@ -642,17 +604,10 @@ impl EpochPathDb {
         record: CombineRecord,
         policy: Option<&PathPolicy>,
     ) -> Arc<Vec<FullPath>> {
-        let CombineRecord {
-            mut paths,
-            deps,
-            raw,
-        } = record;
+        let CombineRecord { mut paths, deps } = record;
         if let Some(p) = policy {
             p.filter(&mut paths);
         }
-        let raw = raw.filter(|pairs| {
-            pairs.iter().map(|p| p.paths.len()).sum::<usize>() <= self.inner.cfg.raw_limit
-        });
         let deps: Vec<(BucketDep, u64)> = deps
             .into_iter()
             .map(|dep| (dep, snap.store.bucket_fingerprint(dep)))
@@ -686,7 +641,6 @@ impl EpochPathDb {
                 generation: snap.generation,
                 deps,
                 paths: paths.clone(),
-                raw,
                 last_used: tick,
             },
         );
@@ -795,7 +749,7 @@ mod tests {
         db.mutate_store(|s| s.invalidate_interface(ia("71-2"), ifid));
         let new_paths = db.paths(ia("71-10"), ia("71-20"), 100);
         // Simulate a straggler reader installing from the old snapshot.
-        let record = combine_paths_recorded(old.store(), ia("71-10"), ia("71-20"), 100, true);
+        let record = combine_paths_recorded(old.store(), ia("71-10"), ia("71-20"), 100);
         let m = db.m();
         let served = db.install(&m, &old, (ia("71-10"), ia("71-20"), 0, 100), record, None);
         // The straggler gets its own (old-snapshot-consistent) result…
@@ -942,7 +896,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_recombination_still_fires_after_core_change() {
+    fn core_only_change_recombines_and_matches_fresh() {
         let db = EpochPathDb::new(mesh());
         db.paths(ia("71-10"), ia("71-30"), 100);
         let seg = {
@@ -961,6 +915,8 @@ mod tests {
             combine_paths(db.snapshot().store(), ia("71-10"), ia("71-30"), 100)
         );
         let m = db.m();
-        assert_eq!(m.partials.get(), 1, "expected incremental recombination");
+        assert_eq!(m.invalidates.get(), 1);
+        assert_eq!(m.revalidates.get(), 0);
+        assert_eq!(m.misses.get(), 1);
     }
 }

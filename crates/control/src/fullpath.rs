@@ -76,10 +76,15 @@ impl SegmentUse {
         (from..=to).map(move |i| if against { to - (i - from) } else { i })
     }
 
-    /// The AS of the entry traversed first (`last == false`) or last.
-    fn end_ia(&self, last: bool) -> IsdAsn {
-        let at_to = last == (self.dir == Direction::Cons);
-        self.segment.entries[if at_to { self.to_idx } else { self.from_idx }].ia
+    /// This use with its segment handle borrowed.
+    pub(crate) fn as_ref(&self) -> UseRef<'_> {
+        UseRef {
+            segment: &self.segment,
+            dir: self.dir,
+            from_idx: self.from_idx,
+            to_idx: self.to_idx,
+            peer_with: self.peer_with,
+        }
     }
 
     /// The hop field for entry `idx`, honouring peer substitution.
@@ -123,6 +128,70 @@ impl SegmentUse {
             timestamp: self.segment.timestamp,
         }
     }
+}
+
+/// A [`SegmentUse`] that borrows its segment handle: what the combinator
+/// enumerates before it knows which candidates an answer reaches. Copying one
+/// touches no reference count; [`UseRef::to_use`] takes the handle.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct UseRef<'a> {
+    pub segment: &'a SegmentHandle,
+    pub dir: Direction,
+    pub from_idx: usize,
+    pub to_idx: usize,
+    pub peer_with: Option<IsdAsn>,
+}
+
+impl<'a> UseRef<'a> {
+    /// The whole of `segment`, no truncation or peering.
+    pub fn whole(segment: &'a SegmentHandle, dir: Direction) -> Self {
+        UseRef {
+            segment,
+            dir,
+            from_idx: 0,
+            to_idx: segment.len() - 1,
+            peer_with: None,
+        }
+    }
+
+    /// The use itself, sharing the segment.
+    pub fn to_use(self) -> SegmentUse {
+        SegmentUse {
+            segment: self.segment.clone(),
+            dir: self.dir,
+            from_idx: self.from_idx,
+            to_idx: self.to_idx,
+            peer_with: self.peer_with,
+        }
+    }
+
+    /// The AS of the entry traversed first (`last == false`) or last.
+    fn end_ia(&self, last: bool) -> IsdAsn {
+        let at_to = last == (self.dir == Direction::Cons);
+        self.segment.entries[if at_to { self.to_idx } else { self.from_idx }].ia
+    }
+}
+
+/// Number of AS-level hops a path over `uses` (in traversal order, entry
+/// ranges in bounds) has: every listed entry, less one for each two adjacent
+/// uses that meet at the same AS. The packet crosses such a junction AS
+/// internally, so its two hop fields make one hop; a peering junction joins
+/// two *different* ASes and merges nothing.
+///
+/// [`FullPath::assemble`] sizes its hop list by this count and merges by the
+/// same comparison, and the combinator orders its candidates by it before
+/// assembling any: a candidate that assembles has exactly this many hops.
+pub(crate) fn joined_hop_count<'a>(uses: impl IntoIterator<Item = UseRef<'a>>) -> usize {
+    let mut hops = 0;
+    let mut reached: Option<IsdAsn> = None;
+    for u in uses {
+        hops += u.to_idx - u.from_idx + 1;
+        if reached == Some(u.end_ia(false)) {
+            hops -= 1;
+        }
+        reached = Some(u.end_ia(true));
+    }
+    hops
 }
 
 /// How the path was combined (for analysis and policy).
@@ -234,13 +303,24 @@ impl Deserialize for FullPath {
 
 /// SHA-256 over the hops' `(ISD-AS, ingress, egress)` triples, first 8 bytes.
 fn hash_hops(hops: &[PathHop]) -> [u8; 8] {
-    let mut bytes = Vec::with_capacity(hops.len() * 12);
-    for h in hops {
-        bytes.extend_from_slice(&h.ia.to_u64().to_be_bytes());
-        bytes.extend_from_slice(&h.ingress.to_be_bytes());
-        bytes.extend_from_slice(&h.egress.to_be_bytes());
+    // The combinator takes one fingerprint per candidate it reaches: the
+    // triples of any path of up to 21 hops are laid out on the stack.
+    const HOP_BYTES: usize = 12;
+    let mut on_stack = [0u8; 21 * HOP_BYTES];
+    let mut on_heap = Vec::new();
+    let bytes = match on_stack.get_mut(..hops.len() * HOP_BYTES) {
+        Some(buf) => buf,
+        None => {
+            on_heap.resize(hops.len() * HOP_BYTES, 0);
+            &mut on_heap[..]
+        }
+    };
+    for (h, triple) in hops.iter().zip(bytes.chunks_exact_mut(HOP_BYTES)) {
+        triple[..8].copy_from_slice(&h.ia.to_u64().to_be_bytes());
+        triple[8..10].copy_from_slice(&h.ingress.to_be_bytes());
+        triple[10..].copy_from_slice(&h.egress.to_be_bytes());
     }
-    let d = scion_crypto::sha256::sha256(&bytes);
+    let d = scion_crypto::sha256::sha256(bytes);
     let mut key = [0u8; 8];
     key.copy_from_slice(&d[..8]);
     key
@@ -308,15 +388,10 @@ impl FullPath {
         // forwarding. Peering junctions cross a link between two *different*
         // ASes and are not merged.
         //
-        // The combinator assembles every candidate of a pair and keeps a
-        // fraction, so this runs without scratch lists: the hops are sized
-        // exactly and written once, in traversal order.
-        let merged = uses
-            .windows(2)
-            .filter(|w| w[0].end_ia(true) == w[1].end_ia(false))
-            .count();
-        let listed: usize = uses.iter().map(SegmentUse::hop_count).sum();
-        let mut hops: Vec<PathHop> = Vec::with_capacity(listed - merged);
+        // No scratch lists: the hops are sized exactly and written once, in
+        // traversal order.
+        let mut hops: Vec<PathHop> =
+            Vec::with_capacity(joined_hop_count(uses.iter().map(SegmentUse::as_ref)));
         for u in &uses {
             for (step, idx) in u.traversal_indices().enumerate() {
                 let hf = u.hop_field_at(idx)?;
@@ -389,6 +464,16 @@ impl FullPath {
             }
         }
         out
+    }
+
+    /// Whether the path enters or leaves `ia` through interface `ifid`: the
+    /// membership test of [`Self::interfaces`] without building the list.
+    pub fn crosses(&self, ia: IsdAsn, ifid: u16) -> bool {
+        ifid != 0
+            && self
+                .hops
+                .iter()
+                .any(|h| h.ia == ia && (h.ingress == ifid || h.egress == ifid))
     }
 
     /// A short stable fingerprint (hex) identifying the path by its
@@ -612,6 +697,74 @@ mod tests {
         }
         // The fingerprints themselves are part of the dataset format.
         assert_eq!(bare_path().fingerprint(), "20b7c2d6a87773e4");
+    }
+
+    #[test]
+    fn the_hash_reads_the_same_bytes_from_stack_or_heap() {
+        // The triples in one `Vec`, as they were laid out before.
+        let plain = |hops: &[PathHop]| {
+            let mut bytes = Vec::new();
+            for h in hops {
+                bytes.extend_from_slice(&h.ia.to_u64().to_be_bytes());
+                bytes.extend_from_slice(&h.ingress.to_be_bytes());
+                bytes.extend_from_slice(&h.egress.to_be_bytes());
+            }
+            scion_crypto::sha256::sha256(&bytes)
+        };
+        let hops: Vec<PathHop> = (0..40u16)
+            .map(|i| PathHop {
+                ia: ia(&format!("71-2:0:{i:x}")),
+                ingress: i,
+                egress: 1000 + i,
+            })
+            .collect();
+        // Empty, short, the last length on the stack, the first beyond it.
+        for n in [0, 1, 6, 20, 21, 22, 40] {
+            assert_eq!(
+                hash_hops(&hops[..n])[..],
+                plain(&hops[..n])[..8],
+                "{n} hops"
+            );
+        }
+    }
+
+    #[test]
+    fn crosses_is_membership_in_the_interface_list() {
+        let peering = FullPath::assemble(
+            ia("71-100"),
+            ia("71-200"),
+            PathKind::Peering,
+            vec![
+                SegmentUse {
+                    peer_with: Some(ia("71-20")),
+                    from_idx: 1,
+                    ..SegmentUse::whole(up_segment(), Direction::AgainstCons)
+                },
+                SegmentUse {
+                    peer_with: Some(ia("71-10")),
+                    from_idx: 1,
+                    ..SegmentUse::whole(down_segment(), Direction::Cons)
+                },
+            ],
+        )
+        .unwrap();
+        for p in [core_transit(), peering, bare_path()] {
+            let listed = p.interfaces();
+            let mut crossed = 0;
+            // Every on-path AS and one that is not; interface 0 is "none",
+            // which the end points carry and nothing crosses.
+            for at in p.ases().into_iter().chain([ia("71-404")]) {
+                for ifid in 0..=50 {
+                    assert_eq!(
+                        p.crosses(at, ifid),
+                        listed.contains(&(at, ifid)),
+                        "{at} {ifid}"
+                    );
+                    crossed += usize::from(p.crosses(at, ifid));
+                }
+            }
+            assert_eq!(crossed, listed.len());
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   §4.9 no-commercial-transit rule, and preference sorting orders.
 //! * [`pathdb`] — the memoized path database: a bounded LRU over
 //!   combination results, invalidated purely by the store's generation
-//!   counter, with incremental recombination when only core buckets moved.
+//!   counter and revalidated by bucket content fingerprints.
 //! * [`epoch`] — the epoch-snapshot path database: readers combine
 //!   against immutable published store snapshots (no global lock), a
 //!   single writer mutates a master copy and republishes, and warm

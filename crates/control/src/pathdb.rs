@@ -16,25 +16,23 @@
 //!   entry is revalidated in place — an unrelated mutation, or one that
 //!   removed and then restored the same segments, costs a handful of map
 //!   probes, not a recombination.
-//! * If only *core* buckets moved and the raw per-pair output was
-//!   retained, only the (up, down) pairs that consulted a changed core
-//!   bucket are recombined via [`combine_pair`]; untouched pairs reuse
-//!   their recorded raw paths and the shared finalize step reproduces the
-//!   exact fresh result (same push order, same sort/dedup/truncate).
-//! * Otherwise the entry is fully recombined — still through the single
+//! * Otherwise the entry is recombined, whole — through the single
 //!   [`combine_paths_recorded`] code path, so memoized and fresh results
-//!   are byte-for-byte identical by construction.
+//!   are byte-for-byte identical by construction. The cache keeps answers,
+//!   not the candidates they were picked from: a miss assembles only what
+//!   its answer reaches, which is cheaper than carrying every candidate of
+//!   every entry for the rare change that touches core buckets alone.
 //!
-//! Counters: `pathdb.cache.{hit,miss,evict,invalidate,revalidate,partial}`
+//! Counters: `pathdb.cache.{hit,miss,evict,invalidate,revalidate}`
 //! plus the `store.generation` gauge, surfaced on the operator console's
 //! `pathdb:` line and in the Prometheus exposition.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use sciera_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use scion_proto::addr::IsdAsn;
 
-use crate::combine::{combine_pair, combine_paths_recorded, finalize, CombineRecord, PairRaw};
+use crate::combine::{combine_paths_recorded, CombineRecord};
 use crate::fullpath::{approx_shared_bytes, FullPath};
 use crate::policy::PathPolicy;
 use crate::store::{BucketDep, SegmentStore};
@@ -60,18 +58,11 @@ pub struct PathDbConfig {
     /// Maximum cached (src, dst, policy, cap) entries; least recently used
     /// entries are evicted beyond this.
     pub capacity: usize,
-    /// Maximum total raw per-pair paths retained per entry for incremental
-    /// recombination; entries above this fall back to full recombination
-    /// when invalidated (bounding memory, never correctness).
-    pub raw_limit: usize,
 }
 
 impl Default for PathDbConfig {
     fn default() -> Self {
-        PathDbConfig {
-            capacity: 512,
-            raw_limit: 4096,
-        }
+        PathDbConfig { capacity: 512 }
     }
 }
 
@@ -85,9 +76,6 @@ struct Entry {
     deps: Vec<(BucketDep, u64)>,
     /// Finalized (and policy-filtered, if keyed with a policy) paths.
     paths: Vec<FullPath>,
-    /// Raw per-pair output for incremental recombination (leaf-to-leaf
-    /// shape only, unfiltered, bounded by `raw_limit`).
-    raw: Option<Vec<PairRaw>>,
     /// LRU clock value of the last touch.
     last_used: u64,
 }
@@ -104,7 +92,6 @@ pub struct PathDb {
     evicts: Counter,
     invalidates: Counter,
     revalidates: Counter,
-    partials: Counter,
     generation_gauge: Gauge,
     combine_ns: Histogram,
     paths_combined: Counter,
@@ -133,7 +120,6 @@ impl PathDb {
             evicts: telemetry.counter("pathdb.cache.evict"),
             invalidates: telemetry.counter("pathdb.cache.invalidate"),
             revalidates: telemetry.counter("pathdb.cache.revalidate"),
-            partials: telemetry.counter("pathdb.cache.partial"),
             generation_gauge: telemetry.gauge("store.generation"),
             combine_ns: telemetry.histogram("control.combine_ns"),
             paths_combined: telemetry.counter("control.paths_combined"),
@@ -154,7 +140,6 @@ impl PathDb {
         self.evicts = telemetry.counter("pathdb.cache.evict");
         self.invalidates = telemetry.counter("pathdb.cache.invalidate");
         self.revalidates = telemetry.counter("pathdb.cache.revalidate");
-        self.partials = telemetry.counter("pathdb.cache.partial");
         self.generation_gauge = telemetry.gauge("store.generation");
         self.combine_ns = telemetry.histogram("control.combine_ns");
         self.paths_combined = telemetry.counter("control.paths_combined");
@@ -171,14 +156,13 @@ impl PathDb {
         &self.telemetry
     }
 
-    /// Approximate resident bytes of the cache itself: finalized paths plus
-    /// retained raw recombination state, a body shared between the two
-    /// counted once. Interned segment bodies are the store's (see
+    /// Approximate resident bytes of the cache itself: each entry and the
+    /// paths of its answer. Interned segment bodies are the store's (see
     /// [`SegmentStore::approx_bytes`]).
     pub fn approx_cache_bytes(&self) -> usize {
         self.entries
             .values()
-            .map(|e| std::mem::size_of::<Entry>() + answer_bytes(&e.paths, e.raw.as_deref()))
+            .map(|e| std::mem::size_of::<Entry>() + approx_shared_bytes(&e.paths))
             .sum()
     }
 
@@ -229,7 +213,7 @@ impl PathDb {
     pub fn invalidate_paths_crossing(&mut self, ia: IsdAsn, ifid: u16) -> usize {
         let before = self.entries.len();
         self.entries
-            .retain(|_, e| !e.paths.iter().any(|p| p.interfaces().contains(&(ia, ifid))));
+            .retain(|_, e| !e.paths.iter().any(|p| p.crosses(ia, ifid)));
         let dropped = before - self.entries.len();
         self.invalidates.add(dropped as u64);
         dropped
@@ -281,13 +265,11 @@ impl PathDb {
             }
             // Stale generation: did the contents of any bucket we depend
             // on actually change?
-            let changed: Vec<BucketDep> = e
+            let unchanged = e
                 .deps
                 .iter()
-                .filter(|(dep, f)| self.store.bucket_fingerprint(*dep) != *f)
-                .map(|(dep, _)| *dep)
-                .collect();
-            if changed.is_empty() {
+                .all(|(dep, f)| self.store.bucket_fingerprint(*dep) == *f);
+            if unchanged {
                 e.generation = gen;
                 self.hits.inc();
                 self.revalidates.inc();
@@ -295,44 +277,25 @@ impl PathDb {
                 self.finish_query(start, &paths);
                 return paths;
             }
-            // A consulted bucket changed: the entry must be recombined.
+            // A consulted bucket changed: the entry is recombined, whole.
             self.invalidates.inc();
-            let only_core = changed
-                .iter()
-                .all(|dep| matches!(dep, BucketDep::Core { .. }));
-            let record = if let (true, Some(raw)) = (only_core, e.raw.as_deref()) {
-                let _c = self.telemetry.prof_scope("pathdb.recombine");
-                let partial = incremental_recombine(&self.store, src, dst, max_paths, &e.deps, raw);
-                if partial.is_some() {
-                    self.partials.inc();
-                }
-                partial
-            } else {
-                None
-            };
-            let record = record.unwrap_or_else(|| {
-                let _c = self.telemetry.prof_scope("pathdb.combine");
-                combine_paths_recorded(&self.store, src, dst, max_paths, true)
-            });
-            let paths = self.install(key, gen, tick, record, policy);
-            self.finish_query(start, &paths);
-            return paths;
+        } else {
+            self.misses.inc();
+            self.evict_for(tick);
         }
 
-        self.misses.inc();
         let record = {
             let _c = self.telemetry.prof_scope("pathdb.combine");
-            combine_paths_recorded(&self.store, src, dst, max_paths, true)
+            combine_paths_recorded(&self.store, src, dst, max_paths)
         };
-        self.evict_for(tick);
         let paths = self.install(key, gen, tick, record, policy);
         self.finish_query(start, &paths);
         paths
     }
 
     /// Stores a fresh combination record as the entry for `key`, applying
-    /// the policy filter and the raw-retention bound. Returns the (cloned)
-    /// path list to hand to the caller.
+    /// the policy filter. Returns the (cloned) path list to hand to the
+    /// caller.
     fn install(
         &mut self,
         key: CacheKey,
@@ -341,17 +304,10 @@ impl PathDb {
         record: CombineRecord,
         policy: Option<&PathPolicy>,
     ) -> Vec<FullPath> {
-        let CombineRecord {
-            mut paths,
-            deps,
-            raw,
-        } = record;
+        let CombineRecord { mut paths, deps } = record;
         if let Some(p) = policy {
             p.filter(&mut paths);
         }
-        let raw = raw.filter(|pairs| {
-            pairs.iter().map(|p| p.paths.len()).sum::<usize>() <= self.cfg.raw_limit
-        });
         let deps = deps
             .into_iter()
             .map(|dep| (dep, self.store.bucket_fingerprint(dep)))
@@ -362,7 +318,6 @@ impl PathDb {
                 generation: gen,
                 deps,
                 paths: paths.clone(),
-                raw,
                 last_used: tick,
             },
         );
@@ -391,20 +346,6 @@ impl PathDb {
         self.combine_ns.record(start.elapsed().as_nanos() as f64);
         self.paths_combined.add(paths.len() as u64);
     }
-}
-
-/// Approximate resident bytes of one cached answer: the winners and the raw
-/// per-pair candidates kept for recombination. `finalize` picks winners
-/// *among* the raw candidates, so the two lists share bodies; each body is
-/// counted once and each further handle as a pointer.
-pub(crate) fn answer_bytes(paths: &[FullPath], raw: Option<&[PairRaw]>) -> usize {
-    let raw = raw.unwrap_or_default();
-    std::mem::size_of_val(raw)
-        + approx_shared_bytes(
-            raw.iter()
-                .flat_map(|pr| pr.paths.iter())
-                .chain(paths.iter()),
-        )
 }
 
 /// Acquires the shared `Arc<Mutex<PathDb>>` hot lock with wait accounting.
@@ -437,80 +378,6 @@ pub fn lock_pathdb(m: &parking_lot::Mutex<PathDb>) -> parking_lot::MutexGuard<'_
     }
     #[cfg(not(feature = "profile"))]
     m.lock()
-}
-
-/// Recombines only the (up, down) pairs whose consulted core bucket moved,
-/// reusing recorded raw output for the rest. Returns `None` when the
-/// recorded raw state doesn't line up with the current buckets (shape
-/// change, missing pair) — the caller then recombines fully.
-///
-/// Precondition (checked by the caller): the entry's up/down bucket deps
-/// are unchanged, so the current up/down buckets are exactly the ones the
-/// raw output was recorded against, in the same order. Shared with the
-/// epoch-snapshot database, which carries the same `(deps, raw)` state.
-pub(crate) fn incremental_recombine(
-    store: &SegmentStore,
-    src: IsdAsn,
-    dst: IsdAsn,
-    max_paths: usize,
-    old_deps: &[(BucketDep, u64)],
-    old_raw: &[PairRaw],
-) -> Option<CombineRecord> {
-    let old_fps: BTreeMap<BucketDep, u64> = old_deps.iter().copied().collect();
-    let mut old_idx: HashMap<([u8; 32], [u8; 32]), &PairRaw> = HashMap::new();
-    for pr in old_raw {
-        old_idx.insert((pr.up_id, pr.down_id), pr);
-    }
-
-    let src_ups = store.up_segment_handles(src);
-    let dst_downs = store.up_segment_handles(dst);
-    if src_ups.is_empty() || dst_downs.is_empty() {
-        return None; // shape changed under us — recombine fully
-    }
-
-    let mut deps: BTreeSet<BucketDep> = BTreeSet::new();
-    deps.insert(BucketDep::UpDown(src));
-    deps.insert(BucketDep::UpDown(dst));
-    let mut pairs: Vec<PairRaw> = Vec::with_capacity(old_raw.len());
-
-    for u in src_ups {
-        for d in dst_downs {
-            let reusable = old_idx.get(&(u.id(), d.id())).filter(|pr| {
-                pr.core_dep.is_none_or(|dep| {
-                    store.bucket_fingerprint(dep) == old_fps.get(&dep).copied().unwrap_or(0)
-                })
-            });
-            if let Some(pr) = reusable {
-                if let Some(dep) = pr.core_dep {
-                    deps.insert(dep);
-                }
-                pairs.push((*pr).clone()); // Arc bump, not a deep path clone
-            } else {
-                let mut paths = Vec::new();
-                let core_dep = combine_pair(store, src, dst, u, d, &mut |p| {
-                    if let Ok(p) = p {
-                        paths.push(p);
-                    }
-                });
-                if let Some(dep) = core_dep {
-                    deps.insert(dep);
-                }
-                paths.shrink_to_fit();
-                pairs.push(PairRaw {
-                    up_id: u.id(),
-                    down_id: d.id(),
-                    core_dep,
-                    paths: std::sync::Arc::new(paths),
-                });
-            }
-        }
-    }
-
-    Some(CombineRecord {
-        paths: finalize(pairs.iter().flat_map(|pr| pr.paths.iter()), max_paths),
-        deps: deps.into_iter().collect(),
-        raw: Some(pairs),
-    })
 }
 
 #[cfg(test)]
@@ -600,11 +467,11 @@ mod tests {
     }
 
     #[test]
-    fn core_only_change_recombines_incrementally() {
+    fn core_only_change_recombines_and_matches_fresh() {
         let mut db = PathDb::new(mesh());
         db.paths(ia("71-10"), ia("71-30"), 100);
         // Registering a fresh core segment touches only core buckets; the
-        // 10->30 entry must recombine (possibly partially), not revalidate.
+        // 10->30 entry must recombine, not revalidate.
         let seg = {
             use crate::segment::{AsSecrets, SegmentBuilder, SegmentType};
             let mut b = SegmentBuilder::originate(SegmentType::Core, 1_700_000_123, 7);
@@ -619,7 +486,8 @@ mod tests {
             combine_paths(db.store(), ia("71-10"), ia("71-30"), 100)
         );
         assert_eq!(db.invalidates.get(), 1);
-        assert_eq!(db.partials.get(), 1, "expected incremental recombination");
+        assert_eq!(db.revalidates.get(), 0);
+        assert_eq!(db.misses.get(), 1);
     }
 
     #[test]
@@ -664,38 +532,26 @@ mod tests {
 
     #[test]
     fn cache_accounting_counts_a_shared_body_once() {
-        let store = mesh();
+        let mut db = PathDb::new(mesh());
         let handle = std::mem::size_of::<FullPath>();
-        // Leaf to leaf: the winners are among the retained raw candidates.
-        let record = combine_paths_recorded(&store, ia("71-10"), ia("71-30"), 100, true);
-        let raw = record
-            .raw
-            .as_deref()
-            .expect("leaf to leaf records its pairs");
-        assert!(!record.paths.is_empty());
-        assert_eq!(
-            answer_bytes(&record.paths, Some(raw)),
-            answer_bytes(&[], Some(raw)) + record.paths.len() * handle
-        );
-        // Core to leaf keeps no raw state: the winners own their bodies.
-        let record = combine_paths_recorded(&store, ia("71-1"), ia("71-30"), 100, true);
-        assert!(record.raw.is_none());
-        let bodies: usize = record.paths.iter().map(FullPath::approx_bytes).sum();
-        assert_eq!(
-            answer_bytes(&record.paths, None),
-            bodies + record.paths.len() * handle
-        );
+        let mut expect = 0;
+        // Leaf to leaf and core to leaf alike: an entry is its answer, a
+        // pointer and a body per path, and nothing is kept beside it.
+        for (src, dst) in [("71-10", "71-30"), ("71-1", "71-30")] {
+            let answer = db.paths(ia(src), ia(dst), 100);
+            assert!(!answer.is_empty());
+            let bodies: usize = answer.iter().map(FullPath::approx_bytes).sum();
+            expect += std::mem::size_of::<Entry>() + answer.len() * handle + bodies;
+            // The caller's handles are to the cached bodies, not copies: the
+            // cache's bytes are the same while `answer` is alive and after.
+            assert_eq!(db.approx_cache_bytes(), expect);
+        }
+        assert_eq!(db.approx_cache_bytes(), expect);
     }
 
     #[test]
     fn lru_eviction_bounds_the_cache() {
-        let mut db = PathDb::with_config(
-            mesh(),
-            PathDbConfig {
-                capacity: 2,
-                raw_limit: 4096,
-            },
-        );
+        let mut db = PathDb::with_config(mesh(), PathDbConfig { capacity: 2 });
         db.paths(ia("71-10"), ia("71-20"), 100);
         db.paths(ia("71-10"), ia("71-30"), 100);
         db.paths(ia("71-20"), ia("71-30"), 100);

@@ -120,9 +120,9 @@ impl SegmentStore {
     /// negligible 64-bit collision), even across mutations that moved the
     /// generation and back — the signal the memoized databases use to
     /// revalidate entries whose consulted buckets were restored rather
-    /// than changed. Order-insensitivity is sound because the combiner's
-    /// shared `finalize` step sorts by a content key, so equal bucket
-    /// *sets* produce byte-identical results regardless of bucket order.
+    /// than changed. Order-insensitivity is sound because the combiner
+    /// orders its answer by a content key, so equal bucket *sets* produce
+    /// byte-identical results regardless of bucket order.
     pub fn bucket_fingerprint(&self, dep: BucketDep) -> u64 {
         match dep {
             BucketDep::UpDown(leaf) => self.up_down_fp.get(&leaf).copied().unwrap_or(0),

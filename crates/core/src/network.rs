@@ -545,9 +545,14 @@ impl SciEraNetwork {
         let mut board = self.health.lock();
         // Probe-confirmed dead interfaces flush every memoized path
         // combination crossing them (the next lookup recombines from the
-        // unchanged store and re-applies live link state).
+        // unchanged store and re-applies live link state). Every probed path
+        // over a dead link reports it; the cache is swept once per interface.
+        let mut swept: Vec<(IsdAsn, u16)> = Vec::new();
         let mut sink = |ia: IsdAsn, ifid: u16| {
-            self.pathdb.invalidate_paths_crossing(ia, ifid);
+            if !swept.contains(&(ia, ifid)) {
+                swept.push((ia, ifid));
+                self.pathdb.invalidate_paths_crossing(ia, ifid);
+            }
         };
         prober.run_round_with_sink(&mut transport, &mut board, now, &mut sink)
     }

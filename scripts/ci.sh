@@ -136,6 +136,16 @@ if [ "$((ns_1000 * 2))" -gt "$((ns_100 * 3))" ]; then
     exit 1
 fi
 
+# The path database keeps answers, not the candidates they were picked
+# from: while it retained every raw candidate of every cached pair it held
+# 9.4x the store's bytes at N=1000.
+read -r store_bytes pathdb_bytes < <(grep -o '"store_bytes": [0-9]*, "pathdb_bytes": [0-9]*' \
+    target/scale_smoke.json | tail -n 1 | tr -dc '0-9 ')
+if [ "$pathdb_bytes" -gt "$((store_bytes * 6))" ]; then
+    echo "scale smoke: pathdb_bytes $pathdb_bytes exceeds 6x store_bytes $store_bytes at N=1000" >&2
+    exit 1
+fi
+
 # Dynamics-campaign smoke: a short seeded campaign over a 40-AS synthetic
 # deployment. The bench itself asserts schema validity and byte-for-byte
 # seeded replay; outputs go to target/ so the committed

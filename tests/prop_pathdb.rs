@@ -361,6 +361,66 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `invalidate_paths_crossing` tests hops in place; the interface list it
+    /// used to build per path is the oracle. For any interface — of an AS on
+    /// the paths, off them or unknown, number 0 included — both databases
+    /// drop exactly the entries with a path listing it, and asking again
+    /// drops nothing.
+    #[test]
+    fn crossing_sweeps_equal_the_interface_list_oracle(
+        topo in arb_topo(),
+        picks in prop::collection::vec((any::<u8>(), any::<u8>()), 6),
+        sweeps in prop::collection::vec((any::<u8>(), any::<u8>()), 8),
+    ) {
+        let Some(graph) = build(&topo) else {
+            return Ok(()); // degenerate spec: nothing to check
+        };
+        let store = BeaconEngine::new(&graph, 1_700_000_000, BeaconConfig::default())
+            .run()
+            .expect("beaconing converges");
+        let edb = EpochPathDb::new(store.clone());
+        let mut mdb = PathDb::new(store);
+        let all: Vec<IsdAsn> = graph.ases().map(|a| a.ia).collect();
+
+        // The model: which pairs are cached, and the answer each holds.
+        let mut cached: Vec<(IsdAsn, IsdAsn, Vec<FullPath>)> = Vec::new();
+        for &(s, d) in &picks {
+            let (s, d) = (all[s as usize % all.len()], all[d as usize % all.len()]);
+            if s == d || cached.iter().any(|(cs, cd, _)| (*cs, *cd) == (s, d)) {
+                continue;
+            }
+            let answer = edb.paths(s, d, 64);
+            prop_assert_eq!(&answer, &mdb.paths(s, d, 64));
+            cached.push((s, d, answer));
+        }
+
+        for &(at, ifid) in &sweeps {
+            // One pick in `len + 1` is an AS the topology does not have.
+            let at = all.get(at as usize % (all.len() + 1)).copied().unwrap_or(ia("71-999"));
+            let ifid = u16::from(ifid % 6);
+            let before = cached.len();
+            cached.retain(|(_, _, answer)| {
+                !answer.iter().any(|p| p.interfaces().contains(&(at, ifid)))
+            });
+            let expect = before - cached.len();
+            prop_assert_eq!(edb.invalidate_paths_crossing(at, ifid), expect, "{} {}", at, ifid);
+            prop_assert_eq!(mdb.invalidate_paths_crossing(at, ifid), expect, "{} {}", at, ifid);
+            prop_assert_eq!(edb.cached_entries(), cached.len());
+            prop_assert_eq!(mdb.cached_entries(), cached.len());
+            prop_assert_eq!(edb.invalidate_paths_crossing(at, ifid), 0);
+            prop_assert_eq!(mdb.invalidate_paths_crossing(at, ifid), 0);
+        }
+        // The store never moved: what survived is served as it was.
+        for (s, d, answer) in &cached {
+            prop_assert_eq!(&edb.paths(*s, *d, 64), answer);
+            prop_assert_eq!(&mdb.paths(*s, *d, 64), answer);
+        }
+    }
+}
+
 /// A store mutation must flush affected cached entries: after killing an
 /// interface every path of a cached pair crosses, the next query reflects
 /// the removal (and still matches the reference).

@@ -84,3 +84,53 @@ fn ext_if_down_invalidates_daemon_cache_and_prober_confirms() {
     assert!(confirmed, "prober confirms the outage: {results:?}");
     assert_eq!(net.pair_score(src, dst), Some(0.0));
 }
+
+/// Every probed path over a dead link reports it; the path database is swept
+/// for it once, and `pathdb.cache.invalidate` moves by the entries that
+/// cross it — not by the number of reports.
+#[test]
+fn several_reports_of_one_dead_link_invalidate_each_crossing_entry_once() {
+    let net = SciEraNetwork::build(NetworkConfig::default());
+    let src = ia("71-225");
+    let dst = ia("71-88"); // Princeton: single uplink via BRIDGES
+    let probed = net.register_probe_pair(src, dst);
+    assert!(probed > 1, "several probed paths share the uplink");
+
+    // Three cached answers: two over the uplink (one of them the probed
+    // pair's), one that stops short of it at Princeton's parent.
+    let parent = net.paths(src, dst)[0].hops.iter().rev().nth(1).unwrap().ia;
+    let warmed = [(src, dst), (dst, src), (src, parent)];
+    let answers: Vec<_> = warmed.iter().map(|&(s, d)| net.paths(s, d)).collect();
+    assert_eq!(net.pathdb().cached_entries(), warmed.len());
+
+    assert_eq!(net.set_links("BRIDGES-Princeton", false), 1);
+    let invalidated = || {
+        let snap = net.telemetry().snapshot();
+        snap.counter("pathdb.cache.invalidate").unwrap_or(0)
+    };
+    let before = invalidated();
+    let mut dead: Vec<(IsdAsn, u16)> = net
+        .probe_round()
+        .iter()
+        .filter_map(|r| match r.outcome {
+            EchoOutcome::ExtIfDown { ia, interface } => Some((ia, u16::try_from(interface).ok()?)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(dead.len(), probed, "every probe over the link reports it");
+    dead.dedup();
+    assert_eq!(dead.len(), 1, "one interface, reported {probed} times");
+
+    let crossing = answers
+        .iter()
+        .filter(|a| a.iter().any(|p| p.interfaces().contains(&dead[0])))
+        .count();
+    assert_eq!(crossing, 2);
+    assert_eq!(invalidated() - before, crossing as u64);
+    assert_eq!(net.pathdb().cached_entries(), warmed.len() - crossing);
+
+    // The link stays dead and is reported again: nothing is left to drop.
+    net.advance_time(10);
+    net.probe_round();
+    assert_eq!(invalidated() - before, crossing as u64);
+}
