@@ -13,7 +13,7 @@ use sciera_topology::links::{build_control_graph, BuiltTopology, PER_AS_OVERHEAD
 use scion_bootstrap::server::{BootstrapServer, TopologyDocument};
 use scion_control::beacon::{BeaconConfig, BeaconEngine};
 use scion_control::epoch::EpochPathDb;
-use scion_control::fullpath::FullPath;
+use scion_control::fullpath::{FullPath, PathHop};
 use scion_control::segment::AsSecrets;
 use scion_control::store::SegmentStore;
 use scion_cppki::ca::{CaService, ClientProfile};
@@ -118,10 +118,64 @@ impl Default for NetworkConfig {
     }
 }
 
+/// Administrative link state, kept both ways it is asked about: a walker
+/// holds a link index and asks whether that link is up; a lookup holds 200
+/// paths and asks which of them touch *any* link that is down. Failure is
+/// the exception, so the second view is the exceptions — a short sorted
+/// list, empty while every link is up.
+struct LinkState {
+    /// Per link index: administratively down.
+    down: Vec<bool>,
+    /// Both `(AS, interface)` ends of every down link as [`if_key`]s,
+    /// ascending.
+    dead: Vec<u128>,
+}
+
+/// `(AS, interface)` as one ordered word, so that membership in the dead
+/// list is a binary search over plain integers.
+fn if_key(ia: IsdAsn, ifid: u16) -> u128 {
+    (u128::from(ia.to_u64()) << 16) | u128::from(ifid)
+}
+
+impl LinkState {
+    fn all_up(n_links: usize) -> Self {
+        LinkState {
+            down: vec![false; n_links],
+            dead: Vec::new(),
+        }
+    }
+
+    /// The only writer of either view, so they cannot disagree: link
+    /// `index` of `topo` goes up or down. Nothing happens if it is already
+    /// there, or if there is no such link.
+    fn set(&mut self, topo: &BuiltTopology, index: usize, up: bool) {
+        match self.down.get_mut(index) {
+            // `down == up`: the link is not where it is asked to be.
+            Some(down) if *down == up => *down = !up,
+            _ => return,
+        }
+        for (ia, ifid) in topo.links[index].ends() {
+            // An interface is dead when the link the topology's index
+            // attaches there is down, as `crossing` would find it.
+            if topo.link_index_of(ia, ifid) != Some(index) {
+                continue;
+            }
+            let end = if_key(ia, ifid);
+            match (self.dead.binary_search(&end), up) {
+                (Err(at), false) => self.dead.insert(at, end),
+                (Ok(at), true) => {
+                    self.dead.remove(at);
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
 pub(crate) struct Inner {
     topo: BuiltTopology,
     routers: BTreeMap<IsdAsn, BorderRouter>,
-    link_down: Vec<bool>,
+    links: LinkState,
     /// Build-time latency per link, so cost-change injections
     /// (`set_link_latency_factor`) scale relative to nominal instead of
     /// compounding.
@@ -338,7 +392,7 @@ impl SciEraNetwork {
             inner: Arc::new(Mutex::new(Inner {
                 topo,
                 routers,
-                link_down: vec![false; n_links],
+                links: LinkState::all_up(n_links),
                 nominal_latency_ms,
                 now_unix: now,
                 inboxes: BTreeMap::new(),
@@ -359,8 +413,7 @@ impl SciEraNetwork {
     /// administrative link state is applied as a post-filter, so toggling
     /// links never invalidates the cache.
     pub fn paths(&self, src: IsdAsn, dst: IsdAsn) -> Vec<FullPath> {
-        let paths = self.pathdb.paths(src, dst, LOOKUP_MAX_PATHS);
-        self.inner.lock().live(paths)
+        lookup(&self.pathdb, &self.inner, src, dst)
     }
 
     /// The shared memoized path database (e.g. to plug into an end-host
@@ -373,11 +426,11 @@ impl SciEraNetwork {
     /// Sets the administrative state of every link whose label contains
     /// `label_substring`; returns how many links matched.
     pub fn set_links(&self, label_substring: &str, up: bool) -> usize {
-        let mut inner = self.inner.lock();
+        let inner = &mut *self.inner.lock();
         let mut n = 0;
-        for i in 0..inner.topo.links.len() {
-            if inner.topo.links[i].spec.label.contains(label_substring) {
-                inner.link_down[i] = !up;
+        for (i, l) in inner.topo.links.iter().enumerate() {
+            if l.spec.label.contains(label_substring) {
+                inner.links.set(&inner.topo, i, up);
                 n += 1;
             }
         }
@@ -392,10 +445,8 @@ impl SciEraNetwork {
 
     /// Sets the administrative state of one link by index.
     pub fn set_link_index(&self, index: usize, up: bool) {
-        let mut inner = self.inner.lock();
-        if index < inner.link_down.len() {
-            inner.link_down[index] = !up;
-        }
+        let inner = &mut *self.inner.lock();
+        inner.links.set(&inner.topo, index, up);
     }
 
     /// Scales one link's latency relative to its *nominal* (build-time)
@@ -666,7 +717,7 @@ impl Inner {
             (l.spec.a, l.ifid_a)
         };
         Some(Crossing {
-            up: !self.link_down[li],
+            up: !self.links.down[li],
             latency_ms: l.spec.latency_ms,
             next,
             next_if,
@@ -698,10 +749,20 @@ impl Inner {
         Err(NetError::LinkDown { at, ifid })
     }
 
-    /// `paths` less those crossing a link that is down.
+    /// `paths` less those crossing a link that is down, in their order.
+    ///
+    /// A path crosses a link by leaving some AS through one of its ends, so
+    /// it is dropped iff a hop's egress is a dead interface. With every
+    /// link up nothing is dead and no path is read at all. (The paths come
+    /// from this network's own store, beaconed over `topo`: every egress
+    /// they name is an interface of `topo`, which is why "not dead" can
+    /// stand for "attached to a link that is up".)
     fn live(&self, mut paths: Vec<FullPath>) -> Vec<FullPath> {
-        let down = |i: usize| self.link_down[i];
-        paths.retain(|p| self.topo.path_alive(p, &down));
+        let dead = &self.links.dead;
+        if !dead.is_empty() {
+            let is_dead = |h: &PathHop| dead.binary_search(&if_key(h.ia, h.egress)).is_ok();
+            paths.retain(|p| !p.hops.iter().any(is_dead));
+        }
         paths
     }
 
@@ -1164,9 +1225,16 @@ impl scion_pan::socket::PanTransport for SimTransport {
     }
 
     fn lookup_paths(&mut self, dst: IsdAsn) -> Vec<FullPath> {
-        let paths = self.pathdb.paths(self.local.ia, dst, LOOKUP_MAX_PATHS);
-        self.net.lock().live(paths)
+        lookup(&self.pathdb, &self.net, self.local.ia, dst)
     }
+}
+
+/// The lookup behind [`SciEraNetwork::paths`] and a host's `lookup_paths`:
+/// the path database's answer, asked for once, less what current link state
+/// rules out.
+fn lookup(pathdb: &EpochPathDb, net: &Mutex<Inner>, src: IsdAsn, dst: IsdAsn) -> Vec<FullPath> {
+    let paths = pathdb.paths(src, dst, LOOKUP_MAX_PATHS);
+    net.lock().live(paths)
 }
 
 #[cfg(test)]
@@ -1247,7 +1315,7 @@ mod tests {
         // analytic RTT used by the measurement campaign.
         let analytic = {
             let inner = net.inner.lock();
-            let down = |i: usize| inner.link_down[i];
+            let down = |i: usize| inner.links.down[i];
             inner.topo.path_rtt_ms(p, &down).unwrap()
         };
         let packet_level = 2.0
@@ -1463,7 +1531,7 @@ mod tests {
         assert!(!links.is_empty());
         let rtt = |net: &SciEraNetwork| {
             let inner = net.inner.lock();
-            let down = |i: usize| inner.link_down[i];
+            let down = |i: usize| inner.links.down[i];
             inner.topo.path_rtt_ms(&snapshot[0], &down).unwrap()
         };
         let nominal = rtt(&net);
@@ -1574,14 +1642,262 @@ mod tests {
     #[test]
     fn paths_respect_link_state() {
         let net = network();
-        let before = net.paths(ia("71-2:0:3b"), ia("71-2:0:3d")).len();
-        net.set_links("Daejeon-Singapore direct", false);
-        let after = net.paths(ia("71-2:0:3b"), ia("71-2:0:3d")).len();
+        let (src, dst) = (ia("71-2:0:3b"), ia("71-2:0:3d"));
+        let before = net.paths(src, dst);
+        assert_eq!(net.set_links("Daejeon-Singapore direct", false), 1);
+        let after = net.paths(src, dst);
         assert!(
-            after < before,
-            "cable cut must remove paths ({before} -> {after})"
+            after.len() < before.len(),
+            "cable cut must remove paths ({} -> {})",
+            before.len(),
+            after.len()
         );
-        assert!(after >= 1, "ring still provides connectivity");
+        assert!(!after.is_empty(), "ring still provides connectivity");
+        // Exactly the paths that touch either end of the cable, entering or
+        // leaving, are gone; the rest keep their order.
+        let ends = {
+            let inner = net.inner.lock();
+            let mut links = inner.topo.links.iter();
+            let cable = links.find(|l| l.spec.label.contains("Daejeon-Singapore direct"));
+            cable.unwrap().ends()
+        };
+        let spared: Vec<FullPath> = before
+            .iter()
+            .filter(|p| !ends.iter().any(|&(at, ifid)| p.crosses(at, ifid)))
+            .cloned()
+            .collect();
+        assert_eq!(after, spared);
+        net.set_links("Daejeon-Singapore direct", true);
+        assert_eq!(net.paths(src, dst), before);
+    }
+}
+
+/// Link state is kept twice — per-index flags for the walkers, the sorted
+/// dead-interface list for lookups — and the lookup's filter reads only the
+/// second. These tests hold both to a model of their own and to the filter
+/// the list replaced.
+#[cfg(test)]
+mod link_state_tests {
+    use super::*;
+    use parking_lot::MutexGuard;
+    use proptest::prelude::*;
+    use sciera_topology::synth::{synthesize, SynthConfig};
+    use scion_pan::socket::PanTransport;
+    use std::sync::OnceLock;
+
+    /// A 60-AS synthetic deployment, the harness's own copy of its topology
+    /// (same config, same seed, same links), and a few leaf pairs with the
+    /// path database's full answer for each.
+    struct Fixture {
+        net: SciEraNetwork,
+        topo: BuiltTopology,
+        answers: Vec<(IsdAsn, IsdAsn, Vec<FullPath>)>,
+    }
+
+    /// The one fixture, locked for a test's duration: every test toggles
+    /// links and leaves them all up.
+    fn fixture() -> MutexGuard<'static, Fixture> {
+        static FIXTURE: OnceLock<Mutex<Fixture>> = OnceLock::new();
+        let build = || {
+            let cfg = SynthConfig::sized(60);
+            let net =
+                SciEraNetwork::build_from_topology(synthesize(&cfg), NetworkConfig::default());
+            let topo = synthesize(&cfg);
+            let mut leaves: Vec<IsdAsn> = topo
+                .graph
+                .ases()
+                .filter(|n| !n.core)
+                .map(|n| n.ia)
+                .collect();
+            leaves.sort_unstable();
+            let answers: Vec<_> = leaves
+                .iter()
+                .zip(leaves.iter().rev())
+                .map(|(&s, &d)| (s, d, net.pathdb().paths(s, d, LOOKUP_MAX_PATHS)))
+                .filter(|(_, _, all)| all.len() >= 4)
+                .take(6)
+                .collect();
+            assert_eq!(answers.len(), 6, "six leaf pairs with alternatives");
+            Mutex::new(Fixture { net, topo, answers })
+        };
+        FIXTURE.get_or_init(build).lock()
+    }
+
+    impl Fixture {
+        /// With `model[i]` saying whether link `i` is down: `crossing`
+        /// reports each link so from either end, the dead list is both ends
+        /// of the down links and nothing else, and a lookup — an operator's
+        /// or a host's — answers what the old per-hop filter leaves of the
+        /// database's answer, in its order.
+        fn agrees_with(&self, model: &[bool]) {
+            {
+                let inner = self.net.inner.lock();
+                assert_eq!(inner.links.down, model);
+                let mut dead = Vec::new();
+                for (l, &down) in self.topo.links.iter().zip(model) {
+                    for (at, ifid) in l.ends() {
+                        assert_eq!(inner.crossing(at, ifid).unwrap().up, !down);
+                        dead.extend(down.then_some(if_key(at, ifid)));
+                    }
+                }
+                dead.sort_unstable();
+                assert_eq!(inner.links.dead, dead);
+            }
+            let down = |i: usize| model[i];
+            for (src, dst, all) in &self.answers {
+                let mut want = all.clone();
+                want.retain(|p| self.topo.path_alive(p, &down));
+                assert_eq!(&self.net.paths(*src, *dst), &want);
+                let host = self
+                    .net
+                    .attach_host(ScionAddr::new(*src, HostAddr::v4(10, 7, 0, 1)));
+                assert_eq!(host.transport().lookup_paths(*dst), want);
+            }
+        }
+
+        /// Indices of the links whose label contains `label`.
+        fn labelled(&self, label: &str) -> Vec<usize> {
+            let links = self.topo.links.iter().enumerate();
+            links
+                .filter(|(_, l)| l.spec.label.contains(label))
+                .map(|(i, _)| i)
+                .collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Down-sets of 0, 1, 2 and 8 links (drawn with repetition), a
+        /// third of all links and all of them, taken down by index or by
+        /// label and brought back the other way.
+        #[test]
+        fn live_equals_the_per_hop_filter(
+            size in 0usize..6,
+            picks in prop::collection::vec(any::<u32>(), 8),
+            by_label in any::<bool>(),
+        ) {
+            let fx = fixture();
+            let n = fx.topo.links.len();
+            let chosen: Vec<usize> = match size {
+                0..=3 => picks[..[0, 1, 2, 8][size]].iter().map(|&p| p as usize % n).collect(),
+                4 => (0..n).filter(|i| (i + picks[0] as usize).is_multiple_of(3)).collect(),
+                _ => (0..n).collect(),
+            };
+            let mut model = vec![false; n];
+            for &l in &chosen {
+                if by_label {
+                    let label = &fx.topo.links[l].spec.label;
+                    let class = fx.labelled(label);
+                    prop_assert_eq!(fx.net.set_links(label, false), class.len());
+                    class.into_iter().for_each(|i| model[i] = true);
+                } else {
+                    fx.net.set_link_index(l, false);
+                    model[l] = true;
+                }
+            }
+            fx.agrees_with(&model);
+
+            for &l in &chosen {
+                if by_label {
+                    fx.net.set_link_index(l, true);
+                    model[l] = false;
+                } else {
+                    let label = &fx.topo.links[l].spec.label;
+                    fx.net.set_links(label, true);
+                    fx.labelled(label).into_iter().for_each(|i| model[i] = false);
+                }
+            }
+            fx.agrees_with(&model);
+            // Whatever is left of a label's class comes up by index.
+            for i in 0..n {
+                fx.net.set_link_index(i, true);
+            }
+            fx.agrees_with(&vec![false; n]);
+        }
+    }
+
+    #[test]
+    fn one_writer_keeps_both_views_coherent() {
+        let fx = fixture();
+        let n = fx.topo.links.len();
+        let mut model = vec![false; n];
+        let (src, dst, all) = fx.answers[0].clone();
+        // A link of the first pair's shortest path whose label it shares
+        // with others.
+        let (l, class) = fx
+            .net
+            .path_links(&all[0])
+            .into_iter()
+            .map(|l| (l, fx.labelled(&fx.topo.links[l].spec.label)))
+            .find(|(_, class)| class.len() > 1)
+            .expect("a shortest path crosses a link of a labelled class");
+        let label = fx.topo.links[l].spec.label.clone();
+
+        // Down twice then up once is up: state, not a count.
+        for up in [false, false, true] {
+            fx.net.set_link_index(l, up);
+            model[l] = !up;
+            fx.agrees_with(&model);
+        }
+        // Up on an up link, and any index past the last, change nothing.
+        fx.net.set_link_index(l, true);
+        fx.net.set_link_index(n, false);
+        fx.agrees_with(&model);
+
+        // By index, then by a label that covers the same link and more.
+        fx.net.set_link_index(l, false);
+        model[l] = true;
+        fx.agrees_with(&model);
+        assert_eq!(fx.net.set_links(&label, false), class.len());
+        class.iter().for_each(|&i| model[i] = true);
+        fx.agrees_with(&model);
+        fx.net.set_link_index(l, true);
+        model[l] = false;
+        fx.agrees_with(&model);
+        assert_eq!(fx.net.set_links(&label, true), class.len());
+        class.iter().for_each(|&i| model[i] = false);
+        fx.agrees_with(&model);
+
+        // Everything restored: nothing is dead, and a lookup is the
+        // database's answer as it stands.
+        assert!(fx.net.inner.lock().links.dead.is_empty());
+        assert_eq!(
+            fx.net.paths(src, dst),
+            fx.net.pathdb().paths(src, dst, LOOKUP_MAX_PATHS)
+        );
+        assert_eq!(fx.net.paths(src, dst), all);
+    }
+
+    /// What lets "no egress is dead" stand for "every crossed link is up":
+    /// a path the network's own store yields leaves each AS through an
+    /// interface of the topology (the per-hop filter dropped a path with an
+    /// unknown interface; none exists), and the link there enters the next
+    /// hop's AS through that hop's ingress — so testing egresses tests both
+    /// ends of every crossed link.
+    #[test]
+    fn store_paths_only_cross_links_of_the_topology() {
+        let fx = fixture();
+        let ases: Vec<IsdAsn> = fx.net.secrets.keys().copied().collect();
+        let mut hops = 0;
+        for &src in &ases {
+            // Eight destinations a source, spread over the deployment.
+            for &dst in ases.iter().skip(src.to_u64() as usize % 7).step_by(7) {
+                for p in fx.net.pathdb().paths(src, dst, LOOKUP_MAX_PATHS) {
+                    assert_eq!(p.hops.last().unwrap().egress, 0);
+                    for pair in p.hops.windows(2) {
+                        let (h, next) = (pair[0], pair[1]);
+                        let l = fx.topo.link_index_of(h.ia, h.egress);
+                        let l = &fx.topo.links[l.expect("egress is an interface of the topology")];
+                        let [a, b] = l.ends();
+                        let far = if a == (h.ia, h.egress) { b } else { a };
+                        assert_eq!(far, (next.ia, next.ingress), "{p:?}");
+                        hops += 1;
+                    }
+                }
+            }
+        }
+        assert!(hops > 10_000, "only {hops} hops checked");
     }
 }
 

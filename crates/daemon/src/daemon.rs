@@ -231,9 +231,7 @@ impl<P: PathProvider> Daemon<P> {
         let mut cache = self.cache.lock();
         for entry in cache.values_mut() {
             let before = entry.paths.len();
-            entry
-                .paths
-                .retain(|p| !p.interfaces().contains(&(ia, ifid)));
+            entry.paths.retain(|p| !p.crosses(ia, ifid));
             removed += before - entry.paths.len();
         }
         drop(cache);
@@ -434,6 +432,41 @@ mod tests {
         assert_eq!(removed, 1);
         let removed_again = d.invalidate_interface(ia("71-1"), 2);
         assert_eq!(removed_again, 0);
+    }
+
+    /// An invalidation removes exactly the cached paths whose interface
+    /// list names `(ia, ifid)`: either side of any hop, never interface 0,
+    /// never an AS on no path.
+    #[test]
+    fn interface_invalidation_matches_the_interface_list() {
+        let p = CountingProvider {
+            calls: AtomicU64::new(0),
+        };
+        let dsts = [ia("71-200"), ia("71-201"), ia("71-202")];
+        let ases = [ia("71-100"), ia("71-1"), ia("71-201"), ia("71-99")];
+        let reports = (0..=5u16).flat_map(|ifid| ases.map(|at| (at, ifid)));
+        for (at, ifid) in reports {
+            let d = Daemon::new(
+                ia("71-100"),
+                UnderlayAddr::new([10, 0, 0, 2], 30252),
+                &p,
+                DaemonConfig::default(),
+            );
+            // Prime the cache (the fake paths expire at 0 but stay stored).
+            for dst in dsts {
+                d.paths(dst, 0);
+            }
+            let stored = |d: &Daemon<&CountingProvider>| -> Vec<FullPath> {
+                let cache = d.cache.lock();
+                cache.values().flat_map(|e| e.paths.clone()).collect()
+            };
+            let names = |p: &FullPath| p.interfaces().contains(&(at, ifid));
+            let want = stored(&d).into_iter().filter(names).count();
+            assert_eq!(d.invalidate_interface(at, ifid), want, "{at} {ifid}");
+            let left = stored(&d);
+            assert_eq!(left.len(), 3 - want, "{at} {ifid}: only those");
+            assert!(!left.iter().any(names), "{at} {ifid}: all of those");
+        }
     }
 
     #[test]

@@ -171,14 +171,17 @@ pub struct MacCache {
 
 impl MacCache {
     /// Creates a cache holding at most `capacity` entries (minimum 1).
-    /// Counters start on a quiet telemetry handle; attach a shared one with
+    /// Nothing is allocated until the first entry, and the map and slab
+    /// grow with what is held: a deployment runs hundreds of routers, most
+    /// of which see a few dozen hop fields. Counters start on a quiet
+    /// telemetry handle; attach a shared one with
     /// [`MacCache::set_telemetry`].
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         let quiet = Telemetry::quiet();
         MacCache {
-            map: HashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
-            entries: Vec::with_capacity(capacity),
+            map: HashMap::default(),
+            entries: Vec::new(),
             head: NONE,
             tail: NONE,
             capacity,
@@ -268,7 +271,8 @@ impl MacCache {
         self.capacity
     }
 
-    /// Drops all entries (counters are left untouched).
+    /// Drops all entries (counters are left untouched; so is the room
+    /// already grown).
     pub fn clear(&mut self) {
         self.map.clear();
         self.entries.clear();
@@ -436,6 +440,35 @@ mod tests {
         assert!(!c.check(&key(1)));
         c.remember(key(1));
         assert!(c.check(&key(1)));
+    }
+
+    /// A router pays for the verifications it holds, not for its bound: no
+    /// allocation before the first entry, growth up to `capacity` entries,
+    /// LRU eviction beyond, and `clear` keeps the room.
+    #[test]
+    fn allocates_on_demand_up_to_capacity() {
+        let mut c = MacCache::new(DEFAULT_MAC_CACHE_CAPACITY);
+        assert_eq!((c.map.capacity(), c.entries.capacity()), (0, 0));
+        assert!(!c.check(&key(0)), "a lookup allocates nothing either");
+        assert_eq!((c.map.capacity(), c.entries.capacity()), (0, 0));
+        for n in 0..24 {
+            c.remember(key(n));
+        }
+        assert_eq!(c.len(), 24);
+        assert!(c.entries.capacity() < 64, "{}", c.entries.capacity());
+        assert!(c.map.capacity() < 64, "{}", c.map.capacity());
+
+        let mut small = MacCache::new(24);
+        for n in 0..30 {
+            small.remember(key(n));
+        }
+        assert_eq!((small.len(), small.entries.len()), (24, 24));
+        for n in 0..30 {
+            assert_eq!(small.check(&key(n)), n >= 6, "key {n}: the oldest six left");
+        }
+        small.clear();
+        assert!(small.is_empty());
+        assert!(small.map.capacity() >= 24 && small.entries.capacity() >= 24);
     }
 
     #[test]

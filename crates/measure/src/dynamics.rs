@@ -394,7 +394,7 @@ pub fn run_campaign<N: DynamicsNet>(
     } else if !survivable.is_empty() {
         survivable
     } else {
-        used_links.clone()
+        used_links
     };
     let kill_candidates = preferred.clone();
     let latency_candidates = preferred;

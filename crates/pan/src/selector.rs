@@ -283,7 +283,7 @@ impl PathSelector {
         let mut killed = 0;
         for p in &self.candidates {
             let key = p.fingerprint_key();
-            if !self.dead.contains(&key) && p.interfaces().contains(&(ia, ifid)) {
+            if !self.dead.contains(&key) && p.crosses(ia, ifid) {
                 self.dead.push(key);
                 killed += 1;
             }
@@ -651,6 +651,33 @@ mod tests {
             s.refresh(without);
             let want = check(&s, &[], "after refresh without the pin");
             assert_eq!(s.active().unwrap().fingerprint(), want[0]);
+        }
+    }
+
+    /// `interface_down` kills what the interface-list oracle names, for every
+    /// interface any candidate touches, for interface 0 (which no path
+    /// uses) and for an AS on no path; and a second report kills nothing.
+    #[test]
+    fn interface_down_kills_what_the_interface_list_names() {
+        let mut reports: Vec<(IsdAsn, u16)> = many_candidates()
+            .iter()
+            .flat_map(|p| p.interfaces())
+            .collect();
+        reports.sort_unstable();
+        reports.dedup();
+        reports.extend([(ia("71-1"), 0), (ia("71-10"), 0), (ia("71-99"), 12)]);
+        for (at, ifid) in reports {
+            let mut s = PathSelector::new(many_candidates());
+            let want: Vec<Key> = s
+                .candidates
+                .iter()
+                .filter(|p| p.interfaces().contains(&(at, ifid)))
+                .map(FullPath::fingerprint_key)
+                .collect();
+            assert_eq!(s.interface_down(at, ifid), want.len(), "{at} {ifid}");
+            assert_eq!(s.dead, want, "{at} {ifid}");
+            assert_eq!(s.interface_down(at, ifid), 0, "{at} {ifid} again");
+            assert_eq!(s.live_count(), 40 - want.len());
         }
     }
 

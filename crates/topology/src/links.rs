@@ -260,6 +260,13 @@ pub struct BuiltLink {
     pub ifid_b: u16,
 }
 
+impl BuiltLink {
+    /// Both `(AS, interface)` ends of the link, `spec.a`'s first.
+    pub fn ends(&self) -> [(IsdAsn, u16); 2] {
+        [(self.spec.a, self.ifid_a), (self.spec.b, self.ifid_b)]
+    }
+}
+
 /// The realised topology: control graph plus interface-to-link mapping.
 ///
 /// Build one with [`BuiltTopology::new`]. Which ASes and interfaces a link

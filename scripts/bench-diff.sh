@@ -13,10 +13,11 @@
 # N pairs the change won (ties count for neither), and the interquartile
 # range of the change's N values against the most it may be, bound x the
 # parent's median (an absolute limit: a change that makes a metric k times
-# better has to be k times steadier in relative terms). Exits non-zero if a
-# median is worse than the parent's by more than the bound, if a spread
-# other than setup_s's exceeds its limit, or if the change fails a larger
-# share of its operations than the parent.
+# better has to be k times steadier in relative terms), with the share of
+# that limit the change used. Exits non-zero if a median is worse than the
+# parent's by more than the bound, if a spread other than setup_s's exceeds
+# its limit, or if the change fails a larger share of its operations than
+# the parent.
 #
 # The parent is HEAD while the working tree differs from it, HEAD~1 once the
 # change is committed; --parent names another. Everything is left under
@@ -105,7 +106,7 @@ bad = 0
 print(f"parent {parent} vs {'working tree' if dirty else git('rev-parse', '--short=12', 'HEAD')}, "
       f"{seeds} interleaved pairs, seeds 1-{seeds}, {spec['run_seconds']} s each")
 print(f"{'workload':<16} {'metric':<12} {'parent':>12} {'change':>12} {'by':>8} {'wins':>6} "
-      f"{'parent iqr':>11} {'change iqr':>11} {'limit':>10}")
+      f"{'parent iqr':>11} {'change iqr':>11} {'limit':>10} {'used':>6}")
 for w in workloads:
     for m in metrics:
         p, c = values[("parent", w, m["name"])], values[("change", w, m["name"])]
@@ -122,7 +123,7 @@ for w in workloads:
         bad += len(notes)
         note = f"  <-- {', '.join(notes)}" if notes else ""
         print(f"{w:<16} {m['name']:<12} {mp:>12.4f} {mc:>12.4f} {-worse:>+8.1%} {wins:>3}/{seeds:<2} "
-              f"{iqr(p):>11.4f} {iqr(c):>11.4f} {limit:>10.4f}{note}")
+              f"{iqr(p):>11.4f} {iqr(c):>11.4f} {limit:>10.4f} {iqr(c) / limit:>6.0%}{note}")
     (pa, pf), (ca, cf) = ops[("parent", w)], ops[("change", w)]
     failing = cf * pa > pf * ca
     bad += failing

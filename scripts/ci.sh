@@ -177,11 +177,14 @@ cargo clippy --workspace -- -D warnings
 # The dataplane and wire-format crates carry the forwarding hot path, the
 # control crate the combination/beaconing hot path, netsim the frame
 # pool + dispatch loop under the batched pipeline, and topology the
-# synthetic-generator inner loops the scale sweep leans on, and pan every
-# host's connect and send: hold them to the allocation-hygiene lints as
-# hard errors.
-echo "==> cargo clippy -p scion-dataplane -p scion-proto -p scion-control -p netsim -p sciera-topology -p scion-pan (hot-path lints)"
-cargo clippy -p scion-dataplane -p scion-proto -p scion-control -p netsim -p sciera-topology -p scion-pan -- \
+# synthetic-generator inner loops the scale sweep leans on, pan every
+# host's connect and send, core every lookup and every walk, the daemon and
+# the orchestrator the lookups and probe rounds of a failover, and measure
+# the campaigns that drive them all: hold them to the allocation-hygiene
+# lints as hard errors.
+echo "==> cargo clippy, hot-path lints (dataplane proto control netsim topology pan core daemon orchestrator measure)"
+cargo clippy -p scion-dataplane -p scion-proto -p scion-control -p netsim -p sciera-topology -p scion-pan \
+    -p sciera-core -p scion-daemon -p scion-orchestrator -p sciera-measure -- \
     -D warnings -D clippy::redundant_clone -D clippy::needless_collect
 
 echo "==> ci OK"
