@@ -1,5 +1,6 @@
 //! The assembled network.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -174,7 +175,10 @@ impl LinkState {
 
 pub(crate) struct Inner {
     topo: BuiltTopology,
-    routers: BTreeMap<IsdAsn, BorderRouter>,
+    /// One router per AS, indexed by `topo`'s node numbers: a walker looks
+    /// its source AS up once (`BuiltTopology::node_of`) and carries the
+    /// number from hop to hop.
+    routers: Vec<BorderRouter>,
     links: LinkState,
     /// Build-time latency per link, so cost-change injections
     /// (`set_link_latency_factor`) scale relative to nominal instead of
@@ -338,13 +342,13 @@ impl SciEraNetwork {
                 .expect("registered segment verifies");
         }
 
-        // --- Data plane.
-        let routers: BTreeMap<IsdAsn, BorderRouter> = secrets
-            .iter()
-            .map(|(ia, s)| {
-                let mut r = BorderRouter::new(*ia, s.hop_key.clone());
+        // --- Data plane: one router per AS, in the topology's node order.
+        let routers: Vec<BorderRouter> = topo
+            .nodes()
+            .map(|ia| {
+                let mut r = BorderRouter::new(ia, secrets[&ia].hop_key.clone());
                 r.set_telemetry(telemetry.clone());
-                (*ia, r)
+                r
             })
             .collect();
 
@@ -507,21 +511,20 @@ impl SciEraNetwork {
     /// the delivery or the error; on a dead egress link, an SCMP
     /// `ExternalInterfaceDown` is queued to the source host's inbox.
     pub fn walk_packet(&self, packet: ScionPacket) -> Result<Delivery, NetError> {
-        let mut inner = self.inner.lock();
-        inner.walk(packet)
+        let src = packet.src;
+        let frame = encode(&packet)?;
+        self.inner.lock().walk(frame, src)
     }
 
-    /// Walks an already-serialised frame through the data plane — the
-    /// zero-copy fast path end to end. Each border router verifies and
-    /// rewrites the frame in place; the packet is only decoded at delivery
-    /// (or to build an SCMP notification). Semantically identical to
-    /// [`SciEraNetwork::walk_packet`] on the decoded equivalent.
+    /// Walks an already-serialised frame through the data plane. Each
+    /// border router verifies and rewrites the frame in place; the packet
+    /// is only decoded at delivery (or to build an SCMP notification).
+    /// [`SciEraNetwork::walk_packet`] is this on the packet's encoding.
     pub fn walk_frame(&self, frame: Vec<u8>) -> Result<Delivery, NetError> {
         let src = ScionPacket::decode(&frame)
             .map_err(|e| NetError::Unknown(format!("undecodable frame: {e}")))?
             .src;
-        let mut inner = self.inner.lock();
-        inner.walk_frames(frame, src)
+        self.inner.lock().walk(frame, src)
     }
 
     /// SCMP traceroute (the `scion traceroute` tool): probes every hop of
@@ -650,7 +653,7 @@ impl SciEraNetwork {
             ScionAddr::new(dst, HostAddr::v4(10, 250, 0, 2)),
             L4Protocol::Udp,
             DataPlanePath::Scion(dp),
-            scion_proto::udp::UdpDatagram::new(7, 7, payload.to_vec()).encode(),
+            scion_proto::udp::UdpDatagram::encode_parts(7, 7, payload),
         );
         Some((src, pkt.encode().ok()?))
     }
@@ -700,53 +703,47 @@ impl SciEraNetwork {
 struct Crossing {
     up: bool,
     latency_ms: f64,
-    /// The AS at the far end, and the interface the link enters it through.
-    next: IsdAsn,
+    /// Node number of the AS at the far end, and the interface the link
+    /// enters it through.
+    next: usize,
     next_if: u16,
 }
 
-impl Inner {
-    /// The link attached at `(ia, ifid)`, seen from `ia`. Every forwarding
-    /// step of every walker goes through here.
-    fn crossing(&self, ia: IsdAsn, ifid: u16) -> Option<Crossing> {
-        let li = self.topo.link_index_of(ia, ifid)?;
-        let l = &self.topo.links[li];
-        let (next, next_if) = if l.spec.a == ia {
-            (l.spec.b, l.ifid_b)
-        } else {
-            (l.spec.a, l.ifid_a)
-        };
-        Some(Crossing {
-            up: !self.links.down[li],
-            latency_ms: l.spec.latency_ms,
-            next,
-            next_if,
-        })
-    }
+/// A frame the data plane carried to its destination AS.
+struct Carried {
+    /// The frame as the delivering router left it.
+    frame: Vec<u8>,
+    /// Routers that handled it, the delivering one included.
+    hops: usize,
+    /// One-way latency accumulated over the crossed links, ms.
+    latency_ms: f64,
+}
 
-    /// [`Inner::crossing`] for the delivering walks: an unknown interface
-    /// is an error, and a dead link sends the fast failure notification
-    /// (SCMP `ExternalInterfaceDown`, built by the router at `at` from the
-    /// offending packet) to the source host's inbox.
-    fn cross(
-        &mut self,
-        at: IsdAsn,
-        ifid: u16,
-        src_host: ScionAddr,
-        offending: impl FnOnce() -> Option<ScionPacket>,
-    ) -> Result<Crossing, NetError> {
-        let c = self
-            .crossing(at, ifid)
-            .ok_or_else(|| NetError::Unknown(format!("{at} ifid {ifid}")))?;
-        if c.up {
-            return Ok(c);
-        }
-        let scmp =
-            offending().and_then(|p| self.routers.get(&at)?.external_interface_down(&p, ifid));
-        if let Some(scmp) = scmp {
-            self.inboxes.entry(src_host).or_default().push_back(scmp);
-        }
-        Err(NetError::LinkDown { at, ifid })
+impl Carried {
+    /// The delivered packet: the one decode of a frame's journey.
+    fn packet(&self) -> Result<ScionPacket, NetError> {
+        ScionPacket::decode(&self.frame)
+            .map_err(|e| NetError::Unknown(format!("delivered frame: {e}")))
+    }
+}
+
+fn encode(packet: &ScionPacket) -> Result<Vec<u8>, NetError> {
+    packet
+        .encode()
+        .map_err(|e| NetError::Unknown(format!("encode: {e}")))
+}
+
+impl Inner {
+    /// The link attached at interface `ifid` of node `at`, seen from there.
+    /// Every forwarding step of every walker goes through here.
+    fn crossing(&self, at: usize, ifid: u16) -> Option<Crossing> {
+        let step = self.topo.step(at, ifid)?;
+        Some(Crossing {
+            up: !self.links.down[step.link],
+            latency_ms: self.topo.links[step.link].spec.latency_ms,
+            next: step.node,
+            next_if: step.ifid,
+        })
     }
 
     /// `paths` less those crossing a link that is down, in their order.
@@ -769,12 +766,12 @@ impl Inner {
     /// Walks a traceroute probe until an alerted router answers; returns
     /// (answering AS, interface, probe RTT in ms).
     fn walk_traceroute(&mut self, packet: ScionPacket) -> Option<(IsdAsn, u64, f64)> {
-        let mut current = packet.src.ia;
+        let mut at = self.topo.node_of(packet.src.ia)?;
         let mut ingress = 0u16;
         let mut pkt = packet;
         let mut latency = 0.0f64;
         for _ in 0..64 {
-            let router = self.routers.get(&current)?;
+            let router = &mut self.routers[at];
             if let Some(reply) = router.traceroute_probe(&pkt, ingress) {
                 let msg = scion_proto::scmp::ScmpMessage::decode(&reply.payload).ok()?;
                 if let scion_proto::scmp::ScmpMessage::TracerouteReply { ia, interface, .. } = msg {
@@ -783,13 +780,12 @@ impl Inner {
                 }
                 return None;
             }
-            let router = self.routers.get_mut(&current)?;
             match router.process(pkt, ingress, self.now_unix).ok()? {
                 Decision::Deliver(_) => return None, // no alerted hop answered
                 Decision::Forward { ifid, packet: p } => {
-                    let c = self.crossing(current, ifid).filter(|c| c.up)?;
+                    let c = self.crossing(at, ifid).filter(|c| c.up)?;
                     latency += c.latency_ms;
-                    current = c.next;
+                    at = c.next;
                     ingress = c.next_if;
                     pkt = p;
                 }
@@ -798,117 +794,90 @@ impl Inner {
         None
     }
 
-    /// Walks a packet through the data plane.
+    /// The delivering hop loop: carries a frame from its source host's AS
+    /// to the AS that delivers it, telling `visit` each AS as its router
+    /// takes custody.
     ///
-    /// Untraced packets take the zero-copy frame walk: serialised once at
-    /// the source, rewritten in place by every border router, decoded once
-    /// at delivery. Traced packets stay on the packet-level walk, where each
-    /// router re-serialises the advancing trace context anyway.
-    fn walk(&mut self, packet: ScionPacket) -> Result<Delivery, NetError> {
-        if packet.trace.is_none() {
-            let src = packet.src;
-            let frame = packet
-                .encode()
-                .map_err(|e| NetError::Unknown(format!("encode: {e}")))?;
-            return self.walk_frames(frame, src);
-        }
-        self.walk_packets(packet)
-    }
-
-    /// Frame-level walk: the mirror of `walk_packets` driving
-    /// `BorderRouter::process_frame_at` over one reused buffer.
-    fn walk_frames(
+    /// One buffer, rewritten in place by every border router; the walker
+    /// holds a node number, so a hop is one router call and one table read.
+    /// A frame carrying a trace context takes the router's decode path at
+    /// every hop (`process_frame_at`'s hop-by-hop-extension fallback),
+    /// where the span chain advances and the per-hop events are emitted. An
+    /// unknown interface is an error; a dead link sends the fast failure
+    /// notification (SCMP `ExternalInterfaceDown`, built by the router
+    /// there from the offending packet) to the source host's inbox.
+    fn carry(
         &mut self,
         mut frame: Vec<u8>,
         src_host: ScionAddr,
-    ) -> Result<Delivery, NetError> {
-        let mut current = src_host.ia;
+        mut visit: impl FnMut(IsdAsn),
+    ) -> Result<Carried, NetError> {
+        let mut at = self
+            .topo
+            .node_of(src_host.ia)
+            .ok_or_else(|| NetError::Unknown(format!("no router for {}", src_host.ia)))?;
         let mut ingress = 0u16;
-        let mut route = vec![current];
         let mut latency = 0.0f64;
         let base_ns = self.now_unix.saturating_mul(1_000_000_000);
-        for hop in 0..64u64 {
-            let router = self
-                .routers
-                .get_mut(&current)
-                .ok_or_else(|| NetError::Unknown(format!("no router for {current}")))?;
-            let sim_ns =
-                base_ns + ((latency + (hop + 1) as f64 * PER_AS_OVERHEAD_MS) * 1_000_000.0) as u64;
-            match router.process_frame_at(&mut frame, ingress, self.now_unix, sim_ns) {
-                Ok(FrameDecision::Deliver) => {
-                    let p = ScionPacket::decode(&frame)
-                        .map_err(|e| NetError::Unknown(format!("delivered frame: {e}")))?;
-                    self.inboxes.entry(p.dst).or_default().push_back(p.clone());
-                    return Ok(Delivery {
-                        packet: p,
-                        route,
-                        latency_ms: latency,
-                    });
-                }
-                Ok(FrameDecision::Forward { ifid }) => {
-                    // The decode is the SCMP slow path, off the happy path
-                    // by construction.
-                    let c =
-                        self.cross(current, ifid, src_host, || ScionPacket::decode(&frame).ok())?;
-                    latency += c.latency_ms;
-                    route.push(c.next);
-                    current = c.next;
-                    ingress = c.next_if;
-                }
-                Err(FrameError::Drop(e)) => {
-                    return Err(NetError::Dropped(format!("{current}: {e:?}")))
-                }
-                Err(FrameError::Malformed(m)) => {
-                    return Err(NetError::Dropped(format!("{current}: {m}")))
-                }
-            }
-        }
-        Err(NetError::HopBudgetExceeded)
-    }
-
-    /// Packet-level walk (the reference path): decode-domain processing at
-    /// every router, used for traced packets.
-    fn walk_packets(&mut self, packet: ScionPacket) -> Result<Delivery, NetError> {
-        let src_host = packet.src;
-        let mut current = packet.src.ia;
-        let mut ingress = 0u16;
-        let mut pkt = packet;
-        let mut route = vec![current];
-        let mut latency = 0.0f64;
-        let base_ns = self.now_unix.saturating_mul(1_000_000_000);
-        for hop in 0..64u64 {
-            let router = self
-                .routers
-                .get_mut(&current)
-                .ok_or_else(|| NetError::Unknown(format!("no router for {current}")))?;
+        for hop in 1..=64usize {
+            let router = &mut self.routers[at];
+            let ia = router.ia;
+            visit(ia);
             // Simulated time at which this router takes custody: cumulative
             // link latency plus one per-AS processing overhead per router
             // crossed so far. Strictly monotone along the path, so per-hop
             // latency attribution can be read off the flight recorder.
             let sim_ns =
-                base_ns + ((latency + (hop + 1) as f64 * PER_AS_OVERHEAD_MS) * 1_000_000.0) as u64;
-            match router.process_at(pkt, ingress, self.now_unix, sim_ns) {
-                Ok(Decision::Deliver(p)) => {
-                    let dst = p.dst;
-                    self.inboxes.entry(dst).or_default().push_back(p.clone());
-                    return Ok(Delivery {
-                        packet: p,
-                        route,
+                base_ns + ((latency + hop as f64 * PER_AS_OVERHEAD_MS) * 1_000_000.0) as u64;
+            match router.process_frame_at(&mut frame, ingress, self.now_unix, sim_ns) {
+                Ok(FrameDecision::Deliver) => {
+                    return Ok(Carried {
+                        frame,
+                        hops: hop,
                         latency_ms: latency,
-                    });
+                    })
                 }
-                Ok(Decision::Forward { ifid, packet: p }) => {
-                    let c = self.cross(current, ifid, src_host, || Some(p.clone()))?;
+                Ok(FrameDecision::Forward { ifid }) => {
+                    let c = self
+                        .crossing(at, ifid)
+                        .ok_or_else(|| NetError::Unknown(format!("{ia} ifid {ifid}")))?;
+                    if !c.up {
+                        // The decode is the SCMP slow path, off the happy
+                        // path by construction.
+                        let scmp = ScionPacket::decode(&frame)
+                            .ok()
+                            .and_then(|p| self.routers[at].external_interface_down(&p, ifid));
+                        if let Some(scmp) = scmp {
+                            self.inboxes.entry(src_host).or_default().push_back(scmp);
+                        }
+                        return Err(NetError::LinkDown { at: ia, ifid });
+                    }
                     latency += c.latency_ms;
-                    route.push(c.next);
-                    current = c.next;
+                    at = c.next;
                     ingress = c.next_if;
-                    pkt = p;
                 }
-                Err(e) => return Err(NetError::Dropped(format!("{current}: {e:?}"))),
+                Err(FrameError::Drop(e)) => return Err(NetError::Dropped(format!("{ia}: {e:?}"))),
+                Err(FrameError::Malformed(m)) => {
+                    return Err(NetError::Dropped(format!("{ia}: {m}")))
+                }
             }
         }
         Err(NetError::HopBudgetExceeded)
+    }
+
+    /// [`Inner::carry`] for the public walks: the route is recorded, and
+    /// the destination host's inbox gets a copy of the packet returned.
+    fn walk(&mut self, frame: Vec<u8>, src_host: ScionAddr) -> Result<Delivery, NetError> {
+        let mut route = Vec::new();
+        let carried = self.carry(frame, src_host, |ia| route.push(ia))?;
+        let packet = carried.packet()?;
+        let inbox = self.inboxes.entry(packet.dst).or_default();
+        inbox.push_back(packet.clone());
+        Ok(Delivery {
+            packet,
+            route,
+            latency_ms: carried.latency_ms,
+        })
     }
 
     /// The frame-load engine behind [`SciEraNetwork::run_frame_load`].
@@ -954,11 +923,12 @@ impl Inner {
             };
             report.batches += 1;
             report.router_ops += wave.len() as u64;
-            let Some(router) = self.routers.get_mut(&ia) else {
+            let Some(at) = self.topo.node_of(ia) else {
                 report.dropped += wave.len() as u64;
                 pool.recycle_batch(wave.drain(..));
                 continue;
             };
+            let router = &mut self.routers[at];
             let results = if batched {
                 router.process_batch(&mut wave, ingress, self.now_unix)
             } else {
@@ -973,9 +943,9 @@ impl Inner {
                         report.delivered += 1;
                         pool.recycle(frame);
                     }
-                    Ok(FrameDecision::Forward { ifid }) => match self.crossing(ia, ifid) {
+                    Ok(FrameDecision::Forward { ifid }) => match self.crossing(at, ifid) {
                         Some(c) if c.up => {
-                            if !shards.enqueue((c.next, c.next_if), frame) {
+                            if !shards.enqueue((self.routers[c.next].ia, c.next_if), frame) {
                                 report.dropped += 1;
                             }
                         }
@@ -1000,12 +970,12 @@ impl Inner {
 
     /// Carries one SCMP echo over `path` and reports the verdict.
     ///
-    /// The request walks the data plane to `dst`, the reply walks back over
-    /// the reversed path; both legs pay link latency plus per-AS processing
-    /// overhead, so the measured RTT matches the analytic
-    /// `path_rtt_ms` of the topology exactly. A dead link surfaces as the
-    /// SCMP `ExternalInterfaceDown` the on-path router queued to the
-    /// prober's inbox.
+    /// The request is carried to `dst`, the reply back over the reversed
+    /// path; both legs pay link latency plus per-AS processing overhead, so
+    /// the measured RTT matches the analytic `path_rtt_ms` of the topology
+    /// exactly. Neither packet enters a host inbox. A dead link surfaces as
+    /// the SCMP `ExternalInterfaceDown` the on-path router queued to the
+    /// prober's address.
     fn scmp_echo(
         &mut self,
         src: IsdAsn,
@@ -1017,8 +987,8 @@ impl Inner {
         let Ok(dp) = path.to_dataplane() else {
             return EchoOutcome::Lost;
         };
-        // Dedicated prober host addresses keep echo traffic out of real
-        // host inboxes.
+        // Dedicated prober host addresses keep echo traffic apart from real
+        // hosts'.
         let src_addr = ScionAddr::new(src, HostAddr::v4(10, 255, 255, 1));
         let dst_addr = ScionAddr::new(dst, HostAddr::v4(10, 255, 255, 2));
         let request = ScionPacket::new(
@@ -1033,14 +1003,18 @@ impl Inner {
             }
             .encode(),
         );
-        let fwd = match self.walk(request) {
-            Ok(d) => d,
+        let fwd = match encode(&request).and_then(|f| self.carry(f, src_addr, |_| {})) {
+            Ok(carried) => carried,
             Err(NetError::LinkDown { at, ifid }) => {
                 // The on-path router notified the source; consume and decode
                 // the queued SCMP so the correlation uses the wire message.
-                if let Some(scmp) = self.inboxes.get_mut(&src_addr).and_then(|q| q.pop_back()) {
-                    if let Ok(ScmpMessage::ExternalInterfaceDown { ia, interface }) =
-                        ScmpMessage::decode(&scmp.payload)
+                if let Entry::Occupied(mut inbox) = self.inboxes.entry(src_addr) {
+                    let scmp = inbox.get_mut().pop_back();
+                    if inbox.get().is_empty() {
+                        inbox.remove();
+                    }
+                    if let Some(Ok(ScmpMessage::ExternalInterfaceDown { ia, interface })) =
+                        scmp.map(|p| ScmpMessage::decode(&p.payload))
                     {
                         return EchoOutcome::ExtIfDown { ia, interface };
                     }
@@ -1052,11 +1026,7 @@ impl Inner {
             }
             Err(_) => return EchoOutcome::Lost,
         };
-        // The delivered request is ours; take it back out of the inbox.
-        if let Some(q) = self.inboxes.get_mut(&fwd.packet.dst) {
-            q.pop_back();
-        }
-        let Some((rsrc, rdst, rpath)) = fwd.packet.reply_template() else {
+        let Some((rsrc, rdst, rpath)) = fwd.packet().ok().and_then(|p| p.reply_template()) else {
             return EchoOutcome::Lost;
         };
         let reply = ScionPacket::new(
@@ -1071,16 +1041,11 @@ impl Inner {
             }
             .encode(),
         );
-        let back = match self.walk(reply) {
-            Ok(d) => d,
-            Err(_) => return EchoOutcome::Lost,
+        let Ok(back) = encode(&reply).and_then(|f| self.carry(f, rsrc, |_| {})) else {
+            return EchoOutcome::Lost;
         };
-        if let Some(q) = self.inboxes.get_mut(&back.packet.dst) {
-            q.pop_back();
-        }
-        let rtt_ms = fwd.latency_ms
-            + back.latency_ms
-            + (fwd.route.len() + back.route.len()) as f64 * PER_AS_OVERHEAD_MS;
+        let rtt_ms =
+            fwd.latency_ms + back.latency_ms + (fwd.hops + back.hops) as f64 * PER_AS_OVERHEAD_MS;
         EchoOutcome::Reply { rtt_ms }
     }
 }
@@ -1212,7 +1177,14 @@ impl scion_pan::socket::PanTransport for SimTransport {
         }
         // Delivery failures surface as SCMP to the sender's inbox (link
         // down) or silent drops (bad MAC etc.) — like a real network.
-        let _ = inner.walk(packet);
+        let Ok(frame) = encode(&packet) else { return };
+        let Ok(carried) = inner.carry(frame, packet.src, |_| {}) else {
+            return;
+        };
+        if let Ok(delivered) = carried.packet() {
+            let inbox = inner.inboxes.entry(delivered.dst).or_default();
+            inbox.push_back(delivered);
+        }
     }
 
     fn recv_packet(&mut self) -> Option<ScionPacket> {
@@ -1560,11 +1532,12 @@ mod tests {
         assert!(net.path_state(src, dst, &fp).unwrap().0, "path revives");
     }
 
-    /// Both delivering walks take every step through `Inner::cross`: over a
-    /// synthetic deployment they agree hop for hop, and a cut link yields
-    /// the same `LinkDown` and the same SCMP to the source from either.
+    /// A traced packet rides the same loop as an untraced frame, through
+    /// the routers' decode path: over a synthetic deployment the two agree
+    /// hop for hop, and a cut link yields the same `LinkDown` and the same
+    /// SCMP to the source for either.
     #[test]
-    fn both_walks_share_one_forwarding_step() {
+    fn traced_and_untraced_walks_agree() {
         use sciera_topology::synth::{synthesize, SynthConfig};
         use scion_pan::socket::PanTransport;
         let topo = synthesize(&SynthConfig::sized(40));
@@ -1590,8 +1563,6 @@ mod tests {
                     DataPlanePath::Scion(p.to_dataplane().unwrap()),
                     scion_proto::udp::UdpDatagram::new(1, 2, vec![n as u8; 48]).encode(),
                 );
-                // Traced packets take the packet-level walk, untraced ones
-                // the frame-level walk.
                 pkt.trace = traced.then(|| TraceContext::root(n as u64 + 1));
                 pkt
             };
@@ -1688,15 +1659,15 @@ mod link_state_tests {
     /// A 60-AS synthetic deployment, the harness's own copy of its topology
     /// (same config, same seed, same links), and a few leaf pairs with the
     /// path database's full answer for each.
-    struct Fixture {
-        net: SciEraNetwork,
-        topo: BuiltTopology,
-        answers: Vec<(IsdAsn, IsdAsn, Vec<FullPath>)>,
+    pub(super) struct Fixture {
+        pub(super) net: SciEraNetwork,
+        pub(super) topo: BuiltTopology,
+        pub(super) answers: Vec<(IsdAsn, IsdAsn, Vec<FullPath>)>,
     }
 
     /// The one fixture, locked for a test's duration: every test toggles
     /// links and leaves them all up.
-    fn fixture() -> MutexGuard<'static, Fixture> {
+    pub(super) fn fixture() -> MutexGuard<'static, Fixture> {
         static FIXTURE: OnceLock<Mutex<Fixture>> = OnceLock::new();
         let build = || {
             let cfg = SynthConfig::sized(60);
@@ -1736,7 +1707,8 @@ mod link_state_tests {
                 let mut dead = Vec::new();
                 for (l, &down) in self.topo.links.iter().zip(model) {
                     for (at, ifid) in l.ends() {
-                        assert_eq!(inner.crossing(at, ifid).unwrap().up, !down);
+                        let node = inner.topo.node_of(at).unwrap();
+                        assert_eq!(inner.crossing(node, ifid).unwrap().up, !down);
                         dead.extend(down.then_some(if_key(at, ifid)));
                     }
                 }
@@ -1898,6 +1870,212 @@ mod link_state_tests {
             }
         }
         assert!(hops > 10_000, "only {hops} hops checked");
+    }
+}
+
+/// The delivering loop against the loop it replaced, and what it leaves in
+/// the inboxes.
+#[cfg(test)]
+mod carry_tests {
+    use super::link_state_tests::{fixture, Fixture};
+    use super::*;
+    use scion_pan::socket::PanTransport;
+
+    /// What a walk gives back, in comparable form: delivered frame bytes,
+    /// route and latency bits, or the error.
+    type Outcome = Result<(Vec<u8>, Vec<IsdAsn>, u64), NetError>;
+
+    /// The parent's frame walk: a search per hop for the router and another
+    /// for the link, over the test's own topology copy, routers and link
+    /// state. Returns the SCMP it would have queued to the source.
+    fn reference_walk(
+        fx: &Fixture,
+        routers: &mut BTreeMap<IsdAsn, BorderRouter>,
+        down: &[bool],
+        mut frame: Vec<u8>,
+    ) -> (Outcome, Option<ScionPacket>) {
+        let now = fx.net.now_unix();
+        let mut current = ScionPacket::decode(&frame).unwrap().src.ia;
+        let (mut ingress, mut latency, mut route) = (0u16, 0.0f64, vec![current]);
+        for _ in 0..64 {
+            let router = routers.get_mut(&current).unwrap();
+            match router.process_frame(&mut frame, ingress, now) {
+                Ok(FrameDecision::Deliver) => return (Ok((frame, route, latency.to_bits())), None),
+                Ok(FrameDecision::Forward { ifid }) => {
+                    let li = fx.topo.link_index_of(current, ifid).unwrap();
+                    let l = &fx.topo.links[li];
+                    if down[li] {
+                        let offending = ScionPacket::decode(&frame).unwrap();
+                        let scmp = router.external_interface_down(&offending, ifid);
+                        return (Err(NetError::LinkDown { at: current, ifid }), scmp);
+                    }
+                    let [a, b] = l.ends();
+                    (current, ingress) = if a.0 == current { b } else { a };
+                    latency += l.spec.latency_ms;
+                    route.push(current);
+                }
+                Err(FrameError::Drop(e)) => {
+                    return (Err(NetError::Dropped(format!("{current}: {e:?}"))), None)
+                }
+                Err(FrameError::Malformed(m)) => {
+                    return (Err(NetError::Dropped(format!("{current}: {m}"))), None)
+                }
+            }
+        }
+        (Err(NetError::HopBudgetExceeded), None)
+    }
+
+    /// The first path of 40 leaf pairs, as ready-to-send 200-byte frames.
+    fn frames(fx: &Fixture) -> Vec<(ScionAddr, ScionAddr, FullPath, Vec<u8>)> {
+        let mut leaves: Vec<IsdAsn> = fx
+            .topo
+            .graph
+            .ases()
+            .filter(|n| !n.core)
+            .map(|n| n.ia)
+            .collect();
+        leaves.sort_unstable();
+        let pairs = leaves.iter().zip(leaves.iter().cycle().skip(7));
+        let out: Vec<_> = pairs
+            .filter_map(|(&s, &d)| fx.net.pathdb().paths(s, d, 1).pop())
+            .take(40)
+            .enumerate()
+            .map(|(n, p)| {
+                let src = ScionAddr::new(p.src, HostAddr::v4(10, 8, n as u8, 1));
+                let dst = ScionAddr::new(p.dst, HostAddr::v4(10, 8, n as u8, 2));
+                let pkt = ScionPacket::new(
+                    src,
+                    dst,
+                    L4Protocol::Udp,
+                    DataPlanePath::Scion(p.to_dataplane().unwrap()),
+                    scion_proto::udp::UdpDatagram::new(1, 2, vec![n as u8; 200]).encode(),
+                );
+                (src, dst, p, pkt.encode().unwrap())
+            })
+            .collect();
+        assert_eq!(out.len(), 40, "forty connected leaf pairs");
+        out
+    }
+
+    #[test]
+    fn the_product_loop_equals_the_reference_walker() {
+        let fx = fixture();
+        let frames = frames(&fx);
+        let n = fx.topo.links.len();
+        let mut routers: BTreeMap<IsdAsn, BorderRouter> = {
+            let inner = fx.net.inner.lock();
+            inner.routers.iter().map(|r| (r.ia, r.clone())).collect()
+        };
+        // Links these paths cross, so that a down-set of one bites.
+        let mut crossed: Vec<usize> = frames
+            .iter()
+            .flat_map(|f| fx.net.path_links(&f.2))
+            .collect();
+        crossed.sort_unstable();
+        crossed.dedup();
+        let eight = crossed
+            .iter()
+            .step_by(crossed.len() / 8)
+            .take(8)
+            .copied()
+            .collect();
+        let (mut delivered, mut refused) = (0, 0);
+        for dead in [vec![], vec![crossed[crossed.len() / 2]], eight] {
+            let mut down = vec![false; n];
+            for &l in &dead {
+                fx.net.set_link_index(l, false);
+                down[l] = true;
+            }
+            for (src, dst, path, frame) in &frames {
+                let (want, want_scmp) = reference_walk(&fx, &mut routers, &down, frame.clone());
+                let got: Outcome = fx.net.walk_frame(frame.clone()).map(|d| {
+                    assert_eq!(d.route, path.ases());
+                    (d.packet.encode().unwrap(), d.route, d.latency_ms.to_bits())
+                });
+                assert_eq!(got, want, "{} -> {} with {dead:?} down", src.ia, dst.ia);
+                // The public walk left its copy at the destination and, on
+                // a dead link, the router's SCMP at the source.
+                let at_dst = fx.net.attach_host(*dst).transport().recv_packet();
+                assert_eq!(
+                    at_dst.map(|p| p.encode().unwrap()),
+                    got.as_ref().ok().map(|g| g.0.clone())
+                );
+                let at_src = fx.net.attach_host(*src).transport().recv_packet();
+                assert_eq!(
+                    at_src.map(|p| p.encode().unwrap()),
+                    want_scmp.as_ref().map(|p| p.encode().unwrap())
+                );
+                assert_eq!(
+                    want_scmp.is_some(),
+                    matches!(got, Err(NetError::LinkDown { .. }))
+                );
+                match got {
+                    Ok(_) => delivered += 1,
+                    Err(_) => refused += 1,
+                }
+            }
+            dead.iter().for_each(|&l| fx.net.set_link_index(l, true));
+        }
+        assert!(
+            delivered >= 60 && refused >= 10,
+            "{delivered} delivered, {refused} refused"
+        );
+    }
+
+    /// Every inbox of the network.
+    fn inboxes(net: &SciEraNetwork) -> BTreeMap<ScionAddr, VecDeque<ScionPacket>> {
+        net.inner.lock().inboxes.clone()
+    }
+
+    #[test]
+    fn a_sent_packet_lands_once_in_the_destination_inbox() {
+        let fx = fixture();
+        for (src, dst, _, frame) in frames(&fx).into_iter().take(8) {
+            let mut tx = fx.net.attach_host(src).transport();
+            let mut rx = fx.net.attach_host(dst).transport();
+            let before = inboxes(&fx.net);
+            assert!(before[&dst].is_empty());
+            tx.send_packet(ScionPacket::decode(&frame).unwrap());
+            let mut after = inboxes(&fx.net);
+            // The frame as the last router left it: pointers advanced,
+            // payload untouched.
+            let at_dst = after.insert(dst, VecDeque::new()).unwrap();
+            assert_eq!(at_dst, [fx.net.walk_frame(frame).unwrap().packet]);
+            assert_eq!(after, before, "and nowhere else");
+            while rx.recv_packet().is_some() {}
+        }
+    }
+
+    #[test]
+    fn a_probe_round_leaves_every_inbox_as_it_found_it() {
+        let fx = fixture();
+        let (src, dst, all) = fx.answers[0].clone();
+        fx.net.prober.lock().register(src, dst, all[..4].to_vec());
+        // A host with mail waiting, to show the comparison sees contents.
+        let (_, host, _, frame) = frames(&fx).swap_remove(0);
+        fx.net.walk_frame(frame).unwrap();
+        let before = inboxes(&fx.net);
+        assert_eq!(before[&host].len(), 1);
+
+        let up = fx.net.probe_round();
+        assert!(up
+            .iter()
+            .all(|r| matches!(r.outcome, EchoOutcome::Reply { .. })));
+        assert_eq!(inboxes(&fx.net), before);
+
+        // With a link of the first probed path cut, the on-path router's
+        // SCMP is consumed by the echo that provoked it.
+        let cut = fx.net.path_links(&all[0])[0];
+        fx.net.set_link_index(cut, false);
+        let cut_round = fx.net.probe_round();
+        assert!(matches!(
+            cut_round[0].outcome,
+            EchoOutcome::ExtIfDown { .. }
+        ));
+        assert_eq!(inboxes(&fx.net), before);
+        fx.net.set_link_index(cut, true);
+        fx.net.prober.lock().register(src, dst, Vec::new());
+        fx.net.attach_host(host).transport().recv_packet();
     }
 }
 

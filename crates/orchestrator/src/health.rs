@@ -163,8 +163,9 @@ impl HealthBoard {
         }
     }
 
-    /// Feeds one probe outcome into the board. `interfaces` is the probed
-    /// path's (AS, interface) sequence, used to correlate SCMP
+    /// Feeds one probe outcome into the board. `interfaces` yields the
+    /// probed path's (AS, interface) sequence and is asked the first time
+    /// the board sees the path only; it is kept to correlate SCMP
     /// external-interface-down notifications: a notification naming an
     /// interface the path actually traverses kills the path immediately,
     /// without waiting for the loss threshold.
@@ -172,18 +173,22 @@ impl HealthBoard {
         &mut self,
         src: IsdAsn,
         dst: IsdAsn,
-        fingerprint: String,
-        interfaces: Vec<(IsdAsn, u16)>,
+        fingerprint: &str,
+        interfaces: impl FnOnce() -> Vec<(IsdAsn, u16)>,
         outcome: &EchoOutcome,
     ) {
         let pair = self.pairs.entry((src, dst)).or_insert_with(|| PairState {
             paths: BTreeMap::new(),
             baseline: None,
         });
+        if !pair.paths.contains_key(fingerprint) {
+            let health = PathHealth::new(fingerprint.to_owned(), interfaces());
+            pair.paths.insert(fingerprint.to_owned(), health);
+        }
         let path = pair
             .paths
-            .entry(fingerprint.clone())
-            .or_insert_with(|| PathHealth::new(fingerprint, interfaces));
+            .get_mut(fingerprint)
+            .expect("inserted above if it was missing");
         path.sent += 1;
         match outcome {
             EchoOutcome::Reply { rtt_ms } => {
@@ -338,42 +343,52 @@ mod tests {
     #[test]
     fn first_round_sets_baseline_without_churn() {
         let mut b = board();
-        b.observe(
-            ia("71-100"),
-            ia("71-1"),
-            "p1".into(),
-            ifaces(),
-            &reply(10.0),
-        );
+        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &reply(10.0));
         assert!(b.finish_round(100).is_empty());
         assert!(b.churn_events().is_empty());
         assert_eq!(b.pair_score(ia("71-100"), ia("71-1")), Some(100.0));
     }
 
     #[test]
+    fn interfaces_are_asked_for_on_first_sight_only() {
+        let mut b = board();
+        let mut asked = 0;
+        for round in 0..3 {
+            for fp in ["p1", "p2"] {
+                let interfaces = || {
+                    asked += 1;
+                    ifaces()
+                };
+                b.observe(ia("71-100"), ia("71-1"), fp, interfaces, &reply(10.0));
+            }
+            b.finish_round(100 + round);
+        }
+        assert_eq!(asked, 2, "once per path, not once per probe");
+        for fp in ["p1", "p2"] {
+            let p = b.path(ia("71-100"), ia("71-1"), fp).unwrap();
+            assert_eq!((p.fingerprint.as_str(), p.sent), (fp, 3));
+            assert_eq!(p.interfaces, ifaces());
+        }
+    }
+
+    #[test]
     fn ext_if_down_on_path_kills_immediately_one_churn() {
         let mut b = board();
         for _ in 0..2 {
-            b.observe(
-                ia("71-100"),
-                ia("71-1"),
-                "p1".into(),
-                ifaces(),
-                &reply(10.0),
-            );
+            b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &reply(10.0));
             b.finish_round(100);
         }
         let down = EchoOutcome::ExtIfDown {
             ia: ia("71-10"),
             interface: 21,
         };
-        b.observe(ia("71-100"), ia("71-1"), "p1".into(), ifaces(), &down);
+        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &down);
         let events = b.finish_round(200);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].removed, vec!["p1".to_string()]);
         assert!(events[0].added.is_empty());
         // A later identical round produces no further churn.
-        b.observe(ia("71-100"), ia("71-1"), "p1".into(), ifaces(), &down);
+        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &down);
         assert!(b.finish_round(300).is_empty());
         assert_eq!(b.churn_events().len(), 1);
         let p = b.path(ia("71-100"), ia("71-1"), "p1").unwrap();
@@ -385,19 +400,13 @@ mod tests {
     #[test]
     fn ext_if_down_off_path_does_not_kill() {
         let mut b = board();
-        b.observe(
-            ia("71-100"),
-            ia("71-1"),
-            "p1".into(),
-            ifaces(),
-            &reply(10.0),
-        );
+        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &reply(10.0));
         b.finish_round(100);
         let unrelated = EchoOutcome::ExtIfDown {
             ia: ia("71-20"),
             interface: 99,
         };
-        b.observe(ia("71-100"), ia("71-1"), "p1".into(), ifaces(), &unrelated);
+        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &unrelated);
         assert!(b.finish_round(200).is_empty());
         assert!(b.path(ia("71-100"), ia("71-1"), "p1").unwrap().alive);
     }
@@ -405,33 +414,15 @@ mod tests {
     #[test]
     fn loss_threshold_declares_down_and_recovery_restores() {
         let mut b = board();
-        b.observe(
-            ia("71-100"),
-            ia("71-1"),
-            "p1".into(),
-            ifaces(),
-            &reply(10.0),
-        );
+        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &reply(10.0));
         b.finish_round(100);
         for _ in 0..LOSS_LIVENESS_THRESHOLD {
-            b.observe(
-                ia("71-100"),
-                ia("71-1"),
-                "p1".into(),
-                ifaces(),
-                &EchoOutcome::Lost,
-            );
+            b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &EchoOutcome::Lost);
         }
         assert_eq!(b.finish_round(200).len(), 1);
         assert!(!b.path(ia("71-100"), ia("71-1"), "p1").unwrap().alive);
         // One successful probe brings it back — and that is churn again.
-        b.observe(
-            ia("71-100"),
-            ia("71-1"),
-            "p1".into(),
-            ifaces(),
-            &reply(11.0),
-        );
+        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &reply(11.0));
         let events = b.finish_round(300);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].added, vec!["p1".to_string()]);
@@ -445,18 +436,12 @@ mod tests {
             b.observe(
                 ia("71-100"),
                 ia("71-1"),
-                "p1".into(),
-                ifaces(),
+                "p1",
+                ifaces,
                 &reply(10.0 * i as f64),
             );
         }
-        b.observe(
-            ia("71-100"),
-            ia("71-1"),
-            "p1".into(),
-            ifaces(),
-            &EchoOutcome::Lost,
-        );
+        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &EchoOutcome::Lost);
         b.finish_round(100);
         let rows = b.rows();
         assert_eq!(rows.len(), 1);

@@ -208,8 +208,8 @@ impl PathProber {
                 board.observe(
                     pair.src,
                     pair.dst,
-                    fingerprint.clone(),
-                    path.interfaces(),
+                    &fingerprint,
+                    || path.interfaces(),
                     &outcome,
                 );
                 results.push(ProbeResult {
@@ -228,7 +228,7 @@ impl PathProber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::health::HealthBoard;
+    use crate::health::{ChurnEvent, HealthBoard};
     use scion_control::fullpath::{Direction, PathKind, SegmentUse};
     use scion_control::segment::{AsSecrets, SegmentBuilder, SegmentType};
     use scion_proto::addr::ia;
@@ -279,6 +279,31 @@ mod tests {
         assert_eq!(snap.counter("prober.echo_lost"), Some(1));
         assert_eq!(snap.counter("prober.ext_if_down"), Some(1));
         assert_eq!(snap.histogram("prober.rtt_ms").unwrap().count, 1);
+
+        // What the board made of the three rounds: alive, one loss, then
+        // killed by an ext-if-down naming an interface of the path.
+        let fp = test_path().fingerprint();
+        let health = board.path(ia("71-100"), ia("71-1"), &fp).unwrap();
+        assert_eq!(health.interfaces, test_path().interfaces());
+        assert_eq!(health.down_reason.as_deref(), Some("ext-if-down 71-10#21"));
+        let rows = board.rows();
+        assert_eq!(rows.len(), 1);
+        let row = &rows[0];
+        assert_eq!((row.src, row.dst), (ia("71-100"), ia("71-1")));
+        assert_eq!((row.fingerprint.as_str(), row.alive), (fp.as_str(), false));
+        assert_eq!((row.sent, row.lost, row.score), (3, 2, 0.0));
+        assert_eq!(row.p50_ms, health.p50_ms().unwrap());
+        let churn = ChurnEvent {
+            src: ia("71-100"),
+            dst: ia("71-1"),
+            at_unix: 1_700_000_000,
+            added: vec![],
+            removed: vec![fp],
+        };
+        assert_eq!(board.churn_events(), [churn]);
+        assert_eq!(snap.counter("health.extif_correlated"), Some(1));
+        assert_eq!(snap.counter("health.paths_down"), Some(1));
+        assert_eq!(snap.counter("health.churn_events"), Some(1));
     }
 
     #[test]

@@ -119,8 +119,8 @@ impl<T: PanTransport> PanSocket<T> {
             }
             DataPlanePath::Scion(self.selector.active_dataplane()?.clone())
         };
-        let datagram = UdpDatagram::new(self.local_port, port, payload.to_vec());
-        let packet = ScionPacket::new(self.local, remote, L4Protocol::Udp, path, datagram.encode());
+        let datagram = UdpDatagram::encode_parts(self.local_port, port, payload);
+        let packet = ScionPacket::new(self.local, remote, L4Protocol::Udp, path, datagram);
         self.transport.send_packet(packet);
         self.sent += 1;
         Ok(())

@@ -270,82 +270,134 @@ impl BuiltLink {
 /// The realised topology: control graph plus interface-to-link mapping.
 ///
 /// Build one with [`BuiltTopology::new`]. Which ASes and interfaces a link
-/// joins is fixed from then on — the `(ia, ifid)` index is derived from it
-/// once — while a link's latency and label may be rewritten in place.
+/// joins is fixed from then on — the node table is derived from it once —
+/// while a link's latency and label may be rewritten in place.
 pub struct BuiltTopology {
     /// The control graph (input to beaconing).
     pub graph: ControlGraph,
     /// All links with assigned interface IDs.
     pub links: Vec<BuiltLink>,
-    index: LinkIndex,
+    nodes: NodeTable,
 }
 
-/// `(ia, ifid) → link`: one table per AS, indexed by interface ID.
+/// What lies across one interface of a node: the link attached there and
+/// where it arrives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Step {
+    /// Index of the link in [`BuiltTopology::links`].
+    pub link: usize,
+    /// Node number of the AS at the far end.
+    pub node: usize,
+    /// The interface the link enters that AS through.
+    pub ifid: u16,
+}
+
+/// The ASes numbered densely in ascending order, and per AS one table of
+/// what each interface leads to, indexed by interface ID.
 /// `ControlGraph::connect` hands out interface IDs densely from 1, so the
-/// tables have no holes beyond slot 0 and the whole index is a few bytes
+/// tables have no holes beyond slot 0 and the whole table is a few bytes
 /// per interface.
-struct LinkIndex {
-    /// Every AS with a link (as `IsdAsn::to_u64`, ascending) and the start
-    /// and end of its table in `slots`.
+struct NodeTable {
+    /// Every AS (as `IsdAsn::to_u64`, ascending: position = node number)
+    /// and the start and end of its table in `slots`.
     tables: Vec<(u64, u32, u32)>,
-    /// Link index plus one; 0 marks an interface no link is attached at.
-    slots: Vec<u32>,
+    slots: Vec<Slot>,
 }
 
-impl LinkIndex {
-    fn build(links: &[BuiltLink]) -> Self {
-        let mut ends: Vec<(u64, u16, u32)> = links
-            .iter()
-            .enumerate()
-            .flat_map(|(i, l)| {
-                [
-                    (l.spec.a.to_u64(), l.ifid_a, i as u32 + 1),
-                    (l.spec.b.to_u64(), l.ifid_b, i as u32 + 1),
-                ]
-            })
-            .collect();
-        // Ascending by (AS, interface, link), so each AS's table is sized by
-        // its last end and the lowest link wins a doubly-claimed interface.
-        ends.sort_unstable();
-        let mut tables = Vec::new();
-        let mut slots: Vec<u32> = Vec::new();
-        for run in ends.chunk_by(|x, y| x.0 == y.0) {
-            let start = slots.len();
-            slots.resize(start + run[run.len() - 1].1 as usize + 1, 0);
-            for &(_, ifid, link) in run.iter().rev() {
-                slots[start + ifid as usize] = link;
-            }
-            tables.push((run[0].0, start as u32, slots.len() as u32));
-        }
-        LinkIndex { tables, slots }
-    }
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    /// Link index plus one; 0 marks an interface no link is attached at.
+    link: u32,
+    far_node: u32,
+    far_ifid: u16,
+}
 
-    fn get(&self, ia: IsdAsn, ifid: u16) -> Option<usize> {
-        let t = self
-            .tables
-            .binary_search_by_key(&ia.to_u64(), |&(ia, _, _)| ia)
-            .ok()?;
-        let (_, start, end) = self.tables[t];
-        let slot = *self.slots[start as usize..end as usize].get(ifid as usize)?;
-        (ifid != 0 && slot != 0).then(|| slot as usize - 1)
+impl NodeTable {
+    fn build(graph: &ControlGraph, links: &[BuiltLink]) -> Self {
+        // Every AS of the graph is a node, linked or not.
+        let mut ases: Vec<u64> = graph.ases().map(|n| n.ia.to_u64()).collect();
+        ases.sort_unstable();
+        let node_of = |ia: IsdAsn| {
+            ases.binary_search(&ia.to_u64())
+                .expect("links join ASes of the graph, as `ControlGraph::connect` requires")
+        };
+        // One slot per interface, up to the highest a link attaches at.
+        let mut sizes = vec![0u32; ases.len()];
+        for (ia, ifid) in links.iter().flat_map(BuiltLink::ends) {
+            let size = &mut sizes[node_of(ia)];
+            *size = (*size).max(u32::from(ifid) + 1);
+        }
+        let mut tables = Vec::with_capacity(ases.len());
+        let mut end = 0u32;
+        for (&ia, size) in ases.iter().zip(sizes) {
+            tables.push((ia, end, end + size));
+            end += size;
+        }
+        let mut slots = vec![Slot::default(); end as usize];
+        // Last link first, so the lowest wins a doubly-claimed interface.
+        for (i, l) in links.iter().enumerate().rev() {
+            let [a, b] = l.ends();
+            for ((ia, ifid), (far, far_ifid)) in [(a, b), (b, a)] {
+                let (_, start, _) = tables[node_of(ia)];
+                slots[start as usize + ifid as usize] = Slot {
+                    link: i as u32 + 1,
+                    far_node: node_of(far) as u32,
+                    far_ifid,
+                };
+            }
+        }
+        NodeTable { tables, slots }
     }
 }
 
 impl BuiltTopology {
-    /// Wraps a validated graph and its links, indexing the links by the
-    /// interfaces they attach at.
+    /// Wraps a validated graph and its links, numbering the graph's ASes
+    /// and indexing the links by the interfaces they attach at. Panics if a
+    /// link names an AS the graph does not have.
     pub fn new(graph: ControlGraph, links: Vec<BuiltLink>) -> Self {
-        let index = LinkIndex::build(&links);
+        let nodes = NodeTable::build(&graph, &links);
         BuiltTopology {
             graph,
             links,
-            index,
+            nodes,
         }
+    }
+
+    /// The ASes in node order: the `n`-th is node `n`. Ascending, and
+    /// fixed for the topology's life.
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = IsdAsn> + '_ {
+        self.nodes
+            .tables
+            .iter()
+            .map(|&(ia, _, _)| IsdAsn::from_u64(ia))
+    }
+
+    /// Node number of `ia`: the one search a walk needs, after which
+    /// [`BuiltTopology::step`] carries it from node to node. A node number
+    /// means something only to the topology that gave it.
+    pub fn node_of(&self, ia: IsdAsn) -> Option<usize> {
+        let tables = &self.nodes.tables;
+        tables
+            .binary_search_by_key(&ia.to_u64(), |&(ia, _, _)| ia)
+            .ok()
+    }
+
+    /// What lies across interface `ifid` of `node`, found without a search.
+    /// `None` for interface 0, an interface no link is attached at, and a
+    /// number that is not a node's.
+    pub fn step(&self, node: usize, ifid: u16) -> Option<Step> {
+        let &(_, start, end) = self.nodes.tables.get(node)?;
+        let slot = self.nodes.slots[start as usize..end as usize].get(ifid as usize)?;
+        (ifid != 0 && slot.link != 0).then(|| Step {
+            link: slot.link as usize - 1,
+            node: slot.far_node as usize,
+            ifid: slot.far_ifid,
+        })
     }
 
     /// Index of the link attached at `(ia, ifid)`.
     pub fn link_index_of(&self, ia: IsdAsn, ifid: u16) -> Option<usize> {
-        self.index.get(ia, ifid)
+        Some(self.step(self.node_of(ia)?, ifid)?.link)
     }
 
     /// One-way latency of the link attached at `(ia, ifid)`.
@@ -420,26 +472,50 @@ mod index_tests {
     }
 
     fn assert_index_matches_scan(topo: &BuiltTopology) {
+        // Every AS of the graph is a node, in ascending order, linked or not.
+        let nodes: Vec<IsdAsn> = topo.nodes().collect();
+        let mut ases: Vec<IsdAsn> = topo.graph.ases().map(|n| n.ia).collect();
+        ases.sort_unstable();
+        assert_eq!(nodes, ases);
+        for (n, &ia) in nodes.iter().enumerate() {
+            assert_eq!(topo.node_of(ia), Some(n));
+        }
         for (i, l) in topo.links.iter().enumerate() {
-            for (ia, ifid) in [(l.spec.a, l.ifid_a), (l.spec.b, l.ifid_b)] {
+            let [a, b] = l.ends();
+            for ((ia, ifid), (far, far_ifid)) in [(a, b), (b, a)] {
+                let node = topo.node_of(ia).unwrap();
+                let want = Step {
+                    link: i,
+                    node: topo.node_of(far).unwrap(),
+                    ifid: far_ifid,
+                };
+                assert_eq!(topo.step(node, ifid), Some(want));
                 assert_eq!(topo.link_index_of(ia, ifid), Some(i));
                 assert_eq!(topo.link_index_of(ia, ifid), scan(topo, ia, ifid));
-                assert_eq!(topo.link_index_of(ia, 0), None, "{ia} has no interface 0");
+                assert_eq!(topo.step(node, 0), None, "{ia} has no interface 0");
+                assert_eq!(topo.link_index_of(ia, 0), None);
             }
         }
         for node in topo.graph.ases() {
             // Dense interface IDs: the first unassigned one, and far past it.
             let next = node.interfaces.len() as u16 + 1;
+            let n = topo.node_of(node.ia).unwrap();
             for ifid in [next, next + 1, u16::MAX] {
                 assert_eq!(scan(topo, node.ia, ifid), None);
+                assert_eq!(topo.step(n, ifid), None);
                 assert_eq!(topo.link_index_of(node.ia, ifid), None);
             }
         }
-        // ASes the topology does not contain, sorting before and after it.
+        // ASes the topology does not contain, sorting before and after it,
+        // and numbers that are no node's.
         for stranger in [IsdAsn::from_u64(0), IsdAsn::from_u64(u64::MAX)] {
+            assert_eq!(topo.node_of(stranger), None);
             for ifid in [0, 1, u16::MAX] {
                 assert_eq!(topo.link_index_of(stranger, ifid), None);
             }
+        }
+        for no_node in [nodes.len(), usize::MAX] {
+            assert_eq!(topo.step(no_node, 1), None);
         }
     }
 
@@ -451,7 +527,61 @@ mod index_tests {
     #[test]
     fn an_empty_topology_has_no_links_to_find() {
         let topo = BuiltTopology::new(ControlGraph::new(), Vec::new());
+        assert_eq!(topo.nodes().len(), 0);
+        assert_eq!(topo.node_of(ia("71-20965")), None);
+        assert_eq!(topo.step(0, 1), None);
         assert_eq!(topo.link_index_of(ia("71-20965"), 1), None);
+    }
+
+    /// An AS nothing is connected to is a node all the same, and an
+    /// interface two links claim resolves — for `step` as for
+    /// `link_index_of` and the scan — to the first of them.
+    #[test]
+    fn linkless_ases_and_doubly_claimed_interfaces() {
+        let mut graph = ControlGraph::new();
+        let (hub, left, right, alone) = (ia("71-1"), ia("71-2"), ia("71-3"), ia("71-9"));
+        for a in [hub, left, right] {
+            graph.add_as(a, true);
+        }
+        graph.add_as(alone, false);
+        let link = |a, b, ifid_a, ifid_b| BuiltLink {
+            spec: LinkSpec {
+                a,
+                b,
+                link_type: LinkType::Core,
+                latency_ms: 1.0,
+                label: String::new(),
+            },
+            ifid_a,
+            ifid_b,
+        };
+        // Both links claim interface 1 of the hub.
+        let links = vec![link(hub, left, 1, 4), link(right, hub, 2, 1)];
+        let topo = BuiltTopology::new(graph, links);
+        let node = |a| topo.node_of(a).unwrap();
+        assert_eq!(topo.nodes().collect::<Vec<_>>(), [hub, left, right, alone]);
+        assert_eq!(topo.step(node(alone), 1), None);
+
+        let first = Step {
+            link: 0,
+            node: node(left),
+            ifid: 4,
+        };
+        assert_eq!(topo.step(node(hub), 1), Some(first));
+        assert_eq!(topo.link_index_of(hub, 1), scan(&topo, hub, 1));
+        assert_eq!(topo.link_index_of(hub, 1), Some(0));
+        // The losing link is still found from its other end, and leads back
+        // to the hub.
+        let back = Step {
+            link: 1,
+            node: node(hub),
+            ifid: 1,
+        };
+        assert_eq!(topo.step(node(right), 2), Some(back));
+        // Interfaces 1..=3 of `left` exist in its table and lead nowhere.
+        for ifid in 1..=3 {
+            assert_eq!(topo.step(node(left), ifid), None);
+        }
     }
 
     proptest! {

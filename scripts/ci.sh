@@ -187,4 +187,20 @@ cargo clippy -p scion-dataplane -p scion-proto -p scion-control -p netsim -p sci
     -p sciera-core -p scion-daemon -p scion-orchestrator -p sciera-measure -- \
     -D warnings -D clippy::redundant_clone -D clippy::needless_collect
 
+# One delivering hop loop, one router table: the packet-level walk stays
+# deleted, and a map of routers searched per hop exists only where the
+# tests keep the old loop as their reference.
+echo "==> one hop loop, one router table (core)"
+if grep -rn 'fn walk_packets' crates; then
+    echo "ci: a second delivering walk is back" >&2
+    exit 1
+fi
+awk 'FNR == 1 { in_tests = 0 }
+     /#\[cfg\(test\)\]/ { in_tests = 1 }
+     /BTreeMap<IsdAsn, BorderRouter>/ && !in_tests { print FILENAME ":" FNR ": " $0; found = 1 }
+     END { exit found }' crates/core/src/*.rs || {
+    echo "ci: routers are searched for by AS outside the tests" >&2
+    exit 1
+}
+
 echo "==> ci OK"
