@@ -3,21 +3,19 @@
 //!
 //! Besides the criterion groups, this target runs an *interleaved* A/B/C
 //! comparison over a ≥64-AS synthetic topology: (A) the reference
-//! `combine_paths` per query, (B) the memoized [`PathDb`] with a warm
-//! cache, and (C) the `PathDb` immediately after a store invalidation
-//! (segments crossing one core interface removed and re-registered, so
-//! every cached entry is generation-stale and must be triaged against
-//! the bucket content fingerprints). Interleaving the batches
-//! (A,B,C,A,B,C,…) rather than
-//! running each variant in one block keeps frequency scaling and cache
-//! pollution from biasing one side. Results land in `BENCH_control.json`
-//! at the repo root.
+//! `combine_paths` per query, (B) the path database ([`EpochPathDb`]) with
+//! a warm cache, and (C) the database immediately after a store
+//! invalidation (segments crossing one core interface removed and
+//! re-registered, so every cached entry is generation-stale and must be
+//! triaged against the bucket content fingerprints). Interleaving the
+//! batches (A,B,C,A,B,C,…) rather than running each variant in one block
+//! keeps frequency scaling and cache pollution from biasing one side.
+//! Results land in `BENCH_control.json` at the repo root.
 //!
 //! The same run also executes the concurrency SLO sweep
-//! ([`sciera_measure::slo`]): p50/p99 lookup latency through the
-//! epoch-snapshot database at K ∈ {1, 8, 64} concurrent clients while a
-//! writer thread runs link-kill storms. Those lines land in
-//! `BENCH_control.json` too.
+//! ([`sciera_measure::slo`]): p50/p99 lookup latency through the database
+//! at K ∈ {1, 8, 64} concurrent clients while a writer thread runs
+//! link-kill storms. Those lines land in `BENCH_control.json` too.
 
 use std::time::Instant;
 
@@ -26,8 +24,8 @@ use sciera_measure::slo::{run_slo, SloConfig, SloPoint};
 use sciera_topology::links::build_control_graph;
 use scion_control::beacon::{BeaconConfig, BeaconEngine};
 use scion_control::combine::combine_paths;
+use scion_control::epoch::EpochPathDb;
 use scion_control::graph::{ControlGraph, LinkType};
-use scion_control::pathdb::PathDb;
 use scion_control::store::SegmentHandle;
 use scion_proto::addr::{ia, IsdAsn};
 
@@ -84,12 +82,12 @@ fn synthetic_graph() -> (ControlGraph, Vec<IsdAsn>) {
 
 /// Beacons the synthetic graph and picks a deterministic cross-core query
 /// mix over the grandchild leaves.
-fn setup() -> (PathDb, Vec<(IsdAsn, IsdAsn)>) {
+fn setup() -> (EpochPathDb, Vec<(IsdAsn, IsdAsn)>) {
     let (graph, leaves) = synthetic_graph();
     let store = BeaconEngine::new(&graph, 1_700_000_000, BeaconConfig::default())
         .run()
         .expect("beaconing succeeds");
-    let db = PathDb::new(store);
+    let db = EpochPathDb::new(store);
     let pairs: Vec<(IsdAsn, IsdAsn)> = (0..12)
         .map(|i| {
             let s = leaves[(i * 7) % leaves.len()];
@@ -118,12 +116,13 @@ struct Invalidation {
 }
 
 impl Invalidation {
-    fn capture(db: &PathDb) -> Self {
-        let cores = db.store().known_cores();
+    fn capture(db: &EpochPathDb) -> Self {
+        let snap = db.snapshot();
+        let cores = snap.store().known_cores();
         let mut core_snapshot = Vec::new();
         for &a in &cores {
             for &b in &cores {
-                core_snapshot.extend(db.store().core_between_handles(a, b).iter().cloned());
+                core_snapshot.extend(snap.store().core_between_handles(a, b).iter().cloned());
             }
         }
         // A multi-hop core segment's first egress: killing it removes that
@@ -141,12 +140,14 @@ impl Invalidation {
         }
     }
 
-    fn apply(&self, db: &mut PathDb) {
-        let removed = db.store_mut().invalidate_interface(self.ia, self.ifid);
-        assert!(removed > 0, "invalidation must remove segments");
-        for h in &self.core_snapshot {
-            db.store_mut().register_core_handle(h.clone());
-        }
+    fn apply(&self, db: &EpochPathDb) {
+        db.mutate_store(|store| {
+            let removed = store.invalidate_interface(self.ia, self.ifid);
+            assert!(removed > 0, "invalidation must remove segments");
+            for h in &self.core_snapshot {
+                store.register_core_handle(h.clone());
+            }
+        });
     }
 }
 
@@ -156,9 +157,9 @@ fn median(mut v: Vec<f64>) -> f64 {
 }
 
 /// Interleaved A/B/C comparison; returns median ns/query for
-/// (reference combine, PathDb warm, PathDb cold-after-invalidation).
+/// (reference combine, database warm, database cold-after-invalidation).
 fn ab_compare(rounds: usize, iters: usize) -> (f64, f64, f64, usize) {
-    let (mut db, pairs) = setup();
+    let (db, pairs) = setup();
     let inval = Invalidation::capture(&db);
 
     // Differential sanity: the memoized DB must reproduce the reference
@@ -167,15 +168,15 @@ fn ab_compare(rounds: usize, iters: usize) -> (f64, f64, f64, usize) {
     for &(s, d) in &pairs {
         assert_eq!(
             db.paths(s, d, CAP),
-            combine_paths(db.store(), s, d, CAP),
+            combine_paths(db.snapshot().store(), s, d, CAP),
             "memoized paths diverged for {s}->{d}"
         );
     }
-    inval.apply(&mut db);
+    inval.apply(&db);
     for &(s, d) in &pairs {
         assert_eq!(
             db.paths(s, d, CAP),
-            combine_paths(db.store(), s, d, CAP),
+            combine_paths(db.snapshot().store(), s, d, CAP),
             "memoized paths diverged after invalidation for {s}->{d}"
         );
     }
@@ -183,10 +184,11 @@ fn ab_compare(rounds: usize, iters: usize) -> (f64, f64, f64, usize) {
     let queries = iters * pairs.len();
     let (mut ref_ns, mut warm_ns, mut cold_ns) = (Vec::new(), Vec::new(), Vec::new());
     for round in 0..=rounds {
+        let snap = db.snapshot();
         let t = Instant::now();
         for _ in 0..iters {
             for &(s, d) in &pairs {
-                std::hint::black_box(combine_paths(db.store(), s, d, CAP));
+                std::hint::black_box(combine_paths(snap.store(), s, d, CAP));
             }
         }
         let a = t.elapsed().as_nanos() as f64 / queries as f64;
@@ -204,7 +206,7 @@ fn ab_compare(rounds: usize, iters: usize) -> (f64, f64, f64, usize) {
         // generation-stale, then each query revalidates or recombines.
         let t = Instant::now();
         for _ in 0..iters {
-            inval.apply(&mut db);
+            inval.apply(&db);
             for &(s, d) in &pairs {
                 std::hint::black_box(db.paths(s, d, CAP));
             }
@@ -233,10 +235,9 @@ fn emit_json(reference: f64, warm: f64, cold: f64, rounds: usize, batch: usize, 
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"control_pathdb\",\n  \"reference_ns_per_query\": {reference:.1},\n  \"pathdb_warm_ns_per_query\": {warm:.1},\n  \"pathdb_cold_ns_per_query\": {cold:.1},\n  \"speedup_warm\": {:.2},\n  \"speedup_cold\": {:.2},\n  \"rounds\": {rounds},\n  \"batch\": {batch},\n  \"parallel_feature\": {},\n  \"slo\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"control_pathdb\",\n  \"reference_ns_per_query\": {reference:.1},\n  \"pathdb_warm_ns_per_query\": {warm:.1},\n  \"pathdb_cold_ns_per_query\": {cold:.1},\n  \"speedup_warm\": {:.2},\n  \"speedup_cold\": {:.2},\n  \"rounds\": {rounds},\n  \"batch\": {batch},\n  \"slo\": [\n{}\n  ]\n}}\n",
         reference / warm,
         reference / cold,
-        cfg!(feature = "parallel"),
         slo_lines.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_control.json");
@@ -253,7 +254,7 @@ fn emit_json(reference: f64, warm: f64, cold: f64, rounds: usize, batch: usize, 
         "  pathdb cold  {cold:>9.1} ns/query  ({:.2}x)",
         reference / cold
     );
-    eprintln!("[pathops] concurrency SLO (epoch db, link-kill storm writer):");
+    eprintln!("[pathops] concurrency SLO (link-kill storm writer):");
     for p in slo {
         eprintln!(
             "  K={:<3} p50 {:>8} ns  p99 {:>9} ns  max {:>10} ns  ({} storms, {} publishes)",
@@ -290,7 +291,7 @@ fn bench_pathops(c: &mut Criterion) {
     g.bench_function("combine_uva_ufms", |b| {
         b.iter(|| combine_paths(&store, ia("71-225"), ia("71-2:0:5c"), 300))
     });
-    let mut db = PathDb::new(store.clone());
+    let db = EpochPathDb::new(store.clone());
     g.bench_function("pathdb_warm_uva_ufms", |b| {
         b.iter(|| db.paths(ia("71-225"), ia("71-2:0:5c"), 300))
     });

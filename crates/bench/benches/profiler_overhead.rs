@@ -1,28 +1,20 @@
 //! Interleaved A/B guard: with the `profile` feature OFF (the default),
-//! the scale-observatory plumbing must cost nothing on the hot paths it
-//! instruments. `prof_scope` is a zero-sized no-op, `lock_pathdb`
-//! compiles to a plain `lock()` — so timing the instrumented entry
-//! points against their raw equivalents must land inside measurement
-//! noise on both guarded paths:
-//!
-//! * the router batch path (`process_batch`, which opens a profiler
-//!   scope per call), A/B'd against the same batch bracketed by an extra
-//!   explicit no-op scope — if the disabled `ProfScope` ever allocates,
-//!   locks or syscalls, the extra scope shows up in the ratio;
-//! * the PathDb query path behind the shared mutex, `lock_pathdb`
-//!   against bare `Mutex::lock`.
+//! the scale-observatory plumbing must cost nothing on the hot path it
+//! instruments. `prof_scope` is a zero-sized no-op — so timing the router
+//! batch path (`process_batch`, which opens a profiler scope per call)
+//! against the same batch bracketed by an extra explicit no-op scope must
+//! land inside measurement noise: if the disabled `ProfScope` ever
+//! allocates, locks or syscalls, the extra scope shows up in the ratio.
 //!
 //! Built with `--features profile` the guard prints and exits: profiling
 //! is then genuinely allowed to cost time.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::black_box;
-use parking_lot::Mutex;
 use sciera_telemetry::Telemetry;
 use scion_control::beacon::{BeaconConfig, BeaconEngine};
-use scion_control::pathdb::{lock_pathdb, PathDb};
+use scion_control::combine::combine_paths;
 use scion_dataplane::router::BorderRouter;
 use scion_proto::addr::{HostAddr, IsdAsn, ScionAddr};
 use scion_proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
@@ -31,7 +23,6 @@ use scion_proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
 const MAX_RATIO: f64 = 1.5;
 const ROUNDS: usize = 21;
 const BATCHES_PER_ROUND: usize = 300;
-const QUERIES_PER_ROUND: usize = 400;
 const BATCH: usize = 32;
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -39,37 +30,22 @@ fn median(mut v: Vec<f64>) -> f64 {
     v[v.len() / 2]
 }
 
-fn setup() -> (
-    BorderRouter,
-    Vec<Vec<u8>>,
-    Arc<Mutex<PathDb>>,
-    Vec<(IsdAsn, IsdAsn)>,
-) {
+fn setup() -> (BorderRouter, Vec<Vec<u8>>) {
     let built = sciera_topology::synth::synthesize(&sciera_topology::synth::SynthConfig::sized(60));
     let mut engine = BeaconEngine::new(&built.graph, 1_700_000_000, BeaconConfig::default());
     let store = engine.run().expect("synthetic topology beacons");
     let secrets = engine.secrets().clone();
-    let db = PathDb::new(store);
-    let db = Arc::new(Mutex::new(db));
 
-    // Pairs for the query path: a handful of leaf-to-leaf pairs.
+    // One transit router plus a batch of frames crossing it, between the
+    // first and the last leaf.
     let leaves: Vec<IsdAsn> = built
         .graph
         .ases()
         .filter(|a| !a.core)
         .map(|a| a.ia)
         .collect();
-    let pairs: Vec<(IsdAsn, IsdAsn)> = leaves
-        .iter()
-        .zip(leaves.iter().rev())
-        .filter(|(a, b)| a != b)
-        .take(8)
-        .map(|(a, b)| (*a, *b))
-        .collect();
-
-    // One transit router plus a batch of frames crossing it.
-    let (src, dst) = pairs[0];
-    let paths = db.lock().paths(src, dst, 4);
+    let (src, dst) = (leaves[0], leaves[leaves.len() - 1]);
+    let paths = combine_paths(&store, src, dst, 4);
     let path = paths
         .iter()
         .find(|p| p.hops.len() >= 3)
@@ -97,7 +73,7 @@ fn setup() -> (
     let sec = secrets.get(&transit).unwrap();
     let router = BorderRouter::new(transit, sec.hop_key.clone());
     let _ = ingress;
-    (router, frames, db, pairs)
+    (router, frames)
 }
 
 fn time_router(router: &mut BorderRouter, frames: &[Vec<u8>], extra_scope: bool) -> f64 {
@@ -132,19 +108,6 @@ fn frames_ingress(frames: &[Vec<u8>], router: &mut BorderRouter) -> u16 {
     0
 }
 
-fn time_queries(db: &Arc<Mutex<PathDb>>, pairs: &[(IsdAsn, IsdAsn)], instrumented: bool) -> f64 {
-    let start = Instant::now();
-    for i in 0..QUERIES_PER_ROUND {
-        let (src, dst) = pairs[i % pairs.len()];
-        if instrumented {
-            black_box(lock_pathdb(db).paths(src, dst, 16));
-        } else {
-            black_box(db.lock().paths(src, dst, 16));
-        }
-    }
-    start.elapsed().as_secs_f64()
-}
-
 fn main() {
     if cfg!(feature = "profile") {
         println!(
@@ -153,38 +116,26 @@ fn main() {
         );
         return;
     }
-    let (mut router, frames, db, pairs) = setup();
+    let (mut router, frames) = setup();
 
-    // Warm-up (fills the MAC cache and the PathDb).
+    // Warm-up (fills the MAC cache).
     time_router(&mut router, &frames, false);
     time_router(&mut router, &frames, true);
-    time_queries(&db, &pairs, false);
-    time_queries(&db, &pairs, true);
 
     let mut router_ratios = Vec::with_capacity(ROUNDS);
-    let mut query_ratios = Vec::with_capacity(ROUNDS);
     for _ in 0..ROUNDS {
         let plain = time_router(&mut router, &frames, false);
         let scoped = time_router(&mut router, &frames, true);
         router_ratios.push(scoped / plain);
-        let plain = time_queries(&db, &pairs, false);
-        let instrumented = time_queries(&db, &pairs, true);
-        query_ratios.push(instrumented / plain);
     }
     let router_median = median(router_ratios);
-    let query_median = median(query_ratios);
     println!(
-        "profiler_overhead: router batch A/B {router_median:.4}, pathdb lock A/B {query_median:.4} \
-         (medians of {ROUNDS} rounds, limit {MAX_RATIO})"
+        "profiler_overhead: router batch A/B {router_median:.4} \
+         (median of {ROUNDS} rounds, limit {MAX_RATIO})"
     );
     assert!(
         router_median < MAX_RATIO,
         "disabled profiler scope costs {router_median:.4}x on the router batch path — \
          the no-op ProfScope is no longer free"
-    );
-    assert!(
-        query_median < MAX_RATIO,
-        "lock_pathdb costs {query_median:.4}x over a bare lock with profiling off — \
-         the wrapper stopped compiling away"
     );
 }

@@ -1,6 +1,7 @@
 //! The scale-observatory sweep: 100 → 5000 ASes through the full stack
-//! (synthetic topology → beaconing → PathDb workload → router frame load
-//! → discrete-event stage), emitting `BENCH_scale.json` at the repo root
+//! (synthetic topology → beaconing → path-database workload → router
+//! frame load → discrete-event stage), emitting `BENCH_scale.json` at the
+//! repo root
 //! with per-N convergence time, cache hit rate, memory footprints,
 //! throughput and — when built with `--features profile` — the ranked
 //! per-subsystem self-time table naming the bottleneck at each size.
@@ -91,9 +92,8 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"bench\": \"scale_sweep\",\n  \"profile_feature\": {},\n  \"parallel_feature\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"scale_sweep\",\n  \"profile_feature\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
         cfg!(feature = "profile"),
-        cfg!(feature = "parallel"),
         body
     );
     let path = std::env::var("SCIERA_SCALE_OUT")

@@ -25,16 +25,12 @@
 //! via a bounded verified-beacon cache keyed on (beacon ID, key epoch) —
 //! the control-plane analogue of the data plane's MAC-verification cache.
 //!
-//! A propagation round is a **two-phase pipeline**: phase one snapshots
+//! A propagation round **snapshots, then commits**: it first captures
 //! every offering holder's immutable inputs (retained candidate beacons,
 //! secrets handle, peer links, outbound interfaces) before any slot is
-//! mutated, phase two commits extensions against that snapshot in
-//! deterministic holder order. Because the snapshot is taken up front, the
-//! per-holder extension work — loop/length filtering plus the CMAC hop
-//! MAC and entry signature of [`CowSegment::extend`] — is pure, and with
-//! `--features parallel` (plus [`BeaconConfig::parallel_propagation`]) it
-//! fans out over the worker pool while the commit stays sequential, so
-//! parallel and sequential builds produce byte-identical beacon state.
+//! mutated, then commits extensions against that snapshot in
+//! deterministic holder order, so an earlier holder's offers of this round
+//! are never visible to a later holder — the synchronous formulation above.
 //! Beacons themselves use the copy-on-extend [`CowSegment`]
 //! representation: offering a beacon to a neighbor appends one hop node
 //! and shares the entire prefix, instead of deep-copying the segment per
@@ -77,20 +73,13 @@ struct Candidate {
 }
 
 /// Everything one holder contributes to a propagation round: immutable
-/// compute-phase inputs, consumed in deterministic order by the
-/// sequential commit phase.
+/// inputs, consumed in deterministic order by the commit loop.
 struct HolderBatch {
     secrets: Arc<AsSecrets>,
     peers: Vec<(IsdAsn, u16, u16)>,
     out_ifs: Vec<OutIntf>,
     cands: Vec<Candidate>,
 }
-
-/// Extensions precomputed by the parallel phase, indexed
-/// `[batch][candidate]`: `None` rows were skipped (verdict unknown at
-/// snapshot time), per-interface `None`s inside a row are offers proven
-/// retain-losers against the round snapshot.
-type PrecomputedExt = Vec<Vec<Option<Vec<Option<CowSegment>>>>>;
 
 /// Beaconing configuration.
 #[derive(Debug, Clone, Copy)]
@@ -107,13 +96,6 @@ pub struct BeaconConfig {
     /// round and reaches the same fixed point; it exists for differential
     /// testing.
     pub delta_propagation: bool,
-    /// With the `parallel` feature: fan a round's verification and
-    /// extension compute (candidate filtering + CMAC hop signing) over
-    /// the worker pool, committing results sequentially in deterministic
-    /// holder order. `false` forces the sequential reference path even in
-    /// parallel builds — the in-binary A/B switch the overhead bench and
-    /// the differential proptest use. No effect without the feature.
-    pub parallel_propagation: bool,
 }
 
 impl Default for BeaconConfig {
@@ -123,7 +105,6 @@ impl Default for BeaconConfig {
             max_len: 12,
             rounds: 12,
             delta_propagation: true,
-            parallel_propagation: true,
         }
     }
 }
@@ -144,16 +125,10 @@ struct VerifiedCache {
 }
 
 impl VerifiedCache {
-    /// Consumes one LRU tick without probing (the parallel resolution
-    /// path's stand-in for the probe `verify_cached` would have made).
-    fn advance(&mut self) {
-        self.tick += 1;
-    }
-
     /// Probes for `key`, refreshing its recency on a hit. Consumes a tick
-    /// either way, exactly like the sequential probe-then-insert flow.
+    /// either way: a miss's [`insert`](Self::insert) lands at this tick.
     fn touch(&mut self, key: &([u8; 32], u32)) -> bool {
-        self.advance();
+        self.tick += 1;
         let tick = self.tick;
         let Some(t) = self.map.get_mut(key) else {
             return false;
@@ -162,13 +137,6 @@ impl VerifiedCache {
         self.order.remove(&old);
         self.order.insert(tick, *key);
         true
-    }
-
-    /// Membership probe without recency bookkeeping (the parallel
-    /// phases peek at the cache without perturbing LRU order).
-    #[cfg(feature = "parallel")]
-    fn contains(&self, key: &([u8; 32], u32)) -> bool {
-        self.map.contains_key(key)
     }
 
     /// Inserts `key` at the current tick, evicting the oldest entry when
@@ -218,10 +186,6 @@ pub struct BeaconEngine<'g> {
     batch_beacons: Counter,
     verify_hits: Counter,
     verify_misses: Counter,
-    #[cfg(feature = "parallel")]
-    par_holders: Counter,
-    #[cfg(feature = "parallel")]
-    par_extensions: Counter,
 }
 
 impl<'g> BeaconEngine<'g> {
@@ -259,10 +223,6 @@ impl<'g> BeaconEngine<'g> {
             batch_beacons: telemetry.counter("beacon.batch.beacons"),
             verify_hits: telemetry.counter("beacon.batch.verify_hit"),
             verify_misses: telemetry.counter("beacon.batch.verify_miss"),
-            #[cfg(feature = "parallel")]
-            par_holders: telemetry.counter("beacon.propagate.par.holders"),
-            #[cfg(feature = "parallel")]
-            par_extensions: telemetry.counter("beacon.propagate.par.extensions"),
             telemetry,
         }
     }
@@ -277,11 +237,6 @@ impl<'g> BeaconEngine<'g> {
         self.batch_beacons = telemetry.counter("beacon.batch.beacons");
         self.verify_hits = telemetry.counter("beacon.batch.verify_hit");
         self.verify_misses = telemetry.counter("beacon.batch.verify_miss");
-        #[cfg(feature = "parallel")]
-        {
-            self.par_holders = telemetry.counter("beacon.propagate.par.holders");
-            self.par_extensions = telemetry.counter("beacon.propagate.par.extensions");
-        }
         self.telemetry = telemetry;
     }
 
@@ -301,76 +256,6 @@ impl<'g> BeaconEngine<'g> {
         let keys = |ia: IsdAsn| secrets.get(&ia).map(|s| s.signing.verifying_key());
         let hops = |ia: IsdAsn| secrets.get(&ia).map(|s| s.hop_key.clone());
         let ok = seg.materialize().verify(&keys, &hops).is_ok();
-        if ok {
-            self.verified.insert(key);
-        }
-        ok
-    }
-
-    /// Computes verification verdicts for a round's unique not-yet-cached
-    /// beacons in parallel: each beacon's signature-chain and hop-MAC
-    /// check is independent (pure over the segment and the secrets
-    /// table), so the whole round's worth fans out over the worker pool,
-    /// where workers materialize the chain once and funnel each entry's
-    /// MACs through `HopKey::verify_batch`. Nothing is mutated here: the
-    /// sequential commit consumes the verdict map through
-    /// [`Self::verify_batch_resolved`], which replays the cache inserts,
-    /// LRU ticks and hit/miss counters in candidate order, so cache state
-    /// and metrics are identical with parallelism on or off.
-    #[cfg(feature = "parallel")]
-    fn round_verdicts(&self, batches: &[HolderBatch]) -> HashMap<([u8; 32], u32), bool> {
-        let mut todo: Vec<CowSegment> = Vec::new();
-        let mut keys_of: Vec<([u8; 32], u32)> = Vec::new();
-        let mut queued: std::collections::HashSet<[u8; 32]> = std::collections::HashSet::new();
-        for b in batches {
-            for c in &b.cands {
-                if !c.pre_ok {
-                    continue;
-                }
-                let key = (c.rb.segment.id(), self.key_epoch);
-                if self.verified.contains(&key) || !queued.insert(key.0) {
-                    continue;
-                }
-                keys_of.push(key);
-                todo.push(c.rb.segment.clone());
-            }
-        }
-        if todo.len() < 2 {
-            return HashMap::new(); // nothing to fan out; verify_cached handles it
-        }
-        let _prof = self.telemetry.prof_scope("beacon.verify");
-        let secrets = &self.secrets;
-        let keys = |ia: IsdAsn| secrets.get(&ia).map(|s| s.signing.verifying_key());
-        let hops = |ia: IsdAsn| secrets.get(&ia).map(|s| s.hop_key.clone());
-        let verdicts = crate::pool::WorkerPool::default().map(&todo, |seg| {
-            seg.materialize().verify_batched(&keys, &hops).is_ok()
-        });
-        keys_of.into_iter().zip(verdicts).collect()
-    }
-
-    /// Resolves one candidate against a precomputed verdict map, with the
-    /// exact bookkeeping `verify_cached` would have done: a cached beacon
-    /// counts a hit; a verdict-map beacon counts a miss, enters the cache
-    /// on success (at this call's LRU tick) and stays uncached on failure
-    /// (so repeats re-count misses, like sequential re-verification).
-    #[cfg(feature = "parallel")]
-    fn verify_batch_resolved(
-        &mut self,
-        seg: &CowSegment,
-        verdicts: &HashMap<([u8; 32], u32), bool>,
-    ) -> bool {
-        let key = (seg.id(), self.key_epoch);
-        if self.verified.contains(&key) {
-            return self.verify_cached(seg); // hit path, counts itself
-        }
-        let Some(&ok) = verdicts.get(&key) else {
-            return self.verify_cached(seg);
-        };
-        // Attribute the bookkeeping where the sequential path would: this
-        // is the resolution half of a verification, not propagation work.
-        let _prof = self.telemetry.prof_scope("beacon.verify");
-        self.verified.advance();
-        self.verify_misses.inc();
         if ok {
             self.verified.insert(key);
         }
@@ -573,14 +458,14 @@ impl<'g> BeaconEngine<'g> {
         } else {
             LinkType::Child
         };
-        // Phase 1 — snapshot. Group dirty slots by holder and capture each
-        // holder's immutable round inputs (secrets handle, peer links,
-        // outbound interfaces, retained candidate beacons) *before* any
-        // slot is mutated. Every mode commits against this snapshot, so an
+        // Snapshot. Group dirty slots by holder and capture each holder's
+        // immutable round inputs (secrets handle, peer links, outbound
+        // interfaces, retained candidate beacons) *before* any slot is
+        // mutated. The commit below works against this snapshot, so an
         // earlier holder's same-round offers are never visible to a later
-        // holder — the synchronous formulation of the module doc, and the
-        // property that makes the compute phase pure. Candidate clones are
-        // refcount bumps (copy-on-extend chains), not entry copies.
+        // holder — the synchronous formulation of the module doc. Candidate
+        // clones are refcount bumps (copy-on-extend chains), not entry
+        // copies.
         let mut by_holder: BTreeMap<IsdAsn, Vec<IsdAsn>> = BTreeMap::new();
         for (holder, origin) in dirty {
             by_holder.entry(holder).or_default().push(origin);
@@ -639,26 +524,10 @@ impl<'g> BeaconEngine<'g> {
                 cands,
             });
         }
-        // Phases 2+3 (parallel builds, runtime-switchable) — fan the
-        // round's uncached verifications and then its extension compute
-        // across the worker pool. Both are pure over the snapshot; the
-        // verdict map and the precomputed extensions are consumed by the
-        // sequential commit below, which replays cache bookkeeping and
-        // counters in exactly the order the sequential path would.
-        #[cfg(feature = "parallel")]
-        let (verdicts, mut precomputed) = if self.config.parallel_propagation {
-            let verdicts = self.round_verdicts(&batches);
-            let ext = self.precompute_extensions(core_kind, &batches, &verdicts);
-            (verdicts, Some(ext))
-        } else {
-            (HashMap::new(), None)
-        };
-        #[cfg(not(feature = "parallel"))]
-        let mut precomputed: Option<PrecomputedExt> = None;
-        // Phase 4 — sequential commit in deterministic holder order:
-        // verification resolution, retain, dirty-set inserts and counters.
+        // Commit in deterministic holder order: verification, retain,
+        // dirty-set inserts and counters.
         let mut changed = false;
-        for (bi, batch) in batches.iter().enumerate() {
+        for batch in &batches {
             let mut ok_flags: Vec<bool> = Vec::with_capacity(batch.cands.len());
             for c in &batch.cands {
                 if !c.pre_ok {
@@ -666,13 +535,6 @@ impl<'g> BeaconEngine<'g> {
                     ok_flags.push(false);
                     continue;
                 }
-                #[cfg(feature = "parallel")]
-                let ok = if precomputed.is_some() {
-                    self.verify_batch_resolved(&c.rb.segment, &verdicts)
-                } else {
-                    self.verify_cached(&c.rb.segment)
-                };
-                #[cfg(not(feature = "parallel"))]
                 let ok = self.verify_cached(&c.rb.segment);
                 if !ok {
                     self.filtered.inc();
@@ -684,7 +546,7 @@ impl<'g> BeaconEngine<'g> {
             }
             // One pass per neighbor: every offerable beacon of this
             // holder crosses the interface in a single batch.
-            for (ii, intf) in batch.out_ifs.iter().enumerate() {
+            for intf in &batch.out_ifs {
                 let mut offered = 0u64;
                 for (ci, c) in batch.cands.iter().enumerate() {
                     if !ok_flags[ci] {
@@ -703,52 +565,22 @@ impl<'g> BeaconEngine<'g> {
                     let k = self.config.candidates_per_origin;
                     let slot = store.entry((intf.neighbor, c.origin)).or_default();
                     // Settle the retain competition from the extension's
-                    // id alone — cached on the precomputed segment, or
-                    // predicted via `extended_id` on the inline path — so
-                    // a losing offer never pays for a MAC, signature or
-                    // chain node.
-                    let extended = match precomputed.as_mut().map(|p| &mut p[bi][ci]) {
-                        // Precomputed row: a per-interface `None` marks an
-                        // offer already proven a loser against the round
-                        // snapshot. Slots only improve during commit, so
-                        // it loses here too.
-                        Some(Some(row)) => match row[ii].take() {
-                            None => {
-                                self.filtered.inc();
-                                continue;
-                            }
-                            Some(seg) => {
-                                if !Self::would_retain(slot, seg.len(), seg.id(), k) {
-                                    self.filtered.inc();
-                                    continue;
-                                }
-                                seg
-                            }
-                        },
-                        // Sequential path, or a candidate whose verdict
-                        // the parallel phase couldn't predict: probe with
-                        // the predicted id, extend inline on a win — same
-                        // helper, same bytes.
-                        _ => {
-                            let ext_id = c.rb.segment.extended_id(
-                                batch.secrets.ia,
-                                c.rb.ingress_ifid,
-                                intf.id,
-                            );
-                            if !Self::would_retain(slot, c.rb.segment.len() + 1, ext_id, k) {
-                                self.filtered.inc();
-                                continue;
-                            }
-                            let seg = c.rb.segment.extend(
-                                &batch.secrets,
-                                c.rb.ingress_ifid,
-                                intf.id,
-                                &batch.peers,
-                            );
-                            debug_assert_eq!(seg.id(), ext_id);
-                            seg
-                        }
-                    };
+                    // id alone, predicted via `extended_id`, so a losing
+                    // offer never pays for a MAC, signature or chain node.
+                    let ext_id =
+                        c.rb.segment
+                            .extended_id(batch.secrets.ia, c.rb.ingress_ifid, intf.id);
+                    if !Self::would_retain(slot, c.rb.segment.len() + 1, ext_id, k) {
+                        self.filtered.inc();
+                        continue;
+                    }
+                    let extended = c.rb.segment.extend(
+                        &batch.secrets,
+                        c.rb.ingress_ifid,
+                        intf.id,
+                        &batch.peers,
+                    );
+                    debug_assert_eq!(extended.id(), ext_id);
                     let new_rb = ReceivedBeacon {
                         segment: extended,
                         ingress_ifid: intf.neighbor_ifid,
@@ -770,103 +602,6 @@ impl<'g> BeaconEngine<'g> {
             }
         }
         changed
-    }
-
-    /// Computes every predicted-verifiable candidate's extension toward
-    /// every outbound interface over the worker pool; returns
-    /// `out[batch][candidate]` rows. A missing row (`None`) means the
-    /// candidate's verdict was unknown at snapshot time — the commit
-    /// settles it inline; inside a row, a per-interface `None` marks an
-    /// offer proven a retain-loser against the round snapshot (or a
-    /// loop), which monotonicity upgrades to a commit-time verdict. Pure:
-    /// works only on the round snapshot, the predicted verdicts and the
-    /// shared per-AS secrets, so chunk scheduling cannot affect any
-    /// result the commit phase keeps.
-    #[cfg(feature = "parallel")]
-    fn precompute_extensions(
-        &self,
-        core_kind: bool,
-        batches: &[HolderBatch],
-        verdicts: &HashMap<([u8; 32], u32), bool>,
-    ) -> PrecomputedExt {
-        // Predicted verdict per candidate: cached, or freshly computed by
-        // round_verdicts. Verification is deterministic, so a `true` here
-        // always matches the commit phase's resolution; an unknown (the
-        // small-round fallback) just means the commit extends inline.
-        let predicted: Vec<Vec<bool>> = batches
-            .iter()
-            .map(|b| {
-                b.cands
-                    .iter()
-                    .map(|c| {
-                        c.pre_ok && {
-                            let key = (c.rb.segment.id(), self.key_epoch);
-                            self.verified.contains(&key)
-                                || verdicts.get(&key).copied().unwrap_or(false)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let work: Vec<(&HolderBatch, &Vec<bool>)> = batches.iter().zip(predicted.iter()).collect();
-        let map = if core_kind {
-            &self.core_beacons
-        } else {
-            &self.down_beacons
-        };
-        let k = self.config.candidates_per_origin;
-        let out = crate::pool::WorkerPool::default().map(&work, |(b, pred)| {
-            b.cands
-                .iter()
-                .zip(pred.iter())
-                .map(|(c, &ok)| {
-                    if !ok {
-                        // Verdict unknown or false at snapshot time: no
-                        // row — the commit phase settles this candidate
-                        // inline if its verification resolves true.
-                        return None;
-                    }
-                    let row = b
-                        .out_ifs
-                        .iter()
-                        .map(|i| {
-                            if c.rb.segment.contains(i.neighbor) {
-                                return None;
-                            }
-                            // Settle the retain competition against the
-                            // round snapshot: slots only improve during
-                            // commit, so a loser here is a loser there —
-                            // its MAC, signature and chain node are never
-                            // computed. (A snapshot winner may still lose
-                            // at commit; the commit phase re-checks.)
-                            let ext_id =
-                                c.rb.segment
-                                    .extended_id(b.secrets.ia, c.rb.ingress_ifid, i.id);
-                            if let Some(slot) = map.get(&(i.neighbor, c.origin)) {
-                                if !Self::would_retain(slot, c.rb.segment.len() + 1, ext_id, k) {
-                                    return None;
-                                }
-                            }
-                            Some(
-                                c.rb.segment
-                                    .extend(&b.secrets, c.rb.ingress_ifid, i.id, &b.peers),
-                            )
-                        })
-                        .collect();
-                    Some(row)
-                })
-                .collect()
-        });
-        self.par_holders.add(batches.len() as u64);
-        self.par_extensions.add(
-            out.iter()
-                .flatten()
-                .filter_map(|row: &Option<Vec<Option<CowSegment>>>| row.as_ref())
-                .flatten()
-                .filter(|o: &&Option<CowSegment>| o.is_some())
-                .count() as u64,
-        );
-        out
     }
 
     /// Terminates retained beacons and registers segments.
@@ -1125,41 +860,6 @@ mod tests {
             );
             assert!(!delta.is_empty());
             assert_eq!(delta, exhaustive, "shape {i} diverged");
-        }
-    }
-
-    /// Parallel-build-only: the runtime flag must not change one byte of
-    /// the outcome — registered segments, retained slots, or rounds.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_flag_is_byte_for_byte_invisible() {
-        for g in [diamond()] {
-            let mut seq_engine = BeaconEngine::new(
-                &g,
-                1_700_000_000,
-                BeaconConfig {
-                    parallel_propagation: false,
-                    ..Default::default()
-                },
-            );
-            let seq_store = seq_engine.run().unwrap();
-            let mut par_engine = BeaconEngine::new(
-                &g,
-                1_700_000_000,
-                BeaconConfig {
-                    parallel_propagation: true,
-                    ..Default::default()
-                },
-            );
-            let par_store = par_engine.run().unwrap();
-            let ids = |s: &SegmentStore| {
-                let mut v: Vec<[u8; 32]> = s.all_segments().map(|seg| seg.id()).collect();
-                v.sort();
-                v
-            };
-            assert_eq!(ids(&seq_store), ids(&par_store));
-            assert_eq!(seq_engine.slot_digest(), par_engine.slot_digest());
-            assert_eq!(seq_engine.last_rounds(), par_engine.last_rounds());
         }
     }
 

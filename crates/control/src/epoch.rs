@@ -1,8 +1,9 @@
-//! Epoch-snapshot path database: concurrent lookups without a global lock.
+//! The path database: memoized path combination with concurrent lookups
+//! and no global lock.
 //!
-//! [`EpochPathDb`] is the RCU-flavoured successor of the single-mutex
-//! `Arc<Mutex<PathDb>>` deployment. The design splits the database into
-//! three independently-locked parts:
+//! [`EpochPathDb`] answers `(src, dst)` queries from a [`SegmentStore`],
+//! keeping a bounded cache of answers keyed on `(src, dst, policy
+//! fingerprint, max_paths)`. It is three independently-locked parts:
 //!
 //! * **The published snapshot** — an `Arc<PathSnapshot>` holding an
 //!   immutable [`SegmentStore`] plus the generation it was published at.
@@ -18,24 +19,46 @@
 //!   *publishes*: clones the master (cheap — buckets hold `Arc` segment
 //!   handles, so a clone copies pointers, not segment bodies) into a
 //!   fresh snapshot and swaps the published pointer. Publish latency and
-//!   count land in `pathdb.publish_ns` / `pathdb.publish.count`, the
-//!   accounting that replaces the old `lock_pathdb` wait histograms.
+//!   count land in `pathdb.publish_ns` / `pathdb.publish.count`.
 //! * **The sharded result cache** — warm lookups hash their key to one of
 //!   `shards` independently-locked maps, so concurrent readers contend
 //!   only on key collisions within a shard, never on the writer and never
 //!   on each other across shards. A hit is: snapshot read-clone, one
 //!   shard lock, one `Arc` path-list clone.
 //!
-//! Soundness is the same generation argument the mutex [`PathDb`] makes
-//! (see the module docs there), with one concurrency addition: a cache
-//! entry always records the generation of the snapshot its paths were
-//! combined from, and install never lets an entry go backwards — a reader
-//! racing on an older snapshot cannot overwrite a newer entry. A served
-//! result therefore always equals a fresh `combine_paths` against the
-//! snapshot generation returned alongside it, which is exactly what the
-//! concurrency stress test asserts.
+//! Soundness rests on the store's generation counter:
 //!
-//! [`PathDb`]: crate::pathdb::PathDb
+//! * Every store mutation (registration, expiry, interface invalidation)
+//!   bumps [`SegmentStore::generation`], so a cached entry stamped with
+//!   another generation than the snapshot's is *known possibly-stale* —
+//!   there is no code path that changes store contents without moving the
+//!   counter.
+//! * A stale entry is not necessarily wrong: each entry also records the
+//!   content fingerprint ([`SegmentStore::bucket_fingerprint`]) of every
+//!   bucket its combination consulted (including empty buckets, whose
+//!   emptiness decided the combination shape). If none of those
+//!   fingerprints differ, the consulted contents are identical and the
+//!   entry is revalidated in place — an unrelated mutation, or one that
+//!   removed and then restored the same segments, costs a handful of map
+//!   probes, not a recombination.
+//! * Otherwise the entry is recombined, whole — through the single
+//!   [`combine_paths_recorded`] code path, so memoized and fresh results
+//!   are byte-for-byte identical by construction. The cache keeps answers,
+//!   not the candidates they were picked from: a miss assembles only what
+//!   its answer reaches, which is cheaper than carrying every candidate of
+//!   every entry for the rare change that touches core buckets alone.
+//! * A cache entry always records the generation of the snapshot its
+//!   paths were combined from, and install never lets an entry go
+//!   backwards — a reader racing on an older snapshot cannot overwrite a
+//!   newer entry.
+//!
+//! A served result therefore always equals a fresh `combine_paths` against
+//! the snapshot generation returned alongside it, which is exactly what
+//! the concurrency stress test asserts.
+//!
+//! Counters: `pathdb.cache.{hit,miss,evict,invalidate,revalidate}` plus
+//! the `store.generation` gauge, surfaced on the operator console's
+//! `pathdb:` line and in the Prometheus exposition.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -49,8 +72,7 @@ use scion_proto::addr::IsdAsn;
 
 use crate::combine::{combine_paths_recorded, CombineRecord};
 use crate::fullpath::{approx_shared_bytes, FullPath};
-use crate::pathdb::policy_fingerprint;
-use crate::policy::PathPolicy;
+use crate::policy::{policy_fingerprint, PathPolicy};
 use crate::store::{BucketDep, SegmentStore};
 
 /// Sizing knobs for the epoch database's sharded cache.
@@ -334,9 +356,9 @@ impl EpochPathDb {
 
     /// Drops every cached entry containing a path crossing interface
     /// `ifid` of `ia` — the SCMP `ExternalInterfaceDown` reaction. The
-    /// store (and its generation) is untouched, exactly like the mutex
-    /// database: the segments are still validly signed, so the next query
-    /// recombines the same result from current contents. The sweep holds
+    /// store (and its generation) is untouched: the segments are still
+    /// validly signed (liveness is the data plane's concern), so the next
+    /// query recombines from current contents. The sweep holds
     /// the master lock so it serializes with publishes, and visits every
     /// shard before returning — a lookup issued after this returns can
     /// only see swept shards. Returns how many entries were dropped.
@@ -390,11 +412,8 @@ impl EpochPathDb {
     }
 
     /// Pre-warms the cache for a batch of (src, dst) pairs against one
-    /// snapshot, skipping pairs already warm at its generation. With the
-    /// `parallel` feature the cache-miss combinations fan out over the
-    /// worker pool (each pair is independent; results are installed in
-    /// input order, so the cache contents equal the sequential run's).
-    /// Returns how many pairs were combined.
+    /// snapshot, skipping pairs already warm at its generation. Returns
+    /// how many pairs were combined.
     pub fn prefetch(&self, pairs: &[(IsdAsn, IsdAsn)], max_paths: usize) -> usize {
         let m = self.m();
         let snap = self.snapshot();
@@ -414,21 +433,14 @@ impl EpochPathDb {
             return 0;
         }
         let _prof = m.telemetry.prof_scope("pathdb.combine");
-        let combine = |&(src, dst): &(IsdAsn, IsdAsn)| {
-            combine_paths_recorded(&snap.store, src, dst, max_paths)
-        };
-        #[cfg(feature = "parallel")]
-        let records: Vec<CombineRecord> = crate::pool::WorkerPool::default().map(&todo, combine);
-        #[cfg(not(feature = "parallel"))]
-        let records: Vec<CombineRecord> = todo.iter().map(combine).collect();
-        let combined = todo.len();
-        for (&(src, dst), record) in todo.iter().zip(records) {
+        for &(src, dst) in &todo {
+            let record = combine_paths_recorded(&snap.store, src, dst, max_paths);
             m.misses.inc();
             let key = (src, dst, 0u64, max_paths);
             let paths = self.install(&m, &snap, key, record, None);
             m.paths_combined.add(paths.len() as u64);
         }
-        combined
+        todo.len()
     }
 
     /// Number of cached entries across all shards.
@@ -448,8 +460,9 @@ impl EpochPathDb {
         }
     }
 
-    /// Approximate resident bytes of the cache (each entry and the paths
-    /// of its answer), matching the mutex database's accounting.
+    /// Approximate resident bytes of the cache itself: each entry and the
+    /// paths of its answer. Interned segment bodies are the store's (see
+    /// [`SegmentStore::approx_bytes`]).
     pub fn approx_cache_bytes(&self) -> usize {
         self.inner
             .shards
@@ -662,8 +675,7 @@ mod tests {
     use crate::policy::{Acl, HopPredicate, PathPolicy};
     use scion_proto::addr::ia;
 
-    /// Two cores, two leaves each, plus a leaf peering link (the pathdb
-    /// test mesh, so behaviours can be compared 1:1).
+    /// Three cores and four leaves, plus a leaf peering link.
     fn mesh() -> SegmentStore {
         let mut g = ControlGraph::new();
         g.add_as(ia("71-1"), true);
@@ -703,6 +715,10 @@ mod tests {
             assert_matches_fresh(&db, "71-1", "71-3");
         }
         assert_eq!(db.cached_entries(), 3);
+        let m = db.m();
+        assert_eq!(m.misses.get(), 3);
+        assert_eq!(m.hits.get(), 6);
+        assert_eq!(m.invalidates.get(), 0);
     }
 
     #[test]
@@ -721,6 +737,7 @@ mod tests {
         let fresh = combine_paths(db.snapshot().store(), ia("71-10"), ia("71-20"), 100);
         assert_eq!(after, fresh);
         assert_ne!(before, after, "mutation must change the result");
+        assert_eq!(db.m().invalidates.get(), 1);
     }
 
     #[test]
@@ -808,6 +825,8 @@ mod tests {
         db.paths(ia("71-10"), ia("71-30"), 100);
         db.paths(ia("71-20"), ia("71-30"), 100);
         assert_eq!(db.cached_entries(), 2);
+        assert_eq!(db.m().evicts.get(), 1);
+        // Evicted key recombines and still matches fresh.
         assert_matches_fresh(&db, "71-10", "71-20");
     }
 
@@ -893,6 +912,39 @@ mod tests {
                 combine_paths(snap.store(), src, dst, 100)
             );
         }
+    }
+
+    #[test]
+    fn unrelated_mutation_revalidates_without_recombination() {
+        let db = EpochPathDb::new(mesh());
+        db.paths(ia("71-10"), ia("71-20"), 100);
+        // Mutate a bucket the 10->20 combination never consults.
+        let seg30 = db.snapshot().store().up_segment_handles(ia("71-30"))[0].clone();
+        let ifid = seg30.entries[0].hop.cons_egress;
+        assert!(db.mutate_store(|s| s.invalidate_interface(ia("71-3"), ifid)) > 0);
+        assert_matches_fresh(&db, "71-10", "71-20");
+        let m = db.m();
+        assert_eq!(m.revalidates.get(), 1);
+        assert_eq!(m.invalidates.get(), 0);
+    }
+
+    #[test]
+    fn cache_accounting_counts_a_shared_body_once() {
+        let db = EpochPathDb::new(mesh());
+        let handle = std::mem::size_of::<FullPath>();
+        let mut expect = 0;
+        // Leaf to leaf and core to leaf alike: an entry is its answer, a
+        // pointer and a body per path, and nothing is kept beside it.
+        for (src, dst) in [("71-10", "71-30"), ("71-1", "71-30")] {
+            let answer = db.paths(ia(src), ia(dst), 100);
+            assert!(!answer.is_empty());
+            let bodies: usize = answer.iter().map(FullPath::approx_bytes).sum();
+            expect += std::mem::size_of::<Entry>() + answer.len() * handle + bodies;
+            // The caller's handles are to the cached bodies, not copies: the
+            // cache's bytes are the same while `answer` is alive and after.
+            assert_eq!(db.approx_cache_bytes(), expect);
+        }
+        assert_eq!(db.approx_cache_bytes(), expect);
     }
 
     #[test]

@@ -21,16 +21,11 @@
 //!   [`scion_proto::path::ScionPath`].
 //! * [`policy`] — path policies: hop-predicate sequences, AS/ISD ACLs, the
 //!   §4.9 no-commercial-transit rule, and preference sorting orders.
-//! * [`pathdb`] — the memoized path database: a bounded LRU over
-//!   combination results, invalidated purely by the store's generation
-//!   counter and revalidated by bucket content fingerprints.
-//! * [`epoch`] — the epoch-snapshot path database: readers combine
-//!   against immutable published store snapshots (no global lock), a
-//!   single writer mutates a master copy and republishes, and warm
-//!   lookups hit a sharded topology-proportional cache.
-//! * [`pool`] — a bounded scoped-thread worker pool data-parallelizing
-//!   beacon verification and path recombination (the `parallel` feature
-//!   turns its call sites on; the pool itself is plain `std`).
+//! * [`epoch`] — the path database: readers combine against immutable
+//!   published store snapshots (no global lock), a single writer mutates
+//!   a master copy and republishes, and warm lookups hit a sharded
+//!   cache of answers, kept valid by the store's generation counter and
+//!   revalidated by bucket content fingerprints.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,9 +35,7 @@ pub mod combine;
 pub mod epoch;
 pub mod fullpath;
 pub mod graph;
-pub mod pathdb;
 pub mod policy;
-pub mod pool;
 pub mod segment;
 pub mod store;
 
@@ -51,8 +44,6 @@ pub use combine::combine_paths;
 pub use epoch::{EpochConfig, EpochPathDb, PathSnapshot};
 pub use fullpath::{FullPath, PathHop};
 pub use graph::{ControlGraph, LinkType};
-pub use pathdb::{lock_pathdb, PathDb, PathDbConfig};
-pub use pool::WorkerPool;
 pub use segment::{AsEntry, PathSegment, SegmentType};
 pub use store::{BucketDep, SegmentHandle, SegmentStore};
 

@@ -296,6 +296,21 @@ impl PathPolicy {
     }
 }
 
+/// A stable fingerprint of a path policy, used in cache keys so queries
+/// under different policies never alias. The empty/default policy (and
+/// "no policy") fingerprint to 0.
+pub fn policy_fingerprint(policy: &PathPolicy) -> u64 {
+    if policy.sequence.is_none()
+        && policy.acl.rules.is_empty()
+        && policy.transit.commercial.is_empty()
+    {
+        return 0;
+    }
+    let encoded = serde_json::to_string(policy).unwrap_or_default();
+    let digest = scion_crypto::sha256::sha256(encoded.as_bytes());
+    u64::from_be_bytes(digest[..8].try_into().expect("8 bytes"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -230,64 +230,6 @@ impl PathSegment {
         Ok(())
     }
 
-    /// [`Self::verify`] with each entry's hop-MAC checks (its own hop
-    /// field plus every advertised peer hop, all under that AS's key)
-    /// funneled through [`HopKey::verify_batch`], which interleaves the
-    /// AES states for ILP. Accepts and rejects exactly the same segments
-    /// as [`Self::verify`]; the worker-pool verification path uses this
-    /// variant.
-    pub fn verify_batched(
-        &self,
-        keys: &dyn Fn(IsdAsn) -> Option<VerifyingKey>,
-        hop_keys: &dyn Fn(IsdAsn) -> Option<HopKey>,
-    ) -> Result<(), ControlError> {
-        if self.entries.is_empty() {
-            return Err(ControlError::BadSegment("empty segment".into()));
-        }
-        let mut inputs: Vec<HopMacInput> = Vec::new();
-        let mut macs: Vec<[u8; 6]> = Vec::new();
-        let mut ok: Vec<bool> = Vec::new();
-        let mut sig_st = signable_state(self.seg_type, self.timestamp, self.beta0);
-        for (i, e) in self.entries.iter().enumerate() {
-            let key = keys(e.ia)
-                .ok_or_else(|| ControlError::BadSegment(format!("no key for {}", e.ia)))?;
-            absorb_signable_entry(&mut sig_st, e);
-            key.verify(&sig_st.clone().finalize(), &e.signature)
-                .map_err(|_| ControlError::BadSegment(format!("signature of {} invalid", e.ia)))?;
-            if let Some(hk) = hop_keys(e.ia) {
-                inputs.clear();
-                macs.clear();
-                inputs.push(HopMacInput {
-                    beta: self.beta_at(i),
-                    timestamp: self.timestamp,
-                    exp_time: e.hop.exp_time,
-                    cons_ingress: e.hop.cons_ingress,
-                    cons_egress: e.hop.cons_egress,
-                });
-                macs.push(e.hop.mac);
-                let beta_next = self.beta_at(i + 1);
-                for p in &e.peers {
-                    inputs.push(HopMacInput {
-                        beta: beta_next,
-                        timestamp: self.timestamp,
-                        exp_time: p.hop.exp_time,
-                        cons_ingress: p.hop.cons_ingress,
-                        cons_egress: p.hop.cons_egress,
-                    });
-                    macs.push(p.hop.mac);
-                }
-                hk.verify_batch(&inputs, &macs, &mut ok);
-                if ok.iter().any(|v| !v) {
-                    return Err(ControlError::BadSegment(format!(
-                        "hop MAC of {} invalid",
-                        e.ia
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Earliest hop expiry (Unix seconds): the segment is unusable after
     /// this instant.
     pub fn expiry(&self) -> u64 {

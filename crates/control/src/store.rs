@@ -10,8 +10,8 @@
 //! segment body, dedup is an O(1) hash-set probe on the segment ID, and
 //! every downstream consumer (the combinator, the daemon, benches) shares
 //! the same allocation. Every mutation bumps a monotonic generation
-//! counter — the staleness signal the memoized path database
-//! ([`crate::pathdb::PathDb`]) relies on — plus, per bucket, a generation
+//! counter — the staleness signal the path database
+//! ([`crate::epoch::EpochPathDb`]) relies on — plus, per bucket, a generation
 //! (when it last changed) and a content *fingerprint* (an
 //! order-insensitive hash of the member segment IDs). The fingerprint is
 //! what cached entries are validated against: unlike the generation it

@@ -65,7 +65,7 @@ impl OperatorConsole {
         prometheus_text(&self.telemetry.snapshot())
     }
 
-    /// Pushes point-in-time resource state (PathDb/segment-store
+    /// Pushes point-in-time resource state (path-database/segment-store
     /// footprints) and the profiler's self-time tree into the metrics
     /// registry so snapshots and expositions carry them.
     fn refresh_observatory(&self) {

@@ -28,18 +28,10 @@ where
     }
 }
 
-/// A shared memoized path database is a path provider: daemons plugged
-/// into the same `Arc` all hit one combination cache, and a store mutation
-/// (generation bump) transparently refreshes what they fetch.
-impl PathProvider for std::sync::Arc<Mutex<scion_control::pathdb::PathDb>> {
-    fn fetch_paths(&self, src: IsdAsn, dst: IsdAsn, _now: u64) -> Vec<FullPath> {
-        scion_control::lock_pathdb(self).paths(src, dst, scion_control::combine::DEFAULT_MAX_PATHS)
-    }
-}
-
-/// The epoch-snapshot path database is a path provider too: the handle is
-/// itself the shared state, lookups run against the published snapshot and
-/// never contend with a concurrent writer publishing a new generation.
+/// The path database is a path provider: the handle is itself the shared
+/// state, so daemons given clones of it all hit one combination cache;
+/// lookups run against the published snapshot and never contend with a
+/// concurrent writer publishing a new generation.
 impl PathProvider for scion_control::epoch::EpochPathDb {
     fn fetch_paths(&self, src: IsdAsn, dst: IsdAsn, _now: u64) -> Vec<FullPath> {
         self.paths(src, dst, scion_control::combine::DEFAULT_MAX_PATHS)
@@ -470,43 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_pathdb_serves_as_provider() {
-        use scion_control::beacon::{BeaconConfig, BeaconEngine};
-        use scion_control::graph::{ControlGraph, LinkType};
-        use scion_control::pathdb::PathDb;
-        use std::sync::Arc;
-
-        let mut g = ControlGraph::new();
-        g.add_as(ia("71-1"), true);
-        g.add_as(ia("71-10"), false);
-        g.add_as(ia("71-11"), false);
-        g.connect(ia("71-1"), ia("71-10"), LinkType::Child).unwrap();
-        g.connect(ia("71-1"), ia("71-11"), LinkType::Child).unwrap();
-        let store = BeaconEngine::new(&g, 1_700_000_000, BeaconConfig::default())
-            .run()
-            .unwrap();
-        let db = Arc::new(Mutex::new(PathDb::new(store)));
-
-        let d = Daemon::new(
-            ia("71-10"),
-            UnderlayAddr::new([10, 0, 0, 2], 30252),
-            Arc::clone(&db),
-            DaemonConfig::default(),
-        );
-        let paths = d.paths(ia("71-11"), 1_700_000_100);
-        assert!(!paths.is_empty(), "pathdb-backed provider yields paths");
-        // A second daemon on the same Arc warms against the same cache.
-        let d2 = Daemon::new(
-            ia("71-10"),
-            UnderlayAddr::new([10, 0, 0, 3], 30252),
-            Arc::clone(&db),
-            DaemonConfig::default(),
-        );
-        assert_eq!(d2.paths(ia("71-11"), 1_700_000_100), paths);
-        assert!(db.lock().cached_entries() >= 1);
-    }
-
-    #[test]
     fn epoch_pathdb_serves_as_provider() {
         use scion_control::beacon::{BeaconConfig, BeaconEngine};
         use scion_control::epoch::EpochPathDb;
@@ -546,9 +501,8 @@ mod tests {
     #[test]
     fn paths_ranked_orders_by_score_then_hops_then_fingerprint() {
         use scion_control::beacon::{BeaconConfig, BeaconEngine};
+        use scion_control::epoch::EpochPathDb;
         use scion_control::graph::{ControlGraph, LinkType};
-        use scion_control::pathdb::PathDb;
-        use std::sync::Arc;
 
         // Diamond: two cores, both parenting both leaves, so 71-10 → 71-11
         // has one path through each core.
@@ -565,7 +519,7 @@ mod tests {
         let store = BeaconEngine::new(&g, 1_700_000_000, BeaconConfig::default())
             .run()
             .unwrap();
-        let db = Arc::new(Mutex::new(PathDb::new(store)));
+        let db = EpochPathDb::new(store);
         let d = Daemon::new(
             ia("71-10"),
             UnderlayAddr::new([10, 0, 0, 2], 30252),

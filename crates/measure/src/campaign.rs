@@ -25,8 +25,8 @@ use sciera_topology::ases::{all_ases, fig8_vantages, measurement_points};
 use sciera_topology::ip::IpBaseline;
 use sciera_topology::links::{build_control_graph, BuiltTopology};
 use scion_control::beacon::{BeaconConfig, BeaconEngine};
+use scion_control::combine::combine_paths_traced;
 use scion_control::fullpath::FullPath;
-use scion_control::pathdb::PathDb;
 use scion_proto::addr::IsdAsn;
 
 /// Campaign configuration.
@@ -319,11 +319,6 @@ impl Campaign {
         )
         .run()
         .expect("beaconing over the SCIERA graph succeeds");
-        // All campaign lookups go through the memoized path DB; its
-        // combine timings land in the shared telemetry like the direct
-        // combinator's used to.
-        let mut pathdb = PathDb::new(store);
-        pathdb.set_telemetry(self.telemetry.clone());
 
         // Pair universe: the 11 tool hosts plus every Fig. 8 vantage
         // (the paper's path statistics cover vantages where the ping tool
@@ -347,15 +342,9 @@ impl Campaign {
                 if s == d {
                     continue;
                 }
-                let full = pathdb.paths(s, d, cfg.max_paths);
-                // Guard: memoization must not change the experiment's
-                // path sets (checked in debug builds; compiled out of
-                // release-mode figure runs).
-                debug_assert_eq!(
-                    full,
-                    scion_control::combine::combine_paths(pathdb.store(), s, d, cfg.max_paths),
-                    "memoized combination diverged for {s}->{d}"
-                );
+                // Every pair is asked for once, so there is nothing to
+                // memoize; combine timings land in the shared telemetry.
+                let full = combine_paths_traced(&store, s, d, cfg.max_paths, &self.telemetry);
                 let candidates: Vec<CandPath> = full
                     .iter()
                     .filter_map(|p| self.digest_path(p, &up))

@@ -6,7 +6,6 @@ use sciera_topology::links::build_control_graph;
 use scion_control::beacon::{BeaconConfig, BeaconEngine};
 use scion_control::combine::combine_paths;
 use scion_control::fullpath::paper_disjointness;
-use scion_control::pathdb::PathDb;
 use scion_proto::addr::IsdAsn;
 
 use crate::campaign::MeasurementStore;
@@ -156,7 +155,6 @@ pub fn fig10b(candidates_per_origin: usize, per_pair_cap: usize) -> Fig10b {
     )
     .run()
     .expect("beaconing succeeds");
-    let mut db = PathDb::new(store);
     let vantages = fig8_vantages();
     let mut s = Summary::new();
     let mut fully = 0usize;
@@ -167,14 +165,7 @@ pub fn fig10b(candidates_per_origin: usize, per_pair_cap: usize) -> Fig10b {
             if src == dst {
                 continue;
             }
-            let paths = db.paths(src, dst, per_pair_cap);
-            // Guard: the memoized DB must reproduce the direct
-            // combinator's path set for the figure (debug builds only).
-            debug_assert_eq!(
-                paths.len(),
-                combine_paths(db.store(), src, dst, per_pair_cap).len(),
-                "memoized path count diverged for {src}->{dst}"
-            );
+            let paths = combine_paths(&store, src, dst, per_pair_cap);
             for i in 0..paths.len() {
                 for j in i + 1..paths.len() {
                     let d = paper_disjointness(&paths[i], &paths[j]);

@@ -13,7 +13,6 @@ use rand::SeedableRng;
 use sciera_topology::ases::{all_ases, fig8_vantages};
 use scion_control::beacon::{BeaconConfig, BeaconEngine};
 use scion_control::combine::combine_paths;
-use scion_control::pathdb::PathDb;
 use scion_proto::addr::IsdAsn;
 
 use crate::campaign::{Campaign, CampaignConfig, CandPath};
@@ -89,7 +88,6 @@ pub fn fig10c(runs: u32, seed: u64, all_pairs: bool) -> Fig10c {
     )
     .run()
     .expect("beaconing succeeds");
-    let mut db = PathDb::new(store);
 
     let endpoints: Vec<IsdAsn> = if all_pairs {
         all_ases()
@@ -108,14 +106,7 @@ pub fn fig10c(runs: u32, seed: u64, all_pairs: bool) -> Fig10c {
             if s == d {
                 continue;
             }
-            let paths = db.paths(s, d, 150);
-            // Guard: the Fig. 10c candidate sets must be exactly what the
-            // direct combinator yields (debug builds only).
-            debug_assert_eq!(
-                paths.len(),
-                combine_paths(db.store(), s, d, 150).len(),
-                "memoized path count diverged for {s}->{d}"
-            );
+            let paths = combine_paths(&store, s, d, 150);
             pair_paths.push(
                 paths
                     .iter()

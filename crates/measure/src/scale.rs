@@ -42,7 +42,7 @@ use scion_proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
 pub struct ScaleConfig {
     /// Network sizes (AS counts) to measure, in order.
     pub sizes: Vec<usize>,
-    /// PathDb queries issued per point.
+    /// Path-database queries issued per point.
     pub queries: usize,
     /// Distinct (src, dst) pairs the queries cycle over — smaller pools
     /// mean warmer caches.
@@ -88,15 +88,15 @@ pub struct ScalePoint {
     pub segments: usize,
     /// Approximate resident bytes of the segment store.
     pub store_bytes: usize,
-    /// Approximate resident bytes of the PathDb cache after the workload.
+    /// Approximate resident bytes of the path-database cache after the workload.
     pub pathdb_bytes: usize,
-    /// PathDb queries issued (warm phase; the cold phase adds one query
+    /// Path-database queries issued (warm phase; the cold phase adds one query
     /// per pool pair on top).
     pub queries: usize,
     /// Distinct (src, dst) pairs in the query pool — scales with N, so
     /// the cache-pressure regime changes across the sweep.
     pub query_pairs: usize,
-    /// PathDb cache hit rate over the whole workload (0..=1).
+    /// Path-database cache hit rate over the whole workload (0..=1).
     pub hit_rate: f64,
     /// Hit rate of the cold pass (every pool pair queried once, first
     /// touch). Near zero by construction; above it only when distinct
@@ -106,7 +106,7 @@ pub struct ScalePoint {
     /// away from 1.0 once the pool outgrows the LRU capacity and the
     /// cache starts churning — the regime change the sweep looks for.
     pub hit_rate_warm: f64,
-    /// PathDb queries per second (wall clock, behind the shared mutex).
+    /// Path-database queries per second (wall clock, one reader).
     pub queries_per_sec: f64,
     /// Router operations (frames × hops) processed.
     pub router_ops: u64,
@@ -183,7 +183,6 @@ fn beacon_config_for(n: usize) -> BeaconConfig {
         max_len: 16,
         rounds: 24,
         delta_propagation: true,
-        parallel_propagation: true,
     }
 }
 
@@ -209,7 +208,7 @@ pub fn run_point(n: usize, cfg: &ScaleConfig) -> ScalePoint {
     let store_bytes = store.approx_bytes();
     let secrets = engine.secrets().clone();
 
-    // ---- Stage 3: PathDb query workload over the shared snapshot -----
+    // ---- Stage 3: path-database query workload over the shared snapshot -----
     // Topology-proportional capacity: the old fixed 2048-entry LRU
     // thrashed once the pair pool (≥ N/2) outgrew it, collapsing N=5000
     // to three-digit q/s. `for_topology` sizes the sharded cache so the
@@ -266,10 +265,7 @@ pub fn run_point(n: usize, cfg: &ScaleConfig) -> ScalePoint {
         }
     };
 
-    // Cold pass: every pool pair once, first touch. `prefetch` combines
-    // the misses over the worker pool when `parallel` is on and falls
-    // back to the sequential loop otherwise — same installed entries
-    // either way.
+    // Cold pass: every pool pair once, first touch.
     let before = cache_counts();
     db.prefetch(&pool, 32);
     let after_cold = cache_counts();

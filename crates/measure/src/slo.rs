@@ -183,7 +183,6 @@ pub fn run_slo(cfg: &SloConfig) -> Vec<SloPoint> {
             max_len: 16,
             rounds: 24,
             delta_propagation: true,
-            parallel_propagation: true,
         },
     )
     .run()

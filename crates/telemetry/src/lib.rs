@@ -188,13 +188,6 @@ impl Telemetry {
         self.inner.profiler.scope(name)
     }
 
-    /// Attributes an externally measured duration (e.g. a lock wait) as a
-    /// leaf under the calling thread's current profiler scope.
-    #[inline]
-    pub fn prof_leaf_ns(&self, name: &'static str, ns: u64) {
-        self.inner.profiler.record_leaf(name, ns);
-    }
-
     /// The shared profiler (no-op with the `profile` feature off).
     pub fn profiler(&self) -> &Profiler {
         &self.inner.profiler
@@ -336,11 +329,17 @@ mod tests {
         assert!(tele.profiling_enabled());
         {
             let _s = tele.prof_scope("beacon.run");
-            tele.prof_leaf_ns("pathdb.lock_wait", 42);
+            let _v = tele.prof_scope("beacon.verify");
         }
         tele.publish_profile();
         let snap = tele.snapshot();
-        assert_eq!(snap.gauge("profile.self_ns.pathdb.lock_wait"), Some(42));
+        let report = tele.profile_report();
+        let verify = report.entries.iter().find(|e| e.name == "beacon.verify");
+        let verify = verify.expect("the nested scope was recorded");
+        assert_eq!(
+            snap.gauge("profile.self_ns.beacon.verify"),
+            Some(verify.self_ns)
+        );
         assert!(snap.gauge("profile.self_ns.beacon.run").is_some());
         tele.reset_profile();
         assert!(tele.profile_report().is_empty());
@@ -353,7 +352,7 @@ mod tests {
         assert!(!tele.profiling_enabled());
         {
             let _s = tele.prof_scope("beacon.run");
-            tele.prof_leaf_ns("pathdb.lock_wait", 42);
+            let _v = tele.prof_scope("beacon.verify");
         }
         tele.publish_profile();
         assert!(tele.profile_report().is_empty());

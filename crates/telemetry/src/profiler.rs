@@ -2,7 +2,7 @@
 //!
 //! The scale observatory needs to know *which subsystem* the wall clock went
 //! to at a given topology size: event-loop dispatch, beaconing, segment-store
-//! ops, PathDb combine/lookup, or the router batch passes. Each subsystem
+//! ops, path-database combine/lookup, or the router batch passes. Each subsystem
 //! brackets its work in a [`ProfScope`] guard obtained from
 //! `Telemetry::prof_scope`; scopes nest into a call tree keyed
 //! `(parent, name)` and every exit attributes the elapsed wall time to the
@@ -21,10 +21,6 @@
 //! * child intervals are disjoint sub-intervals of the parent's interval on a
 //!   monotonic clock, so the sum of direct children's inclusive time never
 //!   exceeds the parent's inclusive time and self time is never negative.
-//!
-//! Externally measured durations (e.g. the time spent *waiting* on the
-//! `Arc<Mutex<PathDb>>` hot lock, which by definition cannot run inside a
-//! scope of its own) enter the tree through [`Profiler::record_leaf`].
 //!
 //! With the `profile` feature disabled (the default) every type here is a
 //! zero-sized no-op and `prof_scope` compiles to nothing, keeping the
@@ -192,22 +188,6 @@ mod enabled {
             }
         }
 
-        /// Attributes an externally measured duration as a leaf scope under
-        /// the calling thread's current scope (root level when none is open).
-        pub fn record_leaf(&self, name: &'static str, ns: u64) {
-            let tid = std::thread::current().id();
-            let mut st = self.state.lock();
-            let parent = st.stacks.get(&tid).and_then(|s| s.last()).map(|f| f.node);
-            let node = st.node_id(parent, name);
-            let stat = &mut st.nodes[node];
-            stat.calls += 1;
-            stat.inclusive_ns += ns;
-            stat.self_ns += ns;
-            if let Some(top) = st.stacks.get_mut(&tid).and_then(|s| s.last_mut()) {
-                top.child_ns += ns;
-            }
-        }
-
         fn exit(&self, node: usize) {
             let now = Instant::now();
             let tid = std::thread::current().id();
@@ -312,10 +292,6 @@ mod disabled {
             ProfScope
         }
 
-        /// No-op.
-        #[inline(always)]
-        pub fn record_leaf(&self, _name: &'static str, _ns: u64) {}
-
         /// Always empty.
         #[inline(always)]
         pub fn report(&self) -> ProfileReport {
@@ -398,30 +374,22 @@ mod tests {
     }
 
     #[test]
-    fn record_leaf_lands_under_current_scope() {
-        let p = Profiler::default();
-        {
-            let _q = p.scope("query");
-            p.record_leaf("lock_wait", 1_000_000);
-        }
-        let rep = p.report();
-        let q = rep.entries.iter().find(|e| e.name == "query").unwrap();
-        let l = rep.entries.iter().find(|e| e.name == "lock_wait").unwrap();
-        assert_eq!(l.depth, 1);
-        assert_eq!(l.self_ns, 1_000_000);
-        // The leaf duration is externally measured and may exceed the
-        // parent's real wall window; the parent's self time saturates at
-        // zero instead of going negative.
-        assert!(q.self_ns <= q.inclusive_ns);
-    }
-
-    #[test]
     fn ranked_self_time_names_the_bottleneck() {
-        let p = Profiler::default();
-        p.record_leaf("cheap", 10);
-        p.record_leaf("hot", 1_000);
-        p.record_leaf("hot", 500);
-        let rep = p.report();
+        // A name used under several parents sums.
+        let entry = |name, depth, self_ns| ProfileEntry {
+            name,
+            depth,
+            calls: 1,
+            inclusive_ns: self_ns,
+            self_ns,
+        };
+        let rep = ProfileReport {
+            entries: vec![
+                entry("cheap", 0, 10),
+                entry("hot", 1, 1_000),
+                entry("hot", 0, 500),
+            ],
+        };
         assert_eq!(rep.top_bottleneck(), Some(("hot", 1_500)));
         assert_eq!(rep.ranked_self_time()[1], ("cheap", 10));
     }

@@ -38,50 +38,26 @@ cargo test -q --test prop_profiler --features profile
 echo "==> cargo test -q --test prop_profiler --no-default-features"
 cargo test -q --test prop_profiler --no-default-features
 
-# Parallel-control-plane matrix: the `parallel` feature (off by default;
-# worker-pool beacon verification and prefetch combination) must build
-# through the facade's forwarding chain and keep the control crate's own
-# tests green with the pool engaged.
-echo "==> cargo build --features parallel (worker pool compiled in)"
-cargo build --features parallel
-
-echo "==> cargo test -q -p scion-control --features parallel"
-cargo test -q -p scion-control --features parallel
-
-# The epoch-snapshot concurrency stress test (N readers + 1 writer, every
-# result validated against the store generation it was served from) must
-# hold in both configs; the default run is part of `cargo test -q` above.
-echo "==> cargo test -q --test concurrency --features parallel"
-cargo test -q --test concurrency --features parallel
-
 # The differential fast-path proptest must hold in both feature configs.
 echo "==> cargo test -q --test prop_fastpath --no-default-features"
 cargo test -q --test prop_fastpath --no-default-features
 
-# Same for the memoized path-database proptests (mutex and epoch): the
-# default-features run is part of `cargo test -q` above, the parallel run
-# pins the worker-pool path byte-for-byte against the single-threaded
-# reference.
+# Same for the path-database proptests: the default-features run is part
+# of `cargo test -q` above.
 echo "==> cargo test -q --test prop_pathdb --no-default-features"
 cargo test -q --test prop_pathdb --no-default-features
-
-echo "==> cargo test -q --test prop_pathdb --features parallel"
-cargo test -q --test prop_pathdb --features parallel
 
 # And for the batched-pipeline differential proptest: the batch engine
 # must match the sequential engine with tracing compiled out too.
 echo "==> cargo test -q --test prop_batch --no-default-features"
 cargo test -q --test prop_batch --no-default-features
 
-# Parallel-propagation differential proptest: the compute-parallel /
-# commit-sequential beaconing pipeline must be byte-for-byte invisible
-# (segments, retained slots, rounds, counters) in every feature config.
-# The default-features run is part of `cargo test -q` above.
+# Delta-propagation differential proptest: the dirty-slot walk must reach
+# the exhaustive walk's state (segments, retained slots, rounds) in both
+# feature configs. The default-features run is part of `cargo test -q`
+# above.
 echo "==> cargo test -q --test prop_propagate --no-default-features"
 cargo test -q --test prop_propagate --no-default-features
-
-echo "==> cargo test -q --test prop_propagate --features parallel"
-cargo test -q --test prop_propagate --features parallel
 
 # The path-dynamics dataset exporter proptest (JSONL round-trip, epoch
 # monotonicity, churn/board 1:1, seeded byte-replay) must hold in both
@@ -94,43 +70,26 @@ echo "==> cargo bench --no-run"
 cargo bench --no-run
 
 # Profiler-off overhead guard: the disabled scale-observatory plumbing
-# (no-op ProfScope on the router batch path, lock_pathdb over the shared
-# PathDb mutex) must stay within measurement noise of the raw paths.
+# (no-op ProfScope on the router batch path) must stay within measurement
+# noise of the raw path.
 echo "==> cargo bench -p sciera-bench --bench profiler_overhead"
 cargo bench -p sciera-bench --bench profiler_overhead
 
-# Epoch-snapshot overhead guard: at K=1 (single-threaded mode) the
-# snapshot design's extra machinery — published-pointer read, shard hash,
-# Arc bump — must stay within noise of the mutex design it replaced.
-echo "==> cargo bench -p sciera-bench --bench epoch_overhead"
-cargo bench -p sciera-bench --bench epoch_overhead
-
-# Parallel-propagation overhead guard: at N=100 (batches too small for
-# the pool to win) the two-phase pipeline must stay within noise of the
-# sequential walk, and its output must be byte-identical.
-echo "==> cargo bench -p sciera-bench --bench propagate_overhead --features parallel"
-cargo bench -p sciera-bench --bench propagate_overhead --features parallel
-
 # Bounded smoke sweep: N=100 and N=1000 through the full scale pipeline
-# (synthesis -> beaconing -> PathDb -> router load -> sim stage) with the
-# profiler and the worker pool engaged, written to target/ so it never
-# clobbers the committed BENCH_scale.json. At N=1000 the parallel
-# pipeline must have dethroned `beacon.propagate` as the bottleneck —
-# that regression is exactly what this PR's tentpole removed.
-echo "==> scale_sweep smoke (N=100,1000; profile+parallel)"
+# (synthesis -> beaconing -> path database -> router load -> sim stage)
+# with the profiler engaged, written to target/ so it never clobbers the
+# committed BENCH_scale.json.
+echo "==> scale_sweep smoke (N=100,1000; profile)"
 # Absolute output path: cargo runs the bench binary from crates/bench.
 SCIERA_SCALE_NS=100,1000 SCIERA_SCALE_OUT="$PWD/target/scale_smoke.json" \
-    cargo bench -p sciera-bench --bench scale_sweep --features profile,parallel
+    cargo bench -p sciera-bench --bench scale_sweep --features profile
 test -s target/scale_smoke.json
-if grep -q '"bottleneck": "beacon.propagate"' target/scale_smoke.json; then
-    echo "scale smoke: beacon.propagate is a bottleneck again" >&2
-    exit 1
-fi
 # The forwarding stage's per-operation cost must not grow with the
 # topology: it did (420 ns at N=100, 1 942 ns at N=1000) while every
 # forwarded frame scanned the link list for its `(ia, ifid)`.
+# (`echo` ends the line: `read` fails on input that stops without one.)
 read -r ns_100 ns_1000 < <(grep -o '"router_ns_per_op": [0-9]*' target/scale_smoke.json |
-    awk '{print $2}' | tr '\n' ' ')
+    awk '{print $2}' | tr '\n' ' '; echo)
 if [ "$((ns_1000 * 2))" -gt "$((ns_100 * 3))" ]; then
     echo "scale smoke: router_ns_per_op $ns_100 ns at N=100 but $ns_1000 ns at N=1000 (limit 1.5x)" >&2
     exit 1
@@ -140,7 +99,7 @@ fi
 # from: while it retained every raw candidate of every cached pair it held
 # 9.4x the store's bytes at N=1000.
 read -r store_bytes pathdb_bytes < <(grep -o '"store_bytes": [0-9]*, "pathdb_bytes": [0-9]*' \
-    target/scale_smoke.json | tail -n 1 | tr -dc '0-9 ')
+    target/scale_smoke.json | tail -n 1 | tr -dc '0-9 '; echo)
 if [ "$pathdb_bytes" -gt "$((store_bytes * 6))" ]; then
     echo "scale smoke: pathdb_bytes $pathdb_bytes exceeds 6x store_bytes $store_bytes at N=1000" >&2
     exit 1

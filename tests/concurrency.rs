@@ -1,4 +1,4 @@
-//! Concurrency stress test for the epoch-snapshot path database.
+//! Concurrency stress test for the path database.
 //!
 //! N reader threads hammer lookups while one writer interleaves segment
 //! registrations (store mutations that publish new generations) with
@@ -10,9 +10,6 @@
 //! publish may briefly observe a generation the writer has not logged
 //! yet; it spins until the log catches up (bounded: the single writer
 //! logs each generation before publishing the next).
-//!
-//! Run with and without `--features parallel`: the assertions are
-//! identical, only the prefetch/verify internals change.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

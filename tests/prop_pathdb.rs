@@ -1,9 +1,10 @@
-//! Differential property test for the memoized path database: under any
+//! Differential property test for the path database: under any
 //! interleaving of segment registrations, link-kill invalidations, and
-//! path queries on a random topology, [`PathDb`] must return byte-for-byte
-//! what the reference combinator computes fresh from the same store. This
-//! pins the generation-invalidation scheme: a stale cache hit would show up
-//! as a divergence immediately after a mutation.
+//! path queries on a random topology, [`EpochPathDb`] must return
+//! byte-for-byte what the reference combinator computes fresh from the
+//! published snapshot. This pins the generation-invalidation scheme: a
+//! stale cache hit would show up as a divergence immediately after a
+//! mutation.
 
 use proptest::prelude::*;
 
@@ -12,7 +13,6 @@ use sciera::control::combine::combine_paths;
 use sciera::control::epoch::EpochPathDb;
 use sciera::control::fullpath::{FullPath, PathBody};
 use sciera::control::graph::{ControlGraph, LinkType};
-use sciera::control::pathdb::PathDb;
 use sciera::control::segment::{PathSegment, SegmentType};
 use sciera::control::store::SegmentStore;
 use sciera::prelude::*;
@@ -118,17 +118,15 @@ fn register_into(store: &mut SegmentStore, seg: &PathSegment) {
     }
 }
 
-/// Registers one pooled segment into the database's store.
-fn register(db: &mut PathDb, seg: &PathSegment) {
-    register_into(db.store_mut(), seg);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The core differential property: memoized == fresh, always.
+    /// The core differential property: memoized == fresh, always. Under any
+    /// interleaving of registrations, kills and queries, every query equals
+    /// the fresh combinator against the published snapshot byte-for-byte,
+    /// and so does every pair warmed by `prefetch`, asked for twice.
     #[test]
-    fn pathdb_matches_reference_under_mutation(
+    fn epoch_pathdb_matches_fresh_combine_under_mutation(
         topo in arb_topo(),
         ops in arb_ops(),
         final_picks in prop::collection::vec((any::<u8>(), any::<u8>()), 4),
@@ -153,84 +151,7 @@ proptest! {
         let pool: Vec<PathSegment> = rich.all_segments().cloned().collect();
         prop_assume!(!pool.is_empty());
 
-        let mut db = PathDb::new(sparse);
-        let all: Vec<IsdAsn> = graph.ases().map(|a| a.ia).collect();
-
-        for op in &ops {
-            match *op {
-                Op::Register(i) => {
-                    register(&mut db, &pool[i as usize % pool.len()]);
-                }
-                Op::Kill(a, b) => {
-                    let node = graph.as_node(all[a as usize % all.len()]).unwrap();
-                    if !node.interfaces.is_empty() {
-                        let ifid = node.interfaces[b as usize % node.interfaces.len()].id;
-                        db.store_mut().invalidate_interface(node.ia, ifid);
-                    }
-                }
-                Op::Query(s, d) => {
-                    let (s, d) = (all[s as usize % all.len()], all[d as usize % all.len()]);
-                    if s == d {
-                        continue;
-                    }
-                    let memoized = db.paths(s, d, 64);
-                    let fresh = combine_paths(db.store(), s, d, 64);
-                    prop_assert_eq!(memoized, fresh, "divergence for {}->{}", s, d);
-                }
-            }
-        }
-        // Final sweep: repeated queries (cache hits) still match.
-        for &(s, d) in &final_picks {
-            let (s, d) = (all[s as usize % all.len()], all[d as usize % all.len()]);
-            if s == d {
-                continue;
-            }
-            let memoized = db.paths(s, d, 64);
-            let again = db.paths(s, d, 64);
-            prop_assert_eq!(&memoized, &again, "warm hit unstable for {}->{}", s, d);
-            let fresh = combine_paths(db.store(), s, d, 64);
-            prop_assert_eq!(memoized, fresh, "final divergence for {}->{}", s, d);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The epoch-snapshot database must track the mutex reference exactly:
-    /// under the same interleaving of registrations, kills and queries on
-    /// stores that start identical, every [`EpochPathDb`] query equals both
-    /// the fresh combinator against its own published snapshot AND the
-    /// mutex [`PathDb`]'s answer byte-for-byte. Built with the `parallel`
-    /// feature the epoch side fans prefetch combination over the worker
-    /// pool, so running this test in both configs pins the parallel path
-    /// against the single-threaded reference.
-    #[test]
-    fn epoch_pathdb_matches_mutex_reference_under_mutation(
-        topo in arb_topo(),
-        ops in arb_ops(),
-        final_picks in prop::collection::vec((any::<u8>(), any::<u8>()), 4),
-    ) {
-        let Some(graph) = build(&topo) else {
-            return Ok(()); // degenerate spec: nothing to check
-        };
-        let sparse = BeaconEngine::new(&graph, 1_700_000_000, BeaconConfig {
-            candidates_per_origin: 2,
-            ..Default::default()
-        })
-        .run()
-        .expect("sparse beaconing converges");
-        let rich = BeaconEngine::new(&graph, 1_700_000_000, BeaconConfig {
-            candidates_per_origin: 8,
-            ..Default::default()
-        })
-        .run()
-        .expect("rich beaconing converges");
-        let pool: Vec<PathSegment> = rich.all_segments().cloned().collect();
-        prop_assume!(!pool.is_empty());
-
-        let edb = EpochPathDb::new(sparse.clone());
-        let mut mdb = PathDb::new(sparse);
+        let edb = EpochPathDb::new(sparse);
         let all: Vec<IsdAsn> = graph.ases().map(|a| a.ia).collect();
 
         for op in &ops {
@@ -238,14 +159,12 @@ proptest! {
                 Op::Register(i) => {
                     let seg = &pool[i as usize % pool.len()];
                     edb.mutate_store(|s| register_into(s, seg));
-                    register(&mut mdb, seg);
                 }
                 Op::Kill(a, b) => {
                     let node = graph.as_node(all[a as usize % all.len()]).unwrap();
                     if !node.interfaces.is_empty() {
                         let ifid = node.interfaces[b as usize % node.interfaces.len()].id;
                         edb.mutate_store(|s| s.invalidate_interface(node.ia, ifid));
-                        mdb.store_mut().invalidate_interface(node.ia, ifid);
                     }
                 }
                 Op::Query(s, d) => {
@@ -256,15 +175,12 @@ proptest! {
                     let memoized = edb.paths(s, d, 64);
                     let snap = edb.snapshot();
                     let fresh = combine_paths(snap.store(), s, d, 64);
-                    prop_assert_eq!(&memoized, &fresh, "epoch != fresh for {}->{}", s, d);
-                    let mutex_ref = mdb.paths(s, d, 64);
-                    prop_assert_eq!(memoized, mutex_ref, "epoch != mutex for {}->{}", s, d);
+                    prop_assert_eq!(memoized, fresh, "divergence for {}->{}", s, d);
                 }
             }
         }
-        // Final prefetch sweep: warm the remaining pairs in one batch (the
-        // worker-pool path under `parallel`), then compare each byte-for-byte
-        // against the sequential mutex reference.
+        // Final prefetch sweep: warm the remaining pairs in one batch;
+        // repeated queries (cache hits) are stable and still match.
         let pairs: Vec<(IsdAsn, IsdAsn)> = final_picks
             .iter()
             .map(|&(s, d)| (all[s as usize % all.len()], all[d as usize % all.len()]))
@@ -273,16 +189,13 @@ proptest! {
         edb.prefetch(&pairs, 64);
         for &(s, d) in &pairs {
             let memoized = edb.paths(s, d, 64);
-            prop_assert_eq!(
-                &memoized,
-                &mdb.paths(s, d, 64),
-                "prefetched epoch != mutex for {}->{}", s, d
-            );
+            let again = edb.paths(s, d, 64);
+            prop_assert_eq!(&memoized, &again, "warm hit unstable for {}->{}", s, d);
             let snap = edb.snapshot();
             prop_assert_eq!(
                 memoized,
                 combine_paths(snap.store(), s, d, 64),
-                "prefetched epoch != fresh for {}->{}", s, d
+                "prefetched != fresh for {}->{}", s, d
             );
         }
     }
@@ -366,8 +279,8 @@ proptest! {
 
     /// `invalidate_paths_crossing` tests hops in place; the interface list it
     /// used to build per path is the oracle. For any interface — of an AS on
-    /// the paths, off them or unknown, number 0 included — both databases
-    /// drop exactly the entries with a path listing it, and asking again
+    /// the paths, off them or unknown, number 0 included — the database
+    /// drops exactly the entries with a path listing it, and asking again
     /// drops nothing.
     #[test]
     fn crossing_sweeps_equal_the_interface_list_oracle(
@@ -381,8 +294,7 @@ proptest! {
         let store = BeaconEngine::new(&graph, 1_700_000_000, BeaconConfig::default())
             .run()
             .expect("beaconing converges");
-        let edb = EpochPathDb::new(store.clone());
-        let mut mdb = PathDb::new(store);
+        let edb = EpochPathDb::new(store);
         let all: Vec<IsdAsn> = graph.ases().map(|a| a.ia).collect();
 
         // The model: which pairs are cached, and the answer each holds.
@@ -392,9 +304,7 @@ proptest! {
             if s == d || cached.iter().any(|(cs, cd, _)| (*cs, *cd) == (s, d)) {
                 continue;
             }
-            let answer = edb.paths(s, d, 64);
-            prop_assert_eq!(&answer, &mdb.paths(s, d, 64));
-            cached.push((s, d, answer));
+            cached.push((s, d, edb.paths(s, d, 64)));
         }
 
         for &(at, ifid) in &sweeps {
@@ -407,16 +317,12 @@ proptest! {
             });
             let expect = before - cached.len();
             prop_assert_eq!(edb.invalidate_paths_crossing(at, ifid), expect, "{} {}", at, ifid);
-            prop_assert_eq!(mdb.invalidate_paths_crossing(at, ifid), expect, "{} {}", at, ifid);
             prop_assert_eq!(edb.cached_entries(), cached.len());
-            prop_assert_eq!(mdb.cached_entries(), cached.len());
             prop_assert_eq!(edb.invalidate_paths_crossing(at, ifid), 0);
-            prop_assert_eq!(mdb.invalidate_paths_crossing(at, ifid), 0);
         }
         // The store never moved: what survived is served as it was.
         for (s, d, answer) in &cached {
             prop_assert_eq!(&edb.paths(*s, *d, 64), answer);
-            prop_assert_eq!(&mdb.paths(*s, *d, 64), answer);
         }
     }
 }
@@ -446,7 +352,7 @@ fn store_mutation_flushes_affected_entries() {
     let store = BeaconEngine::new(&g, 1_700_000_000, BeaconConfig::default())
         .run()
         .unwrap();
-    let mut db = PathDb::new(store);
+    let db = EpochPathDb::new(store);
 
     let before = db.paths(ia("71-300"), ia("71-301"), 64);
     assert!(!before.is_empty(), "pair starts connected");
@@ -458,7 +364,7 @@ fn store_mutation_flushes_affected_entries() {
 
     // Kill 71-100's child interface toward 71-300: up segments through it
     // vanish from the store; the cached entry is generation-stale.
-    let removed = db.store_mut().invalidate_interface(ia("71-100"), up_if);
+    let removed = db.mutate_store(|s| s.invalidate_interface(ia("71-100"), up_if));
     assert!(
         removed > 0,
         "segments crossing the killed interface removed"
@@ -467,7 +373,7 @@ fn store_mutation_flushes_affected_entries() {
     let after = db.paths(ia("71-300"), ia("71-301"), 64);
     assert_eq!(
         after,
-        combine_paths(db.store(), ia("71-300"), ia("71-301"), 64),
+        combine_paths(db.snapshot().store(), ia("71-300"), ia("71-301"), 64),
         "post-mutation query must match the reference"
     );
     assert!(

@@ -2,13 +2,10 @@
 //! observatory's attribution engine).
 //!
 //! With the `profile` feature on, random scope programs — arbitrary
-//! nesting, leaf records, early drops and panicking sub-trees — must
-//! yield a sound report: for leaf-free programs every node's direct
-//! children sum to at most its inclusive time and self time is exactly
-//! the remainder (the disjoint-sub-interval argument of DESIGN.md §14);
-//! with externally measured leaf durations in play, self time is bounded
-//! by `inclusive - children <= self <= inclusive` since leaves may
-//! overshoot their parent's wall window and saturate per call.
+//! nesting, early drops and panicking sub-trees — must yield a sound
+//! report: every node's direct children sum to at most its inclusive time
+//! and self time is exactly the remainder (the disjoint-sub-interval
+//! argument of DESIGN.md §14).
 //!
 //! With profiling compiled out (`--no-default-features`) the same entry
 //! points must be true no-ops: zero-sized guards, empty reports.
@@ -24,8 +21,6 @@ enum Step {
     Open(u8),
     /// Close the innermost open scope (no-op at the root).
     Close,
-    /// Record an externally measured leaf duration.
-    Leaf(u8, u32),
     /// Spin for a handful of microseconds so self time accrues.
     Work,
 }
@@ -36,7 +31,6 @@ fn arb_step() -> impl Strategy<Value = Step> {
     prop_oneof![
         (0u8..5).prop_map(Step::Open),
         Just(Step::Close),
-        ((0u8..5), (1u32..2000)).prop_map(|(n, ns)| Step::Leaf(n, ns)),
         Just(Step::Work),
     ]
 }
@@ -62,9 +56,6 @@ fn execute(telemetry: &Telemetry, steps: &[Step]) {
             Step::Close => {
                 stack.pop();
             }
-            Step::Leaf(n, ns) => {
-                telemetry.prof_leaf_ns(NAMES[*n as usize % NAMES.len()], *ns as u64);
-            }
             Step::Work => spin(),
         }
     }
@@ -72,16 +63,11 @@ fn execute(telemetry: &Telemetry, steps: &[Step]) {
 }
 
 /// Checks the attribution invariant on a pre-order entry list (a node's
-/// children are the following run of depth+1 entries).
-///
-/// When `strict` (no external leaf records in the program), children are
+/// children are the following run of depth+1 entries): children are
 /// genuine sub-intervals of the parent on one monotonic clock, so their
 /// inclusive times sum to at most the parent's and self time is exactly
-/// the remainder. Leaf durations from `prof_leaf_ns` are externally
-/// measured and may exceed the parent's wall window; self time then
-/// saturates per call, so only the bounds
-/// `inclusive - children <= self <= inclusive` hold.
-fn check_attribution(entries: &[ProfileEntry], strict: bool) {
+/// the remainder.
+fn check_attribution(entries: &[ProfileEntry]) {
     for (i, e) in entries.iter().enumerate() {
         let mut child_sum = 0u64;
         for c in entries.iter().skip(i + 1) {
@@ -92,31 +78,18 @@ fn check_attribution(entries: &[ProfileEntry], strict: bool) {
                 child_sum += c.inclusive_ns;
             }
         }
-        if strict {
-            assert!(
-                child_sum <= e.inclusive_ns,
-                "children of {} sum to {child_sum}ns > parent inclusive {}ns",
-                e.name,
-                e.inclusive_ns
-            );
-            assert_eq!(
-                e.self_ns,
-                e.inclusive_ns.saturating_sub(child_sum),
-                "self time of {} is not the remainder",
-                e.name
-            );
-        } else {
-            assert!(
-                e.self_ns <= e.inclusive_ns,
-                "self time of {} exceeds its inclusive time",
-                e.name
-            );
-            assert!(
-                e.self_ns >= e.inclusive_ns.saturating_sub(child_sum),
-                "self time of {} under-counts the non-child remainder",
-                e.name
-            );
-        }
+        assert!(
+            child_sum <= e.inclusive_ns,
+            "children of {} sum to {child_sum}ns > parent inclusive {}ns",
+            e.name,
+            e.inclusive_ns
+        );
+        assert_eq!(
+            e.self_ns,
+            e.inclusive_ns - child_sum,
+            "self time of {} is not the remainder",
+            e.name
+        );
         assert!(e.calls >= 1, "reported node {} never called", e.name);
     }
 }
@@ -130,8 +103,7 @@ proptest! {
         execute(&telemetry, &steps);
         let report = telemetry.profile_report();
         if cfg!(feature = "profile") {
-            let leaf_free = !steps.iter().any(|s| matches!(s, Step::Leaf(..)));
-            check_attribution(&report.entries, leaf_free);
+            check_attribution(&report.entries);
             // Ranked self time must total exactly the per-entry self times.
             let total: u64 = report.entries.iter().map(|e| e.self_ns).sum();
             let ranked: u64 = report.ranked_self_time().iter().map(|(_, ns)| *ns).sum();
@@ -161,7 +133,7 @@ proptest! {
         }
         let report = telemetry.profile_report();
         if cfg!(feature = "profile") {
-            check_attribution(&report.entries, true);
+            check_attribution(&report.entries);
             prop_assert!(
                 report.entries.iter().any(|e| e.depth == 0),
                 "post-panic scope must appear at the root"
@@ -195,7 +167,7 @@ fn early_returns_close_scopes_in_order() {
     inner(&telemetry, false);
     let report = telemetry.profile_report();
     if cfg!(feature = "profile") {
-        check_attribution(&report.entries, true);
+        check_attribution(&report.entries);
         let alpha = report
             .entries
             .iter()

@@ -1,20 +1,17 @@
-//! Differential property test for parallel beacon propagation: on any
-//! random multi-tier topology and any beacon configuration, the
-//! compute-parallel / commit-sequential pipeline must be byte-for-byte
-//! invisible — registered segments, retained slot contents and order,
-//! convergence round count, and every shared beacon counter must match
-//! the single-threaded walk exactly. The sequential engine is the
-//! reference; the parallel one is only allowed to be faster.
+//! Differential property test for delta beacon propagation: on any random
+//! multi-tier topology and any beacon configuration, offering only the
+//! slots that changed since they were last offered must reach exactly the
+//! state of the exhaustive walk that re-offers every slot every round —
+//! registered segments, retained slot contents and order, convergence
+//! round count, and the counters of what was originated, retained and
+//! registered. The exhaustive walk is the reference; the delta walk is
+//! only allowed to do less work (fewer offers, verifications and filters).
 //!
-//! The schedule deliberately churns the dirty sets: delta propagation
-//! on/off, tight round budgets that stop mid-churn, and small retain
-//! windows (`candidates_per_origin`) that force slot evictions, so the
+//! The schedule deliberately churns the dirty sets: tight round budgets
+//! that stop mid-churn, and small retain windows
+//! (`candidates_per_origin`) that force slot evictions, so the
 //! snapshot-at-round-start semantics is exercised under contention for
 //! slots, not just on quiescent graphs.
-//!
-//! With the `parallel` feature disabled the flag is inert and both runs
-//! take the sequential path — the test then pins run-to-run determinism,
-//! which is what makes the differential meaningful in the first place.
 
 use proptest::prelude::*;
 
@@ -68,20 +65,16 @@ fn arb_topo() -> impl Strategy<Value = RandomTopo> {
     })
 }
 
-/// Beacon configurations that stress the pipeline from different angles:
+/// Beacon configurations that stress the round from different angles:
 /// tiny retain windows force evictions, short round budgets stop with a
-/// non-empty dirty set, and delta propagation toggles between the
-/// dirty-slot walk and the exhaustive reference.
+/// non-empty dirty set.
 fn arb_config() -> impl Strategy<Value = BeaconConfig> {
-    (1usize..6, 3usize..12, 2usize..12, any::<bool>()).prop_map(
-        |(candidates, max_len, rounds, delta)| BeaconConfig {
-            candidates_per_origin: candidates,
-            max_len,
-            rounds,
-            delta_propagation: delta,
-            parallel_propagation: false, // set per run below
-        },
-    )
+    (1usize..6, 3usize..12, 2usize..12).prop_map(|(candidates, max_len, rounds)| BeaconConfig {
+        candidates_per_origin: candidates,
+        max_len,
+        rounds,
+        delta_propagation: false, // set per run below
+    })
 }
 
 fn core_ia(i: usize) -> IsdAsn {
@@ -148,7 +141,7 @@ fn build(t: &RandomTopo) -> Option<ControlGraph> {
 /// The observable outcome of one full beaconing run: registered segment
 /// ids (sorted — registration order is not part of the contract), the
 /// retained-slot digest (order *is* part of the contract), rounds to the
-/// fixed point, and the shared beacon counters.
+/// fixed point, and the beacon counters both walks share.
 struct RunOutcome {
     segment_ids: Vec<[u8; 32]>,
     slots: Vec<(bool, IsdAsn, IsdAsn, Vec<[u8; 32]>)>,
@@ -156,30 +149,30 @@ struct RunOutcome {
     counters: Vec<(String, u64)>,
 }
 
-/// Beacon counters both modes must agree on. `beacon.propagate.par.*`
-/// reports parallel work distribution and only ever moves in the parallel
-/// build — it is instrumentation about *how* the work ran, not *what* it
-/// produced, so it is excluded (same carve-out as `router.maccache.*` in
-/// the batch-pipeline differential).
+/// Beacon counters both walks must agree on: what was originated, retained
+/// and registered. The rest (`beacon.filtered`, `beacon.batch.*`) count
+/// offers made, which is what the delta walk exists to reduce.
 fn shared_beacon_counters(tele: &Telemetry) -> Vec<(String, u64)> {
-    let mut counters: Vec<(String, u64)> = tele
-        .snapshot()
+    const SHARED: [&str; 3] = [
+        "beacon.originated",
+        "beacon.propagated",
+        "beacon.segments_registered",
+    ];
+    tele.snapshot()
         .counters
         .into_iter()
-        .filter(|(n, _)| n.starts_with("beacon.") && !n.starts_with("beacon.propagate.par."))
-        .collect();
-    counters.sort();
-    counters
+        .filter(|(n, _)| SHARED.contains(&n.as_str()))
+        .collect()
 }
 
-fn run_mode(graph: &ControlGraph, cfg: &BeaconConfig, parallel: bool) -> RunOutcome {
+fn run_mode(graph: &ControlGraph, cfg: &BeaconConfig, delta: bool) -> RunOutcome {
     let tele = Telemetry::quiet();
     let mut engine = BeaconEngine::new(
         graph,
         1_700_000_000,
         BeaconConfig {
-            parallel_propagation: parallel,
-            ..cfg.clone()
+            delta_propagation: delta,
+            ..*cfg
         },
     );
     engine.set_telemetry(tele.clone());
@@ -200,23 +193,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn parallel_propagation_is_byte_for_byte_invisible(
+    fn delta_propagation_reaches_the_exhaustive_walks_state(
         topo in arb_topo(),
         cfg in arb_config(),
     ) {
         let Some(graph) = build(&topo) else {
             return Ok(()); // degenerate spec: nothing to check
         };
-        let seq = run_mode(&graph, &cfg, false);
-        let par = run_mode(&graph, &cfg, true);
+        let exhaustive = run_mode(&graph, &cfg, false);
+        let delta = run_mode(&graph, &cfg, true);
 
         prop_assert_eq!(
-            seq.segment_ids,
-            par.segment_ids,
+            exhaustive.segment_ids,
+            delta.segment_ids,
             "registered segments diverged"
         );
-        prop_assert_eq!(seq.slots, par.slots, "retained slots diverged");
-        prop_assert_eq!(seq.rounds, par.rounds, "convergence rounds diverged");
-        prop_assert_eq!(seq.counters, par.counters, "beacon counter parity");
+        prop_assert_eq!(exhaustive.slots, delta.slots, "retained slots diverged");
+        prop_assert_eq!(exhaustive.rounds, delta.rounds, "convergence rounds diverged");
+        prop_assert_eq!(exhaustive.counters, delta.counters, "beacon counter parity");
     }
 }
