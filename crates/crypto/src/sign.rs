@@ -7,8 +7,12 @@
 //! beacon validation) is written exactly as it would be against ECDSA.
 //!
 //! Internally a signature is `HMAC-SHA256(secret, message)` and the
-//! verifying key carries the secret (plus a public commitment used as the
-//! key identifier). Because key objects are only ever handed to the entities
+//! verifying key carries the secret too, in the only form either key uses
+//! it: an [`HmacKey`], prepared once when the key is made (plus a public
+//! commitment used as the key identifier). Signing or verifying the 32-byte
+//! digest of a beacon entry, certificate or TRC therefore costs two SHA-256
+//! compressions, not the four of an HMAC from the raw secret — per entry,
+//! per receiving AS, the control plane's unit of work. Because key objects are only ever handed to the entities
 //! a real deployment would hand the corresponding private/public keys to,
 //! unforgeability holds *within the simulation*: a component that only holds
 //! `VerifyingKey`s of other ASes cannot mint their beacons. This models the
@@ -18,7 +22,7 @@
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacKey};
 use crate::sha256::{sha256, to_hex};
 use crate::CryptoError;
 
@@ -40,17 +44,19 @@ impl Signature {
 #[derive(Clone)]
 pub struct SigningKey {
     secret: [u8; 32],
+    mac: HmacKey,
 }
 
 /// A public verifying key. Identified by a commitment to the secret.
 ///
-/// Note: in this simulated scheme the verifying key embeds the secret so it
-/// can recompute tags; see the module docs for why this is a faithful model
-/// of the trust relationships despite not being deployable cryptography.
+/// Note: in this simulated scheme the verifying key embeds the secret (as
+/// its prepared HMAC state) so it can recompute tags; see the module docs
+/// for why this is a faithful model of the trust relationships despite not
+/// being deployable cryptography.
 #[derive(Clone, PartialEq, Eq)]
 pub struct VerifyingKey {
-    secret: [u8; 32],
     key_id: [u8; 32],
+    mac: HmacKey,
 }
 
 impl core::fmt::Debug for SigningKey {
@@ -61,7 +67,7 @@ impl core::fmt::Debug for SigningKey {
 
 impl core::fmt::Debug for VerifyingKey {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "VerifyingKey({})", &to_hex(&self.key_id)[..16])
+        write!(f, "VerifyingKey({})", to_hex(&self.key_id[..8]))
     }
 }
 
@@ -70,28 +76,33 @@ impl SigningKey {
     pub fn generate<R: RngCore>(rng: &mut R) -> Self {
         let mut secret = [0u8; 32];
         rng.fill_bytes(&mut secret);
-        SigningKey { secret }
+        Self::from_secret(secret)
     }
 
     /// Derives a key pair deterministically from a seed label — used to give
     /// every simulated AS a stable identity across runs.
     pub fn from_seed(seed: &[u8]) -> Self {
+        Self::from_secret(hmac_sha256(b"sciera-signing-key-seed", seed))
+    }
+
+    fn from_secret(secret: [u8; 32]) -> Self {
         SigningKey {
-            secret: hmac_sha256(b"sciera-signing-key-seed", seed),
+            secret,
+            mac: HmacKey::new(&secret),
         }
     }
 
     /// Returns the public half.
     pub fn verifying_key(&self) -> VerifyingKey {
         VerifyingKey {
-            secret: self.secret,
             key_id: sha256(&self.secret),
+            mac: self.mac.clone(),
         }
     }
 
     /// Signs a message.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        Signature(hmac_sha256(&self.secret, message))
+        Signature(self.mac.mac(message))
     }
 }
 
@@ -104,12 +115,12 @@ impl VerifyingKey {
 
     /// Short printable key identifier (first 8 hex chars).
     pub fn key_id_short(&self) -> String {
-        to_hex(&self.key_id)[..8].to_string()
+        to_hex(&self.key_id[..4])
     }
 
     /// Verifies `signature` over `message`.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), CryptoError> {
-        let expected = hmac_sha256(&self.secret, message);
+        let expected = self.mac.mac(message);
         if crate::ct_eq(&expected, &signature.0) {
             Ok(())
         } else {
@@ -168,11 +179,43 @@ mod tests {
     }
 
     #[test]
+    fn seeded_key_keeps_its_signature_and_identifier() {
+        // Captured before the keys carried their HMAC state.
+        let sk = SigningKey::from_seed(b"as-71-1");
+        assert_eq!(
+            sk.sign(b"pcb payload").to_hex(),
+            "cfdca1eae07fe07beb7868eb3a6b62eac5243270fc8f6ef715917489c6f54389"
+        );
+        let vk = sk.verifying_key();
+        assert_eq!(
+            to_hex(&vk.key_id()),
+            "fbd544cdc750b6c502793d2a1d61a92336601ce783a278044ea69732fa4f3735"
+        );
+        assert_eq!(vk.key_id_short(), "fbd544cd");
+        assert_eq!(format!("{vk:?}"), "VerifyingKey(fbd544cdc750b6c5)");
+    }
+
+    #[test]
+    fn verifying_keys_are_equal_iff_their_secrets_are() {
+        let vk = |seed: &[u8]| SigningKey::from_seed(seed).verifying_key();
+        assert_eq!(vk(b"a"), vk(b"a"));
+        assert_ne!(vk(b"a"), vk(b"b"));
+    }
+
+    #[test]
+    fn keys_stay_small_enough_to_copy_by_the_thousand() {
+        // Certificates and TRC entries hold their `VerifyingKey` by value.
+        assert!(std::mem::size_of::<VerifyingKey>() <= 128);
+        assert!(std::mem::size_of::<SigningKey>() <= 96);
+    }
+
+    #[test]
     fn debug_impls_do_not_leak_secret() {
         let sk = SigningKey::from_seed(b"x");
-        let dbg_sk = format!("{sk:?}");
-        assert_eq!(dbg_sk, "SigningKey { .. }");
-        let dbg_vk = format!("{:?}", sk.verifying_key());
-        assert!(dbg_vk.starts_with("VerifyingKey("));
+        assert_eq!(format!("{sk:?}"), "SigningKey { .. }");
+        // The key id is public; nothing else of either key may print.
+        let shown = format!("{:?}", sk.verifying_key());
+        let id = to_hex(&sk.verifying_key().key_id());
+        assert_eq!(shown, format!("VerifyingKey({})", &id[..16]));
     }
 }
