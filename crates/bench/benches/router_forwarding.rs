@@ -16,7 +16,7 @@ use sciera_core::network::NetworkConfig;
 use sciera_core::SciEraNetwork;
 use sciera_flowgen::{FlowGen, FlowGenConfig};
 use scion_control::fullpath::{Direction, FullPath, PathKind, SegmentUse};
-use scion_control::segment::{AsSecrets, SegmentBuilder, SegmentType};
+use scion_control::segment::{AsSecrets, CowSegment, SegmentType};
 use scion_dataplane::router::{BorderRouter, Decision, FrameDecision};
 use scion_proto::addr::{ia, HostAddr, IsdAsn, ScionAddr};
 use scion_proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
@@ -30,11 +30,11 @@ const BATCH_CHUNK: usize = 32;
 
 fn setup() -> (BorderRouter, ScionPacket) {
     let mk = |s: &str| AsSecrets::derive(ia(s));
-    let mut b = SegmentBuilder::originate(SegmentType::UpDown, 1_700_000_000, 0x42);
-    b.extend(&mk("71-1"), 0, 11, &[]);
-    b.extend(&mk("71-10"), 21, 22, &[]);
-    b.extend(&mk("71-100"), 31, 0, &[]);
-    let seg = b.finish();
+    let seg = CowSegment::originate(SegmentType::UpDown, 1_700_000_000, 0x42)
+        .extend(&mk("71-1"), 0, 11, &[])
+        .extend(&mk("71-10"), 21, 22, &[])
+        .extend(&mk("71-100"), 31, 0, &[])
+        .materialize();
     let path = FullPath::assemble(
         ia("71-100"),
         ia("71-1"),

@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use criterion::black_box;
 use scion_control::fullpath::{Direction, FullPath, PathKind, SegmentUse};
-use scion_control::segment::{AsSecrets, SegmentBuilder, SegmentType};
+use scion_control::segment::{AsSecrets, CowSegment, SegmentType};
 use scion_dataplane::router::{BorderRouter, Decision};
 use scion_proto::addr::{ia, HostAddr, ScionAddr};
 use scion_proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
@@ -28,15 +28,16 @@ const ITERS_PER_ROUND: usize = 2_000;
 
 fn setup() -> (BorderRouter, ScionPacket) {
     let mk = |s: &str| AsSecrets::derive(ia(s));
-    let mut b = SegmentBuilder::originate(SegmentType::UpDown, 1_700_000_000, 0x42);
-    b.extend(&mk("71-1"), 0, 11, &[]);
-    b.extend(&mk("71-10"), 21, 22, &[]);
-    b.extend(&mk("71-100"), 31, 0, &[]);
+    let seg = CowSegment::originate(SegmentType::UpDown, 1_700_000_000, 0x42)
+        .extend(&mk("71-1"), 0, 11, &[])
+        .extend(&mk("71-10"), 21, 22, &[])
+        .extend(&mk("71-100"), 31, 0, &[])
+        .materialize();
     let path = FullPath::assemble(
         ia("71-100"),
         ia("71-1"),
         PathKind::SingleSegment,
-        vec![SegmentUse::whole(b.finish(), Direction::AgainstCons)],
+        vec![SegmentUse::whole(seg, Direction::AgainstCons)],
     )
     .unwrap();
     let pkt = ScionPacket::new(

@@ -18,12 +18,12 @@
 //! This reaches the identical fixed point because slot contents improve
 //! monotonically under [`retain`](BeaconEngine) (top-k by (length, id) of
 //! everything ever offered): a beacon rejected once can never be accepted
-//! by a later re-offer, so re-offering unchanged slots is pure waste. The
-//! reference exhaustive mode is kept behind
-//! [`BeaconConfig::delta_propagation`] for differential testing. Each
-//! received beacon's signature chain is verified once per unique beacon
-//! via a bounded verified-beacon cache keyed on (beacon ID, key epoch) —
-//! the control-plane analogue of the data plane's MAC-verification cache.
+//! by a later re-offer, so re-offering unchanged slots is pure waste.
+//! `tests/prop_propagate.rs` checks this walk against a model of the
+//! exhaustive one. Each received beacon's signature chain is verified
+//! once per unique beacon via a bounded verified-beacon cache keyed on
+//! (beacon ID, key epoch) — the control-plane analogue of the data
+//! plane's MAC-verification cache.
 //!
 //! A propagation round **snapshots, then commits**: it first captures
 //! every offering holder's immutable inputs (retained candidate beacons,
@@ -43,7 +43,7 @@ use sciera_telemetry::{Counter, Event, Severity, Telemetry};
 use scion_proto::addr::IsdAsn;
 
 use crate::graph::{ControlGraph, LinkType};
-use crate::segment::{AsSecrets, CowSegment, SegmentBuilder, SegmentType};
+use crate::segment::{AsSecrets, CowSegment, SegmentType};
 use crate::store::SegmentStore;
 use crate::ControlError;
 
@@ -91,11 +91,6 @@ pub struct BeaconConfig {
     pub max_len: usize,
     /// Rounds to run; the SCIERA graph converges well within the default.
     pub rounds: usize,
-    /// Propagate only dirty (changed-since-last-offer) slots per round.
-    /// The exhaustive reference mode (`false`) re-offers every slot every
-    /// round and reaches the same fixed point; it exists for differential
-    /// testing.
-    pub delta_propagation: bool,
 }
 
 impl Default for BeaconConfig {
@@ -104,7 +99,6 @@ impl Default for BeaconConfig {
             candidates_per_origin: 8,
             max_len: 12,
             rounds: 12,
-            delta_propagation: true,
         }
     }
 }
@@ -384,37 +378,37 @@ impl<'g> BeaconEngine<'g> {
         for core in cores {
             let node = self.graph.as_node(core).unwrap();
             let secrets = self.secrets.get(&core).unwrap().clone();
+            // Only up/down beacons advertise the core's peering links.
+            let core_peers = self.peer_links_of(core);
             let mut seq = 0u16;
             for intf in &node.interfaces {
-                let (seg_type, store) = match intf.link_type {
-                    LinkType::Core => (SegmentType::Core, &mut self.core_beacons),
-                    LinkType::Child => (SegmentType::UpDown, &mut self.down_beacons),
+                let (seg_type, store, dirty, peers) = match intf.link_type {
+                    LinkType::Core => (
+                        SegmentType::Core,
+                        &mut self.core_beacons,
+                        &mut self.dirty_core,
+                        &[][..],
+                    ),
+                    LinkType::Child => (
+                        SegmentType::UpDown,
+                        &mut self.down_beacons,
+                        &mut self.dirty_down,
+                        &core_peers[..],
+                    ),
                     _ => continue,
                 };
-                let mut b =
-                    SegmentBuilder::originate(seg_type, self.timestamp, Self::beta_for(core, seq));
-                seq += 1;
-                let peers = if seg_type == SegmentType::UpDown {
-                    self.graph
-                        .as_node(core)
-                        .unwrap()
-                        .interfaces_of_type(LinkType::Peer)
-                        .map(|i| (i.neighbor, i.id, i.neighbor_ifid))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                b.extend(&secrets, 0, intf.id, &peers);
                 let rb = ReceivedBeacon {
-                    segment: CowSegment::from_segment(&b.finish()),
+                    segment: CowSegment::originate(
+                        seg_type,
+                        self.timestamp,
+                        Self::beta_for(core, seq),
+                    )
+                    .extend(&secrets, 0, intf.id, peers),
                     ingress_ifid: intf.neighbor_ifid,
                 };
+                seq += 1;
                 let slot = store.entry((intf.neighbor, core)).or_default();
                 if Self::retain(slot, rb, self.config.candidates_per_origin) {
-                    let dirty = match seg_type {
-                        SegmentType::Core => &mut self.dirty_core,
-                        SegmentType::UpDown => &mut self.dirty_down,
-                    };
                     dirty.insert((intf.neighbor, core));
                 }
                 self.originated.inc();
@@ -432,27 +426,15 @@ impl<'g> BeaconEngine<'g> {
     }
 
     fn propagate_kind(&mut self, core_kind: bool) -> bool {
-        // Slots to offer this round: with delta propagation, only those
-        // that changed since they were last offered; in the exhaustive
-        // reference mode, every slot every round. The fixed point is
-        // identical — retain keeps the top-k of everything ever offered,
-        // and neighbor slots only improve, so re-offering a beacon that
-        // was rejected once can never succeed later.
-        let dirty: Vec<(IsdAsn, IsdAsn)> = if self.config.delta_propagation {
-            let set = if core_kind {
-                &mut self.dirty_core
-            } else {
-                &mut self.dirty_down
-            };
-            std::mem::take(set).into_iter().collect()
+        // Slots to offer this round: only those that changed since they
+        // were last offered. Re-offering the others could change nothing —
+        // retain keeps the top-k of everything ever offered, and neighbor
+        // slots only improve, so a beacon rejected once is rejected again.
+        let dirty = std::mem::take(if core_kind {
+            &mut self.dirty_core
         } else {
-            let map = if core_kind {
-                &self.core_beacons
-            } else {
-                &self.down_beacons
-            };
-            map.keys().copied().collect()
-        };
+            &mut self.dirty_down
+        });
         let out_type = if core_kind {
             LinkType::Core
         } else {
@@ -608,45 +590,38 @@ impl<'g> BeaconEngine<'g> {
     fn register(&self) -> SegmentStore {
         let _prof = self.telemetry.prof_scope("beacon.register");
         let mut store = SegmentStore::new();
-        // Core segments: every core AS terminates its retained core beacons.
-        for ((holder, _origin), beacons) in &self.core_beacons {
-            let Some(node) = self.graph.as_node(*holder) else {
-                continue;
-            };
-            if !node.core {
-                continue;
-            }
-            let secrets = self.secrets.get(holder).unwrap();
-            for rb in beacons {
-                if rb.segment.contains(*holder) {
+        // Core beacons terminate at core holders; down beacons terminate at
+        // non-core holders, whose entry advertises their peering links. Core
+        // segments register first: the store order is part of the output.
+        for (core_kind, map) in [(true, &self.core_beacons), (false, &self.down_beacons)] {
+            for ((holder, _origin), beacons) in map {
+                let Some(node) = self.graph.as_node(*holder) else {
+                    continue;
+                };
+                if node.core != core_kind {
                     continue;
                 }
-                // Materialize the chain into the flat form the store
-                // holds, then append the terminal entry.
-                let mut b = SegmentBuilder::from_segment(rb.segment.materialize());
-                b.extend(secrets, rb.ingress_ifid, 0, &[]);
-                store.register_core(b.finish());
-                self.registered.inc();
-            }
-        }
-        // Up/down segments: every non-core AS terminates its down beacons.
-        for ((holder, _origin), beacons) in &self.down_beacons {
-            let Some(node) = self.graph.as_node(*holder) else {
-                continue;
-            };
-            if node.core {
-                continue;
-            }
-            let secrets = self.secrets.get(holder).unwrap();
-            let peers = self.peer_links_of(*holder);
-            for rb in beacons {
-                if rb.segment.contains(*holder) {
-                    continue;
+                let secrets = self.secrets.get(holder).unwrap();
+                let peers = if core_kind {
+                    Vec::new()
+                } else {
+                    self.peer_links_of(*holder)
+                };
+                for rb in beacons {
+                    if rb.segment.contains(*holder) {
+                        continue;
+                    }
+                    let seg = rb
+                        .segment
+                        .extend(secrets, rb.ingress_ifid, 0, &peers)
+                        .materialize();
+                    if core_kind {
+                        store.register_core(seg);
+                    } else {
+                        store.register_up_down(seg);
+                    }
+                    self.registered.inc();
                 }
-                let mut b = SegmentBuilder::from_segment(rb.segment.materialize());
-                b.extend(secrets, rb.ingress_ifid, 0, &peers);
-                store.register_up_down(b.finish());
-                self.registered.inc();
             }
         }
         store
@@ -805,64 +780,6 @@ mod tests {
         assert_eq!(ups[0].entries[2].hop.cons_egress, 0);
     }
 
-    /// Every registered segment ID under the given config, sorted.
-    fn segment_ids(g: &ControlGraph, config: BeaconConfig) -> Vec<[u8; 32]> {
-        let mut engine = BeaconEngine::new(g, 1_700_000_000, config);
-        let store = engine.run().unwrap();
-        let mut ids: Vec<[u8; 32]> = store.all_segments().map(|s| s.id()).collect();
-        ids.sort();
-        ids
-    }
-
-    #[test]
-    fn delta_propagation_matches_exhaustive_reference() {
-        // The batched dirty-slot propagation must register exactly the
-        // same segment set as the exhaustive re-offer-everything mode, on
-        // every topology shape we exercise elsewhere.
-        let mut shapes: Vec<ControlGraph> = vec![diamond()];
-        let mut triangle = ControlGraph::new();
-        for a in ["71-1", "71-2", "71-3"] {
-            triangle.add_as(ia(a), true);
-        }
-        triangle
-            .connect(ia("71-1"), ia("71-2"), LinkType::Core)
-            .unwrap();
-        triangle
-            .connect(ia("71-2"), ia("71-3"), LinkType::Core)
-            .unwrap();
-        triangle
-            .connect(ia("71-1"), ia("71-3"), LinkType::Core)
-            .unwrap();
-        shapes.push(triangle);
-        let mut deep = ControlGraph::new();
-        deep.add_as(ia("71-1"), true);
-        deep.add_as(ia("71-10"), false);
-        deep.add_as(ia("71-100"), false);
-        deep.connect(ia("71-1"), ia("71-10"), LinkType::Child)
-            .unwrap();
-        deep.connect(ia("71-10"), ia("71-100"), LinkType::Child)
-            .unwrap();
-        shapes.push(deep);
-        for (i, g) in shapes.iter().enumerate() {
-            let delta = segment_ids(
-                g,
-                BeaconConfig {
-                    delta_propagation: true,
-                    ..Default::default()
-                },
-            );
-            let exhaustive = segment_ids(
-                g,
-                BeaconConfig {
-                    delta_propagation: false,
-                    ..Default::default()
-                },
-            );
-            assert!(!delta.is_empty());
-            assert_eq!(delta, exhaustive, "shape {i} diverged");
-        }
-    }
-
     #[test]
     fn batching_verifies_each_beacon_once_and_counts_batches() {
         // A core triangle with a two-level child chain: both core and
@@ -892,7 +809,7 @@ mod tests {
         assert!(batches > 0, "batched passes must be counted");
         assert!(beacons >= batches, "each batch offers at least one beacon");
         // Each unique beacon's signature chain is verified exactly once;
-        // the dirty-slot delta mode re-offers a slot only when it changed,
+        // the dirty-slot walk re-offers a slot only when it changed,
         // so repeat verifications (cache hits) stay bounded by misses.
         assert!(misses > 0);
         assert!(

@@ -952,11 +952,11 @@ mod tests {
         let db = EpochPathDb::new(mesh());
         db.paths(ia("71-10"), ia("71-30"), 100);
         let seg = {
-            use crate::segment::{AsSecrets, SegmentBuilder, SegmentType};
-            let mut b = SegmentBuilder::originate(SegmentType::Core, 1_700_000_123, 7);
-            b.extend(&AsSecrets::derive(ia("71-3")), 0, 91, &[]);
-            b.extend(&AsSecrets::derive(ia("71-1")), 92, 0, &[]);
-            b.finish()
+            use crate::segment::{AsSecrets, CowSegment, SegmentType};
+            CowSegment::originate(SegmentType::Core, 1_700_000_123, 7)
+                .extend(&AsSecrets::derive(ia("71-3")), 0, 91, &[])
+                .extend(&AsSecrets::derive(ia("71-1")), 92, 0, &[])
+                .materialize()
         };
         db.mutate_store(|s| {
             s.register_core(seg);

@@ -590,43 +590,37 @@ pub fn shared_interfaces(a: &FullPath, b: &FullPath) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{AsSecrets, PathSegment, SegmentBuilder, SegmentType};
+    use crate::segment::{AsSecrets, CowSegment, PathSegment, SegmentType};
     use scion_proto::addr::ia;
+
+    fn sec(s: &str) -> AsSecrets {
+        AsSecrets::derive(ia(s))
+    }
 
     /// Up segment: core 71-1 -> mid 71-10 -> leaf 71-100.
     fn up_segment() -> PathSegment {
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, 1_700_000_000, 0xaaaa);
-        b.extend(&AsSecrets::derive(ia("71-1")), 0, 11, &[]);
-        b.extend(
-            &AsSecrets::derive(ia("71-10")),
-            21,
-            22,
-            &[(ia("71-20"), 29, 39)],
-        );
-        b.extend(&AsSecrets::derive(ia("71-100")), 31, 0, &[]);
-        b.finish()
+        CowSegment::originate(SegmentType::UpDown, 1_700_000_000, 0xaaaa)
+            .extend(&sec("71-1"), 0, 11, &[])
+            .extend(&sec("71-10"), 21, 22, &[(ia("71-20"), 29, 39)])
+            .extend(&sec("71-100"), 31, 0, &[])
+            .materialize()
     }
 
     /// Down segment: core 71-2 -> mid 71-20 -> leaf 71-200.
     fn down_segment() -> PathSegment {
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, 1_700_000_000, 0xbbbb);
-        b.extend(&AsSecrets::derive(ia("71-2")), 0, 12, &[]);
-        b.extend(
-            &AsSecrets::derive(ia("71-20")),
-            23,
-            24,
-            &[(ia("71-10"), 39, 29)],
-        );
-        b.extend(&AsSecrets::derive(ia("71-200")), 33, 0, &[]);
-        b.finish()
+        CowSegment::originate(SegmentType::UpDown, 1_700_000_000, 0xbbbb)
+            .extend(&sec("71-2"), 0, 12, &[])
+            .extend(&sec("71-20"), 23, 24, &[(ia("71-10"), 39, 29)])
+            .extend(&sec("71-200"), 33, 0, &[])
+            .materialize()
     }
 
     /// Core segment constructed 71-2 -> 71-1 (usable from 71-1 to 71-2).
     fn core_segment() -> PathSegment {
-        let mut b = SegmentBuilder::originate(SegmentType::Core, 1_700_000_000, 0xcccc);
-        b.extend(&AsSecrets::derive(ia("71-2")), 0, 41, &[]);
-        b.extend(&AsSecrets::derive(ia("71-1")), 42, 0, &[]);
-        b.finish()
+        CowSegment::originate(SegmentType::Core, 1_700_000_000, 0xcccc)
+            .extend(&sec("71-2"), 0, 41, &[])
+            .extend(&sec("71-1"), 42, 0, &[])
+            .materialize()
     }
 
     fn core_transit() -> FullPath {
@@ -852,11 +846,11 @@ mod tests {
     fn shortcut_truncates_segments() {
         // Join at common mid AS: pretend 71-10 appears in both segments.
         let up = up_segment();
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, 1_700_000_000, 0xdddd);
-        b.extend(&AsSecrets::derive(ia("71-1")), 0, 11, &[]);
-        b.extend(&AsSecrets::derive(ia("71-10")), 21, 25, &[]);
-        b.extend(&AsSecrets::derive(ia("71-300")), 35, 0, &[]);
-        let down = b.finish();
+        let down = CowSegment::originate(SegmentType::UpDown, 1_700_000_000, 0xdddd)
+            .extend(&sec("71-1"), 0, 11, &[])
+            .extend(&sec("71-10"), 21, 25, &[])
+            .extend(&sec("71-300"), 35, 0, &[])
+            .materialize();
         let p = FullPath::assemble(
             ia("71-100"),
             ia("71-300"),

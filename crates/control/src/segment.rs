@@ -15,8 +15,8 @@
 //! `beta_{i+1}`, matching the SCION specification, so a peer hop can be
 //! verified without disturbing the chain.
 //!
-//! Each AS also signs the segment-so-far with its AS certificate key,
-//! binding the segment to the control-plane PKI.
+//! Each AS also signs the segment-so-far with its PCB signing key
+//! ([`AsSecrets::signing`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -155,21 +155,6 @@ impl PathSegment {
         st.finalize()
     }
 
-    /// The digest covered by the signature of entry `i`: SHA-256 of the
-    /// signable byte stream up to and including that entry (everything
-    /// the extending AS commits to, minus signatures). Entry `i`'s
-    /// signature is a hash-then-MAC over this digest — which is what
-    /// makes copy-on-extend O(1): the stream is strictly append-only, so
-    /// [`CowSegment`] carries the running SHA-256 state forward instead
-    /// of re-hashing the prefix per extension.
-    pub fn signable_digest(&self, upto: usize) -> [u8; 32] {
-        let mut st = signable_state(self.seg_type, self.timestamp, self.beta0);
-        for e in self.entries.iter().take(upto + 1) {
-            absorb_signable_entry(&mut st, e);
-        }
-        st.finalize()
-    }
-
     /// Verifies all per-AS signatures against `keys` (verified AS keys from
     /// the CP-PKI) and the hop-MAC chain against `hop_keys` when available.
     ///
@@ -188,14 +173,15 @@ impl PathSegment {
         // One pass: the signable digest and the beta chain both extend
         // entry by entry, so the whole walk is O(len), not O(len²).
         let mut sig_st = signable_state(self.seg_type, self.timestamp, self.beta0);
-        for (i, e) in self.entries.iter().enumerate() {
+        let mut beta = self.beta0;
+        for e in &self.entries {
             let key = keys(e.ia)
                 .ok_or_else(|| ControlError::BadSegment(format!("no key for {}", e.ia)))?;
             absorb_signable_entry(&mut sig_st, e);
             key.verify(&sig_st.clone().finalize(), &e.signature)
                 .map_err(|_| ControlError::BadSegment(format!("signature of {} invalid", e.ia)))?;
+            let beta_next = beta ^ u16::from_be_bytes([e.hop.mac[0], e.hop.mac[1]]);
             if let Some(hk) = hop_keys(e.ia) {
-                let beta = self.beta_at(i);
                 let input = HopMacInput {
                     beta,
                     timestamp: self.timestamp,
@@ -209,7 +195,6 @@ impl PathSegment {
                         e.ia
                     )));
                 }
-                let beta_next = self.beta_at(i + 1);
                 for p in &e.peers {
                     let pinput = HopMacInput {
                         beta: beta_next,
@@ -226,6 +211,7 @@ impl PathSegment {
                     }
                 }
             }
+            beta = beta_next;
         }
         Ok(())
     }
@@ -365,7 +351,8 @@ pub struct AsSecrets {
     pub ia: IsdAsn,
     /// Data-plane hop key.
     pub hop_key: HopKey,
-    /// Control-plane signing key (certified by the ISD CA).
+    /// The simulation's PCB signing key, derived from the AS number. It is
+    /// not the AS-certificate key the CP-PKI issues (ROADMAP item 4).
     pub signing: SigningKey,
 }
 
@@ -381,72 +368,11 @@ impl AsSecrets {
     }
 }
 
-/// A builder for extending segments AS by AS (the beacon-extension step).
-pub struct SegmentBuilder {
-    segment: PathSegment,
-}
-
 /// Default hop-field expiry encoding: 63 ≈ 6 hours.
 pub const DEFAULT_EXP_TIME: u8 = 63;
 
-impl SegmentBuilder {
-    /// Originates a new segment at a core AS.
-    pub fn originate(seg_type: SegmentType, timestamp: u32, beta0: u16) -> Self {
-        SegmentBuilder {
-            segment: PathSegment {
-                seg_type,
-                timestamp,
-                beta0,
-                entries: Vec::new(),
-            },
-        }
-    }
-
-    /// Resumes building from a received (partial) segment — the receiving
-    /// AS's half of beacon extension.
-    pub fn from_segment(segment: PathSegment) -> Self {
-        SegmentBuilder { segment }
-    }
-
-    /// Appends an AS entry. `cons_ingress` is 0 for the origin; `cons_egress`
-    /// is the interface the beacon leaves through (0 when terminating).
-    /// `peer_links` lists `(peer, local ifid, remote ifid)` peering links to
-    /// advertise at this entry.
-    pub fn extend(
-        &mut self,
-        secrets: &AsSecrets,
-        cons_ingress: u16,
-        cons_egress: u16,
-        peer_links: &[(IsdAsn, u16, u16)],
-    ) {
-        let i = self.segment.entries.len();
-        let beta = self.segment.beta_at(i);
-        let (entry, _beta_next) = authorized_entry(
-            secrets,
-            self.segment.timestamp,
-            beta,
-            cons_ingress,
-            cons_egress,
-            peer_links,
-        );
-        self.segment.entries.push(entry);
-        let sig = secrets.signing.sign(&self.segment.signable_digest(i));
-        self.segment.entries[i].signature = sig;
-    }
-
-    /// Finishes the segment.
-    pub fn finish(self) -> PathSegment {
-        self.segment
-    }
-
-    /// The segment built so far (for re-propagation of partial beacons).
-    pub fn current(&self) -> &PathSegment {
-        &self.segment
-    }
-}
-
-/// A copy-on-extend path segment: the beacon-propagation representation
-/// of a [`PathSegment`].
+/// A copy-on-extend path segment: the one way a [`PathSegment`] is
+/// built, AS by AS, from origination to registration.
 ///
 /// Entries live in a structurally-shared [`Chain`], so extending the
 /// segment by one AS appends a single node and shares the whole prefix
@@ -461,10 +387,9 @@ impl SegmentBuilder {
 ///
 /// A flat [`PathSegment`] is materialized only where one is genuinely
 /// needed: verification on a cache miss and registration into the store.
-/// Byte equivalence with [`SegmentBuilder`] is structural, not
-/// aspirational — both extension paths build entries via the same
-/// `authorized_entry` helper and absorb id/signable streams through the
-/// same state/absorb helpers.
+/// The flat segment's `id` and `verify` replay the same id/signable
+/// streams through the same state/absorb helpers; `tests/segment_spec.rs`
+/// checks the bytes against an independent flat construction.
 #[derive(Clone)]
 pub struct CowSegment {
     seg_type: SegmentType,
@@ -506,28 +431,20 @@ impl core::fmt::Debug for CowSegment {
 }
 
 impl CowSegment {
-    /// Wraps a flat segment (the origination / ingestion step).
-    pub fn from_segment(seg: &PathSegment) -> Self {
-        let mut entries = Chain::new();
-        let mut id_state = id_state(seg.timestamp, seg.beta0);
-        let mut sig_state = signable_state(seg.seg_type, seg.timestamp, seg.beta0);
-        let mut ia_bloom = 0u64;
-        for e in &seg.entries {
-            absorb_id_entry(&mut id_state, e);
-            absorb_signable_entry(&mut sig_state, e);
-            ia_bloom |= bloom_bit(e.ia);
-            entries = entries.push(e.clone());
-        }
+    /// Originates an empty segment; the origin core AS's entry is the
+    /// first [`Self::extend`].
+    pub fn originate(seg_type: SegmentType, timestamp: u32, beta0: u16) -> Self {
+        let id_state = id_state(timestamp, beta0);
         CowSegment {
-            seg_type: seg.seg_type,
-            timestamp: seg.timestamp,
-            beta0: seg.beta0,
-            entries,
+            seg_type,
+            timestamp,
+            beta0,
+            entries: Chain::new(),
             id: id_state.clone().finalize(),
-            beta_next: seg.beta_at(seg.len()),
+            beta_next: beta0,
             id_state,
-            sig_state,
-            ia_bloom,
+            sig_state: signable_state(seg_type, timestamp, beta0),
+            ia_bloom: 0,
         }
     }
 
@@ -583,9 +500,9 @@ impl CowSegment {
     /// chain-node allocation, one hop MAC (plus peers), one signature
     /// over the running signable digest, a few absorbed bytes per hash
     /// state. O(1) in segment length — no prefix walk, no prefix
-    /// re-hash. Produces bit-identical results to
-    /// `SegmentBuilder::from_segment(self.materialize())` + `extend` +
-    /// `finish`.
+    /// re-hash. `cons_ingress` is 0 at the origin, `cons_egress` 0 when
+    /// terminating; `peer_links` lists `(peer, local ifid, remote ifid)`
+    /// peering links to advertise at this entry.
     pub fn extend(
         &self,
         secrets: &AsSecrets,
@@ -645,11 +562,12 @@ mod tests {
 
     fn build_chain() -> (PathSegment, Vec<AsSecrets>) {
         let all = vec![secrets("71-1"), secrets("71-10"), secrets("71-100")];
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, 1_700_000_000, 0x5a5a);
-        b.extend(&all[0], 0, 2, &[]);
-        b.extend(&all[1], 7, 3, &[(ia("71-999"), 9, 4)]);
-        b.extend(&all[2], 1, 0, &[]);
-        (b.finish(), all)
+        let seg = CowSegment::originate(SegmentType::UpDown, 1_700_000_000, 0x5a5a)
+            .extend(&all[0], 0, 2, &[])
+            .extend(&all[1], 7, 3, &[(ia("71-999"), 9, 4)])
+            .extend(&all[2], 1, 0, &[])
+            .materialize();
+        (seg, all)
     }
 
     fn key_fn(all: &[AsSecrets]) -> impl Fn(IsdAsn) -> Option<VerifyingKey> + '_ {
@@ -708,11 +626,11 @@ mod tests {
         // Take hop 1 from a different segment (different beta0) — MAC chain
         // must reject the splice even though the hop is individually valid.
         let (seg_a, all) = build_chain();
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, 1_700_000_000, 0x1111);
-        b.extend(&all[0], 0, 2, &[]);
-        b.extend(&all[1], 7, 3, &[]);
-        b.extend(&all[2], 1, 0, &[]);
-        let seg_b = b.finish();
+        let seg_b = CowSegment::originate(SegmentType::UpDown, 1_700_000_000, 0x1111)
+            .extend(&all[0], 0, 2, &[])
+            .extend(&all[1], 7, 3, &[])
+            .extend(&all[2], 1, 0, &[])
+            .materialize();
         let mut spliced = seg_a.clone();
         spliced.entries[1] = seg_b.entries[1].clone();
         assert!(spliced.verify(&key_fn(&all), &hop_fn(&all)).is_err());
@@ -763,52 +681,30 @@ mod tests {
     }
 
     #[test]
-    fn cow_roundtrip_preserves_segment_and_caches() {
-        let (seg, _) = build_chain();
-        let cow = CowSegment::from_segment(&seg);
-        assert_eq!(cow.materialize(), seg);
+    fn cow_caches_agree_with_the_materialized_segment() {
+        let empty = CowSegment::originate(SegmentType::Core, 1_700_000_000, 0x5a5a);
+        assert!(empty.is_empty());
+        let cow = empty
+            .extend(&secrets("71-1"), 0, 2, &[])
+            .extend(&secrets("71-10"), 7, 0, &[]);
+        let seg = cow.materialize();
         assert_eq!(cow.id(), seg.id());
         assert_eq!(cow.len(), seg.len());
         assert_eq!(cow.seg_type(), seg.seg_type);
         assert_eq!(cow.timestamp(), seg.timestamp);
-        assert!(!cow.is_empty());
         assert!(cow.contains(ia("71-10")));
         assert!(!cow.contains(ia("71-404")));
     }
 
     #[test]
-    fn cow_extension_matches_flat_builder_bit_for_bit() {
-        let all = vec![
-            secrets("71-1"),
-            secrets("71-10"),
-            secrets("71-100"),
-            secrets("71-200"),
-        ];
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, 1_700_000_000, 0x5a5a);
-        b.extend(&all[0], 0, 2, &[]);
-        let base = b.finish();
-        // Flat reference: resume the builder over the received segment.
-        let mut flat = SegmentBuilder::from_segment(base.clone());
-        flat.extend(&all[1], 7, 3, &[(ia("71-999"), 9, 4)]);
-        flat.extend(&all[2], 1, 5, &[]);
-        let flat = flat.finish();
-        // Copy-on-extend path over the same hops.
-        let cow = CowSegment::from_segment(&base)
-            .extend(&all[1], 7, 3, &[(ia("71-999"), 9, 4)])
-            .extend(&all[2], 1, 5, &[]);
-        assert_eq!(cow.materialize(), flat);
-        assert_eq!(cow.id(), flat.id());
-        cow.materialize()
-            .verify(&key_fn(&all), &hop_fn(&all))
-            .unwrap();
-    }
-
-    #[test]
     fn cow_sibling_extensions_share_prefix_and_diverge() {
         let all = vec![secrets("71-1"), secrets("71-10"), secrets("71-100")];
-        let mut b = SegmentBuilder::originate(SegmentType::Core, 1_700_000_000, 0x0f0f);
-        b.extend(&all[0], 0, 2, &[]);
-        let base = CowSegment::from_segment(&b.finish());
+        let base = CowSegment::originate(SegmentType::Core, 1_700_000_000, 0x0f0f).extend(
+            &all[0],
+            0,
+            2,
+            &[],
+        );
         let ext1 = base.extend(&all[1], 7, 3, &[]);
         let ext2 = base.extend(&all[2], 8, 0, &[]);
         assert_ne!(ext1.id(), ext2.id());

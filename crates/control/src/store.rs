@@ -340,21 +340,18 @@ impl SegmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{AsSecrets, SegmentBuilder};
+    use crate::segment::{AsSecrets, CowSegment};
     use scion_proto::addr::ia;
 
     fn core_seg(from: &str, to: &str, ts: u32) -> PathSegment {
-        let mut b = SegmentBuilder::originate(SegmentType::Core, ts, 1);
-        b.extend(&AsSecrets::derive(ia(from)), 0, 1, &[]);
-        b.extend(&AsSecrets::derive(ia(to)), 2, 0, &[]);
-        b.finish()
+        CowSegment::originate(SegmentType::Core, ts, 1)
+            .extend(&AsSecrets::derive(ia(from)), 0, 1, &[])
+            .extend(&AsSecrets::derive(ia(to)), 2, 0, &[])
+            .materialize()
     }
 
     fn up_seg(core: &str, leaf: &str, ts: u32) -> PathSegment {
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, ts, 1);
-        b.extend(&AsSecrets::derive(ia(core)), 0, 1, &[]);
-        b.extend(&AsSecrets::derive(ia(leaf)), 2, 0, &[]);
-        b.finish()
+        up_seg_via_at(core, leaf, 1, ts)
     }
 
     #[test]
@@ -501,10 +498,14 @@ mod tests {
     /// Like `up_seg` but with an explicit core egress interface, so tests
     /// can kill one child link without hitting the other.
     fn up_seg_via(core: &str, leaf: &str, egress: u16) -> PathSegment {
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, 100, 1);
-        b.extend(&AsSecrets::derive(ia(core)), 0, egress, &[]);
-        b.extend(&AsSecrets::derive(ia(leaf)), 2, 0, &[]);
-        b.finish()
+        up_seg_via_at(core, leaf, egress, 100)
+    }
+
+    fn up_seg_via_at(core: &str, leaf: &str, egress: u16, ts: u32) -> PathSegment {
+        CowSegment::originate(SegmentType::UpDown, ts, 1)
+            .extend(&AsSecrets::derive(ia(core)), 0, egress, &[])
+            .extend(&AsSecrets::derive(ia(leaf)), 2, 0, &[])
+            .materialize()
     }
 
     #[test]

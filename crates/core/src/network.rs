@@ -330,11 +330,9 @@ impl SciEraNetwork {
             renewal.insert(ia, driver);
         }
 
-        // The control-plane signing keys of the simulation are the per-AS
-        // `AsSecrets`; register them as verified (they are what PCBs are
-        // signed with). In production the beacon keys are the AS-cert keys;
-        // our AsSecrets::derive plays that role.
-        // Verify every registered segment end to end.
+        // Verify every registered segment end to end against the keys PCBs
+        // are signed with: `AsSecrets::signing`, derived from the AS number,
+        // not the AS-certificate keys issued above (ROADMAP item 4).
         let keys = |ia: IsdAsn| secrets.get(&ia).map(|s| s.signing.verifying_key());
         let hops = |ia: IsdAsn| secrets.get(&ia).map(|s| s.hop_key.clone());
         for seg in store.all_segments() {

@@ -481,7 +481,7 @@ mod tests {
             x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
             let k = key((x >> 16) as u16 % 48);
             if x & 1 == 0 {
-                let expect = model.iter().any(|m| *m == k);
+                let expect = model.contains(&k);
                 let got = c.check(&k);
                 assert_eq!(got, expect, "check({k:?})");
                 if expect {

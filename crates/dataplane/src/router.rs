@@ -1011,7 +1011,7 @@ impl core::fmt::Debug for BorderRouter {
 mod tests {
     use super::*;
     use scion_control::fullpath::{Direction, FullPath, PathKind, SegmentUse};
-    use scion_control::segment::{AsSecrets, SegmentBuilder, SegmentType};
+    use scion_control::segment::{AsSecrets, CowSegment, SegmentType};
     use scion_proto::addr::{ia, HostAddr, ScionAddr};
 
     const TS: u32 = 1_700_000_000;
@@ -1029,29 +1029,29 @@ mod tests {
     /// Up segment: core 71-1 (eg 11) -> mid 71-10 (in 21, eg 22, peer to
     /// 71-20 via 29/39) -> leaf 71-100 (in 31).
     pub(crate) fn up_segment() -> scion_control::segment::PathSegment {
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, TS, 0x1001);
-        b.extend(&secrets("71-1"), 0, 11, &[]);
-        b.extend(&secrets("71-10"), 21, 22, &[(ia("71-20"), 29, 39)]);
-        b.extend(&secrets("71-100"), 31, 0, &[]);
-        b.finish()
+        CowSegment::originate(SegmentType::UpDown, TS, 0x1001)
+            .extend(&secrets("71-1"), 0, 11, &[])
+            .extend(&secrets("71-10"), 21, 22, &[(ia("71-20"), 29, 39)])
+            .extend(&secrets("71-100"), 31, 0, &[])
+            .materialize()
     }
 
     /// Down segment: core 71-2 (eg 12) -> mid 71-20 (in 23, eg 24, peer to
     /// 71-10 via 39/29) -> leaf 71-200 (in 33).
     pub(crate) fn down_segment() -> scion_control::segment::PathSegment {
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, TS, 0x2002);
-        b.extend(&secrets("71-2"), 0, 12, &[]);
-        b.extend(&secrets("71-20"), 23, 24, &[(ia("71-10"), 39, 29)]);
-        b.extend(&secrets("71-200"), 33, 0, &[]);
-        b.finish()
+        CowSegment::originate(SegmentType::UpDown, TS, 0x2002)
+            .extend(&secrets("71-2"), 0, 12, &[])
+            .extend(&secrets("71-20"), 23, 24, &[(ia("71-10"), 39, 29)])
+            .extend(&secrets("71-200"), 33, 0, &[])
+            .materialize()
     }
 
     /// Core segment constructed 71-2 (eg 41) -> 71-1 (in 42).
     pub(crate) fn core_segment() -> scion_control::segment::PathSegment {
-        let mut b = SegmentBuilder::originate(SegmentType::Core, TS, 0x3003);
-        b.extend(&secrets("71-2"), 0, 41, &[]);
-        b.extend(&secrets("71-1"), 42, 0, &[]);
-        b.finish()
+        CowSegment::originate(SegmentType::Core, TS, 0x3003)
+            .extend(&secrets("71-2"), 0, 41, &[])
+            .extend(&secrets("71-1"), 42, 0, &[])
+            .materialize()
     }
 
     pub(crate) fn full_transit_path() -> FullPath {
@@ -1166,11 +1166,11 @@ mod tests {
     #[test]
     fn shortcut_path_forwards() {
         // Down segment sharing mid AS 71-10: core 71-1 -> 71-10 -> 71-300.
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, TS, 0x4004);
-        b.extend(&secrets("71-1"), 0, 11, &[]);
-        b.extend(&secrets("71-10"), 21, 25, &[]);
-        b.extend(&secrets("71-300"), 35, 0, &[]);
-        let down = b.finish();
+        let down = CowSegment::originate(SegmentType::UpDown, TS, 0x4004)
+            .extend(&secrets("71-1"), 0, 11, &[])
+            .extend(&secrets("71-10"), 21, 25, &[])
+            .extend(&secrets("71-300"), 35, 0, &[])
+            .materialize();
         let p = FullPath::assemble(
             ia("71-100"),
             ia("71-300"),
@@ -1480,20 +1480,21 @@ impl BorderRouter {
 mod traceroute_tests {
     use super::*;
     use scion_control::fullpath::{Direction, FullPath, PathKind, SegmentUse};
-    use scion_control::segment::{AsSecrets, SegmentBuilder, SegmentType};
+    use scion_control::segment::{AsSecrets, CowSegment, SegmentType};
     use scion_proto::addr::{ia, HostAddr, ScionAddr};
 
     fn probe_packet(alert_hop: usize) -> ScionPacket {
         let mk = |s: &str| AsSecrets::derive(ia(s));
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, 1_700_000_000, 0x99);
-        b.extend(&mk("71-1"), 0, 11, &[]);
-        b.extend(&mk("71-10"), 21, 22, &[]);
-        b.extend(&mk("71-100"), 31, 0, &[]);
+        let seg = CowSegment::originate(SegmentType::UpDown, 1_700_000_000, 0x99)
+            .extend(&mk("71-1"), 0, 11, &[])
+            .extend(&mk("71-10"), 21, 22, &[])
+            .extend(&mk("71-100"), 31, 0, &[])
+            .materialize();
         let path = FullPath::assemble(
             ia("71-100"),
             ia("71-1"),
             PathKind::SingleSegment,
-            vec![SegmentUse::whole(b.finish(), Direction::AgainstCons)],
+            vec![SegmentUse::whole(seg, Direction::AgainstCons)],
         )
         .unwrap();
         let mut dp = path.to_dataplane().unwrap();
@@ -1951,34 +1952,23 @@ mod fastpath_tests {
 
     #[test]
     fn peering_walk_is_byte_identical() {
+        use super::tests::{down_segment, up_segment};
         use scion_control::fullpath::{Direction, FullPath, PathKind, SegmentUse};
-        use scion_control::segment::{SegmentBuilder, SegmentType};
 
-        let ts = 1_700_000_000u32;
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, ts, 0x1001);
-        b.extend(&secrets("71-1"), 0, 11, &[]);
-        b.extend(&secrets("71-10"), 21, 22, &[(ia("71-20"), 29, 39)]);
-        b.extend(&secrets("71-100"), 31, 0, &[]);
-        let up = b.finish();
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, ts, 0x2002);
-        b.extend(&secrets("71-2"), 0, 12, &[]);
-        b.extend(&secrets("71-20"), 23, 24, &[(ia("71-10"), 39, 29)]);
-        b.extend(&secrets("71-200"), 33, 0, &[]);
-        let down = b.finish();
         let p = FullPath::assemble(
             ia("71-100"),
             ia("71-200"),
             PathKind::Peering,
             vec![
                 SegmentUse {
-                    segment: up.into(),
+                    segment: up_segment().into(),
                     dir: Direction::AgainstCons,
                     from_idx: 1,
                     to_idx: 2,
                     peer_with: Some(ia("71-20")),
                 },
                 SegmentUse {
-                    segment: down.into(),
+                    segment: down_segment().into(),
                     dir: Direction::Cons,
                     from_idx: 1,
                     to_idx: 2,

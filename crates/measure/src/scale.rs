@@ -182,7 +182,6 @@ fn beacon_config_for(n: usize) -> BeaconConfig {
         candidates_per_origin: if n >= 1000 { 3 } else { 6 },
         max_len: 16,
         rounds: 24,
-        delta_propagation: true,
     }
 }
 

@@ -182,7 +182,6 @@ pub fn run_slo(cfg: &SloConfig) -> Vec<SloPoint> {
             candidates_per_origin: 6,
             max_len: 16,
             rounds: 24,
-            delta_propagation: true,
         },
     )
     .run()

@@ -15,7 +15,8 @@
 //! * [`faults`] — fault injection: scheduled link cuts, flapping windows and
 //!   maintenance events, mirroring the incidents of §5.4 (KREONET cable cut,
 //!   BRIDGES instabilities, January maintenance).
-//! * [`metrics`] — counters and streaming histograms for experiment output.
+//! * [`metrics`] — sample summaries, streaming histograms and rendered CDFs
+//!   for experiment output.
 //! * [`pool`] — a bounded frame-buffer pool so steady-state traffic reuses
 //!   `Vec<u8>` allocations instead of hammering the global allocator; the
 //!   [`world::World`] owns one and exposes it through [`world::NodeCtx`].

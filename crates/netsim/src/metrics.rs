@@ -1,4 +1,4 @@
-//! Counters, summaries and CDF helpers for experiment output.
+//! Summaries, histograms and CDF helpers for experiment output.
 //!
 //! Every figure in the paper's evaluation is a distribution (CDFs in
 //! Figs. 5, 6, 10a, 10b), a time series (Fig. 7) or a matrix (Figs. 8, 9).
@@ -45,25 +45,9 @@ impl Summary {
         self.rejected
     }
 
-    /// Merges another summary into this one (rejection counts included).
-    pub fn merge(&mut self, other: &Summary) {
-        self.samples.extend_from_slice(&other.samples);
-        self.rejected += other.rejected;
-        self.sorted = false;
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> usize {
         self.samples.len()
-    }
-
-    /// Arithmetic mean; `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-        }
     }
 
     fn ensure_sorted(&mut self) {
@@ -91,12 +75,6 @@ impl Summary {
     /// Median shortcut.
     pub fn median(&mut self) -> Option<f64> {
         self.quantile(0.5)
-    }
-
-    /// Minimum sample.
-    pub fn min(&mut self) -> Option<f64> {
-        self.ensure_sorted();
-        self.samples.first().copied()
     }
 
     /// Maximum sample.
@@ -135,11 +113,6 @@ impl Summary {
         }
         Cdf { points: out }
     }
-
-    /// Read-only view of the raw samples (sorted if previously queried).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
 }
 
 /// A rendered cumulative distribution function.
@@ -147,64 +120,6 @@ impl Summary {
 pub struct Cdf {
     /// (x, F(x)) pairs with F non-decreasing in x.
     pub points: Vec<(f64, f64)>,
-}
-
-impl Cdf {
-    /// Largest x with F(x) ≤ q, i.e. an inverse-CDF lookup on the rendered
-    /// points.
-    pub fn x_at_quantile(&self, q: f64) -> Option<f64> {
-        self.points.iter().find(|(_, f)| *f >= q).map(|(x, _)| *x)
-    }
-
-    /// Renders as an aligned text table (used by the bench harness output).
-    pub fn to_table(&self, x_label: &str, f_label: &str) -> String {
-        let mut s = format!("{x_label:>14}  {f_label:>8}\n");
-        for (x, fx) in &self.points {
-            s.push_str(&format!("{x:>14.3}  {fx:>8.4}\n"));
-        }
-        s
-    }
-}
-
-/// A labelled counter set for protocol statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Counters {
-    entries: Vec<(String, u64)>,
-}
-
-impl Counters {
-    /// Creates an empty counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments `name` by `by`, creating it at zero if absent.
-    pub fn add(&mut self, name: &str, by: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|(n, _)| n == name) {
-            e.1 += by;
-        } else {
-            self.entries.push((name.to_string(), by));
-        }
-    }
-
-    /// Increments `name` by one.
-    pub fn incr(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Reads a counter (0 if absent).
-    pub fn get(&self, name: &str) -> u64 {
-        self.entries
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
-
-    /// All counters, insertion-ordered.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), *v))
-    }
 }
 
 #[cfg(test)]
@@ -221,8 +136,6 @@ mod tests {
         assert_eq!(s.quantile(0.0), Some(1.0));
         assert_eq!(s.quantile(1.0), Some(5.0));
         assert_eq!(s.quantile(0.25), Some(2.0));
-        assert_eq!(s.mean(), Some(3.0));
-        assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(5.0));
     }
 
@@ -239,7 +152,6 @@ mod tests {
     fn empty_summary() {
         let mut s = Summary::new();
         assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), None);
         assert_eq!(s.median(), None);
         assert_eq!(s.cdf_at(1.0), 0.0);
         assert!(s.to_cdf(10).points.is_empty());
@@ -274,41 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_inverse_lookup() {
-        let mut s = Summary::new();
-        for i in 1..=100 {
-            s.record(i as f64);
-        }
-        let cdf = s.to_cdf(100);
-        let x = cdf.x_at_quantile(0.9).unwrap();
-        assert!((x - 90.0).abs() < 2.5, "p90 ≈ 90, got {x}");
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = Summary::new();
-        a.record(1.0);
-        let mut b = Summary::new();
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), Some(2.0));
-    }
-
-    #[test]
-    fn counters() {
-        let mut c = Counters::new();
-        c.incr("pkts");
-        c.add("pkts", 4);
-        c.incr("drops");
-        assert_eq!(c.get("pkts"), 5);
-        assert_eq!(c.get("drops"), 1);
-        assert_eq!(c.get("missing"), 0);
-        let all: Vec<_> = c.iter().collect();
-        assert_eq!(all, vec![("pkts", 5), ("drops", 1)]);
-    }
-
-    #[test]
     fn non_finite_rejected_and_counted() {
         let mut s = Summary::new();
         assert!(s.record(2.0));
@@ -317,12 +194,7 @@ mod tests {
         assert!(!s.record(f64::NEG_INFINITY));
         assert_eq!(s.count(), 1);
         assert_eq!(s.rejected(), 3);
-        assert_eq!(s.mean(), Some(2.0));
-
-        let mut other = Summary::new();
-        other.record(f64::NAN);
-        s.merge(&other);
-        assert_eq!(s.rejected(), 4);
+        assert_eq!(s.median(), Some(2.0));
     }
 }
 

@@ -230,20 +230,21 @@ mod tests {
     use super::*;
     use crate::health::{ChurnEvent, HealthBoard};
     use scion_control::fullpath::{Direction, PathKind, SegmentUse};
-    use scion_control::segment::{AsSecrets, SegmentBuilder, SegmentType};
+    use scion_control::segment::{AsSecrets, CowSegment, SegmentType};
     use scion_proto::addr::ia;
 
     fn test_path() -> FullPath {
         let mk = |s: &str| AsSecrets::derive(ia(s));
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, 1_700_000_000, 0x11);
-        b.extend(&mk("71-1"), 0, 11, &[]);
-        b.extend(&mk("71-10"), 21, 22, &[]);
-        b.extend(&mk("71-100"), 31, 0, &[]);
+        let seg = CowSegment::originate(SegmentType::UpDown, 1_700_000_000, 0x11)
+            .extend(&mk("71-1"), 0, 11, &[])
+            .extend(&mk("71-10"), 21, 22, &[])
+            .extend(&mk("71-100"), 31, 0, &[])
+            .materialize();
         FullPath::assemble(
             ia("71-100"),
             ia("71-1"),
             PathKind::SingleSegment,
-            vec![SegmentUse::whole(b.finish(), Direction::AgainstCons)],
+            vec![SegmentUse::whole(seg, Direction::AgainstCons)],
         )
         .unwrap()
     }

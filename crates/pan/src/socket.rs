@@ -225,13 +225,13 @@ mod tests {
     /// entering `src` through `ifid + 1`.
     fn fake_path_over(src: &str, dst: &str, ifid: u16) -> FullPath {
         // A structurally valid 2-hop path needs real segments for
-        // to_dataplane(); build one through the segment builder.
+        // to_dataplane(); build one hop by hop.
         use scion_control::fullpath::{Direction, SegmentUse};
-        use scion_control::segment::{AsSecrets, SegmentBuilder, SegmentType};
-        let mut b = SegmentBuilder::originate(SegmentType::UpDown, 1_700_000_000, 0x77);
-        b.extend(&AsSecrets::derive(ia(dst)), 0, ifid, &[]);
-        b.extend(&AsSecrets::derive(ia(src)), ifid + 1, 0, &[]);
-        let seg = b.finish();
+        use scion_control::segment::{AsSecrets, CowSegment, SegmentType};
+        let seg = CowSegment::originate(SegmentType::UpDown, 1_700_000_000, 0x77)
+            .extend(&AsSecrets::derive(ia(dst)), 0, ifid, &[])
+            .extend(&AsSecrets::derive(ia(src)), ifid + 1, 0, &[])
+            .materialize();
         FullPath::assemble(
             ia(src),
             ia(dst),

@@ -52,10 +52,10 @@ cargo test -q --test prop_pathdb --no-default-features
 echo "==> cargo test -q --test prop_batch --no-default-features"
 cargo test -q --test prop_batch --no-default-features
 
-# Delta-propagation differential proptest: the dirty-slot walk must reach
-# the exhaustive walk's state (segments, retained slots, rounds) in both
-# feature configs. The default-features run is part of `cargo test -q`
-# above.
+# Beacon-propagation model proptest: the engine's dirty-slot walk must
+# reach the state of the test's exhaustive model (segments, retained
+# slots, rounds, counters) in both feature configs. The default-features
+# run is part of `cargo test -q` above.
 echo "==> cargo test -q --test prop_propagate --no-default-features"
 cargo test -q --test prop_propagate --no-default-features
 
@@ -130,8 +130,8 @@ echo "==> (cd benchmark && cargo test --offline)"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The dataplane and wire-format crates carry the forwarding hot path, the
 # control crate the combination/beaconing hot path, netsim the frame

@@ -135,7 +135,7 @@ fn concurrent_readers_always_see_generation_consistent_paths() {
             let db = db.clone();
             let (log, pool, interfaces) = (&log, &pool, &interfaces);
             scope.spawn(move || {
-                let mut rng = Rng::new(0xD0_5eed);
+                let mut rng = Rng::new(0xD0_5EED);
                 for i in 0..WRITER_OPS {
                     match i % 4 {
                         // Registration: mutate + publish, then log the

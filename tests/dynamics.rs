@@ -49,7 +49,7 @@ fn campaign_over_real_network_exports_and_replays() {
     assert_eq!(summary.pairs, 2);
     assert!(summary.paths >= 4, "two multi-path pairs tracked");
     assert_eq!(
-        summary.records as usize,
+        summary.records,
         dataset.paths.len(),
         "summary counts every record"
     );

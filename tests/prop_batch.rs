@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use sciera::control::fullpath::{Direction, FullPath, PathKind, SegmentUse};
-use sciera::control::segment::{AsSecrets, PathSegment, SegmentBuilder, SegmentType};
+use sciera::control::segment::{AsSecrets, CowSegment, PathSegment, SegmentType};
 use sciera::dataplane::router::BorderRouter;
 use sciera::proto::addr::{ia, HostAddr, ScionAddr, ServiceAddr};
 use sciera::proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
@@ -34,26 +34,26 @@ fn router(s: &str, telemetry: &Telemetry) -> BorderRouter {
 }
 
 fn up_segment() -> PathSegment {
-    let mut b = SegmentBuilder::originate(SegmentType::UpDown, TS, 0x1001);
-    b.extend(&secrets("71-1"), 0, 11, &[]);
-    b.extend(&secrets("71-10"), 21, 22, &[]);
-    b.extend(&secrets("71-100"), 31, 0, &[]);
-    b.finish()
+    CowSegment::originate(SegmentType::UpDown, TS, 0x1001)
+        .extend(&secrets("71-1"), 0, 11, &[])
+        .extend(&secrets("71-10"), 21, 22, &[])
+        .extend(&secrets("71-100"), 31, 0, &[])
+        .materialize()
 }
 
 fn down_segment() -> PathSegment {
-    let mut b = SegmentBuilder::originate(SegmentType::UpDown, TS, 0x2002);
-    b.extend(&secrets("71-2"), 0, 12, &[]);
-    b.extend(&secrets("71-20"), 23, 24, &[]);
-    b.extend(&secrets("71-200"), 33, 0, &[]);
-    b.finish()
+    CowSegment::originate(SegmentType::UpDown, TS, 0x2002)
+        .extend(&secrets("71-2"), 0, 12, &[])
+        .extend(&secrets("71-20"), 23, 24, &[])
+        .extend(&secrets("71-200"), 33, 0, &[])
+        .materialize()
 }
 
 fn core_segment() -> PathSegment {
-    let mut b = SegmentBuilder::originate(SegmentType::Core, TS, 0x3003);
-    b.extend(&secrets("71-2"), 0, 41, &[]);
-    b.extend(&secrets("71-1"), 42, 0, &[]);
-    b.finish()
+    CowSegment::originate(SegmentType::Core, TS, 0x3003)
+        .extend(&secrets("71-2"), 0, 41, &[])
+        .extend(&secrets("71-1"), 42, 0, &[])
+        .materialize()
 }
 
 /// The walk: 71-100 (host ingress) → 71-10 (in 22) → 71-1 (in 11)

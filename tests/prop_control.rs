@@ -5,124 +5,18 @@
 //! plane's strongest correctness net — it is not tied to the SCIERA
 //! deployment shape.
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::{arb_topo, build, core_ia, leaf_ia};
 use sciera::control::beacon::{BeaconConfig, BeaconEngine};
 use sciera::control::combine::combine_paths;
-use sciera::control::graph::{ControlGraph, LinkType};
+use sciera::control::graph::ControlGraph;
 use sciera::control::segment::AsSecrets;
 use sciera::dataplane::router::{BorderRouter, Decision};
 use sciera::prelude::*;
 use sciera::proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
-
-/// A random multi-level topology: `n_core` core ASes in a partial mesh,
-/// `n_mid` mid-tier ASes each attached to 1–2 cores, `n_leaf` leaves each
-/// attached to 1–2 mids/cores, plus optional peering links between
-/// non-core ASes.
-#[derive(Debug, Clone)]
-struct RandomTopo {
-    n_core: usize,
-    n_mid: usize,
-    n_leaf: usize,
-    core_edges: Vec<(usize, usize)>,
-    mid_parents: Vec<Vec<usize>>,  // indices into cores
-    leaf_parents: Vec<Vec<usize>>, // indices into mids (or cores if empty mids)
-    peerings: Vec<(usize, usize)>, // indices into non-core space
-}
-
-fn arb_topo() -> impl Strategy<Value = RandomTopo> {
-    (2usize..5, 1usize..4, 1usize..5).prop_flat_map(|(n_core, n_mid, n_leaf)| {
-        let core_edges = prop::collection::vec((0..n_core, 0..n_core), n_core - 1..n_core * 2);
-        let mid_parents =
-            prop::collection::vec(prop::collection::vec(0..n_core, 1..3), n_mid..=n_mid);
-        let leaf_parents =
-            prop::collection::vec(prop::collection::vec(0..n_mid, 1..3), n_leaf..=n_leaf);
-        let peerings = prop::collection::vec((0..n_mid + n_leaf, 0..n_mid + n_leaf), 0..3);
-        (
-            Just((n_core, n_mid, n_leaf)),
-            core_edges,
-            mid_parents,
-            leaf_parents,
-            peerings,
-        )
-            .prop_map(
-                |((n_core, n_mid, n_leaf), core_edges, mid_parents, leaf_parents, peerings)| {
-                    RandomTopo {
-                        n_core,
-                        n_mid,
-                        n_leaf,
-                        core_edges,
-                        mid_parents,
-                        leaf_parents,
-                        peerings,
-                    }
-                },
-            )
-    })
-}
-
-fn core_ia(i: usize) -> IsdAsn {
-    ia(&format!("71-{}", 100 + i))
-}
-fn mid_ia(i: usize) -> IsdAsn {
-    ia(&format!("71-{}", 200 + i))
-}
-fn leaf_ia(i: usize) -> IsdAsn {
-    ia(&format!("71-{}", 300 + i))
-}
-
-/// Builds the graph; returns None when the random spec is degenerate
-/// (e.g. no core spanning structure).
-fn build(t: &RandomTopo) -> Option<ControlGraph> {
-    let mut g = ControlGraph::new();
-    for i in 0..t.n_core {
-        g.add_as(core_ia(i), true);
-    }
-    for i in 0..t.n_mid {
-        g.add_as(mid_ia(i), false);
-    }
-    for i in 0..t.n_leaf {
-        g.add_as(leaf_ia(i), false);
-    }
-    // Core ring to guarantee connectivity, plus the random extra edges.
-    for i in 0..t.n_core.saturating_sub(1) {
-        g.connect(core_ia(i), core_ia(i + 1), LinkType::Core).ok()?;
-    }
-    for &(a, b) in &t.core_edges {
-        if a != b {
-            g.connect(core_ia(a), core_ia(b), LinkType::Core).ok()?;
-        }
-    }
-    for (m, parents) in t.mid_parents.iter().enumerate() {
-        for &p in parents {
-            g.connect(core_ia(p), mid_ia(m), LinkType::Child).ok()?;
-        }
-    }
-    for (l, parents) in t.leaf_parents.iter().enumerate() {
-        for &p in parents {
-            g.connect(mid_ia(p % t.n_mid.max(1)), leaf_ia(l), LinkType::Child)
-                .ok()?;
-        }
-    }
-    let noncore = |i: usize| {
-        if i < t.n_mid {
-            mid_ia(i)
-        } else {
-            leaf_ia(i - t.n_mid)
-        }
-    };
-    for &(a, b) in &t.peerings {
-        let (x, y) = (
-            noncore(a % (t.n_mid + t.n_leaf)),
-            noncore(b % (t.n_mid + t.n_leaf)),
-        );
-        if x != y {
-            g.connect(x, y, LinkType::Peer).ok()?;
-        }
-    }
-    g.validate().ok()?;
-    Some(g)
-}
 
 /// Walks a packet along its path through per-AS routers built from the
 /// beacon engine's secrets; returns the AS route taken.
@@ -162,7 +56,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
-    fn beacon_combine_forward_on_random_graphs(topo in arb_topo(), src_pick: u8, dst_pick: u8) {
+    fn beacon_combine_forward_on_random_graphs(topo in arb_topo(|n| n - 1), src_pick: u8, dst_pick: u8) {
         let Some(graph) = build(&topo) else {
             return Ok(()); // degenerate spec: nothing to check
         };
@@ -208,7 +102,7 @@ proptest! {
     }
 
     #[test]
-    fn connected_noncore_pairs_get_paths(topo in arb_topo()) {
+    fn connected_noncore_pairs_get_paths(topo in arb_topo(|n| n - 1)) {
         let Some(graph) = build(&topo) else { return Ok(()) };
         let store = BeaconEngine::new(&graph, 1_700_000_000, BeaconConfig::default())
             .run()

@@ -1,11 +1,11 @@
-//! Differential property test for delta beacon propagation: on any random
-//! multi-tier topology and any beacon configuration, offering only the
-//! slots that changed since they were last offered must reach exactly the
-//! state of the exhaustive walk that re-offers every slot every round —
-//! registered segments, retained slot contents and order, convergence
-//! round count, and the counters of what was originated, retained and
-//! registered. The exhaustive walk is the reference; the delta walk is
-//! only allowed to do less work (fewer offers, verifications and filters).
+//! Model test for beacon propagation. The engine offers only the slots
+//! that changed since they were last offered; `model` below is the
+//! exhaustive synchronous walk written from the protocol, over the public
+//! graph and segment API, that re-offers every retained beacon every
+//! round. On any random multi-tier topology and beacon configuration the
+//! two must agree on the registered segments, the retained slot contents
+//! and order, the convergence round count, and the counters of what was
+//! originated, retained and registered.
 //!
 //! The schedule deliberately churns the dirty sets: tight round budgets
 //! that stop mid-churn, and small retain windows
@@ -13,57 +13,21 @@
 //! snapshot-at-round-start semantics is exercised under contention for
 //! slots, not just on quiescent graphs.
 
+mod common;
+
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
+use common::{arb_topo, build};
 use sciera::control::beacon::{BeaconConfig, BeaconEngine};
-use sciera::control::graph::{ControlGraph, LinkType};
+use sciera::control::graph::ControlGraph;
+use sciera::control::graph::LinkType::{self, Child, Core, Peer};
+use sciera::control::segment::{AsSecrets, CowSegment, SegmentType};
 use sciera::prelude::*;
 use sciera::telemetry::Telemetry;
 
-/// A random three-tier topology: cores in a ring plus random extra core
-/// links, mids homed to 1–2 cores, leaves homed to 1–2 mids, optional
-/// peerings between non-core ASes.
-#[derive(Debug, Clone)]
-struct RandomTopo {
-    n_core: usize,
-    n_mid: usize,
-    n_leaf: usize,
-    core_edges: Vec<(usize, usize)>,
-    mid_parents: Vec<Vec<usize>>,
-    leaf_parents: Vec<Vec<usize>>,
-    peerings: Vec<(usize, usize)>,
-}
-
-fn arb_topo() -> impl Strategy<Value = RandomTopo> {
-    (2usize..5, 1usize..4, 1usize..5).prop_flat_map(|(n_core, n_mid, n_leaf)| {
-        let core_edges = prop::collection::vec((0..n_core, 0..n_core), 0..n_core * 2);
-        let mid_parents =
-            prop::collection::vec(prop::collection::vec(0..n_core, 1..3), n_mid..=n_mid);
-        let leaf_parents =
-            prop::collection::vec(prop::collection::vec(0..n_mid, 1..3), n_leaf..=n_leaf);
-        let peerings = prop::collection::vec((0..n_mid + n_leaf, 0..n_mid + n_leaf), 0..3);
-        (
-            Just((n_core, n_mid, n_leaf)),
-            core_edges,
-            mid_parents,
-            leaf_parents,
-            peerings,
-        )
-            .prop_map(
-                |((n_core, n_mid, n_leaf), core_edges, mid_parents, leaf_parents, peerings)| {
-                    RandomTopo {
-                        n_core,
-                        n_mid,
-                        n_leaf,
-                        core_edges,
-                        mid_parents,
-                        leaf_parents,
-                        peerings,
-                    }
-                },
-            )
-    })
-}
+const TS: u32 = 1_700_000_000;
 
 /// Beacon configurations that stress the round from different angles:
 /// tiny retain windows force evictions, short round budgets stop with a
@@ -73,119 +37,170 @@ fn arb_config() -> impl Strategy<Value = BeaconConfig> {
         candidates_per_origin: candidates,
         max_len,
         rounds,
-        delta_propagation: false, // set per run below
     })
 }
 
-fn core_ia(i: usize) -> IsdAsn {
-    ia(&format!("71-{}", 100 + i))
-}
-fn mid_ia(i: usize) -> IsdAsn {
-    ia(&format!("71-{}", 200 + i))
-}
-fn leaf_ia(i: usize) -> IsdAsn {
-    ia(&format!("71-{}", 300 + i))
-}
-
-/// Builds the graph; None when the random spec is degenerate.
-fn build(t: &RandomTopo) -> Option<ControlGraph> {
-    let mut g = ControlGraph::new();
-    for i in 0..t.n_core {
-        g.add_as(core_ia(i), true);
-    }
-    for i in 0..t.n_mid {
-        g.add_as(mid_ia(i), false);
-    }
-    for i in 0..t.n_leaf {
-        g.add_as(leaf_ia(i), false);
-    }
-    for i in 0..t.n_core.saturating_sub(1) {
-        g.connect(core_ia(i), core_ia(i + 1), LinkType::Core).ok()?;
-    }
-    for &(a, b) in &t.core_edges {
-        if a != b {
-            g.connect(core_ia(a), core_ia(b), LinkType::Core).ok()?;
-        }
-    }
-    for (m, parents) in t.mid_parents.iter().enumerate() {
-        for &p in parents {
-            g.connect(core_ia(p), mid_ia(m), LinkType::Child).ok()?;
-        }
-    }
-    for (l, parents) in t.leaf_parents.iter().enumerate() {
-        for &p in parents {
-            g.connect(mid_ia(p % t.n_mid.max(1)), leaf_ia(l), LinkType::Child)
-                .ok()?;
-        }
-    }
-    let noncore = |i: usize| {
-        if i < t.n_mid {
-            mid_ia(i)
-        } else {
-            leaf_ia(i - t.n_mid)
-        }
-    };
-    for &(a, b) in &t.peerings {
-        let (x, y) = (
-            noncore(a % (t.n_mid + t.n_leaf)),
-            noncore(b % (t.n_mid + t.n_leaf)),
-        );
-        if x != y {
-            g.connect(x, y, LinkType::Peer).ok()?;
-        }
-    }
-    g.validate().ok()?;
-    Some(g)
-}
-
-/// The observable outcome of one full beaconing run: registered segment
-/// ids (sorted — registration order is not part of the contract), the
-/// retained-slot digest (order *is* part of the contract), rounds to the
-/// fixed point, and the beacon counters both walks share.
+/// What a beaconing run leaves: registered segment ids (sorted), the
+/// retained-slot digest (in order), rounds to the fixed point, and the
+/// `beacon.{originated,propagated,segments_registered}` counters. Other
+/// counters count offers, which the engine's dirty set exists to reduce.
 struct RunOutcome {
     segment_ids: Vec<[u8; 32]>,
     slots: Vec<(bool, IsdAsn, IsdAsn, Vec<[u8; 32]>)>,
     rounds: usize,
-    counters: Vec<(String, u64)>,
+    counters: [u64; 3],
 }
 
-/// Beacon counters both walks must agree on: what was originated, retained
-/// and registered. The rest (`beacon.filtered`, `beacon.batch.*`) count
-/// offers made, which is what the delta walk exists to reduce.
-fn shared_beacon_counters(tele: &Telemetry) -> Vec<(String, u64)> {
-    const SHARED: [&str; 3] = [
-        "beacon.originated",
-        "beacon.propagated",
-        "beacon.segments_registered",
-    ];
-    tele.snapshot()
-        .counters
-        .into_iter()
-        .filter(|(n, _)| SHARED.contains(&n.as_str()))
-        .collect()
-}
-
-fn run_mode(graph: &ControlGraph, cfg: &BeaconConfig, delta: bool) -> RunOutcome {
+fn engine_run(graph: &ControlGraph, cfg: &BeaconConfig) -> RunOutcome {
     let tele = Telemetry::quiet();
-    let mut engine = BeaconEngine::new(
-        graph,
-        1_700_000_000,
-        BeaconConfig {
-            delta_propagation: delta,
-            ..*cfg
-        },
-    );
+    let mut engine = BeaconEngine::new(graph, TS, *cfg);
     engine.set_telemetry(tele.clone());
-    let store = engine
-        .run()
-        .expect("beaconing converges on any valid graph");
+    let store = engine.run().expect("beaconing converges");
     let mut segment_ids: Vec<[u8; 32]> = store.all_segments().map(|s| s.id()).collect();
     segment_ids.sort();
+    let snap = tele.snapshot();
+    let counters = ["originated", "propagated", "segments_registered"]
+        .map(|n| snap.counter(&format!("beacon.{n}")).unwrap_or(0));
     RunOutcome {
         segment_ids,
         slots: engine.slot_digest(),
         rounds: engine.last_rounds(),
-        counters: shared_beacon_counters(&tele),
+        counters,
+    }
+}
+
+/// Retained beacons per (holder, origin), each with the holder's ingress.
+type Slots = BTreeMap<(IsdAsn, IsdAsn), Vec<(CowSegment, u16)>>;
+
+/// Offers a beacon to a slot that keeps the top `k` by `(len, id)` without
+/// duplicates. Returns whether the beacon was retained.
+fn offer(slot: &mut Vec<(CowSegment, u16)>, seg: CowSegment, ingress: u16, k: usize) -> bool {
+    let id = seg.id();
+    let fresh = slot.iter().all(|(s, _)| s.id() != id);
+    slot.push((seg, ingress));
+    slot.sort_by_key(|(s, _)| (s.len(), s.id()));
+    slot.dedup_by_key(|(s, _)| s.id());
+    slot.truncate(k);
+    fresh && slot.iter().any(|(s, _)| s.id() == id)
+}
+
+/// `(neighbor, local ifid, neighbor ifid)` of `ia`'s links of type `t`.
+fn links(g: &ControlGraph, ia: IsdAsn, t: LinkType) -> Vec<(IsdAsn, u16, u16)> {
+    let intfs = g.as_node(ia).unwrap().interfaces_of_type(t);
+    intfs.map(|i| (i.neighbor, i.id, i.neighbor_ifid)).collect()
+}
+
+/// Per beacon kind, the links it travels and the links its entries
+/// advertise: core beacons (kind 0) advertise none, down beacons (kind 1)
+/// the extending AS's peering links.
+const KINDS: [(LinkType, Option<LinkType>); 2] = [(Core, None), (Child, Some(Peer))];
+
+/// The exhaustive synchronous walk to a fixed point, then registration.
+fn model(g: &ControlGraph, cfg: &BeaconConfig) -> RunOutcome {
+    let sec: BTreeMap<_, _> = g.ases().map(|a| (a.ia, AsSecrets::derive(a.ia))).collect();
+    let peers = |kind: usize, ia| KINDS[kind].1.map_or(vec![], |t| links(g, ia, t));
+    let (k, mut slots) = (cfg.candidates_per_origin, [Slots::new(), Slots::new()]);
+    let (mut originated, mut propagated, mut rounds) = (0, 0, 0);
+    for core in g.core_ases() {
+        let intfs = g.as_node(core).unwrap().interfaces.iter();
+        let beaconed = intfs.filter(|i| matches!(i.link_type, Core | Child));
+        for (seq, i) in beaconed.enumerate() {
+            let (kind, seg_type) = match i.link_type {
+                Core => (0, SegmentType::Core),
+                _ => (1, SegmentType::UpDown),
+            };
+            let beta0 = (31 * (core.to_u64() & 0xffff) + seq as u64) as u16;
+            let seg = CowSegment::originate(seg_type, TS, beta0);
+            let seg = seg.extend(&sec[&core], 0, i.id, &peers(kind, core));
+            let slot = slots[kind].entry((i.neighbor, core)).or_default();
+            offer(slot, seg, i.neighbor_ifid, k);
+            originated += 1;
+        }
+    }
+    // Stop after the first round that changes nothing, counting it.
+    let mut changed = true;
+    while changed && rounds < cfg.rounds {
+        (rounds, changed) = (rounds + 1, false);
+        let snapshot = slots.clone();
+        for (kind, (out, _)) in KINDS.into_iter().enumerate() {
+            // Only core ASes extend core beacons.
+            for h in g.ases().filter(|a| kind == 1 || a.core).map(|a| a.ia) {
+                let peers = peers(kind, h);
+                for (n, out_if, n_if) in links(g, h, out) {
+                    for ((_, origin), slot) in snapshot[kind].iter().filter(|s| s.0 .0 == h) {
+                        for (seg, ingress) in slot {
+                            if seg.len() >= cfg.max_len || seg.contains(h) || seg.contains(n) {
+                                continue;
+                            }
+                            let ext = seg.extend(&sec[&h], *ingress, out_if, &peers);
+                            if offer(slots[kind].entry((n, *origin)).or_default(), ext, n_if, k) {
+                                (propagated, changed) = (propagated + 1, true);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Core holders terminate core beacons, non-core holders down beacons.
+    let mut segment_ids = Vec::new();
+    for h in g.ases() {
+        let kind = usize::from(!h.core);
+        let held = slots[kind].iter().filter(|s| s.0 .0 == h.ia);
+        for (seg, ingress) in held.flat_map(|s| s.1).filter(|b| !b.0.contains(h.ia)) {
+            let seg = seg.extend(&sec[&h.ia], *ingress, 0, &peers(kind, h.ia));
+            segment_ids.push(seg.id());
+        }
+    }
+    segment_ids.sort();
+    let mut digest = Vec::new();
+    for (core, map) in [true, false].into_iter().zip(&slots) {
+        for (s, b) in map {
+            digest.push((core, s.0, s.1, b.iter().map(|b| b.0.id()).collect()));
+        }
+    }
+    RunOutcome {
+        counters: [originated, propagated, segment_ids.len() as u64],
+        segment_ids,
+        slots: digest,
+        rounds,
+    }
+}
+
+/// Asserts that the engine reaches the model's state; returns the number
+/// of registered segments.
+fn check(graph: &ControlGraph, cfg: &BeaconConfig) -> usize {
+    let (engine, model) = (engine_run(graph, cfg), model(graph, cfg));
+    assert_eq!(engine.segment_ids, model.segment_ids, "registered segments");
+    assert_eq!(engine.slots, model.slots, "retained slots");
+    assert_eq!(engine.rounds, model.rounds, "convergence rounds");
+    assert_eq!(engine.counters, model.counters, "beacon counters");
+    model.segment_ids.len()
+}
+
+#[test]
+fn dirty_slot_walk_matches_the_model_on_small_shapes() {
+    // A diamond (two cores, a leaf each, the leaves peering), a core
+    // triangle, and a core → mid → leaf chain. The core ASes are 71-1..3.
+    let shapes: [&[(&str, &str, LinkType)]; 3] = [
+        &[
+            ("1", "2", Core),
+            ("1", "10", Child),
+            ("2", "11", Child),
+            ("10", "11", Peer),
+        ],
+        &[("1", "2", Core), ("2", "3", Core), ("1", "3", Core)],
+        &[("1", "10", Child), ("10", "100", Child)],
+    ];
+    let at = |x: &str| ia(&format!("71-{x}"));
+    for shape in shapes {
+        let mut g = ControlGraph::new();
+        for &(a, b, t) in shape {
+            g.add_as(at(a), a.len() == 1);
+            g.add_as(at(b), b.len() == 1);
+            g.connect(at(a), at(b), t).unwrap();
+        }
+        assert!(check(&g, &BeaconConfig::default()) > 0);
     }
 }
 
@@ -193,23 +208,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn delta_propagation_reaches_the_exhaustive_walks_state(
-        topo in arb_topo(),
+    fn dirty_slot_walk_reaches_the_models_fixed_point(
+        topo in arb_topo(|_| 0),
         cfg in arb_config(),
     ) {
         let Some(graph) = build(&topo) else {
             return Ok(()); // degenerate spec: nothing to check
         };
-        let exhaustive = run_mode(&graph, &cfg, false);
-        let delta = run_mode(&graph, &cfg, true);
-
-        prop_assert_eq!(
-            exhaustive.segment_ids,
-            delta.segment_ids,
-            "registered segments diverged"
-        );
-        prop_assert_eq!(exhaustive.slots, delta.slots, "retained slots diverged");
-        prop_assert_eq!(exhaustive.rounds, delta.rounds, "convergence rounds diverged");
-        prop_assert_eq!(exhaustive.counters, delta.counters, "beacon counter parity");
+        check(&graph, &cfg);
     }
 }
