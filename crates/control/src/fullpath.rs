@@ -9,7 +9,7 @@
 //! initialisation, and the hop fields exactly as MACed during beaconing.
 
 use std::collections::HashSet;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -239,20 +239,17 @@ pub struct PathBody {
     pub hops: Vec<PathHop>,
 }
 
-/// The allocation behind a [`FullPath`]: the body and, beside it, the
-/// fingerprint key of its hops once somebody has asked for it.
-struct Shared {
-    key: OnceLock<[u8; 8]>,
-    body: PathBody,
-}
-
 /// A combined end-to-end path: a cheap-to-clone handle to an immutable
-/// [`PathBody`], read through `Deref` (`p.hops`, `p.src`, …).
+/// [`PathBody`], read through `Deref` (`p.hops`, `p.src`, …), carrying the
+/// two things a selector ranks by — the fingerprint key and the hop count —
+/// inline.
 ///
 /// A clone shares the body (one reference-count bump), so a cached answer of
 /// 200 paths is handed out without copying a hop. There is no mutable access
-/// to a body, which is what lets [`FullPath::fingerprint_key`] be computed
-/// once per body and kept: nothing can change the hops it was taken over.
+/// to a body, which is what lets the key and hop count be taken once, at
+/// construction, and kept beside the pointer: nothing can change the hops
+/// they were taken over. Ranking a list of handles reads the list and no
+/// body.
 ///
 /// ```compile_fail
 /// use scion_control::fullpath::{FullPath, PathHop};
@@ -261,21 +258,26 @@ struct Shared {
 /// }
 /// ```
 #[derive(Clone)]
-pub struct FullPath(Arc<Shared>);
+pub struct FullPath {
+    body: Arc<PathBody>,
+    key: [u8; 8],
+    len: u32,
+}
 
 impl std::ops::Deref for FullPath {
     type Target = PathBody;
 
     fn deref(&self) -> &PathBody {
-        &self.0.body
+        &self.body
     }
 }
 
 /// By value: two handles are equal when their bodies are, wherever those
-/// live. The memoised key is a function of the body and takes no part.
+/// live. The key is a function of the hops, so differing keys mean
+/// differing bodies without reading either.
 impl PartialEq for FullPath {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0.body == other.0.body
+        Arc::ptr_eq(&self.body, &other.body) || (self.key == other.key && self.body == other.body)
     }
 }
 
@@ -283,7 +285,7 @@ impl Eq for FullPath {}
 
 impl std::fmt::Debug for FullPath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.body.fmt(f)
+        self.body.fmt(f)
     }
 }
 
@@ -291,7 +293,7 @@ impl std::fmt::Debug for FullPath {
 /// plain struct.
 impl Serialize for FullPath {
     fn serialize(&self) -> serde::Value {
-        self.0.body.serialize()
+        self.body.serialize()
     }
 }
 
@@ -327,32 +329,27 @@ fn hash_hops(hops: &[PathHop]) -> [u8; 8] {
 }
 
 impl FullPath {
-    /// Wraps `body` as it is, without deriving or checking anything:
-    /// [`FullPath::assemble`] is the constructor that validates. For tests
-    /// and tools that need a path of given hops without real segments.
+    /// Wraps `body` as it is, taking its key and hop count but checking
+    /// nothing: [`FullPath::assemble`] is the constructor that validates. For
+    /// tests and tools that need a path of given hops without real segments,
+    /// and for deserialisation.
     pub fn from_body(body: PathBody) -> Self {
-        FullPath(Arc::new(Shared {
-            key: OnceLock::new(),
-            body,
-        }))
-    }
-
-    /// Whether this body's key has been taken yet (tests of who pays for
-    /// the hash).
-    #[cfg(test)]
-    pub(crate) fn key_is_memoised(&self) -> bool {
-        self.0.key.get().is_some()
+        FullPath {
+            key: hash_hops(&body.hops),
+            len: u32::try_from(body.hops.len()).expect("a path of fewer than 2^32 hops"),
+            body: Arc::new(body),
+        }
     }
 
     /// Approximate resident size of the body this handle points at, in
-    /// bytes: the shared header (reference counts and the memoised key), the
-    /// body, and the heap behind its use and hop vectors. A further handle
-    /// to the same body costs a pointer, not this. Segment bodies are shared
-    /// interned handles and intentionally not counted — the store owns them
-    /// (see `SegmentStore::approx_bytes`).
+    /// bytes: the shared header (reference counts), the body, and the heap
+    /// behind its use and hop vectors. A further handle to the same body
+    /// costs a handle, not this. Segment bodies are shared interned handles
+    /// and intentionally not counted — the store owns them (see
+    /// `SegmentStore::approx_bytes`).
     pub fn approx_bytes(&self) -> usize {
         2 * std::mem::size_of::<usize>()
-            + std::mem::size_of::<Shared>()
+            + std::mem::size_of::<PathBody>()
             + self.uses.capacity() * std::mem::size_of::<SegmentUse>()
             + self.hops.capacity() * std::mem::size_of::<PathHop>()
     }
@@ -441,14 +438,14 @@ impl FullPath {
         }))
     }
 
-    /// Number of AS-level hops.
+    /// Number of AS-level hops, read from the handle.
     pub fn len(&self) -> usize {
-        self.hops.len()
+        self.len as usize
     }
 
     /// Whether the path is empty (never true for assembled paths).
     pub fn is_empty(&self) -> bool {
-        self.hops.is_empty()
+        self.len == 0
     }
 
     /// All globally-unique interface identifiers `(ISD-AS, ifid)` touched by
@@ -482,13 +479,13 @@ impl FullPath {
         fingerprint_hex(&self.fingerprint_key())
     }
 
-    /// The raw 8-byte digest behind [`Self::fingerprint`]: hashed on the
-    /// first call, a load on every later one, from any handle to this body.
-    /// Fixed-width lowercase hex is order-preserving, so sorting by this key
-    /// equals sorting by the hex string without allocating it — the
-    /// combinator's sort/dedup step and the selector's ranking lean on that.
+    /// The raw 8-byte digest behind [`Self::fingerprint`], hashed when the
+    /// path was built and read from the handle. Fixed-width lowercase hex is
+    /// order-preserving, so sorting by this key equals sorting by the hex
+    /// string without allocating it — the combinator's sort/dedup step and
+    /// the selector's ranking lean on that.
     pub fn fingerprint_key(&self) -> [u8; 8] {
-        *self.0.key.get_or_init(|| hash_hops(&self.0.body.hops))
+        self.key
     }
 
     /// Earliest expiry over all used segments (Unix seconds).
@@ -523,15 +520,15 @@ impl FullPath {
     }
 }
 
-/// Approximate resident bytes behind a collection of path handles: a pointer
-/// per handle, and each distinct body ([`FullPath::approx_bytes`]) once,
-/// however many of the handles share it.
+/// Approximate resident bytes behind a collection of path handles: a handle
+/// (pointer, key and hop count) per handle, and each distinct body
+/// ([`FullPath::approx_bytes`]) once, however many of the handles share it.
 pub(crate) fn approx_shared_bytes<'a>(handles: impl IntoIterator<Item = &'a FullPath>) -> usize {
-    let mut counted: HashSet<*const Shared> = HashSet::new();
+    let mut counted: HashSet<*const PathBody> = HashSet::new();
     handles
         .into_iter()
         .map(|p| {
-            let body = if counted.insert(Arc::as_ptr(&p.0)) {
+            let body = if counted.insert(Arc::as_ptr(&p.body)) {
                 p.approx_bytes()
             } else {
                 0
@@ -552,8 +549,13 @@ pub fn fingerprint_hex(key: &[u8; 8]) -> String {
 /// paths, 0.0 for identical ones ("having only 30 % of links in common"
 /// reads as 0.7 under this metric). Used for path *selection*.
 pub fn disjointness(a: &FullPath, b: &FullPath) -> f64 {
-    let ia = a.interfaces();
-    let ib = b.interfaces();
+    interface_disjointness(&a.interfaces(), &b.interfaces())
+}
+
+/// [`disjointness`] over two paths' [`FullPath::interfaces`] lists, for a
+/// caller that compares each path with many others and lists its interfaces
+/// once.
+pub fn interface_disjointness(ia: &[(IsdAsn, u16)], ib: &[(IsdAsn, u16)]) -> f64 {
     if ia.is_empty() && ib.is_empty() {
         return 0.0;
     }
@@ -660,34 +662,34 @@ mod tests {
     #[test]
     fn equality_is_by_value_and_a_clone_shares_its_body() {
         let (a, b) = (core_transit(), core_transit());
-        assert!(!Arc::ptr_eq(&a.0, &b.0), "assembled separately");
+        assert!(!Arc::ptr_eq(&a.body, &b.body), "assembled separately");
         assert_eq!(a, b);
         let c = a.clone();
-        assert!(Arc::ptr_eq(&a.0, &c.0), "a clone is a second handle");
+        assert!(Arc::ptr_eq(&a.body, &c.body), "a clone is a second handle");
         assert_eq!(a, c);
         assert_ne!(a, bare_path());
-        // The key is derived state: taking it on one side changes nothing.
-        a.fingerprint_key();
-        assert!(a.key_is_memoised() && !b.key_is_memoised());
-        assert_eq!(a, b);
+        // Equal hops, different uses: equal keys do not make equal paths.
+        let stripped = FullPath::from_body(PathBody {
+            uses: Vec::new(),
+            ..PathBody::clone(&a)
+        });
+        assert_eq!(stripped.fingerprint_key(), a.fingerprint_key());
+        assert_ne!(stripped, a);
     }
 
     #[test]
-    fn the_memoised_key_is_the_plain_hash_of_the_hops() {
+    fn the_key_is_the_plain_hash_of_the_hops() {
         for p in [core_transit(), bare_path()] {
-            // Assembled, never finalised: nobody has hashed it yet.
-            assert!(!p.key_is_memoised());
-            let handle = p.clone();
-            let first = p.fingerprint_key();
-            assert_eq!(first, hash_hops(&p.hops));
-            // Kept beside the body, so every handle sees it.
-            assert!(handle.key_is_memoised());
-            assert_eq!(handle.fingerprint_key(), first);
-            assert_eq!(p.fingerprint(), fingerprint_hex(&first));
-            // An equal body elsewhere hashes to the same key on its own.
-            let twin = FullPath::from_body(PathBody::clone(&p));
-            assert!(!twin.key_is_memoised());
-            assert_eq!(twin.fingerprint_key(), first);
+            let key = hash_hops(&p.hops);
+            let text = serde_json::to_string(&p).unwrap();
+            let parsed: FullPath = serde_json::from_str(&text).unwrap();
+            // Assembled or wrapped, cloned, an equal body elsewhere, read
+            // back from JSON: the key and the hop count are the hops'.
+            for handle in [p.clone(), FullPath::from_body(PathBody::clone(&p)), parsed] {
+                assert_eq!(handle.fingerprint_key(), key);
+                assert_eq!(handle.len(), handle.hops.len());
+                assert_eq!(handle.fingerprint(), fingerprint_hex(&key));
+            }
         }
         // The fingerprints themselves are part of the dataset format.
         assert_eq!(bare_path().fingerprint(), "20b7c2d6a87773e4");
@@ -775,9 +777,8 @@ mod tests {
         let back: FullPath = serde_json::from_str(golden).unwrap();
         assert_eq!(back, p);
         assert_eq!(back.fingerprint_key(), p.fingerprint_key());
-        // With real segments behind it, and with the key already taken.
+        // With real segments behind it.
         let p = core_transit();
-        p.fingerprint_key();
         let text = serde_json::to_string(&p).unwrap();
         assert_eq!(text, serde_json::to_string(&PathBody::clone(&p)).unwrap());
         let back: FullPath = serde_json::from_str(&text).unwrap();
@@ -788,8 +789,10 @@ mod tests {
     #[test]
     fn shared_bodies_are_counted_once() {
         let (a, b) = (core_transit(), bare_path());
+        // Pointer, key and hop count: three words, so a ranking reads each
+        // candidate's key and length from the list without touching a body.
         let handle = std::mem::size_of::<FullPath>();
-        assert_eq!(handle, std::mem::size_of::<usize>());
+        assert_eq!(handle, 3 * std::mem::size_of::<usize>());
         assert!(a.approx_bytes() > std::mem::size_of::<PathBody>() + 8);
         let one = approx_shared_bytes([&a]);
         assert_eq!(one, handle + a.approx_bytes());

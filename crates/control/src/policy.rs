@@ -294,16 +294,19 @@ impl PathPolicy {
     pub fn filter(&self, paths: &mut Vec<FullPath>) {
         paths.retain(|p| self.permits(p));
     }
+
+    /// Whether this is the empty policy — no sequence, no ACL rule, no
+    /// commercial AS — which permits every path without reading it.
+    pub fn is_open(&self) -> bool {
+        self.sequence.is_none() && self.acl.rules.is_empty() && self.transit.commercial.is_empty()
+    }
 }
 
 /// A stable fingerprint of a path policy, used in cache keys so queries
 /// under different policies never alias. The empty/default policy (and
 /// "no policy") fingerprint to 0.
 pub fn policy_fingerprint(policy: &PathPolicy) -> u64 {
-    if policy.sequence.is_none()
-        && policy.acl.rules.is_empty()
-        && policy.transit.commercial.is_empty()
-    {
+    if policy.is_open() {
         return 0;
     }
     let encoded = serde_json::to_string(policy).unwrap_or_default();
@@ -438,5 +441,14 @@ mod tests {
         policy.filter(&mut paths);
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].ases()[1], ia("71-1"));
+        // Only the empty policy is open; any one constraint closes it.
+        assert!(PathPolicy::default().is_open());
+        assert!(!policy.is_open());
+        let sequence = Some(Sequence::parse("").unwrap());
+        assert!(!PathPolicy {
+            sequence,
+            ..Default::default()
+        }
+        .is_open());
     }
 }

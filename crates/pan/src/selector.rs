@@ -6,9 +6,10 @@
 //! failover when an SCMP interface-down notification arrives — the paper's
 //! "switching paths instantly if performance worsens" (§4.7).
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use scion_control::fullpath::{disjointness, fingerprint_hex, FullPath};
+use scion_control::fullpath::{fingerprint_hex, interface_disjointness, FullPath};
 use scion_control::policy::{PathPolicy, Preference};
 use scion_proto::addr::IsdAsn;
 use scion_proto::path::ScionPath;
@@ -58,12 +59,44 @@ pub struct PathMetadata {
 }
 
 /// A path's [`FullPath::fingerprint_key`]: what the selector ranks, pins and
-/// dead-lists on. Each path carries its own (hashed once per body, however
-/// many lookups hand it out), so taking one is a load. Fixed-width lowercase
-/// hex compares like the bytes it renders, so every order below equals the
-/// order of the hex fingerprints; the hex form appears only where strings
-/// cross the API (`pin`, `listing`, and the `rtt`/`metadata` maps).
+/// dead-lists on. Each handle carries its own beside its hop count (hashed
+/// when the path was built), so taking one reads the candidate list and no
+/// body. Fixed-width lowercase hex compares like the bytes it renders, so
+/// every order below equals the order of the hex fingerprints; the hex form
+/// appears only where strings cross the API (`pin`, `listing`, and the
+/// `rtt`/`metadata` maps).
 type Key = [u8; 8];
+
+/// A path's place in the preference order, taken once per path per ranking:
+/// `(score, hops, key)`, compared by [`by_rank`]. The key is read as a
+/// big-endian integer, which orders like its bytes in one comparison.
+type Rank = (f64, usize, u64);
+
+/// Ascending score, then hop count, then key.
+fn by_rank(a: &Rank, b: &Rank) -> Ordering {
+    a.0.partial_cmp(&b.0)
+        .expect("path scores are not NaN")
+        .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
+}
+
+/// The key a fingerprint renders, if `fingerprint` is one: exactly 16
+/// lowercase hex digits.
+fn parse_key(fingerprint: &str) -> Option<Key> {
+    let digits = fingerprint.as_bytes();
+    if digits.len() != 16 {
+        return None;
+    }
+    let nibble = |c: u8| match c {
+        b'0'..=b'9' => Some(c - b'0'),
+        b'a'..=b'f' => Some(c - b'a' + 10),
+        _ => None,
+    };
+    let mut key = [0u8; 8];
+    for (byte, pair) in key.iter_mut().zip(digits.chunks_exact(2)) {
+        *byte = nibble(pair[0])? << 4 | nibble(pair[1])?;
+    }
+    Some(key)
+}
 
 /// The path selector: holds candidate paths, policy, preference order, and
 /// the currently pinned path.
@@ -128,89 +161,100 @@ impl PathSelector {
         self.pinned_dataplane = None;
     }
 
-    /// Candidates passing policy filtering and dead-path exclusion, as
-    /// indices into `candidates`.
-    fn usable(&self) -> Vec<usize> {
-        (0..self.candidates.len())
-            .filter(|&i| self.policy.permits(&self.candidates[i]))
-            .filter(|&i| !self.dead.contains(&self.candidates[i].fingerprint_key()))
-            .collect()
+    /// Candidates passing policy filtering and dead-path exclusion, with
+    /// their indices into `candidates`. The open policy and an empty dead
+    /// list are known to pass without reading a path.
+    fn usable(&self) -> impl Iterator<Item = (usize, &FullPath)> {
+        let open = self.policy.is_open();
+        let alive =
+            |p: &FullPath| self.dead.is_empty() || !self.dead.contains(&p.fingerprint_key());
+        let permitted = move |p: &FullPath| open || self.policy.permits(p);
+        self.candidates
+            .iter()
+            .enumerate()
+            .filter(move |(_, p)| alive(p) && permitted(p))
     }
 
-    /// Orders `usable` by ascending `score` of each path's hex fingerprint
-    /// (taken once per path), then by hop count if `then_hops`, then by
-    /// fingerprint.
-    fn sort_scored(&self, usable: &mut [usize], then_hops: bool, score: impl Fn(&str) -> f64) {
-        let mut scored: Vec<(f64, usize, Key, usize)> = usable
-            .iter()
-            .map(|&i| {
-                let p = &self.candidates[i];
-                let key = p.fingerprint_key();
-                let hops = if then_hops { p.len() } else { 0 };
-                (score(&fingerprint_hex(&key)), hops, key, i)
-            })
-            .collect();
-        scored.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("path scores are not NaN")
-                .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
-        });
-        for (slot, (.., i)) in usable.iter_mut().zip(scored) {
-            *slot = i;
+    /// What the preference orders `p` by: ascending score, then hop count
+    /// where the preference breaks ties by it, then key. `Shortest` and
+    /// `Disjoint` (whose greedy order starts at the shortest) score every
+    /// path alike; the scored preferences look the path's hex fingerprint
+    /// up once per call.
+    fn rank(&self, p: &FullPath) -> Rank {
+        let key = p.fingerprint_key();
+        let score = |known: &HashMap<String, f64>| known.get(&fingerprint_hex(&key)).copied();
+        let (score, hops) = match self.preference {
+            Preference::Shortest | Preference::Disjoint => (0.0, p.len()),
+            Preference::Latency => {
+                let rtt = self.rtt.estimate(&fingerprint_hex(&key));
+                (rtt.unwrap_or(f64::MAX), p.len())
+            }
+            // Highest bandwidth first.
+            Preference::Bandwidth => (-score(&self.metadata.bandwidth_mbps).unwrap_or(0.0), 0),
+            Preference::Green => (score(&self.metadata.carbon_g_per_gb).unwrap_or(f64::MAX), 0),
+        };
+        (score, hops, u64::from_be_bytes(key))
+    }
+
+    /// Index of the best usable candidate: one pass that keeps the first
+    /// minimum by [`PathSelector::rank`], which is the head of
+    /// [`PathSelector::ranked`] (a stable sort by the same order, and the
+    /// greedy `Disjoint` order starts at its head) without ordering the rest.
+    fn best_index(&self) -> Option<usize> {
+        let mut best: Option<(Rank, usize)> = None;
+        for (i, p) in self.usable() {
+            let rank = self.rank(p);
+            if best.as_ref().is_none_or(|(b, _)| by_rank(&rank, b).is_lt()) {
+                best = Some((rank, i));
+            }
         }
+        best.map(|(_, i)| i)
     }
 
     /// [`PathSelector::ranked`] as indices into `candidates`.
     fn ranked_indices(&self) -> Vec<usize> {
-        let mut usable = self.usable();
-        let shortest_first = |usable: &mut [usize]| {
-            usable.sort_by_key(|&i| {
-                let p = &self.candidates[i];
-                (p.len(), p.fingerprint_key())
-            });
-        };
-        match self.preference {
-            Preference::Shortest => shortest_first(&mut usable),
-            Preference::Latency => self.sort_scored(&mut usable, true, |fp| {
-                self.rtt.estimate(fp).unwrap_or(f64::MAX)
-            }),
-            // Highest bandwidth first.
-            Preference::Bandwidth => self.sort_scored(&mut usable, false, |fp| {
-                -self.metadata.bandwidth_mbps.get(fp).copied().unwrap_or(0.0)
-            }),
-            Preference::Green => self.sort_scored(&mut usable, false, |fp| {
-                let carbon = self.metadata.carbon_g_per_gb.get(fp);
-                carbon.copied().unwrap_or(f64::MAX)
-            }),
-            Preference::Disjoint => {
-                // Greedy max-min disjointness ordering starting from the
-                // shortest path.
-                shortest_first(&mut usable);
-                let mut ordered: Vec<usize> = Vec::with_capacity(usable.len());
-                while !usable.is_empty() {
-                    let next_idx = if ordered.is_empty() {
-                        0
-                    } else {
-                        let mut best = 0;
-                        let mut best_score = f64::MIN;
-                        for (i, &cand) in usable.iter().enumerate() {
-                            let score = ordered
-                                .iter()
-                                .map(|&o| disjointness(&self.candidates[cand], &self.candidates[o]))
-                                .fold(f64::MAX, f64::min);
-                            if score > best_score {
-                                best_score = score;
-                                best = i;
-                            }
-                        }
-                        best
-                    };
-                    ordered.push(usable.remove(next_idx));
+        let mut ranked: Vec<(Rank, usize)> =
+            self.usable().map(|(i, p)| (self.rank(p), i)).collect();
+        ranked.sort_by(|a, b| by_rank(&a.0, &b.0));
+        let order = ranked.into_iter().map(|(_, i)| i).collect();
+        if self.preference == Preference::Disjoint {
+            self.spread(order)
+        } else {
+            order
+        }
+    }
+
+    /// Greedy max-min disjointness: `order`'s head first, then repeatedly
+    /// the candidate whose least disjointness from those already taken is
+    /// greatest, the first of equals winning. Each candidate keeps its
+    /// running minimum and meets only the latest pick, over interface lists
+    /// built once: O(n²) comparisons where recomputing every minimum was
+    /// O(n³).
+    fn spread(&self, order: Vec<usize>) -> Vec<usize> {
+        let interfaces: Vec<Vec<(IsdAsn, u16)>> = order
+            .iter()
+            .map(|&i| self.candidates[i].interfaces())
+            .collect();
+        // (position in `order`, least disjointness from the picks so far).
+        let mut left: Vec<(usize, f64)> = (0..order.len()).map(|at| (at, f64::MAX)).collect();
+        let mut spread = Vec::with_capacity(order.len());
+        let mut next = 0;
+        while !left.is_empty() {
+            let (picked, _) = left.remove(next);
+            spread.push(order[picked]);
+            let mut best = f64::MIN;
+            for (slot, (at, least)) in left.iter_mut().enumerate() {
+                *least = least.min(interface_disjointness(
+                    &interfaces[*at],
+                    &interfaces[picked],
+                ));
+                if *least > best {
+                    best = *least;
+                    next = slot;
                 }
-                usable = ordered;
             }
         }
-        usable
+        spread
     }
 
     /// Usable paths after policy filtering and dead-path exclusion, in
@@ -230,9 +274,8 @@ impl PathSelector {
                 return Ok(i);
             }
         }
-        let best = *self
-            .ranked_indices()
-            .first()
+        let best = self
+            .best_index()
             .ok_or_else(|| PanError::NoUsablePath("all paths filtered or dead".into()))?;
         self.set_pin(Some(self.candidates[best].fingerprint_key()));
         Ok(best)
@@ -258,13 +301,12 @@ impl PathSelector {
         Ok(self.pinned_dataplane.as_ref().expect("assembled above"))
     }
 
-    /// Pins an explicit path choice (`--interactive` selection).
+    /// Pins an explicit path choice (`--interactive` selection): the
+    /// candidate whose fingerprint is exactly `fingerprint`, 16 lowercase
+    /// hex digits.
     pub fn pin(&mut self, fingerprint: &str) -> Result<(), PanError> {
-        let known = self
-            .candidates
-            .iter()
-            .find(|p| p.fingerprint() == fingerprint);
-        match known.map(FullPath::fingerprint_key) {
+        let known = parse_key(fingerprint).filter(|key| self.position_of(*key).is_some());
+        match known {
             Some(key) => {
                 self.set_pin(Some(key));
                 Ok(())
@@ -315,7 +357,7 @@ impl PathSelector {
 
     /// Number of live candidates.
     pub fn live_count(&self) -> usize {
-        self.usable().len()
+        self.usable().count()
     }
 
     /// Usable paths ranked by an adaptive (measurement-driven) policy
@@ -329,12 +371,12 @@ impl PathSelector {
         policy: &crate::adaptive::AdaptivePolicy,
         view: &crate::adaptive::PathStatsView,
     ) -> Vec<&FullPath> {
-        let usable = self.usable();
+        let usable: Vec<&FullPath> = self.usable().map(|(_, p)| p).collect();
         let cands: Vec<crate::adaptive::Candidate> = usable
             .iter()
-            .map(|&i| crate::adaptive::Candidate {
-                fingerprint: self.candidates[i].fingerprint(),
-                hops: self.candidates[i].len(),
+            .map(|p| crate::adaptive::Candidate {
+                fingerprint: p.fingerprint(),
+                hops: p.len(),
             })
             .collect();
         policy
@@ -345,7 +387,7 @@ impl PathSelector {
                     .iter()
                     .position(|known| known.fingerprint == c.fingerprint)
                     .expect("ranked candidate came from usable");
-                &self.candidates[usable[at]]
+                usable[at]
             })
             .collect()
     }
@@ -354,7 +396,9 @@ impl PathSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scion_control::fullpath::{PathBody, PathHop, PathKind};
+    use proptest::prelude::*;
+    use scion_control::fullpath::{disjointness, PathBody, PathHop, PathKind};
+    use scion_control::policy::Acl;
     use scion_proto::addr::ia;
 
     fn path(id: u16, ases: &[&str]) -> FullPath {
@@ -681,74 +725,76 @@ mod tests {
         }
     }
 
-    /// Everything a selector shows of itself, after a fixed run of events.
-    fn observed(mut s: PathSelector, preference: Preference) -> Vec<String> {
-        s.preference = preference;
-        let mut seen: Vec<String> = Vec::new();
-        let mut note = |s: &PathSelector, what: String| {
-            seen.push(what);
-            seen.extend(s.ranked().iter().map(|p| p.fingerprint()));
-            seen.extend(s.listing().into_iter().map(|l| format!("{l:?}")));
-        };
-        note(&s, "fresh".into());
-        let first = s.active().unwrap();
-        let (ia_down, if_down) = first.interfaces()[0];
-        let killed = s.interface_down(ia_down, if_down);
-        note(&s, format!("{} down took {killed}", first.fingerprint()));
-        let last = s.ranked().last().unwrap().fingerprint();
-        s.pin(&last).unwrap();
-        let active = s.active().unwrap().fingerprint();
-        note(&s, format!("pinned {active}"));
-        seen
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
 
-    #[test]
-    fn memoised_and_absent_keys_select_alike() {
-        use scion_control::beacon::{BeaconConfig, BeaconEngine};
-        use scion_control::epoch::EpochPathDb;
-        use scion_control::graph::{ControlGraph, LinkType};
-        // Three meshed cores, two leaves homed on two of them each and
-        // peered: a dozen paths of three lengths.
-        let mut g = ControlGraph::new();
-        for core in ["71-1", "71-2", "71-3"] {
-            g.add_as(ia(core), true);
-        }
-        for (a, b) in [("71-1", "71-2"), ("71-2", "71-3"), ("71-1", "71-3")] {
-            g.connect(ia(a), ia(b), LinkType::Core).unwrap();
-        }
-        for (leaf, parents) in [("71-10", ["71-1", "71-2"]), ("71-11", ["71-2", "71-3"])] {
-            g.add_as(ia(leaf), false);
-            for parent in parents {
-                g.connect(ia(parent), ia(leaf), LinkType::Child).unwrap();
+        /// The one-pass pick against the sorting reference: for a random
+        /// subset of `many_candidates` in random order, every preference,
+        /// scores drawn from four shared values (or none), an open policy
+        /// or a one-rule ACL, an optional pin and up to three interface
+        /// reports, `active()` is the live pin or else the reference's head
+        /// (an error when that is empty), and `ranked()` is the reference.
+        #[test]
+        fn the_pick_is_the_reference_head_or_the_live_pin(
+            picks: [u8; 40],
+            scores: [u8; 40],
+            preference in 0usize..5,
+            denied in 0usize..5,
+            pin in prop::option::weighted(0.5, 0usize..40),
+            reports in prop::collection::vec(0usize..1000, 0..4),
+        ) {
+            let all = many_candidates();
+            let mut kept: Vec<usize> =
+                (0..all.len()).filter(|&n| !picks[n].is_multiple_of(4)).collect();
+            kept.sort_by_key(|&n| picks[n] / 4);
+            let mut s = PathSelector::new(kept.iter().map(|&n| all[n].clone()).collect());
+            s.preference = [
+                Preference::Shortest,
+                Preference::Latency,
+                Preference::Bandwidth,
+                Preference::Green,
+                Preference::Disjoint,
+            ][preference];
+            if denied > 0 {
+                let mid = format!("71-{denied}");
+                s.policy.acl = Acl::default().deny(mid.parse().unwrap());
             }
-        }
-        g.connect(ia("71-10"), ia("71-11"), LinkType::Peer).unwrap();
-        let store = BeaconEngine::new(&g, 1_700_000_000, BeaconConfig::default())
-            .run()
-            .unwrap();
-        // From the database: picked by `finalize`, keys already taken.
-        let served = EpochPathDb::new(store).paths(ia("71-10"), ia("71-11"), 200);
-        assert!(served.len() >= 6, "{} paths", served.len());
-        // Equal bodies of their own, never hashed.
-        let rebuilt = |paths: &[FullPath]| -> Vec<FullPath> {
-            paths
-                .iter()
-                .map(|p| FullPath::from_body(PathBody::clone(p)))
-                .collect()
-        };
-        assert_eq!(rebuilt(&served), served);
-        for preference in [
-            Preference::Shortest,
-            Preference::Latency,
-            Preference::Bandwidth,
-            Preference::Green,
-            Preference::Disjoint,
-        ] {
-            assert_eq!(
-                observed(PathSelector::new(served.clone()), preference),
-                observed(PathSelector::new(rebuilt(&served)), preference),
-                "{preference:?}"
-            );
+            for (n, p) in all.iter().enumerate().filter(|(n, _)| scores[*n] % 5 != 4) {
+                let v = f64::from(scores[n] % 5) * 10.0;
+                s.rtt.record(&p.fingerprint(), v);
+                s.metadata.bandwidth_mbps.insert(p.fingerprint(), v);
+                s.metadata.carbon_g_per_gb.insert(p.fingerprint(), v);
+            }
+            let pinned = pin
+                .filter(|_| !kept.is_empty())
+                .map(|at| all[kept[at % kept.len()]].fingerprint());
+            if let Some(fp) = &pinned {
+                s.pin(fp).unwrap();
+            }
+            let mut interfaces: Vec<(IsdAsn, u16)> =
+                all.iter().flat_map(|p| p.interfaces()).collect();
+            interfaces.sort_unstable();
+            interfaces.dedup();
+            let mut dead: Vec<String> = Vec::new();
+            for r in reports {
+                let (at, ifid) = interfaces[r % interfaces.len()];
+                s.interface_down(at, ifid);
+                for p in &s.candidates {
+                    if p.interfaces().contains(&(at, ifid)) && !dead.contains(&p.fingerprint()) {
+                        dead.push(p.fingerprint());
+                    }
+                }
+            }
+            let want = reference_ranked(&s, &dead);
+            let ranked: Vec<String> = s.ranked().iter().map(|p| p.fingerprint()).collect();
+            prop_assert_eq!(&ranked, &want);
+            prop_assert_eq!(s.live_count(), want.len());
+            let live_pin = pinned.filter(|fp| !dead.contains(fp));
+            match (live_pin.or_else(|| want.first().cloned()), s.active()) {
+                (Some(expected), Ok(active)) => prop_assert_eq!(active.fingerprint(), expected),
+                (None, Err(PanError::NoUsablePath(_))) => {}
+                (expected, got) => panic!("expected {expected:?}, active() gave {got:?}"),
+            }
         }
     }
 

@@ -6,7 +6,9 @@
 //! copied out to the application. Each of those steps owns a known number of
 //! heap allocations, none of them per hop, and the counts repeat exactly —
 //! so a copy or a clone that creeps back in fails here, by name, before any
-//! benchmark has to notice it as noise.
+//! benchmark has to notice it as noise. A fresh socket's first contact over
+//! a primed pair is counted the same way: choosing its path allocates
+//! nothing.
 //!
 //! The counter sits in this test crate (the product crates forbid unsafe
 //! code) and counts only the thread that asked, only while it asks.
@@ -185,5 +187,41 @@ fn the_per_datagram_path_stays_within_its_allocation_budget() {
     assert!(
         allocs <= 28,
         "a probe round of one echo allocated {allocs} times"
+    );
+
+    // --- A fresh socket's first contact over a primed pair, as
+    // `connect_warm` makes it: bind, connect, one 64-B send, its receive,
+    // drop. The pair with the largest answer, so the selector holds the
+    // most candidates this deployment gives one.
+    let (src, dst) = leaves
+        .iter()
+        .flat_map(|&s| leaves.iter().map(move |&d| (s, d)))
+        .filter(|(s, d)| s != d)
+        .max_by_key(|&(s, d)| net.paths(s, d).len())
+        .expect("leaf pairs");
+    let answer = net.paths(src, dst).len();
+    let a = net.attach_host(ScionAddr::new(src, HostAddr::v4(10, 0, 0, 3)));
+    let b = net.attach_host(ScionAddr::new(dst, HostAddr::v4(10, 0, 0, 4)));
+    let mut rx = PanSocket::bind(b.addr, 5001, b.transport());
+    let small = [0x5Au8; 64];
+    let (allocs, bytes) = steady(
+        || {
+            let mut tx = PanSocket::bind(a.addr, 4001, a.transport());
+            tx.connect(b.addr, 5001).unwrap();
+            tx.send(&small).unwrap();
+            rx.poll_recv()
+        },
+        |got| assert_eq!(got.map(|(p, _, _)| p).as_deref(), Some(&small[..])),
+    );
+    // One copy of the answer's handles; the rest assemble the chosen path
+    // for the data plane and carry one datagram. (23 allocations and
+    // 6 784 B while the selector collected its usable candidates into a
+    // growing index list and sorted it to read the first.)
+    assert_eq!(answer, 200);
+    assert!(allocs <= 16, "a warm connect allocated {allocs} times");
+    let handles = (answer * std::mem::size_of::<FullPath>()) as u64;
+    assert!(
+        bytes <= handles + 1200,
+        "a warm connect requested {bytes} B, {handles} B of them the answer's handles"
     );
 }
