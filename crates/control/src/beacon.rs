@@ -20,10 +20,16 @@
 //! everything ever offered): a beacon rejected once can never be accepted
 //! by a later re-offer, so re-offering unchanged slots is pure waste.
 //! `tests/prop_propagate.rs` checks this walk against a model of the
-//! exhaustive one. Each received beacon's signature chain is verified
-//! once per unique beacon via a bounded verified-beacon cache keyed on
-//! (beacon ID, key epoch) — the control-plane analogue of the data
-//! plane's MAC-verification cache.
+//! exhaustive one.
+//!
+//! Verification is an invariant, not a cache: every beacon held in a slot
+//! has had each of its entries checked exactly once, at the hop that
+//! received it from its signer. So a receipt — origination, propagation or
+//! registration — checks only the one new entry against the beacon it
+//! extends ([`CowSegment::verify_extension`]), O(1) in beacon length, and
+//! a beacon whose new entry fails is never held. DESIGN §4 states what
+//! this economy substitutes for a control service that re-checks the
+//! whole chain.
 //!
 //! A propagation round **snapshots, then commits**: it first captures
 //! every offering holder's immutable inputs (retained candidate beacons,
@@ -36,10 +42,11 @@
 //! and shares the entire prefix, instead of deep-copying the segment per
 //! offer, and the retain sort reads cached ids instead of re-hashing.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use sciera_telemetry::{Counter, Event, Severity, Telemetry};
+use scion_crypto::sign::VerifyingKey;
 use scion_proto::addr::IsdAsn;
 
 use crate::graph::{ControlGraph, LinkType};
@@ -64,12 +71,11 @@ struct OutIntf {
 }
 
 /// One candidate beacon of a propagation batch: a retained slot entry of
-/// the batch's holder, snapshotted at round start.
+/// the batch's holder that passed the length and loop filters,
+/// snapshotted at round start.
 struct Candidate {
     origin: IsdAsn,
     rb: ReceivedBeacon,
-    /// Survived the length/loop pre-filter (verification still pending).
-    pre_ok: bool,
 }
 
 /// Everything one holder contributes to a propagation round: immutable
@@ -103,56 +109,15 @@ impl Default for BeaconConfig {
     }
 }
 
-/// Bound on the verified-beacon cache (beacon ID + key epoch entries).
-const VERIFIED_CACHE_CAP: usize = 4096;
-
-/// Bounded LRU over verified beacon ids: a hash map for O(1) probes plus
-/// a tick-ordered index so eviction pops the oldest entry in O(log n).
-/// Ticks are unique per probe, so the evicted entry is exactly the one a
-/// full min-scan would choose — this replaced an O(cache) scan per
-/// insert that dominated propagation once the cache saturated.
-#[derive(Default)]
-struct VerifiedCache {
-    map: HashMap<([u8; 32], u32), u64>,
-    order: BTreeMap<u64, ([u8; 32], u32)>,
-    tick: u64,
-}
-
-impl VerifiedCache {
-    /// Probes for `key`, refreshing its recency on a hit. Consumes a tick
-    /// either way: a miss's [`insert`](Self::insert) lands at this tick.
-    fn touch(&mut self, key: &([u8; 32], u32)) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        let Some(t) = self.map.get_mut(key) else {
-            return false;
-        };
-        let old = std::mem::replace(t, tick);
-        self.order.remove(&old);
-        self.order.insert(tick, *key);
-        true
-    }
-
-    /// Inserts `key` at the current tick, evicting the oldest entry when
-    /// the cache is at capacity. Callers only insert absent keys (they
-    /// probe first), so map and order stay 1:1.
-    fn insert(&mut self, key: ([u8; 32], u32)) {
-        if self.map.len() >= VERIFIED_CACHE_CAP {
-            if let Some((_, oldest)) = self.order.pop_first() {
-                self.map.remove(&oldest);
-            }
-        }
-        self.map.insert(key, self.tick);
-        self.order.insert(self.tick, key);
-    }
-}
-
 /// The beaconing engine.
 pub struct BeaconEngine<'g> {
     graph: &'g ControlGraph,
     /// Per-AS secrets behind `Arc`: a propagation batch holds a refcount
     /// bump instead of a deep key copy per holder per round.
     secrets: BTreeMap<IsdAsn, Arc<AsSecrets>>,
+    /// Each AS's PCB verifying key, resolved once per engine rather than
+    /// once per checked entry.
+    keys: BTreeMap<IsdAsn, VerifyingKey>,
     config: BeaconConfig,
     timestamp: u32,
     /// Core beacons held at each core AS, keyed by origin.
@@ -163,14 +128,8 @@ pub struct BeaconEngine<'g> {
     dirty_core: BTreeSet<(IsdAsn, IsdAsn)>,
     /// Down slots changed since they were last offered to neighbors.
     dirty_down: BTreeSet<(IsdAsn, IsdAsn)>,
-    /// Verified-beacon cache: (beacon ID, key epoch) → LRU entry. One
-    /// signature-chain verification per unique beacon per epoch.
-    verified: VerifiedCache,
     /// Propagation rounds the last [`BeaconEngine::run`] needed to converge.
     last_rounds: usize,
-    /// Epoch of the hop keys behind `secrets` (cache key component; a key
-    /// rotation would bump it and naturally invalidate the cache).
-    key_epoch: u32,
     telemetry: Telemetry,
     originated: Counter,
     propagated: Counter,
@@ -178,8 +137,8 @@ pub struct BeaconEngine<'g> {
     registered: Counter,
     batches: Counter,
     batch_beacons: Counter,
-    verify_hits: Counter,
-    verify_misses: Counter,
+    /// Entries checked on receipt.
+    verified: Counter,
 }
 
 impl<'g> BeaconEngine<'g> {
@@ -191,32 +150,29 @@ impl<'g> BeaconEngine<'g> {
             .ases()
             .map(|a| (a.ia, Arc::new(AsSecrets::derive(a.ia))))
             .collect();
+        let keys = secrets
+            .iter()
+            .map(|(ia, s)| (*ia, s.signing.verifying_key()))
+            .collect();
         let telemetry = Telemetry::quiet();
-        let key_epoch = secrets
-            .values()
-            .next()
-            .map(|s| s.hop_key.epoch())
-            .unwrap_or(1);
         BeaconEngine {
             graph,
             secrets,
+            keys,
             config,
             timestamp,
             core_beacons: BTreeMap::new(),
             down_beacons: BTreeMap::new(),
             dirty_core: BTreeSet::new(),
             dirty_down: BTreeSet::new(),
-            verified: VerifiedCache::default(),
             last_rounds: 0,
-            key_epoch,
             originated: telemetry.counter("beacon.originated"),
             propagated: telemetry.counter("beacon.propagated"),
             filtered: telemetry.counter("beacon.filtered"),
             registered: telemetry.counter("beacon.segments_registered"),
             batches: telemetry.counter("beacon.batch.count"),
             batch_beacons: telemetry.counter("beacon.batch.beacons"),
-            verify_hits: telemetry.counter("beacon.batch.verify_hit"),
-            verify_misses: telemetry.counter("beacon.batch.verify_miss"),
+            verified: telemetry.counter("beacon.verified"),
             telemetry,
         }
     }
@@ -229,31 +185,23 @@ impl<'g> BeaconEngine<'g> {
         self.registered = telemetry.counter("beacon.segments_registered");
         self.batches = telemetry.counter("beacon.batch.count");
         self.batch_beacons = telemetry.counter("beacon.batch.beacons");
-        self.verify_hits = telemetry.counter("beacon.batch.verify_hit");
-        self.verify_misses = telemetry.counter("beacon.batch.verify_miss");
+        self.verified = telemetry.counter("beacon.verified");
         self.telemetry = telemetry;
     }
 
-    /// Verifies a received beacon's signature chain and hop MACs, at most
-    /// once per unique (beacon ID, key epoch) — repeat offers of the same
-    /// beacon hit the cache. The cache probe reads the beacon's cached id
-    /// (O(1)); the segment is materialized only on a miss.
-    fn verify_cached(&mut self, seg: &CowSegment) -> bool {
+    /// The receipt check: verifies the entry `extended` added to `prefix`
+    /// — its signature and hop MACs — taking `prefix`'s entries as already
+    /// checked, which holds for every held beacon. O(1) in beacon length.
+    fn check_receipt(
+        &self,
+        prefix: &CowSegment,
+        extended: &CowSegment,
+    ) -> Result<(), ControlError> {
         let _prof = self.telemetry.prof_scope("beacon.verify");
-        let key = (seg.id(), self.key_epoch);
-        if self.verified.touch(&key) {
-            self.verify_hits.inc();
-            return true;
-        }
-        self.verify_misses.inc();
-        let secrets = &self.secrets;
-        let keys = |ia: IsdAsn| secrets.get(&ia).map(|s| s.signing.verifying_key());
-        let hops = |ia: IsdAsn| secrets.get(&ia).map(|s| s.hop_key.clone());
-        let ok = seg.materialize().verify(&keys, &hops).is_ok();
-        if ok {
-            self.verified.insert(key);
-        }
-        ok
+        self.verified.inc();
+        let entry = extended.last().expect("an extension has an entry");
+        let hop_key = self.secrets.get(&entry.ia).map(|s| &s.hop_key);
+        prefix.verify_extension(entry, self.keys.get(&entry.ia), hop_key)
     }
 
     /// Access to the derived secrets (the data plane needs the hop keys).
@@ -334,7 +282,8 @@ impl<'g> BeaconEngine<'g> {
     }
 
     /// Runs origination and propagation to a fixed point, then registers
-    /// all segments into a fresh [`SegmentStore`].
+    /// all segments into a fresh [`SegmentStore`]. Fails on an invalid
+    /// graph or a registering entry that fails its check.
     pub fn run(&mut self) -> Result<SegmentStore, ControlError> {
         let _prof = self.telemetry.prof_scope("beacon.run");
         self.graph.validate()?;
@@ -348,7 +297,7 @@ impl<'g> BeaconEngine<'g> {
             }
         }
         self.last_rounds = rounds_run;
-        let store = self.register();
+        let store = self.register()?;
         if self.telemetry.enabled(Severity::Info) {
             self.telemetry.emit(
                 Event::new(
@@ -382,36 +331,33 @@ impl<'g> BeaconEngine<'g> {
             let core_peers = self.peer_links_of(core);
             let mut seq = 0u16;
             for intf in &node.interfaces {
-                let (seg_type, store, dirty, peers) = match intf.link_type {
-                    LinkType::Core => (
-                        SegmentType::Core,
-                        &mut self.core_beacons,
-                        &mut self.dirty_core,
-                        &[][..],
-                    ),
-                    LinkType::Child => (
-                        SegmentType::UpDown,
-                        &mut self.down_beacons,
-                        &mut self.dirty_down,
-                        &core_peers[..],
-                    ),
+                let (seg_type, peers) = match intf.link_type {
+                    LinkType::Core => (SegmentType::Core, &[][..]),
+                    LinkType::Child => (SegmentType::UpDown, &core_peers[..]),
                     _ => continue,
                 };
+                let empty =
+                    CowSegment::originate(seg_type, self.timestamp, Self::beta_for(core, seq));
+                let segment = empty.extend(&secrets, 0, intf.id, peers);
+                seq += 1;
+                self.originated.inc();
+                // The neighbor checks the one-entry beacon on receipt.
+                if self.check_receipt(&empty, &segment).is_err() {
+                    self.filtered.inc();
+                    continue;
+                }
+                let (store, dirty) = match seg_type {
+                    SegmentType::Core => (&mut self.core_beacons, &mut self.dirty_core),
+                    SegmentType::UpDown => (&mut self.down_beacons, &mut self.dirty_down),
+                };
                 let rb = ReceivedBeacon {
-                    segment: CowSegment::originate(
-                        seg_type,
-                        self.timestamp,
-                        Self::beta_for(core, seq),
-                    )
-                    .extend(&secrets, 0, intf.id, peers),
+                    segment,
                     ingress_ifid: intf.neighbor_ifid,
                 };
-                seq += 1;
                 let slot = store.entry((intf.neighbor, core)).or_default();
                 if Self::retain(slot, rb, self.config.candidates_per_origin) {
                     dirty.insert((intf.neighbor, core));
                 }
-                self.originated.inc();
             }
         }
     }
@@ -487,13 +433,15 @@ impl<'g> BeaconEngine<'g> {
                     continue;
                 };
                 for rb in slot {
-                    let pre_ok =
-                        rb.segment.len() < self.config.max_len && !rb.segment.contains(holder); // loop prevention
-                    cands.push(Candidate {
-                        origin,
-                        rb: rb.clone(),
-                        pre_ok,
-                    });
+                    // Length cap and loop prevention.
+                    if rb.segment.len() < self.config.max_len && !rb.segment.contains(holder) {
+                        cands.push(Candidate {
+                            origin,
+                            rb: rb.clone(),
+                        });
+                    } else {
+                        self.filtered.inc();
+                    }
                 }
             }
             if cands.is_empty() {
@@ -506,53 +454,38 @@ impl<'g> BeaconEngine<'g> {
                 cands,
             });
         }
-        // Commit in deterministic holder order: verification, retain,
+        // Commit in deterministic holder order: receipt checks, retain,
         // dirty-set inserts and counters.
         let mut changed = false;
+        let k = self.config.candidates_per_origin;
         for batch in &batches {
-            let mut ok_flags: Vec<bool> = Vec::with_capacity(batch.cands.len());
-            for c in &batch.cands {
-                if !c.pre_ok {
-                    self.filtered.inc();
-                    ok_flags.push(false);
-                    continue;
-                }
-                let ok = self.verify_cached(&c.rb.segment);
-                if !ok {
-                    self.filtered.inc();
-                }
-                ok_flags.push(ok);
-            }
-            if !ok_flags.iter().any(|&v| v) {
-                continue;
-            }
             // One pass per neighbor: every offerable beacon of this
             // holder crosses the interface in a single batch.
             for intf in &batch.out_ifs {
                 let mut offered = 0u64;
-                for (ci, c) in batch.cands.iter().enumerate() {
-                    if !ok_flags[ci] {
-                        continue;
-                    }
+                for c in &batch.cands {
                     if c.rb.segment.contains(intf.neighbor) {
                         self.filtered.inc();
                         continue;
                     }
                     offered += 1;
-                    let (store, dirty) = if core_kind {
-                        (&mut self.core_beacons, &mut self.dirty_core)
+                    let slot_key = (intf.neighbor, c.origin);
+                    let held = if core_kind {
+                        &self.core_beacons
                     } else {
-                        (&mut self.down_beacons, &mut self.dirty_down)
+                        &self.down_beacons
                     };
-                    let k = self.config.candidates_per_origin;
-                    let slot = store.entry((intf.neighbor, c.origin)).or_default();
                     // Settle the retain competition from the extension's
                     // id alone, predicted via `extended_id`, so a losing
-                    // offer never pays for a MAC, signature or chain node.
+                    // offer never pays for a MAC, signature, chain node or
+                    // receipt check. An absent slot admits anything.
                     let ext_id =
                         c.rb.segment
                             .extended_id(batch.secrets.ia, c.rb.ingress_ifid, intf.id);
-                    if !Self::would_retain(slot, c.rb.segment.len() + 1, ext_id, k) {
+                    let admitted = held.get(&slot_key).is_none_or(|slot| {
+                        Self::would_retain(slot, c.rb.segment.len() + 1, ext_id, k)
+                    });
+                    if !admitted {
                         self.filtered.inc();
                         continue;
                     }
@@ -563,14 +496,23 @@ impl<'g> BeaconEngine<'g> {
                         &batch.peers,
                     );
                     debug_assert_eq!(extended.id(), ext_id);
+                    if self.check_receipt(&c.rb.segment, &extended).is_err() {
+                        self.filtered.inc();
+                        continue;
+                    }
+                    let (store, dirty) = if core_kind {
+                        (&mut self.core_beacons, &mut self.dirty_core)
+                    } else {
+                        (&mut self.down_beacons, &mut self.dirty_down)
+                    };
                     let new_rb = ReceivedBeacon {
                         segment: extended,
                         ingress_ifid: intf.neighbor_ifid,
                     };
-                    let retained = Self::retain(slot, new_rb, k);
+                    let retained = Self::retain(store.entry(slot_key).or_default(), new_rb, k);
                     debug_assert!(retained, "would_retain admitted a losing beacon");
                     if retained {
-                        dirty.insert((intf.neighbor, c.origin));
+                        dirty.insert(slot_key);
                         self.propagated.inc();
                         changed = true;
                     } else {
@@ -586,8 +528,10 @@ impl<'g> BeaconEngine<'g> {
         changed
     }
 
-    /// Terminates retained beacons and registers segments.
-    fn register(&self) -> SegmentStore {
+    /// Terminates retained beacons and registers segments. The path
+    /// server checks each registering AS's entry over its held beacon; a
+    /// failure is an error, not a skipped segment.
+    fn register(&self) -> Result<SegmentStore, ControlError> {
         let _prof = self.telemetry.prof_scope("beacon.register");
         let mut store = SegmentStore::new();
         // Core beacons terminate at core holders; down beacons terminate at
@@ -611,10 +555,9 @@ impl<'g> BeaconEngine<'g> {
                     if rb.segment.contains(*holder) {
                         continue;
                     }
-                    let seg = rb
-                        .segment
-                        .extend(secrets, rb.ingress_ifid, 0, &peers)
-                        .materialize();
+                    let terminated = rb.segment.extend(secrets, rb.ingress_ifid, 0, &peers);
+                    self.check_receipt(&rb.segment, &terminated)?;
+                    let seg = terminated.materialize();
                     if core_kind {
                         store.register_core(seg);
                     } else {
@@ -624,7 +567,7 @@ impl<'g> BeaconEngine<'g> {
                 }
             }
         }
-        store
+        Ok(store)
     }
 }
 
@@ -780,11 +723,9 @@ mod tests {
         assert_eq!(ups[0].entries[2].hop.cons_egress, 0);
     }
 
-    #[test]
-    fn batching_verifies_each_beacon_once_and_counts_batches() {
-        // A core triangle with a two-level child chain: both core and
-        // down beacons actually propagate (the diamond has no grandchild
-        // or third core, so nothing would batch there).
+    /// A core triangle with a two-level child chain: both core and down
+    /// beacons propagate (the diamond has no grandchild or third core).
+    fn triangle_with_chain() -> ControlGraph {
         let mut g = ControlGraph::new();
         for a in ["71-1", "71-2", "71-3"] {
             g.add_as(ia(a), true);
@@ -797,24 +738,82 @@ mod tests {
         g.connect(ia("71-1"), ia("71-10"), LinkType::Child).unwrap();
         g.connect(ia("71-10"), ia("71-100"), LinkType::Child)
             .unwrap();
+        g
+    }
+
+    #[test]
+    fn batching_verifies_each_entry_once_and_counts_batches() {
+        let g = triangle_with_chain();
         let telemetry = Telemetry::new();
         let mut engine = BeaconEngine::new(&g, 1_700_000_000, BeaconConfig::default());
         engine.set_telemetry(telemetry.clone());
         engine.run().unwrap();
         let snap = telemetry.snapshot();
-        let hits = snap.counter("beacon.batch.verify_hit").unwrap_or(0);
-        let misses = snap.counter("beacon.batch.verify_miss").unwrap_or(0);
-        let batches = snap.counter("beacon.batch.count").unwrap_or(0);
-        let beacons = snap.counter("beacon.batch.beacons").unwrap_or(0);
+        let c = |name: &str| snap.counter(name).unwrap_or(0);
+        let batches = c("beacon.batch.count");
         assert!(batches > 0, "batched passes must be counted");
-        assert!(beacons >= batches, "each batch offers at least one beacon");
-        // Each unique beacon's signature chain is verified exactly once;
-        // the dirty-slot walk re-offers a slot only when it changed,
-        // so repeat verifications (cache hits) stay bounded by misses.
-        assert!(misses > 0);
         assert!(
-            hits <= misses * 2,
-            "verify cache defeated: {hits} hits vs {misses} misses"
+            c("beacon.batch.beacons") >= batches,
+            "each batch offers at least one beacon"
         );
+        // One check per entry, at the hop that received it: one per
+        // originated beacon, one per propagated extension, one per
+        // registered segment's terminating entry.
+        assert!(c("beacon.verified") > 0);
+        assert_eq!(
+            c("beacon.verified"),
+            c("beacon.originated") + c("beacon.propagated") + c("beacon.segments_registered")
+        );
+    }
+
+    #[test]
+    fn receipt_rejects_forged_twins_of_a_held_beacon() {
+        use scion_crypto::mac::HopKey;
+        use scion_crypto::sign::SigningKey;
+        let g = triangle_with_chain();
+        let mut engine = BeaconEngine::new(&g, 1_700_000_000, BeaconConfig::default());
+        engine.run().unwrap();
+        // P, held at X = 71-10, extended toward its child 71-100.
+        let x = ia("71-10");
+        let p = engine.down_beacons[&(x, ia("71-1"))][0].clone();
+        let out_if = g
+            .as_node(x)
+            .unwrap()
+            .interfaces_of_type(LinkType::Child)
+            .next()
+            .unwrap()
+            .id;
+        let real = engine.secrets[&x].clone();
+        let forged = SigningKey::from_seed(b"not 71-10");
+        let signature_twin = AsSecrets {
+            signing: forged,
+            ..(*real).clone()
+        };
+        let mac_twin = AsSecrets {
+            hop_key: HopKey::derive(b"not 71-10", 1),
+            ..(*real).clone()
+        };
+        let extend = |s: &AsSecrets| p.segment.extend(s, p.ingress_ifid, out_if, &[]);
+        let (legit, sig_twin, hop_twin) =
+            (extend(&real), extend(&signature_twin), extend(&mac_twin));
+        // The content id hashes no signature and no MAC: all three collide.
+        assert_eq!(legit.id(), sig_twin.id());
+        assert_eq!(legit.id(), hop_twin.id());
+        engine.check_receipt(&p.segment, &legit).unwrap();
+        assert!(engine.check_receipt(&p.segment, &sig_twin).is_err());
+        assert!(engine.check_receipt(&p.segment, &hop_twin).is_err());
+    }
+
+    #[test]
+    fn a_registering_entry_that_fails_its_check_is_an_error() {
+        // 71-10's signing key no longer matches the public key the engine
+        // resolved for it, so its registration entry fails the check.
+        let g = diamond();
+        let mut engine = BeaconEngine::new(&g, 1_700_000_000, BeaconConfig::default());
+        let leaf = ia("71-10");
+        let mut impostor = (*engine.secrets[&leaf]).clone();
+        impostor.signing = scion_crypto::sign::SigningKey::from_seed(b"impostor");
+        engine.secrets.insert(leaf, Arc::new(impostor));
+        assert!(matches!(engine.run(), Err(ControlError::BadSegment(_))));
     }
 }

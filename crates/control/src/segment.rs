@@ -156,7 +156,8 @@ impl PathSegment {
     }
 
     /// Verifies all per-AS signatures against `keys` (verified AS keys from
-    /// the CP-PKI) and the hop-MAC chain against `hop_keys` when available.
+    /// the CP-PKI) and the hop-MAC chain against `hop_keys` when available:
+    /// [`verify_entry`] folded over the entries, O(len).
     ///
     /// In the real system, a validator only holds *its own* hop key and the
     /// public certificate chain of every on-path AS; passing the full hop-key
@@ -170,50 +171,23 @@ impl PathSegment {
         if self.entries.is_empty() {
             return Err(ControlError::BadSegment("empty segment".into()));
         }
-        // One pass: the signable digest and the beta chain both extend
-        // entry by entry, so the whole walk is O(len), not O(len²).
-        let mut sig_st = signable_state(self.seg_type, self.timestamp, self.beta0);
-        let mut beta = self.beta0;
-        for e in &self.entries {
-            let key = keys(e.ia)
-                .ok_or_else(|| ControlError::BadSegment(format!("no key for {}", e.ia)))?;
-            absorb_signable_entry(&mut sig_st, e);
-            key.verify(&sig_st.clone().finalize(), &e.signature)
-                .map_err(|_| ControlError::BadSegment(format!("signature of {} invalid", e.ia)))?;
-            let beta_next = beta ^ u16::from_be_bytes([e.hop.mac[0], e.hop.mac[1]]);
-            if let Some(hk) = hop_keys(e.ia) {
-                let input = HopMacInput {
+        let start = (
+            signable_state(self.seg_type, self.timestamp, self.beta0),
+            self.beta0,
+        );
+        self.entries
+            .iter()
+            .try_fold(start, |(sig_state, beta), e| {
+                verify_entry(
+                    sig_state,
                     beta,
-                    timestamp: self.timestamp,
-                    exp_time: e.hop.exp_time,
-                    cons_ingress: e.hop.cons_ingress,
-                    cons_egress: e.hop.cons_egress,
-                };
-                if !hk.verify(&input, &e.hop.mac) {
-                    return Err(ControlError::BadSegment(format!(
-                        "hop MAC of {} invalid",
-                        e.ia
-                    )));
-                }
-                for p in &e.peers {
-                    let pinput = HopMacInput {
-                        beta: beta_next,
-                        timestamp: self.timestamp,
-                        exp_time: p.hop.exp_time,
-                        cons_ingress: p.hop.cons_ingress,
-                        cons_egress: p.hop.cons_egress,
-                    };
-                    if !hk.verify(&pinput, &p.hop.mac) {
-                        return Err(ControlError::BadSegment(format!(
-                            "peer hop MAC of {} toward {} invalid",
-                            e.ia, p.peer
-                        )));
-                    }
-                }
-            }
-            beta = beta_next;
-        }
-        Ok(())
+                    self.timestamp,
+                    e,
+                    keys(e.ia).as_ref(),
+                    hop_keys(e.ia).as_ref(),
+                )
+            })
+            .map(|_| ())
     }
 
     /// Earliest hop expiry (Unix seconds): the segment is unusable after
@@ -275,6 +249,59 @@ fn absorb_signable_entry(st: &mut Sha256, e: &AsEntry) {
         st.update(&p.peer.to_u64().to_be_bytes());
         st.update(&p.hop.to_bytes());
     }
+}
+
+/// Checks one entry `e` against the already-verified prefix before it:
+/// `sig_state` is the prefix's signable stream, `beta` the chain value
+/// `e`'s hop MAC covers. The entry's signable digest is recomputed from
+/// that state and `e`'s own bytes, then the signature is checked against
+/// `key`, and — when `hop_key` is given — the hop MAC over `beta` and
+/// each peer MAC over `beta ^ mac[0..2]`. Returns the signable state and
+/// `beta` after `e`, the prefix its successor is checked against.
+fn verify_entry(
+    mut sig_state: Sha256,
+    beta: u16,
+    timestamp: u32,
+    e: &AsEntry,
+    key: Option<&VerifyingKey>,
+    hop_key: Option<&HopKey>,
+) -> Result<(Sha256, u16), ControlError> {
+    let key = key.ok_or_else(|| ControlError::BadSegment(format!("no key for {}", e.ia)))?;
+    absorb_signable_entry(&mut sig_state, e);
+    key.verify(&sig_state.clone().finalize(), &e.signature)
+        .map_err(|_| ControlError::BadSegment(format!("signature of {} invalid", e.ia)))?;
+    let beta_next = beta ^ u16::from_be_bytes([e.hop.mac[0], e.hop.mac[1]]);
+    if let Some(hk) = hop_key {
+        let input = HopMacInput {
+            beta,
+            timestamp,
+            exp_time: e.hop.exp_time,
+            cons_ingress: e.hop.cons_ingress,
+            cons_egress: e.hop.cons_egress,
+        };
+        if !hk.verify(&input, &e.hop.mac) {
+            return Err(ControlError::BadSegment(format!(
+                "hop MAC of {} invalid",
+                e.ia
+            )));
+        }
+        for p in &e.peers {
+            let pinput = HopMacInput {
+                beta: beta_next,
+                timestamp,
+                exp_time: p.hop.exp_time,
+                cons_ingress: p.hop.cons_ingress,
+                cons_egress: p.hop.cons_egress,
+            };
+            if !hk.verify(&pinput, &p.hop.mac) {
+                return Err(ControlError::BadSegment(format!(
+                    "peer hop MAC of {} toward {} invalid",
+                    e.ia, p.peer
+                )));
+            }
+        }
+    }
+    Ok((sig_state, beta_next))
 }
 
 /// Builds the [`AsEntry`] an AS contributes when extending a segment: the
@@ -385,11 +412,13 @@ pub const DEFAULT_EXP_TIME: u8 = 63;
 /// extension absorbs only the *new* entry's bytes instead of re-hashing
 /// the whole prefix.
 ///
-/// A flat [`PathSegment`] is materialized only where one is genuinely
-/// needed: verification on a cache miss and registration into the store.
-/// The flat segment's `id` and `verify` replay the same id/signable
-/// streams through the same state/absorb helpers; `tests/segment_spec.rs`
-/// checks the bytes against an independent flat construction.
+/// The same running signable state and `beta` make a receipt check O(1):
+/// [`Self::verify_extension`] checks one new entry against this segment
+/// as its already-verified prefix. A flat [`PathSegment`] is materialized
+/// only for registration into the store. The flat segment's `id` and
+/// `verify` replay the same id/signable streams through the same
+/// state/absorb/check helpers; `tests/segment_spec.rs` checks the bytes
+/// against an independent flat construction.
 #[derive(Clone)]
 pub struct CowSegment {
     seg_type: SegmentType,
@@ -539,8 +568,36 @@ impl CowSegment {
         }
     }
 
-    /// Materializes the flat [`PathSegment`] (for verification on a cache
-    /// miss and for registration): one O(len) chain walk and entry clone.
+    /// The newest entry: the one the last [`Self::extend`] appended.
+    pub fn last(&self) -> Option<&AsEntry> {
+        self.entries.last()
+    }
+
+    /// Checks `entry` as the extension of this segment, whose entries are
+    /// taken as already verified: the entry's signature against `key` over
+    /// this segment's signable state plus the entry's own bytes, and — with
+    /// `hop_key` — its hop MAC over `beta_next` and its peer MACs. O(1) in
+    /// segment length. Nothing is read from a carried digest, so `entry`
+    /// may be any bytes, not only what [`Self::extend`] produced.
+    pub fn verify_extension(
+        &self,
+        entry: &AsEntry,
+        key: Option<&VerifyingKey>,
+        hop_key: Option<&HopKey>,
+    ) -> Result<(), ControlError> {
+        verify_entry(
+            self.sig_state.clone(),
+            self.beta_next,
+            self.timestamp,
+            entry,
+            key,
+            hop_key,
+        )
+        .map(|_| ())
+    }
+
+    /// Materializes the flat [`PathSegment`] (for registration): one
+    /// O(len) chain walk and entry clone.
     pub fn materialize(&self) -> PathSegment {
         PathSegment {
             seg_type: self.seg_type,

@@ -167,10 +167,10 @@ impl OperatorConsole {
 
         // Control-plane fast path: combination-cache effectiveness, the
         // store generation the cache validates against, and beacon
-        // batching (offers per batched neighbor pass, verify-cache hits).
+        // batching (offers per batched neighbor pass, entries checked).
         let _ = writeln!(
             out,
-            "pathdb: {} hit / {} miss / {} evict / {} invalidate / {} revalidate — store gen {} — beacon batches: {} ({} beacons, verify {} hit / {} miss)",
+            "pathdb: {} hit / {} miss / {} evict / {} invalidate / {} revalidate — store gen {} — beacon batches: {} ({} beacons, {} entries verified)",
             c("pathdb.cache.hit"),
             c("pathdb.cache.miss"),
             c("pathdb.cache.evict"),
@@ -179,8 +179,7 @@ impl OperatorConsole {
             g("store.generation"),
             c("beacon.batch.count"),
             c("beacon.batch.beacons"),
-            c("beacon.batch.verify_hit"),
-            c("beacon.batch.verify_miss"),
+            c("beacon.verified"),
         );
 
         // Admission control: overload posture of the combination budget.

@@ -330,16 +330,6 @@ impl SciEraNetwork {
             renewal.insert(ia, driver);
         }
 
-        // Verify every registered segment end to end against the keys PCBs
-        // are signed with: `AsSecrets::signing`, derived from the AS number,
-        // not the AS-certificate keys issued above (ROADMAP item 4).
-        let keys = |ia: IsdAsn| secrets.get(&ia).map(|s| s.signing.verifying_key());
-        let hops = |ia: IsdAsn| secrets.get(&ia).map(|s| s.hop_key.clone());
-        for seg in store.all_segments() {
-            seg.verify(&keys, &hops)
-                .expect("registered segment verifies");
-        }
-
         // --- Data plane: one router per AS, in the topology's node order.
         let routers: Vec<BorderRouter> = topo
             .nodes()

@@ -7,8 +7,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+# Every package's tests: the facade's integration tests and each crate's
+# unit tests.
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 # Feature matrix: the trace feature must compile out cleanly everywhere
 # (metrics stay, events vanish), and the telemetry crate's own tests must
@@ -102,6 +104,15 @@ read -r store_bytes pathdb_bytes < <(grep -o '"store_bytes": [0-9]*, "pathdb_byt
     target/scale_smoke.json | tail -n 1 | tr -dc '0-9 '; echo)
 if [ "$pathdb_bytes" -gt "$((store_bytes * 6))" ]; then
     echo "scale smoke: pathdb_bytes $pathdb_bytes exceeds 6x store_bytes $store_bytes at N=1000" >&2
+    exit 1
+fi
+
+# Beaconing checks each PCB entry once, on receipt: while every
+# verified-cache miss re-verified a whole chain, `beacon.verify` was the
+# top profiled scope at N=1000.
+bottleneck=$(grep -o '"bottleneck": "[^"]*"' target/scale_smoke.json | tail -n 1 | cut -d'"' -f4)
+if [ "$bottleneck" = "beacon.verify" ]; then
+    echo "scale smoke: beacon.verify is the bottleneck at N=1000" >&2
     exit 1
 fi
 
