@@ -544,6 +544,26 @@ pub fn fingerprint_hex(key: &[u8; 8]) -> String {
     scion_crypto::sha256::to_hex(key)
 }
 
+/// The [`FullPath::fingerprint_key`] a fingerprint renders, if `fingerprint`
+/// is one: exactly 16 lowercase hex digits. The inverse of
+/// [`fingerprint_hex`], for callers that take strings in and keep keys.
+pub fn fingerprint_key_of(fingerprint: &str) -> Option<[u8; 8]> {
+    let digits = fingerprint.as_bytes();
+    if digits.len() != 16 {
+        return None;
+    }
+    let nibble = |c: u8| match c {
+        b'0'..=b'9' => Some(c - b'0'),
+        b'a'..=b'f' => Some(c - b'a' + 10),
+        _ => None,
+    };
+    let mut key = [0u8; 8];
+    for (byte, pair) in key.iter_mut().zip(digits.chunks_exact(2)) {
+        *byte = nibble(pair[0])? << 4 | nibble(pair[1])?;
+    }
+    Some(key)
+}
+
 /// Symmetric-difference disjointness: `1 − 2·|A∩B| / (|A|+|B|)` over the
 /// two paths' globally-unique interface sets — 1.0 for fully disjoint
 /// paths, 0.0 for identical ones ("having only 30 % of links in common"
@@ -976,6 +996,21 @@ mod tests {
         assert!(ifs.contains(&(ia("71-1"), 11)));
         assert_eq!(p.fingerprint(), p.fingerprint());
         assert_eq!(p.fingerprint().len(), 16);
+        assert_eq!(
+            fingerprint_key_of(&p.fingerprint()),
+            Some(p.fingerprint_key())
+        );
+        assert_eq!(
+            fingerprint_key_of("0123456789abcdef"),
+            Some([0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef])
+        );
+        for not_one in [
+            &p.fingerprint()[1..],
+            "0123456789abcdeg",
+            "0123456789ABCDEF",
+        ] {
+            assert_eq!(fingerprint_key_of(not_one), None, "{not_one}");
+        }
     }
 
     #[test]

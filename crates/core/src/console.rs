@@ -100,7 +100,7 @@ impl OperatorConsole {
         let snap = self.telemetry.snapshot();
         let (rows, churn) = {
             let board = self.health.lock();
-            (board.rows(), board.churn_events().len())
+            (board.rows(), board.churn_count())
         };
 
         let mut out = String::new();

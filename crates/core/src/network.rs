@@ -31,8 +31,9 @@ use scion_orchestrator::renewal::{bootstrap_driver, RenewalDriver};
 use scion_proto::addr::{HostAddr, IsdAsn, IsdNumber, ScionAddr};
 use scion_proto::encap::UnderlayAddr;
 use scion_proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
-use scion_proto::scmp::ScmpMessage;
+use scion_proto::scmp::{EchoHeader, ScmpMessage};
 use scion_proto::trace::TraceContext;
+use scion_proto::wire::{turn_around, PacketView};
 
 use crate::console::OperatorConsole;
 
@@ -187,6 +188,14 @@ pub(crate) struct Inner {
     pub(crate) now_unix: u64,
     /// Host inboxes keyed by (AS, host address bytes).
     inboxes: BTreeMap<ScionAddr, VecDeque<ScionPacket>>,
+    /// Each probed path's encoded echo request, built at the path's first
+    /// echo and keyed by `(src, dst, FullPath::fingerprint_key)`: unique
+    /// within a registered set, since combination dedups by it. A pair's
+    /// requests are dropped when the pair is registered anew.
+    echo_requests: BTreeMap<(IsdAsn, IsdAsn, [u8; 8]), Vec<u8>>,
+    /// The buffer echoes travel in, there and back, reused from echo to
+    /// echo.
+    echo_buf: Vec<u8>,
 }
 
 /// The assembled deployment.
@@ -388,6 +397,8 @@ impl SciEraNetwork {
                 nominal_latency_ms,
                 now_unix: now,
                 inboxes: BTreeMap::new(),
+                echo_requests: BTreeMap::new(),
+                echo_buf: Vec::new(),
             })),
         }
     }
@@ -557,8 +568,17 @@ impl SciEraNetwork {
     pub fn register_probe_pair(&self, src: IsdAsn, dst: IsdAsn) -> usize {
         let paths = self.paths(src, dst);
         let n = paths.len();
-        self.prober.lock().register(src, dst, paths);
+        self.register_probe_set(src, dst, paths);
         n
+    }
+
+    /// Hands the prober a pair's new path set, and forgets the echo
+    /// requests encoded for the old one.
+    fn register_probe_set(&self, src: IsdAsn, dst: IsdAsn, paths: Vec<FullPath>) {
+        let mut prober = self.prober.lock();
+        let requests = &mut self.inner.lock().echo_requests;
+        requests.retain(|&(s, d, _), _| (s, d) != (src, dst));
+        prober.register(src, dst, paths);
     }
 
     /// Like [`SciEraNetwork::register_probe_pair`] but snapshots at most
@@ -573,18 +593,20 @@ impl SciEraNetwork {
     ) -> Vec<FullPath> {
         let mut paths = self.paths(src, dst);
         paths.truncate(max_paths);
-        self.prober.lock().register(src, dst, paths.clone());
+        self.register_probe_set(src, dst, paths.clone());
         paths
     }
 
     /// Runs one SCMP echo campaign over every registered pair's path set,
     /// feeding outcomes into the health board and closing the round (churn
-    /// detection happens exactly once per campaign).
+    /// detection happens exactly once per campaign). The data plane is
+    /// locked once, for the whole round.
     pub fn probe_round(&self) -> Vec<ProbeResult> {
-        let now = self.now_unix();
-        let mut transport = NetEchoTransport { net: &self.inner };
         let mut prober = self.prober.lock();
         let mut board = self.health.lock();
+        let mut inner = self.inner.lock();
+        let now = inner.now_unix;
+        let mut transport = NetEchoTransport(&mut inner);
         // Probe-confirmed dead interfaces flush every memoized path
         // combination crossing them (the next lookup recombines from the
         // unchanged store and re-applies live link state). Every probed path
@@ -606,7 +628,7 @@ impl SciEraNetwork {
 
     /// Healthy-set churn events observed so far, oldest first.
     pub fn churn_events(&self) -> Vec<ChurnEvent> {
-        self.health.lock().churn_events().to_vec()
+        self.health.lock().churn_events()
     }
 
     /// Mean health score over all probed paths of a pair, if probed.
@@ -958,9 +980,14 @@ impl Inner {
 
     /// Carries one SCMP echo over `path` and reports the verdict.
     ///
-    /// The request is carried to `dst`, the reply back over the reversed
-    /// path; both legs pay link latency plus per-AS processing overhead, so
-    /// the measured RTT matches the analytic `path_rtt_ms` of the topology
+    /// The path's request frame is encoded at its first echo and kept; an
+    /// echo copies it into the buffer echoes travel in and stamps its `id`
+    /// and `seq`. The request is carried to `dst`, which answers an echo
+    /// request, and nothing else, by turning the frame around in place into
+    /// its reply; the reply is carried back over the reversed path, and the
+    /// source counts it only if it is the echo reply to this request. Both
+    /// legs pay link latency plus per-AS processing overhead, so the
+    /// measured RTT matches the analytic `path_rtt_ms` of the topology
     /// exactly. Neither packet enters a host inbox. A dead link surfaces as
     /// the SCMP `ExternalInterfaceDown` the on-path router queued to the
     /// prober's address.
@@ -972,26 +999,26 @@ impl Inner {
         id: u16,
         seq: u16,
     ) -> EchoOutcome {
-        let Ok(dp) = path.to_dataplane() else {
-            return EchoOutcome::Lost;
+        let request = match self.echo_requests.entry((src, dst, path.fingerprint_key())) {
+            Entry::Occupied(cached) => cached.into_mut(),
+            Entry::Vacant(slot) => match echo_request(src, dst, path) {
+                Some(frame) => slot.insert(frame),
+                None => return EchoOutcome::Lost,
+            },
         };
-        // Dedicated prober host addresses keep echo traffic apart from real
-        // hosts'.
-        let src_addr = ScionAddr::new(src, HostAddr::v4(10, 255, 255, 1));
-        let dst_addr = ScionAddr::new(dst, HostAddr::v4(10, 255, 255, 2));
-        let request = ScionPacket::new(
-            src_addr,
-            dst_addr,
-            L4Protocol::Scmp,
-            DataPlanePath::Scion(dp),
-            ScmpMessage::EchoRequest {
-                id,
-                seq,
-                data: vec![],
-            }
-            .encode(),
-        );
-        let fwd = match encode(&request).and_then(|f| self.carry(f, src_addr, |_| {})) {
+        let mut frame = std::mem::take(&mut self.echo_buf);
+        frame.clear();
+        frame.extend_from_slice(request);
+        // The request carries no echo data: its echo header ends the frame.
+        let at = frame.len() - EchoHeader::LEN;
+        EchoHeader {
+            reply: false,
+            id,
+            seq,
+        }
+        .write(&mut frame[at..]);
+        let src_addr = ScionAddr::new(src, PROBER_SRC);
+        let mut fwd = match self.carry(frame, src_addr, |_| {}) {
             Ok(carried) => carried,
             Err(NetError::LinkDown { at, ifid }) => {
                 // The on-path router notified the source; consume and decode
@@ -1014,27 +1041,17 @@ impl Inner {
             }
             Err(_) => return EchoOutcome::Lost,
         };
-        let Some((rsrc, rdst, rpath)) = fwd.packet().ok().and_then(|p| p.reply_template()) else {
+        if !answer_echo(&mut fwd.frame) {
+            self.echo_buf = fwd.frame;
+            return EchoOutcome::Lost;
+        }
+        let reply = std::mem::take(&mut fwd.frame);
+        let Ok(back) = self.carry(reply, ScionAddr::new(dst, PROBER_DST), |_| {}) else {
             return EchoOutcome::Lost;
         };
-        let reply = ScionPacket::new(
-            rsrc,
-            rdst,
-            L4Protocol::Scmp,
-            rpath,
-            ScmpMessage::EchoReply {
-                id,
-                seq,
-                data: vec![],
-            }
-            .encode(),
-        );
-        let Ok(back) = encode(&reply).and_then(|f| self.carry(f, rsrc, |_| {})) else {
-            return EchoOutcome::Lost;
-        };
-        let rtt_ms =
-            fwd.latency_ms + back.latency_ms + (fwd.hops + back.hops) as f64 * PER_AS_OVERHEAD_MS;
-        EchoOutcome::Reply { rtt_ms }
+        let verdict = echo_verdict(&fwd, &back, id, seq);
+        self.echo_buf = back.frame;
+        verdict
     }
 }
 
@@ -1093,10 +1110,9 @@ impl DynamicsNet for SciEraNetwork {
     }
 }
 
-/// [`EchoTransport`] over the simulated data plane.
-struct NetEchoTransport<'a> {
-    net: &'a Mutex<Inner>,
-}
+/// [`EchoTransport`] over the simulated data plane, for one round under one
+/// lock.
+struct NetEchoTransport<'a>(&'a mut Inner);
 
 impl EchoTransport for NetEchoTransport<'_> {
     fn echo(
@@ -1107,8 +1123,80 @@ impl EchoTransport for NetEchoTransport<'_> {
         id: u16,
         seq: u16,
     ) -> EchoOutcome {
-        self.net.lock().scmp_echo(src, dst, path, id, seq)
+        self.0.scmp_echo(src, dst, path, id, seq)
     }
+}
+
+/// Dedicated prober host addresses keep echo traffic apart from real
+/// hosts'.
+const PROBER_SRC: HostAddr = HostAddr::V4([10, 255, 255, 1]);
+const PROBER_DST: HostAddr = HostAddr::V4([10, 255, 255, 2]);
+
+/// The echo request frame over `path`, with `id` and `seq` zero until an
+/// echo stamps its own; `None` if the path does not assemble.
+fn echo_request(src: IsdAsn, dst: IsdAsn, path: &FullPath) -> Option<Vec<u8>> {
+    let request = ScionPacket::new(
+        ScionAddr::new(src, PROBER_SRC),
+        ScionAddr::new(dst, PROBER_DST),
+        L4Protocol::Scmp,
+        DataPlanePath::Scion(path.to_dataplane().ok()?),
+        ScmpMessage::EchoRequest {
+            id: 0,
+            seq: 0,
+            data: vec![],
+        }
+        .encode(),
+    );
+    encode(&request).ok()
+}
+
+/// The echo header of the SCMP message `frame` carries, if it carries one.
+fn echo_in(frame: &[u8]) -> Option<EchoHeader> {
+    let view = PacketView::parse(frame).ok()?;
+    if view.next_hdr() != L4Protocol::Scmp {
+        return None;
+    }
+    EchoHeader::read(view.payload())
+}
+
+/// The destination's side of an echo: an echo request is turned around in
+/// place into its reply, and anything else goes unanswered.
+fn answer_echo(frame: &mut [u8]) -> bool {
+    let Some(EchoHeader {
+        reply: false,
+        id,
+        seq,
+    }) = echo_in(frame)
+    else {
+        return false;
+    };
+    let Ok(reply) = turn_around(frame) else {
+        return false;
+    };
+    EchoHeader {
+        reply: true,
+        id,
+        seq,
+    }
+    .write(&mut frame[reply.hdr_len()..]);
+    true
+}
+
+/// The source's verdict on an echo: the round trip of both legs if what
+/// the reply leg delivered is an echo reply carrying the request's `id` and
+/// `seq`, `Lost` if it is anything else.
+fn echo_verdict(fwd: &Carried, back: &Carried, id: u16, seq: u16) -> EchoOutcome {
+    let expected = EchoHeader {
+        reply: true,
+        id,
+        seq,
+    };
+    if echo_in(&back.frame) != Some(expected) {
+        return EchoOutcome::Lost;
+    }
+    let rtt_ms =
+        fwd.latency_ms + back.latency_ms + (fwd.hops + back.hops) as f64 * PER_AS_OVERHEAD_MS;
+    EchoOutcome::Reply { rtt_ms }
 }
 
 /// A host attached to the network.
@@ -2064,6 +2152,95 @@ mod carry_tests {
         fx.net.set_link_index(cut, true);
         fx.net.prober.lock().register(src, dst, Vec::new());
         fx.net.attach_host(host).transport().recv_packet();
+    }
+
+    /// The source reads what comes back: only the echo reply to its own
+    /// request counts, and the destination answers an echo request only.
+    #[test]
+    fn only_the_reply_to_this_echo_counts() {
+        let fx = fixture();
+        let (src, dst, all) = &fx.answers[0];
+        let request = echo_request(*src, *dst, &all[0]).unwrap();
+        let at = request.len() - EchoHeader::LEN;
+        let stamped = |reply: bool, id: u16, seq: u16| {
+            let mut frame = request.clone();
+            EchoHeader { reply, id, seq }.write(&mut frame[at..]);
+            frame
+        };
+        // The kept request, stamped, is the request built whole.
+        let whole = ScionPacket::new(
+            ScionAddr::new(*src, PROBER_SRC),
+            ScionAddr::new(*dst, PROBER_DST),
+            L4Protocol::Scmp,
+            DataPlanePath::Scion(all[0].to_dataplane().unwrap()),
+            ScmpMessage::EchoRequest {
+                id: 7,
+                seq: 9,
+                data: vec![],
+            }
+            .encode(),
+        );
+        assert_eq!(stamped(false, 7, 9), whole.encode().unwrap());
+
+        let mut answered = stamped(false, 7, 9);
+        assert!(answer_echo(&mut answered));
+        let reply = EchoHeader {
+            reply: true,
+            id: 7,
+            seq: 9,
+        };
+        assert_eq!(echo_in(&answered), Some(reply));
+        // A reply, or anything not SCMP, goes unanswered and untouched.
+        let udp = frames(&fx).swap_remove(0).3;
+        for unanswered in [stamped(true, 7, 9), udp] {
+            let mut frame = unanswered.clone();
+            assert!(!answer_echo(&mut frame));
+            assert_eq!(frame, unanswered);
+        }
+
+        let carried = |frame: Vec<u8>| Carried {
+            frame,
+            hops: 3,
+            latency_ms: 1.5,
+        };
+        let fwd = carried(stamped(false, 7, 9));
+        assert_eq!(
+            echo_verdict(&fwd, &carried(answered.clone()), 7, 9),
+            EchoOutcome::Reply {
+                rtt_ms: 3.0 + 6.0 * PER_AS_OVERHEAD_MS
+            }
+        );
+        // Another seq or id, or the request itself come back: lost.
+        let mut altered = answered;
+        EchoHeader { seq: 10, ..reply }.write(&mut altered[at..]);
+        for back in [altered, stamped(true, 8, 9), stamped(false, 7, 9)] {
+            assert_eq!(echo_verdict(&fwd, &carried(back), 7, 9), EchoOutcome::Lost);
+        }
+    }
+
+    #[test]
+    fn a_pair_registered_anew_forgets_its_echo_requests() {
+        let fx = fixture();
+        let (src, dst, _) = fx.answers[1];
+        let kept = |net: &SciEraNetwork| {
+            let inner = net.inner.lock();
+            let pair = inner
+                .echo_requests
+                .keys()
+                .filter(|k| (k.0, k.1) == (src, dst));
+            pair.map(|k| k.2).collect::<Vec<_>>()
+        };
+        let probed = fx.net.register_probe_pair_capped(src, dst, 3);
+        assert!(kept(&fx.net).is_empty(), "built at the first echo");
+        fx.net.probe_round();
+        let mut keys: Vec<[u8; 8]> = probed.iter().map(|p| p.fingerprint_key()).collect();
+        keys.sort_unstable();
+        assert_eq!(kept(&fx.net), keys);
+        fx.net.register_probe_pair_capped(src, dst, 1);
+        assert!(kept(&fx.net).is_empty());
+        fx.net.probe_round();
+        assert_eq!(kept(&fx.net), [probed[0].fingerprint_key()]);
+        fx.net.register_probe_pair_capped(src, dst, 0);
     }
 }
 

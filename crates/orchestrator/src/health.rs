@@ -10,10 +10,20 @@
 //! and at the end of every probing round it compares each pair's healthy
 //! path set against the previous round — emitting exactly one
 //! [`ChurnEvent`] per pair per change.
+//!
+//! Paths are keyed by [`FullPath::fingerprint_key`], and each remembers
+//! whether it was in its pair's healthy set when the last round closed, so
+//! closing a round compares flags and allocates nothing unless the set
+//! changed. The churn log keeps keys too. Hex fingerprints are rendered
+//! only where a string leaves the board (churn events and rows); key order
+//! is hex order, so both list paths in fingerprint order.
+//!
+//! [`FullPath::fingerprint_key`]: scion_control::fullpath::FullPath::fingerprint_key
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use sciera_telemetry::{Counter, Event, Gauge, Histogram, Severity, Telemetry};
+use scion_control::fullpath::{fingerprint_hex, fingerprint_key_of};
 use scion_proto::addr::IsdAsn;
 
 use crate::prober::EchoOutcome;
@@ -25,8 +35,6 @@ pub const LOSS_LIVENESS_THRESHOLD: u32 = 3;
 /// Rolling health state of one concrete path.
 #[derive(Debug)]
 pub struct PathHealth {
-    /// The path's stable fingerprint.
-    pub fingerprint: String,
     /// (AS, interface) pairs the path traverses, for SCMP correlation.
     pub interfaces: Vec<(IsdAsn, u16)>,
     /// Probes sent.
@@ -39,12 +47,13 @@ pub struct PathHealth {
     pub down_reason: Option<String>,
     consecutive_losses: u32,
     rtt: Histogram,
+    /// Member of the pair's healthy set when the last round closed.
+    in_baseline: bool,
 }
 
 impl PathHealth {
-    fn new(fingerprint: String, interfaces: Vec<(IsdAsn, u16)>) -> Self {
+    fn new(interfaces: Vec<(IsdAsn, u16)>) -> Self {
         PathHealth {
-            fingerprint,
             interfaces,
             sent: 0,
             lost: 0,
@@ -52,7 +61,13 @@ impl PathHealth {
             down_reason: None,
             consecutive_losses: 0,
             rtt: Histogram::default(),
+            in_baseline: false,
         }
+    }
+
+    /// Member of the pair's healthy set: alive and probed.
+    fn healthy(&self) -> bool {
+        self.alive && self.sent > 0
     }
 
     /// Loss fraction over the path's lifetime.
@@ -128,19 +143,46 @@ pub struct HealthRow {
     pub p90_ms: f64,
 }
 
+/// A [`ChurnEvent`] as the board keeps it: the keys of the paths that
+/// entered (`true`) or left the healthy set, in key order, rendered to hex
+/// where the event leaves the board.
+struct Churn {
+    src: IsdAsn,
+    dst: IsdAsn,
+    at_unix: u64,
+    changes: Vec<([u8; 8], bool)>,
+}
+
+impl Churn {
+    fn render(&self) -> ChurnEvent {
+        let hex = |entered: bool| {
+            let keys = self.changes.iter().filter(|c| c.1 == entered);
+            keys.map(|c| fingerprint_hex(&c.0)).collect()
+        };
+        ChurnEvent {
+            src: self.src,
+            dst: self.dst,
+            at_unix: self.at_unix,
+            added: hex(true),
+            removed: hex(false),
+        }
+    }
+}
+
+#[derive(Default)]
 struct PairState {
-    paths: BTreeMap<String, PathHealth>,
-    /// Healthy set at the end of the previous round; `None` until the
-    /// first round closes (the first observation sets the baseline
-    /// without counting as churn).
-    baseline: Option<BTreeSet<String>>,
+    /// Probed paths by fingerprint key.
+    paths: BTreeMap<[u8; 8], PathHealth>,
+    /// Whether a round has closed over the pair: the first one sets the
+    /// paths' `in_baseline` flags without counting as churn.
+    baseline_set: bool,
 }
 
 /// The per-pair, per-path health aggregation layer.
 pub struct HealthBoard {
     telemetry: Telemetry,
     pairs: BTreeMap<(IsdAsn, IsdAsn), PairState>,
-    churn_log: Vec<ChurnEvent>,
+    churn_log: Vec<Churn>,
     churn_counter: Counter,
     extif_correlated: Counter,
     paths_down: Counter,
@@ -163,32 +205,28 @@ impl HealthBoard {
         }
     }
 
-    /// Feeds one probe outcome into the board. `interfaces` yields the
+    /// Feeds one probe outcome into the board for the path whose
+    /// [`FullPath::fingerprint_key`] is `key`. `interfaces` yields the
     /// probed path's (AS, interface) sequence and is asked the first time
     /// the board sees the path only; it is kept to correlate SCMP
     /// external-interface-down notifications: a notification naming an
     /// interface the path actually traverses kills the path immediately,
     /// without waiting for the loss threshold.
+    ///
+    /// [`FullPath::fingerprint_key`]: scion_control::fullpath::FullPath::fingerprint_key
     pub fn observe(
         &mut self,
         src: IsdAsn,
         dst: IsdAsn,
-        fingerprint: &str,
+        key: [u8; 8],
         interfaces: impl FnOnce() -> Vec<(IsdAsn, u16)>,
         outcome: &EchoOutcome,
     ) {
-        let pair = self.pairs.entry((src, dst)).or_insert_with(|| PairState {
-            paths: BTreeMap::new(),
-            baseline: None,
-        });
-        if !pair.paths.contains_key(fingerprint) {
-            let health = PathHealth::new(fingerprint.to_owned(), interfaces());
-            pair.paths.insert(fingerprint.to_owned(), health);
-        }
+        let pair = self.pairs.entry((src, dst)).or_default();
         let path = pair
             .paths
-            .get_mut(fingerprint)
-            .expect("inserted above if it was missing");
+            .entry(key)
+            .or_insert_with(|| PathHealth::new(interfaces()));
         path.sent += 1;
         match outcome {
             EchoOutcome::Reply { rtt_ms } => {
@@ -238,55 +276,62 @@ impl HealthBoard {
         let mut round_events = Vec::new();
         let mut healthy_total = 0u64;
         for ((src, dst), pair) in &mut self.pairs {
-            let healthy: BTreeSet<String> = pair
-                .paths
-                .values()
-                .filter(|p| p.alive && p.sent > 0)
-                .map(|p| p.fingerprint.clone())
-                .collect();
-            healthy_total += healthy.len() as u64;
-            match &pair.baseline {
-                None => pair.baseline = Some(healthy),
-                Some(prev) if *prev != healthy => {
-                    let added: Vec<String> = healthy.difference(prev).cloned().collect();
-                    let removed: Vec<String> = prev.difference(&healthy).cloned().collect();
-                    let event = ChurnEvent {
-                        src: *src,
-                        dst: *dst,
-                        at_unix: now_unix,
-                        added,
-                        removed,
-                    };
-                    self.churn_counter.inc();
-                    if self.telemetry.enabled(Severity::Info) {
-                        self.telemetry.emit(
-                            Event::new(
-                                now_unix.saturating_mul(1_000_000_000),
-                                src.to_string(),
-                                "health",
-                                Severity::Info,
-                                "healthy path set changed",
-                            )
-                            .field("dst", dst)
-                            .field("added", event.added.len())
-                            .field("removed", event.removed.len())
-                            .field("healthy", healthy.len()),
-                        );
+            let mut healthy = 0usize;
+            let mut changes = Vec::new();
+            for (key, p) in &mut pair.paths {
+                healthy += usize::from(p.healthy());
+                if p.healthy() != p.in_baseline {
+                    p.in_baseline = p.healthy();
+                    // The first round over a pair sets its baseline
+                    // without counting as churn.
+                    if pair.baseline_set {
+                        changes.push((*key, p.in_baseline));
                     }
-                    round_events.push(event.clone());
-                    self.churn_log.push(event);
-                    pair.baseline = Some(healthy);
                 }
-                Some(_) => {}
             }
+            healthy_total += healthy as u64;
+            pair.baseline_set = true;
+            if changes.is_empty() {
+                continue;
+            }
+            let churn = Churn {
+                src: *src,
+                dst: *dst,
+                at_unix: now_unix,
+                changes,
+            };
+            let event = churn.render();
+            self.churn_counter.inc();
+            if self.telemetry.enabled(Severity::Info) {
+                self.telemetry.emit(
+                    Event::new(
+                        now_unix.saturating_mul(1_000_000_000),
+                        src.to_string(),
+                        "health",
+                        Severity::Info,
+                        "healthy path set changed",
+                    )
+                    .field("dst", dst)
+                    .field("added", event.added.len())
+                    .field("removed", event.removed.len())
+                    .field("healthy", healthy),
+                );
+            }
+            round_events.push(event);
+            self.churn_log.push(churn);
         }
         self.healthy_gauge.set(healthy_total);
         round_events
     }
 
     /// Every churn event observed so far, oldest first.
-    pub fn churn_events(&self) -> &[ChurnEvent] {
-        &self.churn_log
+    pub fn churn_events(&self) -> Vec<ChurnEvent> {
+        self.churn_log.iter().map(Churn::render).collect()
+    }
+
+    /// How many churn events have been observed so far.
+    pub fn churn_count(&self) -> usize {
+        self.churn_log.len()
     }
 
     /// Mean path score of a pair, if it has been probed.
@@ -296,20 +341,21 @@ impl HealthBoard {
         (n > 0).then(|| pair.paths.values().map(|p| p.score()).sum::<f64>() / n as f64)
     }
 
-    /// The health state of one concrete path.
+    /// The health state of the path with hex fingerprint `fingerprint`.
     pub fn path(&self, src: IsdAsn, dst: IsdAsn, fingerprint: &str) -> Option<&PathHealth> {
-        self.pairs.get(&(src, dst))?.paths.get(fingerprint)
+        let key = fingerprint_key_of(fingerprint)?;
+        self.pairs.get(&(src, dst))?.paths.get(&key)
     }
 
     /// The console's health table: one row per (src, dst, path), sorted.
     pub fn rows(&self) -> Vec<HealthRow> {
         let mut rows = Vec::new();
         for ((src, dst), pair) in &self.pairs {
-            for p in pair.paths.values() {
+            for (key, p) in &pair.paths {
                 rows.push(HealthRow {
                     src: *src,
                     dst: *dst,
-                    fingerprint: p.fingerprint.clone(),
+                    fingerprint: fingerprint_hex(key),
                     alive: p.alive,
                     score: p.score(),
                     sent: p.sent,
@@ -340,10 +386,14 @@ mod tests {
         vec![(ia("71-100"), 31), (ia("71-10"), 22), (ia("71-10"), 21)]
     }
 
+    /// Two path keys; `P1` sorts first.
+    const P1: [u8; 8] = [0x0a, 0, 0, 0, 0, 0, 0, 1];
+    const P2: [u8; 8] = [0xb0, 0, 0, 0, 0, 0, 0, 2];
+
     #[test]
     fn first_round_sets_baseline_without_churn() {
         let mut b = board();
-        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &reply(10.0));
+        b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &reply(10.0));
         assert!(b.finish_round(100).is_empty());
         assert!(b.churn_events().is_empty());
         assert_eq!(b.pair_score(ia("71-100"), ia("71-1")), Some(100.0));
@@ -354,19 +404,21 @@ mod tests {
         let mut b = board();
         let mut asked = 0;
         for round in 0..3 {
-            for fp in ["p1", "p2"] {
+            for key in [P1, P2] {
                 let interfaces = || {
                     asked += 1;
                     ifaces()
                 };
-                b.observe(ia("71-100"), ia("71-1"), fp, interfaces, &reply(10.0));
+                b.observe(ia("71-100"), ia("71-1"), key, interfaces, &reply(10.0));
             }
             b.finish_round(100 + round);
         }
         assert_eq!(asked, 2, "once per path, not once per probe");
-        for fp in ["p1", "p2"] {
-            let p = b.path(ia("71-100"), ia("71-1"), fp).unwrap();
-            assert_eq!((p.fingerprint.as_str(), p.sent), (fp, 3));
+        for key in [P1, P2] {
+            let p = b
+                .path(ia("71-100"), ia("71-1"), &fingerprint_hex(&key))
+                .unwrap();
+            assert_eq!(p.sent, 3);
             assert_eq!(p.interfaces, ifaces());
         }
     }
@@ -375,23 +427,25 @@ mod tests {
     fn ext_if_down_on_path_kills_immediately_one_churn() {
         let mut b = board();
         for _ in 0..2 {
-            b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &reply(10.0));
+            b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &reply(10.0));
             b.finish_round(100);
         }
         let down = EchoOutcome::ExtIfDown {
             ia: ia("71-10"),
             interface: 21,
         };
-        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &down);
+        b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &down);
         let events = b.finish_round(200);
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].removed, vec!["p1".to_string()]);
+        assert_eq!(events[0].removed, vec![fingerprint_hex(&P1)]);
         assert!(events[0].added.is_empty());
         // A later identical round produces no further churn.
-        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &down);
+        b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &down);
         assert!(b.finish_round(300).is_empty());
         assert_eq!(b.churn_events().len(), 1);
-        let p = b.path(ia("71-100"), ia("71-1"), "p1").unwrap();
+        let p = b
+            .path(ia("71-100"), ia("71-1"), &fingerprint_hex(&P1))
+            .unwrap();
         assert!(!p.alive);
         assert!(p.down_reason.as_deref().unwrap().contains("ext-if-down"));
         assert_eq!(b.pair_score(ia("71-100"), ia("71-1")), Some(0.0));
@@ -400,33 +454,69 @@ mod tests {
     #[test]
     fn ext_if_down_off_path_does_not_kill() {
         let mut b = board();
-        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &reply(10.0));
+        b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &reply(10.0));
         b.finish_round(100);
         let unrelated = EchoOutcome::ExtIfDown {
             ia: ia("71-20"),
             interface: 99,
         };
-        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &unrelated);
+        b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &unrelated);
         assert!(b.finish_round(200).is_empty());
-        assert!(b.path(ia("71-100"), ia("71-1"), "p1").unwrap().alive);
+        assert!(
+            b.path(ia("71-100"), ia("71-1"), &fingerprint_hex(&P1))
+                .unwrap()
+                .alive
+        );
     }
 
     #[test]
     fn loss_threshold_declares_down_and_recovery_restores() {
         let mut b = board();
-        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &reply(10.0));
+        b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &reply(10.0));
         b.finish_round(100);
         for _ in 0..LOSS_LIVENESS_THRESHOLD {
-            b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &EchoOutcome::Lost);
+            b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &EchoOutcome::Lost);
         }
         assert_eq!(b.finish_round(200).len(), 1);
-        assert!(!b.path(ia("71-100"), ia("71-1"), "p1").unwrap().alive);
+        assert!(
+            !b.path(ia("71-100"), ia("71-1"), &fingerprint_hex(&P1))
+                .unwrap()
+                .alive
+        );
         // One successful probe brings it back — and that is churn again.
-        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &reply(11.0));
+        b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &reply(11.0));
         let events = b.finish_round(300);
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].added, vec!["p1".to_string()]);
+        assert_eq!(events[0].added, vec![fingerprint_hex(&P1)]);
         assert_eq!(b.churn_events().len(), 2);
+    }
+
+    #[test]
+    fn churn_lists_paths_in_fingerprint_order_and_rows_render_hex() {
+        let mut b = board();
+        let (src, dst) = (ia("71-100"), ia("71-1"));
+        let dead = EchoOutcome::ExtIfDown {
+            ia: ia("71-10"),
+            interface: 21,
+        };
+        // P2 is seen first and P1 second, and both come and go together.
+        for (outcome, round) in [(reply(10.0), 100), (dead, 200), (reply(10.0), 300)] {
+            for key in [P2, P1] {
+                b.observe(src, dst, key, ifaces, &outcome);
+            }
+            b.finish_round(round);
+        }
+        let both = vec![fingerprint_hex(&P1), fingerprint_hex(&P2)];
+        assert!(both[0] < both[1]);
+        let events = b.churn_events();
+        assert_eq!(events.len(), 2);
+        assert_eq!((&events[0].added, &events[0].removed), (&vec![], &both));
+        assert_eq!((&events[1].added, &events[1].removed), (&both, &vec![]));
+        let rows: Vec<String> = b.rows().into_iter().map(|r| r.fingerprint).collect();
+        assert_eq!(rows, both);
+        // A string that renders no key names no path.
+        assert!(b.path(src, dst, &both[0]).is_some());
+        assert!(b.path(src, dst, &both[0].to_uppercase()).is_none());
     }
 
     #[test]
@@ -436,12 +526,12 @@ mod tests {
             b.observe(
                 ia("71-100"),
                 ia("71-1"),
-                "p1",
+                P1,
                 ifaces,
                 &reply(10.0 * i as f64),
             );
         }
-        b.observe(ia("71-100"), ia("71-1"), "p1", ifaces, &EchoOutcome::Lost);
+        b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &EchoOutcome::Lost);
         b.finish_round(100);
         let rows = b.rows();
         assert_eq!(rows.len(), 1);

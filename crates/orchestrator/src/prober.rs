@@ -167,7 +167,7 @@ impl PathProber {
         now_unix: u64,
         sink: &mut S,
     ) -> Vec<ProbeResult> {
-        let mut results = Vec::new();
+        let mut results = Vec::with_capacity(self.pairs.iter().map(|p| p.paths.len()).sum());
         for pair in &self.pairs {
             for path in &pair.paths {
                 self.seq = self.seq.wrapping_add(1);
@@ -208,7 +208,7 @@ impl PathProber {
                 board.observe(
                     pair.src,
                     pair.dst,
-                    &fingerprint,
+                    path.fingerprint_key(),
                     || path.interfaces(),
                     &outcome,
                 );

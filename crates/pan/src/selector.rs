@@ -9,7 +9,9 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use scion_control::fullpath::{fingerprint_hex, interface_disjointness, FullPath};
+use scion_control::fullpath::{
+    fingerprint_hex, fingerprint_key_of, interface_disjointness, FullPath,
+};
 use scion_control::policy::{PathPolicy, Preference};
 use scion_proto::addr::IsdAsn;
 use scion_proto::path::ScionPath;
@@ -77,25 +79,6 @@ fn by_rank(a: &Rank, b: &Rank) -> Ordering {
     a.0.partial_cmp(&b.0)
         .expect("path scores are not NaN")
         .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
-}
-
-/// The key a fingerprint renders, if `fingerprint` is one: exactly 16
-/// lowercase hex digits.
-fn parse_key(fingerprint: &str) -> Option<Key> {
-    let digits = fingerprint.as_bytes();
-    if digits.len() != 16 {
-        return None;
-    }
-    let nibble = |c: u8| match c {
-        b'0'..=b'9' => Some(c - b'0'),
-        b'a'..=b'f' => Some(c - b'a' + 10),
-        _ => None,
-    };
-    let mut key = [0u8; 8];
-    for (byte, pair) in key.iter_mut().zip(digits.chunks_exact(2)) {
-        *byte = nibble(pair[0])? << 4 | nibble(pair[1])?;
-    }
-    Some(key)
 }
 
 /// The path selector: holds candidate paths, policy, preference order, and
@@ -305,7 +288,7 @@ impl PathSelector {
     /// candidate whose fingerprint is exactly `fingerprint`, 16 lowercase
     /// hex digits.
     pub fn pin(&mut self, fingerprint: &str) -> Result<(), PanError> {
-        let known = parse_key(fingerprint).filter(|key| self.position_of(*key).is_some());
+        let known = fingerprint_key_of(fingerprint).filter(|key| self.position_of(*key).is_some());
         match known {
             Some(key) => {
                 self.set_pin(Some(key));

@@ -242,6 +242,59 @@ impl ScmpMessage {
     }
 }
 
+/// The fixed part of an echo request or reply, read and written where it
+/// sits on the wire: a prober stamps `id` and `seq` into a request it
+/// encoded once, and a responder makes the request its reply by rewriting
+/// the type. Code and checksum are written as zero, as
+/// [`ScmpMessage::encode`] writes them; the echo data after the header is
+/// neither read nor touched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EchoHeader {
+    /// An echo reply, rather than an echo request.
+    pub reply: bool,
+    /// Sender-chosen identifier.
+    pub id: u16,
+    /// Sequence number.
+    pub seq: u16,
+}
+
+impl EchoHeader {
+    /// Bytes the header occupies: type, code, checksum, `id` and `seq`.
+    pub const LEN: usize = 8;
+
+    /// The header at the start of the SCMP message `buf`, if `buf` is an
+    /// echo request or reply that [`ScmpMessage::decode`] accepts.
+    pub fn read(buf: &[u8]) -> Option<Self> {
+        let reply = match *buf.first()? {
+            ty::ECHO_REQUEST => false,
+            ty::ECHO_REPLY => true,
+            _ => return None,
+        };
+        let b = buf.get(..Self::LEN)?;
+        Some(EchoHeader {
+            reply,
+            id: u16::from_be_bytes([b[4], b[5]]),
+            seq: u16::from_be_bytes([b[6], b[7]]),
+        })
+    }
+
+    /// Writes the header over the first [`Self::LEN`] bytes of `buf`.
+    ///
+    /// # Panics
+    ///
+    /// If `buf` is shorter than [`Self::LEN`].
+    pub fn write(self, buf: &mut [u8]) {
+        let ty = if self.reply {
+            ty::ECHO_REPLY
+        } else {
+            ty::ECHO_REQUEST
+        };
+        buf[..4].copy_from_slice(&[ty, 0, 0, 0]);
+        buf[4..6].copy_from_slice(&self.id.to_be_bytes());
+        buf[6..Self::LEN].copy_from_slice(&self.seq.to_be_bytes());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +361,32 @@ mod tests {
             }
         );
         assert!(rep.echo_reply_for().is_none());
+    }
+
+    #[test]
+    fn echo_header_reads_and_writes_what_the_codec_does() {
+        for reply in [false, true] {
+            let (id, seq, data) = (0xBEEF, 513, b"xy".to_vec());
+            let msg = if reply {
+                ScmpMessage::EchoReply { id, seq, data }
+            } else {
+                ScmpMessage::EchoRequest { id, seq, data }
+            };
+            let wire = msg.encode();
+            let header = EchoHeader { reply, id, seq };
+            assert_eq!(EchoHeader::read(&wire), Some(header));
+            let mut written = vec![0xff; wire.len()];
+            written[EchoHeader::LEN..].copy_from_slice(b"xy");
+            header.write(&mut written);
+            assert_eq!(written, wire);
+        }
+        assert_eq!(
+            EchoHeader::read(&[ty::ECHO_REQUEST, 0, 0, 0, 1, 2, 3]),
+            None
+        );
+        let other = ScmpMessage::TracerouteRequest { id: 1, seq: 2 }.encode();
+        assert_eq!(EchoHeader::read(&other), None);
+        assert_eq!(EchoHeader::read(&[]), None);
     }
 
     #[test]

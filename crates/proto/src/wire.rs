@@ -27,7 +27,9 @@
 //!
 //! Two types share this logic: [`PacketView`] for read-only inspection and
 //! [`WireCursor`] for the in-place mutations a router performs (pointer
-//! advance, `seg_id ^= mac[0..2]` chaining).
+//! advance, `seg_id ^= mac[0..2]` chaining). [`turn_around`] is the one
+//! mutation an end host performs: it rewrites a delivered frame into the
+//! header of its reply.
 //!
 //! [`HeaderOffsets::locate`] mirrors every validation `decode` performs on
 //! the header region, so a frame accepted here is never one the reference
@@ -35,9 +37,10 @@
 //! callers fall back to the decode path whenever `locate` declines.
 
 use crate::addr::IsdAsn;
-use crate::packet::{PathType, COMMON_HDR_LEN, VERSION};
+use crate::packet::{L4Protocol, PathType, COMMON_HDR_LEN, VERSION};
 use crate::path::{
-    HopField, InfoField, HOP_FIELD_LEN, INFO_FIELD_LEN, MAX_SEGMENTS, PATH_META_LEN,
+    HopField, InfoField, PathMeta, HOP_FIELD_LEN, INFO_FIELD_LEN, MAX_HOPS, MAX_SEGMENTS,
+    PATH_META_LEN,
 };
 use crate::trace::HBH_EXT_PROTOCOL;
 use crate::ProtoError;
@@ -379,6 +382,17 @@ macro_rules! view_accessors {
             &self.off
         }
 
+        /// The protocol of the payload: the hop-by-hop extension's number
+        /// when a trace context rides in front of the L4 message.
+        pub fn next_hdr(&self) -> L4Protocol {
+            L4Protocol::from_u8(self.buf[4])
+        }
+
+        /// The payload region, as long as the common header declares it.
+        pub fn payload(&self) -> &[u8] {
+            &self.buf[self.off.hdr_len..self.off.hdr_len + self.off.payload_len]
+        }
+
         /// Index of the info field currently being traversed.
         pub fn curr_inf(&self) -> usize {
             self.off.curr_inf(self.buf)
@@ -502,6 +516,90 @@ impl<'a> WireCursor<'a> {
     /// The underlying frame bytes.
     pub fn as_bytes(&self) -> &[u8] {
         self.buf
+    }
+}
+
+/// Turns a delivered frame around, in place, into the header of its reply,
+/// and returns the reply's offsets.
+///
+/// Source and destination swap: the two ISD-AS fields, the host addresses
+/// (the address region rotates, since their lengths may differ) and their
+/// type/length nibbles. A standard path is reversed on the wire: info fields
+/// in reverse order with `cons_dir` flipped, hop fields in reverse order,
+/// segment lengths reversed, both pointers zero. An empty path stays empty;
+/// every other byte, the payload included, is left as it is.
+///
+/// The result is byte for byte what [`ScionPacket::decode`],
+/// [`ScionPacket::reply_template`] and [`ScionPacket::encode`] make of the
+/// frame. What that route would not reproduce in place is refused: one-hop
+/// paths (not reversible), frames [`HeaderOffsets::locate`] rejects, frames
+/// carrying a hop-by-hop extension, non-canonical frames, frames with
+/// trailing bytes, and paths of more than [`MAX_HOPS`] hop fields (which no
+/// [`ScionPath`] holds). A refused frame is not modified.
+///
+/// [`ScionPacket::decode`]: crate::packet::ScionPacket::decode
+/// [`ScionPacket::reply_template`]: crate::packet::ScionPacket::reply_template
+/// [`ScionPacket::encode`]: crate::packet::ScionPacket::encode
+/// [`ScionPath`]: crate::path::ScionPath
+pub fn turn_around(buf: &mut [u8]) -> Result<HeaderOffsets, ProtoError> {
+    let off = HeaderOffsets::locate(buf)?;
+    if off.path_type == PathType::OneHop {
+        return Err(ProtoError::InvalidPath(
+            "a one-hop path is not reversible".into(),
+        ));
+    }
+    if off.n_hops > MAX_HOPS {
+        return Err(ProtoError::InvalidPath(format!(
+            "{} hops exceed max {MAX_HOPS}",
+            off.n_hops
+        )));
+    }
+    if HeaderOffsets::has_hbh_ext(buf) || !off.is_exact_length(buf) || !off.is_canonical(buf) {
+        return Err(ProtoError::InvalidField {
+            field: "frame",
+            detail: "extension, trailing bytes or reserved bits: not turned around in place".into(),
+        });
+    }
+
+    let (dst_ia, src_ia) = buf[COMMON_HDR_LEN..COMMON_HDR_LEN + IA_HDR_LEN].split_at_mut(8);
+    dst_ia.swap_with_slice(src_ia);
+    // DT/DL is the high nibble, ST/SL the low one.
+    buf[9] = buf[9].rotate_left(4);
+    let hosts = &mut buf[COMMON_HDR_LEN + IA_HDR_LEN..off.meta_off];
+    let src_len = hosts.len() - off.dst_len;
+    hosts.rotate_left(off.dst_len);
+
+    let mut reply = HeaderOffsets {
+        dst_len: src_len,
+        ..off
+    };
+    if off.path_type == PathType::Scion {
+        let n = off.n_seg;
+        reverse_fields(&mut buf[off.info_off(0)..off.info_off(n)], INFO_FIELD_LEN);
+        for i in 0..n {
+            buf[off.info_off(i)] ^= 0b01; // cons_dir
+        }
+        reverse_fields(&mut buf[off.hop_off(0)..off.hdr_len], HOP_FIELD_LEN);
+        for i in 0..n {
+            reply.seg_len[i] = off.seg_len[n - 1 - i];
+        }
+        let meta = PathMeta {
+            curr_inf: 0,
+            curr_hf: 0,
+            seg_len: reply.seg_len,
+        };
+        buf[off.meta_off..off.meta_off + PATH_META_LEN].copy_from_slice(&meta.to_bytes());
+    }
+    debug_assert_eq!(HeaderOffsets::locate(buf).as_ref(), Ok(&reply));
+    Ok(reply)
+}
+
+/// Reverses the order of the `width`-byte fields `region` holds, keeping
+/// each field's bytes in order.
+fn reverse_fields(region: &mut [u8], width: usize) {
+    region.reverse();
+    for field in region.chunks_exact_mut(width) {
+        field.reverse();
     }
 }
 
@@ -749,6 +847,34 @@ mod tests {
                 wire,
                 "svc padding byte {pos}: decode should canonicalise"
             );
+        }
+    }
+
+    #[test]
+    fn turn_around_refuses_what_it_cannot_reproduce_and_leaves_it_alone() {
+        let sp = two_segment_path();
+        let mut one_hop = sample_packet(sp.clone());
+        one_hop.path = DataPlanePath::OneHop {
+            info: sp.info[0],
+            first_hop: sp.hops[0],
+            second_hop: hf(0, 0),
+        };
+        let mut traced = sample_packet(sp.clone());
+        traced.trace = Some(crate::trace::TraceContext::root(7));
+        let mut trailing = sample_packet(sp.clone()).encode().unwrap();
+        trailing.push(0);
+        let mut reserved = sample_packet(sp).encode().unwrap();
+        reserved[10] = 1;
+        for wire in [
+            one_hop.encode().unwrap(),
+            traced.encode().unwrap(),
+            trailing,
+            reserved,
+            vec![0; 40],
+        ] {
+            let mut w = wire.clone();
+            assert!(turn_around(&mut w).is_err());
+            assert_eq!(w, wire);
         }
     }
 

@@ -54,6 +54,11 @@ cargo test -q --test prop_pathdb --no-default-features
 echo "==> cargo test -q --test prop_batch --no-default-features"
 cargo test -q --test prop_batch --no-default-features
 
+# The in-place echo turn-around must equal the decode path's reply with
+# tracing compiled out too.
+echo "==> cargo test -q --test prop_turnaround --no-default-features"
+cargo test -q --test prop_turnaround --no-default-features
+
 # Beacon-propagation model proptest: the engine's dirty-slot walk must
 # reach the state of the test's exhaustive model (segments, retained
 # slots, rounds, counters) in both feature configs. The default-features

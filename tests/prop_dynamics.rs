@@ -185,7 +185,7 @@ impl DynamicsNet for MockNet {
     }
 
     fn churn_events(&self) -> Vec<sciera::orchestrator::health::ChurnEvent> {
-        self.board.churn_events().to_vec()
+        self.board.churn_events()
     }
 
     fn path_state(
