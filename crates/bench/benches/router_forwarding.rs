@@ -2,12 +2,12 @@
 //! verification + header rewrite (the §2 "efficient symmetric
 //! cryptographic operation").
 //!
-//! Besides the criterion groups, this target runs an *interleaved* A/B
-//! comparison of the reference path (decode → process → encode) against the
-//! zero-copy fast path ([`BorderRouter::process_frame`]), warm and cold MAC
-//! cache. Interleaving the batches (A,B,C,A,B,C,…) rather than running each
-//! variant in one block keeps frequency scaling and cache pollution from
-//! biasing one side. Results land in `BENCH_router.json` at the repo root.
+//! Besides the criterion groups, this target runs an *interleaved*
+//! comparison of one frame per call against `process_batch` bursts, each
+//! with a warm and a cold MAC cache. Interleaving the variants (A,B,C,A,B,
+//! C,…) rather than running each in one block keeps frequency scaling and
+//! cache pollution from biasing one side. Results land in
+//! `BENCH_router.json` at the repo root.
 
 use std::time::Instant;
 
@@ -17,15 +17,14 @@ use sciera_core::SciEraNetwork;
 use sciera_flowgen::{FlowGen, FlowGenConfig};
 use scion_control::fullpath::{Direction, FullPath, PathKind, SegmentUse};
 use scion_control::segment::{AsSecrets, CowSegment, SegmentType};
-use scion_dataplane::router::{BorderRouter, Decision, FrameDecision};
+use scion_dataplane::router::{BorderRouter, FrameDecision};
 use scion_proto::addr::{ia, HostAddr, IsdAsn, ScionAddr};
 use scion_proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
 
 const NOW: u64 = 1_700_000_100;
 
 /// Frames per `process_batch` call in the batched variants — a realistic
-/// NIC rx-burst size, small enough that a burst's headers stay
-/// cache-resident across the pipeline's three passes.
+/// NIC rx-burst size.
 const BATCH_CHUNK: usize = 32;
 
 fn setup() -> (BorderRouter, ScionPacket) {
@@ -53,22 +52,10 @@ fn setup() -> (BorderRouter, ScionPacket) {
     (BorderRouter::new(sec.ia, sec.hop_key), pkt)
 }
 
-/// One wire-to-wire step on the reference path.
-fn reference_step(router: &mut BorderRouter, template: &[u8]) -> Vec<u8> {
-    let p = ScionPacket::decode(template).unwrap();
-    match router.process(p, 0, NOW).unwrap() {
-        Decision::Forward { ifid, packet } => {
-            assert_eq!(ifid, 31);
-            packet.encode().unwrap()
-        }
-        _ => unreachable!(),
-    }
-}
-
-/// One wire-to-wire step on the fast path. `buf` is a reused rx
+/// One wire-to-wire step through the router. `buf` is a reused rx
 /// buffer — the copy is a `clear` + `extend_from_slice` into retained
 /// capacity, modelling a NIC ring rather than allocator churn.
-fn fastpath_step(router: &mut BorderRouter, template: &[u8], buf: &mut Vec<u8>) {
+fn frame_step(router: &mut BorderRouter, template: &[u8], buf: &mut Vec<u8>) {
     buf.clear();
     buf.extend_from_slice(template);
     match router.process_frame(buf, 0, NOW).unwrap() {
@@ -80,7 +67,7 @@ fn fastpath_step(router: &mut BorderRouter, template: &[u8], buf: &mut Vec<u8>) 
 /// One `process_batch` round over `chunk` copies of the template.
 /// `frames` is a reused rx ring: each copy is a `clear` +
 /// `extend_from_slice` into retained capacity — the same arrangement
-/// [`fastpath_step`] uses, so the two variants measure identical work.
+/// [`frame_step`] uses, so the two variants measure identical work.
 fn batch_step(router: &mut BorderRouter, template: &[u8], frames: &mut Vec<Vec<u8>>, chunk: usize) {
     frames.resize_with(chunk, Vec::new);
     for f in frames.iter_mut() {
@@ -100,78 +87,65 @@ fn median(mut v: Vec<f64>) -> f64 {
     v[v.len() / 2]
 }
 
-/// Interleaved A/B comparison; returns median ns/packet for (reference,
-/// fastpath warm cache, fastpath cold cache, batched warm, batched cold).
-fn ab_compare(rounds: usize, batch: usize) -> (f64, f64, f64, f64, f64) {
+/// Interleaved comparison; returns median ns/packet for (per frame warm
+/// cache, per frame cold cache, batched warm, batched cold).
+fn interleaved(rounds: usize, batch: usize) -> (f64, f64, f64, f64) {
     let (mut router, pkt) = setup();
     let template = pkt.encode().unwrap();
 
-    // Differential sanity: all paths must emit the same forwarded frame.
-    let via_ref = reference_step(&mut router, &template);
+    // Both ways of calling the router emit the same forwarded frame.
     let mut buf = Vec::with_capacity(template.len());
-    fastpath_step(&mut router, &template, &mut buf);
-    assert_eq!(
-        via_ref, buf,
-        "paths diverged — benchmark would compare different work"
-    );
+    frame_step(&mut router, &template, &mut buf);
     let mut frames = Vec::with_capacity(BATCH_CHUNK);
     batch_step(&mut router, &template, &mut frames, 1);
-    assert_eq!(via_ref, frames[0], "batch path diverged");
+    assert_eq!(buf, frames[0], "batch diverged from the per-frame call");
 
-    let (mut ref_ns, mut warm_ns, mut cold_ns) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut warm_ns, mut cold_ns) = (Vec::new(), Vec::new());
     let (mut bwarm_ns, mut bcold_ns) = (Vec::new(), Vec::new());
     for round in 0..=rounds {
+        // Cache warmed by the sanity check / previous rounds.
+        frame_step(&mut router, &template, &mut buf);
         let t = Instant::now();
         for _ in 0..batch {
-            std::hint::black_box(reference_step(&mut router, &template));
+            frame_step(&mut router, &template, &mut buf);
+            std::hint::black_box(&mut buf);
         }
         let a = t.elapsed().as_nanos() as f64 / batch as f64;
 
-        // Cache warmed by the sanity check / previous rounds.
         let t = Instant::now();
         for _ in 0..batch {
-            fastpath_step(&mut router, &template, &mut buf);
+            router.reset_mac_cache();
+            frame_step(&mut router, &template, &mut buf);
             std::hint::black_box(&mut buf);
         }
         let b = t.elapsed().as_nanos() as f64 / batch as f64;
 
-        let t = Instant::now();
-        for _ in 0..batch {
-            router.reset_mac_cache();
-            fastpath_step(&mut router, &template, &mut buf);
-            std::hint::black_box(&mut buf);
-        }
-        let c = t.elapsed().as_nanos() as f64 / batch as f64;
-
-        // Batched pipeline, warm MAC cache.
-        router.reset_mac_cache();
-        fastpath_step(&mut router, &template, &mut buf); // re-warm after cold rounds
+        // Batches, warm MAC cache.
+        frame_step(&mut router, &template, &mut buf); // re-warm after cold rounds
         let t = Instant::now();
         for _ in 0..batch / BATCH_CHUNK {
+            batch_step(&mut router, &template, &mut frames, BATCH_CHUNK);
+        }
+        let c = t.elapsed().as_nanos() as f64 / (batch - batch % BATCH_CHUNK) as f64;
+
+        // Batches, cold cache per burst: the first frame computes the MAC,
+        // the burst's other frames hit the cache it filled.
+        let t = Instant::now();
+        for _ in 0..batch / BATCH_CHUNK {
+            router.reset_mac_cache();
             batch_step(&mut router, &template, &mut frames, BATCH_CHUNK);
         }
         let d = t.elapsed().as_nanos() as f64 / (batch - batch % BATCH_CHUNK) as f64;
 
-        // Batched pipeline, cold cache per burst: one `verify_batch` AES
-        // sweep plus in-batch dedup instead of one CMAC per packet.
-        let t = Instant::now();
-        for _ in 0..batch / BATCH_CHUNK {
-            router.reset_mac_cache();
-            batch_step(&mut router, &template, &mut frames, BATCH_CHUNK);
-        }
-        let e = t.elapsed().as_nanos() as f64 / (batch - batch % BATCH_CHUNK) as f64;
-
         if round > 0 {
             // Round 0 is warm-up for all variants.
-            ref_ns.push(a);
-            warm_ns.push(b);
-            cold_ns.push(c);
-            bwarm_ns.push(d);
-            bcold_ns.push(e);
+            warm_ns.push(a);
+            cold_ns.push(b);
+            bwarm_ns.push(c);
+            bcold_ns.push(d);
         }
     }
     (
-        median(ref_ns),
         median(warm_ns),
         median(cold_ns),
         median(bwarm_ns),
@@ -227,47 +201,24 @@ fn sustained_mpps(rounds: usize, packets: usize) -> (f64, f64) {
     (median(batched_mpps), median(seq_mpps))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn emit_json(
-    reference: f64,
-    warm: f64,
-    cold: f64,
-    batch_warm: f64,
-    batch_cold: f64,
-    mpps_batched: f64,
-    mpps_seq: f64,
+    (warm, cold, batch_warm, batch_cold): (f64, f64, f64, f64),
+    (mpps_batched, mpps_seq): (f64, f64),
     rounds: usize,
     batch: usize,
 ) {
     let json = format!(
-        "{{\n  \"bench\": \"router_forwarding\",\n  \"reference_ns_per_pkt\": {reference:.1},\n  \"fastpath_warm_ns_per_pkt\": {warm:.1},\n  \"fastpath_cold_ns_per_pkt\": {cold:.1},\n  \"batch_warm_ns_per_pkt\": {batch_warm:.1},\n  \"batch_cold_ns_per_pkt\": {batch_cold:.1},\n  \"speedup_warm\": {:.2},\n  \"speedup_cold\": {:.2},\n  \"speedup_batch_warm\": {:.2},\n  \"speedup_batch_cold\": {:.2},\n  \"sustained_mpps\": {mpps_batched:.3},\n  \"sustained_mpps_per_frame\": {mpps_seq:.3},\n  \"batch_chunk\": {BATCH_CHUNK},\n  \"rounds\": {rounds},\n  \"batch\": {batch}\n}}\n",
-        reference / warm,
-        reference / cold,
-        reference / batch_warm,
-        reference / batch_cold,
+        "{{\n  \"bench\": \"router_forwarding\",\n  \"frame_warm_ns_per_pkt\": {warm:.1},\n  \"frame_cold_ns_per_pkt\": {cold:.1},\n  \"batch_warm_ns_per_pkt\": {batch_warm:.1},\n  \"batch_cold_ns_per_pkt\": {batch_cold:.1},\n  \"sustained_mpps\": {mpps_batched:.3},\n  \"sustained_mpps_per_frame\": {mpps_seq:.3},\n  \"batch_chunk\": {BATCH_CHUNK},\n  \"rounds\": {rounds},\n  \"batch\": {batch}\n}}\n",
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_router.json");
     if let Err(e) = std::fs::write(path, &json) {
         eprintln!("[router_forwarding] could not write {path}: {e}");
     }
-    eprintln!("[router_forwarding] interleaved A/B over {rounds}x{batch} packets:");
-    eprintln!("  reference      {reference:>8.1} ns/pkt");
-    eprintln!(
-        "  fastpath warm  {warm:>8.1} ns/pkt  ({:.2}x)",
-        reference / warm
-    );
-    eprintln!(
-        "  fastpath cold  {cold:>8.1} ns/pkt  ({:.2}x)",
-        reference / cold
-    );
-    eprintln!(
-        "  batch warm     {batch_warm:>8.1} ns/pkt  ({:.2}x)",
-        reference / batch_warm
-    );
-    eprintln!(
-        "  batch cold     {batch_cold:>8.1} ns/pkt  ({:.2}x)",
-        reference / batch_cold
-    );
+    eprintln!("[router_forwarding] interleaved over {rounds}x{batch} packets:");
+    eprintln!("  frame warm     {warm:>8.1} ns/pkt");
+    eprintln!("  frame cold     {cold:>8.1} ns/pkt");
+    eprintln!("  batch warm     {batch_warm:>8.1} ns/pkt");
+    eprintln!("  batch cold     {batch_cold:>8.1} ns/pkt");
     eprintln!("  sustained load {mpps_batched:>8.3} Mpps batched vs {mpps_seq:.3} Mpps per-frame");
 }
 
@@ -276,29 +227,17 @@ fn bench_forwarding(c: &mut Criterion) {
     let template = pkt.encode().unwrap();
     let mut g = c.benchmark_group("border_router");
     g.throughput(Throughput::Elements(1));
-    g.bench_function("verify_and_forward", |b| {
-        b.iter(|| {
-            let p = pkt.clone();
-            match router.process(p, 0, NOW).unwrap() {
-                Decision::Forward { ifid, .. } => assert_eq!(ifid, 31),
-                _ => unreachable!(),
-            }
-        })
-    });
-    g.bench_function("wire_reference", |b| {
-        b.iter(|| reference_step(&mut router, &template))
-    });
     let mut buf = Vec::with_capacity(template.len());
-    g.bench_function("fastpath_warm", |b| {
+    g.bench_function("frame_warm", |b| {
         b.iter(|| {
-            fastpath_step(&mut router, &template, &mut buf);
+            frame_step(&mut router, &template, &mut buf);
             std::hint::black_box(&mut buf);
         })
     });
-    g.bench_function("fastpath_cold", |b| {
+    g.bench_function("frame_cold", |b| {
         b.iter(|| {
             router.reset_mac_cache();
-            fastpath_step(&mut router, &template, &mut buf);
+            frame_step(&mut router, &template, &mut buf);
             std::hint::black_box(&mut buf);
         })
     });
@@ -318,18 +257,8 @@ fn bench_forwarding(c: &mut Criterion) {
 criterion_group!(benches, bench_forwarding);
 
 fn main() {
-    let (reference, warm, cold, batch_warm, batch_cold) = ab_compare(25, 2_000);
-    let (mpps_batched, mpps_seq) = sustained_mpps(5, 30_000);
-    emit_json(
-        reference,
-        warm,
-        cold,
-        batch_warm,
-        batch_cold,
-        mpps_batched,
-        mpps_seq,
-        25,
-        2_000,
-    );
+    let per_packet = interleaved(25, 2_000);
+    let sustained = sustained_mpps(5, 30_000);
+    emit_json(per_packet, sustained, 25, 2_000);
     benches();
 }

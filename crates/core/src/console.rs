@@ -131,7 +131,7 @@ impl OperatorConsole {
         }
         let _ = writeln!(out, "churn events: {churn}");
 
-        // Forwarding fast-path health: in-place hits vs decode fallbacks,
+        // Forwarding health: frames taken as they arrived vs canonicalised,
         // MAC-verification cache effectiveness, frame-pool occupancy.
         let c = |name: &str| snap.counter(name).unwrap_or(0);
         let g = |name: &str| snap.gauge(name).unwrap_or(0);
@@ -147,17 +147,13 @@ impl OperatorConsole {
             g("pool.frame.outstanding"),
         );
 
-        // Batched traffic plane: pipeline throughput split (batched vs
-        // peeled-to-fallback frames), amortised MAC verification, and the
-        // flow generator's offered load.
+        // Batched traffic plane: router batches, and the flow generator's
+        // offered load.
         let _ = writeln!(
             out,
-            "batch: {} calls / {} frames / {} peeled — mac: {} batched / {} dedup — flowgen: {} flows ({} done), {} pkts ({} elephant), load {}%",
+            "batch: {} calls / {} frames — flowgen: {} flows ({} done), {} pkts ({} elephant), load {}%",
             c("router.batch.calls"),
             c("router.batch.frames"),
-            c("router.batch.peeled"),
-            c("router.batch.mac_batched"),
-            c("router.batch.mac_dedup"),
             c("flowgen.flows.started"),
             c("flowgen.flows.completed"),
             c("flowgen.packets"),

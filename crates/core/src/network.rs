@@ -22,7 +22,7 @@ use scion_cppki::cert::{CertType, Certificate};
 use scion_cppki::trc::{Trc, TrcKeyEntry};
 use scion_daemon::trust::TrustStore;
 use scion_dataplane::dispatcher::{IngressShards, DEFAULT_SHARD_CAPACITY};
-use scion_dataplane::router::{BorderRouter, Decision, FrameDecision, FrameError};
+use scion_dataplane::router::{BorderRouter, FrameDecision, FrameError};
 use scion_orchestrator::health::{ChurnEvent, HealthBoard, HealthRow};
 use scion_orchestrator::prober::{
     EchoOutcome, EchoTransport, PathProber, ProbeResult, ProberConfig,
@@ -774,14 +774,17 @@ impl Inner {
     }
 
     /// Walks a traceroute probe until an alerted router answers; returns
-    /// (answering AS, interface, probe RTT in ms).
+    /// (answering AS, interface, probe RTT in ms). The probe is encoded
+    /// once and forwarded in place; each router decodes it only to see
+    /// whether it must answer.
     fn walk_traceroute(&mut self, packet: ScionPacket) -> Option<(IsdAsn, u64, f64)> {
         let mut at = self.topo.node_of(packet.src.ia)?;
         let mut ingress = 0u16;
-        let mut pkt = packet;
+        let mut frame = packet.encode().ok()?;
         let mut latency = 0.0f64;
         for _ in 0..64 {
             let router = &mut self.routers[at];
+            let pkt = ScionPacket::decode(&frame).ok()?;
             if let Some(reply) = router.traceroute_probe(&pkt, ingress) {
                 let msg = scion_proto::scmp::ScmpMessage::decode(&reply.payload).ok()?;
                 if let scion_proto::scmp::ScmpMessage::TracerouteReply { ia, interface, .. } = msg {
@@ -790,14 +793,16 @@ impl Inner {
                 }
                 return None;
             }
-            match router.process(pkt, ingress, self.now_unix).ok()? {
-                Decision::Deliver(_) => return None, // no alerted hop answered
-                Decision::Forward { ifid, packet: p } => {
+            match router
+                .process_frame(&mut frame, ingress, self.now_unix)
+                .ok()?
+            {
+                FrameDecision::Deliver => return None, // no alerted hop answered
+                FrameDecision::Forward { ifid } => {
                     let c = self.crossing(at, ifid).filter(|c| c.up)?;
                     latency += c.latency_ms;
                     at = c.next;
                     ingress = c.next_if;
-                    pkt = p;
                 }
             }
         }
@@ -810,9 +815,8 @@ impl Inner {
     ///
     /// One buffer, rewritten in place by every border router; the walker
     /// holds a node number, so a hop is one router call and one table read.
-    /// A frame carrying a trace context takes the router's decode path at
-    /// every hop (`process_frame_at`'s hop-by-hop-extension fallback),
-    /// where the span chain advances and the per-hop events are emitted. An
+    /// A frame carrying a trace context has its span chain advanced in
+    /// place at every hop, where the per-hop events are emitted. An
     /// unknown interface is an error; a dead link sends the fast failure
     /// notification (SCMP `ExternalInterfaceDown`, built by the router
     /// there from the offending packet) to the source host's inbox.
@@ -1469,8 +1473,6 @@ mod tests {
         let schedule: Vec<u32> = (0..600u32).map(|i| i.wrapping_mul(7) % 3).collect();
 
         let before = net.telemetry().snapshot();
-        // Batched first: its cold pass exercises in-batch dedup + the
-        // batched CMAC sweep before the per-frame run warms every cache.
         let batched = net.run_frame_load(&templates, &schedule, 64, true);
         let seq = net.run_frame_load(&templates, &schedule, 64, false);
 
@@ -1483,17 +1485,15 @@ mod tests {
             "multi-hop paths: {batched:?}"
         );
 
-        // The batched run exercises the batch pipeline and the amortised
-        // MAC pass; the sequential run must not have.
+        // Only the batched run goes through `process_batch`. Each hop field
+        // the three templates cross is verified once, cold, in the batched
+        // run; every other frame at every hop hits the MAC cache.
         let snap = net.telemetry().snapshot();
         let delta =
             |name: &str| snap.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
         assert_eq!(delta("router.batch.frames"), batched.router_ops);
         assert_eq!(delta("router.batch.calls"), batched.batches);
-        assert!(
-            delta("router.batch.mac_dedup") > 0,
-            "repeated templates dedup"
-        );
+        assert_eq!(delta("router.maccache.miss"), 12);
         assert!(snap.gauge("pool.frame.high_watermark").unwrap_or(0) > 0);
         assert!(delta("dispatcher.shard.batches") > 0);
     }

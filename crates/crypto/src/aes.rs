@@ -90,38 +90,6 @@ impl Aes128 {
         self.encrypt_block(&mut out);
         out
     }
-
-    /// Encrypts a batch of blocks in place, four at a time.
-    ///
-    /// The single-block loop is one long dependency chain: every round
-    /// waits on the previous one. Interleaving the round schedule across
-    /// four independent states lets their chains overlap in the pipeline,
-    /// which is where the batched-MAC speedup of the router's batch
-    /// pipeline comes from — same table-free cipher, better ILP.
-    pub fn encrypt_blocks(&self, blocks: &mut [[u8; BLOCK_LEN]]) {
-        let mut chunks = blocks.chunks_exact_mut(4);
-        for chunk in &mut chunks {
-            for b in chunk.iter_mut() {
-                add_round_key(b, &self.round_keys[0]);
-            }
-            for r in 1..ROUNDS {
-                for b in chunk.iter_mut() {
-                    sub_bytes(b);
-                    shift_rows(b);
-                    mix_columns(b);
-                    add_round_key(b, &self.round_keys[r]);
-                }
-            }
-            for b in chunk.iter_mut() {
-                sub_bytes(b);
-                shift_rows(b);
-                add_round_key(b, &self.round_keys[ROUNDS]);
-            }
-        }
-        for b in chunks.into_remainder() {
-            self.encrypt_block(b);
-        }
-    }
 }
 
 impl core::fmt::Debug for Aes128 {
@@ -230,20 +198,6 @@ mod tests {
         let aes = Aes128::new(&[7u8; 16]);
         let pt = [0x55u8; 16];
         assert_eq!(aes.encrypt(&pt), aes.encrypt(&pt));
-    }
-
-    #[test]
-    fn encrypt_blocks_matches_single_block_path() {
-        let aes = Aes128::new(&[0x42u8; 16]);
-        // Cover the 4-wide chunks and every remainder length (0..4).
-        for n in 0..11usize {
-            let mut blocks: Vec<[u8; 16]> = (0..n)
-                .map(|i| core::array::from_fn(|j| (i * 17 + j) as u8))
-                .collect();
-            let expect: Vec<[u8; 16]> = blocks.iter().map(|b| aes.encrypt(b)).collect();
-            aes.encrypt_blocks(&mut blocks);
-            assert_eq!(blocks, expect, "batch of {n} diverged");
-        }
     }
 
     #[test]

@@ -102,23 +102,6 @@ impl Cmac {
         out
     }
 
-    /// [`Cmac::tag_block`] over a batch, in place: each single-complete-block
-    /// message is replaced by its full tag.
-    ///
-    /// All messages share this instance's precomputed `K1` subkey — the
-    /// subkey fold happens once per block and the cipher calls run through
-    /// [`Aes128::encrypt_blocks`], whose interleaved states overlap the AES
-    /// round dependency chains. This is the batched entry point the router
-    /// uses to verify every cache-missing hop MAC of one key epoch together.
-    pub fn tag_blocks(&self, blocks: &mut [[u8; BLOCK_LEN]]) {
-        for block in blocks.iter_mut() {
-            for (b, k) in block.iter_mut().zip(self.k1.iter()) {
-                *b ^= k;
-            }
-        }
-        self.cipher.encrypt_blocks(blocks);
-    }
-
     /// Verifies a full-size tag in constant time.
     pub fn verify(&self, message: &[u8], tag: &[u8; BLOCK_LEN]) -> bool {
         crate::ct_eq(&self.tag(message), tag)
@@ -213,20 +196,6 @@ mod tests {
             }
             assert_eq!(c.tag_block(&block), c.tag(&block));
             assert_eq!(c.tag6_block(&block), c.tag6(&block));
-        }
-    }
-
-    #[test]
-    fn tag_blocks_matches_tag_block() {
-        let c = rfc_key();
-        for n in 0..9usize {
-            let blocks: Vec<[u8; 16]> = (0..n)
-                .map(|i| core::array::from_fn(|j| (i * 7 + j * 3) as u8))
-                .collect();
-            let expect: Vec<[u8; 16]> = blocks.iter().map(|b| c.tag_block(b)).collect();
-            let mut got = blocks.clone();
-            c.tag_blocks(&mut got);
-            assert_eq!(got, expect, "batch of {n} diverged");
         }
     }
 

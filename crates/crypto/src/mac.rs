@@ -106,31 +106,6 @@ impl HopKey {
         crate::ct_eq(&self.mac(input), mac)
     }
 
-    /// Verifies a batch of hop-field MACs under this key in one pass,
-    /// pushing one verdict per `(input, mac)` pair into `ok`.
-    ///
-    /// Every pair necessarily shares this key's epoch, so the whole batch
-    /// runs over the same precomputed CMAC subkeys via [`Cmac::tag_blocks`],
-    /// interleaving the AES states for ILP. Comparisons stay constant-time;
-    /// a length mismatch between the slices is a caller bug.
-    pub fn verify_batch(&self, inputs: &[HopMacInput], macs: &[[u8; 6]], ok: &mut Vec<bool>) {
-        assert_eq!(inputs.len(), macs.len(), "inputs/macs length mismatch");
-        ok.clear();
-        ok.reserve(inputs.len());
-        const WIDTH: usize = 16;
-        let mut blocks = [[0u8; 16]; WIDTH];
-        for (chunk_in, chunk_mac) in inputs.chunks(WIDTH).zip(macs.chunks(WIDTH)) {
-            for (block, input) in blocks.iter_mut().zip(chunk_in.iter()) {
-                *block = input.to_bytes();
-            }
-            let n = chunk_in.len();
-            self.cmac.tag_blocks(&mut blocks[..n]);
-            for (tag, mac) in blocks[..n].iter().zip(chunk_mac.iter()) {
-                ok.push(crate::ct_eq(&tag[..6], mac));
-            }
-        }
-    }
-
     /// Returns the next segment identifier after this hop:
     /// `beta_{i+1} = beta_i XOR mac[0..2]`.
     pub fn chain_beta(&self, input: &HopMacInput) -> u16 {
@@ -207,36 +182,6 @@ mod tests {
         for v in variants {
             assert!(!key.verify(&v, &mac), "mutated field accepted: {v:?}");
         }
-    }
-
-    #[test]
-    fn verify_batch_matches_verify() {
-        let key = HopKey::derive(b"as-master-secret", 2);
-        // Mix of valid and corrupted MACs, longer than one interleave chunk.
-        let mut inputs = Vec::new();
-        let mut macs = Vec::new();
-        let mut expect = Vec::new();
-        for i in 0u16..37 {
-            let input = HopMacInput {
-                beta: 0x1000 ^ i,
-                timestamp: 1_700_000_000,
-                exp_time: 63,
-                cons_ingress: i,
-                cons_egress: i + 1,
-            };
-            let mut mac = key.mac(&input);
-            if i % 3 == 0 {
-                mac[5] ^= 0x80;
-            }
-            expect.push(key.verify(&input, &mac));
-            inputs.push(input);
-            macs.push(mac);
-        }
-        let mut ok = vec![true; 2]; // stale contents must be cleared
-        key.verify_batch(&inputs, &macs, &mut ok);
-        assert_eq!(ok, expect);
-        key.verify_batch(&[], &[], &mut ok);
-        assert!(ok.is_empty());
     }
 
     #[test]

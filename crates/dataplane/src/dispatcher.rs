@@ -155,10 +155,10 @@ pub const DEFAULT_SHARD_CAPACITY: usize = 4096;
 
 /// Sharded per-interface ingress queues with round-robin batch drain.
 ///
-/// The batched router pipeline wants its input grouped: every frame in one
-/// `process_batch` call shares an ingress interface, so the classify pass
-/// runs one ingress check and the MAC pass dedups within traffic that
-/// plausibly shares flows. `IngressShards` provides that grouping — one
+/// A router batch wants its input grouped: every frame in one
+/// `process_batch` call shares an ingress interface, and frames of one
+/// flow arrive together, so after the first the MAC cache answers for the
+/// rest. `IngressShards` provides that grouping — one
 /// bounded FIFO per key (an interface, or `(AS, interface)` at the network
 /// level) — and a drain cursor that rotates across non-empty shards so a
 /// single busy interface cannot starve the others.

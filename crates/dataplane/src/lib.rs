@@ -4,9 +4,8 @@
 //!   AES-CMAC (the "efficient symmetric cryptographic operation" of §2),
 //!   checks interfaces and expiry, advances the path pointers, handles
 //!   segment crossings and peering hops, and builds SCMP notifications for
-//!   failures. Raw frames take the in-place fast path
-//!   ([`router::BorderRouter::process_frame`]); decoded packets use the
-//!   reference path.
+//!   failures. One engine rewrites raw frames in place
+//!   ([`router::BorderRouter::process_frame`]); a batch is a loop over it.
 //! * [`maccache`] — the bounded LRU cache over successful hop-MAC
 //!   verifications that lets repeated packets on a stable path skip the
 //!   block cipher.
@@ -31,4 +30,4 @@ pub mod maccache;
 pub mod router;
 
 pub use maccache::{MacCache, MacCacheKey};
-pub use router::{BorderRouter, Decision, DropReason, FrameDecision, FrameError};
+pub use router::{BorderRouter, DropReason, FrameDecision, FrameError};

@@ -39,7 +39,7 @@ use scion_crypto::mac::HopMacInput;
 /// a cache. A two-instruction mix per word keeps the key hash off the
 /// warm-path profile.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FxHasher {
+struct FxHasher {
     hash: u64,
 }
 
@@ -98,9 +98,8 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `BuildHasher` for [`FxHasher`]; shared with the router's per-batch
-/// MAC-deduplication map.
-pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
+/// `BuildHasher` for [`FxHasher`].
+type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// Default number of verification results a router remembers.
 pub const DEFAULT_MAC_CACHE_CAPACITY: usize = 4096;

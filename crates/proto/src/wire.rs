@@ -27,14 +27,15 @@
 //!
 //! Two types share this logic: [`PacketView`] for read-only inspection and
 //! [`WireCursor`] for the in-place mutations a router performs (pointer
-//! advance, `seg_id ^= mac[0..2]` chaining). [`turn_around`] is the one
+//! advance, `seg_id ^= mac[0..2]` chaining, trace-context custody).
+//! [`turn_around`] is the one
 //! mutation an end host performs: it rewrites a delivered frame into the
 //! header of its reply.
 //!
 //! [`HeaderOffsets::locate`] mirrors every validation `decode` performs on
-//! the header region, so a frame accepted here is never one the reference
-//! path would reject as malformed. The converse is deliberately allowed:
-//! callers fall back to the decode path whenever `locate` declines.
+//! the header region, so a frame accepted here is never one `decode` would
+//! reject as malformed. The converse is deliberately allowed: callers
+//! canonicalise through `decode` and `encode` whenever `locate` declines.
 
 use crate::addr::IsdAsn;
 use crate::packet::{L4Protocol, PathType, COMMON_HDR_LEN, VERSION};
@@ -42,7 +43,7 @@ use crate::path::{
     HopField, InfoField, PathMeta, HOP_FIELD_LEN, INFO_FIELD_LEN, MAX_HOPS, MAX_SEGMENTS,
     PATH_META_LEN,
 };
-use crate::trace::HBH_EXT_PROTOCOL;
+use crate::trace::{TraceContext, HBH_EXT_PROTOCOL, TRACE_EXT_LEN};
 use crate::ProtoError;
 
 /// Byte length of the two ISD-AS fields in the address header.
@@ -192,10 +193,10 @@ impl HeaderOffsets {
         Ok(off)
     }
 
-    /// Whether the frame declares a hop-by-hop extension (e.g. a trace
-    /// context) as its next header. Extensions live in the payload region
-    /// and are re-serialised by the decode path, so fast-path callers must
-    /// fall back when this is set.
+    /// Whether the frame declares a hop-by-hop extension (a trace context)
+    /// as its next header. The extension is the first
+    /// [`TRACE_EXT_LEN`] bytes of the payload region.
+    #[inline]
     pub fn has_hbh_ext(buf: &[u8]) -> bool {
         buf.len() > 4 && buf[4] == HBH_EXT_PROTOCOL
     }
@@ -230,12 +231,27 @@ impl HeaderOffsets {
     /// zero, so decode-then-re-encode canonicalises frames that carry
     /// non-zero RSV bits (common-header RSV, path-meta RSV, info/hop flag
     /// padding, service-address padding). In-place processing preserves
-    /// them instead — so the fast path only handles canonical frames and
-    /// falls back for the rest, keeping its output byte-identical with the
-    /// reference path.
+    /// them instead — so a router rewrites only canonical frames in place
+    /// and canonicalises the rest first, keeping its output byte-identical
+    /// with decode-then-re-encode.
+    ///
+    /// A trace extension is canonical when `decode` accepts it and `encode`
+    /// writes it back unchanged: long enough, `ext_len` 7, reserved byte
+    /// zero, and not wrapping a second hop-by-hop extension (which `encode`
+    /// refuses).
     pub fn is_canonical(&self, buf: &[u8]) -> bool {
         if buf[10] != 0 || buf[11] != 0 {
             return false; // common-header RSV
+        }
+        if Self::has_hbh_ext(buf) {
+            let ext = &buf[self.hdr_len..self.hdr_len + self.payload_len];
+            if ext.len() < TRACE_EXT_LEN
+                || ext[1] as usize != TRACE_EXT_LEN / 4
+                || ext[3] != 0
+                || ext[0] == HBH_EXT_PROTOCOL
+            {
+                return false;
+            }
         }
         let tl = buf[9];
         let addr_base = COMMON_HDR_LEN + IA_HDR_LEN;
@@ -513,6 +529,29 @@ impl<'a> WireCursor<'a> {
         Ok(())
     }
 
+    /// Takes custody of a carried trace context, in place: the extension's
+    /// context is replaced by its [`TraceContext::child`], which is
+    /// returned. `None`, with the frame unchanged, for a frame without a
+    /// trace extension `decode` would accept. On a canonical frame (see
+    /// [`HeaderOffsets::is_canonical`]) the result is what decode, `child`
+    /// and encode give.
+    #[inline]
+    pub fn advance_trace(&mut self) -> Option<TraceContext> {
+        // Inlined so an untraced frame pays two compares, not a call.
+        if !HeaderOffsets::has_hbh_ext(self.buf) || self.off.payload_len < TRACE_EXT_LEN {
+            return None;
+        }
+        self.advance_trace_ext()
+    }
+
+    fn advance_trace_ext(&mut self) -> Option<TraceContext> {
+        let ext = &mut self.buf[self.off.hdr_len..self.off.hdr_len + TRACE_EXT_LEN];
+        let (ctx, next_hdr) = TraceContext::decode_ext(ext).ok()?;
+        let child = ctx.child();
+        ext.copy_from_slice(&child.encode_ext(next_hdr));
+        Some(child)
+    }
+
     /// The underlying frame bytes.
     pub fn as_bytes(&self) -> &[u8] {
         self.buf
@@ -705,8 +744,8 @@ mod tests {
     #[test]
     fn locate_never_accepts_what_decode_rejects() {
         // Single-byte corruption sweep: anywhere `locate` still accepts the
-        // frame, `decode` must accept it too (the fast path must not be more
-        // permissive than the reference path).
+        // frame, `decode` must accept it too (the router must not be more
+        // permissive than `decode`).
         let wire = sample_packet(two_segment_path()).encode().unwrap();
         for pos in 0..wire.len() {
             for val in [0x00, 0x01, 0x3f, 0x80, 0xff] {
@@ -787,16 +826,37 @@ mod tests {
     }
 
     #[test]
-    fn traced_frame_flagged_for_fallback() {
+    fn traced_frame_advances_in_place_like_decode() {
+        let mut pkt = sample_packet(two_segment_path());
+        let root = crate::trace::TraceContext::root(7);
+        pkt.trace = Some(root);
+        let mut wire = pkt.encode().unwrap();
+        assert!(HeaderOffsets::has_hbh_ext(&wire));
+        let off = HeaderOffsets::locate(&wire).unwrap();
+        assert!(off.is_canonical(&wire));
+        let mut cursor = WireCursor::from_offsets(&mut wire, off);
+        assert_eq!(cursor.advance_trace(), Some(root.child()));
+        pkt.trace = Some(root.child());
+        assert_eq!(wire, pkt.encode().unwrap());
+
+        let mut plain = sample_packet(two_segment_path()).encode().unwrap();
+        assert!(!HeaderOffsets::has_hbh_ext(&plain));
+        assert_eq!(WireCursor::parse(&mut plain).unwrap().advance_trace(), None);
+    }
+
+    #[test]
+    fn extension_bytes_encode_rewrites_break_canonical_form() {
         let mut pkt = sample_packet(two_segment_path());
         pkt.trace = Some(crate::trace::TraceContext::root(7));
         let wire = pkt.encode().unwrap();
-        assert!(HeaderOffsets::has_hbh_ext(&wire));
-        // The header region itself still locates fine.
-        assert!(HeaderOffsets::locate(&wire).is_ok());
-        assert!(!HeaderOffsets::has_hbh_ext(
-            &sample_packet(two_segment_path()).encode().unwrap()
-        ));
+        let ext = HeaderOffsets::locate(&wire).unwrap().hdr_len();
+        // Reserved byte, wrong ext_len, a nested extension.
+        for (pos, value) in [(ext + 3, 1), (ext + 1, 6), (ext, HBH_EXT_PROTOCOL)] {
+            let mut w = wire.clone();
+            w[pos] = value;
+            let off = HeaderOffsets::locate(&w).unwrap();
+            assert!(!off.is_canonical(&w), "byte {pos} = {value}");
+        }
     }
 
     #[test]

@@ -40,19 +40,15 @@ cargo test -q --test prop_profiler --features profile
 echo "==> cargo test -q --test prop_profiler --no-default-features"
 cargo test -q --test prop_profiler --no-default-features
 
-# The differential fast-path proptest must hold in both feature configs.
-echo "==> cargo test -q --test prop_fastpath --no-default-features"
-cargo test -q --test prop_fastpath --no-default-features
+# The router must equal its executable spec in both feature configs: the
+# default-features run is part of `cargo test -q` above.
+echo "==> cargo test -q --test router_spec --no-default-features"
+cargo test -q --test router_spec --no-default-features
 
 # Same for the path-database proptests: the default-features run is part
 # of `cargo test -q` above.
 echo "==> cargo test -q --test prop_pathdb --no-default-features"
 cargo test -q --test prop_pathdb --no-default-features
-
-# And for the batched-pipeline differential proptest: the batch engine
-# must match the sequential engine with tracing compiled out too.
-echo "==> cargo test -q --test prop_batch --no-default-features"
-cargo test -q --test prop_batch --no-default-features
 
 # The in-place echo turn-around must equal the decode path's reply with
 # tracing compiled out too.
@@ -177,5 +173,14 @@ awk 'FNR == 1 { in_tests = 0 }
     echo "ci: routers are searched for by AS outside the tests" >&2
     exit 1
 }
+
+# One border-router engine: the decode-level form of the forwarding
+# algorithm lives in tests/spec/, and the batch is a loop over the
+# frame engine, not a pipeline with its own verify step and batched cipher.
+echo "==> one router engine (dataplane, crypto)"
+if grep -rnE 'fn (process_scion_path|batch_mac_pass|verify_batch|encrypt_blocks)\b' crates; then
+    echo "ci: a second router engine is back" >&2
+    exit 1
+fi
 
 echo "==> ci OK"

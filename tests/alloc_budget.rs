@@ -8,7 +8,8 @@
 //! so a copy or a clone that creeps back in fails here, by name, before any
 //! benchmark has to notice it as noise. A fresh socket's first contact over
 //! a primed pair is counted the same way: choosing its path allocates
-//! nothing.
+//! nothing. So is one border router: a frame, traced or not, allocates
+//! nothing, and a batch only its list of verdicts.
 //!
 //! The counter sits in this test crate (the product crates forbid unsafe
 //! code) and counts only the thread that asked, only while it asks.
@@ -16,6 +17,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use sciera::control::segment::AsSecrets;
+use sciera::dataplane::router::{BorderRouter, FrameDecision};
 use sciera::orchestrator::prober::EchoOutcome;
 use sciera::prelude::*;
 use sciera::proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
@@ -148,16 +151,15 @@ fn the_per_datagram_path_stays_within_its_allocation_budget() {
     // --- The public frame walk, which also returns the route and leaves a
     // copy in the inbox: no more than it took before the delivering loop
     // was shared.
-    let frame = ScionPacket::new(
+    let mut pkt = ScionPacket::new(
         a.addr,
         b.addr,
         L4Protocol::Udp,
         DataPlanePath::Scion(path.to_dataplane().unwrap()),
         UdpDatagram::encode_parts(4000, 5000, &payload),
-    )
-    .encode()
-    .unwrap();
-    let mut spare = vec![frame; 4];
+    );
+    let plain = pkt.encode().unwrap();
+    let mut spare = vec![plain.clone(); 4];
     let mut inbox = b.transport();
     let (allocs, _) = steady(
         || {
@@ -169,6 +171,32 @@ fn the_per_datagram_path_stays_within_its_allocation_budget() {
         |hops| assert_eq!(hops, Ok(6)),
     );
     assert!(allocs <= 12, "walk_frame allocated {allocs} times");
+
+    // --- One border router, warm: a frame allocates nothing, traced or not
+    // (4 allocations while a traced frame was decoded and re-encoded), and
+    // a batch of 32 only its list of verdicts.
+    let mut router = BorderRouter::new(path.src, AsSecrets::derive(path.src).hop_key);
+    pkt.trace = Some(TraceContext::root(7));
+    let traced = pkt.encode().unwrap();
+    let forwarded = |v: &Result<FrameDecision, _>| matches!(v, Ok(FrameDecision::Forward { .. }));
+    let mut buf = Vec::with_capacity(traced.len());
+    let (allocs, _) = steady(
+        || {
+            buf.clone_from(&traced);
+            router.process_frame(&mut buf, 0, 1_700_000_100)
+        },
+        |verdict| assert!(forwarded(&verdict), "{verdict:?}"),
+    );
+    assert_eq!(allocs, 0, "a warm traced frame allocated {allocs} times");
+    let mut batch = vec![plain.clone(); 32];
+    let (allocs, _) = steady(
+        || {
+            batch.iter_mut().for_each(|f| f.clone_from(&plain));
+            router.process_batch(&mut batch, 0, 1_700_000_100)
+        },
+        |verdicts| assert!(verdicts.iter().all(forwarded), "{verdicts:?}"),
+    );
+    assert_eq!(allocs, 1, "a warm batch of 32 allocated {allocs} times");
 
     // --- An SCMP echo there and back over eight hops, as one probe round
     // of one registered path. The echo allocates nothing: its request was

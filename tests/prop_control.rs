@@ -14,38 +14,38 @@ use sciera::control::beacon::{BeaconConfig, BeaconEngine};
 use sciera::control::combine::combine_paths;
 use sciera::control::graph::ControlGraph;
 use sciera::control::segment::AsSecrets;
-use sciera::dataplane::router::{BorderRouter, Decision};
+use sciera::dataplane::router::{BorderRouter, FrameDecision};
 use sciera::prelude::*;
 use sciera::proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
 
-/// Walks a packet along its path through per-AS routers built from the
-/// beacon engine's secrets; returns the AS route taken.
+/// Walks a packet's frame along its path through per-AS routers built from
+/// the beacon engine's secrets; returns the AS route taken.
 fn walk(
     graph: &ControlGraph,
     secrets: &std::collections::BTreeMap<IsdAsn, std::sync::Arc<AsSecrets>>,
-    mut pkt: ScionPacket,
+    pkt: ScionPacket,
 ) -> Result<Vec<IsdAsn>, String> {
     let mut current = pkt.src.ia;
     let mut ingress = 0u16;
     let mut route = vec![current];
+    let mut frame = pkt.encode().map_err(|e| e.to_string())?;
     for _ in 0..64 {
         let sec = secrets
             .get(&current)
             .ok_or_else(|| format!("no secrets for {current}"))?;
         let mut router = BorderRouter::new(current, sec.hop_key.clone());
         match router
-            .process(pkt, ingress, 1_700_000_100)
+            .process_frame(&mut frame, ingress, 1_700_000_100)
             .map_err(|e| format!("{current}: {e:?}"))?
         {
-            Decision::Deliver(_) => return Ok(route),
-            Decision::Forward { ifid, packet } => {
+            FrameDecision::Deliver => return Ok(route),
+            FrameDecision::Forward { ifid } => {
                 let (next, next_if) = graph
                     .neighbor_of(current, ifid)
                     .ok_or_else(|| format!("{current} has no interface {ifid}"))?;
                 route.push(next);
                 current = next;
                 ingress = next_if;
-                pkt = packet;
             }
         }
     }

@@ -1,165 +1,15 @@
-//! Differential property tests: the zero-copy forwarding fast path
-//! (`BorderRouter::process_frame`) against the reference
-//! decode → process → encode path, over a fixed six-AS core-transit
-//! topology with proptest-varied packets, single-byte corruptions and
-//! random-byte fuzz. The two paths must agree on output bytes, drop
-//! verdicts and every `router.*` counter (excluding the fast-path-only
-//! `router.fastpath.*` / `router.maccache.*` families) — on every frame.
+//! The router's in-place engine against the decode-level spec, one frame
+//! class at a time: valid frames over every path kind, single-byte
+//! corruptions, arbitrary bytes, and a warm MAC cache. At every router a
+//! frame reaches, the engine must equal the spec in verdict, bytes and
+//! counters (see `tests/spec/`).
 
 use proptest::prelude::*;
 
-use sciera::control::fullpath::{Direction, FullPath, PathKind, SegmentUse};
-use sciera::control::segment::{AsSecrets, CowSegment, PathSegment, SegmentType};
-use sciera::dataplane::router::{BorderRouter, Decision, FrameDecision, FrameError};
-use sciera::proto::addr::{ia, HostAddr, ScionAddr, ServiceAddr};
-use sciera::proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
-use sciera::proto::trace::TraceContext;
-use sciera::telemetry::Telemetry;
+use sciera::proto::addr::{HostAddr, ServiceAddr};
 
-const TS: u32 = 1_700_000_000;
-
-fn secrets(s: &str) -> AsSecrets {
-    AsSecrets::derive(ia(s))
-}
-
-fn router(s: &str, telemetry: &Telemetry) -> BorderRouter {
-    let sec = secrets(s);
-    let mut r = BorderRouter::new(sec.ia, sec.hop_key);
-    r.set_telemetry(telemetry.clone());
-    r
-}
-
-fn up_segment() -> PathSegment {
-    CowSegment::originate(SegmentType::UpDown, TS, 0x1001)
-        .extend(&secrets("71-1"), 0, 11, &[])
-        .extend(&secrets("71-10"), 21, 22, &[])
-        .extend(&secrets("71-100"), 31, 0, &[])
-        .materialize()
-}
-
-fn down_segment() -> PathSegment {
-    CowSegment::originate(SegmentType::UpDown, TS, 0x2002)
-        .extend(&secrets("71-2"), 0, 12, &[])
-        .extend(&secrets("71-20"), 23, 24, &[])
-        .extend(&secrets("71-200"), 33, 0, &[])
-        .materialize()
-}
-
-fn core_segment() -> PathSegment {
-    CowSegment::originate(SegmentType::Core, TS, 0x3003)
-        .extend(&secrets("71-2"), 0, 41, &[])
-        .extend(&secrets("71-1"), 42, 0, &[])
-        .materialize()
-}
-
-/// The walk: 71-100 (host ingress) → 71-10 (in 22) → 71-1 (in 11)
-/// → 71-2 (in 41) → 71-20 (in 23) → 71-200 (in 33, delivers).
-const STATIONS: [(&str, u16); 6] = [
-    ("71-100", 0),
-    ("71-10", 22),
-    ("71-1", 11),
-    ("71-2", 41),
-    ("71-20", 23),
-    ("71-200", 33),
-];
-
-fn transit_packet(dst_host: HostAddr, payload: Vec<u8>, traced: bool) -> ScionPacket {
-    let path = FullPath::assemble(
-        ia("71-100"),
-        ia("71-200"),
-        PathKind::CoreTransit,
-        vec![
-            SegmentUse::whole(up_segment(), Direction::AgainstCons),
-            SegmentUse::whole(core_segment(), Direction::AgainstCons),
-            SegmentUse::whole(down_segment(), Direction::Cons),
-        ],
-    )
-    .unwrap();
-    let mut pkt = ScionPacket::new(
-        ScionAddr::new(ia("71-100"), HostAddr::v4(10, 0, 0, 1)),
-        ScionAddr::new(ia("71-200"), dst_host),
-        L4Protocol::Udp,
-        DataPlanePath::Scion(path.to_dataplane().unwrap()),
-        payload,
-    );
-    if traced {
-        pkt.trace = Some(TraceContext::root(0x5c1e_7a00));
-    }
-    pkt
-}
-
-/// What one router did to one frame, output bytes included.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Outcome {
-    Deliver(Vec<u8>),
-    Forward(u16, Vec<u8>),
-    Drop(String),
-    Malformed,
-}
-
-fn reference_step(r: &mut BorderRouter, frame: &[u8], ingress: u16, now: u64) -> Outcome {
-    match ScionPacket::decode(frame) {
-        Err(_) => Outcome::Malformed,
-        Ok(pkt) => match r.process(pkt, ingress, now) {
-            Ok(Decision::Deliver(p)) => Outcome::Deliver(p.encode().unwrap()),
-            Ok(Decision::Forward { ifid, packet }) => {
-                Outcome::Forward(ifid, packet.encode().unwrap())
-            }
-            Err(e) => Outcome::Drop(format!("{e:?}")),
-        },
-    }
-}
-
-fn fast_step(r: &mut BorderRouter, frame: &mut Vec<u8>, ingress: u16, now: u64) -> Outcome {
-    match r.process_frame(frame, ingress, now) {
-        Ok(FrameDecision::Deliver) => Outcome::Deliver(frame.clone()),
-        Ok(FrameDecision::Forward { ifid }) => Outcome::Forward(ifid, frame.clone()),
-        Err(FrameError::Drop(e)) => Outcome::Drop(format!("{e:?}")),
-        Err(FrameError::Malformed(_)) => Outcome::Malformed,
-    }
-}
-
-/// The `router.*` counters both paths must agree on — the fast-path-only
-/// observability families are excluded by design.
-fn shared_router_counters(telemetry: &Telemetry) -> Vec<(String, u64)> {
-    telemetry
-        .snapshot()
-        .counters
-        .into_iter()
-        .filter(|(n, _)| {
-            n.starts_with("router.")
-                && !n.starts_with("router.fastpath.")
-                && !n.starts_with("router.maccache.")
-        })
-        .collect()
-}
-
-/// Walks `frame` through every station on both paths simultaneously,
-/// asserting agreement (verdict and bytes) at each step, then counter
-/// parity at the end. Returns the final shared outcome.
-fn differential_walk(mut frame: Vec<u8>, now: u64) -> Result<Outcome, TestCaseError> {
-    let tele_ref = Telemetry::quiet();
-    let tele_fast = Telemetry::quiet();
-    let mut last = Outcome::Malformed;
-    for (station, (as_str, ingress)) in STATIONS.iter().enumerate() {
-        let mut r_ref = router(as_str, &tele_ref);
-        let mut r_fast = router(as_str, &tele_fast);
-        let want = reference_step(&mut r_ref, &frame, *ingress, now);
-        let got = fast_step(&mut r_fast, &mut frame, *ingress, now);
-        prop_assert_eq!(&got, &want, "station {} ({})", station, as_str);
-        last = got;
-        match &last {
-            Outcome::Forward(_, bytes) => frame = bytes.clone(),
-            _ => break,
-        }
-    }
-    prop_assert_eq!(
-        shared_router_counters(&tele_ref),
-        shared_router_counters(&tele_fast),
-        "router counter parity"
-    );
-    Ok(last)
-}
+mod spec;
+use spec::*;
 
 fn dst_host(kind: usize) -> HostAddr {
     match kind % 3 {
@@ -172,79 +22,80 @@ fn dst_host(kind: usize) -> HostAddr {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Valid frames — any payload, any destination host kind, traced or
-    /// not, fresh or near expiry — walk the whole path byte-identically.
+    /// Valid frames — any payload, any destination host kind, any path
+    /// kind, traced or not, fresh or near expiry — walk as the spec says,
+    /// and a fresh one is delivered.
     #[test]
     fn valid_frames_walk_identically(
         payload in prop::collection::vec(any::<u8>(), 0..400),
         host_kind in 0usize..3,
-        traced in any::<bool>(),
+        which in 0usize..3,
+        trace_id in any::<u64>(),
         now_off in 0u64..30_000,
     ) {
-        let pkt = transit_packet(dst_host(host_kind), payload, traced);
-        let frame = pkt.encode().unwrap();
-        let now = TS as u64 + now_off;
-        let last = differential_walk(frame, now)?;
+        // An odd id travels traced.
+        let mut pkt = over(which, (trace_id & 1 == 1).then_some(trace_id));
+        (pkt.payload, pkt.dst.host) = (payload, dst_host(host_kind));
+        let mut net = Net::new();
+        let walk = net.walk(wire(pkt), TS as u64 + now_off);
+        net.check_counters();
         if now_off < 20_000 {
             // Well within the hop expiry window: the walk must deliver.
-            prop_assert!(
-                matches!(last, Outcome::Deliver(_)),
-                "fresh packet not delivered: {:?}", last
-            );
+            let last = walk.last().unwrap();
+            prop_assert!(matches!(last, Outcome::Deliver(_)), "not delivered: {:?}", last);
         }
     }
 
-    /// Single-byte corruption anywhere in the frame: both paths agree on
-    /// the verdict (accept / drop reason / malformed), the output bytes
-    /// and the router counters at every station.
+    /// Single-byte corruption anywhere in the frame, traced or not: the
+    /// engine agrees with the spec (accept, drop reason or malformed) at
+    /// every router the frame reaches.
     #[test]
     fn corrupted_frames_agree(
         pos in 0usize..4096,
         mask in 1u8..=255,
         host_kind in 0usize..3,
+        which in 0usize..3,
+        trace_id in any::<u64>(),
     ) {
-        let pkt = transit_packet(dst_host(host_kind), b"corrupt me".to_vec(), false);
-        let mut frame = pkt.encode().unwrap();
+        // An odd id travels traced.
+        let mut pkt = over(which, (trace_id & 1 == 1).then_some(trace_id));
+        (pkt.payload, pkt.dst.host) = (b"corrupt me".to_vec(), dst_host(host_kind));
+        let mut frame = wire(pkt);
         let pos = pos % frame.len();
         frame[pos] ^= mask;
-        differential_walk(frame, TS as u64 + 100)?;
+        let mut net = Net::new();
+        net.walk(frame, NOW);
+        net.check_counters();
     }
 
-    /// Random bytes (not necessarily a SCION frame at all): both paths
-    /// agree — almost always `Malformed` — and neither touches the shared
-    /// router counters on undecodable input.
+    /// Random bytes, not necessarily a SCION frame at all: the engine
+    /// agrees with the spec — almost always `Malformed` — and moves no
+    /// forwarding counter on input the spec refuses.
     #[test]
     fn random_bytes_agree(frame in prop::collection::vec(any::<u8>(), 0..200)) {
-        differential_walk(frame, TS as u64 + 100)?;
+        let mut net = Net::new();
+        net.walk(frame, NOW);
+        net.check_counters();
     }
 
-    /// Warm MAC cache changes performance, never behaviour: replaying the
-    /// same frame through the same routers twice gives identical outputs.
+    /// A warm MAC cache changes performance, never behaviour: replaying a
+    /// frame through the same routers gives identical outcomes, and the
+    /// replay computes no MAC.
     #[test]
     fn warm_cache_is_behaviour_invariant(
         payload in prop::collection::vec(any::<u8>(), 0..100),
+        which in 0usize..3,
     ) {
-        let tele = Telemetry::quiet();
-        let pkt = transit_packet(HostAddr::v4(10, 0, 0, 2), payload, false);
-        let template = pkt.encode().unwrap();
-        let now = TS as u64 + 100;
-        let mut routers: Vec<BorderRouter> =
-            STATIONS.iter().map(|(s, _)| router(s, &tele)).collect();
-        let walk = |routers: &mut Vec<BorderRouter>| -> Vec<u8> {
-            let mut frame = template.clone();
-            for (r, (_, ingress)) in routers.iter_mut().zip(STATIONS.iter()) {
-                match r.process_frame(&mut frame, *ingress, now) {
-                    Ok(FrameDecision::Forward { .. }) => {}
-                    Ok(FrameDecision::Deliver) => break,
-                    Err(e) => panic!("valid frame dropped: {e:?}"),
-                }
-            }
-            frame
-        };
-        let cold = walk(&mut routers);
-        let warm = walk(&mut routers);
-        prop_assert_eq!(cold, warm, "cache hit changed the output frame");
-        let snap = tele.snapshot();
-        prop_assert!(snap.counter("router.maccache.hit").unwrap_or(0) >= 5);
+        let mut pkt = over(which, None);
+        pkt.payload = payload;
+        let mut net = Net::new();
+        let cold = net.walk(wire(pkt.clone()), NOW);
+        let misses = net.telemetry.snapshot().counter("router.maccache.miss");
+        let warm = net.walk(wire(pkt), NOW);
+        prop_assert!(matches!(warm.last(), Some(Outcome::Deliver(_))), "{:?}", warm);
+        prop_assert_eq!(cold, warm, "cache hit changed the outcome");
+        let snap = net.telemetry.snapshot();
+        prop_assert_eq!(snap.counter("router.maccache.miss"), misses);
+        net.check_counters();
     }
 }

@@ -1,0 +1,112 @@
+//! The border router's executable spec, and the engine held to it.
+//!
+//! The spec itself, `spec_step`, and the harness live in `tests/spec/`.
+//! The router's one engine, `BorderRouter::process_frame_at`, rewrites the
+//! frame in place and must equal the spec on every frame — valid, corrupted,
+//! SCMP, one-hop, trailing-byte, reserved-bit, traced, peering, shortcut or
+//! garbage — in verdict, bytes, `processed`/`dropped` and the
+//! `router.{forwarded,delivered,drop.*}` counters. Every forward advances
+//! the hop pointer, a warm MAC cache changes nothing, a batch is the frame
+//! loop, and identical frames in a batch compute one MAC.
+
+use proptest::prelude::*;
+
+use sciera::dataplane::router::FrameDecision;
+
+mod spec;
+use spec::*;
+
+// -------------------------------------------------------------- properties
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every frame, at every router it reaches, fresh or near hop expiry:
+    /// the engine is the spec, and the counters add up. The same frames
+    /// again, through the routers' now warm MAC caches, walk alike.
+    #[test]
+    fn every_frame_walks_as_the_spec_says(
+        elements in prop::collection::vec((0usize..10, any::<u16>(), 1u8..=255), 1..12),
+        now_off in 0u64..40_000,
+    ) {
+        let mut net = Net::new();
+        let frames: Vec<_> = elements.iter().map(build_frame).collect();
+        let now = TS as u64 + now_off;
+        let cold: Vec<_> = frames.iter().map(|f| net.walk(f.clone(), now)).collect();
+        let warm: Vec<_> = frames.iter().map(|f| net.walk(f.clone(), now)).collect();
+        prop_assert_eq!(cold, warm);
+        net.check_counters();
+    }
+
+    /// `process_batch` is `process_frame` on every frame in order, and so
+    /// the spec: verdicts, bytes, tallies and counters, station by station.
+    #[test]
+    fn a_batch_is_the_frame_loop(
+        elements in prop::collection::vec((0usize..10, any::<u16>(), 1u8..=255), 1..16),
+        now_off in 0u64..40_000,
+    ) {
+        let now = TS as u64 + now_off;
+        let (mut net, mut batched) = (Net::new(), Net::new());
+        let mut frames: Vec<_> = elements.iter().map(build_frame).collect();
+        let mut submitted = 0;
+        for (at, ingress) in TRANSIT {
+            let mut batch = frames.clone();
+            let verdicts = batched.routers.get_mut(at).unwrap().process_batch(&mut batch, ingress, now);
+            let want: Vec<_> = frames.iter_mut().map(|f| net.step(at, f, ingress, now)).collect();
+            let got: Vec<_> = verdicts.into_iter().zip(&batch).map(|(v, f)| outcome(v, f)).collect();
+            prop_assert_eq!(&got, &want, "{}", at);
+            prop_assert_eq!(&batch, &frames);
+            submitted += frames.len() as u64;
+            let mut forwarded = want.iter().map(|o| matches!(o, Outcome::Forward(..)));
+            frames.retain(|_| forwarded.next().unwrap());
+        }
+        (batched.expect, batched.tally) = (net.expect.clone(), net.tally);
+        batched.check_counters();
+        let snap = batched.telemetry.snapshot();
+        prop_assert_eq!(snap.counter("router.batch.calls"), Some(TRANSIT.len() as u64));
+        prop_assert_eq!(snap.counter("router.batch.frames"), Some(submitted));
+    }
+}
+
+/// The hand-picked cases, each one more input: every byte of a transit
+/// frame flipped, every path kind, fresh and expired, a wrong ingress, the
+/// frames only canonicalisation or `Malformed` can take — and one batch of
+/// identical frames.
+#[test]
+fn fixed_cases_equal_the_spec() {
+    let mut net = Net::new();
+    let mut inputs = vec![vec![0xde, 0xad, 0xbe, 0xef], nested_extension()];
+    inputs.extend(["71-100", "71-200"].map(empty_path));
+    for trace in [None, Some(42)] {
+        // Flipping 0x40 sets a reserved bit at byte 10 and corrupts the
+        // last hop's MAC at `len - 8`, among the rest.
+        let template = transit(trace);
+        for pos in 0..template.len() {
+            inputs.push(template.clone());
+            inputs.last_mut().unwrap()[pos] ^= 0x40;
+        }
+        inputs.push([template, vec![0xcc]].concat()); // a trailing byte
+        inputs.extend((0..3).map(|which| wire(over(which, trace))));
+        inputs.push(one_hop(trace));
+    }
+    for f in inputs {
+        net.walk(f.clone(), NOW);
+        net.walk(f, TS as u64 + 22_000); // expired
+    }
+    let mut f = transit(Some(3));
+    net.step("71-100", &mut f, 0, NOW);
+    let o = net.step("71-10", &mut f, 27, NOW);
+    assert_eq!(counter(&o), Some("router.drop.ingress_mismatch"));
+    net.check_counters();
+
+    // N identical frames in one batch compute one MAC: the first misses the
+    // cache, the rest hit what it filled.
+    let net = Net::new();
+    let mut r = net.routers["71-100"].clone();
+    let forwarded = Ok(FrameDecision::Forward { ifid: 31 });
+    let verdicts = r.process_batch(&mut vec![transit(None); 24], 0, NOW);
+    assert!(verdicts.iter().all(|v| *v == forwarded));
+    let snap = net.telemetry.snapshot();
+    assert_eq!(snap.counter("router.maccache.miss"), Some(1));
+    assert_eq!(snap.counter("router.maccache.hit"), Some(23));
+}

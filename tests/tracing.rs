@@ -172,9 +172,10 @@ fn link_kill_correlates_ext_if_down_and_churns_once() {
 /// that commit, same deployment, same three packets): the events of one
 /// delivered datagram over a six-AS path, of one that runs into a cut link
 /// at the fourth AS, and of one whose third hop field has a broken MAC —
-/// verbatim, per-hop `sim_ns` and span chain included. A traced frame takes
-/// the routers' decode path, so `router.fastpath.fallback` moves by exactly
-/// the routers it reached; nothing else about it differs from then.
+/// verbatim, per-hop `sim_ns` and span chain included. A traced frame's span
+/// advances in place, so `router.fastpath.hit` moves by exactly the routers
+/// it reached (it was `router.fastpath.fallback` while traced frames were
+/// decoded and re-encoded); nothing else about it differs from then.
 #[test]
 fn traced_packets_leave_the_recorded_events() {
     use sciera::pan::socket::PanTransport;
@@ -220,7 +221,7 @@ fn traced_packets_leave_the_recorded_events() {
 
     let telemetry = net.telemetry();
     telemetry.set_min_severity(Severity::Trace);
-    let fallbacks = || telemetry.counter("router.fastpath.fallback").get();
+    let in_place = || telemetry.counter("router.fastpath.hit").get();
     // Events of one trace, each as one line: time, node, component,
     // severity, message, fields.
     let lines_of = |trace_id: u64| -> Vec<String> {
@@ -249,14 +250,14 @@ fn traced_packets_leave_the_recorded_events() {
     let mut tx = PanSocket::bind(a.addr, 40100, a.transport());
     let mut rx = PanSocket::bind(b.addr, 40101, b.transport());
     tx.connect(b.addr, 40101).unwrap();
-    assert_eq!(fallbacks(), 0);
+    assert_eq!(in_place(), 0);
 
     // One datagram, delivered: a span per AS.
     tx.send(b"traced").unwrap();
     let (payload, from, port) = rx.poll_recv().expect("delivered");
     assert_eq!((&payload[..], from, port), (&b"traced"[..], a.addr, 40100));
     assert_eq!(lines_of(1), DELIVERED);
-    assert_eq!(fallbacks(), 6);
+    assert_eq!(in_place(), 6);
     let chain = reconstruct_trace(&telemetry.flight_recorder().events(), 1);
     validate_chain(&chain).expect("causally sound chain");
 
@@ -267,7 +268,7 @@ fn traced_packets_leave_the_recorded_events() {
     net.set_link_index(cut, false);
     tx.send(b"into the cut").unwrap();
     assert_eq!(lines_of(2), INTO_THE_CUT);
-    assert_eq!(fallbacks(), 6 + 4);
+    assert_eq!(in_place(), 6 + 4);
     let scmp = a.transport().recv_packet().expect("SCMP at the source");
     assert_eq!(
         ScmpMessage::decode(&scmp.payload).unwrap(),
@@ -300,9 +301,9 @@ fn traced_packets_leave_the_recorded_events() {
         Err(sciera::core::NetError::Dropped("10-2:1:0: BadMac".into()))
     );
     assert_eq!(lines_of(77), BROKEN_MAC);
-    assert_eq!(fallbacks(), 6 + 4 + 2);
+    assert_eq!(in_place(), 6 + 4 + 2);
     let snap = telemetry.snapshot();
-    assert_eq!(snap.counter("router.fastpath.hit").unwrap_or(0), 0);
+    assert_eq!(snap.counter("router.fastpath.fallback").unwrap_or(0), 0);
     assert_eq!(snap.counter("router.forwarded"), Some(5 + 4 + 1));
     assert_eq!(snap.counter("router.delivered"), Some(1));
     assert_eq!(snap.counter("router.drop.bad_mac"), Some(1));
