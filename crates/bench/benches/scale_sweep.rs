@@ -4,7 +4,9 @@
 //! repo root
 //! with per-N convergence time, cache hit rate, memory footprints,
 //! throughput and — when built with `--features profile` — the ranked
-//! per-subsystem self-time table naming the bottleneck at each size.
+//! per-subsystem self-time table naming the bottleneck at each size. The
+//! report names the SHA-256 kernel the run hashed with (`sha_kernel`), since
+//! beaconing and path combination are bound by it.
 //!
 //! Environment overrides (both optional):
 //! * `SCIERA_SCALE_NS` — comma-separated AS counts (e.g. `100,300`); CI
@@ -92,8 +94,9 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"bench\": \"scale_sweep\",\n  \"profile_feature\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"scale_sweep\",\n  \"profile_feature\": {},\n  \"sha_kernel\": \"{}\",\n  \"points\": [\n{}\n  ]\n}}\n",
         cfg!(feature = "profile"),
+        scion_crypto::sha256::kernel(),
         body
     );
     let path = std::env::var("SCIERA_SCALE_OUT")

@@ -3,9 +3,22 @@
 //! This crate implements, from scratch, every symmetric primitive the SCION
 //! protocol family actually uses on the wire:
 //!
-//! * [`sha256`] — SHA-256 (FIPS 180-4), used for certificate and TRC digests.
-//! * [`hmac`] — HMAC-SHA256 (RFC 2104), used for key derivation and for the
-//!   simulated signature scheme.
+//! * [`sha256`] — SHA-256 (FIPS 180-4), on the CPU's SHA extensions where it
+//!   has them and in portable Rust where it does not. Every hash of the
+//!   stack ends in its one compression function:
+//!   - the id and the signed digest of every PCB entry, kept as running
+//!     hash states as a segment is extended (`scion_control::segment`);
+//!   - every signature and its check — PCB entries, certificates, TRCs,
+//!     CA enrolment proofs — an HMAC-SHA256 over the signed bytes
+//!     ([`sign`]);
+//!   - key material: signing keys derived from their seeds, key
+//!     identifiers (the SHA-256 of the secret), hop-field keys derived from
+//!     an AS master secret and LightningFilter's DRKey-style keys
+//!     ([`hmac::derive_key16`]);
+//!   - fingerprints: a path's hop sequence (the path key of the path
+//!     database, the prober and the selector) and a path policy's cache
+//!     key (`scion_control::{fullpath, policy}`).
+//! * [`hmac`] — HMAC-SHA256 (RFC 2104), one-shot and with a prepared key.
 //! * [`aes`] — AES-128 block encryption (FIPS 197), the cipher behind the
 //!   SCION hop-field MAC.
 //! * [`cmac`] — AES-CMAC (RFC 4493 / NIST SP 800-38B), the exact primitive a
@@ -18,15 +31,23 @@
 //! Production SCION signs path-construction beacons, TRCs and certificates
 //! with ECDSA P-256. No asymmetric-crypto crate is available in this build
 //! environment, and reimplementing ECDSA is out of scope for a deployment
-//! reproduction. Instead, [`sign`] provides an HMAC-based scheme in which the
-//! signing secret never leaves the [`sign::SigningKey`]; the corresponding
-//! [`sign::VerifyingKey`] carries only a commitment (a SHA-256 digest of the
-//! secret). Within the simulation this preserves the property the control
-//! plane relies on — no AS can forge another AS's beacon or certificate —
-//! while exercising the same sign → serialize → chain-verify code paths as
-//! the real stack. The substitution is recorded in `DESIGN.md` §4.
+//! reproduction. Instead, [`sign`] provides an HMAC-based scheme: a
+//! signature is `HMAC-SHA256(secret, message)`, and both the
+//! [`sign::SigningKey`] and its [`sign::VerifyingKey`] hold the secret as a
+//! prepared [`hmac::HmacKey`] so that either can compute the tag. The
+//! verifying key is identified by a commitment, the SHA-256 digest of the
+//! secret. Key objects are only handed to the entities a real deployment
+//! would hand the private or public key to, so within the simulation this
+//! preserves the property the control plane relies on — no AS can forge
+//! another AS's beacon or certificate — while exercising the same sign →
+//! serialize → chain-verify code paths as the real stack. The substitution
+//! is recorded in `DESIGN.md` §4.
+//!
+//! The crate denies unsafe code. The one exception is the call into the
+//! hardware SHA-256 kernel, made only after the CPU features it needs are
+//! detected.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;

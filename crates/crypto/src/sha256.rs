@@ -1,20 +1,28 @@
 //! SHA-256 as specified in FIPS 180-4.
 //!
 //! Every signature, segment id, certificate digest and path fingerprint of
-//! the control plane ends in [`compress`], so there is exactly one of it and
-//! it is written for the machine: the message schedule is a rolling window
-//! of 16 words (`w[t]` overwrites `w[t - 16]`, extended eight words at a
-//! time from round 16 on), the 64 rounds run as eight groups of eight in
-//! which the working variables are renamed from round to round instead of
-//! being shuffled through each other, and `ch`/`maj` use their short forms.
-//! Safe, portable Rust: no intrinsics and no per-target variant, so every
-//! build hashes through the same code. [`Sha256::update`],
-//! [`Sha256::finalize`], [`sha256`] and [`crate::hmac::HmacKey`] all reach it
-//! through whole blocks of the caller's bytes; padding is built once, on the
-//! stack, in [`digest_from`].
+//! the control plane ends in `compress`, so there is exactly one of it.
+//! It picks its kernel at run time, by what the CPU has:
+//!
+//! * on x86_64 with the SHA extensions (and SSE4.1), a hardware kernel in
+//!   which `sha256rnds2` runs two rounds an instruction and
+//!   `sha256msg1`/`sha256msg2` extend the message schedule four words at a
+//!   time;
+//! * everywhere else, `portable`: safe Rust written for the machine —
+//!   the message schedule is a rolling window of 16 words (`w[t]`
+//!   overwrites `w[t - 16]`, extended eight words at a time from round 16
+//!   on), the 64 rounds run as eight groups of eight in which the working
+//!   variables are renamed from round to round instead of being shuffled
+//!   through each other, and `ch`/`maj` use their short forms.
+//!
+//! There is no knob: both kernels compute the same function, and
+//! [`kernel`] names the one this process runs. [`Sha256::update`],
+//! [`Sha256::finalize`], [`sha256`] and [`crate::hmac::HmacKey`] all reach
+//! `compress` through whole blocks of the caller's bytes; padding is built
+//! once, on the stack, in `digest_from`.
 //!
 //! Verified against the FIPS / NIST example vectors and, block by block,
-//! against the textbook 64-word kernel kept in the test module.
+//! both kernels against the textbook 64-word kernel kept in the test module.
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -138,12 +146,50 @@ macro_rules! round {
 }
 
 /// The SHA-256 compression function over every 64-byte block of `blocks`
-/// (a whole number of them), chaining through `state`.
+/// (a whole number of them), chaining through `state`: the hardware kernel
+/// where the CPU has one, [`portable`] where it does not.
+#[allow(unsafe_code)]
 pub(crate) fn compress(state: &mut [u32; 8], blocks: &[u8]) {
     debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
+    #[cfg(test)]
+    COMPRESSIONS.with(|n| n.set(n.get() + (blocks.len() / BLOCK_LEN) as u64));
+    #[cfg(target_arch = "x86_64")]
+    if has_sha_extensions() {
+        // SAFETY: `x86::compress` needs SHA, SSE2, SSSE3 and SSE4.1, and
+        // `has_sha_extensions` has just detected SHA and SSE4.1; every x86_64
+        // CPU has SSE2, and every CPU with SSE4.1 has SSSE3.
+        unsafe { x86::compress(state, blocks) };
+        return;
+    }
+    portable(state, blocks);
+}
+
+/// The kernel `compress` runs on this CPU: `"x86-sha"` or `"portable"`.
+pub fn kernel() -> &'static str {
+    if has_sha_extensions() {
+        "x86-sha"
+    } else {
+        "portable"
+    }
+}
+
+/// Whether this CPU runs the hardware kernel (`std` caches the detection,
+/// so asking costs a load).
+fn has_sha_extensions() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("sha") && std::is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The portable kernel: every target runs it where the CPU lacks the SHA
+/// extensions.
+fn portable(state: &mut [u32; 8], blocks: &[u8]) {
     for block in blocks.chunks_exact(BLOCK_LEN) {
-        #[cfg(test)]
-        COMPRESSIONS.with(|n| n.set(n.get() + 1));
         let mut w = [0u32; 16];
         for (w, c) in w.iter_mut().zip(block.chunks_exact(4)) {
             *w = u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
@@ -172,6 +218,72 @@ pub(crate) fn compress(state: &mut [u32; 8], blocks: &[u8]) {
         for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
+    }
+}
+
+/// The kernel on the x86 SHA extensions.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{BLOCK_LEN, K};
+    use std::arch::x86_64::*;
+
+    /// Four big-endian words of `bytes` (16 of them), the first in lane 0.
+    #[target_feature(enable = "sse2")]
+    fn words(bytes: &[u8]) -> __m128i {
+        let w = |i: usize| {
+            u32::from_be_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]) as i32
+        };
+        _mm_set_epi32(w(12), w(8), w(4), w(0))
+    }
+
+    /// The next four schedule words from the sixteen before them.
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// [`super::compress`] on the SHA extensions. The state lives in two
+    /// registers as `sha256rnds2` wants it, lanes high to low `a b e f` and
+    /// `c d g h`; each instruction runs two rounds and hands back the new
+    /// `a b e f`, the old one becoming `c d g h`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        let [a, b, c, d, e, f, g, h] = state.map(|v| v as i32);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        for block in blocks.chunks_exact(BLOCK_LEN) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // Group j of four rounds starts with schedule words 4j..4j + 16
+            // in `w` (fewer in the last three) and slides that window on by
+            // four.
+            let mut w = [0, 16, 32, 48].map(|i| words(&block[i..i + 16]));
+            for j in 0..16 {
+                let k = |i: usize| K[4 * j + i] as i32;
+                let kw = _mm_add_epi32(w[0], _mm_set_epi32(k(3), k(2), k(1), k(0)));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, kw);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(kw, 0x0e));
+                let next = if j < 12 {
+                    schedule(w[0], w[1], w[2], w[3])
+                } else {
+                    w[0]
+                };
+                w = [w[1], w[2], w[3], next];
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        *state = [
+            _mm_extract_epi32(abef, 3),
+            _mm_extract_epi32(abef, 2),
+            _mm_extract_epi32(cdgh, 3),
+            _mm_extract_epi32(cdgh, 2),
+            _mm_extract_epi32(abef, 1),
+            _mm_extract_epi32(abef, 0),
+            _mm_extract_epi32(cdgh, 1),
+            _mm_extract_epi32(cdgh, 0),
+        ]
+        .map(|v| v as u32);
     }
 }
 
@@ -253,13 +365,34 @@ mod tests {
         #[test]
         fn compress_matches_the_textbook_kernel(
             state in any::<[u32; 8]>(),
-            block in any::<[u8; 64]>(),
+            bytes in any::<[u8; 3 * BLOCK_LEN]>(),
+            n in 1usize..=3,
         ) {
-            let (mut fast, mut reference) = (state, state);
-            compress(&mut fast, &block);
-            textbook_compress(&mut reference, &block);
-            prop_assert_eq!(fast, reference);
+            let blocks = &bytes[..n * BLOCK_LEN];
+            let mut reference = state;
+            for block in blocks.chunks_exact(BLOCK_LEN) {
+                textbook_compress(&mut reference, block);
+            }
+            let mut soft = state;
+            portable(&mut soft, blocks);
+            prop_assert_eq!(soft, reference);
+            // The hardware kernel wherever the CPU has it (see below).
+            let mut dispatched = state;
+            compress(&mut dispatched, blocks);
+            prop_assert_eq!(dispatched, reference);
         }
+    }
+
+    #[test]
+    fn the_hardware_kernel_runs_wherever_the_cpu_has_it() {
+        // Asked of the CPU here, not through `has_sha_extensions`, so a
+        // dispatch that silently falls back fails on a machine with them.
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("sha") && std::is_x86_feature_detected!("sse4.1") {
+            assert_eq!(kernel(), "x86-sha");
+            return;
+        }
+        assert_eq!(kernel(), "portable");
     }
 
     #[test]

@@ -389,6 +389,11 @@ impl Campaign {
         let tele_ip_rtt = self.telemetry.histogram("campaign.ip_rtt_ms");
         let tele_lost = self.telemetry.counter("campaign.scion_ping_failures");
 
+        // The BGP baseline is a static graph: each pair's ICMP base RTT is
+        // two shortest paths, found once here rather than once a sample.
+        let ip_base: Vec<Option<f64>> =
+            pairs.iter().map(|p| self.ip.rtt_ms(p.src, p.dst)).collect();
+
         let rounds = total_secs / cfg.round_secs;
         let mut down = vec![false; n_links];
         for round in 0..rounds {
@@ -496,7 +501,7 @@ impl Campaign {
                 // ICMP over the BGP baseline: commercial transit carries
                 // cross traffic — occasional congestion episodes inflate
                 // the tail far more than on the research links.
-                if let Some(base) = self.ip.rtt_ms(pair.src, pair.dst) {
+                if let Some(base) = ip_base[pi] {
                     let congestion = if rng.gen::<f64>() < 0.12 {
                         1.0 + rng.gen::<f64>() * 1.6 // episodic queueing (bufferbloat)
                     } else {

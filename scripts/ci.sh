@@ -183,4 +183,33 @@ if grep -rnE 'fn (process_scion_path|batch_mac_pass|verify_batch|encrypt_blocks)
     exit 1
 fi
 
+# One unsafe block in the product: the SHA-256 dispatch to the hardware
+# kernel, under the `// SAFETY:` comment naming the CPU-feature detection
+# it rests on. The crypto crate denies unsafe code around it; every other
+# crate still forbids it outright. (Comment lines may say the word.)
+echo "==> one unsafe block (crypto's SHA-256 dispatch)"
+sites=$(grep -rnw --include='*.rs' unsafe crates src | grep -Ev '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ "$(printf '%s\n' "$sites" | grep -c .)" -ne 1 ] ||
+    ! printf '%s\n' "$sites" | grep -q '^crates/crypto/src/sha256\.rs:'; then
+    echo "ci: unsafe code outside the SHA-256 dispatch:" >&2
+    printf '%s\n' "$sites" >&2
+    exit 1
+fi
+line=$(printf '%s\n' "$sites" | cut -d: -f2)
+if ! sed -n "$((line - 5)),$((line - 1))p" crates/crypto/src/sha256.rs | grep -q '// SAFETY:'; then
+    echo "ci: the unsafe block at crates/crypto/src/sha256.rs:$line has no SAFETY comment" >&2
+    exit 1
+fi
+grep -q '^#!\[deny(unsafe_code)\]' crates/crypto/src/lib.rs || {
+    echo "ci: crates/crypto/src/lib.rs no longer denies unsafe code" >&2
+    exit 1
+}
+for lib in src/lib.rs crates/*/src/lib.rs; do
+    [ "$lib" = crates/crypto/src/lib.rs ] && continue
+    grep -q '^#!\[forbid(unsafe_code)\]' "$lib" || {
+        echo "ci: $lib no longer forbids unsafe code" >&2
+        exit 1
+    }
+done
+
 echo "==> ci OK"

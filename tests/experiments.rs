@@ -26,9 +26,30 @@ fn campaign() -> sciera::measure::campaign::MeasurementStore {
     Campaign::new(config).run()
 }
 
+/// FNV-1a over the bits of every pair's SCION and ICMP RTT sums, in pair
+/// order: one number that moves if any sample of the campaign does.
+fn pair_sums_digest(store: &sciera::measure::campaign::MeasurementStore) -> u64 {
+    store
+        .pairs
+        .iter()
+        .flat_map(|p| [p.scion_sum.to_bits(), p.ip_sum.to_bits()])
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
 #[test]
 fn connectivity_experiments_are_mutually_consistent() {
     let store = campaign();
+
+    // The campaign's samples, pinned: a faster engine must not move one.
+    assert_eq!(
+        (store.scion_pings, store.ip_pings, store.excluded_rounds),
+        (1_572_480, 524_160, 480)
+    );
+    assert_eq!(store.pairs.len(), 364);
+    assert_eq!(pair_sums_digest(&store), 0x6e6e_25f7_cf4c_67f6);
 
     // Fig. 5: SCION wins the median and wins more at the tail.
     let f5 = fig5(&store);
