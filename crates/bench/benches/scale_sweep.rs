@@ -1,10 +1,9 @@
 //! The scale-observatory sweep: 100 → 5000 ASes through the full stack
 //! (synthetic topology → beaconing → path-database workload → router
-//! frame load → discrete-event stage), emitting `BENCH_scale.json` at the
-//! repo root
-//! with per-N convergence time, cache hit rate, memory footprints,
-//! throughput and — when built with `--features profile` — the ranked
-//! per-subsystem self-time table naming the bottleneck at each size. The
+//! frame load), emitting `BENCH_scale.json` at the repo root with per-N
+//! convergence time, cache hit rate, memory footprints, throughput and —
+//! when built with `--features profile` — the ranked per-subsystem
+//! self-time table naming the bottleneck at each size. The
 //! report names the SHA-256 kernel the run hashed with (`sha_kernel`), since
 //! beaconing and path combination are bound by it.
 //!
@@ -27,7 +26,7 @@ fn point_json(p: &ScalePoint) -> String {
         None => "null".to_string(),
     };
     format!(
-        "    {{\n      \"n_ases\": {}, \"links\": {},\n      \"gen_ms\": {:.1}, \"convergence_ms\": {:.1}, \"beacon_rounds\": {},\n      \"segments\": {}, \"store_bytes\": {}, \"pathdb_bytes\": {},\n      \"queries\": {}, \"query_pairs\": {}, \"hit_rate\": {:.4}, \"hit_rate_cold\": {:.4}, \"hit_rate_warm\": {:.4}, \"queries_per_sec\": {:.0},\n      \"router_ops\": {}, \"delivered\": {}, \"dropped\": {}, \"router_ns_per_op\": {:.0},\n      \"sim_events\": {},\n      \"bottleneck\": {},\n      \"self_time\": [{}]\n    }}",
+        "    {{\n      \"n_ases\": {}, \"links\": {},\n      \"gen_ms\": {:.1}, \"convergence_ms\": {:.1}, \"beacon_rounds\": {},\n      \"segments\": {}, \"store_bytes\": {}, \"pathdb_bytes\": {},\n      \"queries\": {}, \"query_pairs\": {}, \"hit_rate\": {:.4}, \"hit_rate_cold\": {:.4}, \"hit_rate_warm\": {:.4}, \"queries_per_sec\": {:.0},\n      \"router_ops\": {}, \"delivered\": {}, \"dropped\": {}, \"router_ns_per_op\": {:.0},\n      \"bottleneck\": {},\n      \"self_time\": [{}]\n    }}",
         p.n_ases,
         p.links,
         p.gen_ms,
@@ -46,7 +45,6 @@ fn point_json(p: &ScalePoint) -> String {
         p.delivered,
         p.dropped,
         p.router_ns_per_op,
-        p.sim_events,
         bottleneck,
         self_time,
     )

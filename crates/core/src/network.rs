@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use netsim::FramePool;
 use sciera_measure::dynamics::DynamicsNet;
 use sciera_telemetry::{Event, Severity, Telemetry};
 use sciera_topology::ases::as_info;
@@ -22,6 +21,7 @@ use scion_cppki::cert::{CertType, Certificate};
 use scion_cppki::trc::{Trc, TrcKeyEntry};
 use scion_daemon::trust::TrustStore;
 use scion_dataplane::dispatcher::{IngressShards, DEFAULT_SHARD_CAPACITY};
+use scion_dataplane::pool::FramePool;
 use scion_dataplane::router::{BorderRouter, FrameDecision, FrameError};
 use scion_orchestrator::health::{ChurnEvent, HealthBoard, HealthRow};
 use scion_orchestrator::prober::{
@@ -1474,6 +1474,7 @@ mod tests {
 
         let before = net.telemetry().snapshot();
         let batched = net.run_frame_load(&templates, &schedule, 64, true);
+        let after_batched = net.telemetry().snapshot();
         let seq = net.run_frame_load(&templates, &schedule, 64, false);
 
         assert_eq!(seq, batched, "A/B modes must agree on every outcome");
@@ -1496,6 +1497,17 @@ mod tests {
         assert_eq!(delta("router.maccache.miss"), 12);
         assert!(snap.gauge("pool.frame.high_watermark").unwrap_or(0) > 0);
         assert!(delta("dispatcher.shard.batches") > 0);
+
+        // The pool counters the benchmark reads: every injected frame of one
+        // run takes exactly one buffer, and the pool recycles within a run.
+        let pool = |name: &str| {
+            after_batched.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0)
+        };
+        assert_eq!(
+            pool("pool.frame.hit") + pool("pool.frame.miss"),
+            batched.injected
+        );
+        assert!(pool("pool.frame.hit") > 0);
     }
 
     #[test]

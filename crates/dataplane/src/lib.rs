@@ -19,6 +19,8 @@
 //! * [`lightningfilter`] — the LightningFilter of §4.7.1/§4.9: line-rate
 //!   per-AS packet authentication and rate limiting in front of a
 //!   Science-DMZ.
+//! * [`pool`] — the bounded frame-buffer pool that feeds routers recycled
+//!   `Vec<u8>` backing stores under frame load.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +29,7 @@ pub mod dispatcher;
 pub mod hostnet;
 pub mod lightningfilter;
 pub mod maccache;
+pub mod pool;
 pub mod router;
 
 pub use maccache::{MacCache, MacCacheKey};

@@ -1,12 +1,12 @@
 //! A frame-buffer pool: recycled `Vec<u8>` backing stores for frames.
 //!
-//! Every frame the simulator moves is a `Vec<u8>`; at the packet rates of
-//! the forwarding benchmarks the allocator becomes measurable noise. The
-//! pool keeps a bounded freelist of previously-used buffers so steady-state
-//! traffic reuses the same allocations instead of round-tripping through
-//! the global allocator. This mirrors what the zero-copy fast path does for
-//! header bytes: the buffer a router rewrote in place is the very buffer
-//! the next link transmits.
+//! Every frame a router forwards under load is a `Vec<u8>`; at the packet
+//! rates of the forwarding benchmarks the allocator becomes measurable
+//! noise. The pool keeps a bounded freelist of previously-used buffers so
+//! steady-state traffic reuses the same allocations instead of
+//! round-tripping through the global allocator. This mirrors what the
+//! zero-copy fast path does for header bytes: the buffer a router rewrote
+//! in place is the very buffer the next link transmits.
 //!
 //! The pool is deliberately simple — a LIFO freelist (the most recently
 //! recycled buffer is cache-warm) with a capacity bound so a traffic burst
@@ -15,8 +15,8 @@
 
 use sciera_telemetry::{Counter, Gauge, Telemetry};
 
-/// Default number of free buffers a pool retains.
-pub const DEFAULT_POOL_CAPACITY: usize = 1024;
+/// Most free buffers a new pool reserves room for up front.
+const PREALLOC_CAPACITY: usize = 1024;
 
 /// A bounded LIFO pool of reusable frame buffers.
 #[derive(Debug)]
@@ -35,12 +35,6 @@ pub struct FramePool {
     high_watermark: Gauge,
 }
 
-impl Default for FramePool {
-    fn default() -> Self {
-        FramePool::new(DEFAULT_POOL_CAPACITY)
-    }
-}
-
 impl FramePool {
     /// Creates a pool retaining at most `capacity` free buffers. Metrics
     /// start on a quiet telemetry handle; attach a shared one with
@@ -48,7 +42,7 @@ impl FramePool {
     pub fn new(capacity: usize) -> Self {
         let quiet = Telemetry::quiet();
         FramePool {
-            free: Vec::with_capacity(capacity.min(DEFAULT_POOL_CAPACITY)),
+            free: Vec::with_capacity(capacity.min(PREALLOC_CAPACITY)),
             capacity,
             outstanding: 0,
             hits: quiet.counter("pool.frame.hit"),
@@ -96,29 +90,6 @@ impl FramePool {
         }
     }
 
-    /// Takes `n` cleared buffers of at least `len_hint` capacity, appending
-    /// them to `out`. One gauge/counter update covers the whole batch — the
-    /// per-buffer bookkeeping of [`FramePool::alloc`] amortised across the
-    /// batched router pipeline's input.
-    pub fn alloc_batch(&mut self, n: usize, len_hint: usize, out: &mut Vec<Vec<u8>>) {
-        out.reserve(n);
-        let reused = self.free.len().min(n);
-        for mut buf in self.free.drain(self.free.len() - reused..) {
-            buf.clear();
-            buf.reserve(len_hint);
-            out.push(buf);
-        }
-        for _ in reused..n {
-            out.push(Vec::with_capacity(len_hint));
-        }
-        self.outstanding += n as u64;
-        self.outstanding_gauge.set(self.outstanding);
-        self.high_watermark.set_max(self.outstanding);
-        self.free_gauge.set(self.free.len() as u64);
-        self.hits.add(reused as u64);
-        self.misses.add((n - reused) as u64);
-    }
-
     /// Returns a buffer to the pool; discarded (freed) when the freelist is
     /// already at capacity.
     pub fn recycle(&mut self, buf: Vec<u8>) {
@@ -153,35 +124,27 @@ impl FramePool {
         self.recycled.add_saturating(recycled);
         self.discarded.add_saturating(discarded);
     }
-
-    /// Number of buffers currently in the freelist.
-    pub fn free_count(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Number of buffers handed out and not yet recycled.
-    pub fn outstanding(&self) -> u64 {
-        self.outstanding
-    }
-
-    /// Maximum number of free buffers retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn attached(capacity: usize) -> (FramePool, Telemetry) {
+        let tele = Telemetry::quiet();
+        let mut p = FramePool::new(capacity);
+        p.set_telemetry(&tele);
+        (p, tele)
+    }
+
     #[test]
     fn alloc_recycle_roundtrip_reuses_allocation() {
-        let mut p = FramePool::new(8);
+        let (mut p, tele) = attached(8);
         let mut buf = p.alloc(64);
         buf.extend_from_slice(b"payload");
         let ptr = buf.as_ptr();
         p.recycle(buf);
-        assert_eq!(p.free_count(), 1);
+        assert_eq!(tele.snapshot().gauge("pool.frame.free"), Some(1));
         let buf2 = p.alloc(16);
         assert_eq!(buf2.as_ptr(), ptr, "LIFO freelist must reuse the buffer");
         assert!(buf2.is_empty(), "recycled buffers are cleared");
@@ -190,16 +153,12 @@ mod tests {
 
     #[test]
     fn capacity_bound_discards_excess() {
-        let tele = Telemetry::quiet();
-        let mut p = FramePool::new(2);
-        p.set_telemetry(&tele);
+        let (mut p, tele) = attached(2);
         let bufs: Vec<Vec<u8>> = (0..4).map(|_| p.alloc(32)).collect();
-        assert_eq!(p.outstanding(), 4);
+        assert_eq!(tele.snapshot().gauge("pool.frame.outstanding"), Some(4));
         for b in bufs {
             p.recycle(b);
         }
-        assert_eq!(p.free_count(), 2);
-        assert_eq!(p.outstanding(), 0);
         let snap = tele.snapshot();
         assert_eq!(snap.counter("pool.frame.miss"), Some(4));
         assert_eq!(snap.counter("pool.frame.recycled"), Some(2));
@@ -210,25 +169,25 @@ mod tests {
 
     #[test]
     fn batch_alloc_recycle_amortises_and_tracks_watermark() {
-        let tele = Telemetry::quiet();
-        let mut p = FramePool::new(4);
-        p.set_telemetry(&tele);
+        let (mut p, tele) = attached(4);
 
-        let mut bufs = Vec::new();
-        p.alloc_batch(6, 32, &mut bufs);
-        assert_eq!(bufs.len(), 6);
+        let mut bufs: Vec<Vec<u8>> = (0..6).map(|_| p.alloc(32)).collect();
         assert!(bufs.iter().all(|b| b.is_empty() && b.capacity() >= 32));
-        assert_eq!(p.outstanding(), 6);
+        assert_eq!(tele.snapshot().gauge("pool.frame.outstanding"), Some(6));
 
         p.recycle_batch(bufs.drain(..));
-        assert_eq!(p.outstanding(), 0);
-        assert_eq!(p.free_count(), 4, "capacity bound still applies");
-
-        // A second batch reuses the freelist before hitting the allocator.
-        p.alloc_batch(5, 16, &mut bufs);
-        assert_eq!(p.free_count(), 0);
-
         let snap = tele.snapshot();
+        assert_eq!(snap.gauge("pool.frame.outstanding"), Some(0));
+        assert_eq!(
+            snap.gauge("pool.frame.free"),
+            Some(4),
+            "capacity bound still applies"
+        );
+
+        // A second wave reuses the freelist before hitting the allocator.
+        bufs.extend((0..5).map(|_| p.alloc(16)));
+        let snap = tele.snapshot();
+        assert_eq!(snap.gauge("pool.frame.free"), Some(0));
         assert_eq!(snap.counter("pool.frame.miss"), Some(6 + 1));
         assert_eq!(snap.counter("pool.frame.hit"), Some(4));
         assert_eq!(snap.counter("pool.frame.recycled"), Some(4));
@@ -239,9 +198,7 @@ mod tests {
 
     #[test]
     fn high_watermark_survives_drain() {
-        let tele = Telemetry::quiet();
-        let mut p = FramePool::new(8);
-        p.set_telemetry(&tele);
+        let (mut p, tele) = attached(8);
         let a = p.alloc(8);
         let b = p.alloc(8);
         let c = p.alloc(8);
@@ -255,9 +212,11 @@ mod tests {
 
     #[test]
     fn zero_capacity_buffers_are_not_pooled() {
-        let mut p = FramePool::new(8);
+        let (mut p, tele) = attached(8);
         p.recycle(Vec::new()); // nothing to reuse — don't pool it
-        assert_eq!(p.free_count(), 0);
+        let snap = tele.snapshot();
+        assert_eq!(snap.gauge("pool.frame.free"), Some(0));
+        assert_eq!(snap.counter("pool.frame.discarded"), Some(1));
     }
 
     #[test]
@@ -276,9 +235,7 @@ mod tests {
 
     #[test]
     fn hit_counter_moves_on_reuse() {
-        let tele = Telemetry::quiet();
-        let mut p = FramePool::new(8);
-        p.set_telemetry(&tele);
+        let (mut p, tele) = attached(8);
         let b = p.alloc(8);
         p.recycle(b);
         let _b2 = p.alloc(8);

@@ -1,9 +1,9 @@
 //! Connectivity analysis: Figs. 5, 6 and 7.
 
-use netsim::metrics::{Cdf, Summary};
 use scion_proto::addr::IsdAsn;
 
 use crate::campaign::MeasurementStore;
+use crate::stats::{Cdf, Summary};
 
 /// Figure 5: the RTT distributions of SCION vs IP pings.
 #[derive(Debug, Clone)]

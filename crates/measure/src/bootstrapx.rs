@@ -8,7 +8,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use netsim::metrics::Summary;
 use scion_bootstrap::client::{BootstrapClient, ModelEnv, OsProfile};
 use scion_bootstrap::hints::HintMechanism;
 use scion_bootstrap::server::{SignedTopology, TopologyDocument};
@@ -16,6 +15,8 @@ use scion_bootstrap::BootstrapError;
 use scion_crypto::sign::SigningKey;
 use scion_proto::addr::ia;
 use scion_proto::encap::UnderlayAddr;
+
+use crate::stats::Summary;
 
 /// Distribution of one latency component across runs (ms).
 #[derive(Debug, Clone)]

@@ -20,7 +20,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use netsim::metrics::Histogram;
 use sciera_topology::ases::{all_ases, fig8_vantages, measurement_points};
 use sciera_topology::ip::IpBaseline;
 use sciera_topology::links::{build_control_graph, BuiltTopology};
@@ -28,6 +27,8 @@ use scion_control::beacon::{BeaconConfig, BeaconEngine};
 use scion_control::combine::combine_paths_traced;
 use scion_control::fullpath::FullPath;
 use scion_proto::addr::IsdAsn;
+
+use crate::stats::Histogram;
 
 /// Campaign configuration.
 #[derive(Debug, Clone)]

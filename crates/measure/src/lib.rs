@@ -25,6 +25,8 @@
 //! * [`slo`] — the concurrency SLO observatory: p50/p99 lookup latency
 //!   under K concurrent clients while a writer runs link-kill storms
 //!   against the epoch-snapshot path database.
+//! * [`stats`] — exact-quantile sample summaries, the campaign's fixed-bin
+//!   RTT histogram and rendered CDFs behind every figure.
 //! * [`dynamics`] — the path-dynamics observatory: long-horizon campaigns
 //!   with injected link-kill and cost-change events, an ML-ready JSONL
 //!   time-series dataset (per-path epochs plus a churn stream), and
@@ -42,6 +44,7 @@ pub mod paths;
 pub mod resilience;
 pub mod scale;
 pub mod slo;
+pub mod stats;
 pub mod survey;
 
 pub use campaign::{Campaign, CampaignConfig, MeasurementStore};

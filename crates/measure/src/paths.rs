@@ -1,6 +1,5 @@
 //! Multipath quality: Figs. 8, 9, 10a and 10b.
 
-use netsim::metrics::{Cdf, Summary};
 use sciera_topology::ases::fig8_vantages;
 use sciera_topology::links::build_control_graph;
 use scion_control::beacon::{BeaconConfig, BeaconEngine};
@@ -9,6 +8,7 @@ use scion_control::fullpath::paper_disjointness;
 use scion_proto::addr::IsdAsn;
 
 use crate::campaign::MeasurementStore;
+use crate::stats::{Cdf, Summary};
 
 /// A square matrix over the Fig. 8 vantage set.
 #[derive(Debug, Clone)]

@@ -17,8 +17,6 @@
 //! 4. pushes a frame workload through real border routers over the
 //!    generated links — the same inject/drain/process-batch/forward loop
 //!    the deployment simulation uses,
-//! 5. runs a bounded discrete-event stage so the simulator's dispatch
-//!    loop shows up in the profile alongside everything else,
 //!
 //! and then reads the scoped profiler back: ranked per-subsystem self
 //! time and the named bottleneck at that N. With the `profile` feature
@@ -27,12 +25,12 @@
 
 use std::time::Instant;
 
-use netsim::{FramePool, LinkId, LinkQuality, Node, NodeCtx, SimDuration, World};
 use sciera_telemetry::Telemetry;
 use sciera_topology::synth::{synthesize, SynthConfig};
 use scion_control::beacon::{BeaconConfig, BeaconEngine};
 use scion_control::epoch::{EpochConfig, EpochPathDb};
 use scion_dataplane::dispatcher::{IngressShards, DEFAULT_SHARD_CAPACITY};
+use scion_dataplane::pool::FramePool;
 use scion_dataplane::router::{BorderRouter, FrameDecision};
 use scion_proto::addr::{HostAddr, IsdAsn, ScionAddr};
 use scion_proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
@@ -51,8 +49,6 @@ pub struct ScaleConfig {
     pub frames: usize,
     /// Router batch size (frames per `process_batch` call).
     pub batch: usize,
-    /// Nodes in the bounded discrete-event stage (0 skips it).
-    pub sim_nodes: usize,
     /// Seed for the workload generator (topology seeds derive from N).
     pub seed: u64,
 }
@@ -65,7 +61,6 @@ impl Default for ScaleConfig {
             pair_pool: 48,
             frames: 3000,
             batch: 32,
-            sim_nodes: 48,
             seed: 0x5CA1_E0B5_0B5E_47A7,
         }
     }
@@ -116,8 +111,6 @@ pub struct ScalePoint {
     pub dropped: u64,
     /// Router stage wall nanoseconds per router operation.
     pub router_ns_per_op: f64,
-    /// Events the discrete-event stage dispatched.
-    pub sim_events: u64,
     /// Per-subsystem self time in milliseconds, descending. Empty when
     /// the `profile` feature is off.
     pub self_time_ms: Vec<(String, f64)>,
@@ -144,34 +137,6 @@ impl Rng {
 
     fn below(&mut self, n: usize) -> usize {
         (self.next() % n.max(1) as u64) as usize
-    }
-}
-
-/// A relay for the discrete-event stage: forwards a TTL-stamped probe
-/// around the ring until the TTL dies, so the event loop dispatches a
-/// bounded, size-independent amount of work.
-struct Relay;
-
-impl Node for Relay {
-    fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, mut frame: Vec<u8>) {
-        let ttl = frame.first().copied().unwrap_or(0);
-        if ttl == 0 {
-            return;
-        }
-        frame[0] = ttl - 1;
-        let out = ctx
-            .links()
-            .iter()
-            .copied()
-            .find(|&l| l != link)
-            .unwrap_or(link);
-        ctx.send(out, frame);
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _token: u64) {
-        if let Some(&link) = ctx.links().first() {
-            ctx.send(link, vec![16u8]);
-        }
     }
 }
 
@@ -391,23 +356,6 @@ pub fn run_point(n: usize, cfg: &ScaleConfig) -> ScalePoint {
         }
     }
 
-    // ---- Stage 5: bounded discrete-event stage -----------------------
-    let mut sim_events = 0u64;
-    if cfg.sim_nodes >= 2 {
-        let mut world: World<Relay> = World::new(cfg.seed ^ n as u64);
-        world.set_telemetry(telemetry.clone());
-        let ids: Vec<_> = (0..cfg.sim_nodes).map(|_| world.add_node(Relay)).collect();
-        for w in ids.windows(2) {
-            world.add_link(
-                w[0],
-                w[1],
-                LinkQuality::with_latency(SimDuration::from_millis(1)),
-            );
-        }
-        world.schedule_timer(world.now() + SimDuration::from_millis(1), ids[0], 1);
-        sim_events = world.run_to_completion();
-    }
-
     // ---- Read the observatory back -----------------------------------
     let pathdb_bytes = {
         db.record_resource_gauges();
@@ -441,7 +389,6 @@ pub fn run_point(n: usize, cfg: &ScaleConfig) -> ScalePoint {
         delivered,
         dropped,
         router_ns_per_op,
-        sim_events,
         self_time_ms,
         bottleneck,
     }
@@ -463,7 +410,6 @@ mod tests {
             pair_pool: 12,
             frames: 200,
             batch: 8,
-            sim_nodes: 8,
             seed: 7,
         }
     }
@@ -503,7 +449,6 @@ mod tests {
         );
         assert!(p.delivered > 0, "some frames must arrive end-to-end");
         assert!(p.router_ns_per_op > 0.0);
-        assert!(p.sim_events > 0);
     }
 
     #[test]

@@ -208,7 +208,6 @@ pub struct Histogram {
     hi: f64,
     bins: Vec<u64>,
     count: u64,
-    sum: f64,
 }
 
 impl Histogram {
@@ -220,7 +219,6 @@ impl Histogram {
             hi,
             bins: vec![0; bins],
             count: 0,
-            sum: 0.0,
         }
     }
 
@@ -234,21 +232,11 @@ impl Histogram {
         let idx = idx.min(self.bins.len() - 1);
         self.bins[idx] += 1;
         self.count += 1;
-        self.sum += value;
     }
 
     /// Number of samples.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Mean of the raw (unclamped) samples.
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
     }
 
     /// Approximate `q`-quantile with linear interpolation inside the bin.
@@ -315,18 +303,16 @@ mod histogram_tests {
         let p90 = h.quantile(0.9).unwrap();
         assert!((p90 - 90.0).abs() < 1.0, "p90 {p90}");
         assert_eq!(h.count(), 10_000);
-        assert!((h.mean().unwrap() - 49.5).abs() < 0.01);
     }
 
     #[test]
     fn clamping_and_empty() {
         let mut h = Histogram::new(0.0, 10.0, 10);
         assert!(h.quantile(0.5).is_none());
-        assert!(h.mean().is_none());
         h.record(-5.0);
         h.record(50.0);
         assert_eq!(h.count(), 2);
-        // Clamped into the range; mean uses raw values.
+        // Clamped into the range.
         assert!(h.quantile(0.0).unwrap() >= 0.0);
         assert!(h.quantile(1.0).unwrap() <= 10.0);
     }

@@ -30,8 +30,8 @@ impl Severity {
     }
 }
 
-/// One structured trace event. `sim_time` is nanoseconds on the simulation
-/// clock (`netsim::SimTime::as_nanos`), not wall time.
+/// One structured trace event. `sim_time` is nanoseconds on the simulated
+/// network's clock, not wall time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Event {
     /// Simulation timestamp in nanoseconds.

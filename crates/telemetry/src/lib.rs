@@ -3,7 +3,7 @@
 //! The paper's evaluation (§5) is entirely observational — bootstrap latency,
 //! RTT CDFs, path churn, outage timelines — and §4.4 makes continuous
 //! monitoring an operational pillar. This crate is the runtime counterpart to
-//! `netsim::metrics` (which aggregates *final* experiment samples): it gives
+//! `sciera_measure::stats` (which aggregates *final* experiment samples): it gives
 //! every component a cheap handle to
 //!
 //! * a [`MetricsRegistry`] of named atomic counters, gauges, and log-bucketed
@@ -13,7 +13,7 @@
 //! * a bounded ring-buffer [`FlightRecorder`] that keeps the last N events and
 //!   dumps JSONL for post-mortem of failed runs;
 //! * span-style scoped timers ([`Span`]) keyed on simulation time (u64
-//!   nanoseconds, the same clock as `netsim::SimTime`).
+//!   nanoseconds on the simulated network's clock, not wall time).
 //!
 //! The handle is `Clone` (an `Arc` internally), so a whole simulated network
 //! shares one registry: identically named counters aggregate across

@@ -205,7 +205,7 @@ impl Histogram {
     }
 
     /// Quantile estimate using the same linear-interpolation definition as
-    /// `netsim::metrics::Summary::quantile`, with each sample approximated by
+    /// `sciera_measure::stats::Summary::quantile`, with each sample approximated by
     /// its bucket's representative point. The estimate is therefore within
     /// one bucket width of the exact sample quantile.
     pub fn quantile(&self, q: f64) -> Option<f64> {

@@ -163,7 +163,7 @@ mod tests {
                 ("beacon.originated".into(), 12),
                 ("router.forwarded".into(), 340),
             ],
-            gauges: vec![("world.queue_depth_hwm".into(), 17)],
+            gauges: vec![("dispatcher.shard.depth".into(), 17)],
             histograms: vec![HistogramSnapshot {
                 name: "bootstrap.phase.hint".into(),
                 count: 4,
@@ -187,7 +187,7 @@ mod tests {
         let s = sample();
         assert_eq!(s.counter("router.forwarded"), Some(340));
         assert_eq!(s.counter("nope"), None);
-        assert_eq!(s.gauge("world.queue_depth_hwm"), Some(17));
+        assert_eq!(s.gauge("dispatcher.shard.depth"), Some(17));
         assert_eq!(s.histogram("bootstrap.phase.hint").unwrap().count, 4);
         assert_eq!(s.counter_family("beacon."), 12);
     }
@@ -207,7 +207,7 @@ mod tests {
         for needle in [
             "beacon.originated",
             "router.forwarded",
-            "world.queue_depth_hwm",
+            "dispatcher.shard.depth",
             "bootstrap.phase.hint",
             "9 recorded",
             "ring 8/4096",

@@ -12,7 +12,7 @@
 //!   Singapore, Amsterdam, Chicago, Seattle), the four parallel
 //!   Singapore–Amsterdam circuits, GEANT's European reach, BRIDGES,
 //!   RNP and all leaf attachments; builds the [`scion_control::ControlGraph`]
-//!   and the `netsim` link set.
+//!   and the link set the data plane walks.
 //! * [`ip`] — the commercial-Internet baseline: a BGP-style graph over the
 //!   same sites plus transit hubs, routed by *fewest AS hops* (not lowest
 //!   latency) — which is exactly why IP sometimes wins and sometimes loses

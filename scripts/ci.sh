@@ -79,7 +79,7 @@ echo "==> cargo bench -p sciera-bench --bench profiler_overhead"
 cargo bench -p sciera-bench --bench profiler_overhead
 
 # Bounded smoke sweep: N=100 and N=1000 through the full scale pipeline
-# (synthesis -> beaconing -> path database -> router load -> sim stage)
+# (synthesis -> beaconing -> path database -> router load)
 # with the profiler engaged, written to target/ so it never clobbers the
 # committed BENCH_scale.json.
 echo "==> scale_sweep smoke (N=100,1000; profile)"
@@ -145,16 +145,16 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# The dataplane and wire-format crates carry the forwarding hot path, the
-# control crate the combination/beaconing hot path, netsim the frame
-# pool + dispatch loop under the batched pipeline, and topology the
+# The dataplane and wire-format crates carry the forwarding hot path
+# (dataplane also the frame pool under the batched pipeline), the control
+# crate the combination/beaconing hot path, and topology the
 # synthetic-generator inner loops the scale sweep leans on, pan every
 # host's connect and send, core every lookup and every walk, the daemon and
 # the orchestrator the lookups and probe rounds of a failover, and measure
 # the campaigns that drive them all: hold them to the allocation-hygiene
 # lints as hard errors.
-echo "==> cargo clippy, hot-path lints (dataplane proto control netsim topology pan core daemon orchestrator measure)"
-cargo clippy -p scion-dataplane -p scion-proto -p scion-control -p netsim -p sciera-topology -p scion-pan \
+echo "==> cargo clippy, hot-path lints (dataplane proto control topology pan core daemon orchestrator measure)"
+cargo clippy -p scion-dataplane -p scion-proto -p scion-control -p sciera-topology -p scion-pan \
     -p sciera-core -p scion-daemon -p scion-orchestrator -p sciera-measure -- \
     -D warnings -D clippy::redundant_clone -D clippy::needless_collect
 
@@ -180,6 +180,17 @@ awk 'FNR == 1 { in_tests = 0 }
 echo "==> one router engine (dataplane, crypto)"
 if grep -rnE 'fn (process_scion_path|batch_mac_pass|verify_batch|encrypt_blocks)\b' crates; then
     echo "ci: a second router engine is back" >&2
+    exit 1
+fi
+
+# No event world: the discrete-event simulator crate, the scale sweep's
+# relay stage and their counters stay deleted. The network's clock is its
+# `now_unix`; an evented clock arrives together with its first caller.
+echo "==> no event world"
+banned='netsim|sim_events|sim\.dispatch|World<|world\.queue_depth'
+if grep -rnE "$banned" crates src tests examples scripts Cargo.toml Cargo.lock |
+    grep -v "^scripts/ci\.sh:[0-9]*:banned="; then
+    echo "ci: the event world is back" >&2
     exit 1
 fi
 

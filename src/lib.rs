@@ -29,7 +29,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use netsim;
 pub use sciera_core as core;
 pub use sciera_flowgen as flowgen;
 pub use sciera_measure as measure;

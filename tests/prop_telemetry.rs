@@ -1,5 +1,5 @@
 //! Property: the telemetry crate's log-bucketed streaming histogram tracks
-//! the exact (sample-keeping) `netsim::metrics::Summary` — every quantile
+//! the exact (sample-keeping) `measure::stats::Summary` — every quantile
 //! estimate stays within one bucket width of the exact sample quantile, on
 //! the same random sample stream.
 //!
@@ -10,7 +10,7 @@
 //! statistics.
 
 use proptest::prelude::*;
-use sciera::netsim::metrics::Summary;
+use sciera::measure::stats::Summary;
 use sciera::telemetry::Histogram;
 
 /// Positive f64 samples spanning ~12 decades (sub-microsecond spans up to
