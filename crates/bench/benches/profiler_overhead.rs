@@ -109,7 +109,7 @@ fn frames_ingress(frames: &[Vec<u8>], router: &mut BorderRouter) -> u16 {
 }
 
 fn main() {
-    if cfg!(feature = "profile") {
+    if Telemetry::quiet().profiling_enabled() {
         println!(
             "profiler_overhead: built with --features profile; the guard only \
              applies to the compiled-out configuration — skipping"

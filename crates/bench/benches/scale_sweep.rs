@@ -13,6 +13,7 @@
 //! * `SCIERA_SCALE_OUT` — output path for the JSON report.
 
 use sciera_measure::scale::{run_sweep, ScaleConfig, ScalePoint};
+use sciera_telemetry::Telemetry;
 
 fn point_json(p: &ScalePoint) -> String {
     let self_time = p
@@ -93,7 +94,7 @@ fn main() {
         .join(",\n");
     let json = format!(
         "{{\n  \"bench\": \"scale_sweep\",\n  \"profile_feature\": {},\n  \"sha_kernel\": \"{}\",\n  \"points\": [\n{}\n  ]\n}}\n",
-        cfg!(feature = "profile"),
+        Telemetry::quiet().profiling_enabled(),
         scion_crypto::sha256::kernel(),
         body
     );

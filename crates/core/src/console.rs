@@ -341,7 +341,7 @@ mod tests {
         assert!(second.contains("dynamics: epoch"), "{second}");
         assert!(second.contains("last failover gap"), "{second}");
         assert!(second.contains("hotspots:"), "{second}");
-        if cfg!(feature = "profile") {
+        if net.telemetry().profiling_enabled() {
             assert!(
                 !second.contains("hotspots: (none"),
                 "profiled build attributes self time:\n{second}"

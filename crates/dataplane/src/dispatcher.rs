@@ -429,7 +429,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn dispatch_at_emits_trace_span_for_traced_packets() {
         let tele = Telemetry::with_severity(Severity::Trace);
         let mut d = Dispatcher::new();

@@ -784,7 +784,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn trace_context_advances_and_emits_chain() {
         use sciera_telemetry::{reconstruct_trace, validate_chain};
 
@@ -826,7 +825,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn dropped_traced_packet_attributes_the_hop() {
         let tele = Telemetry::with_severity(Severity::Trace);
         let mut dp = full_transit_path().to_dataplane().unwrap();

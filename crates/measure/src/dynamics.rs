@@ -424,24 +424,12 @@ pub fn run_campaign<N: DynamicsNet>(
         let _epoch_scope = telemetry.prof_scope("dynamics.epoch");
 
         // -- Scheduled restores, then injections (epoch 0 stays clean). --
-        let due: Vec<Restore> = {
-            let mut due = Vec::new();
-            pending.retain_mut(|(at, r)| {
-                if *at <= epoch {
-                    due.push(std::mem::replace(r, Restore::LinkUp(usize::MAX)));
-                    false
-                } else {
-                    true
-                }
-            });
-            due
-        };
-        for r in due {
+        let (due, later): (Vec<_>, _) = pending.into_iter().partition(|&(at, _)| at <= epoch);
+        pending = later;
+        for (_, r) in due {
             match r {
                 Restore::LinkUp(li) => net.set_link_up(li, true),
                 Restore::Latency(li) => net.set_link_latency_factor(li, 1.0),
-                #[allow(unreachable_patterns)]
-                _ => {}
             }
         }
         if cfg.kill_every > 0

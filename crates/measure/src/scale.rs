@@ -455,7 +455,7 @@ mod tests {
     fn profiler_attribution_matches_feature_state() {
         let cfg = small_cfg();
         let p = run_point(40, &cfg);
-        if cfg!(feature = "profile") {
+        if Telemetry::quiet().profiling_enabled() {
             assert!(
                 !p.self_time_ms.is_empty(),
                 "profiled build must attribute self time"

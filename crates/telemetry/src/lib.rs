@@ -8,8 +8,8 @@
 //!
 //! * a [`MetricsRegistry`] of named atomic counters, gauges, and log-bucketed
 //!   streaming histograms, safe for per-packet hot paths;
-//! * structured tracing ([`Event`]) with a severity filter and a compile-out
-//!   path (disable the `trace` feature);
+//! * structured tracing ([`Event`]) behind a runtime severity floor
+//!   ([`Telemetry::quiet`] turns events off);
 //! * a bounded ring-buffer [`FlightRecorder`] that keeps the last N events and
 //!   dumps JSONL for post-mortem of failed runs;
 //! * span-style scoped timers ([`Span`]) keyed on simulation time (u64
@@ -122,12 +122,10 @@ impl Telemetry {
     /// before building expensive messages/fields.
     #[inline]
     pub fn enabled(&self, severity: Severity) -> bool {
-        cfg!(feature = "trace") && severity as u8 >= self.inner.min_severity.load(Ordering::Relaxed)
+        severity as u8 >= self.inner.min_severity.load(Ordering::Relaxed)
     }
 
     /// Records a structured event if tracing is enabled at its severity.
-    /// With the `trace` feature off this compiles to a filter check that is
-    /// always false.
     #[inline]
     pub fn emit(&self, event: Event) {
         if self.enabled(event.severity) {
@@ -277,7 +275,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn severity_filter_gates_events() {
         let tele = Telemetry::new(); // Info floor
         tele.emit(Event::new(1, "n1", "comp", Severity::Debug, "dropped"));
@@ -304,22 +301,25 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "trace"))]
-    fn trace_feature_off_compiles_events_out() {
-        let tele = Telemetry::with_severity(Severity::Trace);
-        assert!(!tele.enabled(Severity::Error));
-        tele.emit(Event::new(1, "n", "comp", Severity::Error, "compiled out"));
-        assert_eq!(tele.snapshot().events_recorded, 0);
-    }
-
-    #[test]
     fn quiet_handle_still_counts() {
-        let tele = Telemetry::quiet();
-        tele.counter("c").inc();
-        tele.emit(Event::new(1, "n", "comp", Severity::Error, "suppressed"));
-        let snap = tele.snapshot();
-        assert_eq!(snap.events_recorded, 0);
-        assert_eq!(snap.counters, vec![("c".to_string(), 1)]);
+        let disabled = Telemetry::with_severity(Severity::Trace);
+        disabled.disable_tracing();
+        for tele in [Telemetry::quiet(), disabled] {
+            for s in [
+                Severity::Trace,
+                Severity::Debug,
+                Severity::Info,
+                Severity::Warn,
+                Severity::Error,
+            ] {
+                assert!(!tele.enabled(s), "{s:?} passes a closed floor");
+            }
+            tele.counter("c").inc();
+            tele.emit(Event::new(1, "n", "comp", Severity::Error, "suppressed"));
+            let snap = tele.snapshot();
+            assert_eq!(snap.events_recorded, 0);
+            assert_eq!(snap.counters, vec![("c".to_string(), 1)]);
+        }
     }
 
     #[test]
@@ -373,7 +373,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn snapshot_surfaces_recorder_overflow() {
         let tele = Telemetry::with_severity(Severity::Trace);
         // Overflow the 4096-slot ring by one.

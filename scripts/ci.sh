@@ -12,61 +12,21 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-# Feature matrix: the trace feature must compile out cleanly everywhere
-# (metrics stay, events vanish), and the telemetry crate's own tests must
-# pass in both configurations.
-echo "==> cargo build --workspace --no-default-features (trace compiled out)"
-cargo build --workspace --no-default-features
-
-echo "==> cargo test -q -p sciera-telemetry --no-default-features"
-cargo test -q -p sciera-telemetry --no-default-features
-
-# Scale-observatory matrix: the `profile` feature (off by default) must
-# build through the facade's forwarding chain, and the telemetry crate's
-# tests must pass with the profiler compiled in. (`--workspace` would
-# fail here: member crates without a `profile` feature reject the flag,
-# so the facade package drives the forwarding.)
+# Scale-observatory matrix: the facade's `profile` feature (off by default)
+# turns on `sciera-telemetry/profile`, and so every profiler scope in the
+# build; the telemetry crate's tests must pass with the profiler compiled
+# in. (`--workspace` would fail here: member crates without a `profile`
+# feature reject the flag.)
 echo "==> cargo build --features profile (profiler compiled in)"
 cargo build --features profile
 
 echo "==> cargo test -q -p sciera-telemetry --features profile"
 cargo test -q -p sciera-telemetry --features profile
 
-# The profiler attribution proptest must hold in all three configs: the
-# default run is part of `cargo test -q` above.
+# The profiler attribution proptest must hold with the profiler compiled
+# in: the run without it is part of `cargo test -q` above.
 echo "==> cargo test -q --test prop_profiler --features profile"
 cargo test -q --test prop_profiler --features profile
-
-echo "==> cargo test -q --test prop_profiler --no-default-features"
-cargo test -q --test prop_profiler --no-default-features
-
-# The router must equal its executable spec in both feature configs: the
-# default-features run is part of `cargo test -q` above.
-echo "==> cargo test -q --test router_spec --no-default-features"
-cargo test -q --test router_spec --no-default-features
-
-# Same for the path-database proptests: the default-features run is part
-# of `cargo test -q` above.
-echo "==> cargo test -q --test prop_pathdb --no-default-features"
-cargo test -q --test prop_pathdb --no-default-features
-
-# The in-place echo turn-around must equal the decode path's reply with
-# tracing compiled out too.
-echo "==> cargo test -q --test prop_turnaround --no-default-features"
-cargo test -q --test prop_turnaround --no-default-features
-
-# Beacon-propagation model proptest: the engine's dirty-slot walk must
-# reach the state of the test's exhaustive model (segments, retained
-# slots, rounds, counters) in both feature configs. The default-features
-# run is part of `cargo test -q` above.
-echo "==> cargo test -q --test prop_propagate --no-default-features"
-cargo test -q --test prop_propagate --no-default-features
-
-# The path-dynamics dataset exporter proptest (JSONL round-trip, epoch
-# monotonicity, churn/board 1:1, seeded byte-replay) must hold in both
-# feature configs.
-echo "==> cargo test -q --test prop_dynamics --no-default-features"
-cargo test -q --test prop_dynamics --no-default-features
 
 # Benchmarks must at least compile; the A/B harness is run manually.
 echo "==> cargo bench --no-run"
@@ -191,6 +151,30 @@ banned='netsim|sim_events|sim\.dispatch|World<|world\.queue_depth'
 if grep -rnE "$banned" crates src tests examples scripts Cargo.toml Cargo.lock |
     grep -v "^scripts/ci\.sh:[0-9]*:banned="; then
     echo "ci: the event world is back" >&2
+    exit 1
+fi
+
+# One build switch: `profile` is declared by the telemetry crate, whose code
+# it gates, and forwarded by the two packages sweeps are run from. Tracing
+# is the runtime severity floor; `Telemetry::quiet()` turns events off.
+# Code outside telemetry asks `Telemetry::profiling_enabled()`.
+echo "==> one build switch (profile)"
+for manifest in crates/*/Cargo.toml; do
+    case "$manifest" in crates/bench/* | crates/telemetry/*) continue ;; esac
+    if grep -q '^\[features\]' "$manifest"; then
+        echo "ci: $manifest declares cargo features" >&2
+        exit 1
+    fi
+done
+banned='feature = "trace"|default-features|--no-default-features'
+if grep -rnE -e "$banned" crates src tests examples scripts Cargo.toml |
+    grep -v "^scripts/ci\.sh:[0-9]*:banned="; then
+    echo "ci: a compile-time tracing switch is back" >&2
+    exit 1
+fi
+if grep -rn --include='*.rs' 'feature = "profile"' crates src tests examples |
+    grep -v '^crates/telemetry/'; then
+    echo "ci: the profile feature is read outside crates/telemetry" >&2
     exit 1
 fi
 

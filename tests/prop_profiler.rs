@@ -1,14 +1,15 @@
 //! Property tests for the scoped self-time profiler (the scale
 //! observatory's attribution engine).
 //!
-//! With the `profile` feature on, random scope programs — arbitrary
-//! nesting, early drops and panicking sub-trees — must yield a sound
-//! report: every node's direct children sum to at most its inclusive time
-//! and self time is exactly the remainder (the disjoint-sub-interval
+//! With profiling on (`--features profile`), random scope programs —
+//! arbitrary nesting, early drops and panicking sub-trees — must yield a
+//! sound report: every node's direct children sum to at most its inclusive
+//! time and self time is exactly the remainder (the disjoint-sub-interval
 //! argument of DESIGN.md §14).
 //!
-//! With profiling compiled out (`--no-default-features`) the same entry
-//! points must be true no-ops: zero-sized guards, empty reports.
+//! With profiling off (any other build, as `profiling_enabled()` reports)
+//! the same entry points must be true no-ops: zero-sized guards, empty
+//! reports.
 
 use proptest::prelude::*;
 
@@ -102,7 +103,7 @@ proptest! {
         let telemetry = Telemetry::quiet();
         execute(&telemetry, &steps);
         let report = telemetry.profile_report();
-        if cfg!(feature = "profile") {
+        if telemetry.profiling_enabled() {
             check_attribution(&report.entries);
             // Ranked self time must total exactly the per-entry self times.
             let total: u64 = report.entries.iter().map(|e| e.self_ns).sum();
@@ -132,7 +133,7 @@ proptest! {
             spin();
         }
         let report = telemetry.profile_report();
-        if cfg!(feature = "profile") {
+        if telemetry.profiling_enabled() {
             check_attribution(&report.entries);
             prop_assert!(
                 report.entries.iter().any(|e| e.depth == 0),
@@ -146,7 +147,7 @@ proptest! {
 
 #[test]
 fn disabled_guard_is_zero_sized() {
-    if !cfg!(feature = "profile") {
+    if !Telemetry::quiet().profiling_enabled() {
         assert_eq!(std::mem::size_of::<ProfScope>(), 0);
     }
 }
@@ -166,7 +167,7 @@ fn early_returns_close_scopes_in_order() {
     inner(&telemetry, true);
     inner(&telemetry, false);
     let report = telemetry.profile_report();
-    if cfg!(feature = "profile") {
+    if telemetry.profiling_enabled() {
         check_attribution(&report.entries);
         let alpha = report
             .entries

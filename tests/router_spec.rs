@@ -7,14 +7,24 @@
 //! garbage — in verdict, bytes, `processed`/`dropped` and the
 //! `router.{forwarded,delivered,drop.*}` counters. Every forward advances
 //! the hop pointer, a warm MAC cache changes nothing, a batch is the frame
-//! loop, and identical frames in a batch compute one MAC.
+//! loop, and identical frames in a batch compute one MAC. The severity floor
+//! changes none of it: the properties run with every per-hop span emitted
+//! and with events off.
 
 use proptest::prelude::*;
 
 use sciera::dataplane::router::FrameDecision;
+use sciera::telemetry::{Severity, Telemetry};
 
 mod spec;
 use spec::*;
+
+/// Telemetry at the two ends of the runtime floor: every event recorded,
+/// and none.
+const FLOORS: [fn() -> Telemetry; 2] = [
+    || Telemetry::with_severity(Severity::Trace),
+    Telemetry::quiet,
+];
 
 // -------------------------------------------------------------- properties
 
@@ -23,48 +33,61 @@ proptest! {
 
     /// Every frame, at every router it reaches, fresh or near hop expiry:
     /// the engine is the spec, and the counters add up. The same frames
-    /// again, through the routers' now warm MAC caches, walk alike.
+    /// again, through the routers' now warm MAC caches, walk alike. Both
+    /// floors walk alike too.
     #[test]
     fn every_frame_walks_as_the_spec_says(
         elements in prop::collection::vec((0usize..10, any::<u16>(), 1u8..=255), 1..12),
         now_off in 0u64..40_000,
     ) {
-        let mut net = Net::new();
         let frames: Vec<_> = elements.iter().map(build_frame).collect();
         let now = TS as u64 + now_off;
-        let cold: Vec<_> = frames.iter().map(|f| net.walk(f.clone(), now)).collect();
-        let warm: Vec<_> = frames.iter().map(|f| net.walk(f.clone(), now)).collect();
-        prop_assert_eq!(cold, warm);
-        net.check_counters();
+        let mut runs = Vec::new();
+        for floor in FLOORS {
+            let mut net = Net::with_telemetry(floor());
+            let cold: Vec<_> = frames.iter().map(|f| net.walk(f.clone(), now)).collect();
+            let warm: Vec<_> = frames.iter().map(|f| net.walk(f.clone(), now)).collect();
+            prop_assert_eq!(&cold, &warm);
+            net.check_counters();
+            runs.push((cold, net.telemetry.snapshot().counters));
+        }
+        prop_assert_eq!(&runs[0], &runs[1], "the severity floor changed a walk");
     }
 
     /// `process_batch` is `process_frame` on every frame in order, and so
-    /// the spec: verdicts, bytes, tallies and counters, station by station.
+    /// the spec: verdicts, bytes, tallies, counters and events, station by
+    /// station, at either floor.
     #[test]
     fn a_batch_is_the_frame_loop(
         elements in prop::collection::vec((0usize..10, any::<u16>(), 1u8..=255), 1..16),
         now_off in 0u64..40_000,
     ) {
         let now = TS as u64 + now_off;
-        let (mut net, mut batched) = (Net::new(), Net::new());
-        let mut frames: Vec<_> = elements.iter().map(build_frame).collect();
-        let mut submitted = 0;
-        for (at, ingress) in TRANSIT {
-            let mut batch = frames.clone();
-            let verdicts = batched.routers.get_mut(at).unwrap().process_batch(&mut batch, ingress, now);
-            let want: Vec<_> = frames.iter_mut().map(|f| net.step(at, f, ingress, now)).collect();
-            let got: Vec<_> = verdicts.into_iter().zip(&batch).map(|(v, f)| outcome(v, f)).collect();
-            prop_assert_eq!(&got, &want, "{}", at);
-            prop_assert_eq!(&batch, &frames);
-            submitted += frames.len() as u64;
-            let mut forwarded = want.iter().map(|o| matches!(o, Outcome::Forward(..)));
-            frames.retain(|_| forwarded.next().unwrap());
+        let mut runs = Vec::new();
+        for floor in FLOORS {
+            let (mut net, mut batched) = (Net::with_telemetry(floor()), Net::with_telemetry(floor()));
+            let mut frames: Vec<_> = elements.iter().map(build_frame).collect();
+            let (mut submitted, mut outcomes) = (0, Vec::new());
+            for (at, ingress) in TRANSIT {
+                let mut batch = frames.clone();
+                let verdicts = batched.routers.get_mut(at).unwrap().process_batch(&mut batch, ingress, now);
+                let want: Vec<_> = frames.iter_mut().map(|f| net.step(at, f, ingress, now)).collect();
+                let got: Vec<_> = verdicts.into_iter().zip(&batch).map(|(v, f)| outcome(v, f)).collect();
+                prop_assert_eq!(&got, &want, "{}", at);
+                prop_assert_eq!(&batch, &frames);
+                submitted += frames.len() as u64;
+                let mut forwarded = want.iter().map(|o| matches!(o, Outcome::Forward(..)));
+                frames.retain(|_| forwarded.next().unwrap());
+                outcomes.push(got);
+            }
+            (batched.expect, batched.tally, batched.events) = (net.expect.clone(), net.tally, net.events);
+            batched.check_counters();
+            let snap = batched.telemetry.snapshot();
+            prop_assert_eq!(snap.counter("router.batch.calls"), Some(TRANSIT.len() as u64));
+            prop_assert_eq!(snap.counter("router.batch.frames"), Some(submitted));
+            runs.push((outcomes, snap.counters));
         }
-        (batched.expect, batched.tally) = (net.expect.clone(), net.tally);
-        batched.check_counters();
-        let snap = batched.telemetry.snapshot();
-        prop_assert_eq!(snap.counter("router.batch.calls"), Some(TRANSIT.len() as u64));
-        prop_assert_eq!(snap.counter("router.batch.frames"), Some(submitted));
+        prop_assert_eq!(&runs[0], &runs[1], "the severity floor changed a batch");
     }
 }
 

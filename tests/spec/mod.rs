@@ -7,8 +7,9 @@
 //! [`Net`] runs the router's one engine, `BorderRouter::process_frame_at`,
 //! beside the spec at every router a frame reaches, and requires the two to
 //! agree in verdict, bytes, `processed`/`dropped` and the
-//! `router.{forwarded,delivered,drop.*}` counters. [`build_frame`] makes a
-//! frame of every class the router meets.
+//! `router.{forwarded,delivered,drop.*}` counters, and emit the events its
+//! telemetry floor lets through. [`build_frame`] makes a frame of every
+//! class the router meets.
 
 // Each test crate that includes this module uses a different part of it.
 #![allow(dead_code)]
@@ -27,7 +28,7 @@ use sciera::proto::scmp::ScmpMessage;
 use sciera::proto::trace::{TraceContext, HBH_EXT_PROTOCOL};
 use sciera::proto::wire::HeaderOffsets;
 use sciera::proto::ProtoError;
-use sciera::telemetry::Telemetry;
+use sciera::telemetry::{Severity, Telemetry};
 
 pub const TS: u32 = 1_700_000_000;
 pub const NOW: u64 = TS as u64 + 100;
@@ -229,11 +230,21 @@ pub struct Net {
     pub expect: BTreeMap<String, u64>,
     /// Frames processed and dropped.
     pub tally: (u64, u64),
+    /// Events the telemetry floor lets through: a drop's `Warn`, a traced
+    /// frame's `Trace` hop span.
+    pub events: u64,
 }
 
 impl Net {
     pub fn new() -> Self {
-        let mut net = Net::default();
+        Net::with_telemetry(Telemetry::default())
+    }
+
+    pub fn with_telemetry(telemetry: Telemetry) -> Self {
+        let mut net = Net {
+            telemetry,
+            ..Net::default()
+        };
         for (a, _, b, _) in LINKS {
             net.set_key(a, secrets(a).hop_key);
             net.set_key(b, secrets(b).hop_key);
@@ -268,6 +279,12 @@ impl Net {
             *self.expect.entry(name.to_string()).or_default() += 1;
             self.tally.0 += 1;
             self.tally.1 += u64::from(matches!(want, Outcome::Drop(_)));
+            let traced = ScionPacket::decode(&input).is_ok_and(|p| p.trace.is_some());
+            let severity = match want {
+                Outcome::Drop(_) => Some(Severity::Warn),
+                _ => traced.then_some(Severity::Trace),
+            };
+            self.events += u64::from(severity.is_some_and(|s| self.telemetry.enabled(s)));
         }
         got
     }
@@ -286,11 +303,14 @@ impl Net {
         outcomes
     }
 
-    /// The engine's counters and tallies read what the spec adds up to.
+    /// The engine's counters, tallies and events read what the spec adds
+    /// up to.
     pub fn check_counters(&self) {
         let named = ["router.forwarded", "router.delivered"];
         let counted = |n: &str| n.starts_with("router.drop.") || named.contains(&n);
-        let counters = self.telemetry.snapshot().counters.into_iter();
+        let snap = self.telemetry.snapshot();
+        assert_eq!(snap.events_recorded, self.events, "events");
+        let counters = snap.counters.into_iter();
         let got: BTreeMap<_, _> = counters.filter(|(n, v)| *v > 0 && counted(n)).collect();
         assert_eq!(got, self.expect, "router counters");
         let sum = |f: fn(&BorderRouter) -> u64| self.routers.values().map(f).sum::<u64>();

@@ -6,8 +6,6 @@
 //! ground truth to within one histogram bucket; and killing a link produces
 //! an ext-if-down-correlated health drop with exactly one churn event.
 
-#![cfg(feature = "trace")]
-
 use sciera::prelude::*;
 use sciera::telemetry::{hop_latencies, reconstruct_trace, validate_chain, Severity};
 
