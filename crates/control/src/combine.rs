@@ -19,7 +19,10 @@ use std::collections::BTreeSet;
 use sciera_telemetry::Telemetry;
 use scion_proto::addr::IsdAsn;
 
-use crate::fullpath::{joined_hop_count, Direction, FullPath, PathKind, UseRef};
+use crate::fullpath::{
+    derive_hops, hash_hops, joined_hop_count, Direction, FullPath, PathBody, PathHop, PathKind,
+    UseRef,
+};
 use crate::store::{BucketDep, SegmentHandle, SegmentStore};
 
 /// [`combine_paths`] wrapped with telemetry: wall-clock duration of the
@@ -72,10 +75,9 @@ pub(crate) struct CombineRecord {
 
 /// A candidate path, planned but not built: its shape, the segment ranges it
 /// would use, borrowed from the store, and the number of hops it will have
-/// if it assembles ([`joined_hop_count`], the rule [`FullPath::assemble`]
-/// itself sizes and merges by). Whether it *does* assemble — end points,
-/// peer entries, loop freedom — is `assemble`'s to say, once an answer
-/// reaches this length.
+/// if its hops derive ([`joined_hop_count`], the rule [`derive_hops`] merges
+/// by). Whether they *do* derive — end points, peer entries, loop freedom —
+/// is [`Plan::key`]'s to say, once an answer reaches this length.
 #[derive(Clone, Copy)]
 struct Plan<'a> {
     kind: PathKind,
@@ -96,12 +98,32 @@ impl<'a> Plan<'a> {
         }
     }
 
-    fn assemble(&self, src: IsdAsn, dst: IsdAsn) -> Option<FullPath> {
-        // Sized exactly: the cache keeps this list for as long as the path.
-        let planned = self.uses.iter().flatten();
-        let mut uses = Vec::with_capacity(planned.clone().count());
-        uses.extend(planned.map(|u| u.to_use()));
-        FullPath::assemble(src, dst, self.kind, uses).ok()
+    fn uses(&self) -> impl Iterator<Item = UseRef<'a>> + Clone + '_ {
+        self.uses.iter().flatten().copied()
+    }
+
+    /// Appends the path's `len` hops to `hops` and returns their key, or
+    /// leaves `hops` as it was if the plan makes no path: no allocation
+    /// beyond the buffer's, no reference count.
+    fn key(&self, src: IsdAsn, dst: IsdAsn, hops: &mut Vec<PathHop>) -> Option<[u8; 8]> {
+        let at = hops.len();
+        derive_hops(src, dst, self.uses(), hops).ok()?;
+        Some(hash_hops(&hops[at..]))
+    }
+
+    /// The path whose hops [`Plan::key`] derived as `hops` and keyed as `key`.
+    fn build(&self, src: IsdAsn, dst: IsdAsn, hops: &[PathHop], key: [u8; 8]) -> FullPath {
+        // Sized exactly: the cache keeps these lists for as long as the path.
+        let mut uses = Vec::with_capacity(self.uses().count());
+        uses.extend(self.uses().map(UseRef::to_use));
+        let body = PathBody {
+            src,
+            dst,
+            kind: self.kind,
+            uses,
+            hops: hops.to_vec(),
+        };
+        FullPath::keyed(key, body)
     }
 }
 
@@ -249,31 +271,49 @@ fn plan_pair<'a>(
 /// reproducibly), one path per fingerprint, at most `max_paths`.
 ///
 /// Paths that share a fingerprint share their hops and so their length, which
-/// lets each length be assembled, ordered and deduplicated on its own, and
-/// the walk stop at the one that fills the answer. A plan of a length the
-/// answer never reaches costs its place in the length sort and nothing else:
-/// no allocation, no hash. `assemble` is [`Plan::assemble`]; it is a
-/// parameter so a test can count what was built.
-fn pick<'a>(
-    plans: &[Plan<'a>],
+/// lets each length be keyed, ordered and deduplicated on its own, and the
+/// walk stop at the one that fills the answer. The plans of a reached length
+/// are derived into one hop buffer and keyed from it ([`Plan::key`]); a body
+/// is built ([`Plan::build`]) only for a key the answer keeps, so a plan that
+/// fails a check, repeats a path or falls past the cap costs no allocation.
+/// A plan of a length the answer never reaches costs its place in the length
+/// sort and nothing else. `key` and `build` are parameters so a test can
+/// count both steps.
+fn pick<'p, 'a>(
+    plans: &'p [Plan<'a>],
     max_paths: usize,
-    mut assemble: impl FnMut(&Plan<'a>) -> Option<FullPath>,
+    mut key: impl FnMut(&Plan<'a>, &mut Vec<PathHop>) -> Option<[u8; 8]>,
+    mut build: impl FnMut(&Plan<'a>, &[PathHop], [u8; 8]) -> FullPath,
 ) -> Vec<FullPath> {
     let mut by_len: Vec<&Plan> = plans.iter().collect();
     by_len.sort_by_key(|p| p.len);
     let mut picked: Vec<FullPath> = Vec::with_capacity(max_paths.min(by_len.len()));
+    // One hop buffer and one key list per lookup, refilled length by length:
+    // a key, its plan and where its hops start.
+    let mut hops: Vec<PathHop> = Vec::new();
+    let mut keyed: Vec<([u8; 8], &'p Plan<'a>, usize)> = Vec::new();
     for same_len in by_len.chunk_by(|a, b| a.len == b.len) {
         if picked.len() >= max_paths {
             break;
         }
-        // Each path was keyed as it was built: the sort reads the key off
-        // the handle. Both steps are stable, so of equal paths the first
-        // pushed survives.
-        let mut built: Vec<FullPath> = same_len.iter().filter_map(|plan| assemble(plan)).collect();
-        built.sort_by_key(FullPath::fingerprint_key);
-        built.dedup_by_key(|p| p.fingerprint_key());
+        let len = same_len[0].len;
+        hops.clear();
+        hops.reserve(same_len.len() * len);
+        keyed.clear();
+        keyed.reserve(same_len.len());
+        for &plan in same_len {
+            let at = hops.len();
+            if let Some(k) = key(plan, &mut hops) {
+                debug_assert_eq!(hops.len(), at + len, "hops derive to the planned length");
+                keyed.push((k, plan, at));
+            }
+        }
+        // Both steps are stable, so of equal paths the first pushed survives.
+        keyed.sort_by_key(|&(k, ..)| k);
+        keyed.dedup_by_key(|&mut (k, ..)| k);
         let room = max_paths - picked.len();
-        picked.extend(built.into_iter().take(room));
+        let kept = keyed.iter().take(room);
+        picked.extend(kept.map(|&(k, plan, at)| build(plan, &hops[at..at + len], k)));
     }
     picked
 }
@@ -293,8 +333,10 @@ pub(crate) fn combine_paths_recorded(
         };
     }
     let (plans, deps) = enumerate(store, src, dst);
+    let key = |plan: &Plan, hops: &mut Vec<PathHop>| plan.key(src, dst, hops);
+    let build = |plan: &Plan, hops: &[PathHop], k| plan.build(src, dst, hops, k);
     CombineRecord {
-        paths: pick(&plans, max_paths, |plan| plan.assemble(src, dst)),
+        paths: pick(&plans, max_paths, key, build),
         deps,
     }
 }
@@ -306,6 +348,24 @@ mod tests {
     use crate::fullpath::SegmentUse;
     use crate::graph::{ControlGraph, LinkType};
     use scion_proto::addr::ia;
+
+    impl Plan<'_> {
+        /// The plan keyed and built on its own, as `pick` treats a plan whose
+        /// path it keeps.
+        fn assemble(&self, src: IsdAsn, dst: IsdAsn) -> Option<FullPath> {
+            let mut hops = Vec::new();
+            let key = self.key(src, dst, &mut hops)?;
+            Some(self.build(src, dst, &hops, key))
+        }
+    }
+
+    /// `pick` as `combine_paths_recorded` calls it.
+    fn pick_between(plans: &[Plan], cap: usize, src: IsdAsn, dst: IsdAsn) -> Vec<FullPath> {
+        let key = |plan: &Plan, hops: &mut Vec<PathHop>| plan.key(src, dst, hops);
+        pick(plans, cap, key, |plan, hops, k| {
+            plan.build(src, dst, hops, k)
+        })
+    }
 
     /// Two cores, two leaves, leaves peered — the canonical diamond.
     fn diamond_store() -> SegmentStore {
@@ -626,39 +686,50 @@ mod tests {
         );
         for cap in (0..=answer.len() + 1).chain([usize::MAX]) {
             assert_eq!(
-                pick(&twice, cap, |p| p.assemble(src, dst)),
+                pick_between(&twice, cap, src, dst),
                 whole_list_finalize(&built, cap),
                 "cap {cap}"
             );
         }
-        assert_eq!(pick(&twice, usize::MAX, |p| p.assemble(src, dst)), answer);
+        assert_eq!(pick_between(&twice, usize::MAX, src, dst), answer);
     }
 
     #[test]
-    fn only_the_lengths_an_answer_reaches_are_assembled() {
+    fn a_lookup_builds_only_the_paths_it_answers_with() {
         let store = layered_store();
         let (src, dst) = (ia("71-100"), ia("71-101"));
         let (plans, _) = enumerate(&store, src, dst);
-        let mut assembled: Vec<usize> = Vec::new();
-        let mut tally = |plan: &Plan| {
-            assembled.push(plan.len);
-            plan.assemble(src, dst)
-        };
-        assert!(pick(&plans, 0, &mut tally).is_empty());
-        let answer = pick(&plans, 1, &mut tally);
-        let [winner] = &answer[..] else {
-            panic!("cap 1 answers with one path");
-        };
-        assert_eq!(answer, combine_paths(&store, src, dst, 1));
-        // Nothing of another length was built, so nothing of another
-        // length was hashed: a path is keyed when it is built.
-        assert!(!assembled.is_empty() && assembled.iter().all(|len| *len == winner.len()));
-        let longer = plans.iter().filter(|p| p.len > winner.len()).count();
-        assert!(longer > 0);
-        assert_eq!(
-            assembled.len(),
-            plans.iter().filter(|p| p.len == winner.len()).count()
-        );
+        let whole = combine_paths(&store, src, dst, usize::MAX).len();
+        let winner_len = combine_paths(&store, src, dst, 1)[0].len();
+        assert!(plans.iter().any(|p| p.len > winner_len), "one length only");
+        for cap in [0, 1, whole - 1, whole, usize::MAX] {
+            let (mut keyed, mut built) = (Vec::new(), 0);
+            let answer = pick(
+                &plans,
+                cap,
+                |plan, hops| {
+                    keyed.push(plan.len);
+                    plan.key(src, dst, hops)
+                },
+                |plan, hops, k| {
+                    built += 1;
+                    plan.build(src, dst, hops, k)
+                },
+            );
+            assert_eq!(answer, combine_paths(&store, src, dst, cap), "cap {cap}");
+            assert_eq!(built, answer.len(), "cap {cap}: bodies built");
+            // The lengths walked: all of them while the answer has room,
+            // else those up to the one that filled it.
+            let reached =
+                |len: usize| answer.len() < cap || answer.last().is_some_and(|p| len <= p.len());
+            let mut expected: Vec<usize> = plans
+                .iter()
+                .map(|p| p.len)
+                .filter(|&l| reached(l))
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(keyed, expected, "cap {cap}: plans keyed");
+        }
     }
 
     /// Same-core and shortcut combinations in a deeper hierarchy:

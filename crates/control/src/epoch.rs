@@ -434,7 +434,7 @@ impl EpochPathDb {
         }
         let _prof = m.telemetry.prof_scope("pathdb.combine");
         for &(src, dst) in &todo {
-            let record = combine_paths_recorded(&snap.store, src, dst, max_paths);
+            let record = combine(&m, &snap, src, dst, max_paths);
             m.misses.inc();
             let key = (src, dst, 0u64, max_paths);
             let paths = self.install(&m, &snap, key, record, None);
@@ -532,7 +532,6 @@ impl EpochPathDb {
     ) -> (Arc<Vec<FullPath>>, u64) {
         let m = self.m();
         let _prof = m.telemetry.prof_scope("pathdb.query");
-        let start = Instant::now();
         let snap = self.snapshot();
         let gen = snap.generation;
         let fp = policy.map(policy_fingerprint).unwrap_or(0);
@@ -550,7 +549,7 @@ impl EpochPathDb {
                     m.hits.inc();
                     let paths = e.paths.clone();
                     drop(shard);
-                    self.finish(&m, start, &paths);
+                    m.paths_combined.add(paths.len() as u64);
                     return (paths, gen);
                 }
                 // Entry and snapshot are at different generations: if no
@@ -570,7 +569,7 @@ impl EpochPathDb {
                     m.revalidates.inc();
                     let paths = e.paths.clone();
                     drop(shard);
-                    self.finish(&m, start, &paths);
+                    m.paths_combined.add(paths.len() as u64);
                     return (paths, gen);
                 }
                 // A consulted bucket changed: the entry is recombined, whole.
@@ -597,10 +596,10 @@ impl EpochPathDb {
         // Combine against the snapshot with no locks held.
         let record = {
             let _c = m.telemetry.prof_scope("pathdb.combine");
-            combine_paths_recorded(&snap.store, src, dst, max_paths)
+            combine(&m, &snap, src, dst, max_paths)
         };
         let paths = self.install(&m, &snap, key, record, policy);
-        self.finish(&m, start, &paths);
+        m.paths_combined.add(paths.len() as u64);
         (paths, gen)
     }
 
@@ -659,11 +658,22 @@ impl EpochPathDb {
         );
         paths
     }
+}
 
-    fn finish(&self, m: &Metrics, start: Instant, paths: &[FullPath]) {
-        m.combine_ns.record(start.elapsed().as_nanos() as f64);
-        m.paths_combined.add(paths.len() as u64);
-    }
+/// One combination against `snap`, timed into `control.combine_ns`: the
+/// histogram holds combinations, a query miss's or a prefetch's, and never a
+/// cache hit. (`control.paths_combined` counts paths served per lookup.)
+fn combine(
+    m: &Metrics,
+    snap: &PathSnapshot,
+    src: IsdAsn,
+    dst: IsdAsn,
+    max_paths: usize,
+) -> CombineRecord {
+    let start = Instant::now();
+    let record = combine_paths_recorded(&snap.store, src, dst, max_paths);
+    m.combine_ns.record(start.elapsed().as_nanos() as f64);
+    record
 }
 
 #[cfg(test)]
@@ -912,6 +922,30 @@ mod tests {
                 combine_paths(snap.store(), src, dst, 100)
             );
         }
+    }
+
+    #[test]
+    fn only_a_combination_is_timed() {
+        let db = EpochPathDb::new(mesh());
+        let telemetry = Telemetry::new();
+        db.set_telemetry(telemetry.clone());
+        let (src, dst) = (ia("71-10"), ia("71-20"));
+        let answer = db.paths(src, dst, 100).len();
+        for _ in 0..5 {
+            assert_eq!(db.paths(src, dst, 100).len(), answer);
+        }
+        let snap = telemetry.snapshot();
+        let timed = |snap: &sciera_telemetry::TelemetrySnapshot| {
+            snap.histogram("control.combine_ns").map(|h| h.count)
+        };
+        assert_eq!(timed(&snap), Some(1), "one miss, five hits");
+        assert_eq!(
+            snap.counter("control.paths_combined"),
+            Some(6 * answer as u64)
+        );
+        // A prefetch combines, so it is timed too, once per pair.
+        assert_eq!(db.prefetch(&[(src, ia("71-30")), (dst, src)], 100), 2);
+        assert_eq!(timed(&telemetry.snapshot()), Some(3));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 use scion_proto::addr::IsdAsn;
 use scion_proto::path::{HopField, InfoField, ScionPath};
 
+use crate::segment::AsEntry;
 use crate::store::SegmentHandle;
 use crate::ControlError;
 
@@ -69,13 +70,6 @@ impl SegmentUse {
         self.to_idx - self.from_idx + 1
     }
 
-    /// Entry indices in traversal order.
-    fn traversal_indices(&self) -> impl Iterator<Item = usize> {
-        let (from, to) = (self.from_idx, self.to_idx);
-        let against = self.dir == Direction::AgainstCons;
-        (from..=to).map(move |i| if against { to - (i - from) } else { i })
-    }
-
     /// This use with its segment handle borrowed.
     pub(crate) fn as_ref(&self) -> UseRef<'_> {
         UseRef {
@@ -85,23 +79,6 @@ impl SegmentUse {
             to_idx: self.to_idx,
             peer_with: self.peer_with,
         }
-    }
-
-    /// The hop field for entry `idx`, honouring peer substitution.
-    fn hop_field_at(&self, idx: usize) -> Result<HopField, ControlError> {
-        let entry = &self.segment.entries[idx];
-        if idx == self.from_idx {
-            if let Some(peer) = self.peer_with {
-                let pe = entry.peers.iter().find(|p| p.peer == peer).ok_or_else(|| {
-                    ControlError::BadSegment(format!(
-                        "{} has no peer entry toward {}",
-                        entry.ia, peer
-                    ))
-                })?;
-                return Ok(pe.hop);
-            }
-        }
-        Ok(entry.hop)
     }
 
     /// The initial segment identifier for the info field.
@@ -170,6 +147,160 @@ impl<'a> UseRef<'a> {
         let at_to = last == (self.dir == Direction::Cons);
         self.segment.entries[if at_to { self.to_idx } else { self.from_idx }].ia
     }
+
+    /// Calls `visit` with each used entry's AS and hop field, in traversal
+    /// order: at the junction end of a peering use (entry `from_idx`) the
+    /// peer hop toward `peer_with`. The entry range must be in bounds.
+    fn traverse(self, mut visit: impl FnMut(IsdAsn, HopField)) -> Result<(), Rejected> {
+        let used = &self.segment.entries[self.from_idx..=self.to_idx];
+        let mut step = |(at, entry): (usize, &AsEntry)| {
+            let hop = match self.peer_with {
+                Some(peer) if at == 0 => entry
+                    .peers
+                    .iter()
+                    .find(|p| p.peer == peer)
+                    .map(|pe| pe.hop)
+                    .ok_or(Rejected::NoPeer { at: entry.ia, peer })?,
+                _ => entry.hop,
+            };
+            visit(entry.ia, hop);
+            Ok(())
+        };
+        match self.dir {
+            Direction::Cons => used.iter().enumerate().try_for_each(&mut step),
+            Direction::AgainstCons => used.iter().enumerate().rev().try_for_each(&mut step),
+        }
+    }
+}
+
+/// Why segment uses make no path from `src` to `dst`: what [`derive_hops`]
+/// checks, kept as plain values so that a candidate the combinator rejects
+/// costs no allocation. A [`ControlError`] renders it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rejected {
+    Uses(usize),
+    Range {
+        from: usize,
+        to: usize,
+        entries: usize,
+    },
+    NoPeer {
+        at: IsdAsn,
+        peer: IsdAsn,
+    },
+    Start(IsdAsn),
+    End(IsdAsn),
+    Loop,
+}
+
+impl From<Rejected> for ControlError {
+    fn from(r: Rejected) -> Self {
+        ControlError::BadSegment(match r {
+            Rejected::Uses(n) => format!("a path uses 1..=3 segments, got {n}"),
+            Rejected::Range { from, to, entries } => {
+                format!("entry range {from}..={to} out of bounds for segment of {entries} entries")
+            }
+            Rejected::NoPeer { at, peer } => format!("{at} has no peer entry toward {peer}"),
+            Rejected::Start(src) => format!("path does not start at {src}"),
+            Rejected::End(dst) => format!("path does not end at {dst}"),
+            Rejected::Loop => "path visits an AS twice".into(),
+        })
+    }
+}
+
+/// The hop rule and every check a path passes: appends to `hops` the
+/// AS-level hops of the path from `src` to `dst` over `uses` (in traversal
+/// order), or leaves `hops` as it was and says why there is none. Checked:
+/// one to three uses, entry ranges in bounds, peer entries present, the end
+/// points, loop freedom. [`FullPath::assemble`] is this, a hash and a body;
+/// the combinator derives every candidate it reaches into one buffer per
+/// lookup, sized by [`joined_hop_count`], and builds a body only for what
+/// its answer keeps.
+///
+/// Adjacent uses that join at the same AS are merged: the packet crosses
+/// that AS internally — it enters via the previous use's ingress and leaves
+/// via the next use's egress; the boundary-facing interfaces of the two hop
+/// fields are not used for forwarding. Peering junctions cross a link
+/// between two *different* ASes and are not merged.
+pub(crate) fn derive_hops<'a, I>(
+    src: IsdAsn,
+    dst: IsdAsn,
+    uses: I,
+    hops: &mut Vec<PathHop>,
+) -> Result<(), Rejected>
+where
+    I: IntoIterator<Item = UseRef<'a>>,
+    I::IntoIter: Clone,
+{
+    let uses = uses.into_iter();
+    let mut count = 0;
+    for u in uses.clone() {
+        count += 1;
+        if u.from_idx > u.to_idx || u.to_idx >= u.segment.len() {
+            let entries = u.segment.len();
+            let (from, to) = (u.from_idx, u.to_idx);
+            return Err(Rejected::Range { from, to, entries });
+        }
+    }
+    if !(1..=3).contains(&count) {
+        return Err(Rejected::Uses(count));
+    }
+    let start = hops.len();
+    let derived = push_hops(src, dst, uses, hops, start);
+    if derived.is_err() {
+        hops.truncate(start);
+    }
+    derived
+}
+
+/// [`derive_hops`] past its range checks, appending from `start`; on an
+/// error it leaves what it pushed for the caller to drop.
+fn push_hops<'a>(
+    src: IsdAsn,
+    dst: IsdAsn,
+    uses: impl Iterator<Item = UseRef<'a>>,
+    hops: &mut Vec<PathHop>,
+    start: usize,
+) -> Result<(), Rejected> {
+    for u in uses {
+        // A use's first hop meets the path so far, if there is one.
+        let mut joining = hops.len() > start;
+        u.traverse(|ia, hf| {
+            let (ingress, egress) = match u.dir {
+                Direction::Cons => (hf.cons_ingress, hf.cons_egress),
+                Direction::AgainstCons => (hf.cons_egress, hf.cons_ingress),
+            };
+            match hops.last_mut() {
+                Some(last) if joining && last.ia == ia => last.egress = egress,
+                _ => hops.push(PathHop {
+                    ia,
+                    ingress,
+                    egress,
+                }),
+            }
+            joining = false;
+        })?;
+    }
+    let path = &mut hops[start..];
+    // The path's end points never use their outward-facing interfaces.
+    if let Some(first) = path.first_mut() {
+        first.ingress = 0;
+    }
+    if let Some(last) = path.last_mut() {
+        last.egress = 0;
+    }
+    if path.first().map(|h| h.ia) != Some(src) {
+        return Err(Rejected::Start(src));
+    }
+    if path.last().map(|h| h.ia) != Some(dst) {
+        return Err(Rejected::End(dst));
+    }
+    // No AS may appear twice (loop freedom).
+    let revisits = |(i, h): (usize, &PathHop)| path[..i].iter().any(|g| g.ia == h.ia);
+    if path.iter().enumerate().any(revisits) {
+        return Err(Rejected::Loop);
+    }
+    Ok(())
 }
 
 /// Number of AS-level hops a path over `uses` (in traversal order, entry
@@ -178,9 +309,9 @@ impl<'a> UseRef<'a> {
 /// internally, so its two hop fields make one hop; a peering junction joins
 /// two *different* ASes and merges nothing.
 ///
-/// [`FullPath::assemble`] sizes its hop list by this count and merges by the
-/// same comparison, and the combinator orders its candidates by it before
-/// assembling any: a candidate that assembles has exactly this many hops.
+/// [`derive_hops`] merges by the same comparison, and the combinator orders
+/// its candidates by this count and sizes its hop buffer by it before
+/// deriving any: a candidate whose hops derive has exactly this many.
 pub(crate) fn joined_hop_count<'a>(uses: impl IntoIterator<Item = UseRef<'a>>) -> usize {
     let mut hops = 0;
     let mut reached: Option<IsdAsn> = None;
@@ -304,7 +435,7 @@ impl Deserialize for FullPath {
 }
 
 /// SHA-256 over the hops' `(ISD-AS, ingress, egress)` triples, first 8 bytes.
-fn hash_hops(hops: &[PathHop]) -> [u8; 8] {
+pub(crate) fn hash_hops(hops: &[PathHop]) -> [u8; 8] {
     // The combinator takes one fingerprint per candidate it reaches: the
     // triples of any path of up to 21 hops are laid out on the stack.
     const HOP_BYTES: usize = 12;
@@ -334,8 +465,16 @@ impl FullPath {
     /// tests and tools that need a path of given hops without real segments,
     /// and for deserialisation.
     pub fn from_body(body: PathBody) -> Self {
+        Self::keyed(hash_hops(&body.hops), body)
+    }
+
+    /// Wraps `body` under `key`, which the caller already took over its hops
+    /// ([`hash_hops`]): the combinator keys every candidate it reaches before
+    /// it builds the few its answer keeps.
+    pub(crate) fn keyed(key: [u8; 8], body: PathBody) -> Self {
+        debug_assert_eq!(key, hash_hops(&body.hops), "a key is its hops' hash");
         FullPath {
-            key: hash_hops(&body.hops),
+            key,
             len: u32::try_from(body.hops.len()).expect("a path of fewer than 2^32 hops"),
             body: Arc::new(body),
         }
@@ -355,87 +494,25 @@ impl FullPath {
     }
 
     /// Builds a path from segment uses, deriving and validating the AS-level
-    /// hop sequence (adjacent uses must join at the same AS).
+    /// hop sequence ([`derive_hops`]: adjacent uses must join at the same AS).
     pub fn assemble(
         src: IsdAsn,
         dst: IsdAsn,
         kind: PathKind,
         uses: Vec<SegmentUse>,
     ) -> Result<Self, ControlError> {
-        if uses.is_empty() || uses.len() > 3 {
-            return Err(ControlError::BadSegment(format!(
-                "a path uses 1..=3 segments, got {}",
-                uses.len()
-            )));
-        }
-        for u in &uses {
-            if u.from_idx > u.to_idx || u.to_idx >= u.segment.len() {
-                return Err(ControlError::BadSegment(format!(
-                    "entry range {}..={} out of bounds for segment of {} entries",
-                    u.from_idx,
-                    u.to_idx,
-                    u.segment.len()
-                )));
-            }
-        }
-        // Merge at segment boundaries: when two adjacent uses join at the
-        // same AS, the packet crosses that AS internally — it enters via the
-        // previous use's ingress and leaves via the next use's egress; the
-        // boundary-facing interfaces of the two hop fields are not used for
-        // forwarding. Peering junctions cross a link between two *different*
-        // ASes and are not merged.
-        //
-        // No scratch lists: the hops are sized exactly and written once, in
-        // traversal order.
-        let mut hops: Vec<PathHop> =
-            Vec::with_capacity(joined_hop_count(uses.iter().map(SegmentUse::as_ref)));
-        for u in &uses {
-            for (step, idx) in u.traversal_indices().enumerate() {
-                let hf = u.hop_field_at(idx)?;
-                let (ingress, egress) = match u.dir {
-                    Direction::Cons => (hf.cons_ingress, hf.cons_egress),
-                    Direction::AgainstCons => (hf.cons_egress, hf.cons_ingress),
-                };
-                let ia = u.segment.entries[idx].ia;
-                match hops.last_mut() {
-                    Some(last) if step == 0 && last.ia == ia => last.egress = egress,
-                    _ => hops.push(PathHop {
-                        ia,
-                        ingress,
-                        egress,
-                    }),
-                }
-            }
-        }
-        // The path's end points never use their outward-facing interfaces.
-        if let Some(first) = hops.first_mut() {
-            first.ingress = 0;
-        }
-        if let Some(last) = hops.last_mut() {
-            last.egress = 0;
-        }
-        if hops.first().map(|h| h.ia) != Some(src) {
-            return Err(ControlError::BadSegment(format!(
-                "path does not start at {src}"
-            )));
-        }
-        if hops.last().map(|h| h.ia) != Some(dst) {
-            return Err(ControlError::BadSegment(format!(
-                "path does not end at {dst}"
-            )));
-        }
-        // No AS may appear twice (loop freedom).
-        let revisits = |(i, h): (usize, &PathHop)| hops[..i].iter().any(|g| g.ia == h.ia);
-        if hops.iter().enumerate().any(revisits) {
-            return Err(ControlError::BadSegment("path visits an AS twice".into()));
-        }
-        Ok(FullPath::from_body(PathBody {
+        let mut hops = Vec::new();
+        derive_hops(src, dst, uses.iter().map(SegmentUse::as_ref), &mut hops)?;
+        // A cached path holds no spare capacity.
+        hops.shrink_to_fit();
+        let body = PathBody {
             src,
             dst,
             kind,
             uses,
             hops,
-        }))
+        };
+        Ok(FullPath::keyed(hash_hops(&body.hops), body))
     }
 
     /// Number of AS-level hops, read from the handle.
@@ -505,9 +582,7 @@ impl FullPath {
         let mut segments = Vec::with_capacity(self.uses.len());
         for u in &self.uses {
             let mut hops = Vec::with_capacity(u.hop_count());
-            for idx in u.traversal_indices() {
-                hops.push(u.hop_field_at(idx)?);
-            }
+            u.as_ref().traverse(|_, hop| hops.push(hop))?;
             segments.push((u.info_field(), hops));
         }
         ScionPath::from_segments(segments)

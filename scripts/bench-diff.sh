@@ -55,11 +55,14 @@ work = f"{root}/target/bench-diff"
 src = {"parent": f"{work}/parent-src", "change": root}
 
 # The parent's files, and nothing of its history: no worktree to register,
-# nothing to clean out of .git if a run is interrupted.
+# nothing to clean out of .git if a run is interrupted. Stamped with the
+# time of extraction (`-m`), not the commit's: cargo rebuilds what is newer
+# than its last build, and with commit times a parent target built from an
+# earlier parent would be reused as this one.
 shutil.rmtree(src["parent"], ignore_errors=True)
 os.makedirs(src["parent"])
 archive = subprocess.Popen(["git", "-C", root, "archive", parent], stdout=subprocess.PIPE)
-subprocess.run(["tar", "-x", "-C", src["parent"]], stdin=archive.stdout, check=True)
+subprocess.run(["tar", "-x", "-m", "-C", src["parent"]], stdin=archive.stdout, check=True)
 if archive.wait() != 0:
     sys.exit(f"git archive {parent} failed")
 

@@ -143,6 +143,17 @@ if grep -rnE 'fn (process_scion_path|batch_mac_pass|verify_batch|encrypt_blocks)
     exit 1
 fi
 
+# A cold miss builds only its answer: the combinator derives and keys every
+# candidate it reaches from one hop buffer and builds a body only for what it
+# keeps. Assembling a plan, which builds before it knows, is the tests' to do.
+echo "==> a cold miss builds only its answer (control)"
+awk '/#\[cfg\(test\)\]/ { in_tests = 1 }
+     /fn assemble[(<]/ && !in_tests { print FILENAME ":" FNR ": " $0; found = 1 }
+     END { exit found }' crates/control/src/combine.rs || {
+    echo "ci: the combinator assembles paths before it knows it keeps them" >&2
+    exit 1
+}
+
 # No event world: the discrete-event simulator crate, the scale sweep's
 # relay stage and their counters stay deleted. The network's clock is its
 # `now_unix`; an evented clock arrives together with its first caller.

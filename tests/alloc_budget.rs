@@ -9,7 +9,8 @@
 //! benchmark has to notice it as noise. A fresh socket's first contact over
 //! a primed pair is counted the same way: choosing its path allocates
 //! nothing. So is one border router: a frame, traced or not, allocates
-//! nothing, and a batch only its list of verdicts.
+//! nothing, and a batch only its list of verdicts. A cold path lookup
+//! allocates for the paths it answers with, not for every candidate.
 //!
 //! The counter sits in this test crate (the product crates forbid unsafe
 //! code) and counts only the thread that asked, only while it asks.
@@ -255,5 +256,24 @@ fn the_per_datagram_path_stays_within_its_allocation_budget() {
     assert!(
         bytes <= handles + 1200,
         "a warm connect requested {bytes} B, {handles} B of them the answer's handles"
+    );
+
+    // --- The same pair's cold miss: the path database flushed, one
+    // combination. Only the paths the answer keeps get a body, three
+    // allocations each (uses, hops, the shared body); the lookup's own
+    // lists fit in the rest. (729 while every candidate of every length
+    // reached was built, those failing a check, repeated or past the cap
+    // included.)
+    let db = net.pathdb();
+    let (allocs, _) = steady(
+        || {
+            db.flush();
+            db.paths(src, dst, 200).len()
+        },
+        |n| assert_eq!(n, answer),
+    );
+    assert!(
+        allocs <= 3 * answer as u64 + 40,
+        "a cold miss allocated {allocs} times"
     );
 }
