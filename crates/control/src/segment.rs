@@ -688,7 +688,7 @@ mod tests {
             .extend(&all[1], 7, 3, &[])
             .extend(&all[2], 1, 0, &[])
             .materialize();
-        let mut spliced = seg_a.clone();
+        let mut spliced = seg_a;
         spliced.entries[1] = seg_b.entries[1].clone();
         assert!(spliced.verify(&key_fn(&all), &hop_fn(&all)).is_err());
     }
@@ -707,7 +707,7 @@ mod tests {
     fn peer_entry_verifies_and_is_bound() {
         let (seg, all) = build_chain();
         seg.verify(&key_fn(&all), &hop_fn(&all)).unwrap();
-        let mut tampered = seg.clone();
+        let mut tampered = seg;
         tampered.entries[1].peers[0].hop.cons_ingress = 13;
         assert!(tampered.verify(&key_fn(&all), &hop_fn(&all)).is_err());
     }

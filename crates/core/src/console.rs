@@ -21,7 +21,6 @@ use parking_lot::Mutex;
 
 use sciera_telemetry::{counter_rates, prometheus_text, CounterRate, Telemetry, TelemetrySnapshot};
 use scion_control::epoch::EpochPathDb;
-use scion_orchestrator::health::HealthBoard;
 
 use crate::network::Inner;
 
@@ -34,7 +33,6 @@ const MAX_HOTSPOTS: usize = 5;
 /// A live operator view over one network's telemetry and health board.
 pub struct OperatorConsole {
     telemetry: Telemetry,
-    health: Arc<Mutex<HealthBoard>>,
     net: Arc<Mutex<Inner>>,
     pathdb: EpochPathDb,
     /// The previous render's snapshot (JSON round-tripped) and sim time.
@@ -42,15 +40,9 @@ pub struct OperatorConsole {
 }
 
 impl OperatorConsole {
-    pub(crate) fn new(
-        telemetry: Telemetry,
-        health: Arc<Mutex<HealthBoard>>,
-        net: Arc<Mutex<Inner>>,
-        pathdb: EpochPathDb,
-    ) -> Self {
+    pub(crate) fn new(telemetry: Telemetry, net: Arc<Mutex<Inner>>, pathdb: EpochPathDb) -> Self {
         OperatorConsole {
             telemetry,
-            health,
             net,
             pathdb,
             last: None,
@@ -95,13 +87,13 @@ impl OperatorConsole {
     /// rates since the previous `render` call (rates are omitted on the
     /// first call — there is nothing to diff yet).
     pub fn render(&mut self) -> String {
-        let now = self.net.lock().now_unix;
+        let (now, rows, churn) = {
+            let inner = self.net.lock();
+            let board = &inner.health;
+            (inner.plane.now_unix, board.rows(), board.churn_count())
+        };
         self.refresh_observatory();
         let snap = self.telemetry.snapshot();
-        let (rows, churn) = {
-            let board = self.health.lock();
-            (board.rows(), board.churn_count())
-        };
 
         let mut out = String::new();
         let _ = writeln!(out, "SCIERA operator console — t={now}");

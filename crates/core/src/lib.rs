@@ -27,6 +27,11 @@
 //! accumulated link latency is reported so packet-level RTTs can be
 //! checked against the analytic fast path used by the measurement
 //! campaign.
+//!
+//! What changes after the build (the data plane and its clock, the prober,
+//! the health board, the CAs, renewal drivers and bootstrap servers) has one
+//! owner behind one lock. The path database (`EpochPathDb`) and the trust
+//! store (`TrustStore`) synchronise themselves and sit outside it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,14 +10,13 @@ use sciera_measure::dynamics::DynamicsNet;
 use sciera_telemetry::{Event, Severity, Telemetry};
 use sciera_topology::ases::as_info;
 use sciera_topology::links::{build_control_graph, BuiltTopology, PER_AS_OVERHEAD_MS};
-use scion_bootstrap::server::{BootstrapServer, TopologyDocument};
+use scion_bootstrap::server::{BootstrapServer, SignedTopology, TopologyDocument};
 use scion_control::beacon::{BeaconConfig, BeaconEngine};
 use scion_control::epoch::EpochPathDb;
 use scion_control::fullpath::{FullPath, PathHop};
 use scion_control::segment::AsSecrets;
-use scion_control::store::SegmentStore;
 use scion_cppki::ca::{CaService, ClientProfile};
-use scion_cppki::cert::{CertType, Certificate};
+use scion_cppki::cert::{CertType, Certificate, CertificateChain};
 use scion_cppki::trc::{Trc, TrcKeyEntry};
 use scion_daemon::trust::TrustStore;
 use scion_dataplane::dispatcher::{IngressShards, DEFAULT_SHARD_CAPACITY};
@@ -27,7 +26,7 @@ use scion_orchestrator::health::{ChurnEvent, HealthBoard, HealthRow};
 use scion_orchestrator::prober::{
     EchoOutcome, EchoTransport, PathProber, ProbeResult, ProberConfig,
 };
-use scion_orchestrator::renewal::{bootstrap_driver, RenewalDriver};
+use scion_orchestrator::renewal::{bootstrap_driver, RenewalAction, RenewalDriver};
 use scion_proto::addr::{HostAddr, IsdAsn, IsdNumber, ScionAddr};
 use scion_proto::encap::UnderlayAddr;
 use scion_proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
@@ -174,7 +173,9 @@ impl LinkState {
     }
 }
 
-pub(crate) struct Inner {
+/// The data plane: topology, routers, link state, host inboxes, the echo
+/// cache and the clock.
+pub(crate) struct DataPlane {
     topo: BuiltTopology,
     /// One router per AS, indexed by `topo`'s node numbers: a walker looks
     /// its source AS up once (`BuiltTopology::node_of`) and carries the
@@ -198,32 +199,29 @@ pub(crate) struct Inner {
     echo_buf: Vec<u8>,
 }
 
+/// Everything of the deployment that changes after the build, behind the
+/// network's one lock.
+pub(crate) struct Inner {
+    pub(crate) plane: DataPlane,
+    prober: PathProber,
+    pub(crate) health: HealthBoard,
+    /// One CA per ISD, keyed by ISD number.
+    cas: BTreeMap<u16, CaService>,
+    renewal: BTreeMap<IsdAsn, RenewalDriver>,
+    bootstrap_servers: BTreeMap<IsdAsn, BootstrapServer>,
+}
+
 /// The assembled deployment.
 pub struct SciEraNetwork {
-    /// Registered path segments (the merged path-server view).
-    pub store: SegmentStore,
     /// Per-AS secrets (hop keys + signing keys), shared with the beacon
     /// engine via `Arc` rather than deep-copied.
     pub secrets: BTreeMap<IsdAsn, Arc<AsSecrets>>,
-    /// The end-host trust store, primed with both ISD TRCs and every AS's
-    /// verified chain.
-    pub trust: TrustStore,
-    /// Certificate renewal drivers per AS (the orchestrator would tick
-    /// these in production).
-    pub renewal: BTreeMap<IsdAsn, RenewalDriver>,
-    /// One CA per ISD, keyed by ISD number (ISD 71's lives at GEANT on
-    /// the SCIERA topology; synthetic topologies get one at the first
-    /// core of each ISD).
-    pub cas: BTreeMap<u16, CaService>,
-    /// Bootstrap servers per AS.
-    pub bootstrap_servers: BTreeMap<IsdAsn, BootstrapServer>,
+    trust: TrustStore,
     telemetry: Telemetry,
     inner: Arc<Mutex<Inner>>,
-    prober: Arc<Mutex<PathProber>>,
-    health: Arc<Mutex<HealthBoard>>,
-    /// The epoch-snapshot path database every lookup goes through (shared
-    /// with attached hosts — the handle itself is the shared state, no
-    /// outer mutex); its cache counters land in `telemetry`.
+    /// The epoch-snapshot path database: every lookup goes through it, it
+    /// alone holds the registered segments, and attached hosts share it
+    /// (the handle is the shared state); its counters land in `telemetry`.
     pathdb: EpochPathDb,
 }
 
@@ -368,38 +366,32 @@ impl SciEraNetwork {
             bootstrap_servers.insert(ia, srv);
         }
 
-        // The epoch-snapshot path DB serves every lookup; the public
-        // `store` field stays as the read-only merged view. Nothing
-        // mutates either copy post-build, so they cannot diverge.
-        let pathdb = EpochPathDb::new(store.clone());
+        let pathdb = EpochPathDb::new(store);
         pathdb.set_telemetry(telemetry.clone());
 
-        let n_links = topo.links.len();
         let nominal_latency_ms: Vec<f64> = topo.links.iter().map(|l| l.spec.latency_ms).collect();
         SciEraNetwork {
-            store,
             pathdb,
             secrets,
             trust,
-            renewal,
-            cas,
-            bootstrap_servers,
-            prober: Arc::new(Mutex::new(PathProber::new(
-                telemetry.clone(),
-                ProberConfig::default(),
-            ))),
-            health: Arc::new(Mutex::new(HealthBoard::new(telemetry.clone()))),
-            telemetry,
             inner: Arc::new(Mutex::new(Inner {
-                topo,
-                routers,
-                links: LinkState::all_up(n_links),
-                nominal_latency_ms,
-                now_unix: now,
-                inboxes: BTreeMap::new(),
-                echo_requests: BTreeMap::new(),
-                echo_buf: Vec::new(),
+                plane: DataPlane {
+                    links: LinkState::all_up(topo.links.len()),
+                    topo,
+                    routers,
+                    nominal_latency_ms,
+                    now_unix: now,
+                    inboxes: BTreeMap::new(),
+                    echo_requests: BTreeMap::new(),
+                    echo_buf: Vec::new(),
+                },
+                prober: PathProber::new(telemetry.clone(), ProberConfig::default()),
+                health: HealthBoard::new(telemetry.clone()),
+                cas,
+                renewal,
+                bootstrap_servers,
             })),
+            telemetry,
         }
     }
 
@@ -408,6 +400,34 @@ impl SciEraNetwork {
     /// monitors or bootstrap clients that should share the same registry.
     pub fn telemetry(&self) -> Telemetry {
         self.telemetry.clone()
+    }
+
+    /// The end-host trust store: every ISD's TRC, every AS's verified chain.
+    pub fn trust(&self) -> &TrustStore {
+        &self.trust
+    }
+
+    /// The current certificate chain of `ia`, as its renewal driver holds it.
+    pub fn chain(&self, ia: IsdAsn) -> Option<CertificateChain> {
+        Some(self.inner.lock().renewal.get(&ia)?.chain.clone())
+    }
+
+    /// The signed topology document `ia`'s bootstrap server serves.
+    pub fn signed_topology(&self, ia: IsdAsn) -> Option<SignedTopology> {
+        let inner = self.inner.lock();
+        Some(inner.bootstrap_servers.get(&ia)?.signed_topology().clone())
+    }
+
+    /// Ticks every AS's certificate-renewal driver once, at the network's
+    /// clock, against its ISD's CA; `ca_reachable: false` takes every CA
+    /// off the network for the tick. Returns what each driver did.
+    pub fn renew_certificates(&self, ca_reachable: bool) -> Vec<(IsdAsn, RenewalAction)> {
+        let inner = &mut *self.inner.lock();
+        let tick = |(&ia, driver): (&IsdAsn, &mut RenewalDriver)| {
+            let ca = inner.cas.get_mut(&ia.isd.0).expect("CA per ISD");
+            (ia, driver.tick(ca, inner.plane.now_unix, ca_reachable))
+        };
+        inner.renewal.iter_mut().map(tick).collect()
     }
 
     /// Combined paths from `src` to `dst` honouring current link state.
@@ -429,11 +449,11 @@ impl SciEraNetwork {
     /// Sets the administrative state of every link whose label contains
     /// `label_substring`; returns how many links matched.
     pub fn set_links(&self, label_substring: &str, up: bool) -> usize {
-        let inner = &mut *self.inner.lock();
+        let plane = &mut self.inner.lock().plane;
         let mut n = 0;
-        for (i, l) in inner.topo.links.iter().enumerate() {
+        for (i, l) in plane.topo.links.iter().enumerate() {
             if l.spec.label.contains(label_substring) {
-                inner.links.set(&inner.topo, i, up);
+                plane.links.set(&plane.topo, i, up);
                 n += 1;
             }
         }
@@ -443,23 +463,23 @@ impl SciEraNetwork {
     /// Number of links in the topology (valid indices for the per-link
     /// fault-injection methods below).
     pub fn link_count(&self) -> usize {
-        self.inner.lock().topo.links.len()
+        self.inner.lock().plane.topo.links.len()
     }
 
     /// Sets the administrative state of one link by index.
     pub fn set_link_index(&self, index: usize, up: bool) {
-        let inner = &mut *self.inner.lock();
-        inner.links.set(&inner.topo, index, up);
+        let plane = &mut self.inner.lock().plane;
+        plane.links.set(&plane.topo, index, up);
     }
 
     /// Scales one link's latency relative to its *nominal* (build-time)
     /// value — the cost-change injection of the dynamics campaigns.
     /// Repeated calls never compound; `1.0` restores nominal exactly.
     pub fn set_link_latency_factor(&self, index: usize, factor: f64) {
-        let mut inner = self.inner.lock();
-        if index < inner.topo.links.len() && factor.is_finite() && factor > 0.0 {
-            let nominal = inner.nominal_latency_ms[index];
-            inner.topo.links[index].spec.latency_ms = nominal * factor;
+        let plane = &mut self.inner.lock().plane;
+        if index < plane.topo.links.len() && factor.is_finite() && factor > 0.0 {
+            let nominal = plane.nominal_latency_ms[index];
+            plane.topo.links[index].spec.latency_ms = nominal * factor;
         }
     }
 
@@ -469,7 +489,7 @@ impl SciEraNetwork {
         let mut out: Vec<usize> = path
             .interfaces()
             .into_iter()
-            .filter_map(|(ia, ifid)| inner.topo.link_index_of(ia, ifid))
+            .filter_map(|(ia, ifid)| inner.plane.topo.link_index_of(ia, ifid))
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -484,10 +504,9 @@ impl SciEraNetwork {
         dst: IsdAsn,
         fingerprint: &str,
     ) -> Option<(bool, Option<String>)> {
-        let board = self.health.lock();
-        board
-            .path(src, dst, fingerprint)
-            .map(|p| (p.alive, p.down_reason.clone()))
+        let inner = self.inner.lock();
+        let path = inner.health.path(src, dst, fingerprint)?;
+        Some((path.alive, path.down_reason.clone()))
     }
 
     /// The path database's current store generation — the control plane's
@@ -498,12 +517,12 @@ impl SciEraNetwork {
 
     /// Current Unix time of the simulation.
     pub fn now_unix(&self) -> u64 {
-        self.inner.lock().now_unix
+        self.inner.lock().plane.now_unix
     }
 
     /// Advances simulated wall-clock time.
     pub fn advance_time(&self, secs: u64) {
-        self.inner.lock().now_unix += secs;
+        self.inner.lock().plane.now_unix += secs;
     }
 
     /// Walks a packet through the data plane from its source AS. Returns
@@ -512,7 +531,7 @@ impl SciEraNetwork {
     pub fn walk_packet(&self, packet: ScionPacket) -> Result<Delivery, NetError> {
         let src = packet.src;
         let frame = encode(&packet)?;
-        self.inner.lock().walk(frame, src)
+        self.inner.lock().plane.walk(frame, src)
     }
 
     /// Walks an already-serialised frame through the data plane. Each
@@ -523,7 +542,7 @@ impl SciEraNetwork {
         let src = ScionPacket::decode(&frame)
             .map_err(|e| NetError::Unknown(format!("undecodable frame: {e}")))?
             .src;
-        self.inner.lock().walk(frame, src)
+        self.inner.lock().plane.walk(frame, src)
     }
 
     /// SCMP traceroute (the `scion traceroute` tool): probes every hop of
@@ -553,9 +572,8 @@ impl SciEraNetwork {
                 }
                 .encode(),
             );
-            let mut inner = self.inner.lock();
-            if let Some((ia, ifid, rtt)) = inner.walk_traceroute(probe) {
-                out.push((ia, ifid, rtt));
+            if let Some(hop) = self.inner.lock().plane.walk_traceroute(probe) {
+                out.push(hop);
             }
         }
         out
@@ -575,10 +593,10 @@ impl SciEraNetwork {
     /// Hands the prober a pair's new path set, and forgets the echo
     /// requests encoded for the old one.
     fn register_probe_set(&self, src: IsdAsn, dst: IsdAsn, paths: Vec<FullPath>) {
-        let mut prober = self.prober.lock();
-        let requests = &mut self.inner.lock().echo_requests;
+        let inner = &mut *self.inner.lock();
+        let requests = &mut inner.plane.echo_requests;
         requests.retain(|&(s, d, _), _| (s, d) != (src, dst));
-        prober.register(src, dst, paths);
+        inner.prober.register(src, dst, paths);
     }
 
     /// Like [`SciEraNetwork::register_probe_pair`] but snapshots at most
@@ -602,11 +620,9 @@ impl SciEraNetwork {
     /// detection happens exactly once per campaign). The data plane is
     /// locked once, for the whole round.
     pub fn probe_round(&self) -> Vec<ProbeResult> {
-        let mut prober = self.prober.lock();
-        let mut board = self.health.lock();
-        let mut inner = self.inner.lock();
-        let now = inner.now_unix;
-        let mut transport = NetEchoTransport(&mut inner);
+        let inner = &mut *self.inner.lock();
+        let (plane, prober, board) = (&mut inner.plane, &mut inner.prober, &mut inner.health);
+        let now = plane.now_unix;
         // Probe-confirmed dead interfaces flush every memoized path
         // combination crossing them (the next lookup recombines from the
         // unchanged store and re-applies live link state). Every probed path
@@ -618,22 +634,22 @@ impl SciEraNetwork {
                 self.pathdb.invalidate_paths_crossing(ia, ifid);
             }
         };
-        prober.run_round_with_sink(&mut transport, &mut board, now, &mut sink)
+        prober.run_round_with_sink(plane, board, now, &mut sink)
     }
 
     /// The operator console's health table, one row per probed path.
     pub fn health_rows(&self) -> Vec<HealthRow> {
-        self.health.lock().rows()
+        self.inner.lock().health.rows()
     }
 
     /// Healthy-set churn events observed so far, oldest first.
     pub fn churn_events(&self) -> Vec<ChurnEvent> {
-        self.health.lock().churn_events()
+        self.inner.lock().health.churn_events()
     }
 
     /// Mean health score over all probed paths of a pair, if probed.
     pub fn pair_score(&self, src: IsdAsn, dst: IsdAsn) -> Option<f64> {
-        self.health.lock().pair_score(src, dst)
+        self.inner.lock().health.pair_score(src, dst)
     }
 
     /// An operator console bound to this network's telemetry and health
@@ -641,7 +657,6 @@ impl SciEraNetwork {
     pub fn console(&self) -> OperatorConsole {
         OperatorConsole::new(
             self.telemetry.clone(),
-            Arc::clone(&self.health),
             Arc::clone(&self.inner),
             self.pathdb.clone(),
         )
@@ -689,16 +704,13 @@ impl SciEraNetwork {
         batch: usize,
         batched: bool,
     ) -> FrameLoadReport {
-        let mut inner = self.inner.lock();
-        inner.run_frame_load(templates, schedule, batch, batched, &self.telemetry)
+        let plane = &mut self.inner.lock().plane;
+        plane.run_frame_load(templates, schedule, batch, batched, &self.telemetry)
     }
 
     /// Attaches a host in `ia`, returning its handle.
     pub fn attach_host(&self, addr: ScionAddr) -> HostHandle {
-        {
-            let mut inner = self.inner.lock();
-            inner.inboxes.entry(addr).or_default();
-        }
+        self.inner.lock().plane.inboxes.entry(addr).or_default();
         HostHandle {
             addr,
             net: Arc::clone(&self.inner),
@@ -743,7 +755,7 @@ fn encode(packet: &ScionPacket) -> Result<Vec<u8>, NetError> {
         .map_err(|e| NetError::Unknown(format!("encode: {e}")))
 }
 
-impl Inner {
+impl DataPlane {
     /// The link attached at interface `ifid` of node `at`, seen from there.
     /// Every forwarding step of every walker goes through here.
     fn crossing(&self, at: usize, ifid: u16) -> Option<Crossing> {
@@ -879,7 +891,7 @@ impl Inner {
         Err(NetError::HopBudgetExceeded)
     }
 
-    /// [`Inner::carry`] for the public walks: the route is recorded, and
+    /// [`DataPlane::carry`] for the public walks: the route is recorded, and
     /// the destination host's inbox gets a copy of the packet returned.
     fn walk(&mut self, frame: Vec<u8>, src_host: ScionAddr) -> Result<Delivery, NetError> {
         let mut route = Vec::new();
@@ -1114,11 +1126,7 @@ impl DynamicsNet for SciEraNetwork {
     }
 }
 
-/// [`EchoTransport`] over the simulated data plane, for one round under one
-/// lock.
-struct NetEchoTransport<'a>(&'a mut Inner);
-
-impl EchoTransport for NetEchoTransport<'_> {
+impl EchoTransport for DataPlane {
     fn echo(
         &mut self,
         src: IsdAsn,
@@ -1127,7 +1135,7 @@ impl EchoTransport for NetEchoTransport<'_> {
         id: u16,
         seq: u16,
     ) -> EchoOutcome {
-        self.0.scmp_echo(src, dst, path, id, seq)
+        self.scmp_echo(src, dst, path, id, seq)
     }
 }
 
@@ -1234,7 +1242,7 @@ pub struct SimTransport {
 
 impl scion_pan::socket::PanTransport for SimTransport {
     fn send_packet(&mut self, mut packet: ScionPacket) {
-        let mut inner = self.net.lock();
+        let plane = &mut self.net.lock().plane;
         // Every packet leaving a host opens a causal trace: the host is the
         // root span, each border router along the walk derives a child.
         if packet.trace.is_none() && self.telemetry.enabled(Severity::Trace) {
@@ -1242,7 +1250,7 @@ impl scion_pan::socket::PanTransport for SimTransport {
             packet.trace = Some(ctx);
             self.telemetry.emit(
                 Event::new(
-                    inner.now_unix.saturating_mul(1_000_000_000),
+                    plane.now_unix.saturating_mul(1_000_000_000),
                     self.local.ia.to_string(),
                     "host",
                     Severity::Trace,
@@ -1258,22 +1266,22 @@ impl scion_pan::socket::PanTransport for SimTransport {
         // Delivery failures surface as SCMP to the sender's inbox (link
         // down) or silent drops (bad MAC etc.) — like a real network.
         let Ok(frame) = encode(&packet) else { return };
-        let Ok(carried) = inner.carry(frame, packet.src, |_| {}) else {
+        let Ok(carried) = plane.carry(frame, packet.src, |_| {}) else {
             return;
         };
         if let Ok(delivered) = carried.packet() {
-            let inbox = inner.inboxes.entry(delivered.dst).or_default();
+            let inbox = plane.inboxes.entry(delivered.dst).or_default();
             inbox.push_back(delivered);
         }
     }
 
     fn recv_packet(&mut self) -> Option<ScionPacket> {
-        let mut inner = self.net.lock();
-        inner.inboxes.get_mut(&self.local)?.pop_front()
+        let plane = &mut self.net.lock().plane;
+        plane.inboxes.get_mut(&self.local)?.pop_front()
     }
 
     fn now_unix(&self) -> u64 {
-        self.net.lock().now_unix
+        self.net.lock().plane.now_unix
     }
 
     fn lookup_paths(&mut self, dst: IsdAsn) -> Vec<FullPath> {
@@ -1286,7 +1294,7 @@ impl scion_pan::socket::PanTransport for SimTransport {
 /// rules out.
 fn lookup(pathdb: &EpochPathDb, net: &Mutex<Inner>, src: IsdAsn, dst: IsdAsn) -> Vec<FullPath> {
     let paths = pathdb.paths(src, dst, LOOKUP_MAX_PATHS);
-    net.lock().live(paths)
+    net.lock().plane.live(paths)
 }
 
 #[cfg(test)]
@@ -1308,14 +1316,11 @@ mod tests {
     fn build_verifies_everything() {
         let net = network();
         // Both ISDs trusted, all ASes chained.
-        assert!(net.trust.trc_serial(IsdNumber(71)).is_some());
-        assert!(net.trust.trc_serial(IsdNumber(64)).is_some());
-        assert_eq!(net.trust.verified_as_count(), all_ases().len());
-        assert!(
-            net.store.len() > 100,
-            "segments registered: {}",
-            net.store.len()
-        );
+        assert!(net.trust().trc_serial(IsdNumber(71)).is_some());
+        assert!(net.trust().trc_serial(IsdNumber(64)).is_some());
+        assert_eq!(net.trust().verified_as_count(), all_ases().len());
+        let segments = net.pathdb().snapshot().store().len();
+        assert!(segments > 100, "segments registered: {segments}");
     }
 
     #[test]
@@ -1366,9 +1371,9 @@ mod tests {
         // Packet-level one-way latency x2 (+ per-AS processing) equals the
         // analytic RTT used by the measurement campaign.
         let analytic = {
-            let inner = net.inner.lock();
-            let down = |i: usize| inner.links.down[i];
-            inner.topo.path_rtt_ms(p, &down).unwrap()
+            let plane = &net.inner.lock().plane;
+            let down = |i: usize| plane.links.down[i];
+            plane.topo.path_rtt_ms(p, &down).unwrap()
         };
         let packet_level = 2.0
             * (delivery.latency_ms + p.len() as f64 * sciera_topology::links::PER_AS_OVERHEAD_MS);
@@ -1549,9 +1554,9 @@ mod tests {
     fn expired_certificates_would_fail_verification() {
         let net = network();
         // Far in the future the AS certs (3-day lifetime) are dead.
-        let driver = &net.renewal[&ia("71-2:0:42")];
-        assert!(driver.certificate_valid(net.now_unix()));
-        assert!(!driver.certificate_valid(net.now_unix() + 10 * 86_400));
+        let cert = net.chain(ia("71-2:0:42")).unwrap().as_cert;
+        assert!(cert.check_validity(net.now_unix()).is_ok());
+        assert!(cert.check_validity(net.now_unix() + 10 * 86_400).is_err());
     }
 
     #[test]
@@ -1559,7 +1564,7 @@ mod tests {
         use sciera_topology::synth::{synthesize, SynthConfig};
         let topo = synthesize(&SynthConfig::sized(40));
         let mut net = SciEraNetwork::build_from_topology(topo, NetworkConfig::default());
-        assert!(net.trust.verified_as_count() >= 40);
+        assert!(net.trust().verified_as_count() >= 40);
         assert!(net.link_count() > 0);
 
         // Pick a pair with at least two paths (synthetic graphs are meshy
@@ -1590,9 +1595,9 @@ mod tests {
         let links = net.path_links(&snapshot[0]);
         assert!(!links.is_empty());
         let rtt = |net: &SciEraNetwork| {
-            let inner = net.inner.lock();
-            let down = |i: usize| inner.links.down[i];
-            inner.topo.path_rtt_ms(&snapshot[0], &down).unwrap()
+            let plane = &net.inner.lock().plane;
+            let down = |i: usize| plane.links.down[i];
+            plane.topo.path_rtt_ms(&snapshot[0], &down).unwrap()
         };
         let nominal = rtt(&net);
         net.set_link_latency_factor(links[0], 3.0);
@@ -1667,6 +1672,7 @@ mod tests {
             let cut = net
                 .inner
                 .lock()
+                .plane
                 .topo
                 .link_index_of(at.ia, at.egress)
                 .unwrap();
@@ -1716,7 +1722,7 @@ mod tests {
         // leaving, are gone; the rest keep their order.
         let ends = {
             let inner = net.inner.lock();
-            let mut links = inner.topo.links.iter();
+            let mut links = inner.plane.topo.links.iter();
             let cable = links.find(|l| l.spec.label.contains("Daejeon-Singapore direct"));
             cable.unwrap().ends()
         };
@@ -1790,18 +1796,18 @@ mod link_state_tests {
         /// database's answer, in its order.
         fn agrees_with(&self, model: &[bool]) {
             {
-                let inner = self.net.inner.lock();
-                assert_eq!(inner.links.down, model);
+                let plane = &self.net.inner.lock().plane;
+                assert_eq!(plane.links.down, model);
                 let mut dead = Vec::new();
                 for (l, &down) in self.topo.links.iter().zip(model) {
                     for (at, ifid) in l.ends() {
-                        let node = inner.topo.node_of(at).unwrap();
-                        assert_eq!(inner.crossing(node, ifid).unwrap().up, !down);
+                        let node = plane.topo.node_of(at).unwrap();
+                        assert_eq!(plane.crossing(node, ifid).unwrap().up, !down);
                         dead.extend(down.then_some(if_key(at, ifid)));
                     }
                 }
                 dead.sort_unstable();
-                assert_eq!(inner.links.dead, dead);
+                assert_eq!(plane.links.dead, dead);
             }
             let down = |i: usize| model[i];
             for (src, dst, all) in &self.answers {
@@ -1921,7 +1927,7 @@ mod link_state_tests {
 
         // Everything restored: nothing is dead, and a lookup is the
         // database's answer as it stands.
-        assert!(fx.net.inner.lock().links.dead.is_empty());
+        assert!(fx.net.inner.lock().plane.links.dead.is_empty());
         assert_eq!(
             fx.net.paths(src, dst),
             fx.net.pathdb().paths(src, dst, LOOKUP_MAX_PATHS)
@@ -2052,7 +2058,12 @@ mod carry_tests {
         let n = fx.topo.links.len();
         let mut routers: BTreeMap<IsdAsn, BorderRouter> = {
             let inner = fx.net.inner.lock();
-            inner.routers.iter().map(|r| (r.ia, r.clone())).collect()
+            inner
+                .plane
+                .routers
+                .iter()
+                .map(|r| (r.ia, r.clone()))
+                .collect()
         };
         // Links these paths cross, so that a down-set of one bites.
         let mut crossed: Vec<usize> = frames
@@ -2112,7 +2123,7 @@ mod carry_tests {
 
     /// Every inbox of the network.
     fn inboxes(net: &SciEraNetwork) -> BTreeMap<ScionAddr, VecDeque<ScionPacket>> {
-        net.inner.lock().inboxes.clone()
+        net.inner.lock().plane.inboxes.clone()
     }
 
     #[test]
@@ -2138,7 +2149,11 @@ mod carry_tests {
     fn a_probe_round_leaves_every_inbox_as_it_found_it() {
         let fx = fixture();
         let (src, dst, all) = fx.answers[0].clone();
-        fx.net.prober.lock().register(src, dst, all[..4].to_vec());
+        fx.net
+            .inner
+            .lock()
+            .prober
+            .register(src, dst, all[..4].to_vec());
         // A host with mail waiting, to show the comparison sees contents.
         let (_, host, _, frame) = frames(&fx).swap_remove(0);
         fx.net.walk_frame(frame).unwrap();
@@ -2162,7 +2177,7 @@ mod carry_tests {
         ));
         assert_eq!(inboxes(&fx.net), before);
         fx.net.set_link_index(cut, true);
-        fx.net.prober.lock().register(src, dst, Vec::new());
+        fx.net.inner.lock().prober.register(src, dst, Vec::new());
         fx.net.attach_host(host).transport().recv_packet();
     }
 
@@ -2237,6 +2252,7 @@ mod carry_tests {
         let kept = |net: &SciEraNetwork| {
             let inner = net.inner.lock();
             let pair = inner
+                .plane
                 .echo_requests
                 .keys()
                 .filter(|k| (k.0, k.1) == (src, dst));

@@ -1124,7 +1124,7 @@ mod traceroute_tests {
     #[test]
     fn unalerted_hop_stays_silent() {
         let sec100 = AsSecrets::derive(ia("71-100"));
-        let r100 = BorderRouter::new(sec100.ia, sec100.hop_key.clone());
+        let r100 = BorderRouter::new(sec100.ia, sec100.hop_key);
         let pkt = probe_packet(1); // alert on hop 1, not hop 0
         assert!(r100.traceroute_probe(&pkt, 0).is_none());
         // Non-SCMP packets never trigger replies even with alerts set.

@@ -165,7 +165,7 @@ mod tests {
         let base = vec![ev("warmup", 0, ConnectionType::MultiNetworkVlan, 2, false)];
         let mut two = base.clone();
         two.push(ev("X", 5, ConnectionType::MultiNetworkVlan, 2, false));
-        let mut four = base.clone();
+        let mut four = base;
         four.push(ev("X", 5, ConnectionType::MultiNetworkVlan, 4, false));
         assert!(model.evaluate(&four)[1] > model.evaluate(&two)[1]);
     }

@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn scmp_interface_down_triggers_failover() {
         let p1 = fake_path("71-10", "71-1");
-        let mut transport = Loop::new(vec![p1.clone()]);
+        let mut transport = Loop::new(vec![p1]);
         // Queue an SCMP killing p1's interface at 71-1 (ifid 5).
         transport.inbox.push_back(interface_down("71-1", 5));
         let mut sock = PanSocket::bind(addr("71-10"), 5353, transport);

@@ -506,7 +506,7 @@ mod tests {
         // Segment 0 is against construction direction: ingress = cons_egress.
         assert_eq!(p.current_ingress(), 1);
         assert_eq!(p.current_egress(), 0);
-        let mut q = p.clone();
+        let mut q = p;
         q.advance().unwrap();
         q.advance().unwrap(); // now in segment 1, cons_dir = true
         assert_eq!(q.current_ingress(), 0);

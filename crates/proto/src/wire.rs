@@ -796,7 +796,7 @@ mod tests {
         let mut cursor = WireCursor::parse(&mut wire).unwrap();
         cursor.xor_seg_id(0, 0xbeef);
         cursor.set_seg_id(1, 0x1234);
-        let mut ref_pkt = pkt.clone();
+        let mut ref_pkt = pkt;
         let DataPlanePath::Scion(p) = &mut ref_pkt.path else {
             unreachable!()
         };

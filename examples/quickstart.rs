@@ -26,19 +26,16 @@ fn main() {
     println!(
         "  {} ASes, {} path segments registered, every segment PKI-verified\n",
         net.secrets.len(),
-        net.store.len()
+        net.pathdb().snapshot().store().len()
     );
 
     // --- 1. Bootstrap a laptop that just joined OVGU's Wi-Fi (§4.1). ---
     let ovgu = ia("71-2:0:42");
     println!("bootstrapping a host in {ovgu} (OVGU Magdeburg) ...");
     let mut srv = sciera::bootstrap::server::BootstrapServer::new(
-        net.bootstrap_servers[&ovgu]
-            .signed_topology()
-            .document
-            .clone(),
+        net.signed_topology(ovgu).expect("OVGU's topology").document,
         &sciera::crypto::sign::SigningKey::from_seed(format!("as-{ovgu}").as_bytes()),
-        net.renewal[&ovgu].chain.clone(),
+        net.chain(ovgu).expect("OVGU's chain"),
         Vec::new(),
     );
     let body = srv.handle_get("/topology").expect("server serves topology");
@@ -52,8 +49,8 @@ fn main() {
         rng: &mut rng,
     };
     // Verification: the topology signature must chain to the ISD 71 TRC.
-    let chain = net.renewal[&ovgu].chain.clone();
-    let trust = &net.trust;
+    let chain = net.chain(ovgu).expect("OVGU's chain");
+    let trust = net.trust();
     let verify = move |signed: &SignedTopology| -> Result<(), BootstrapError> {
         trust
             .verify_as_signature(

@@ -111,11 +111,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # synthetic-generator inner loops the scale sweep leans on, pan every
 # host's connect and send, core every lookup and every walk, the daemon and
 # the orchestrator the lookups and probe rounds of a failover, and measure
-# the campaigns that drive them all: hold them to the allocation-hygiene
-# lints as hard errors.
+# the campaigns that drive them all: hold them, their tests included, to the
+# allocation-hygiene lints as hard errors.
 echo "==> cargo clippy, hot-path lints (dataplane proto control topology pan core daemon orchestrator measure)"
 cargo clippy -p scion-dataplane -p scion-proto -p scion-control -p sciera-topology -p scion-pan \
-    -p sciera-core -p scion-daemon -p scion-orchestrator -p sciera-measure -- \
+    -p sciera-core -p scion-daemon -p scion-orchestrator -p sciera-measure --all-targets -- \
     -D warnings -D clippy::redundant_clone -D clippy::needless_collect
 
 # One delivering hop loop, one router table: the packet-level walk stays
@@ -140,6 +140,25 @@ awk 'FNR == 1 { in_tests = 0 }
 echo "==> one router engine (dataplane, crypto)"
 if grep -rnE 'fn (process_scion_path|batch_mac_pass|verify_batch|encrypt_blocks)\b' crates; then
     echo "ci: a second router engine is back" >&2
+    exit 1
+fi
+
+# One owner for the deployment's state: what changes after the build sits
+# behind the network's one lock, reached through its methods. The secrets are
+# the one public field; the prober and the health board get no lock of their
+# own, and echoes travel the data plane itself, not a wrapper lending it.
+echo "==> one owner (core)"
+fields=$(awk '/^pub struct SciEraNetwork/ { on = 1; next }
+              on && /^}/ { on = 0 }
+              on && /^ *pub[ (]/ && !/^ *pub secrets:/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/core/src/network.rs)
+if [ -n "$fields" ]; then
+    printf '%s\n' "$fields" >&2
+    echo "ci: SciEraNetwork has a public field other than secrets" >&2
+    exit 1
+fi
+if grep -rnE 'Mutex<(PathProber|HealthBoard)>|struct NetEchoTransport' crates/core/src; then
+    echo "ci: the network's state has a second owner" >&2
     exit 1
 fi
 

@@ -163,16 +163,17 @@ fn all_ases_have_verified_chains_and_bootstrap_servers() {
     let net = network();
     for a in all_ases() {
         assert!(
-            net.trust.key_of(a.ia).is_some(),
+            net.trust().key_of(a.ia).is_some(),
             "{} not in trust directory",
             a.name
         );
         assert!(
-            net.bootstrap_servers.contains_key(&a.ia),
+            net.signed_topology(a.ia).is_some(),
             "{} has no bootstrap server",
             a.name
         );
-        assert!(net.renewal[&a.ia].certificate_valid(net.now_unix()));
+        let cert = net.chain(a.ia).expect("chain per AS").as_cert;
+        assert!(cert.check_validity(net.now_unix()).is_ok());
     }
 }
 
@@ -180,9 +181,9 @@ fn all_ases_have_verified_chains_and_bootstrap_servers() {
 fn daemon_integration_with_live_control_plane() {
     use sciera::daemon::daemon::{Daemon, DaemonConfig};
     let net = network();
-    let store = net.store.clone();
+    let snap = net.pathdb().snapshot();
     let provider = move |src: IsdAsn, dst: IsdAsn, _now: u64| {
-        sciera::control::combine::combine_paths(&store, src, dst, 64)
+        sciera::control::combine::combine_paths(snap.store(), src, dst, 64)
     };
     let d = Daemon::new(
         ia("71-88"),

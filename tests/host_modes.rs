@@ -170,7 +170,7 @@ fn standalone_mode_bootstrap_to_traffic() {
 
     // Standalone bootstrap against OVGU's signed topology.
     let ovgu = ia("71-2:0:42");
-    let signed = net.bootstrap_servers[&ovgu].signed_topology().clone();
+    let signed = net.signed_topology(ovgu).expect("OVGU's bootstrap server");
     let body = serde_json::to_vec(&signed).unwrap();
     let mut rng = StdRng::seed_from_u64(5);
     let mut env = ModelEnv {
@@ -181,7 +181,7 @@ fn standalone_mode_bootstrap_to_traffic() {
         config_processing_ms: 3.0,
         rng: &mut rng,
     };
-    let trust = &net.trust;
+    let trust = net.trust();
     let verify = move |s: &SignedTopology| -> Result<(), BootstrapError> {
         trust
             .verify_as_signature(s.document.ia, &s.document.signed_bytes(), &s.signature)

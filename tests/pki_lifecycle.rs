@@ -2,7 +2,8 @@
 //! simulated quarter of operation across the whole deployment.
 
 use sciera::cppki::ca::CaService;
-use sciera::cppki::trc::Trc;
+use sciera::cppki::cert::{CertType, Certificate};
+use sciera::cppki::trc::{Trc, TrcKeyEntry};
 use sciera::crypto::sign::SigningKey;
 use sciera::orchestrator::renewal::RenewalAction;
 use sciera::prelude::*;
@@ -12,34 +13,30 @@ use sciera::topology::ases::all_ases;
 #[test]
 fn ninety_days_of_certificate_renewal_across_all_ases() {
     let net = SciEraNetwork::build(NetworkConfig::default());
-    let mut ca = {
-        let mut cas = net.cas;
-        cas.remove(&71).expect("ISD 71 CA")
-    };
-    let mut drivers = net.renewal;
-    let start = 1_700_000_000u64;
+    let isd71: Vec<_> = all_ases()
+        .into_iter()
+        .filter(|a| a.ia.isd.0 == 71)
+        .collect();
     let mut renewals = 0u64;
     for day in 0..90u64 {
         for hour in 0..24u64 {
-            let now = start + (day * 24 + hour) * 3600;
-            for (ia_key, driver) in drivers.iter_mut() {
-                if ia_key.isd.0 != 71 {
-                    continue; // ISD 64 has its own CA, consumed by build()
-                }
-                assert!(
-                    driver.certificate_valid(now),
-                    "{ia_key} certificate lapsed on day {day}"
-                );
-                // The CA is unreachable for 6 hours every Sunday
-                // (maintenance) — renewal must ride through it.
-                let ca_reachable = !(day % 7 == 6 && hour < 6);
-                if let RenewalAction::Renewed { .. } = driver.tick(&mut ca, now, ca_reachable) {
+            for a in &isd71 {
+                let cert = net.chain(a.ia).expect("chain per AS").as_cert;
+                let valid = cert.check_validity(net.now_unix()).is_ok();
+                assert!(valid, "{} certificate lapsed on day {day}", a.ia);
+            }
+            // The CA is unreachable for 6 hours every Sunday
+            // (maintenance) — renewal must ride through it.
+            let ca_reachable = !(day % 7 == 6 && hour < 6);
+            for (ia, action) in net.renew_certificates(ca_reachable) {
+                if ia.isd.0 == 71 && matches!(action, RenewalAction::Renewed { .. }) {
                     renewals += 1;
                 }
             }
+            net.advance_time(3600);
         }
     }
-    let n71 = all_ases().iter().filter(|a| a.ia.isd.0 == 71).count() as u64;
+    let n71 = isd71.len() as u64;
     // Every AS renews roughly every 2 days over 90 days.
     assert!(
         renewals > n71 * 30,
@@ -52,39 +49,29 @@ fn trc_update_rolls_across_the_isd() {
     // Build a successor TRC signed by a quorum of core ASes and push it
     // through a host's trust store; a forged competitor must fail.
     let net = SciEraNetwork::build(NetworkConfig::default());
-    let trust = net.trust;
-    let cores: Vec<_> = all_ases()
-        .into_iter()
-        .filter(|a| a.ia.isd.0 == 71 && a.core)
-        .collect();
+    let trust = net.trust();
     assert_eq!(trust.trc_serial(IsdNumber(71)), Some(1));
 
     // Reconstruct the base TRC the network installed (same deterministic
     // keys), then vote the successor.
-    let root_key = |ia: IsdAsn| SigningKey::from_seed(format!("root-{ia}").as_bytes());
-    let core_ias: Vec<IsdAsn> = cores.iter().map(|c| c.ia).collect();
+    let core_ias = isd71_cores();
+    let keys: Vec<TrcKeyEntry> = core_ias
+        .iter()
+        .map(|&ia| TrcKeyEntry {
+            holder: ia,
+            key: root_key(ia).verifying_key(),
+        })
+        .collect();
     let base = Trc {
         isd: IsdNumber(71),
         base: 1,
         serial: 1,
-        valid_from: net_valid_from(),
-        valid_until: net_valid_until(),
+        valid_from: 1_700_000_000 - 86_400,
+        valid_until: 1_700_000_000 + 5 * 365 * 86_400,
         core_ases: core_ias.clone(),
         authoritative_ases: core_ias.clone(),
-        voting_keys: core_ias
-            .iter()
-            .map(|&ia| sciera::cppki::trc::TrcKeyEntry {
-                holder: ia,
-                key: root_key(ia).verifying_key(),
-            })
-            .collect(),
-        root_keys: core_ias
-            .iter()
-            .map(|&ia| sciera::cppki::trc::TrcKeyEntry {
-                holder: ia,
-                key: root_key(ia).verifying_key(),
-            })
-            .collect(),
+        voting_keys: keys.clone(),
+        root_keys: keys,
         quorum: core_ias.len() / 2 + 1,
         votes: vec![],
     };
@@ -110,12 +97,18 @@ fn trc_update_rolls_across_the_isd() {
     assert_eq!(trust.trc_serial(IsdNumber(71)), Some(2));
 }
 
-fn net_valid_from() -> u64 {
-    1_700_000_000 - 86_400
+fn root_key(ia: IsdAsn) -> SigningKey {
+    SigningKey::from_seed(format!("root-{ia}").as_bytes())
 }
 
-fn net_valid_until() -> u64 {
-    1_700_000_000 + 5 * 365 * 86_400
+/// ISD 71's core ASes in the network's order: the first hosts the ISD's CA.
+fn isd71_cores() -> Vec<IsdAsn> {
+    let cores = all_ases()
+        .into_iter()
+        .filter(|a| a.core && a.ia.isd.0 == 71);
+    let mut cores: Vec<IsdAsn> = cores.map(|a| a.ia).collect();
+    cores.sort_unstable();
+    cores
 }
 
 #[test]
@@ -123,11 +116,15 @@ fn ca_interoperates_with_both_stacks() {
     // §4.5's headline: one CA serving Anapaya CORE and open-source CSRs.
     use sciera::cppki::ca::{ClientProfile, CsrRequest};
     let net = SciEraNetwork::build(NetworkConfig::default());
-    let mut ca = {
-        let mut cas = net.cas;
-        cas.remove(&71).expect("ISD 71 CA")
-    };
     let now = 1_700_000_000u64;
+    // Rebuild the ISD 71 CA the network installed at its first core AS,
+    // from the same deterministic keys.
+    let ca_as = isd71_cores()[0];
+    let ca_key = SigningKey::from_seed(format!("ca-{ca_as}").as_bytes());
+    let (key, from, until) = (ca_key.verifying_key(), now - 86_400, now + 2 * 365 * 86_400);
+    let root = root_key(ca_as);
+    let ca_cert = Certificate::issue(CertType::Ca, ca_as, key, from, until, ca_as, 1, &root);
+    let mut ca = CaService::new(ca_as, ca_key, ca_cert);
     for (seed, profile) in [
         ("interop-os", ClientProfile::OpenSource),
         ("interop-anapaya", ClientProfile::AnapayaCore),
@@ -138,12 +135,10 @@ fn ca_interoperates_with_both_stacks() {
         ca.enrol(subject, enrol.verifying_key());
         let csr = CsrRequest::build(subject, as_key.verifying_key(), profile, &enrol);
         let chain = ca.process_csr(&csr, now).expect("CSR accepted");
-        net.trust
+        net.trust()
             .verify_chain(&chain, now)
             .expect("chain verifies against ISD 71 TRC");
     }
-    assert!(!CaService::needs_renewal(
-        &net.renewal[&ia("71-88")].chain.as_cert,
-        now
-    ));
+    let cert = net.chain(ia("71-88")).expect("chain per AS").as_cert;
+    assert!(!CaService::needs_renewal(&cert, now));
 }

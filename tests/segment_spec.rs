@@ -188,7 +188,7 @@ fn assert_all_verify(store: &SegmentStore) -> usize {
 #[test]
 fn every_segment_the_sciera_build_registers_verifies() {
     let net = SciEraNetwork::build(NetworkConfig::default());
-    assert_eq!(assert_all_verify(&net.store), 712);
+    assert_eq!(assert_all_verify(net.pathdb().snapshot().store()), 712);
 }
 
 #[test]

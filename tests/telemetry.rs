@@ -53,9 +53,9 @@ fn whole_stack_reports_into_one_registry() {
     assert!(combine.count > 0);
 
     // --- Daemon: cache misses then hits, same registry.
-    let store = net.store.clone();
+    let snap = net.pathdb().snapshot();
     let provider = move |src: IsdAsn, dst: IsdAsn, _now: u64| {
-        sciera::control::combine::combine_paths(&store, src, dst, 64)
+        sciera::control::combine::combine_paths(snap.store(), src, dst, 64)
     };
     let mut d = Daemon::new(
         ia("71-88"),
