@@ -3,12 +3,11 @@
 //! An HTTP server inside each AS serving the essential SCION configuration:
 //! `/topology` returns the signed local topology (border-router and
 //! control-service underlay addresses), `/trcs` returns the ISD trust
-//! anchors. The AS signs the topology with its AS certificate so clients
-//! can authenticate it against the TRC.
+//! anchors. The AS signs the topology with its AS key, the one its AS
+//! certificate certifies, so clients can authenticate it against the TRC.
 
 use serde::{Deserialize, Serialize};
 
-use scion_cppki::cert::CertificateChain;
 use scion_crypto::sign::{Signature, SigningKey};
 use scion_proto::addr::IsdAsn;
 use scion_proto::encap::UnderlayAddr;
@@ -44,14 +43,13 @@ impl TopologyDocument {
 pub struct SignedTopology {
     /// The document.
     pub document: TopologyDocument,
-    /// Signature by the AS key certified in `chain`.
+    /// Signature by the AS's key, the one its AS certificate certifies.
     pub signature: Signature,
 }
 
 /// The HTTP-ish bootstrap server: a request router over in-memory state.
 pub struct BootstrapServer {
     signed: SignedTopology,
-    chain: CertificateChain,
     /// Serialised TRCs of the local ISD, base first.
     trcs_payload: Vec<u8>,
     /// Requests served, by endpoint: [topology, trcs, not-found].
@@ -59,21 +57,15 @@ pub struct BootstrapServer {
 }
 
 impl BootstrapServer {
-    /// Creates a server for `document`, signing it with `as_key` (whose
-    /// public half must be certified by `chain`).
-    pub fn new(
-        document: TopologyDocument,
-        as_key: &SigningKey,
-        chain: CertificateChain,
-        trcs_payload: Vec<u8>,
-    ) -> Self {
+    /// Creates a server for `document`, signing it with `as_key`, the AS's
+    /// key, whose public half the AS's current certificate certifies.
+    pub fn new(document: TopologyDocument, as_key: &SigningKey, trcs_payload: Vec<u8>) -> Self {
         let signature = as_key.sign(&document.signed_bytes());
         BootstrapServer {
             signed: SignedTopology {
                 document,
                 signature,
             },
-            chain,
             trcs_payload,
             hits: [0; 3],
         }
@@ -98,11 +90,6 @@ impl BootstrapServer {
         }
     }
 
-    /// The certificate chain distributed alongside the topology.
-    pub fn chain(&self) -> &CertificateChain {
-        &self.chain
-    }
-
     /// The signed topology (for direct injection in tests).
     pub fn signed_topology(&self) -> &SignedTopology {
         &self.signed
@@ -112,7 +99,6 @@ impl BootstrapServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scion_cppki::cert::{CertType, Certificate};
     use scion_proto::addr::ia;
 
     fn sample_doc() -> TopologyDocument {
@@ -125,37 +111,10 @@ mod tests {
         }
     }
 
-    fn sample_chain(as_key: &SigningKey) -> CertificateChain {
-        let root = SigningKey::from_seed(b"root");
-        let ca = SigningKey::from_seed(b"ca");
-        let ca_cert = Certificate::issue(
-            CertType::Ca,
-            ia("71-20965"),
-            ca.verifying_key(),
-            0,
-            1 << 40,
-            ia("71-20965"),
-            1,
-            &root,
-        );
-        let as_cert = Certificate::issue(
-            CertType::As,
-            ia("71-2:0:42"),
-            as_key.verifying_key(),
-            0,
-            1 << 40,
-            ia("71-20965"),
-            2,
-            &ca,
-        );
-        CertificateChain { as_cert, ca_cert }
-    }
-
     #[test]
     fn serves_signed_topology() {
         let as_key = SigningKey::from_seed(b"ovgu");
-        let chain = sample_chain(&as_key);
-        let mut srv = BootstrapServer::new(sample_doc(), &as_key, chain, b"trcs".to_vec());
+        let mut srv = BootstrapServer::new(sample_doc(), &as_key, b"trcs".to_vec());
         let body = srv.handle_get("/topology").unwrap();
         let signed: SignedTopology = serde_json::from_slice(&body).unwrap();
         assert_eq!(signed.document, sample_doc());
@@ -169,8 +128,7 @@ mod tests {
     #[test]
     fn serves_trcs_and_404() {
         let as_key = SigningKey::from_seed(b"ovgu");
-        let chain = sample_chain(&as_key);
-        let mut srv = BootstrapServer::new(sample_doc(), &as_key, chain, b"trc-bytes".to_vec());
+        let mut srv = BootstrapServer::new(sample_doc(), &as_key, b"trc-bytes".to_vec());
         assert_eq!(srv.handle_get("/trcs").unwrap(), b"trc-bytes");
         assert!(srv.handle_get("/nope").is_err());
         assert_eq!(srv.hits, [0, 1, 1]);
@@ -179,8 +137,7 @@ mod tests {
     #[test]
     fn tampered_document_fails_verification() {
         let as_key = SigningKey::from_seed(b"ovgu");
-        let chain = sample_chain(&as_key);
-        let mut srv = BootstrapServer::new(sample_doc(), &as_key, chain, vec![]);
+        let mut srv = BootstrapServer::new(sample_doc(), &as_key, vec![]);
         let body = srv.handle_get("/topology").unwrap();
         let mut signed: SignedTopology = serde_json::from_slice(&body).unwrap();
         signed.document.mtu = 9000;

@@ -15,8 +15,8 @@
 //! `beta_{i+1}`, matching the SCION specification, so a peer hop can be
 //! verified without disturbing the chain.
 //!
-//! Each AS also signs the segment-so-far with its PCB signing key
-//! ([`AsSecrets::signing`]).
+//! Each AS also signs the segment-so-far with its AS key
+//! ([`AsSecrets::signing`]), the key its CP-PKI AS certificate certifies.
 
 use serde::{Deserialize, Serialize};
 
@@ -378,13 +378,14 @@ pub struct AsSecrets {
     pub ia: IsdAsn,
     /// Data-plane hop key.
     pub hop_key: HopKey,
-    /// The simulation's PCB signing key, derived from the AS number. It is
-    /// not the AS-certificate key the CP-PKI issues (ROADMAP item 4).
+    /// The AS key: it signs the AS's PCB entries and its topology, and the
+    /// ISD CA certifies its public half in the AS certificate.
     pub signing: SigningKey,
 }
 
 impl AsSecrets {
-    /// Derives deterministic secrets for simulation from the AS number.
+    /// Derives deterministic secrets for simulation from the AS number:
+    /// the one place an AS's keys come from.
     pub fn derive(ia: IsdAsn) -> Self {
         let seed = ia.to_string();
         AsSecrets {

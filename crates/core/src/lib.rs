@@ -7,8 +7,9 @@
 //! 2. the ISD 71 and ISD 64 TRCs, the open-source CA at GEANT (§4.5) and a
 //!    verified certificate chain for every AS (`scion-cppki`),
 //! 3. beaconing and segment registration, with every PCB entry checked
-//!    once, by the engine at the hop that receives it, against the
-//!    simulation's PCB keys rather than the PKI above (`scion-control`),
+//!    once, by the engine at the hop that receives it, against the AS keys
+//!    the chains above certify; the engine resolves them from its own
+//!    secrets, not through the trust store (`scion-control`),
 //! 4. a border router per AS holding that AS's hop key
 //!    (`scion-dataplane`),
 //! 5. bootstrap servers with signed topology documents (`scion-bootstrap`),

@@ -18,6 +18,7 @@ use scion_control::segment::AsSecrets;
 use scion_cppki::ca::{CaService, ClientProfile};
 use scion_cppki::cert::{CertType, Certificate, CertificateChain};
 use scion_cppki::trc::{Trc, TrcKeyEntry};
+use scion_crypto::sign::SigningKey;
 use scion_daemon::trust::TrustStore;
 use scion_dataplane::dispatcher::{IngressShards, DEFAULT_SHARD_CAPACITY};
 use scion_dataplane::pool::FramePool;
@@ -213,8 +214,9 @@ pub(crate) struct Inner {
 
 /// The assembled deployment.
 pub struct SciEraNetwork {
-    /// Per-AS secrets (hop keys + signing keys), shared with the beacon
-    /// engine via `Arc` rather than deep-copied.
+    /// Per-AS secrets, shared with the beacon engine via `Arc` rather than
+    /// deep-copied: the hop key, and the AS key, which signs PCBs and the
+    /// AS's topology and which the AS's certificate certifies.
     pub secrets: BTreeMap<IsdAsn, Arc<AsSecrets>>,
     trust: TrustStore,
     telemetry: Telemetry,
@@ -274,12 +276,16 @@ impl SciEraNetwork {
                 .map(|(ia, _)| *ia)
                 .collect();
             assert!(!core_ias.is_empty(), "ISD {isd} has no core AS");
+            let root_signing: Vec<SigningKey> = core_ias
+                .iter()
+                .map(|ia| SigningKey::from_seed(format!("root-{ia}").as_bytes()))
+                .collect();
             let root_keys: Vec<TrcKeyEntry> = core_ias
                 .iter()
-                .map(|&ia| TrcKeyEntry {
-                    holder: ia,
-                    key: scion_crypto::sign::SigningKey::from_seed(format!("root-{ia}").as_bytes())
-                        .verifying_key(),
+                .zip(&root_signing)
+                .map(|(&holder, key)| TrcKeyEntry {
+                    holder,
+                    key: key.verifying_key(),
                 })
                 .collect();
             let trc = Trc {
@@ -300,10 +306,7 @@ impl SciEraNetwork {
             // The ISD CA lives at the first core AS (GEANT for 71, SWITCH
             // for 64) and is signed by that core's root key.
             let ca_as = core_ias[0];
-            let root_key =
-                scion_crypto::sign::SigningKey::from_seed(format!("root-{ca_as}").as_bytes());
-            let ca_key =
-                scion_crypto::sign::SigningKey::from_seed(format!("ca-{ca_as}").as_bytes());
+            let ca_key = SigningKey::from_seed(format!("ca-{ca_as}").as_bytes());
             let ca_cert = Certificate::issue(
                 CertType::Ca,
                 ca_as,
@@ -312,7 +315,7 @@ impl SciEraNetwork {
                 now + 2 * 365 * 86_400,
                 ca_as,
                 1,
-                &root_key,
+                &root_signing[0],
             );
             cas.insert(isd, CaService::new(ca_as, ca_key, ca_cert));
         }
@@ -330,7 +333,8 @@ impl SciEraNetwork {
                 }
                 _ => ClientProfile::OpenSource,
             };
-            let driver = bootstrap_driver(ca, ia, profile, now).expect("issuance succeeds");
+            let as_key = secrets[&ia].signing.verifying_key();
+            let driver = bootstrap_driver(ca, ia, as_key, profile, now).expect("issuance succeeds");
             trust
                 .verify_chain(&driver.chain, now)
                 .expect("chain verifies against TRC");
@@ -358,11 +362,7 @@ impl SciEraNetwork {
                 timestamp: now,
                 mtu: 1472,
             };
-            let driver = &renewal[&ia];
-            // The topology is signed with the AS certificate key held by
-            // the renewal driver's chain; we reuse the simulation secret.
-            let as_key = scion_crypto::sign::SigningKey::from_seed(format!("as-{ia}").as_bytes());
-            let srv = BootstrapServer::new(doc, &as_key, driver.chain.clone(), Vec::new());
+            let srv = BootstrapServer::new(doc, &secrets[&ia].signing, Vec::new());
             bootstrap_servers.insert(ia, srv);
         }
 

@@ -15,8 +15,10 @@
 //!    discipline, including publish-latency accounting), recording hit
 //!    rate and throughput,
 //! 4. pushes a frame workload through real border routers over the
-//!    generated links — the same inject/drain/process-batch/forward loop
-//!    the deployment simulation uses,
+//!    generated links: an inject/drain/process-batch/forward loop of the
+//!    same shape as the deployment's frame load (routers in the topology's
+//!    node order, one node lookup per drained batch, one `step` per
+//!    forward), but its own copy, with every link up,
 //!
 //! and then reads the scoped profiler back: ranked per-subsystem self
 //! time and the named bottleneck at that N. With the `profile` feature
@@ -254,8 +256,9 @@ pub fn run_point(n: usize, cfg: &ScaleConfig) -> ScalePoint {
 
     // ---- Stage 4: router frame workload ------------------------------
     // Templates: encoded UDP frames over the first path of a handful of
-    // reachable pairs; the loop below is the deployment simulation's
-    // inject/drain/batch/forward engine over the generated links.
+    // reachable pairs; the loop below injects, drains, processes a batch
+    // and forwards over the generated links, as the deployment's frame load
+    // does with every link up.
     let mut templates: Vec<(IsdAsn, Vec<u8>)> = Vec::new();
     for (src, dst) in pool.iter().take(32) {
         let paths = db.paths(*src, *dst, 4);
@@ -279,12 +282,13 @@ pub fn run_point(n: usize, cfg: &ScaleConfig) -> ScalePoint {
     let mut dropped = 0u64;
     let mut router_ns_per_op = 0.0;
     if !templates.is_empty() {
-        let mut routers: std::collections::BTreeMap<IsdAsn, BorderRouter> = secrets
-            .iter()
-            .map(|(ia, s)| {
-                let mut r = BorderRouter::new(*ia, s.hop_key.clone());
+        // One router per AS, in the topology's node order.
+        let mut routers: Vec<BorderRouter> = topo
+            .nodes()
+            .map(|ia| {
+                let mut r = BorderRouter::new(ia, secrets[&ia].hop_key.clone());
                 r.set_telemetry(telemetry.clone());
-                (*ia, r)
+                r
             })
             .collect();
         let mut shards: IngressShards<(IsdAsn, u16)> = IngressShards::new(DEFAULT_SHARD_CAPACITY);
@@ -311,27 +315,21 @@ pub fn run_point(n: usize, cfg: &ScaleConfig) -> ScalePoint {
                 break;
             };
             router_ops += wave.len() as u64;
-            let Some(router) = routers.get_mut(&ia) else {
+            let Some(at) = topo.node_of(ia) else {
                 dropped += wave.len() as u64;
                 pool_frames.recycle_batch(wave.drain(..));
                 continue;
             };
-            let results = router.process_batch(&mut wave, ingress, now_unix);
+            let results = routers[at].process_batch(&mut wave, ingress, now_unix);
             for (frame, res) in wave.drain(..).zip(results) {
                 match res {
                     Ok(FrameDecision::Deliver) => {
                         delivered += 1;
                         pool_frames.recycle(frame);
                     }
-                    Ok(FrameDecision::Forward { ifid }) => match topo.link_index_of(ia, ifid) {
-                        Some(li) => {
-                            let l = &topo.links[li];
-                            let (next_ia, next_if) = if l.spec.a == ia {
-                                (l.spec.b, l.ifid_b)
-                            } else {
-                                (l.spec.a, l.ifid_a)
-                            };
-                            if !shards.enqueue((next_ia, next_if), frame) {
+                    Ok(FrameDecision::Forward { ifid }) => match topo.step(at, ifid) {
+                        Some(step) => {
+                            if !shards.enqueue((routers[step.node].ia, step.ifid), frame) {
                                 dropped += 1;
                             }
                         }

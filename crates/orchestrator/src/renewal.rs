@@ -10,7 +10,7 @@
 use scion_cppki::ca::{CaService, ClientProfile, CsrRequest};
 use scion_cppki::cert::CertificateChain;
 use scion_cppki::PkiError;
-use scion_crypto::sign::SigningKey;
+use scion_crypto::sign::{SigningKey, VerifyingKey};
 use scion_proto::addr::IsdAsn;
 
 /// What happened on one driver tick.
@@ -27,12 +27,12 @@ pub enum RenewalAction {
     Failed(String),
 }
 
-/// The per-AS renewal driver.
+/// The per-AS renewal driver. It holds the AS's enrolment key, not its AS
+/// key: a renewal re-certifies the public key of the current chain.
 pub struct RenewalDriver {
     /// The AS being kept alive.
     pub ia: IsdAsn,
     enrolment_key: SigningKey,
-    as_key: SigningKey,
     profile: ClientProfile,
     /// The current chain.
     pub chain: CertificateChain,
@@ -44,18 +44,16 @@ pub struct RenewalDriver {
 }
 
 impl RenewalDriver {
-    /// Creates a driver from the AS's keys and its initial chain.
+    /// Creates a driver from the AS's enrolment key and its initial chain.
     pub fn new(
         ia: IsdAsn,
         enrolment_key: SigningKey,
-        as_key: SigningKey,
         profile: ClientProfile,
         chain: CertificateChain,
     ) -> Self {
         RenewalDriver {
             ia,
             enrolment_key,
-            as_key,
             profile,
             chain,
             retry_backoff: 3600,
@@ -85,7 +83,7 @@ impl RenewalDriver {
         }
         let csr = CsrRequest::build(
             self.ia,
-            self.as_key.verifying_key(),
+            self.chain.as_cert.public_key.clone(),
             self.profile,
             &self.enrolment_key,
         );
@@ -106,25 +104,20 @@ impl RenewalDriver {
 }
 
 /// Convenience for tests and the network builder: enrols an AS at the CA
-/// and obtains its first chain.
+/// and obtains its first chain, certifying `as_key`, the public half of
+/// the AS's key.
 pub fn bootstrap_driver(
     ca: &mut CaService,
     ia: IsdAsn,
+    as_key: VerifyingKey,
     profile: ClientProfile,
     now: u64,
 ) -> Result<RenewalDriver, PkiError> {
     let enrolment_key = SigningKey::from_seed(format!("enrol-{ia}").as_bytes());
-    let as_key = SigningKey::from_seed(format!("as-{ia}").as_bytes());
     ca.enrol(ia, enrolment_key.verifying_key());
-    let csr = CsrRequest::build(ia, as_key.verifying_key(), profile, &enrolment_key);
+    let csr = CsrRequest::build(ia, as_key, profile, &enrolment_key);
     let chain = ca.process_csr(&csr, now)?;
-    Ok(RenewalDriver::new(
-        ia,
-        enrolment_key,
-        as_key,
-        profile,
-        chain,
-    ))
+    Ok(RenewalDriver::new(ia, enrolment_key, profile, chain))
 }
 
 #[cfg(test)]
@@ -151,14 +144,18 @@ mod tests {
         CaService::new(core, ca_key, ca_cert)
     }
 
+    fn enrolled(ca: &mut CaService, subject: &str, profile: ClientProfile) -> RenewalDriver {
+        let as_key = SigningKey::from_seed(subject.as_bytes()).verifying_key();
+        bootstrap_driver(ca, ia(subject), as_key, profile, 0).unwrap()
+    }
+
     #[test]
     fn thirty_days_of_renewals_no_gap() {
         // The §4.5 end-to-end property: with 3-day certificates and an
         // hourly driver, the AS certificate is valid at every instant over
         // a month.
         let mut ca = make_ca();
-        let mut driver =
-            bootstrap_driver(&mut ca, ia("71-2:0:42"), ClientProfile::OpenSource, 0).unwrap();
+        let mut driver = enrolled(&mut ca, "71-2:0:42", ClientProfile::OpenSource);
         let mut renewals = 0;
         for hour in 0..(30 * 24) {
             let now = hour * 3600;
@@ -169,21 +166,22 @@ mod tests {
         }
         // 3-day certs renewed at 1/3 remaining => every ~2 days => ~15x.
         assert!((10..=20).contains(&renewals), "renewals: {renewals}");
+        // Every renewal re-certified the key the AS was enrolled with.
+        let as_key = SigningKey::from_seed(b"71-2:0:42").verifying_key();
+        assert!(driver.chain.as_cert.public_key == as_key);
     }
 
     #[test]
     fn idle_when_fresh() {
         let mut ca = make_ca();
-        let mut driver =
-            bootstrap_driver(&mut ca, ia("71-88"), ClientProfile::AnapayaCore, 0).unwrap();
+        let mut driver = enrolled(&mut ca, "71-88", ClientProfile::AnapayaCore);
         assert_eq!(driver.tick(&mut ca, 10, true), RenewalAction::Idle);
     }
 
     #[test]
     fn outage_backoff_then_recovery() {
         let mut ca = make_ca();
-        let mut driver =
-            bootstrap_driver(&mut ca, ia("71-88"), ClientProfile::OpenSource, 0).unwrap();
+        let mut driver = enrolled(&mut ca, "71-88", ClientProfile::OpenSource);
         let t_renew = DEFAULT_AS_CERT_LIFETIME_SECS * 3 / 4;
         assert!(matches!(
             driver.tick(&mut ca, t_renew, false),
@@ -209,8 +207,7 @@ mod tests {
         // lifetime, validity *does* lapse — the property the driver exists
         // to prevent.
         let mut ca = make_ca();
-        let mut driver =
-            bootstrap_driver(&mut ca, ia("71-88"), ClientProfile::OpenSource, 0).unwrap();
+        let mut driver = enrolled(&mut ca, "71-88", ClientProfile::OpenSource);
         let after_expiry = DEFAULT_AS_CERT_LIFETIME_SECS + 1;
         for hour in 0..after_expiry / 3600 + 1 {
             driver.tick(&mut ca, hour * 3600, false);
@@ -221,8 +218,7 @@ mod tests {
     #[test]
     fn refused_csr_reports_failure() {
         let mut ca = make_ca();
-        let mut driver =
-            bootstrap_driver(&mut ca, ia("71-88"), ClientProfile::OpenSource, 0).unwrap();
+        let mut driver = enrolled(&mut ca, "71-88", ClientProfile::OpenSource);
         // De-enrol behind the driver's back.
         let mut fresh_ca = make_ca();
         let t_renew = DEFAULT_AS_CERT_LIFETIME_SECS * 3 / 4;

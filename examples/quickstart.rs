@@ -32,13 +32,8 @@ fn main() {
     // --- 1. Bootstrap a laptop that just joined OVGU's Wi-Fi (§4.1). ---
     let ovgu = ia("71-2:0:42");
     println!("bootstrapping a host in {ovgu} (OVGU Magdeburg) ...");
-    let mut srv = sciera::bootstrap::server::BootstrapServer::new(
-        net.signed_topology(ovgu).expect("OVGU's topology").document,
-        &sciera::crypto::sign::SigningKey::from_seed(format!("as-{ovgu}").as_bytes()),
-        net.chain(ovgu).expect("OVGU's chain"),
-        Vec::new(),
-    );
-    let body = srv.handle_get("/topology").expect("server serves topology");
+    let signed = net.signed_topology(ovgu).expect("OVGU's bootstrap server");
+    let body = serde_json::to_vec(&signed).expect("topology serialises");
     let mut rng = StdRng::seed_from_u64(42);
     let mut env = ModelEnv {
         os: OsProfile::all()[1], // Linux
@@ -48,13 +43,13 @@ fn main() {
         config_processing_ms: 3.0,
         rng: &mut rng,
     };
-    // Verification: the topology signature must chain to the ISD 71 TRC.
-    let chain = net.chain(ovgu).expect("OVGU's chain");
+    // Verification: the topology signature must chain to the ISD 71 TRC,
+    // through the AS key OVGU's certificate certifies.
     let trust = net.trust();
     let verify = move |signed: &SignedTopology| -> Result<(), BootstrapError> {
         trust
             .verify_as_signature(
-                chain.as_cert.subject,
+                signed.document.ia,
                 &signed.document.signed_bytes(),
                 &signed.signature,
             )

@@ -120,8 +120,9 @@ cargo clippy -p scion-dataplane -p scion-proto -p scion-control -p sciera-topolo
 
 # One delivering hop loop, one router table: the packet-level walk stays
 # deleted, and a map of routers searched per hop exists only where the
-# tests keep the old loop as their reference.
-echo "==> one hop loop, one router table (core)"
+# tests keep the old loop as their reference. The scale sweep's frame stage
+# keeps its routers in the topology's node order, as the deployment does.
+echo "==> one hop loop, one router table (core, measure)"
 if grep -rn 'fn walk_packets' crates; then
     echo "ci: a second delivering walk is back" >&2
     exit 1
@@ -129,7 +130,7 @@ fi
 awk 'FNR == 1 { in_tests = 0 }
      /#\[cfg\(test\)\]/ { in_tests = 1 }
      /BTreeMap<IsdAsn, BorderRouter>/ && !in_tests { print FILENAME ":" FNR ": " $0; found = 1 }
-     END { exit found }' crates/core/src/*.rs || {
+     END { exit found }' crates/core/src/*.rs crates/measure/src/*.rs || {
     echo "ci: routers are searched for by AS outside the tests" >&2
     exit 1
 }
@@ -159,6 +160,27 @@ if [ -n "$fields" ]; then
 fi
 if grep -rnE 'Mutex<(PathProber|HealthBoard)>|struct NetEchoTransport' crates/core/src; then
     echo "ci: the network's state has a second owner" >&2
+    exit 1
+fi
+
+# One key and one chain per AS: `AsSecrets::derive` is the one place an AS's
+# key comes from; that key signs PCBs and topologies, and the CP-PKI
+# certifies it. The renewal driver holds only the enrolment key (a renewal
+# re-certifies the current chain's public key), and its chain is the one
+# chain: a bootstrap server keeps no copy to go stale.
+echo "==> one AS key (orchestrator, bootstrap)"
+if grep -rnF 'format!("as-' crates src tests examples; then
+    echo "ci: an AS key is derived outside AsSecrets::derive" >&2
+    exit 1
+fi
+fields=$(awk '/^pub struct RenewalDriver/ { ty = "SigningKey"; next }
+              /^pub struct BootstrapServer/ { ty = "CertificateChain"; next }
+              ty && /^}/ { ty = "" }
+              ty && index($0, ty) && !/^ *enrolment_key: SigningKey,/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/orchestrator/src/renewal.rs crates/bootstrap/src/server.rs)
+if [ -n "$fields" ]; then
+    printf '%s\n' "$fields" >&2
+    echo "ci: the renewal driver holds an AS key, or a bootstrap server a chain" >&2
     exit 1
 fi
 

@@ -161,15 +161,21 @@ fn multihop_bidirectional_flows_across_all_regions() {
 #[test]
 fn all_ases_have_verified_chains_and_bootstrap_servers() {
     let net = network();
+    let trust = net.trust();
     for a in all_ases() {
+        // The key the CP-PKI certifies is the key that signs PCBs.
         assert!(
-            net.trust().key_of(a.ia).is_some(),
-            "{} not in trust directory",
+            trust.key_of(a.ia) == Some(net.secrets[&a.ia].signing.verifying_key()),
+            "{}'s certified key does not sign its PCBs",
             a.name
         );
+        let signed = net.signed_topology(a.ia).expect("bootstrap server per AS");
+        let bytes = signed.document.signed_bytes();
         assert!(
-            net.signed_topology(a.ia).is_some(),
-            "{} has no bootstrap server",
+            trust
+                .verify_as_signature(a.ia, &bytes, &signed.signature)
+                .is_ok(),
+            "{}'s topology does not verify",
             a.name
         );
         let cert = net.chain(a.ia).expect("chain per AS").as_cert;

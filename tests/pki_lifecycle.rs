@@ -42,6 +42,13 @@ fn ninety_days_of_certificate_renewal_across_all_ases() {
         renewals > n71 * 30,
         "only {renewals} renewals across {n71} ASes"
     );
+    // The renewed chains still certify the key each topology is signed with.
+    for a in &isd71 {
+        let key = net.chain(a.ia).expect("chain per AS").as_cert.public_key;
+        let signed = net.signed_topology(a.ia).expect("bootstrap server per AS");
+        let bytes = signed.document.signed_bytes();
+        assert!(key.verify(&bytes, &signed.signature).is_ok(), "{}", a.ia);
+    }
 }
 
 #[test]

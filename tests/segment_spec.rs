@@ -9,16 +9,15 @@
 //! new entry (`CowSegment::verify_extension`) must give the verdict the
 //! definition gives, and the one the full `PathSegment::verify` gives, on
 //! any single-byte corruption of that entry. And every segment the engine
-//! registers passes the full verification: the receipt checks are its
-//! only product-side check.
+//! registers passes the full verification against the keys the trust store
+//! holds from verified chains: the receipt checks are its only product-side
+//! check.
 
 use proptest::prelude::*;
 
-use sciera::control::beacon::{BeaconConfig, BeaconEngine};
 use sciera::control::segment::{
     AsEntry, AsSecrets, CowSegment, PathSegment, PeerEntry, SegmentType, DEFAULT_EXP_TIME,
 };
-use sciera::control::store::SegmentStore;
 use sciera::crypto::mac::HopMacInput;
 use sciera::crypto::sha256::Sha256;
 use sciera::crypto::sign::Signature;
@@ -171,13 +170,15 @@ fn arb_hop() -> impl Strategy<Value = Hop> {
     (asn(), any::<u16>(), any::<u16>(), peers)
 }
 
-/// Every segment in `store` passes the full verification against keys
-/// derived here, not the engine's.
-fn assert_all_verify(store: &SegmentStore) -> usize {
-    let keys = |ia: IsdAsn| Some(AsSecrets::derive(ia).signing.verifying_key());
+/// Every segment `net` registers passes the full verification, each AS's
+/// signatures checked against the key its verified chain certifies in the
+/// network's trust store, and hop keys derived here, not the engine's.
+fn assert_all_verify(net: &SciEraNetwork) -> usize {
+    let trust = net.trust();
+    let keys = |ia: IsdAsn| trust.key_of(ia);
     let hops = |ia: IsdAsn| Some(AsSecrets::derive(ia).hop_key);
     let mut n = 0;
-    for seg in store.all_segments() {
+    for seg in net.pathdb().snapshot().store().all_segments() {
         seg.verify(&keys, &hops)
             .expect("registered segment verifies");
         n += 1;
@@ -188,16 +189,18 @@ fn assert_all_verify(store: &SegmentStore) -> usize {
 #[test]
 fn every_segment_the_sciera_build_registers_verifies() {
     let net = SciEraNetwork::build(NetworkConfig::default());
-    assert_eq!(assert_all_verify(net.pathdb().snapshot().store()), 712);
+    assert_eq!(assert_all_verify(&net), 712);
 }
 
 #[test]
 fn every_segment_registered_at_400_ases_verifies() {
-    let graph = synthesize(&SynthConfig::sized(400)).graph;
-    let store = BeaconEngine::new(&graph, TS, BeaconConfig::default())
-        .run()
-        .expect("beaconing converges");
-    assert_eq!(assert_all_verify(&store), 3_316);
+    let topo = synthesize(&SynthConfig::sized(400));
+    let net = SciEraNetwork::build_from_topology(topo, NetworkConfig::default());
+    for (ia, secrets) in &net.secrets {
+        let certified = net.trust().key_of(*ia);
+        assert!(certified == Some(secrets.signing.verifying_key()), "{ia}");
+    }
+    assert_eq!(assert_all_verify(&net), 3_316);
 }
 
 proptest! {
