@@ -20,8 +20,7 @@ use scion_cppki::cert::{CertType, Certificate, CertificateChain};
 use scion_cppki::trc::{Trc, TrcKeyEntry};
 use scion_crypto::sign::SigningKey;
 use scion_daemon::trust::TrustStore;
-use scion_dataplane::dispatcher::{IngressShards, DEFAULT_SHARD_CAPACITY};
-use scion_dataplane::pool::FramePool;
+pub use scion_dataplane::load::FrameLoadReport;
 use scion_dataplane::router::{BorderRouter, FrameDecision, FrameError};
 use scion_orchestrator::health::{ChurnEvent, HealthBoard, HealthRow};
 use scion_orchestrator::prober::{
@@ -81,25 +80,6 @@ pub struct Delivery {
     pub route: Vec<IsdAsn>,
     /// One-way latency accumulated over the crossed links, ms.
     pub latency_ms: f64,
-}
-
-/// Aggregate outcome of a [`SciEraNetwork::run_frame_load`] run.
-///
-/// `router_ops` is the load figure a throughput number divides by: every
-/// frame a border router took custody of, at any hop. A packet crossing
-/// five ASes contributes five router operations but only one delivery.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FrameLoadReport {
-    /// Frames injected at their source AS.
-    pub injected: u64,
-    /// Frames that reached their destination AS.
-    pub delivered: u64,
-    /// Frames lost anywhere: router drop, dead link, or shard overflow.
-    pub dropped: u64,
-    /// Total router frame operations across all hops.
-    pub router_ops: u64,
-    /// Ingress batches drained (one per router invocation round).
-    pub batches: u64,
 }
 
 /// Configuration for building the network.
@@ -686,17 +666,13 @@ impl SciEraNetwork {
     /// Drives a frame-level traffic schedule through the whole data plane.
     ///
     /// `schedule` is a sequence of template indices (e.g. a
-    /// `sciera_flowgen` packet schedule); each entry instantiates
-    /// `templates[i % len]` from a recycled [`FramePool`] buffer and
-    /// injects it at its source AS. In-flight frames sit in per-(AS,
-    /// ingress-interface) [`IngressShards`] queues; each round drains one
-    /// shard (round-robin across interfaces) and hands the whole batch to
-    /// that AS's border router — `BorderRouter::process_batch` when
-    /// `batched`, the sequential per-frame path otherwise, so the two modes
-    /// A/B the same workload. Forwarded frames re-enqueue at the next AS;
-    /// delivered and dropped frames recycle their buffers. Frames are
-    /// delivered to the wire, not to host inboxes — this is a load plane,
-    /// not a datagram service.
+    /// `sciera_flowgen` packet schedule); each entry injects
+    /// `templates[i % len]` at its source AS. The frames travel the
+    /// deployment's routers and live links in
+    /// [`scion_dataplane::load::run_frame_load`]: batched through
+    /// `BorderRouter::process_batch` when `batched`, frame by frame
+    /// otherwise, so the two modes A/B the same workload. A frame forwarded
+    /// onto a dead link is dropped there.
     pub fn run_frame_load(
         &self,
         templates: &[(IsdAsn, Vec<u8>)],
@@ -906,7 +882,9 @@ impl DataPlane {
         })
     }
 
-    /// The frame-load engine behind [`SciEraNetwork::run_frame_load`].
+    /// [`SciEraNetwork::run_frame_load`] over this data plane: each
+    /// template's source AS is looked up once, and a frame crosses a link
+    /// only while it is up.
     fn run_frame_load(
         &mut self,
         templates: &[(IsdAsn, Vec<u8>)],
@@ -915,83 +893,33 @@ impl DataPlane {
         batched: bool,
         telemetry: &Telemetry,
     ) -> FrameLoadReport {
-        let mut report = FrameLoadReport::default();
         if templates.is_empty() {
-            return report;
+            return FrameLoadReport::default();
         }
-        let batch = batch.max(1);
-        let mut shards: IngressShards<(IsdAsn, u16)> = IngressShards::new(DEFAULT_SHARD_CAPACITY);
-        shards.set_telemetry(telemetry);
-        let mut pool = FramePool::new(batch.saturating_mul(8));
-        pool.set_telemetry(telemetry);
-        let mut wave: Vec<Vec<u8>> = Vec::with_capacity(batch);
-        // Keep roughly this many frames in flight: deep enough that drained
-        // batches stay full, shallow enough that shards never tail-drop.
-        let target_in_flight = batch.saturating_mul(4).min(DEFAULT_SHARD_CAPACITY / 2);
-        // Global hop budget across the whole run — the per-walk 64-hop
-        // valve, amortised. A routing loop burns through it and terminates
-        // instead of spinning forever.
-        let max_ops = (schedule.len() as u64).saturating_mul(64).max(64);
-        let mut next = 0usize;
-        loop {
-            while next < schedule.len() && shards.queued() < target_in_flight {
-                let (src, bytes) = &templates[schedule[next] as usize % templates.len()];
-                next += 1;
-                let mut buf = pool.alloc(bytes.len());
-                buf.extend_from_slice(bytes);
-                report.injected += 1;
-                if !shards.enqueue((*src, 0u16), buf) {
-                    report.dropped += 1;
-                }
-            }
-            let Some((ia, ingress)) = shards.drain_next(batch, &mut wave) else {
-                break;
-            };
-            report.batches += 1;
-            report.router_ops += wave.len() as u64;
-            let Some(at) = self.topo.node_of(ia) else {
-                report.dropped += wave.len() as u64;
-                pool.recycle_batch(wave.drain(..));
-                continue;
-            };
-            let router = &mut self.routers[at];
-            let results = if batched {
-                router.process_batch(&mut wave, ingress, self.now_unix)
-            } else {
-                let sim_ns = self.now_unix.saturating_mul(1_000_000_000);
-                wave.iter_mut()
-                    .map(|f| router.process_frame_at(f, ingress, self.now_unix, sim_ns))
-                    .collect()
-            };
-            for (frame, res) in wave.drain(..).zip(results) {
-                match res {
-                    Ok(FrameDecision::Deliver) => {
-                        report.delivered += 1;
-                        pool.recycle(frame);
-                    }
-                    Ok(FrameDecision::Forward { ifid }) => match self.crossing(at, ifid) {
-                        Some(c) if c.up => {
-                            if !shards.enqueue((self.routers[c.next].ia, c.next_if), frame) {
-                                report.dropped += 1;
-                            }
-                        }
-                        _ => {
-                            report.dropped += 1;
-                            pool.recycle(frame);
-                        }
-                    },
-                    Err(_) => {
-                        report.dropped += 1;
-                        pool.recycle(frame);
-                    }
-                }
-            }
-            if report.router_ops >= max_ops {
-                report.dropped += shards.queued() as u64;
-                break;
-            }
-        }
-        report
+        // An AS without a router maps past the last node: its frames drop.
+        let sources: Vec<usize> = templates
+            .iter()
+            .map(|(ia, _)| self.topo.node_of(*ia).unwrap_or(usize::MAX))
+            .collect();
+        let frames = schedule.iter().map(|&i| {
+            let t = i as usize % templates.len();
+            (sources[t], templates[t].1.as_slice())
+        });
+        // `crossing` less the latency, which a load run does not keep; it
+        // borrows the topology and link state, not the routers.
+        let live_step = |at, ifid| {
+            let step = self.topo.step(at, ifid)?;
+            (!self.links.down[step.link]).then_some((step.node, step.ifid))
+        };
+        scion_dataplane::load::run_frame_load(
+            &mut self.routers,
+            live_step,
+            frames,
+            batch,
+            batched,
+            self.now_unix,
+            telemetry,
+        )
     }
 
     /// Carries one SCMP echo over `path` and reports the verdict.
@@ -1513,6 +1441,41 @@ mod tests {
             batched.injected
         );
         assert!(pool("pool.frame.hit") > 0);
+    }
+
+    #[test]
+    fn frame_load_drops_at_a_dead_link() {
+        let net = network();
+        let pairs = [("71-2:0:42", "71-2:0:5c"), ("71-225", "71-88")];
+        let templates: Vec<(IsdAsn, Vec<u8>)> = pairs
+            .iter()
+            .map(|(s, d)| net.frame_template(ia(s), ia(d), b"cut").unwrap())
+            .collect();
+        let links: Vec<Vec<usize>> = pairs
+            .iter()
+            .map(|(s, d)| net.path_links(&net.paths(ia(s), ia(d))[0]))
+            .collect();
+        let cut = *links[0]
+            .iter()
+            .find(|l| !links[1].contains(l))
+            .expect("the first path crosses a link the second does not");
+        net.set_link_index(cut, false);
+        let schedule: Vec<u32> = (0..300u32).map(|i| i % 2).collect();
+
+        let before = net.telemetry().snapshot();
+        let report = net.run_frame_load(&templates, &schedule, 32, true);
+        let snap = net.telemetry().snapshot();
+        let delta =
+            |name: &str| snap.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+
+        assert_eq!(report.dropped, 150, "the cut template's frames: {report:?}");
+        assert_eq!(report.delivered, 150, "the other template's frames");
+        assert_eq!(report.injected, report.delivered + report.dropped);
+        assert_eq!(delta("router.delivered"), 150);
+        assert_eq!(
+            delta("pool.frame.hit") + delta("pool.frame.miss"),
+            report.injected
+        );
     }
 
     #[test]

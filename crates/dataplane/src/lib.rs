@@ -21,6 +21,9 @@
 //!   Science-DMZ.
 //! * [`pool`] — the bounded frame-buffer pool that feeds routers recycled
 //!   `Vec<u8>` backing stores under frame load.
+//! * [`load`] — the frame-load loop: inject, drain an ingress shard, run
+//!   the batch through its router, forward across the link. The deployment
+//!   and the scale sweep both run it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +31,7 @@
 pub mod dispatcher;
 pub mod hostnet;
 pub mod lightningfilter;
+pub mod load;
 pub mod maccache;
 pub mod pool;
 pub mod router;

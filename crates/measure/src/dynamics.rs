@@ -41,6 +41,8 @@ use scion_orchestrator::prober::EchoOutcome;
 use scion_pan::adaptive::{AdaptivePolicy, Candidate, PathObservation, PathStatsView};
 use scion_proto::addr::IsdAsn;
 
+use crate::bed::Rng;
+
 /// Version stamp every exported record carries; bump on any schema change.
 pub const SCHEMA_VERSION: u32 = 1;
 
@@ -267,32 +269,6 @@ pub struct PolicyOutcome {
     pub max_gap_ms: f64,
     /// Selection changes across all pairs.
     pub switches: u64,
-}
-
-/// Tiny deterministic PRNG (xorshift64*) for event-injection draws.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-
-    fn f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 struct PathTrack {

@@ -21,7 +21,8 @@
 //!   the aggregate statistics the paper reports.
 //! * [`scale`] — the scale observatory: synthetic-topology sweeps
 //!   (100 → 5000 ASes) through beaconing, the path database and the
-//!   router data plane, with per-subsystem self-time attribution.
+//!   router data plane (the deployment's frame-load loop,
+//!   `scion_dataplane::load`), with per-subsystem self-time attribution.
 //! * [`slo`] — the concurrency SLO observatory: p50/p99 lookup latency
 //!   under K concurrent clients while a writer runs link-kill storms
 //!   against the epoch-snapshot path database.
@@ -37,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+mod bed;
 pub mod bootstrapx;
 pub mod campaign;
 pub mod dynamics;

@@ -15,10 +15,9 @@
 //!    discipline, including publish-latency accounting), recording hit
 //!    rate and throughput,
 //! 4. pushes a frame workload through real border routers over the
-//!    generated links: an inject/drain/process-batch/forward loop of the
-//!    same shape as the deployment's frame load (routers in the topology's
-//!    node order, one node lookup per drained batch, one `step` per
-//!    forward), but its own copy, with every link up,
+//!    generated links, every link up: the deployment's frame-load loop
+//!    ([`scion_dataplane::load::run_frame_load`]), with routers in the
+//!    topology's node order and one `step` per forward,
 //!
 //! and then reads the scoped profiler back: ranked per-subsystem self
 //! time and the named bottleneck at that N. With the `profile` feature
@@ -29,13 +28,14 @@ use std::time::Instant;
 
 use sciera_telemetry::Telemetry;
 use sciera_topology::synth::{synthesize, SynthConfig};
-use scion_control::beacon::{BeaconConfig, BeaconEngine};
+use scion_control::beacon::BeaconEngine;
 use scion_control::epoch::{EpochConfig, EpochPathDb};
-use scion_dataplane::dispatcher::{IngressShards, DEFAULT_SHARD_CAPACITY};
-use scion_dataplane::pool::FramePool;
-use scion_dataplane::router::{BorderRouter, FrameDecision};
-use scion_proto::addr::{HostAddr, IsdAsn, ScionAddr};
+use scion_dataplane::load::{run_frame_load, FrameLoadReport};
+use scion_dataplane::router::BorderRouter;
+use scion_proto::addr::{HostAddr, ScionAddr};
 use scion_proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
+
+use crate::bed::{beacon_config_for, pair_pool, Rng};
 
 /// Parameters of one sweep run.
 #[derive(Debug, Clone)]
@@ -120,38 +120,6 @@ pub struct ScalePoint {
     pub bottleneck: Option<String>,
 }
 
-/// Tiny deterministic PRNG for workload draws (xorshift64*).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
-
-fn beacon_config_for(n: usize) -> BeaconConfig {
-    BeaconConfig {
-        // Richer candidate sets explode combination work superlinearly;
-        // scale them down as the network grows, as an operator would.
-        candidates_per_origin: if n >= 1000 { 3 } else { 6 },
-        max_len: 16,
-        rounds: 24,
-    }
-}
-
 /// Runs one sweep point at `n` ASes.
 pub fn run_point(n: usize, cfg: &ScaleConfig) -> ScalePoint {
     let telemetry = Telemetry::quiet();
@@ -182,38 +150,13 @@ pub fn run_point(n: usize, cfg: &ScaleConfig) -> ScalePoint {
     let db = EpochPathDb::with_config(store, EpochConfig::for_topology(n));
     db.set_telemetry(telemetry.clone());
 
-    let leaves: Vec<IsdAsn> = topo
-        .graph
-        .ases()
-        .filter(|a| !a.core)
-        .map(|a| a.ia)
-        .collect();
-    let endpoints = if leaves.is_empty() {
-        topo.graph.core_ases()
-    } else {
-        leaves
-    };
     // The pool of distinct pairs scales with the topology (at least half
     // the AS count), so the combine workload actually grows across the
     // sweep; the cache capacity grows with it (`for_topology`), so the
     // warm pass measures steady-state lookup throughput rather than LRU
     // churn. A fixed pool would make the hit rate a constant arithmetic
     // artefact of (queries, pair_pool) — the same number at every N.
-    let pool_target = cfg.pair_pool.max(n / 2);
-    let mut seen_pairs = std::collections::BTreeSet::new();
-    let mut pool: Vec<(IsdAsn, IsdAsn)> = Vec::new();
-    let mut draws = 0usize;
-    while pool.len() < pool_target && draws < pool_target.saturating_mul(8) {
-        draws += 1;
-        let a = endpoints[rng.below(endpoints.len())];
-        let b = endpoints[rng.below(endpoints.len())];
-        if a != b && seen_pairs.insert((a, b)) {
-            pool.push((a, b));
-        }
-    }
-    if pool.is_empty() {
-        pool.push((endpoints[0], endpoints[endpoints.len() - 1]));
-    }
+    let pool = pair_pool(&topo, cfg.pair_pool.max(n / 2), &mut rng);
 
     let cache_counts = || {
         let snap = telemetry.snapshot();
@@ -256,10 +199,8 @@ pub fn run_point(n: usize, cfg: &ScaleConfig) -> ScalePoint {
 
     // ---- Stage 4: router frame workload ------------------------------
     // Templates: encoded UDP frames over the first path of a handful of
-    // reachable pairs; the loop below injects, drains, processes a batch
-    // and forwards over the generated links, as the deployment's frame load
-    // does with every link up.
-    let mut templates: Vec<(IsdAsn, Vec<u8>)> = Vec::new();
+    // reachable pairs, each with its source node, injected round-robin.
+    let mut templates: Vec<(usize, Vec<u8>)> = Vec::new();
     for (src, dst) in pool.iter().take(32) {
         let paths = db.paths(*src, *dst, 4);
         let Some(dp) = paths.first().and_then(|p| p.to_dataplane().ok()) else {
@@ -272,14 +213,12 @@ pub fn run_point(n: usize, cfg: &ScaleConfig) -> ScalePoint {
             DataPlanePath::Scion(dp),
             scion_proto::udp::UdpDatagram::new(7, 7, b"scale".to_vec()).encode(),
         );
-        if let Ok(bytes) = pkt.encode() {
-            templates.push((*src, bytes));
+        if let (Ok(bytes), Some(at)) = (pkt.encode(), topo.node_of(*src)) {
+            templates.push((at, bytes));
         }
     }
 
-    let mut router_ops = 0u64;
-    let mut delivered = 0u64;
-    let mut dropped = 0u64;
+    let mut load = FrameLoadReport::default();
     let mut router_ns_per_op = 0.0;
     if !templates.is_empty() {
         // One router per AS, in the topology's node order.
@@ -291,66 +230,24 @@ pub fn run_point(n: usize, cfg: &ScaleConfig) -> ScalePoint {
                 r
             })
             .collect();
-        let mut shards: IngressShards<(IsdAsn, u16)> = IngressShards::new(DEFAULT_SHARD_CAPACITY);
-        shards.set_telemetry(&telemetry);
-        let mut pool_frames = FramePool::new(cfg.batch.saturating_mul(8));
-        pool_frames.set_telemetry(&telemetry);
-        let mut wave: Vec<Vec<u8>> = Vec::with_capacity(cfg.batch);
-        let target_in_flight = cfg.batch.saturating_mul(4).min(DEFAULT_SHARD_CAPACITY / 2);
-        let max_ops = (cfg.frames as u64).saturating_mul(64).max(64);
-        let now_unix = 1_700_000_000u64;
-        let mut next = 0usize;
+        let frames = (0..cfg.frames).map(|i| {
+            let (at, bytes) = &templates[i % templates.len()];
+            (*at, bytes.as_slice())
+        });
+        let step = |at, ifid| topo.step(at, ifid).map(|s| (s.node, s.ifid));
         let t0 = Instant::now();
-        loop {
-            while next < cfg.frames && shards.queued() < target_in_flight {
-                let (src, bytes) = &templates[next % templates.len()];
-                next += 1;
-                let mut buf = pool_frames.alloc(bytes.len());
-                buf.extend_from_slice(bytes);
-                if !shards.enqueue((*src, 0u16), buf) {
-                    dropped += 1;
-                }
-            }
-            let Some((ia, ingress)) = shards.drain_next(cfg.batch, &mut wave) else {
-                break;
-            };
-            router_ops += wave.len() as u64;
-            let Some(at) = topo.node_of(ia) else {
-                dropped += wave.len() as u64;
-                pool_frames.recycle_batch(wave.drain(..));
-                continue;
-            };
-            let results = routers[at].process_batch(&mut wave, ingress, now_unix);
-            for (frame, res) in wave.drain(..).zip(results) {
-                match res {
-                    Ok(FrameDecision::Deliver) => {
-                        delivered += 1;
-                        pool_frames.recycle(frame);
-                    }
-                    Ok(FrameDecision::Forward { ifid }) => match topo.step(at, ifid) {
-                        Some(step) => {
-                            if !shards.enqueue((routers[step.node].ia, step.ifid), frame) {
-                                dropped += 1;
-                            }
-                        }
-                        None => {
-                            dropped += 1;
-                            pool_frames.recycle(frame);
-                        }
-                    },
-                    Err(_) => {
-                        dropped += 1;
-                        pool_frames.recycle(frame);
-                    }
-                }
-            }
-            if router_ops >= max_ops {
-                break;
-            }
-        }
+        load = run_frame_load(
+            &mut routers,
+            step,
+            frames,
+            cfg.batch,
+            true,
+            1_700_000_000,
+            &telemetry,
+        );
         let wall_ns = t0.elapsed().as_nanos() as f64;
-        if router_ops > 0 {
-            router_ns_per_op = wall_ns / router_ops as f64;
+        if load.router_ops > 0 {
+            router_ns_per_op = wall_ns / load.router_ops as f64;
         }
     }
 
@@ -383,9 +280,9 @@ pub fn run_point(n: usize, cfg: &ScaleConfig) -> ScalePoint {
         hit_rate_cold,
         hit_rate_warm,
         queries_per_sec,
-        router_ops,
-        delivered,
-        dropped,
+        router_ops: load.router_ops,
+        delivered: load.delivered,
+        dropped: load.dropped,
         router_ns_per_op,
         self_time_ms,
         bottleneck,
@@ -446,6 +343,11 @@ mod tests {
             p.hit_rate_warm
         );
         assert!(p.delivered > 0, "some frames must arrive end-to-end");
+        assert_eq!(
+            p.delivered + p.dropped,
+            cfg.frames as u64,
+            "every frame is delivered or dropped"
+        );
         assert!(p.router_ns_per_op > 0.0);
     }
 

@@ -22,10 +22,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use sciera_topology::synth::{synthesize, SynthConfig};
-use scion_control::beacon::{BeaconConfig, BeaconEngine};
+use scion_control::beacon::BeaconEngine;
 use scion_control::epoch::{EpochConfig, EpochPathDb};
 use scion_control::store::SegmentHandle;
 use scion_proto::addr::IsdAsn;
+
+use crate::bed::{beacon_config_for, pair_pool, Rng};
 
 /// Parameters of one SLO run.
 #[derive(Debug, Clone)]
@@ -81,28 +83,6 @@ pub struct SloPoint {
     pub storms: u64,
     /// Store generations published during the measurement window.
     pub publishes: u64,
-}
-
-/// Tiny deterministic PRNG for workload draws (xorshift64*).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
 }
 
 /// One writer storm iteration's ammunition: a core interface to kill and
@@ -175,42 +155,10 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 /// client count.
 pub fn run_slo(cfg: &SloConfig) -> Vec<SloPoint> {
     let topo = synthesize(&SynthConfig::sized(cfg.n_ases));
-    let store = BeaconEngine::new(
-        &topo.graph,
-        1_700_000_000,
-        BeaconConfig {
-            candidates_per_origin: 6,
-            max_len: 16,
-            rounds: 24,
-        },
-    )
-    .run()
-    .expect("synthetic topology beacons cleanly");
-
-    let mut rng = Rng::new(cfg.seed);
-    let leaves: Vec<IsdAsn> = topo
-        .graph
-        .ases()
-        .filter(|a| !a.core)
-        .map(|a| a.ia)
-        .collect();
-    let endpoints = if leaves.is_empty() {
-        topo.graph.core_ases()
-    } else {
-        leaves
-    };
-    let mut seen = std::collections::BTreeSet::new();
-    let mut pool: Vec<(IsdAsn, IsdAsn)> = Vec::new();
-    let mut draws = 0usize;
-    while pool.len() < cfg.pair_pool && draws < cfg.pair_pool.saturating_mul(8) {
-        draws += 1;
-        let a = endpoints[rng.below(endpoints.len())];
-        let b = endpoints[rng.below(endpoints.len())];
-        if a != b && seen.insert((a, b)) {
-            pool.push((a, b));
-        }
-    }
-    assert!(!pool.is_empty(), "no queryable pairs at N={}", cfg.n_ases);
+    let store = BeaconEngine::new(&topo.graph, 1_700_000_000, beacon_config_for(cfg.n_ases))
+        .run()
+        .expect("synthetic topology beacons cleanly");
+    let pool = pair_pool(&topo, cfg.pair_pool, &mut Rng::new(cfg.seed));
 
     cfg.clients
         .iter()

@@ -118,20 +118,21 @@ cargo clippy -p scion-dataplane -p scion-proto -p scion-control -p sciera-topolo
     -p sciera-core -p scion-daemon -p scion-orchestrator -p sciera-measure --all-targets -- \
     -D warnings -D clippy::redundant_clone -D clippy::needless_collect
 
-# One delivering hop loop, one router table: the packet-level walk stays
-# deleted, and a map of routers searched per hop exists only where the
-# tests keep the old loop as their reference. The scale sweep's frame stage
-# keeps its routers in the topology's node order, as the deployment does.
-echo "==> one hop loop, one router table (core, measure)"
+# One delivering hop loop, one router table, one frame-load loop: the
+# packet-level walk stays deleted, and a map of routers searched per hop
+# exists only where the tests keep the old loop as their reference. The
+# deployment and the scale sweep both run `scion_dataplane::load`'s frame
+# load, so no ingress shard is drained outside the dataplane crate.
+echo "==> one hop loop, one router table, one frame load (core, measure)"
 if grep -rn 'fn walk_packets' crates; then
     echo "ci: a second delivering walk is back" >&2
     exit 1
 fi
 awk 'FNR == 1 { in_tests = 0 }
      /#\[cfg\(test\)\]/ { in_tests = 1 }
-     /BTreeMap<IsdAsn, BorderRouter>/ && !in_tests { print FILENAME ":" FNR ": " $0; found = 1 }
+     /BTreeMap<IsdAsn, BorderRouter>|drain_next\(/ && !in_tests { print FILENAME ":" FNR ": " $0; found = 1 }
      END { exit found }' crates/core/src/*.rs crates/measure/src/*.rs || {
-    echo "ci: routers are searched for by AS outside the tests" >&2
+    echo "ci: routers searched for by AS, or ingress shards drained, outside the tests" >&2
     exit 1
 }
 
