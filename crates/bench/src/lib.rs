@@ -1,7 +1,7 @@
 //! Shared helpers for the experiment harness.
 //!
 //! Each `[[bench]]` target regenerates one table or figure of the paper
-//! (see DESIGN.md's per-experiment index). Figure benches honour the
+//! (see the per-experiment index, DESIGN.md §3). Figure benches honour the
 //! `SCIERA_FULL=1` environment variable to run the paper-scale campaign
 //! (25 days at 60 s aggregation); the default is a scaled campaign that
 //! preserves the shapes at a fraction of the wall-clock cost.

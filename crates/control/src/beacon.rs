@@ -27,9 +27,9 @@
 //! received it from its signer. So a receipt — origination, propagation or
 //! registration — checks only the one new entry against the beacon it
 //! extends ([`CowSegment::verify_extension`]), O(1) in beacon length, and
-//! a beacon whose new entry fails is never held. DESIGN §4 states what
-//! this economy substitutes for a control service that re-checks the
-//! whole chain.
+//! a beacon whose new entry fails is never held. DESIGN §4 (item 7)
+//! states what this economy substitutes for a control service that
+//! re-checks the whole chain; DESIGN §8 maps the engine and its oracles.
 //!
 //! A propagation round **snapshots, then commits**: it first captures
 //! every offering holder's immutable inputs (retained candidate beacons,

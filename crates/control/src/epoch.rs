@@ -21,7 +21,7 @@
 //!   fresh snapshot and swaps the published pointer. Publish latency and
 //!   count land in `pathdb.publish_ns` / `pathdb.publish.count`.
 //! * **The sharded result cache** — warm lookups hash their key to one of
-//!   `shards` independently-locked maps, so concurrent readers contend
+//!   16 independently-locked maps, so concurrent readers contend
 //!   only on key collisions within a shard, never on the writer and never
 //!   on each other across shards. A hit is: snapshot read-clone, one
 //!   shard lock, one `Arc` path-list clone.
@@ -75,35 +75,20 @@ use crate::fullpath::{approx_shared_bytes, FullPath};
 use crate::policy::{policy_fingerprint, PathPolicy};
 use crate::store::{BucketDep, SegmentStore};
 
-/// Sizing knobs for the epoch database's sharded cache.
+/// Number of independently-locked cache shards.
+const SHARDS: usize = 16;
+
+/// Sizing of the epoch database's sharded cache.
 #[derive(Debug, Clone, Copy)]
 pub struct EpochConfig {
-    /// Number of independently-locked cache shards.
-    pub shards: usize,
     /// Total cached entries across all shards (per-shard capacity is
-    /// `capacity / shards`, at least 1).
+    /// `capacity / SHARDS`, at least 1).
     pub capacity: usize,
-    /// Admission control: cache-miss combinations in flight at once
-    /// across all readers. `0` (the default) disables the gate. A bounded
-    /// budget keeps a miss storm from convoying every reader thread into
-    /// combine work at once — the daemon's overload answer is to queue
-    /// briefly or shed, not to melt.
-    pub max_inflight: usize,
-    /// Admission control: queries allowed to queue for a combination
-    /// permit before further ones shed (served an empty, uncached answer
-    /// the client retries). Only meaningful when
-    /// [`max_inflight`](Self::max_inflight) is non-zero.
-    pub max_waiters: usize,
 }
 
 impl Default for EpochConfig {
     fn default() -> Self {
-        EpochConfig {
-            shards: 16,
-            capacity: 4096,
-            max_inflight: 0,
-            max_waiters: 64,
-        }
+        EpochConfig { capacity: 4096 }
     }
 }
 
@@ -117,7 +102,6 @@ impl EpochConfig {
     pub fn for_topology(n_ases: usize) -> Self {
         EpochConfig {
             capacity: (8 * n_ases).max(4096),
-            ..Default::default()
         }
     }
 }
@@ -185,9 +169,6 @@ struct Metrics {
     cache_bytes_gauge: Gauge,
     store_segments_gauge: Gauge,
     store_bytes_gauge: Gauge,
-    shed: Counter,
-    admission_waits: Counter,
-    inflight_gauge: Gauge,
 }
 
 impl Metrics {
@@ -207,45 +188,8 @@ impl Metrics {
             cache_bytes_gauge: telemetry.gauge("pathdb.cache.bytes"),
             store_segments_gauge: telemetry.gauge("store.segments"),
             store_bytes_gauge: telemetry.gauge("store.interned_bytes"),
-            shed: telemetry.counter("pathdb.shed"),
-            admission_waits: telemetry.counter("pathdb.admission.wait"),
-            inflight_gauge: telemetry.gauge("pathdb.inflight"),
             telemetry,
         }
-    }
-}
-
-/// The admission gate's shared state: combinations in flight and queries
-/// queued for a permit. Guarded by a `std::sync` mutex + condvar pair
-/// (waiters must block on a condition; the vendored `parking_lot` shim
-/// has no condvar). The gate lock nests inside nothing — it is acquired
-/// with no other database lock held.
-#[derive(Default)]
-struct GateState {
-    inflight: usize,
-    waiting: usize,
-}
-
-#[derive(Default)]
-struct AdmissionGate {
-    state: std::sync::Mutex<GateState>,
-    cv: std::sync::Condvar,
-}
-
-/// RAII combination permit: releasing returns the budget slot and wakes
-/// one queued waiter.
-struct AdmissionPermit<'a> {
-    db: &'a EpochPathDb,
-}
-
-impl Drop for AdmissionPermit<'_> {
-    fn drop(&mut self) {
-        let m = self.db.m();
-        let gate = &self.db.inner.gate;
-        let mut st = gate.state.lock().expect("admission gate poisoned");
-        st.inflight -= 1;
-        m.inflight_gauge.set(st.inflight as u64);
-        gate.cv.notify_one();
     }
 }
 
@@ -258,7 +202,6 @@ struct Inner {
     master: Mutex<SegmentStore>,
     shards: Vec<Mutex<Shard>>,
     metrics: RwLock<Arc<Metrics>>,
-    gate: AdmissionGate,
 }
 
 /// The epoch-snapshot path database. `Clone` is an `Arc` bump — clones
@@ -278,9 +221,7 @@ impl EpochPathDb {
     /// Wraps `store` with explicit sizing.
     pub fn with_config(store: SegmentStore, cfg: EpochConfig) -> Self {
         let cfg = EpochConfig {
-            shards: cfg.shards.max(1),
             capacity: cfg.capacity.max(1),
-            ..cfg
         };
         let metrics = Metrics::new(Telemetry::quiet());
         metrics.generation_gauge.set(store.generation());
@@ -293,11 +234,8 @@ impl EpochPathDb {
             inner: Arc::new(Inner {
                 published: RwLock::new(snapshot),
                 master: Mutex::new(store),
-                shards: (0..cfg.shards)
-                    .map(|_| Mutex::new(Shard::default()))
-                    .collect(),
+                shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
                 metrics: RwLock::new(Arc::new(metrics)),
-                gate: AdmissionGate::default(),
                 cfg,
             }),
         }
@@ -489,38 +427,10 @@ impl EpochPathDb {
         m.store_bytes_gauge.set(snap.store.approx_bytes() as u64);
     }
 
-    /// Acquires a cache-miss combination permit. Returns `Ok(Some(_))`
-    /// when admission is enabled and a budget slot was obtained (possibly
-    /// after queueing on the condvar), `Ok(None)` when admission is
-    /// disabled (`max_inflight == 0`), and `Err(())` when both the budget
-    /// and the waiter queue are full — the caller sheds.
-    fn admit(&self, m: &Metrics) -> Result<Option<AdmissionPermit<'_>>, ()> {
-        let max = self.inner.cfg.max_inflight;
-        if max == 0 {
-            return Ok(None);
-        }
-        let gate = &self.inner.gate;
-        let mut st = gate.state.lock().expect("admission gate poisoned");
-        if st.inflight >= max {
-            if st.waiting >= self.inner.cfg.max_waiters {
-                return Err(());
-            }
-            st.waiting += 1;
-            m.admission_waits.inc();
-            while st.inflight >= max {
-                st = gate.cv.wait(st).expect("admission gate poisoned");
-            }
-            st.waiting -= 1;
-        }
-        st.inflight += 1;
-        m.inflight_gauge.set(st.inflight as u64);
-        Ok(Some(AdmissionPermit { db: self }))
-    }
-
     fn shard_of(&self, key: &CacheKey) -> usize {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        (h.finish() as usize) % self.inner.shards.len()
+        (h.finish() as usize) % SHARDS
     }
 
     fn query(
@@ -579,20 +489,6 @@ impl EpochPathDb {
             }
         }
 
-        // A combine is the expensive, unbounded part of a miss; it must
-        // hold one of the bounded in-flight permits. When the budget and
-        // the wait queue are both exhausted the query sheds: an empty,
-        // *uncached* answer the client retries later, instead of another
-        // thread piling onto combine work mid-storm. Warm hits above
-        // never touch the gate.
-        let _permit = match self.admit(&m) {
-            Ok(p) => p,
-            Err(()) => {
-                m.shed.inc();
-                return (Arc::new(Vec::new()), gen);
-            }
-        };
-
         // Combine against the snapshot with no locks held.
         let record = {
             let _c = m.telemetry.prof_scope("pathdb.combine");
@@ -625,7 +521,7 @@ impl EpochPathDb {
             .map(|dep| (dep, snap.store.bucket_fingerprint(dep)))
             .collect();
         let paths = Arc::new(paths);
-        let per_shard = (self.inner.cfg.capacity / self.inner.shards.len()).max(1);
+        let per_shard = (self.inner.cfg.capacity / SHARDS).max(1);
         let mut shard = self.inner.shards[self.shard_of(&key)].lock();
         shard.tick += 1;
         let tick = shard.tick;
@@ -823,84 +719,36 @@ mod tests {
 
     #[test]
     fn eviction_bounds_each_shard() {
+        // Two entries a shard; three answer caps of one pair whose keys
+        // land in one shard.
         let db = EpochPathDb::with_config(
             mesh(),
             EpochConfig {
-                shards: 1,
-                capacity: 2,
-                ..Default::default()
+                capacity: 2 * SHARDS,
             },
         );
-        db.paths(ia("71-10"), ia("71-20"), 100);
-        db.paths(ia("71-10"), ia("71-30"), 100);
-        db.paths(ia("71-20"), ia("71-30"), 100);
+        let (src, dst) = (ia("71-10"), ia("71-20"));
+        let caps: Vec<usize> = {
+            let shard = db.shard_of(&(src, dst, 0, 100));
+            (100..)
+                .filter(|&cap| db.shard_of(&(src, dst, 0, cap)) == shard)
+                .take(3)
+                .collect()
+        };
+        for &cap in &caps {
+            db.paths(src, dst, cap);
+        }
         assert_eq!(db.cached_entries(), 2);
         assert_eq!(db.m().evicts.get(), 1);
-        // Evicted key recombines and still matches fresh.
-        assert_matches_fresh(&db, "71-10", "71-20");
-    }
-
-    #[test]
-    fn admission_disabled_by_default_never_sheds() {
-        let db = EpochPathDb::new(mesh());
-        db.paths(ia("71-10"), ia("71-20"), 100);
-        db.paths(ia("71-10"), ia("71-30"), 100);
-        assert_eq!(db.m().shed.get(), 0);
-        assert_eq!(db.m().admission_waits.get(), 0);
-    }
-
-    #[test]
-    fn exhausted_budget_with_full_queue_sheds_without_caching() {
-        let db = EpochPathDb::with_config(
-            mesh(),
-            EpochConfig {
-                max_inflight: 1,
-                max_waiters: 0,
-                ..Default::default()
-            },
+        // The least recently used key was evicted: it recombines and still
+        // matches fresh.
+        let misses = db.m().misses.get();
+        let memo = db.paths(src, dst, caps[0]);
+        assert_eq!(db.m().misses.get(), misses + 1);
+        assert_eq!(
+            memo,
+            combine_paths(db.snapshot().store(), src, dst, caps[0])
         );
-        // Hold the only permit, then query: budget exhausted and the
-        // queue full, so the miss sheds an empty, uncached answer.
-        let m = db.m();
-        let permit = db.admit(&m).unwrap();
-        assert!(permit.is_some());
-        let (served, gen) = db.paths_with_generation(ia("71-10"), ia("71-20"), 100);
-        assert!(served.is_empty(), "shed queries serve an empty answer");
-        assert_eq!(gen, db.generation());
-        assert_eq!(m.shed.get(), 1);
-        assert_eq!(db.cached_entries(), 0, "shed results must not be cached");
-        drop(permit);
-        // With the permit returned, the same query combines and caches.
-        assert!(!db.paths(ia("71-10"), ia("71-20"), 100).is_empty());
-        assert_eq!(db.cached_entries(), 1);
-        assert_eq!(m.shed.get(), 1);
-    }
-
-    #[test]
-    fn waiters_queue_until_the_budget_frees() {
-        let db = EpochPathDb::with_config(
-            mesh(),
-            EpochConfig {
-                max_inflight: 1,
-                max_waiters: 8,
-                ..Default::default()
-            },
-        );
-        let m = db.m();
-        let permit = db.admit(&m).unwrap();
-        let reader = {
-            let db = db.clone();
-            std::thread::spawn(move || db.paths(ia("71-10"), ia("71-20"), 100))
-        };
-        // The reader misses, reaches the gate, and queues.
-        while m.admission_waits.get() == 0 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        drop(permit);
-        let paths = reader.join().unwrap();
-        assert!(!paths.is_empty(), "queued query completes once admitted");
-        assert_eq!(m.shed.get(), 0);
-        assert_eq!(db.cached_entries(), 1);
     }
 
     #[test]

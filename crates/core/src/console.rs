@@ -170,17 +170,6 @@ impl OperatorConsole {
             c("beacon.verified"),
         );
 
-        // Admission control: overload posture of the combination budget.
-        // Shed counts are the operator's signal that clients are being
-        // turned away and the budget (or the cache) needs resizing.
-        let _ = writeln!(
-            out,
-            "admission: {} shed / {} queued — {} combines in flight",
-            c("pathdb.shed"),
-            c("pathdb.admission.wait"),
-            g("pathdb.inflight"),
-        );
-
         // Scale observatory: resource footprints (current and
         // peak-since-snapshot where tracked) plus the profiler's top
         // self-time scopes. With the `profile` feature off the hotspots
@@ -327,8 +316,6 @@ mod tests {
         assert!(second.contains("flowgen:"), "{second}");
         assert!(second.contains("pathdb:"), "{second}");
         assert!(second.contains("beacon batches:"), "{second}");
-        assert!(second.contains("admission:"), "{second}");
-        assert!(second.contains("shed"), "{second}");
         assert!(second.contains("scale: pathdb"), "{second}");
         assert!(second.contains("dynamics: epoch"), "{second}");
         assert!(second.contains("last failover gap"), "{second}");

@@ -23,9 +23,7 @@ use scion_daemon::trust::TrustStore;
 pub use scion_dataplane::load::FrameLoadReport;
 use scion_dataplane::router::{BorderRouter, FrameDecision, FrameError};
 use scion_orchestrator::health::{ChurnEvent, HealthBoard, HealthRow};
-use scion_orchestrator::prober::{
-    EchoOutcome, EchoTransport, PathProber, ProbeResult, ProberConfig,
-};
+use scion_orchestrator::prober::{EchoOutcome, EchoTransport, PathProber, ProbeResult};
 use scion_orchestrator::renewal::{bootstrap_driver, RenewalAction, RenewalDriver};
 use scion_proto::addr::{HostAddr, IsdAsn, IsdNumber, ScionAddr};
 use scion_proto::encap::UnderlayAddr;
@@ -365,7 +363,7 @@ impl SciEraNetwork {
                     echo_requests: BTreeMap::new(),
                     echo_buf: Vec::new(),
                 },
-                prober: PathProber::new(telemetry.clone(), ProberConfig::default()),
+                prober: PathProber::new(telemetry.clone()),
                 health: HealthBoard::new(telemetry.clone()),
                 cas,
                 renewal,

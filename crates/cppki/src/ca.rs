@@ -120,11 +120,6 @@ impl CaService {
         self.enrolled.push((subject, enrolment_key));
     }
 
-    /// Whether `subject` is enrolled.
-    pub fn is_enrolled(&self, subject: IsdAsn) -> bool {
-        self.enrolled.iter().any(|(ia, _)| *ia == subject)
-    }
-
     /// Processes a CSR at time `now`, returning a full chain on success.
     pub fn process_csr(
         &mut self,

@@ -17,7 +17,8 @@
 //! * [`cert`] — certificates and chain verification back to a TRC.
 //! * [`ca`] — the ISD CA service: CSRs, issuance, renewal windows.
 //!
-//! Signatures use the simulated scheme of `scion-crypto` (DESIGN.md §4).
+//! Signatures use the simulated scheme of `scion-crypto` (DESIGN.md §4,
+//! item 2). DESIGN.md §8 maps the CP-PKI beside beaconing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -41,7 +41,8 @@
 //! preserves the property the control plane relies on — no AS can forge
 //! another AS's beacon or certificate — while exercising the same sign →
 //! serialize → chain-verify code paths as the real stack. The substitution
-//! is recorded in `DESIGN.md` §4.
+//! is recorded in `DESIGN.md` §4 (item 2); the crate's engine and invariants
+//! are mapped in `DESIGN.md` §5.
 //!
 //! The crate denies unsafe code. The one exception is the call into the
 //! hardware SHA-256 kernel, made only after the CPU features it needs are

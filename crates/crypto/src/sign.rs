@@ -1,6 +1,6 @@
 //! Simulated signatures for the control plane.
 //!
-//! See the crate-level documentation and `DESIGN.md` §4 for the rationale.
+//! See the crate-level documentation and `DESIGN.md` §4 (item 2) for the rationale.
 //! The API deliberately mirrors an asymmetric scheme — a private
 //! [`SigningKey`] producing [`Signature`]s that a public [`VerifyingKey`]
 //! checks — so control-plane code (TRC verification, certificate chains,

@@ -13,6 +13,11 @@
 //!   §4.2.1 give up).
 //! * [`trust`] — the local PKI databases: the TRC store with update
 //!   chaining and topology/segment verification helpers.
+//!
+//! [`Daemon`] has no product caller: only tests use it. The deployment's
+//! hosts look paths up through `sciera_core::SimTransport`, which asks the
+//! path database directly (`DESIGN.md` §11). The trust store is on the
+//! product path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

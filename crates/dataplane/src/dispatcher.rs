@@ -11,7 +11,9 @@
 //! This module keeps both faces of that story:
 //!
 //! * [`Dispatcher`] — the demultiplexing logic itself (registration table,
-//!   per-packet lookup), used by the daemon-era host stack.
+//!   per-packet lookup), as the daemon-era host stack ran it. Only
+//!   `tests/host_modes.rs` calls it; the deployment's hosts receive through
+//!   their own inboxes.
 //! * [`run_dispatcher_pipeline`] — a thread-backed pipeline that measures
 //!   the shared-bottleneck behaviour for the §4.8 ablation bench: however
 //!   many applications exist, every packet funnels through one dispatcher
@@ -25,7 +27,6 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use sciera_telemetry::{Counter, Event, Gauge, Severity, Telemetry};
 
-use scion_proto::encap::DISPATCHER_PORT;
 use scion_proto::packet::{L4Protocol, ScionPacket};
 use scion_proto::udp::UdpDatagram;
 
@@ -72,11 +73,6 @@ impl Dispatcher {
         self.lookups = telemetry.counter("dispatcher.lookups");
         self.misses = telemetry.counter("dispatcher.misses");
         self.telemetry = telemetry;
-    }
-
-    /// The single underlay port the dispatcher binds.
-    pub fn underlay_port() -> u16 {
-        DISPATCHER_PORT
     }
 
     /// Registers `app` for UDP/SCION destination port `port`. Fails if the

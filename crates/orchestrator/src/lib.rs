@@ -12,7 +12,9 @@
 //! * [`renewal`] — the certificate-renewal driver for the §4.5 short-lived
 //!   AS certificates: polls expiry, builds CSRs, retries failures.
 //! * [`monitor`] — continuous connectivity monitoring and alerting with
-//!   deduplication, plus the aggregated status dashboard.
+//!   deduplication, plus the aggregated status dashboard. No product code
+//!   calls [`ConnectivityMonitor`]: only `tests/telemetry.rs` uses it
+//!   (`DESIGN.md` §12).
 //! * [`effort`] — the deployment-effort model behind Fig. 3: base effort
 //!   per connection type, coordination overhead per involved party,
 //!   discounted by accumulated experience and by orchestrator automation.
@@ -35,6 +37,6 @@ pub mod setup;
 pub use effort::{EffortModel, OnboardingEvent};
 pub use health::{ChurnEvent, HealthBoard, HealthRow, PathHealth};
 pub use monitor::{AlertSink, ConnectivityMonitor};
-pub use prober::{EchoOutcome, EchoTransport, PathProber, ProbeResult, ProberConfig};
+pub use prober::{EchoOutcome, EchoTransport, PathProber, ProbeResult};
 pub use renewal::RenewalDriver;
 pub use setup::{AsDeclaration, SetupPlan};

@@ -66,18 +66,8 @@ impl<F: FnMut(IsdAsn, u16)> InvalidationSink for F {
     }
 }
 
-/// Prober tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ProberConfig {
-    /// SCMP echo identifier used for every probe (one prober, one id).
-    pub echo_id: u16,
-}
-
-impl Default for ProberConfig {
-    fn default() -> Self {
-        ProberConfig { echo_id: 0xBEEF }
-    }
-}
+/// SCMP echo identifier used for every probe (one prober, one id).
+const ECHO_ID: u16 = 0xBEEF;
 
 /// One probe's result, as returned from a round.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,7 +91,6 @@ struct ProbePair {
 /// Periodic per-path echo campaigns over a registered set of paths.
 pub struct PathProber {
     telemetry: Telemetry,
-    config: ProberConfig,
     pairs: Vec<ProbePair>,
     seq: u16,
     sent: Counter,
@@ -113,7 +102,7 @@ pub struct PathProber {
 
 impl PathProber {
     /// A prober recording into `telemetry` under the `prober.*` names.
-    pub fn new(telemetry: Telemetry, config: ProberConfig) -> Self {
+    pub fn new(telemetry: Telemetry) -> Self {
         PathProber {
             sent: telemetry.counter("prober.echo_sent"),
             replies: telemetry.counter("prober.echo_reply"),
@@ -121,7 +110,6 @@ impl PathProber {
             ext_if_down: telemetry.counter("prober.ext_if_down"),
             rtt_ms: telemetry.histogram("prober.rtt_ms"),
             telemetry,
-            config,
             pairs: Vec::new(),
             seq: 0,
         }
@@ -173,8 +161,7 @@ impl PathProber {
                 self.seq = self.seq.wrapping_add(1);
                 self.sent.inc();
                 let fingerprint = path.fingerprint();
-                let outcome =
-                    transport.echo(pair.src, pair.dst, path, self.config.echo_id, self.seq);
+                let outcome = transport.echo(pair.src, pair.dst, path, ECHO_ID, self.seq);
                 match &outcome {
                     EchoOutcome::Reply { rtt_ms } => {
                         self.replies.inc();
@@ -259,7 +246,7 @@ mod tests {
     #[test]
     fn round_records_outcomes_and_metrics() {
         let tele = Telemetry::quiet();
-        let mut prober = PathProber::new(tele.clone(), ProberConfig::default());
+        let mut prober = PathProber::new(tele.clone());
         prober.register(ia("71-100"), ia("71-1"), vec![test_path()]);
         assert_eq!(prober.registered(), vec![(ia("71-100"), ia("71-1"), 1)]);
         let mut board = HealthBoard::new(tele.clone());
@@ -310,7 +297,7 @@ mod tests {
     #[test]
     fn dead_interfaces_reach_the_invalidation_sink() {
         let tele = Telemetry::quiet();
-        let mut prober = PathProber::new(tele.clone(), ProberConfig::default());
+        let mut prober = PathProber::new(tele.clone());
         prober.register(ia("71-100"), ia("71-1"), vec![test_path(), test_path()]);
         let mut board = HealthBoard::new(tele);
         let mut t = ScriptedTransport(vec![
@@ -328,7 +315,7 @@ mod tests {
 
     #[test]
     fn register_replaces_existing_pair() {
-        let mut prober = PathProber::new(Telemetry::quiet(), ProberConfig::default());
+        let mut prober = PathProber::new(Telemetry::quiet());
         prober.register(ia("71-100"), ia("71-1"), vec![test_path()]);
         prober.register(ia("71-100"), ia("71-1"), vec![test_path(), test_path()]);
         assert_eq!(prober.registered(), vec![(ia("71-100"), ia("71-1"), 2)]);

@@ -342,38 +342,6 @@ impl PathSelector {
     pub fn live_count(&self) -> usize {
         self.usable().count()
     }
-
-    /// Usable paths ranked by an adaptive (measurement-driven) policy
-    /// instead of the static preference order: policy filtering and the
-    /// SCMP dead-list still apply, then `policy` orders what remains by
-    /// the rolling statistics in `view`. The selector's own
-    /// [`Preference`](scion_control::policy::Preference) is ignored for
-    /// this ranking.
-    pub fn adaptive_ranked(
-        &self,
-        policy: &crate::adaptive::AdaptivePolicy,
-        view: &crate::adaptive::PathStatsView,
-    ) -> Vec<&FullPath> {
-        let usable: Vec<&FullPath> = self.usable().map(|(_, p)| p).collect();
-        let cands: Vec<crate::adaptive::Candidate> = usable
-            .iter()
-            .map(|p| crate::adaptive::Candidate {
-                fingerprint: p.fingerprint(),
-                hops: p.len(),
-            })
-            .collect();
-        policy
-            .rank(view, &cands)
-            .into_iter()
-            .map(|c| {
-                let at = cands
-                    .iter()
-                    .position(|known| known.fingerprint == c.fingerprint)
-                    .expect("ranked candidate came from usable");
-                usable[at]
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

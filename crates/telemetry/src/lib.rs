@@ -164,13 +164,6 @@ impl Telemetry {
         self.inner.trace_seq.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Folds another handle's metrics into this one (counters add, gauges
-    /// keep the high-water mark, histograms merge bucket-by-bucket). Events
-    /// are not copied — the fleet view is a metrics aggregate.
-    pub fn merge_from(&self, other: &Telemetry) {
-        self.inner.metrics.merge_from(&other.inner.metrics);
-    }
-
     /// Whether the `profile` feature is compiled in on this build.
     #[inline]
     pub fn profiling_enabled(&self) -> bool {

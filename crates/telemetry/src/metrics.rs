@@ -255,33 +255,6 @@ impl Histogram {
         v.is_finite().then_some(v)
     }
 
-    /// Folds another histogram's samples into this one, bucket by bucket, so
-    /// per-node histograms aggregate into a fleet view without losing bucket
-    /// precision (both sides share the same fixed log-bucket layout). Counts,
-    /// rejections, sum, min and max all carry over.
-    pub fn merge(&self, other: &Histogram) {
-        if Arc::ptr_eq(&self.0, &other.0) {
-            return; // merging a histogram into itself would double it
-        }
-        for (dst, src) in self.0.buckets.iter().zip(other.0.buckets.iter()) {
-            let n = src.load(Ordering::Relaxed);
-            if n > 0 {
-                dst.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.0.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.0
-            .rejected
-            .fetch_add(other.rejected(), Ordering::Relaxed);
-        atomic_f64_add(&self.0.sum_bits, other.sum());
-        if let Some(m) = other.min() {
-            atomic_f64_min(&self.0.min_bits, m);
-        }
-        if let Some(m) = other.max() {
-            atomic_f64_max(&self.0.max_bits, m);
-        }
-    }
-
     fn snapshot_named(&self, name: &str) -> HistogramSnapshot {
         HistogramSnapshot {
             name: name.to_string(),
@@ -400,24 +373,6 @@ impl MetricsRegistry {
             .clone()
     }
 
-    /// Folds every metric of `other` into this registry: counters add,
-    /// gauges keep the high-water mark, histograms merge bucket-by-bucket.
-    /// Metrics named only in `other` are registered here first, so a fleet
-    /// view is just `fleet.merge_from(node)` per node.
-    pub fn merge_from(&self, other: &MetricsRegistry) {
-        for (name, c) in other.counters.read().iter() {
-            self.counter(name).add(c.get());
-        }
-        for (name, g) in other.gauges.read().iter() {
-            let dst = self.gauge(name);
-            dst.set_max(g.get());
-            dst.0.peak.fetch_max(g.peak(), Ordering::Relaxed);
-        }
-        for (name, h) in other.histograms.read().iter() {
-            self.histogram(name).merge(h);
-        }
-    }
-
     /// Restarts peak tracking on every registered gauge (see
     /// [`Gauge::reset_peak`]). A sweep calls this at the start of each
     /// measurement window so the `<name>.peak` snapshot entries report the
@@ -511,59 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_preserves_bucket_precision() {
-        let a = Histogram::default();
-        let b = Histogram::default();
-        let reference = Histogram::default();
-        for i in 1..=500 {
-            let v = i as f64 * 1.3;
-            a.record(v);
-            reference.record(v);
-        }
-        for i in 501..=1000 {
-            let v = i as f64 * 1.3;
-            b.record(v);
-            reference.record(v);
-        }
-        b.record(f64::NAN);
-        a.merge(&b);
-        assert_eq!(a.count(), 1000);
-        assert_eq!(a.rejected(), 1);
-        assert_eq!(a.min(), reference.min());
-        assert_eq!(a.max(), reference.max());
-        assert!((a.sum() - reference.sum()).abs() < 1e-6);
-        // Merged quantiles are bit-identical to recording into one histogram:
-        // the buckets are the same, so no precision was lost in the merge.
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(a.quantile(q), reference.quantile(q), "q={q}");
-        }
-    }
-
-    #[test]
-    fn histogram_merge_self_is_noop() {
-        let h = Histogram::default();
-        h.record(4.0);
-        h.merge(&h.clone());
-        assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn registry_merge_from_aggregates_all_kinds() {
-        let fleet = MetricsRegistry::new();
-        fleet.counter("pkts").add(10);
-        let node = MetricsRegistry::new();
-        node.counter("pkts").add(5);
-        node.counter("only_node").inc();
-        node.gauge("hwm").set(9);
-        node.histogram("rtt").record(3.0);
-        fleet.merge_from(&node);
-        assert_eq!(fleet.counter("pkts").get(), 15);
-        assert_eq!(fleet.counter("only_node").get(), 1);
-        assert_eq!(fleet.gauge("hwm").get(), 9);
-        assert_eq!(fleet.histogram("rtt").count(), 1);
-    }
-
-    #[test]
     fn counter_saturating_add_pins_at_max() {
         let c = Counter::default();
         c.add_saturating(7);
@@ -621,17 +523,5 @@ mod tests {
         assert_eq!(snap.gauge("depth.peak"), Some(100));
         reg.reset_gauge_peaks();
         assert_eq!(reg.snapshot().gauge("depth.peak"), Some(1));
-    }
-
-    #[test]
-    fn merge_from_folds_gauge_peaks() {
-        let fleet = MetricsRegistry::new();
-        let node = MetricsRegistry::new();
-        let g = node.gauge("depth");
-        g.set(77);
-        g.set(2);
-        fleet.merge_from(&node);
-        assert_eq!(fleet.gauge("depth").get(), 2);
-        assert_eq!(fleet.gauge("depth").peak(), 77);
     }
 }

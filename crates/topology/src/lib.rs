@@ -21,7 +21,7 @@
 //!   facts per event (connection type, coordinating parties, hardware
 //!   procurement), plus Table 1's PoPs and Appendix D's NSP list.
 //!
-//! One mapping note (also in DESIGN.md): Fig. 8's vantage list contains
+//! One mapping note (also in EXPERIMENTS.md): Fig. 8's vantage list contains
 //! `71-2:0:4a`, which the paper text never names; we attach it as a
 //! measurement AS under KISTI Singapore.
 

@@ -260,4 +260,62 @@ for lib in src/lib.rs crates/*/src/lib.rs; do
     }
 done
 
+# DESIGN names what exists: DESIGN.md is a map of the code that runs, so
+# every name it puts in backticks is a word of the Rust sources (or a bench,
+# test or example), every repo path it names exists, every "DESIGN §N" cited
+# from the code and the other documents is one of its `## N.` sections, and
+# it stays small enough to read (40 KB). A `path.rs::name` must name a word
+# of that file. Names from std that the tree never spells go in `allow`.
+echo "==> DESIGN names what exists"
+design_ok=1
+allow='Arc::make_mut'
+words=$(mktemp)
+grep -rhow --include='*.rs' '[A-Za-z_][A-Za-z0-9_]*' crates src tests examples benchmark/src |
+    sort -u > "$words"
+stems=$(ls crates/bench/benches/*.rs tests/*.rs examples/*.rs | xargs -n1 basename | sed 's/\.rs$//')
+while IFS= read -r name; do
+    name=${name%()}
+    case " $allow " in *" $name "*) continue ;; esac
+    if [[ $name =~ ^([A-Za-z0-9_./-]+\.rs)::([A-Za-z_][A-Za-z0-9_]*)$ ]]; then
+        file=${BASH_REMATCH[1]} fn=${BASH_REMATCH[2]}
+        if [ ! -f "$file" ] || ! grep -qw "$fn" "$file"; then
+            echo "DESIGN.md: \`$name\`: no $fn in $file" >&2
+            design_ok=0
+        fi
+    elif [[ $name =~ ^[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*$ ||
+        $name =~ ^[A-Za-z_][A-Za-z0-9_-]*(::[A-Za-z_][A-Za-z0-9_]*)+$ ]]; then
+        last=${name##*::}
+        if ! grep -qxF "$last" "$words" && ! grep -qxF "$last" <<< "$stems"; then
+            echo "DESIGN.md: \`$name\` names nothing in the tree" >&2
+            design_ok=0
+        fi
+    elif [[ $name =~ ^[A-Za-z0-9_.-]+(/[A-Za-z0-9_.-]*)+$ ||
+        $name =~ ^[A-Za-z0-9_-]+\.(rs|md|json|toml|sh|lock)$ ]]; then
+        if [ ! -e "$name" ] &&
+            [ -z "$(find crates src tests examples benchmark scripts -name "$name" -print -quit)" ]; then
+            echo "DESIGN.md: \`$name\` is no path in the repo" >&2
+            design_ok=0
+        fi
+    fi
+done < <(awk '/^```/ { fence = !fence; next } !fence' DESIGN.md | tr '\n' ' ' |
+    grep -o '`[^`]*`' | tr -d '`' | sort -u)
+rm -f "$words"
+sections=$(grep -oE '^## [0-9]+\.' DESIGN.md | tr -dc '0-9\n')
+while IFS=: read -r file line cite; do
+    if ! grep -qxF "${cite##*§}" <<< "$sections"; then
+        echo "$file:$line: $cite names no section of DESIGN.md" >&2
+        design_ok=0
+    fi
+done < <(grep -rnoE '(DESIGN(\.md)?|`DESIGN\.md`) §[0-9]+' \
+    crates src tests examples README.md EXPERIMENTS.md)
+size=$(wc -c < DESIGN.md)
+if [ "$size" -gt 40960 ]; then
+    echo "DESIGN.md is $size bytes (limit 40 960)" >&2
+    design_ok=0
+fi
+if [ "$design_ok" -ne 1 ]; then
+    echo "ci: DESIGN.md names something that does not exist, or outgrew its cap" >&2
+    exit 1
+fi
+
 echo "==> ci OK"

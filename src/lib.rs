@@ -2,8 +2,8 @@
 //! Through the Deployment of a Next-Generation Network* (SIGCOMM 2025).
 //!
 //! This facade crate re-exports the whole workspace. For the architecture
-//! map see `DESIGN.md`; for the per-figure reproduction status see
-//! `EXPERIMENTS.md`.
+//! map see `DESIGN.md` §2, one section per layer; for the per-figure
+//! reproduction status see `EXPERIMENTS.md`.
 //!
 //! # Quickstart
 //!

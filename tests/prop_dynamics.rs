@@ -22,9 +22,7 @@ use proptest::prelude::*;
 use sciera::control::fullpath::{FullPath, PathBody, PathHop, PathKind};
 use sciera::measure::dynamics::{run_campaign, DynamicsConfig, DynamicsDataset, DynamicsNet};
 use sciera::orchestrator::health::HealthBoard;
-use sciera::orchestrator::prober::{
-    EchoOutcome, EchoTransport, PathProber, ProbeResult, ProberConfig,
-};
+use sciera::orchestrator::prober::{EchoOutcome, EchoTransport, PathProber, ProbeResult};
 use sciera::prelude::*;
 
 /// AS that owns (terminates) link `li` — the ingress side every path
@@ -151,7 +149,7 @@ impl MockNet {
             dst,
             paths,
             link_map,
-            prober: PathProber::new(telemetry.clone(), ProberConfig::default()),
+            prober: PathProber::new(telemetry.clone()),
             board: HealthBoard::new(telemetry),
             generation: 0,
         }

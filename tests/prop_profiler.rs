@@ -5,7 +5,7 @@
 //! arbitrary nesting, early drops and panicking sub-trees — must yield a
 //! sound report: every node's direct children sum to at most its inclusive
 //! time and self time is exactly the remainder (the disjoint-sub-interval
-//! argument of DESIGN.md §14).
+//! argument of DESIGN.md §13).
 //!
 //! With profiling off (any other build, as `profiling_enabled()` reports)
 //! the same entry points must be true no-ops: zero-sized guards, empty
