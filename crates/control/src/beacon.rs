@@ -3,8 +3,8 @@
 //! Core ASes originate path-construction beacons (PCBs). Core beacons flood
 //! over core links to build core segments; intra-ISD beacons travel down
 //! parent→child links to build up/down segments (§2). Each AS extends a
-//! beacon by appending its signed, MACed [`AsEntry`] and re-propagates a
-//! bounded, diverse subset per origin.
+//! beacon by appending its signed, MACed [`crate::segment::AsEntry`] and
+//! re-propagates a bounded, diverse subset per origin.
 //!
 //! The engine runs the process round-by-round over a [`ControlGraph`] until
 //! a fixed point, which converges in (diameter + 1) rounds — this is the

@@ -16,13 +16,15 @@
 
 use std::collections::BTreeSet;
 
+use sciera_telemetry::work::{self, Work};
 use sciera_telemetry::Telemetry;
 use scion_proto::addr::IsdAsn;
 
 use crate::fullpath::{
-    derive_hops, hash_hops, joined_hop_count, Direction, FullPath, PathBody, PathHop, PathKind,
-    UseRef,
+    derive_hops, hash_hops, joined_hop_count, Direction, FullPath, PackedUse, PathGroup, PathHop,
+    PathKind,
 };
+use crate::segment::AsEntry;
 use crate::store::{BucketDep, SegmentHandle, SegmentStore};
 
 /// [`combine_paths`] wrapped with telemetry: wall-clock duration of the
@@ -74,66 +76,61 @@ pub(crate) struct CombineRecord {
 }
 
 /// A candidate path, planned but not built: its shape, the segment ranges it
-/// would use, borrowed from the store, and the number of hops it will have
-/// if its hops derive ([`joined_hop_count`], the rule [`derive_hops`] merges
-/// by). Whether they *do* derive — end points, peer entries, loop freedom —
-/// is [`Plan::key`]'s to say, once an answer reaches this length.
+/// would use, borrowed from the store and packed to 16 bytes each, and the
+/// number of hops it will have if its hops derive ([`joined_hop_count`], the
+/// rule [`derive_hops`] merges by). Whether they *do* derive — end points,
+/// peer entries, loop freedom — is [`Plan::key`]'s to say, once an answer
+/// reaches this length. A plan is 56 bytes.
 #[derive(Clone, Copy)]
 struct Plan<'a> {
+    uses: [Option<PackedUse<&'a SegmentHandle>>; 3],
+    len: u32,
     kind: PathKind,
-    uses: [Option<UseRef<'a>>; 3],
-    len: usize,
 }
 
 impl<'a> Plan<'a> {
-    fn new<const N: usize>(kind: PathKind, uses: [UseRef<'a>; N]) -> Self {
+    fn new<const N: usize>(kind: PathKind, uses: [PackedUse<&'a SegmentHandle>; N]) -> Self {
         let mut slots = [None; 3];
         for (slot, u) in slots.iter_mut().zip(uses) {
             *slot = Some(u);
         }
+        let len = joined_hop_count(uses.iter().map(PackedUse::view));
         Plan {
             kind,
             uses: slots,
-            len: joined_hop_count(uses),
+            len: u32::try_from(len).expect("a path of fewer than 2^32 hops"),
         }
     }
 
-    fn uses(&self) -> impl Iterator<Item = UseRef<'a>> + Clone + '_ {
-        self.uses.iter().flatten().copied()
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    fn packed(&self) -> impl Iterator<Item = &PackedUse<&'a SegmentHandle>> + Clone {
+        self.uses.iter().flatten()
     }
 
     /// Appends the path's `len` hops to `hops` and returns their key, or
     /// leaves `hops` as it was if the plan makes no path: no allocation
     /// beyond the buffer's, no reference count.
     fn key(&self, src: IsdAsn, dst: IsdAsn, hops: &mut Vec<PathHop>) -> Option<[u8; 8]> {
+        work::add(Work::PlansKeyed, 1);
         let at = hops.len();
-        derive_hops(src, dst, self.uses(), hops).ok()?;
+        derive_hops(src, dst, self.packed().map(PackedUse::view), hops).ok()?;
         Some(hash_hops(&hops[at..]))
-    }
-
-    /// The path whose hops [`Plan::key`] derived as `hops` and keyed as `key`.
-    fn build(&self, src: IsdAsn, dst: IsdAsn, hops: &[PathHop], key: [u8; 8]) -> FullPath {
-        // Sized exactly: the cache keeps these lists for as long as the path.
-        let mut uses = Vec::with_capacity(self.uses().count());
-        uses.extend(self.uses().map(UseRef::to_use));
-        let body = PathBody {
-            src,
-            dst,
-            kind: self.kind,
-            uses,
-            hops: hops.to_vec(),
-        };
-        FullPath::keyed(key, body)
     }
 }
 
 /// Every composition of the store's segments that could be a path from `src`
 /// to `dst`, in the order the answer breaks ties by, and the buckets that
 /// were read to list them. All four shapes (each end core or not) come
-/// through here.
+/// through here. The list is allocated once, at [`plan_bound`].
 fn enumerate(store: &SegmentStore, src: IsdAsn, dst: IsdAsn) -> (Vec<Plan<'_>>, Vec<BucketDep>) {
     use Direction::{AgainstCons, Cons};
-    let mut plans: Vec<Plan> = Vec::new();
+    let src_ups = store.up_segment_handles(src);
+    let dst_downs = store.up_segment_handles(dst);
+    let bound = plan_bound(store, src, dst);
+    let mut plans: Vec<Plan> = Vec::with_capacity(bound);
     // The combination shape is decided by bucket emptiness, so the two
     // endpoint buckets are dependencies even when empty.
     let mut deps: BTreeSet<BucketDep> = BTreeSet::new();
@@ -144,23 +141,21 @@ fn enumerate(store: &SegmentStore, src: IsdAsn, dst: IsdAsn) -> (Vec<Plan<'_>>, 
         store.core_between_handles(from, to)
     };
 
-    let src_ups = store.up_segment_handles(src);
-    let dst_downs = store.up_segment_handles(dst);
     match (src_ups.is_empty(), dst_downs.is_empty()) {
         (true, true) => {
             for cs in core_between(src, dst) {
-                let uses = [UseRef::whole(cs, AgainstCons)];
+                let uses = [PackedUse::whole(cs, AgainstCons)];
                 plans.push(Plan::new(PathKind::SingleSegment, uses));
             }
         }
         (true, false) => {
             for d in dst_downs {
                 if d.origin() == src {
-                    let uses = [UseRef::whole(d, Cons)];
+                    let uses = [PackedUse::whole(d, Cons)];
                     plans.push(Plan::new(PathKind::SingleSegment, uses));
                 } else {
                     for cs in core_between(src, d.origin()) {
-                        let uses = [UseRef::whole(cs, AgainstCons), UseRef::whole(d, Cons)];
+                        let uses = [PackedUse::whole(cs, AgainstCons), PackedUse::whole(d, Cons)];
                         plans.push(Plan::new(PathKind::CoreEnd, uses));
                     }
                 }
@@ -169,13 +164,13 @@ fn enumerate(store: &SegmentStore, src: IsdAsn, dst: IsdAsn) -> (Vec<Plan<'_>>, 
         (false, true) => {
             for u in src_ups {
                 if u.origin() == dst {
-                    let uses = [UseRef::whole(u, AgainstCons)];
+                    let uses = [PackedUse::whole(u, AgainstCons)];
                     plans.push(Plan::new(PathKind::SingleSegment, uses));
                 } else {
                     for cs in core_between(u.origin(), dst) {
                         let uses = [
-                            UseRef::whole(u, AgainstCons),
-                            UseRef::whole(cs, AgainstCons),
+                            PackedUse::whole(u, AgainstCons),
+                            PackedUse::whole(cs, AgainstCons),
                         ];
                         plans.push(Plan::new(PathKind::CoreEnd, uses));
                     }
@@ -190,7 +185,39 @@ fn enumerate(store: &SegmentStore, src: IsdAsn, dst: IsdAsn) -> (Vec<Plan<'_>>, 
             }
         }
     }
+    debug_assert!(
+        plans.len() <= bound,
+        "{} plans over a bound of {bound}",
+        plans.len()
+    );
     (plans, deps.into_iter().collect())
+}
+
+/// At most how many plans [`enumerate`] lists from `src` to `dst`, read off
+/// the buckets without planning any: per core-side join one plan a core
+/// segment (or the one same-core join), and per up/down pair at most one
+/// shortcut per up entry past its origin and one peering per peer entry of
+/// the up segment.
+fn plan_bound(store: &SegmentStore, src: IsdAsn, dst: IsdAsn) -> usize {
+    let cores = |from, to| store.core_between_handles(from, to).len();
+    let joins = |from: IsdAsn, to: IsdAsn| if from == to { 1 } else { cores(from, to) };
+    let (ups, downs) = (store.up_segment_handles(src), store.up_segment_handles(dst));
+    match (ups.is_empty(), downs.is_empty()) {
+        (true, true) => cores(src, dst),
+        (true, false) => downs.iter().map(|d| joins(src, d.origin())).sum(),
+        (false, true) => ups.iter().map(|u| joins(u.origin(), dst)).sum(),
+        (false, false) => ups
+            .iter()
+            .map(|u| {
+                let peers: usize = u.entries.iter().map(|e| e.peers.len()).sum();
+                let cuts = u.len() - 1 + peers;
+                downs
+                    .iter()
+                    .map(|d| cuts + joins(u.origin(), d.origin()))
+                    .sum::<usize>()
+            })
+            .sum(),
+    }
 }
 
 /// All combinations of one up and one down segment.
@@ -201,8 +228,10 @@ fn plan_pair<'a>(
     plans: &mut Vec<Plan<'a>>,
 ) {
     use Direction::{AgainstCons, Cons};
-    let whole_up = UseRef::whole(up, AgainstCons);
-    let whole_down = UseRef::whole(down, Cons);
+    let whole_up = PackedUse::whole(up, AgainstCons);
+    let whole_down = PackedUse::whole(down, Cons);
+    // Entry indices of a segment fit the packed use's `u8`s (`whole`).
+    let at = |i: usize| i as u8;
 
     if up.origin() == down.origin() {
         // Same-core join.
@@ -210,7 +239,7 @@ fn plan_pair<'a>(
     } else {
         // Core transit.
         for cs in core_between(up.origin(), down.origin()) {
-            let uses = [whole_up, UseRef::whole(cs, AgainstCons), whole_down];
+            let uses = [whole_up, PackedUse::whole(cs, AgainstCons), whole_down];
             plans.push(Plan::new(PathKind::CoreTransit, uses));
         }
     }
@@ -222,12 +251,12 @@ fn plan_pair<'a>(
                 continue; // shared core handled above
             }
             let uses = [
-                UseRef {
-                    from_idx: i,
+                PackedUse {
+                    from: at(i),
                     ..whole_up
                 },
-                UseRef {
-                    from_idx: j,
+                PackedUse {
+                    from: at(j),
                     ..whole_down
                 },
             ];
@@ -236,7 +265,12 @@ fn plan_pair<'a>(
     }
 
     // Peering shortcut: an up-segment AS peers with a down-segment AS, and
-    // both sides advertised the link.
+    // both sides advertised the link. Each side names the first of its
+    // junction entry's peer entries toward the other AS.
+    let first_toward = |entry: &AsEntry, peer: IsdAsn| {
+        let k = entry.peers.iter().position(|p| p.peer == peer);
+        k.map(|k| u16::try_from(k).expect("fewer than 2^16 peer entries"))
+    };
     for (i, ue) in up.entries.iter().enumerate() {
         for pe in &ue.peers {
             if let Some(j) = down.position_of(pe.peer) {
@@ -249,14 +283,14 @@ fn plan_pair<'a>(
                     continue;
                 }
                 let uses = [
-                    UseRef {
-                        from_idx: i,
-                        peer_with: Some(pe.peer),
+                    PackedUse {
+                        from: at(i),
+                        peer: first_toward(ue, pe.peer),
                         ..whole_up
                     },
-                    UseRef {
-                        from_idx: j,
-                        peer_with: Some(ue.ia),
+                    PackedUse {
+                        from: at(j),
+                        peer: first_toward(de, ue.ia),
                         ..whole_down
                     },
                 ];
@@ -273,37 +307,35 @@ fn plan_pair<'a>(
 /// Paths that share a fingerprint share their hops and so their length, which
 /// lets each length be keyed, ordered and deduplicated on its own, and the
 /// walk stop at the one that fills the answer. The plans of a reached length
-/// are derived into one hop buffer and keyed from it ([`Plan::key`]); a body
-/// is built ([`Plan::build`]) only for a key the answer keeps, so a plan that
-/// fails a check, repeats a path or falls past the cap costs no allocation.
-/// A plan of a length the answer never reaches costs its place in the length
-/// sort and nothing else. `key` and `build` are parameters so a test can
-/// count both steps.
-fn pick<'p, 'a>(
-    plans: &'p [Plan<'a>],
-    max_paths: usize,
-    mut key: impl FnMut(&Plan<'a>, &mut Vec<PathHop>) -> Option<[u8; 8]>,
-    mut build: impl FnMut(&Plan<'a>, &[PathHop], [u8; 8]) -> FullPath,
-) -> Vec<FullPath> {
+/// are derived into one hop buffer and keyed from it ([`Plan::key`]); the
+/// paths kept of that length are copied into one shared [`PathGroup`] — a
+/// record per path and their hops in one flat array — and no
+/// [`crate::fullpath::PathBody`] is built. A plan that fails a check,
+/// repeats a path or falls past the cap costs no allocation, and one of a
+/// length the answer never reaches costs its place in the length sort and
+/// nothing else. Every list is sized once: the hop buffer and the key list
+/// by the largest length group, each group by what it keeps.
+fn pick(plans: &[Plan<'_>], max_paths: usize, src: IsdAsn, dst: IsdAsn) -> Vec<FullPath> {
     let mut by_len: Vec<&Plan> = plans.iter().collect();
     by_len.sort_by_key(|p| p.len);
-    let mut picked: Vec<FullPath> = Vec::with_capacity(max_paths.min(by_len.len()));
+    let groups = || by_len.chunk_by(|a, b| a.len == b.len);
+    let widest = groups().map(<[_]>::len).max().unwrap_or(0);
+    let most_hops = groups().map(|g| g.len() * g[0].len()).max().unwrap_or(0);
+    let mut picked: Vec<FullPath> = Vec::with_capacity(max_paths.min(plans.len()));
     // One hop buffer and one key list per lookup, refilled length by length:
     // a key, its plan and where its hops start.
-    let mut hops: Vec<PathHop> = Vec::new();
-    let mut keyed: Vec<([u8; 8], &'p Plan<'a>, usize)> = Vec::new();
-    for same_len in by_len.chunk_by(|a, b| a.len == b.len) {
+    let mut hops: Vec<PathHop> = Vec::with_capacity(most_hops);
+    let mut keyed: Vec<([u8; 8], &Plan, usize)> = Vec::with_capacity(widest);
+    for same_len in groups() {
         if picked.len() >= max_paths {
             break;
         }
-        let len = same_len[0].len;
+        let len = same_len[0].len();
         hops.clear();
-        hops.reserve(same_len.len() * len);
         keyed.clear();
-        keyed.reserve(same_len.len());
         for &plan in same_len {
             let at = hops.len();
-            if let Some(k) = key(plan, &mut hops) {
+            if let Some(k) = plan.key(src, dst, &mut hops) {
                 debug_assert_eq!(hops.len(), at + len, "hops derive to the planned length");
                 keyed.push((k, plan, at));
             }
@@ -311,9 +343,15 @@ fn pick<'p, 'a>(
         // Both steps are stable, so of equal paths the first pushed survives.
         keyed.sort_by_key(|&(k, ..)| k);
         keyed.dedup_by_key(|&mut (k, ..)| k);
-        let room = max_paths - picked.len();
-        let kept = keyed.iter().take(room);
-        picked.extend(kept.map(|&(k, plan, at)| build(plan, &hops[at..at + len], k)));
+        let kept = &keyed[..keyed.len().min(max_paths - picked.len())];
+        if kept.is_empty() {
+            continue;
+        }
+        let mut group = PathGroup::with_capacity(src, dst, len, kept.len());
+        for &(k, plan, at) in kept {
+            group.push(k, plan.kind, &hops[at..at + len], plan.packed());
+        }
+        group.share(&mut picked);
     }
     picked
 }
@@ -333,10 +371,8 @@ pub(crate) fn combine_paths_recorded(
         };
     }
     let (plans, deps) = enumerate(store, src, dst);
-    let key = |plan: &Plan, hops: &mut Vec<PathHop>| plan.key(src, dst, hops);
-    let build = |plan: &Plan, hops: &[PathHop], k| plan.build(src, dst, hops, k);
     CombineRecord {
-        paths: pick(&plans, max_paths, key, build),
+        paths: pick(&plans, max_paths, src, dst),
         deps,
     }
 }
@@ -345,26 +381,21 @@ pub(crate) fn combine_paths_recorded(
 mod tests {
     use super::*;
     use crate::beacon::{BeaconConfig, BeaconEngine};
-    use crate::fullpath::SegmentUse;
+    use crate::fullpath::{PathBody, SegmentUse};
     use crate::graph::{ControlGraph, LinkType};
     use scion_proto::addr::ia;
 
     impl Plan<'_> {
-        /// The plan keyed and built on its own, as `pick` treats a plan whose
-        /// path it keeps.
+        /// The plan's path on its own, in an answer of one.
         fn assemble(&self, src: IsdAsn, dst: IsdAsn) -> Option<FullPath> {
-            let mut hops = Vec::new();
-            let key = self.key(src, dst, &mut hops)?;
-            Some(self.build(src, dst, &hops, key))
+            pick(std::slice::from_ref(self), 1, src, dst).pop()
         }
     }
 
-    /// `pick` as `combine_paths_recorded` calls it.
-    fn pick_between(plans: &[Plan], cap: usize, src: IsdAsn, dst: IsdAsn) -> Vec<FullPath> {
-        let key = |plan: &Plan, hops: &mut Vec<PathHop>| plan.key(src, dst, hops);
-        pick(plans, cap, key, |plan, hops, k| {
-            plan.build(src, dst, hops, k)
-        })
+    #[test]
+    fn a_plan_is_at_most_64_bytes() {
+        assert_eq!(std::mem::size_of::<PackedUse<&SegmentHandle>>(), 16);
+        assert!(std::mem::size_of::<Plan>() <= 64);
     }
 
     /// Two cores, two leaves, leaves peered — the canonical diamond.
@@ -564,8 +595,8 @@ mod tests {
     /// length it was planned with, and the plans that assemble are the
     /// oracle's candidates, in its order (so a plan that fails is one the
     /// oracle dropped too); at every cap of `caps`, `combine_paths` answers
-    /// what the whole-list sort of those candidates does. Returns how many
-    /// plans there were and how many assembled.
+    /// what the whole-list sort of those candidates does ([`lazy_is_eager`]).
+    /// Returns how many plans there were and how many assembled.
     fn check_against_oracle(
         store: &SegmentStore,
         src: IsdAsn,
@@ -581,8 +612,8 @@ mod tests {
         let mut built = Vec::new();
         for plan in &plans {
             if let Some(p) = plan.assemble(src, dst) {
-                assert_eq!(p.len(), plan.len, "{src}->{dst}: {p:?}");
-                // A cached path holds no spare capacity.
+                assert_eq!(p.len(), plan.len(), "{src}->{dst}: {p:?}");
+                // A built body holds no spare capacity.
                 assert_eq!(p.uses.capacity(), p.uses.len());
                 assert_eq!(p.hops.capacity(), p.hops.len());
                 built.push(p);
@@ -590,13 +621,41 @@ mod tests {
         }
         assert_eq!(built, eager, "{src}->{dst}");
         for cap in caps {
-            assert_eq!(
-                combine_paths(store, src, dst, cap),
-                whole_list_finalize(&eager, cap),
-                "{src}->{dst} cap {cap}"
-            );
+            let answer = combine_paths(store, src, dst, cap);
+            lazy_is_eager(&answer, &whole_list_finalize(&eager, cap));
         }
         (plans.len(), eager.len())
+    }
+
+    /// `lazy`, a combination's answer, against `eager`, the same paths
+    /// assembled one by one: everything read without a body agrees and builds
+    /// none; then every body built on demand equals the assembled one, and
+    /// a second read builds nothing more.
+    fn lazy_is_eager(lazy: &[FullPath], eager: &[FullPath]) {
+        let ((), read) = work::counted(|| {
+            assert_eq!(lazy, eager);
+            for (l, e) in lazy.iter().zip(eager) {
+                assert_eq!(l.len(), e.len());
+                assert_eq!(l.fingerprint_key(), e.fingerprint_key());
+                assert_eq!(l.hop_slice(), e.hop_slice());
+                assert_eq!(l.interfaces(), e.interfaces());
+                assert_eq!(l.ases(), e.ases());
+                assert_eq!(l.expiry(), e.expiry());
+                assert_eq!(l.to_dataplane().unwrap(), e.to_dataplane().unwrap());
+                for &(at, ifid) in e.interfaces().iter().take(2) {
+                    assert!(l.crosses(at, ifid));
+                }
+            }
+        });
+        assert_eq!(read.bodies_built, 0, "read without a body");
+        let (_, built) = work::counted(|| {
+            for (l, e) in lazy.iter().zip(eager) {
+                assert_eq!(**l, **e, "a body built on demand is the assembled one");
+            }
+        });
+        assert_eq!(built.bodies_built, lazy.len() as u64);
+        let (_, again) = work::counted(|| lazy.iter().map(|p| p.hops.len()).sum::<usize>());
+        assert_eq!(again.bodies_built, 0, "a body is built at most once");
     }
 
     fn ases_of(store: &SegmentStore) -> BTreeSet<IsdAsn> {
@@ -674,7 +733,7 @@ mod tests {
         let store = layered_store();
         let (src, dst) = (ia("71-100"), ia("71-101"));
         let (plans, _) = enumerate(&store, src, dst);
-        let lengths: BTreeSet<usize> = plans.iter().map(|p| p.len).collect();
+        let lengths: BTreeSet<usize> = plans.iter().map(Plan::len).collect();
         assert!(lengths.len() >= 3, "lengths {lengths:?}");
         // Every plan once more, last first.
         let twice: Vec<Plan> = plans.iter().chain(plans.iter().rev()).copied().collect();
@@ -686,12 +745,12 @@ mod tests {
         );
         for cap in (0..=answer.len() + 1).chain([usize::MAX]) {
             assert_eq!(
-                pick_between(&twice, cap, src, dst),
+                pick(&twice, cap, src, dst),
                 whole_list_finalize(&built, cap),
                 "cap {cap}"
             );
         }
-        assert_eq!(pick_between(&twice, usize::MAX, src, dst), answer);
+        assert_eq!(pick(&twice, usize::MAX, src, dst), answer);
     }
 
     #[test]
@@ -701,35 +760,45 @@ mod tests {
         let (plans, _) = enumerate(&store, src, dst);
         let whole = combine_paths(&store, src, dst, usize::MAX).len();
         let winner_len = combine_paths(&store, src, dst, 1)[0].len();
-        assert!(plans.iter().any(|p| p.len > winner_len), "one length only");
+        assert!(
+            plans.iter().any(|p| p.len() > winner_len),
+            "one length only"
+        );
         for cap in [0, 1, whole - 1, whole, usize::MAX] {
-            let (mut keyed, mut built) = (Vec::new(), 0);
-            let answer = pick(
-                &plans,
-                cap,
-                |plan, hops| {
-                    keyed.push(plan.len);
-                    plan.key(src, dst, hops)
-                },
-                |plan, hops, k| {
-                    built += 1;
-                    plan.build(src, dst, hops, k)
-                },
-            );
+            let (answer, done) = work::counted(|| pick(&plans, cap, src, dst));
             assert_eq!(answer, combine_paths(&store, src, dst, cap), "cap {cap}");
-            assert_eq!(built, answer.len(), "cap {cap}: bodies built");
+            // The answer is assembled in place: its paths get no body.
+            assert_eq!(done.bodies_built, 0, "cap {cap}: bodies built");
             // The lengths walked: all of them while the answer has room,
             // else those up to the one that filled it.
             let reached =
                 |len: usize| answer.len() < cap || answer.last().is_some_and(|p| len <= p.len());
-            let mut expected: Vec<usize> = plans
-                .iter()
-                .map(|p| p.len)
-                .filter(|&l| reached(l))
-                .collect();
-            expected.sort_unstable();
-            assert_eq!(keyed, expected, "cap {cap}: plans keyed");
+            let expected = plans.iter().filter(|p| reached(p.len())).count();
+            assert_eq!(done.plans_keyed, expected as u64, "cap {cap}: plans keyed");
         }
+    }
+
+    #[test]
+    fn two_threads_reading_one_path_share_one_body() {
+        let store = layered_store();
+        let answer = combine_paths(&store, ia("71-100"), ia("71-101"), usize::MAX);
+        let path = &answer[answer.len() / 2];
+        let read = || work::counted(|| std::ptr::from_ref::<PathBody>(path) as usize);
+        let (a, b) = std::thread::scope(|s| {
+            let (a, b) = (s.spawn(read), s.spawn(read));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a.0, b.0, "one body");
+        assert_eq!(a.1.bodies_built + b.1.bodies_built, 1, "built once");
+        assert_eq!(read(), (a.0, work::WorkCounts::default()));
+        // A clone is a handle to the same body; the rest of the answer has
+        // none.
+        assert_eq!(
+            read().0,
+            std::ptr::from_ref::<PathBody>(&path.clone()) as usize
+        );
+        let (_, rest) = work::counted(|| answer.iter().map(|p| p.hops.len()).sum::<usize>());
+        assert_eq!(rest.bodies_built, answer.len() as u64 - 1);
     }
 
     /// Same-core and shortcut combinations in a deeper hierarchy:

@@ -2,8 +2,8 @@
 //! and no global lock.
 //!
 //! [`EpochPathDb`] answers `(src, dst)` queries from a [`SegmentStore`],
-//! keeping a bounded cache of answers keyed on `(src, dst, policy
-//! fingerprint, max_paths)`. It is three independently-locked parts:
+//! keeping a bounded cache of answers keyed on `(src, dst, max_paths)`. It
+//! is three independently-locked parts:
 //!
 //! * **The published snapshot** — an `Arc<PathSnapshot>` holding an
 //!   immutable [`SegmentStore`] plus the generation it was published at.
@@ -24,7 +24,9 @@
 //!   16 independently-locked maps, so concurrent readers contend
 //!   only on key collisions within a shard, never on the writer and never
 //!   on each other across shards. A hit is: snapshot read-clone, one
-//!   shard lock, one `Arc` path-list clone.
+//!   shard lock, one `Arc` path-list clone. An entry holds one shared
+//!   answer ([`FullPath`]): its paths' hops and uses in two flat arrays, no
+//!   path body built.
 //!
 //! Soundness rests on the store's generation counter:
 //!
@@ -42,7 +44,7 @@
 //!   removed and then restored the same segments, costs a handful of map
 //!   probes, not a recombination.
 //! * Otherwise the entry is recombined, whole — through the single
-//!   [`combine_paths_recorded`] code path, so memoized and fresh results
+//!   `combine_paths_recorded` code path, so memoized and fresh results
 //!   are byte-for-byte identical by construction. The cache keeps answers,
 //!   not the candidates they were picked from: a miss assembles only what
 //!   its answer reaches, which is cheaper than carrying every candidate of
@@ -72,7 +74,6 @@ use scion_proto::addr::IsdAsn;
 
 use crate::combine::{combine_paths_recorded, CombineRecord};
 use crate::fullpath::{approx_shared_bytes, FullPath};
-use crate::policy::{policy_fingerprint, PathPolicy};
 use crate::store::{BucketDep, SegmentStore};
 
 /// Number of independently-locked cache shards.
@@ -133,7 +134,7 @@ impl PathSnapshot {
     }
 }
 
-type CacheKey = (IsdAsn, IsdAsn, u64, usize);
+type CacheKey = (IsdAsn, IsdAsn, usize);
 
 #[derive(Clone)]
 struct Entry {
@@ -322,7 +323,7 @@ impl EpochPathDb {
     /// reference-count bump per path, no copy — and paths being immutable,
     /// nothing the cache does later changes what the caller holds.
     pub fn paths(&self, src: IsdAsn, dst: IsdAsn, max_paths: usize) -> Vec<FullPath> {
-        self.query(src, dst, max_paths, None).0.to_vec()
+        self.query(src, dst, max_paths).0.to_vec()
     }
 
     /// [`paths`](Self::paths) without the caller's own list: the shared
@@ -334,19 +335,7 @@ impl EpochPathDb {
         dst: IsdAsn,
         max_paths: usize,
     ) -> (Arc<Vec<FullPath>>, u64) {
-        self.query(src, dst, max_paths, None)
-    }
-
-    /// Memoized combination followed by policy filtering; cached per
-    /// policy fingerprint, so distinct policies never alias.
-    pub fn paths_filtered(
-        &self,
-        src: IsdAsn,
-        dst: IsdAsn,
-        max_paths: usize,
-        policy: &PathPolicy,
-    ) -> Vec<FullPath> {
-        self.query(src, dst, max_paths, Some(policy)).0.to_vec()
+        self.query(src, dst, max_paths)
     }
 
     /// Pre-warms the cache for a batch of (src, dst) pairs against one
@@ -359,7 +348,7 @@ impl EpochPathDb {
             .iter()
             .copied()
             .filter(|&(src, dst)| {
-                let key = (src, dst, 0u64, max_paths);
+                let key = (src, dst, max_paths);
                 let shard = self.inner.shards[self.shard_of(&key)].lock();
                 shard
                     .entries
@@ -374,8 +363,7 @@ impl EpochPathDb {
         for &(src, dst) in &todo {
             let record = combine(&m, &snap, src, dst, max_paths);
             m.misses.inc();
-            let key = (src, dst, 0u64, max_paths);
-            let paths = self.install(&m, &snap, key, record, None);
+            let paths = self.install(&m, &snap, (src, dst, max_paths), record);
             m.paths_combined.add(paths.len() as u64);
         }
         todo.len()
@@ -433,19 +421,12 @@ impl EpochPathDb {
         (h.finish() as usize) % SHARDS
     }
 
-    fn query(
-        &self,
-        src: IsdAsn,
-        dst: IsdAsn,
-        max_paths: usize,
-        policy: Option<&PathPolicy>,
-    ) -> (Arc<Vec<FullPath>>, u64) {
+    fn query(&self, src: IsdAsn, dst: IsdAsn, max_paths: usize) -> (Arc<Vec<FullPath>>, u64) {
         let m = self.m();
         let _prof = m.telemetry.prof_scope("pathdb.query");
         let snap = self.snapshot();
         let gen = snap.generation;
-        let fp = policy.map(policy_fingerprint).unwrap_or(0);
-        let key = (src, dst, fp, max_paths);
+        let key = (src, dst, max_paths);
         let idx = self.shard_of(&key);
 
         // Warm fast path plus staleness triage, all under one shard lock.
@@ -494,15 +475,14 @@ impl EpochPathDb {
             let _c = m.telemetry.prof_scope("pathdb.combine");
             combine(&m, &snap, src, dst, max_paths)
         };
-        let paths = self.install(&m, &snap, key, record, policy);
+        let paths = self.install(&m, &snap, key, record);
         m.paths_combined.add(paths.len() as u64);
         (paths, gen)
     }
 
-    /// Installs a combination record produced against `snap`, applying the
-    /// policy filter. Never moves an entry
-    /// backwards: if a concurrent reader already installed a result from
-    /// a newer snapshot, that entry is kept and our (older, still
+    /// Installs a combination record produced against `snap`. Never moves
+    /// an entry backwards: if a concurrent reader already installed a result
+    /// from a newer snapshot, that entry is kept and our (older, still
     /// internally-consistent) paths are only returned to the caller.
     fn install(
         &self,
@@ -510,12 +490,8 @@ impl EpochPathDb {
         snap: &PathSnapshot,
         key: CacheKey,
         record: CombineRecord,
-        policy: Option<&PathPolicy>,
     ) -> Arc<Vec<FullPath>> {
-        let CombineRecord { mut paths, deps } = record;
-        if let Some(p) = policy {
-            p.filter(&mut paths);
-        }
+        let CombineRecord { paths, deps } = record;
         let deps: Vec<(BucketDep, u64)> = deps
             .into_iter()
             .map(|dep| (dep, snap.store.bucket_fingerprint(dep)))
@@ -578,7 +554,6 @@ mod tests {
     use crate::beacon::{BeaconConfig, BeaconEngine};
     use crate::combine::combine_paths;
     use crate::graph::{ControlGraph, LinkType};
-    use crate::policy::{Acl, HopPredicate, PathPolicy};
     use scion_proto::addr::ia;
 
     /// Three cores and four leaves, plus a leaf peering link.
@@ -674,7 +649,7 @@ mod tests {
         // Simulate a straggler reader installing from the old snapshot.
         let record = combine_paths_recorded(old.store(), ia("71-10"), ia("71-20"), 100);
         let m = db.m();
-        let served = db.install(&m, &old, (ia("71-10"), ia("71-20"), 0, 100), record, None);
+        let served = db.install(&m, &old, (ia("71-10"), ia("71-20"), 100), record);
         // The straggler gets its own (old-snapshot-consistent) result…
         assert_eq!(
             *served,
@@ -702,22 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_keys_do_not_alias() {
-        let db = EpochPathDb::new(mesh());
-        let deny_core2 = PathPolicy {
-            acl: Acl::default().deny("71-2".parse::<HopPredicate>().unwrap()),
-            ..Default::default()
-        };
-        let unfiltered = db.paths(ia("71-10"), ia("71-20"), 100);
-        let filtered = db.paths_filtered(ia("71-10"), ia("71-20"), 100, &deny_core2);
-        assert!(filtered.len() < unfiltered.len());
-        let mut expect = combine_paths(db.snapshot().store(), ia("71-10"), ia("71-20"), 100);
-        deny_core2.filter(&mut expect);
-        assert_eq!(filtered, expect);
-        assert_eq!(db.paths(ia("71-10"), ia("71-20"), 100), unfiltered);
-    }
-
-    #[test]
     fn eviction_bounds_each_shard() {
         // Two entries a shard; three answer caps of one pair whose keys
         // land in one shard.
@@ -729,9 +688,9 @@ mod tests {
         );
         let (src, dst) = (ia("71-10"), ia("71-20"));
         let caps: Vec<usize> = {
-            let shard = db.shard_of(&(src, dst, 0, 100));
+            let shard = db.shard_of(&(src, dst, 100));
             (100..)
-                .filter(|&cap| db.shard_of(&(src, dst, 0, cap)) == shard)
+                .filter(|&cap| db.shard_of(&(src, dst, cap)) == shard)
                 .take(3)
                 .collect()
         };
@@ -811,18 +770,20 @@ mod tests {
     }
 
     #[test]
-    fn cache_accounting_counts_a_shared_body_once() {
+    fn cache_accounting_counts_a_shared_group_once() {
         let db = EpochPathDb::new(mesh());
         let handle = std::mem::size_of::<FullPath>();
         let mut expect = 0;
         // Leaf to leaf and core to leaf alike: an entry is its answer, a
-        // pointer and a body per path, and nothing is kept beside it.
+        // handle per path and each length's shared group once, and nothing
+        // is kept beside it.
         for (src, dst) in [("71-10", "71-30"), ("71-1", "71-30")] {
             let answer = db.paths(ia(src), ia(dst), 100);
-            assert!(!answer.is_empty());
-            let bodies: usize = answer.iter().map(FullPath::approx_bytes).sum();
-            expect += std::mem::size_of::<Entry>() + answer.len() * handle + bodies;
-            // The caller's handles are to the cached bodies, not copies: the
+            assert!(answer.len() > 1);
+            expect += std::mem::size_of::<Entry>() + answer.len() * handle;
+            let groups = answer.chunk_by(|a, b| a.len() == b.len());
+            expect += groups.map(|g| g[0].approx_bytes()).sum::<usize>();
+            // The caller's handles are to the cached answer, not copies: the
             // cache's bytes are the same while `answer` is alive and after.
             assert_eq!(db.approx_cache_bytes(), expect);
         }

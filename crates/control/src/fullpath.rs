@@ -7,12 +7,21 @@
 //! verifiable wire path: per-segment info fields with the correct
 //! construction-direction flag, peering flag and segment-identifier
 //! initialisation, and the hop fields exactly as MACed during beaconing.
+//!
+//! A lookup's paths of one length share one path group: a small record
+//! per path (key, shape, packed segment uses) and all their hops in one flat
+//! array. What a lookup, a connect, a probe or an invalidation sweep reads of
+//! a path — its key, length, hops, interfaces, expiry, wire form — comes
+//! from the group; a path's [`PathBody`] is built only when something
+//! derefs the handle.
 
+use std::borrow::Borrow;
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
+use sciera_telemetry::work::{self, Work};
 use scion_proto::addr::IsdAsn;
 use scion_proto::path::{HopField, InfoField, ScionPath};
 
@@ -65,11 +74,6 @@ impl SegmentUse {
         }
     }
 
-    /// Number of hop fields this use contributes.
-    pub fn hop_count(&self) -> usize {
-        self.to_idx - self.from_idx + 1
-    }
-
     /// This use with its segment handle borrowed.
     pub(crate) fn as_ref(&self) -> UseRef<'_> {
         UseRef {
@@ -80,37 +84,13 @@ impl SegmentUse {
             peer_with: self.peer_with,
         }
     }
-
-    /// The initial segment identifier for the info field.
-    ///
-    /// * `Cons` without peering: `beta_{from_idx}` — hops verify then chain.
-    /// * `Cons` with a peer first hop: `beta_{from_idx+1}` — the peer hop's
-    ///   MAC is computed over the *next* beta and does not chain.
-    /// * `AgainstCons`: `beta_{to_idx+1}` — each hop un-chains its own MAC
-    ///   before verifying.
-    fn seg_id_init(&self) -> u16 {
-        match (self.dir, self.peer_with.is_some()) {
-            (Direction::Cons, false) => self.segment.beta_at(self.from_idx),
-            (Direction::Cons, true) => self.segment.beta_at(self.from_idx + 1),
-            (Direction::AgainstCons, _) => self.segment.beta_at(self.to_idx + 1),
-        }
-    }
-
-    /// Builds the info field for this use.
-    fn info_field(&self) -> InfoField {
-        InfoField {
-            peering: self.peer_with.is_some(),
-            cons_dir: self.dir == Direction::Cons,
-            seg_id: self.seg_id_init(),
-            timestamp: self.segment.timestamp,
-        }
-    }
 }
 
-/// A [`SegmentUse`] that borrows its segment handle: what the combinator
-/// enumerates before it knows which candidates an answer reaches. Copying one
-/// touches no reference count; [`UseRef::to_use`] takes the handle.
-#[derive(Debug, Clone, Copy)]
+/// A [`SegmentUse`] that borrows its segment handle: how the hop rule, the
+/// wire assembly and path equality read a use, wherever it is stored.
+/// Copying one touches no reference count; [`UseRef::to_use`] takes the
+/// handle.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct UseRef<'a> {
     pub segment: &'a SegmentHandle,
     pub dir: Direction,
@@ -119,18 +99,7 @@ pub(crate) struct UseRef<'a> {
     pub peer_with: Option<IsdAsn>,
 }
 
-impl<'a> UseRef<'a> {
-    /// The whole of `segment`, no truncation or peering.
-    pub fn whole(segment: &'a SegmentHandle, dir: Direction) -> Self {
-        UseRef {
-            segment,
-            dir,
-            from_idx: 0,
-            to_idx: segment.len() - 1,
-            peer_with: None,
-        }
-    }
-
+impl UseRef<'_> {
     /// The use itself, sharing the segment.
     pub fn to_use(self) -> SegmentUse {
         SegmentUse {
@@ -169,6 +138,88 @@ impl<'a> UseRef<'a> {
         match self.dir {
             Direction::Cons => used.iter().enumerate().try_for_each(&mut step),
             Direction::AgainstCons => used.iter().enumerate().rev().try_for_each(&mut step),
+        }
+    }
+
+    /// The initial segment identifier for the info field.
+    ///
+    /// * `Cons` without peering: `beta_{from_idx}` — hops verify then chain.
+    /// * `Cons` with a peer first hop: `beta_{from_idx+1}` — the peer hop's
+    ///   MAC is computed over the *next* beta and does not chain.
+    /// * `AgainstCons`: `beta_{to_idx+1}` — each hop un-chains its own MAC
+    ///   before verifying.
+    fn seg_id_init(&self) -> u16 {
+        match (self.dir, self.peer_with.is_some()) {
+            (Direction::Cons, false) => self.segment.beta_at(self.from_idx),
+            (Direction::Cons, true) => self.segment.beta_at(self.from_idx + 1),
+            (Direction::AgainstCons, _) => self.segment.beta_at(self.to_idx + 1),
+        }
+    }
+
+    /// Builds the info field for this use.
+    fn info_field(&self) -> InfoField {
+        InfoField {
+            peering: self.peer_with.is_some(),
+            cons_dir: self.dir == Direction::Cons,
+            seg_id: self.seg_id_init(),
+            timestamp: self.segment.timestamp,
+        }
+    }
+}
+
+/// A segment use as the combinator plans it and a [`PathGroup`] stores it, in
+/// 16 bytes: the segment, the used entry range as two `u8`s (SCION's path
+/// header carries fewer than 64 hop fields a segment) and, for a peering
+/// use, the *index* of the peer entry at the junction. `S` is a borrowed
+/// handle while the combinator plans and an owned one in a group.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PackedUse<S> {
+    pub segment: S,
+    pub dir: Direction,
+    pub from: u8,
+    pub to: u8,
+    /// Index into the junction entry's `peers` of the first entry toward
+    /// the peer AS, which is the one [`UseRef::traverse`] takes.
+    pub peer: Option<u16>,
+}
+
+impl<'a> PackedUse<&'a SegmentHandle> {
+    /// The whole of `segment`, no truncation or peering.
+    pub fn whole(segment: &'a SegmentHandle, dir: Direction) -> Self {
+        PackedUse {
+            segment,
+            dir,
+            from: 0,
+            to: u8::try_from(segment.len() - 1).expect("a segment of at most 256 entries"),
+            peer: None,
+        }
+    }
+
+    /// The same use holding its own reference to the segment.
+    pub fn held(self) -> PackedUse<SegmentHandle> {
+        PackedUse {
+            segment: self.segment.clone(),
+            dir: self.dir,
+            from: self.from,
+            to: self.to,
+            peer: self.peer,
+        }
+    }
+}
+
+impl<S: Borrow<SegmentHandle>> PackedUse<S> {
+    /// The use as the hop rule reads it.
+    pub fn view(&self) -> UseRef<'_> {
+        let segment = self.segment.borrow();
+        let (from_idx, to_idx) = (usize::from(self.from), usize::from(self.to));
+        UseRef {
+            segment,
+            dir: self.dir,
+            from_idx,
+            to_idx,
+            peer_with: self
+                .peer
+                .map(|i| segment.entries[from_idx].peers[usize::from(i)].peer),
         }
     }
 }
@@ -214,8 +265,8 @@ impl From<Rejected> for ControlError {
 /// one to three uses, entry ranges in bounds, peer entries present, the end
 /// points, loop freedom. [`FullPath::assemble`] is this, a hash and a body;
 /// the combinator derives every candidate it reaches into one buffer per
-/// lookup, sized by [`joined_hop_count`], and builds a body only for what
-/// its answer keeps.
+/// lookup, sized from the planned lengths ([`joined_hop_count`]), and copies
+/// into its [`PathGroup`]s only the hops of the paths it keeps.
 ///
 /// Adjacent uses that join at the same AS are merged: the packet crosses
 /// that AS internally — it enters via the previous use's ingress and leaves
@@ -354,8 +405,8 @@ pub struct PathHop {
 }
 
 /// What a combined path *is*: end points, shape, the segment uses it is made
-/// of and the AS-level hops derived from them. Plain data; a [`FullPath`] is a
-/// shared, immutable handle to one.
+/// of and the AS-level hops derived from them. Plain data; a [`FullPath`]
+/// derefs to one, built from its group the first time it is read.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PathBody {
     /// Source AS.
@@ -370,17 +421,120 @@ pub struct PathBody {
     pub hops: Vec<PathHop>,
 }
 
-/// A combined end-to-end path: a cheap-to-clone handle to an immutable
-/// [`PathBody`], read through `Deref` (`p.hops`, `p.src`, …), carrying the
-/// two things a selector ranks by — the fingerprint key and the hop count —
-/// inline.
+/// One path of a [`PathGroup`]: its key, shape and segment uses, and its
+/// body once something has read it.
+struct GroupPath {
+    key: [u8; 8],
+    kind: PathKind,
+    uses: [Option<PackedUse<SegmentHandle>>; 3],
+    body: OnceLock<Box<PathBody>>,
+}
+
+/// The kept paths of one hop count of one lookup's answer, shared by every
+/// handle to them: a record per path and all their hops in one flat array,
+/// `len` hops a path. A lookup's answer is one group per length it keeps,
+/// three allocations each (the shared header and its two lists) whatever
+/// the group's size, and taking a handle to a path is a reference-count
+/// bump. A handle kept after its answer is dropped — a caller holding the
+/// shortest path of many answers, a prober holding a pair's first few —
+/// keeps only the paths of its own length alive, not the whole answer.
 ///
-/// A clone shares the body (one reference-count bump), so a cached answer of
-/// 200 paths is handed out without copying a hop. There is no mutable access
-/// to a body, which is what lets the key and hop count be taken once, at
-/// construction, and kept beside the pointer: nothing can change the hops
-/// they were taken over. Ranking a list of handles reads the list and no
-/// body.
+/// A path wrapped from a body ([`FullPath::from_body`],
+/// [`FullPath::assemble`]) is a group of one whose body is given and whose
+/// flat array is empty: such a path is read through its body, every other
+/// through its group.
+pub(crate) struct PathGroup {
+    src: IsdAsn,
+    dst: IsdAsn,
+    len: usize,
+    paths: Vec<GroupPath>,
+    hops: Vec<PathHop>,
+}
+
+impl PathGroup {
+    /// An empty group of paths of `len` hops from `src` to `dst`, with room
+    /// for `paths` of them.
+    pub fn with_capacity(src: IsdAsn, dst: IsdAsn, len: usize, paths: usize) -> Self {
+        PathGroup {
+            src,
+            dst,
+            len,
+            paths: Vec::with_capacity(paths),
+            hops: Vec::with_capacity(paths * len),
+        }
+    }
+
+    /// Appends a path of `kind` over `hops` (the group's `len` of them) and
+    /// `uses`, keyed `key` ([`hash_hops`] of `hops`).
+    pub fn push<'a>(
+        &mut self,
+        key: [u8; 8],
+        kind: PathKind,
+        hops: &[PathHop],
+        uses: impl IntoIterator<Item = &'a PackedUse<&'a SegmentHandle>>,
+    ) {
+        debug_assert_eq!(hops.len(), self.len, "a group's paths have its length");
+        debug_assert_eq!(key, hash_hops(hops), "a key is its hops' hash");
+        self.hops.extend_from_slice(hops);
+        let mut slots = [None, None, None];
+        for (slot, u) in slots.iter_mut().zip(uses) {
+            *slot = Some(u.held());
+        }
+        self.paths.push(GroupPath {
+            key,
+            kind,
+            uses: slots,
+            body: OnceLock::new(),
+        });
+    }
+
+    /// The group shared, as one handle per path in the order pushed,
+    /// appended to `handles`.
+    pub fn share(self, handles: &mut Vec<FullPath>) {
+        let group = Arc::new(self);
+        handles.extend((0..group.paths.len()).map(|i| FullPath::in_group(&group, i)));
+    }
+
+    /// Approximate resident bytes: the shared header (reference counts and
+    /// the group), its two lists and every body built from it. Segment
+    /// bodies are the store's and intentionally not counted (see
+    /// `SegmentStore::approx_bytes`).
+    fn approx_bytes(&self) -> usize {
+        let body = |b: &PathBody| {
+            std::mem::size_of::<PathBody>()
+                + b.uses.capacity() * std::mem::size_of::<SegmentUse>()
+                + b.hops.capacity() * std::mem::size_of::<PathHop>()
+        };
+        2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<PathGroup>()
+            + self.paths.capacity() * std::mem::size_of::<GroupPath>()
+            + self.hops.capacity() * std::mem::size_of::<PathHop>()
+            + self
+                .paths
+                .iter()
+                .filter_map(|p| p.body.get())
+                .map(|b| body(b))
+                .sum::<usize>()
+    }
+}
+
+/// A combined end-to-end path: a 24-byte handle to one path of a shared
+/// group (the kept paths of one length of one lookup, hops in a flat
+/// array), carrying inline the two things a selector ranks by — the
+/// fingerprint key and the hop count. It reads as a [`PathBody`] through
+/// `Deref` (`p.hops`, `p.src`, …); the body is built on the first deref, at
+/// most once however many threads race to it, and kept with the group.
+/// Everything else — [`Self::len`], [`Self::fingerprint_key`],
+/// [`Self::hop_slice`], [`Self::crosses`], [`Self::interfaces`],
+/// [`Self::expiry`], [`Self::to_dataplane`], [`Self::ases`] and equality —
+/// reads the group and builds nothing.
+///
+/// A clone shares the group (one reference-count bump), so a cached answer
+/// of 200 paths is handed out without copying a hop. There is no mutable
+/// access to a group, which is what lets the key and hop count be taken
+/// once, when the answer is assembled, and kept beside the pointer: nothing
+/// can change the hops they were taken over. Ranking a list of handles
+/// reads the list and no group.
 ///
 /// ```compile_fail
 /// use scion_control::fullpath::{FullPath, PathHop};
@@ -390,25 +544,47 @@ pub struct PathBody {
 /// ```
 #[derive(Clone)]
 pub struct FullPath {
-    body: Arc<PathBody>,
-    key: [u8; 8],
+    group: Arc<PathGroup>,
+    index: u32,
     len: u32,
+    key: [u8; 8],
 }
 
 impl std::ops::Deref for FullPath {
     type Target = PathBody;
 
     fn deref(&self) -> &PathBody {
-        &self.body
+        let group = &*self.group;
+        let path = self.record();
+        path.body.get_or_init(|| {
+            work::add(Work::BodiesBuilt, 1);
+            // Sized exactly: the body is kept for as long as the group.
+            let mut uses = Vec::with_capacity(self.use_refs().count());
+            uses.extend(self.use_refs().map(UseRef::to_use));
+            Box::new(PathBody {
+                src: group.src,
+                dst: group.dst,
+                kind: path.kind,
+                uses,
+                hops: self.hop_slice().to_vec(),
+            })
+        })
     }
 }
 
-/// By value: two handles are equal when their bodies are, wherever those
-/// live. The key is a function of the hops, so differing keys mean
-/// differing bodies without reading either.
+/// By value: two handles are equal when their paths are, wherever those
+/// live, compared over their groups without building a body. The key
+/// is a function of the hops, so differing keys mean differing paths
+/// without reading either.
 impl PartialEq for FullPath {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.body, &other.body) || (self.key == other.key && self.body == other.body)
+        let same = Arc::ptr_eq(&self.group, &other.group) && self.index == other.index;
+        same || (self.key == other.key
+            && self.group.src == other.group.src
+            && self.group.dst == other.group.dst
+            && self.record().kind == other.record().kind
+            && self.hop_slice() == other.hop_slice()
+            && self.use_refs().eq(other.use_refs()))
     }
 }
 
@@ -416,7 +592,7 @@ impl Eq for FullPath {}
 
 impl std::fmt::Debug for FullPath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.body.fmt(f)
+        <PathBody as std::fmt::Debug>::fmt(self, f)
     }
 }
 
@@ -424,7 +600,7 @@ impl std::fmt::Debug for FullPath {
 /// plain struct.
 impl Serialize for FullPath {
     fn serialize(&self) -> serde::Value {
-        self.body.serialize()
+        <PathBody as Serialize>::serialize(self)
     }
 }
 
@@ -465,36 +641,59 @@ impl FullPath {
     /// tests and tools that need a path of given hops without real segments,
     /// and for deserialisation.
     pub fn from_body(body: PathBody) -> Self {
-        Self::keyed(hash_hops(&body.hops), body)
+        let (src, dst, len) = (body.src, body.dst, body.hops.len());
+        let path = GroupPath {
+            key: hash_hops(&body.hops),
+            kind: body.kind,
+            uses: [None, None, None],
+            body: OnceLock::from(Box::new(body)),
+        };
+        let group = PathGroup {
+            src,
+            dst,
+            len,
+            paths: vec![path],
+            hops: Vec::new(),
+        };
+        FullPath::in_group(&Arc::new(group), 0)
     }
 
-    /// Wraps `body` under `key`, which the caller already took over its hops
-    /// ([`hash_hops`]): the combinator keys every candidate it reaches before
-    /// it builds the few its answer keeps.
-    pub(crate) fn keyed(key: [u8; 8], body: PathBody) -> Self {
-        debug_assert_eq!(key, hash_hops(&body.hops), "a key is its hops' hash");
+    /// The handle to path `index` of `group`.
+    fn in_group(group: &Arc<PathGroup>, index: usize) -> Self {
         FullPath {
-            key,
-            len: u32::try_from(body.hops.len()).expect("a path of fewer than 2^32 hops"),
-            body: Arc::new(body),
+            index: u32::try_from(index).expect("a group of fewer than 2^32 paths"),
+            len: u32::try_from(group.len).expect("a path of fewer than 2^32 hops"),
+            key: group.paths[index].key,
+            group: Arc::clone(group),
         }
     }
 
-    /// Approximate resident size of the body this handle points at, in
-    /// bytes: the shared header (reference counts), the body, and the heap
-    /// behind its use and hop vectors. A further handle to the same body
-    /// costs a handle, not this. Segment bodies are shared interned handles
-    /// and intentionally not counted — the store owns them (see
-    /// `SegmentStore::approx_bytes`).
-    pub fn approx_bytes(&self) -> usize {
-        2 * std::mem::size_of::<usize>()
-            + std::mem::size_of::<PathBody>()
-            + self.uses.capacity() * std::mem::size_of::<SegmentUse>()
-            + self.hops.capacity() * std::mem::size_of::<PathHop>()
+    fn record(&self) -> &GroupPath {
+        &self.group.paths[self.index as usize]
+    }
+
+    /// The given body of a path wrapped from one, whose group holds no hops
+    /// of its own; `None` for a combined path, which is read from its group
+    /// whether or not its body has been built (the group's arrays are
+    /// contiguous, the bodies are not).
+    fn wrapped(&self) -> Option<&PathBody> {
+        if self.group.hops.is_empty() {
+            self.record().body.get().map(|body| &**body)
+        } else {
+            None
+        }
+    }
+
+    /// Approximate resident size of the group this handle shares, in bytes
+    /// ([`PathGroup`]): a further handle to it costs a handle, not this.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.group.approx_bytes()
     }
 
     /// Builds a path from segment uses, deriving and validating the AS-level
-    /// hop sequence ([`derive_hops`]: adjacent uses must join at the same AS).
+    /// hop sequence by the combinator's hop rule: one to three uses, entry
+    /// ranges in bounds, peer entries present, the end points, no AS twice;
+    /// adjacent uses must join at the same AS.
     pub fn assemble(
         src: IsdAsn,
         dst: IsdAsn,
@@ -503,16 +702,15 @@ impl FullPath {
     ) -> Result<Self, ControlError> {
         let mut hops = Vec::new();
         derive_hops(src, dst, uses.iter().map(SegmentUse::as_ref), &mut hops)?;
-        // A cached path holds no spare capacity.
+        // A kept path holds no spare capacity.
         hops.shrink_to_fit();
-        let body = PathBody {
+        Ok(FullPath::from_body(PathBody {
             src,
             dst,
             kind,
             uses,
             hops,
-        };
-        Ok(FullPath::keyed(hash_hops(&body.hops), body))
+        }))
     }
 
     /// Number of AS-level hops, read from the handle.
@@ -525,11 +723,36 @@ impl FullPath {
         self.len == 0
     }
 
+    /// The AS-level hops in traversal order: what `p.hops` derefs to, read
+    /// from the group without building a body.
+    pub fn hop_slice(&self) -> &[PathHop] {
+        match self.wrapped() {
+            Some(body) => &body.hops,
+            None => {
+                let first = self.index as usize * self.len();
+                &self.group.hops[first..first + self.len()]
+            }
+        }
+    }
+
+    /// The segment uses in traversal order, read from the group, or from
+    /// the body of a wrapped path.
+    fn use_refs(&self) -> impl Iterator<Item = UseRef<'_>> + Clone {
+        let path = self.record();
+        let (given, packed) = match self.wrapped() {
+            Some(body) => (&body.uses[..], &[][..]),
+            None => (&[][..], &path.uses[..]),
+        };
+        let given = given.iter().map(SegmentUse::as_ref);
+        given.chain(packed.iter().flatten().map(PackedUse::view))
+    }
+
     /// All globally-unique interface identifiers `(ISD-AS, ifid)` touched by
     /// the path — the §5.4 disjointness universe.
     pub fn interfaces(&self) -> Vec<(IsdAsn, u16)> {
-        let mut out = Vec::with_capacity(self.hops.len() * 2);
-        for h in &self.hops {
+        let hops = self.hop_slice();
+        let mut out = Vec::with_capacity(hops.len() * 2);
+        for h in hops {
             if h.ingress != 0 {
                 out.push((h.ia, h.ingress));
             }
@@ -545,7 +768,7 @@ impl FullPath {
     pub fn crosses(&self, ia: IsdAsn, ifid: u16) -> bool {
         ifid != 0
             && self
-                .hops
+                .hop_slice()
                 .iter()
                 .any(|h| h.ia == ia && (h.ingress == ifid || h.egress == ifid))
     }
@@ -557,18 +780,17 @@ impl FullPath {
     }
 
     /// The raw 8-byte digest behind [`Self::fingerprint`], hashed when the
-    /// path was built and read from the handle. Fixed-width lowercase hex is
-    /// order-preserving, so sorting by this key equals sorting by the hex
-    /// string without allocating it — the combinator's sort/dedup step and
-    /// the selector's ranking lean on that.
+    /// answer was assembled and read from the handle. Fixed-width lowercase
+    /// hex is order-preserving, so sorting by this key equals sorting by the
+    /// hex string without allocating it — the combinator's sort/dedup step
+    /// and the selector's ranking lean on that.
     pub fn fingerprint_key(&self) -> [u8; 8] {
         self.key
     }
 
     /// Earliest expiry over all used segments (Unix seconds).
     pub fn expiry(&self) -> u64 {
-        self.uses
-            .iter()
+        self.use_refs()
             .map(|u| u.segment.expiry())
             .min()
             .unwrap_or(0)
@@ -579,10 +801,11 @@ impl FullPath {
     /// correct initial segment identifier, so border routers can verify
     /// every hop MAC.
     pub fn to_dataplane(&self) -> Result<ScionPath, ControlError> {
-        let mut segments = Vec::with_capacity(self.uses.len());
-        for u in &self.uses {
-            let mut hops = Vec::with_capacity(u.hop_count());
-            u.as_ref().traverse(|_, hop| hops.push(hop))?;
+        let uses = self.use_refs();
+        let mut segments = Vec::with_capacity(uses.clone().count());
+        for u in uses {
+            let mut hops = Vec::with_capacity(u.to_idx - u.from_idx + 1);
+            u.traverse(|_, hop| hops.push(hop))?;
             segments.push((u.info_field(), hops));
         }
         ScionPath::from_segments(segments)
@@ -591,24 +814,24 @@ impl FullPath {
 
     /// The ordered list of on-path ASes.
     pub fn ases(&self) -> Vec<IsdAsn> {
-        self.hops.iter().map(|h| h.ia).collect()
+        self.hop_slice().iter().map(|h| h.ia).collect()
     }
 }
 
 /// Approximate resident bytes behind a collection of path handles: a handle
-/// (pointer, key and hop count) per handle, and each distinct body
+/// (pointer, index, hop count and key) per handle, and each distinct group
 /// ([`FullPath::approx_bytes`]) once, however many of the handles share it.
 pub(crate) fn approx_shared_bytes<'a>(handles: impl IntoIterator<Item = &'a FullPath>) -> usize {
-    let mut counted: HashSet<*const PathBody> = HashSet::new();
+    let mut counted: HashSet<*const PathGroup> = HashSet::new();
     handles
         .into_iter()
         .map(|p| {
-            let body = if counted.insert(Arc::as_ptr(&p.body)) {
+            let group = if counted.insert(Arc::as_ptr(&p.group)) {
                 p.approx_bytes()
             } else {
                 0
             };
-            std::mem::size_of::<FullPath>() + body
+            std::mem::size_of::<FullPath>() + group
         })
         .sum()
 }
@@ -675,13 +898,6 @@ pub fn paper_disjointness(a: &FullPath, b: &FullPath) -> f64 {
     distinct.sort_unstable();
     distinct.dedup();
     distinct.len() as f64 / total as f64
-}
-
-/// Number of interfaces `a` shares with `b` (the §5.4 most-disjoint-path
-/// selection metric).
-pub fn shared_interfaces(a: &FullPath, b: &FullPath) -> usize {
-    let ib = b.interfaces();
-    a.interfaces().iter().filter(|x| ib.contains(x)).count()
 }
 
 #[cfg(test)]
@@ -757,10 +973,13 @@ mod tests {
     #[test]
     fn equality_is_by_value_and_a_clone_shares_its_body() {
         let (a, b) = (core_transit(), core_transit());
-        assert!(!Arc::ptr_eq(&a.body, &b.body), "assembled separately");
+        assert!(!Arc::ptr_eq(&a.group, &b.group), "assembled separately");
         assert_eq!(a, b);
         let c = a.clone();
-        assert!(Arc::ptr_eq(&a.body, &c.body), "a clone is a second handle");
+        assert!(
+            Arc::ptr_eq(&a.group, &c.group),
+            "a clone is a second handle"
+        );
         assert_eq!(a, c);
         assert_ne!(a, bare_path());
         // Equal hops, different uses: equal keys do not make equal paths.
@@ -882,10 +1101,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_bodies_are_counted_once() {
+    fn shared_groups_are_counted_once() {
         let (a, b) = (core_transit(), bare_path());
-        // Pointer, key and hop count: three words, so a ranking reads each
-        // candidate's key and length from the list without touching a body.
+        // Pointer, index, hop count and key: three words, so a ranking reads
+        // each candidate's key and length from the list without touching a
+        // group.
         let handle = std::mem::size_of::<FullPath>();
         assert_eq!(handle, 3 * std::mem::size_of::<usize>());
         assert!(a.approx_bytes() > std::mem::size_of::<PathBody>() + 8);
@@ -896,7 +1116,7 @@ mod tests {
             approx_shared_bytes(copies.iter().chain([&a, &b])),
             5 * handle + a.approx_bytes() + b.approx_bytes()
         );
-        // An equal body in its own allocation is its own memory.
+        // An equal path in its own group is its own memory.
         assert_eq!(approx_shared_bytes([&a, &core_transit()]), 2 * one);
     }
 
@@ -1117,7 +1337,6 @@ mod tests {
         .unwrap();
         let d = disjointness(&p, &other);
         assert!(d > 0.0 && d < 1.0, "partially overlapping: {d}");
-        assert_eq!(shared_interfaces(&p, &p), p.interfaces().len());
     }
 
     #[test]

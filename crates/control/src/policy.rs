@@ -119,7 +119,7 @@ impl Sequence {
         // Dynamic programming over (hop index, predicate index): a wildcard
         // predicate may match a run of any length (including, at the ends,
         // an empty run); specific predicates match exactly one hop.
-        let hops = &path.hops;
+        let hops = path.hop_slice();
         let preds = &self.predicates;
         let is_wild = |p: &HopPredicate| p.isd == 0 && p.asn == Asn::WILDCARD && p.ifids.is_empty();
         // reachable[j] = predicates consumed after processing hops so far.
@@ -184,7 +184,7 @@ impl Acl {
 
     /// Whether every hop of `path` is allowed.
     pub fn permits(&self, path: &FullPath) -> bool {
-        path.hops.iter().all(|h| {
+        path.hop_slice().iter().all(|h| {
             for (allow, pred) in &self.rules {
                 if pred.matches(h.ia, h.ingress, h.egress) {
                     return *allow;
@@ -218,12 +218,18 @@ impl TransitPolicy {
     /// Whether `path` complies: it must not both enter from and leave to
     /// commercial ASes with academic ASes in between (transit).
     pub fn permits(&self, path: &FullPath) -> bool {
-        let src_commercial = path.hops.first().is_some_and(|h| self.is_commercial(h.ia));
-        let dst_commercial = path.hops.last().is_some_and(|h| self.is_commercial(h.ia));
+        let src_commercial = path
+            .hop_slice()
+            .first()
+            .is_some_and(|h| self.is_commercial(h.ia));
+        let dst_commercial = path
+            .hop_slice()
+            .last()
+            .is_some_and(|h| self.is_commercial(h.ia));
         if src_commercial && dst_commercial {
             // Commercial to commercial through SCIERA = transit, unless the
             // path never leaves the commercial network.
-            return path.hops.iter().all(|h| self.is_commercial(h.ia));
+            return path.hop_slice().iter().all(|h| self.is_commercial(h.ia));
         }
         true
     }
@@ -300,18 +306,6 @@ impl PathPolicy {
     pub fn is_open(&self) -> bool {
         self.sequence.is_none() && self.acl.rules.is_empty() && self.transit.commercial.is_empty()
     }
-}
-
-/// A stable fingerprint of a path policy, used in cache keys so queries
-/// under different policies never alias. The empty/default policy (and
-/// "no policy") fingerprint to 0.
-pub fn policy_fingerprint(policy: &PathPolicy) -> u64 {
-    if policy.is_open() {
-        return 0;
-    }
-    let encoded = serde_json::to_string(policy).unwrap_or_default();
-    let digest = scion_crypto::sha256::sha256(encoded.as_bytes());
-    u64::from_be_bytes(digest[..8].try_into().expect("8 bytes"))
 }
 
 #[cfg(test)]

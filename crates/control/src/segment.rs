@@ -157,7 +157,7 @@ impl PathSegment {
 
     /// Verifies all per-AS signatures against `keys` (verified AS keys from
     /// the CP-PKI) and the hop-MAC chain against `hop_keys` when available:
-    /// [`verify_entry`] folded over the entries, O(len).
+    /// `verify_entry` (one entry's check) folded over the entries, O(len).
     ///
     /// In the real system, a validator only holds *its own* hop key and the
     /// public certificate chain of every on-path AS; passing the full hop-key

@@ -754,7 +754,7 @@ impl DataPlane {
         let dead = &self.links.dead;
         if !dead.is_empty() {
             let is_dead = |h: &PathHop| dead.binary_search(&if_key(h.ia, h.egress)).is_ok();
-            paths.retain(|p| !p.hops.iter().any(is_dead));
+            paths.retain(|p| !p.hop_slice().iter().any(is_dead));
         }
         paths
     }

@@ -21,8 +21,13 @@
 //! `compress` through whole blocks of the caller's bytes; padding is built
 //! once, on the stack, in `digest_from`.
 //!
+//! `compress` counts the blocks it is handed in the per-thread
+//! [`Work::Sha256Compressions`] counter, whichever kernel runs them.
+//!
 //! Verified against the FIPS / NIST example vectors and, block by block,
 //! both kernels against the textbook 64-word kernel kept in the test module.
+
+use sciera_telemetry::work::{self, Work};
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -151,8 +156,7 @@ macro_rules! round {
 #[allow(unsafe_code)]
 pub(crate) fn compress(state: &mut [u32; 8], blocks: &[u8]) {
     debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
-    #[cfg(test)]
-    COMPRESSIONS.with(|n| n.set(n.get() + (blocks.len() / BLOCK_LEN) as u64));
+    work::add(Work::Sha256Compressions, (blocks.len() / BLOCK_LEN) as u64);
     #[cfg(target_arch = "x86_64")]
     if has_sha_extensions() {
         // SAFETY: `x86::compress` needs SHA, SSE2, SSSE3 and SSE4.1, and
@@ -298,18 +302,11 @@ pub fn to_hex(bytes: &[u8]) -> String {
     s
 }
 
-#[cfg(test)]
-thread_local! {
-    static COMPRESSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// How many compressions `f` runs (on this thread): the block arithmetic
 /// the control plane's cost rests on, pinned where it is relied on.
 #[cfg(test)]
 pub(crate) fn compressions_in<T>(f: impl FnOnce() -> T) -> u64 {
-    let before = COMPRESSIONS.with(|n| n.get());
-    f();
-    COMPRESSIONS.with(|n| n.get()) - before
+    work::counted(f).1.sha256_compressions
 }
 
 #[cfg(test)]

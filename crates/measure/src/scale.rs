@@ -10,7 +10,7 @@
 //! 2. runs full beaconing to convergence and records wall time, rounds
 //!    and segment-store footprint,
 //! 3. drives a query workload through the shared epoch-snapshot
-//!    [`EpochPathDb`](scion_control::epoch::EpochPathDb) with a
+//!    [`scion_control::epoch::EpochPathDb`] with a
 //!    topology-proportional sharded cache (the production concurrency
 //!    discipline, including publish-latency accounting), recording hit
 //!    rate and throughput,

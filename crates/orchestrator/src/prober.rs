@@ -7,7 +7,7 @@
 //! engine for that: it holds the registered path sets, drives echo
 //! campaigns over an [`EchoTransport`], records RTT/loss per path and per
 //! interface into telemetry, and feeds every outcome to the
-//! [`HealthBoard`](crate::health::HealthBoard).
+//! [`crate::health::HealthBoard`].
 //!
 //! The prober deliberately keeps its *own* copy of each pair's path set
 //! rather than re-querying the control plane each round: a freshly dead

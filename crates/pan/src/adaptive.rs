@@ -18,10 +18,8 @@
 //!   plus a flap penalty per observed liveness transition, so repeatedly
 //!   failing paths are avoided *before* their next outage.
 //!
-//! Policies are identified by a stable [`AdaptivePolicy::fingerprint`]
-//! which composes (XOR) with the control plane's
-//! `scion_control::policy::policy_fingerprint`, so adaptive variants of
-//! the same filter policy occupy distinct memoization slots.
+//! Policies are identified by a stable [`AdaptivePolicy::fingerprint`] of
+//! their name and parameters, so two variants never share an identity.
 
 use std::collections::HashMap;
 
@@ -222,9 +220,8 @@ impl AdaptivePolicy {
         }
     }
 
-    /// Stable 64-bit fingerprint of the policy and its parameters,
-    /// composable (XOR) with the control plane's policy fingerprints so
-    /// adaptive variants of one filter occupy distinct memoization slots.
+    /// Stable 64-bit fingerprint (FNV-1a) of the policy's name and
+    /// parameters: equal for equal policies, distinct for variants.
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut fold = |bytes: &[u8]| {

@@ -13,7 +13,9 @@
 //! * a bounded ring-buffer [`FlightRecorder`] that keeps the last N events and
 //!   dumps JSONL for post-mortem of failed runs;
 //! * span-style scoped timers ([`Span`]) keyed on simulation time (u64
-//!   nanoseconds on the simulated network's clock, not wall time).
+//!   nanoseconds on the simulated network's clock, not wall time);
+//! * per-thread [`work`] counters of the steps a cost rests on (SHA-256
+//!   compressions, combination plans keyed, path bodies built).
 //!
 //! The handle is `Clone` (an `Arc` internally), so a whole simulated network
 //! shares one registry: identically named counters aggregate across
@@ -28,6 +30,7 @@ pub mod profiler;
 mod recorder;
 mod snapshot;
 pub mod spans;
+pub mod work;
 
 pub use event::{Event, Severity};
 pub use export::{counter_rates, prometheus_text, CounterRate};

@@ -99,6 +99,11 @@ benchmark/run.sh --smoke >/dev/null
 echo "==> (cd benchmark && cargo test --offline)"
 (cd benchmark && cargo test -q --offline --target-dir ../target)
 
+# The docs build without a warning: no link to a private or missing item,
+# no redundant link target (the 14th cargo invocation of this script).
+echo "==> cargo doc --no-deps --workspace (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -185,14 +190,15 @@ if [ -n "$fields" ]; then
     exit 1
 fi
 
-# A cold miss builds only its answer: the combinator derives and keys every
-# candidate it reaches from one hop buffer and builds a body only for what it
-# keeps. Assembling a plan, which builds before it knows, is the tests' to do.
-echo "==> a cold miss builds only its answer (control)"
+# A cold miss builds no path body: the combinator derives and keys every
+# candidate it reaches from one hop buffer and copies what it keeps into one
+# shared answer, whose bodies are built on first deref. Assembling a plan or
+# building a body in the combinator is the tests' to do.
+echo "==> a cold miss builds no path body (control)"
 awk '/#\[cfg\(test\)\]/ { in_tests = 1 }
-     /fn assemble[(<]/ && !in_tests { print FILENAME ":" FNR ": " $0; found = 1 }
+     /fn assemble[(<]|PathBody \{/ && !in_tests { print FILENAME ":" FNR ": " $0; found = 1 }
      END { exit found }' crates/control/src/combine.rs || {
-    echo "ci: the combinator assembles paths before it knows it keeps them" >&2
+    echo "ci: the combinator builds paths or bodies before it knows it keeps them" >&2
     exit 1
 }
 

@@ -1,19 +1,12 @@
-//! Allocation budgets of the per-datagram path, counted exactly.
-//!
-//! A datagram crosses the stack once: the payload is copied into the UDP
-//! datagram, the datagram into the frame, the frame is rewritten in place by
-//! every router, decoded once into the destination inbox and its payload
-//! copied out to the application. Each of those steps owns a known number of
-//! heap allocations, none of them per hop, and the counts repeat exactly —
-//! so a copy or a clone that creeps back in fails here, by name, before any
-//! benchmark has to notice it as noise. A fresh socket's first contact over
-//! a primed pair is counted the same way: choosing its path allocates
-//! nothing. So is one border router: a frame, traced or not, allocates
-//! nothing, and a batch only its list of verdicts. A cold path lookup
-//! allocates for the paths it answers with, not for every candidate.
-//!
-//! The counter sits in this test crate (the product crates forbid unsafe
-//! code) and counts only the thread that asked, only while it asks.
+//! Work budgets, counted exactly and held to `BUDGETS.json`: equal or lower
+//! passes, and a change that saves work lowers the entry in the same commit.
+//! Each entry is the work of one operation — allocations and bytes
+//! requested, SHA-256 compressions, plans keyed, path bodies built — and the
+//! counts repeat exactly, so a budget that moves by one is a real copy,
+//! clone, hash or body, not noise. Allocations are counted by this crate's
+//! allocator (the product crates forbid unsafe code), the rest by
+//! `sciera::telemetry::work`: both only on the thread that asked, only
+//! while it asks.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,7 +17,9 @@ use sciera::orchestrator::prober::EchoOutcome;
 use sciera::prelude::*;
 use sciera::proto::packet::{DataPlanePath, L4Protocol, ScionPacket};
 use sciera::proto::udp::UdpDatagram;
+use sciera::telemetry::work::{self, WorkCounts};
 use sciera::topology::synth::{synthesize, SynthConfig};
+use serde::{Deserialize, Value};
 
 thread_local! {
     /// (allocations, bytes requested) since counting was switched on;
@@ -67,19 +62,31 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Runs `f` and returns its result with the (allocations, bytes) this
-/// thread requested meanwhile.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
+/// What one run did on this thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Seen {
+    allocs: u64,
+    bytes: u64,
+    work: WorkCounts,
+}
+
+/// Runs `f` and returns its result with the work this thread did meanwhile.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, Seen) {
     COUNT.with(|c| c.set(Some((0, 0))));
-    let out = f();
-    let seen = COUNT.with(|c| c.replace(None)).expect("counting was on");
+    let (out, work) = work::counted(f);
+    let (allocs, bytes) = COUNT.with(|c| c.replace(None)).expect("counting was on");
+    let seen = Seen {
+        allocs,
+        bytes,
+        work,
+    };
     (out, seen)
 }
 
 /// `run` three more times after a warm-up: the counts, which must repeat.
-fn steady<R>(mut run: impl FnMut() -> R, check: impl Fn(R)) -> (u64, u64) {
+fn steady<R>(mut run: impl FnMut() -> R, check: impl Fn(R)) -> Seen {
     check(run());
-    let seen: Vec<(u64, u64)> = (0..3)
+    let seen: Vec<Seen> = (0..3)
         .map(|_| {
             let (out, n) = counted(&mut run);
             check(out);
@@ -93,28 +100,33 @@ fn steady<R>(mut run: impl FnMut() -> R, check: impl Fn(R)) -> (u64, u64) {
     seen[0]
 }
 
+/// Holds `seen` to the budget `name` of `BUDGETS.json`: equal or lower.
+fn within(name: &str, seen: u64) {
+    let budgets: Value =
+        serde_json::from_str(include_str!("../BUDGETS.json")).expect("BUDGETS.json parses");
+    let limit = budgets.field(name).and_then(u64::deserialize);
+    let limit = limit.unwrap_or_else(|e| panic!("BUDGETS.json: {name}: {e}"));
+    eprintln!("{name}: {seen} (budget {limit})");
+    assert!(seen <= limit, "{name}: {seen}, over its budget of {limit}");
+}
+
 /// The first leaf pair, in order, whose shortest path has `hops` ASes.
 fn pair_apart(net: &SciEraNetwork, leaves: &[IsdAsn], hops: usize) -> FullPath {
+    let shortest = |(s, d)| net.paths(s, d).into_iter().next();
     let pairs = leaves
         .iter()
         .flat_map(|&s| leaves.iter().rev().map(move |&d| (s, d)));
-    pairs
-        .filter(|(s, d)| s != d)
-        .find_map(|(s, d)| {
-            net.paths(s, d)
-                .into_iter()
-                .next()
-                .filter(|p| p.len() == hops)
-        })
+    let mut apart = pairs.filter(|(s, d)| s != d).filter_map(shortest);
+    apart
+        .find(|p| p.len() == hops)
         .unwrap_or_else(|| panic!("no leaf pair {hops} hops apart"))
 }
 
 const PAYLOAD: usize = 512;
 
 #[test]
-fn the_per_datagram_path_stays_within_its_allocation_budget() {
-    let cfg = SynthConfig::sized(60);
-    let topo = synthesize(&cfg);
+fn host_and_lookup_paths_stay_within_their_work_budgets() {
+    let topo = synthesize(&SynthConfig::sized(60));
     let mut leaves: Vec<IsdAsn> = topo
         .graph
         .ases()
@@ -124,7 +136,9 @@ fn the_per_datagram_path_stays_within_its_allocation_budget() {
     leaves.sort_unstable();
     let net = SciEraNetwork::build_from_topology(topo, NetworkConfig::default());
 
-    // --- A connected send and its receive, six hops apart.
+    // --- A connected send and its receive, six hops apart: the pinned
+    // path's two lists, the datagram, the frame; the decoded packet's
+    // payload and two lists, the payload handed to the caller.
     let path = pair_apart(&net, &leaves, 6);
     let a = net.attach_host(ScionAddr::new(path.src, HostAddr::v4(10, 0, 0, 1)));
     let b = net.attach_host(ScionAddr::new(path.dst, HostAddr::v4(10, 0, 0, 2)));
@@ -133,25 +147,18 @@ fn the_per_datagram_path_stays_within_its_allocation_budget() {
     tx.connect(b.addr, 5000).unwrap();
     assert!(tx.selector_mut().active().unwrap().len() >= 5);
     let payload = vec![0xA5u8; PAYLOAD];
-    let (allocs, bytes) = steady(
+    let seen = steady(
         || {
             tx.send(&payload).unwrap();
             rx.poll_recv()
         },
         |got| assert_eq!(got.map(|(p, _, _)| p).as_deref(), Some(&payload[..])),
     );
-    // The pinned path's two lists, the datagram, the frame; the decoded
-    // packet's payload and two lists, the payload handed to the caller.
-    // (15 and 3 880 B while the payload was copied six times.)
-    assert!(allocs <= 8, "send + poll_recv allocated {allocs} times");
-    assert!(
-        bytes <= 4 * PAYLOAD as u64 + 1024,
-        "send + poll_recv requested {bytes} B for a {PAYLOAD}-B payload"
-    );
+    within("datagram_allocations", seen.allocs);
+    within("datagram_bytes", seen.bytes);
 
     // --- The public frame walk, which also returns the route and leaves a
-    // copy in the inbox: no more than it took before the delivering loop
-    // was shared.
+    // copy in the inbox.
     let mut pkt = ScionPacket::new(
         a.addr,
         b.addr,
@@ -162,7 +169,7 @@ fn the_per_datagram_path_stays_within_its_allocation_budget() {
     let plain = pkt.encode().unwrap();
     let mut spare = vec![plain.clone(); 4];
     let mut inbox = b.transport();
-    let (allocs, _) = steady(
+    let seen = steady(
         || {
             let frame = spare.pop().expect("one frame per run");
             let walked = net.walk_frame(frame).map(|d| d.route.len());
@@ -171,109 +178,102 @@ fn the_per_datagram_path_stays_within_its_allocation_budget() {
         },
         |hops| assert_eq!(hops, Ok(6)),
     );
-    assert!(allocs <= 12, "walk_frame allocated {allocs} times");
+    within("walk_frame_allocations", seen.allocs);
 
-    // --- One border router, warm: a frame allocates nothing, traced or not
-    // (4 allocations while a traced frame was decoded and re-encoded), and
-    // a batch of 32 only its list of verdicts.
+    // --- One border router, warm: a traced frame, and a batch of 32 (its
+    // list of verdicts).
     let mut router = BorderRouter::new(path.src, AsSecrets::derive(path.src).hop_key);
     pkt.trace = Some(TraceContext::root(7));
     let traced = pkt.encode().unwrap();
     let forwarded = |v: &Result<FrameDecision, _>| matches!(v, Ok(FrameDecision::Forward { .. }));
     let mut buf = Vec::with_capacity(traced.len());
-    let (allocs, _) = steady(
+    let seen = steady(
         || {
             buf.clone_from(&traced);
             router.process_frame(&mut buf, 0, 1_700_000_100)
         },
         |verdict| assert!(forwarded(&verdict), "{verdict:?}"),
     );
-    assert_eq!(allocs, 0, "a warm traced frame allocated {allocs} times");
+    within("router_traced_frame_allocations", seen.allocs);
     let mut batch = vec![plain.clone(); 32];
-    let (allocs, _) = steady(
+    let seen = steady(
         || {
             batch.iter_mut().for_each(|f| f.clone_from(&plain));
             router.process_batch(&mut batch, 0, 1_700_000_100)
         },
         |verdicts| assert!(verdicts.iter().all(forwarded), "{verdicts:?}"),
     );
-    assert_eq!(allocs, 1, "a warm batch of 32 allocated {allocs} times");
+    within("router_batch_of_32_allocations", seen.allocs);
 
-    // --- An SCMP echo there and back over eight hops, as one probe round
-    // of one registered path. The echo allocates nothing: its request was
-    // encoded at the first echo, and it travels in a buffer the network
-    // reuses, turned around in place at the destination. What is left is
-    // the round's: its result list and the result's fingerprint string.
-    // (28 while each echo assembled two data-plane paths at eight
-    // allocations each, encoded two messages and two frames and decoded
-    // one, and the round's healthy set was a set of strings; 46 while both
-    // legs went through the inboxes.)
+    // --- One probe round of one echo over eight hops, turned around in
+    // place: the round's result list and its fingerprint string are left.
     let far = pair_apart(&net, &leaves, 8);
     assert_eq!(net.register_probe_pair_capped(far.src, far.dst, 1), [far]);
-    let (allocs, _) = steady(
+    let seen = steady(
         || net.probe_round(),
         |results| {
             assert_eq!(results.len(), 1);
             assert!(matches!(results[0].outcome, EchoOutcome::Reply { .. }));
         },
     );
-    assert!(
-        allocs <= 2,
-        "a probe round of one echo allocated {allocs} times"
-    );
+    within("probe_round_allocations", seen.allocs);
 
-    // --- A fresh socket's first contact over a primed pair, as
-    // `connect_warm` makes it: bind, connect, one 64-B send, its receive,
-    // drop. The pair with the largest answer, so the selector holds the
-    // most candidates this deployment gives one.
+    // --- A fresh socket's first contact (bind, connect, one 64-B send, its
+    // receive, drop) over the pair with the largest answer, primed as
+    // `connect_warm` makes it: one copy of its handles, the chosen path
+    // assembled for the data plane, one datagram.
     let (src, dst) = leaves
         .iter()
         .flat_map(|&s| leaves.iter().map(move |&d| (s, d)))
         .filter(|(s, d)| s != d)
         .max_by_key(|&(s, d)| net.paths(s, d).len())
         .expect("leaf pairs");
-    let answer = net.paths(src, dst).len();
+    assert_eq!(net.paths(src, dst).len(), 200);
     let a = net.attach_host(ScionAddr::new(src, HostAddr::v4(10, 0, 0, 3)));
     let b = net.attach_host(ScionAddr::new(dst, HostAddr::v4(10, 0, 0, 4)));
     let mut rx = PanSocket::bind(b.addr, 5001, b.transport());
     let small = [0x5Au8; 64];
-    let (allocs, bytes) = steady(
-        || {
-            let mut tx = PanSocket::bind(a.addr, 4001, a.transport());
-            tx.connect(b.addr, 5001).unwrap();
-            tx.send(&small).unwrap();
-            rx.poll_recv()
-        },
-        |got| assert_eq!(got.map(|(p, _, _)| p).as_deref(), Some(&small[..])),
-    );
-    // One copy of the answer's handles; the rest assemble the chosen path
-    // for the data plane and carry one datagram. (23 allocations and
-    // 6 784 B while the selector collected its usable candidates into a
-    // growing index list and sorted it to read the first.)
-    assert_eq!(answer, 200);
-    assert!(allocs <= 16, "a warm connect allocated {allocs} times");
-    let handles = (answer * std::mem::size_of::<FullPath>()) as u64;
-    assert!(
-        bytes <= handles + 1200,
-        "a warm connect requested {bytes} B, {handles} B of them the answer's handles"
-    );
-
-    // --- The same pair's cold miss: the path database flushed, one
-    // combination. Only the paths the answer keeps get a body, three
-    // allocations each (uses, hops, the shared body); the lookup's own
-    // lists fit in the rest. (729 while every candidate of every length
-    // reached was built, those failing a check, repeated or past the cap
-    // included.)
     let db = net.pathdb();
-    let (allocs, _) = steady(
+    let mut connect = |cold: bool| {
+        if cold {
+            db.flush();
+        }
+        let mut tx = PanSocket::bind(a.addr, 4001, a.transport());
+        tx.connect(b.addr, 5001).unwrap();
+        tx.send(&small).unwrap();
+        rx.poll_recv()
+    };
+    let delivered = |got: Option<(Vec<u8>, _, _)>| assert_eq!(got.unwrap().0, small);
+    let seen = steady(|| connect(false), delivered);
+    within("warm_connect_allocations", seen.allocs);
+    within("warm_connect_bytes", seen.bytes);
+
+    // --- The same over a flushed path database, as `connect_cold` makes it:
+    // the lookup's answer is read, not built into bodies.
+    let seen = steady(|| connect(true), delivered);
+    within("cold_connect_bodies_built", seen.work.bodies_built);
+
+    // --- The same pair's cold miss alone: 200 paths in one shared group per
+    // length, three allocations each, the lookup's own lists sized once each.
+    let seen = steady(
         || {
             db.flush();
             db.paths(src, dst, 200).len()
         },
-        |n| assert_eq!(n, answer),
+        |n| assert_eq!(n, 200),
     );
-    assert!(
-        allocs <= 3 * answer as u64 + 40,
-        "a cold miss allocated {allocs} times"
-    );
+    let work = seen.work;
+    within("cold_miss_allocations", seen.allocs);
+    within("cold_miss_plans_keyed", work.plans_keyed);
+    within("cold_miss_sha256_compressions", work.sha256_compressions);
+    within("cold_miss_bodies_built", work.bodies_built);
+}
+
+#[test]
+fn a_400_as_build_stays_within_its_compression_budget() {
+    let topo = synthesize(&SynthConfig::sized(400));
+    let build = || SciEraNetwork::build_from_topology(topo, NetworkConfig::default());
+    let (net, Seen { work, .. }) = counted(build);
+    assert!(!net.pathdb().snapshot().store().is_empty());
+    within("build_400_sha256_compressions", work.sha256_compressions);
 }
