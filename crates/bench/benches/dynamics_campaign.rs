@@ -3,8 +3,8 @@
 //! injected link kills and latency scalings, exporting the ML-ready
 //! JSONL dataset (`paths.jsonl` + `events.jsonl`), verifying seeded
 //! byte-for-byte replay, and closing the loop by replaying the dataset
-//! through `scion_pan`'s adaptive selection policies against the static
-//! baseline. Emits `BENCH_dynamics.json` at the repo root.
+//! through `sciera_measure::adaptive`'s selection policies against the
+//! static baseline. Emits `BENCH_dynamics.json` at the repo root.
 //!
 //! Environment overrides (all optional):
 //! * `SCIERA_DYN_EPOCHS` — campaign length in epochs (default 200); CI
@@ -18,11 +18,11 @@
 use std::time::Instant;
 
 use sciera_core::network::{NetworkConfig, SciEraNetwork};
+use sciera_measure::adaptive::AdaptivePolicy;
 use sciera_measure::dynamics::{
     replay_policies, run_campaign, DynamicsConfig, PolicyOutcome, SCHEMA_VERSION,
 };
 use sciera_topology::synth::{synthesize, SynthConfig};
-use scion_pan::adaptive::AdaptivePolicy;
 use scion_proto::addr::IsdAsn;
 
 fn env_usize(name: &str, default: usize) -> usize {

@@ -25,7 +25,7 @@ pub enum Availability {
 
 impl Availability {
     /// Table cell letter.
-    pub fn letter(&self) -> &'static str {
+    fn letter(&self) -> &'static str {
         match self {
             Availability::Yes => "Y",
             Availability::Combined => "M",

@@ -5,8 +5,9 @@
 //! * [`OperatorConsole::prometheus`] — the full metrics registry in
 //!   Prometheus text exposition, ready for a scrape endpoint;
 //! * [`OperatorConsole::render`] — a live health table (one row per probed
-//!   path, scores, RTT quantiles, churn count) plus counter *rates* since
-//!   the previous render;
+//!   path, scores, RTT quantiles, churn count), the destinations no probed
+//!   path reaches (§4.4's alerting), plus counter *rates* since the
+//!   previous render;
 //! * [`OperatorConsole::snapshot_json`] — the raw snapshot as JSON, the
 //!   archival format the rate computation diffs against.
 //!
@@ -83,17 +84,26 @@ impl OperatorConsole {
         counter_rates(&prev, &cur, dt_secs)
     }
 
-    /// Renders the live console: health table, churn count, and counter
+    /// Renders the live console: health table, churn count, the §4.4
+    /// alerting line (destinations no probed path reaches), and counter
     /// rates since the previous `render` call (rates are omitted on the
     /// first call — there is nothing to diff yet).
     pub fn render(&mut self) -> String {
-        let (now, rows, churn) = {
+        let (now, rows, churn, unreachable) = {
             let inner = self.net.lock();
             let board = &inner.health;
-            (inner.plane.now_unix, board.rows(), board.churn_count())
+            let unreachable: Vec<String> = board.unreachable().map(|ia| ia.to_string()).collect();
+            (
+                inner.plane.now_unix,
+                board.rows(),
+                board.churn_count(),
+                unreachable,
+            )
         };
         self.refresh_observatory();
         let snap = self.telemetry.snapshot();
+        let c = |name: &str| snap.counter(name).unwrap_or(0);
+        let g = |name: &str| snap.gauge(name).unwrap_or(0);
 
         let mut out = String::new();
         let _ = writeln!(out, "SCIERA operator console — t={now}");
@@ -122,11 +132,20 @@ impl OperatorConsole {
             );
         }
         let _ = writeln!(out, "churn events: {churn}");
+        let _ = writeln!(
+            out,
+            "unreachable: {} — {} outage alerts / {} recovery notices",
+            if unreachable.is_empty() {
+                "none".to_string()
+            } else {
+                unreachable.join(", ")
+            },
+            c("health.outage_alerts"),
+            c("health.recovery_notices"),
+        );
 
         // Forwarding health: frames taken as they arrived vs canonicalised,
         // MAC-verification cache effectiveness, frame-pool occupancy.
-        let c = |name: &str| snap.counter(name).unwrap_or(0);
-        let g = |name: &str| snap.gauge(name).unwrap_or(0);
         let _ = writeln!(
             out,
             "fastpath: {} hit / {} fallback — mac cache: {} hit / {} miss / {} evict — pool: {} free / {} outstanding",
@@ -310,6 +329,10 @@ mod tests {
         assert!(second.contains("71-225"), "table row present:\n{second}");
         assert!(second.contains("up"), "live path is up:\n{second}");
         assert!(second.contains("churn events:"), "{second}");
+        assert!(
+            second.contains("unreachable: none — 0 outage alerts / 0 recovery notices"),
+            "{second}"
+        );
         assert!(second.contains("fastpath:"), "{second}");
         assert!(second.contains("mac cache:"), "{second}");
         assert!(second.contains("batch:"), "{second}");

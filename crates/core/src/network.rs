@@ -474,19 +474,6 @@ impl SciEraNetwork {
         out
     }
 
-    /// Health-board verdict for one probed path: `(alive, down_reason)`,
-    /// or `None` if the path has never been probed.
-    pub fn path_state(
-        &self,
-        src: IsdAsn,
-        dst: IsdAsn,
-        fingerprint: &str,
-    ) -> Option<(bool, Option<String>)> {
-        let inner = self.inner.lock();
-        let path = inner.health.path(src, dst, fingerprint)?;
-        Some((path.alive, path.down_reason.clone()))
-    }
-
     /// The path database's current store generation — the control plane's
     /// invalidation epoch, stamped onto exported dynamics records.
     pub fn generation(&self) -> u64 {
@@ -1018,17 +1005,8 @@ impl DynamicsNet for SciEraNetwork {
         SciEraNetwork::probe_round(self)
     }
 
-    fn churn_events(&self) -> Vec<ChurnEvent> {
-        SciEraNetwork::churn_events(self)
-    }
-
-    fn path_state(
-        &self,
-        src: IsdAsn,
-        dst: IsdAsn,
-        fingerprint: &str,
-    ) -> Option<(bool, Option<String>)> {
-        SciEraNetwork::path_state(self, src, dst, fingerprint)
+    fn read_board<R>(&self, read: impl FnOnce(&HealthBoard) -> R) -> R {
+        read(&self.inner.lock().health)
     }
 
     fn generation(&self) -> u64 {
@@ -1523,6 +1501,7 @@ mod tests {
     #[test]
     fn build_from_synthetic_topology_probes_and_injects_faults() {
         use sciera_topology::synth::{synthesize, SynthConfig};
+        use scion_orchestrator::health::DownReason;
         let topo = synthesize(&SynthConfig::sized(40));
         let mut net = SciEraNetwork::build_from_topology(topo, NetworkConfig::default());
         assert!(net.trust().verified_as_count() >= 40);
@@ -1547,8 +1526,14 @@ mod tests {
         assert!(snapshot.len() <= paths.len());
         let results = SciEraNetwork::probe_round(&net);
         assert_eq!(results.len(), snapshot.len());
-        let fp = snapshot[0].fingerprint();
-        let (alive, reason) = net.path_state(src, dst, &fp).expect("probed path known");
+        let key = snapshot[0].fingerprint_key();
+        let state = |net: &SciEraNetwork| {
+            net.read_board(|board| {
+                let path = board.path(src, dst, key).expect("probed path known");
+                (path.alive, path.down_reason)
+            })
+        };
+        let (alive, reason) = state(&net);
         assert!(alive, "freshly probed path is alive ({reason:?})");
 
         // Cost-change injection scales RTT relative to nominal and
@@ -1573,17 +1558,17 @@ mod tests {
             DynamicsNet::set_link_up(&mut net, li, false);
         }
         SciEraNetwork::probe_round(&net);
-        let (alive, reason) = net.path_state(src, dst, &fp).unwrap();
+        let (alive, reason) = state(&net);
         assert!(!alive);
         assert!(
-            reason.as_deref().unwrap_or("").contains("ext-if-down"),
+            matches!(reason, Some(DownReason::ExtIfDown { .. })),
             "SCMP attribution expected, got {reason:?}"
         );
         for &li in &links {
             DynamicsNet::set_link_up(&mut net, li, true);
         }
         SciEraNetwork::probe_round(&net);
-        assert!(net.path_state(src, dst, &fp).unwrap().0, "path revives");
+        assert!(state(&net).0, "path revives");
     }
 
     /// A traced packet rides the same loop as an untraced frame, through

@@ -169,11 +169,6 @@ impl CaService {
         let remaining = cert.remaining_lifetime(now);
         (remaining as f64) < (lifetime as f64) * RENEWAL_THRESHOLD
     }
-
-    /// Number of certificates issued so far.
-    pub fn issued_count(&self) -> usize {
-        self.issuance_log.len()
-    }
 }
 
 #[cfg(test)]
@@ -218,7 +213,7 @@ mod tests {
                 .verify_signature(&ca.ca_cert.public_key)
                 .unwrap();
         }
-        assert_eq!(ca.issued_count(), 2);
+        assert_eq!(ca.issuance_log.len(), 2);
     }
 
     #[test]

@@ -74,14 +74,6 @@ impl HopKey {
         }
     }
 
-    /// Creates a hop key directly from 16 bytes of key material (epoch 0).
-    pub fn from_raw(key: &[u8; 16]) -> Self {
-        HopKey {
-            cmac: Cmac::new(key),
-            epoch: 0,
-        }
-    }
-
     /// The key epoch this key was derived for. Part of any cache key over
     /// verification results: rotating the key must invalidate cached MACs.
     pub fn epoch(&self) -> u32 {
@@ -198,7 +190,6 @@ mod tests {
     #[test]
     fn epoch_is_recorded() {
         assert_eq!(HopKey::derive(b"s", 7).epoch(), 7);
-        assert_eq!(HopKey::from_raw(&[1u8; 16]).epoch(), 0);
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl Dispatcher {
         Ok(())
     }
 
-    /// Removes a registration.
-    pub fn unregister(&self, port: u16) {
-        self.table.lock().retain(|(p, _)| *p != port);
-    }
-
     /// [`Dispatcher::dispatch`] with a simulation timestamp: a traced packet
     /// gets a final `pkt.dispatch` span attributed to the dispatcher — the
     /// last custody change before the application — so per-hop attribution
@@ -277,11 +272,6 @@ impl<K: Eq + Hash + Clone> IngressShards<K> {
     pub fn is_empty(&self) -> bool {
         self.queued == 0
     }
-
-    /// Number of shards ever touched (including currently empty ones).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
 }
 
 /// Output of a pipeline run (dispatcher or dispatcherless) for the ablation.
@@ -400,9 +390,7 @@ mod tests {
         let d = Dispatcher::new();
         d.register(8080, AppId(1)).unwrap();
         assert!(d.register(8080, AppId(2)).is_err());
-        d.unregister(8080);
-        d.register(8080, AppId(2)).unwrap();
-        assert_eq!(d.dispatch(&udp_packet(8080)), Some(AppId(2)));
+        assert_eq!(d.dispatch(&udp_packet(8080)), Some(AppId(1)));
     }
 
     #[test]
@@ -463,7 +451,6 @@ mod tests {
         shards.enqueue(2, vec![100]);
         shards.enqueue(3, vec![200]);
         assert_eq!(shards.queued(), 32);
-        assert_eq!(shards.shard_count(), 3);
 
         let mut out = Vec::new();
         let mut order = Vec::new();

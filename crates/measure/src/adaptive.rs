@@ -1,50 +1,29 @@
 //! Measurement-driven adaptive path selection.
 //!
-//! The path-dynamics observatory (`sciera_measure::dynamics`) turns probe
+//! The path-dynamics observatory ([`crate::dynamics`]) turns probe
 //! campaigns into per-path time series — RTT quantiles, loss, liveness,
-//! churn — one record per path per epoch. This module closes the loop:
-//! it consumes exactly those records through a rolling [`PathStatsView`]
-//! and ranks candidate paths with policies that react to what was
-//! *measured*, not just to what the control plane advertises:
+//! churn — one [`PathEpochRecord`] per path per epoch. This module closes
+//! the loop: it folds exactly those records into a rolling
+//! [`PathStatsView`] and ranks candidate paths with policies that react to
+//! what was *measured*, not just to what the control plane advertises:
 //!
 //! * [`AdaptivePolicy::Static`] — the baseline: hop-count order with
-//!   SCMP-dead paths excluded, i.e. what [`crate::PathSelector`] does with
-//!   `Preference::Shortest`. It reacts to interface-down notifications
-//!   but never to measured latency or loss.
+//!   SCMP-dead paths excluded, i.e. what `scion_pan`'s `PathSelector` does
+//!   with `Preference::Shortest`. It reacts to interface-down
+//!   notifications but never to measured latency or loss.
 //! * [`AdaptivePolicy::LatencyLoss`] — ranks by smoothed p50 RTT plus a
 //!   tail-weighted p99 component and a loss penalty (§4.7's "switching
 //!   paths instantly if performance worsens", driven by data).
 //! * [`AdaptivePolicy::ChurnAware`] — [`AdaptivePolicy::LatencyLoss`]
 //!   plus a flap penalty per observed liveness transition, so repeatedly
 //!   failing paths are avoided *before* their next outage.
-//!
-//! Policies are identified by a stable [`AdaptivePolicy::fingerprint`] of
-//! their name and parameters, so two variants never share an identity.
 
 use std::collections::HashMap;
 
-use scion_control::fullpath::FullPath;
+use crate::dynamics::PathEpochRecord;
 
-/// One dataset record's worth of measurement for one path — the in-process
-/// mirror of the exporter's per-path-per-epoch JSONL record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PathObservation {
-    /// The path's stable fingerprint.
-    pub fingerprint: String,
-    /// Campaign epoch the observation belongs to.
-    pub epoch: u64,
-    /// Median RTT over the epoch, ms (absent when no probe answered).
-    pub rtt_p50_ms: Option<f64>,
-    /// 99th-percentile RTT over the epoch, ms.
-    pub rtt_p99_ms: Option<f64>,
-    /// Probe loss fraction over the epoch (0..=1).
-    pub loss: f64,
-    /// Liveness verdict at the end of the epoch.
-    pub alive: bool,
-    /// Whether the path was killed by an SCMP interface-down correlation
-    /// (as opposed to plain probe loss).
-    pub scmp_dead: bool,
-}
+/// Weight of the newest epoch in every moving average of [`PathStats`].
+const EWMA_ALPHA: f64 = 0.3;
 
 /// Rolling smoothed statistics for one path.
 #[derive(Debug, Clone, Default)]
@@ -57,80 +36,54 @@ pub struct PathStats {
     pub ewma_loss: f64,
     /// Liveness transitions (up → down) observed so far.
     pub flaps: u64,
-    /// Liveness verdict of the latest observation.
+    /// Liveness verdict of the latest record.
     pub alive: bool,
-    /// SCMP-dead flag of the latest observation.
+    /// SCMP-dead flag of the latest record.
     pub scmp_dead: bool,
-    /// Observations folded in.
+    /// Records folded in.
     pub observations: u64,
 }
 
-/// A rolling, in-process view over dataset records: one [`PathStats`] per
-/// fingerprint, updated observation by observation. Feed it the campaign's
-/// epoch records in epoch order and hand it to
-/// [`AdaptivePolicy::select`] — the selection loop of the observatory.
-#[derive(Debug, Clone)]
+/// A rolling view over dataset records: one [`PathStats`] per fingerprint,
+/// updated record by record. Feed it the campaign's epoch records in epoch
+/// order and hand it to [`AdaptivePolicy::select`] — the selection loop of
+/// the observatory.
+#[derive(Debug, Clone, Default)]
 pub struct PathStatsView {
     stats: HashMap<String, PathStats>,
-    alpha: f64,
-}
-
-impl Default for PathStatsView {
-    fn default() -> Self {
-        PathStatsView::new()
-    }
 }
 
 impl PathStatsView {
-    /// An empty view with the standard EWMA factor.
-    pub fn new() -> Self {
-        PathStatsView {
-            stats: HashMap::new(),
-            alpha: 0.3,
-        }
-    }
-
-    /// Folds one observation into the per-path statistics.
-    pub fn observe(&mut self, obs: &PathObservation) {
-        let s = self.stats.entry(obs.fingerprint.clone()).or_default();
+    /// Folds one epoch record into its path's statistics.
+    pub fn observe(&mut self, record: &PathEpochRecord) {
+        let s = self.stats.entry(record.fingerprint.clone()).or_default();
         let was_alive = if s.observations == 0 { true } else { s.alive };
-        if !obs.alive && was_alive {
+        if !record.alive && was_alive {
             s.flaps += 1;
         }
-        let alpha = self.alpha;
         let fold = |e: &mut Option<f64>, v: Option<f64>| {
             if let Some(v) = v {
                 *e = Some(match *e {
-                    Some(prev) => prev * (1.0 - alpha) + v * alpha,
+                    Some(prev) => prev * (1.0 - EWMA_ALPHA) + v * EWMA_ALPHA,
                     None => v,
                 });
             }
         };
-        fold(&mut s.ewma_p50_ms, obs.rtt_p50_ms);
-        fold(&mut s.ewma_p99_ms, obs.rtt_p99_ms);
+        fold(&mut s.ewma_p50_ms, record.rtt_p50_ms);
+        fold(&mut s.ewma_p99_ms, record.rtt_p99_ms);
         s.ewma_loss = if s.observations == 0 {
-            obs.loss
+            record.loss
         } else {
-            s.ewma_loss * (1.0 - alpha) + obs.loss * alpha
+            s.ewma_loss * (1.0 - EWMA_ALPHA) + record.loss * EWMA_ALPHA
         };
-        s.alive = obs.alive;
-        s.scmp_dead = obs.scmp_dead;
+        s.alive = record.alive;
+        s.scmp_dead = record.scmp_dead;
         s.observations += 1;
     }
 
     /// The rolling statistics for a path, if it has been observed.
     pub fn stats(&self, fingerprint: &str) -> Option<&PathStats> {
         self.stats.get(fingerprint)
-    }
-
-    /// Number of paths with at least one observation.
-    pub fn len(&self) -> usize {
-        self.stats.len()
-    }
-
-    /// Whether no path has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.stats.is_empty()
     }
 }
 
@@ -143,16 +96,6 @@ pub struct Candidate {
     pub fingerprint: String,
     /// AS-level hop count (the static baseline's only signal).
     pub hops: usize,
-}
-
-impl Candidate {
-    /// A candidate carrying a concrete path's identity.
-    pub fn of(path: &FullPath) -> Candidate {
-        Candidate {
-            fingerprint: path.fingerprint(),
-            hops: path.len(),
-        }
-    }
 }
 
 /// Where a candidate lands in the ranking before cost is compared:
@@ -218,39 +161,6 @@ impl AdaptivePolicy {
             AdaptivePolicy::LatencyLoss { .. } => "latency_loss",
             AdaptivePolicy::ChurnAware { .. } => "churn_aware",
         }
-    }
-
-    /// Stable 64-bit fingerprint (FNV-1a) of the policy's name and
-    /// parameters: equal for equal policies, distinct for variants.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        fold(self.name().as_bytes());
-        match self {
-            AdaptivePolicy::Static => {}
-            AdaptivePolicy::LatencyLoss {
-                loss_penalty_ms,
-                p99_weight,
-            } => {
-                fold(&loss_penalty_ms.to_bits().to_le_bytes());
-                fold(&p99_weight.to_bits().to_le_bytes());
-            }
-            AdaptivePolicy::ChurnAware {
-                loss_penalty_ms,
-                p99_weight,
-                flap_penalty_ms,
-            } => {
-                fold(&loss_penalty_ms.to_bits().to_le_bytes());
-                fold(&p99_weight.to_bits().to_le_bytes());
-                fold(&flap_penalty_ms.to_bits().to_le_bytes());
-            }
-        }
-        h
     }
 
     /// Scores one candidate against the current view.
@@ -345,15 +255,26 @@ fn measured_score(
 mod tests {
     use super::*;
 
-    fn obs(fp: &str, epoch: u64, p50: f64, loss: f64, alive: bool) -> PathObservation {
-        PathObservation {
-            fingerprint: fp.into(),
+    fn obs(fp: &str, epoch: u64, p50: f64, loss: f64, alive: bool) -> PathEpochRecord {
+        PathEpochRecord {
+            v: crate::dynamics::SCHEMA_VERSION,
             epoch,
-            rtt_p50_ms: alive.then_some(p50),
-            rtt_p99_ms: alive.then_some(p50 * 1.2),
+            t_unix: 1_700_000_000 + epoch * 30,
+            src: "71-1".into(),
+            dst: "71-2".into(),
+            fingerprint: fp.into(),
+            hops: 3,
+            probes: 2,
+            replies: if alive { 2 } else { 0 },
             loss,
+            rtt_p50_ms: alive.then_some(p50),
+            rtt_p90_ms: alive.then_some(p50 * 1.1),
+            rtt_p99_ms: alive.then_some(p50 * 1.2),
             alive,
             scmp_dead: false,
+            age_epochs: epoch,
+            lifetime_epochs: u64::from(alive),
+            generation: 1,
         }
     }
 
@@ -372,7 +293,7 @@ mod tests {
 
     #[test]
     fn static_ranks_by_hops_and_ignores_latency() {
-        let mut view = PathStatsView::new();
+        let mut view = PathStatsView::default();
         view.observe(&obs("short", 1, 500.0, 0.0, true));
         view.observe(&obs("long", 1, 20.0, 0.0, true));
         let c = cands();
@@ -387,7 +308,7 @@ mod tests {
 
     #[test]
     fn latency_loss_prefers_measured_fast_path() {
-        let mut view = PathStatsView::new();
+        let mut view = PathStatsView::default();
         view.observe(&obs("short", 1, 500.0, 0.0, true));
         view.observe(&obs("long", 1, 20.0, 0.0, true));
         let c = cands();
@@ -402,7 +323,7 @@ mod tests {
 
     #[test]
     fn loss_penalty_moves_selection() {
-        let mut view = PathStatsView::new();
+        let mut view = PathStatsView::default();
         view.observe(&obs("short", 1, 100.0, 0.3, true));
         view.observe(&obs("long", 1, 110.0, 0.0, true));
         let c = cands();
@@ -417,7 +338,7 @@ mod tests {
 
     #[test]
     fn dead_paths_rank_last_for_adaptive() {
-        let mut view = PathStatsView::new();
+        let mut view = PathStatsView::default();
         view.observe(&obs("short", 1, 20.0, 0.0, true));
         view.observe(&obs("long", 1, 80.0, 0.0, true));
         view.observe(&obs("short", 2, 20.0, 1.0, false));
@@ -441,7 +362,7 @@ mod tests {
 
     #[test]
     fn scmp_death_excludes_for_static_too() {
-        let mut view = PathStatsView::new();
+        let mut view = PathStatsView::default();
         let mut o = obs("short", 1, 20.0, 1.0, false);
         o.scmp_dead = true;
         view.observe(&o);
@@ -458,7 +379,7 @@ mod tests {
 
     #[test]
     fn churn_penalty_prefers_stable_paths() {
-        let mut view = PathStatsView::new();
+        let mut view = PathStatsView::default();
         // "short" flaps three times; "long" is steady but slower.
         for e in 0..6u64 {
             let down = e % 2 == 1;
@@ -481,7 +402,7 @@ mod tests {
 
     #[test]
     fn unmeasured_ranks_after_measured_alive() {
-        let mut view = PathStatsView::new();
+        let mut view = PathStatsView::default();
         view.observe(&obs("long", 1, 300.0, 0.0, true));
         let c = cands();
         assert_eq!(
@@ -491,22 +412,5 @@ mod tests {
                 .fingerprint,
             "long"
         );
-    }
-
-    #[test]
-    fn fingerprints_are_stable_and_distinct() {
-        let a = AdaptivePolicy::latency_loss();
-        let b = AdaptivePolicy::churn_aware();
-        assert_eq!(
-            a.fingerprint(),
-            AdaptivePolicy::latency_loss().fingerprint()
-        );
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), AdaptivePolicy::Static.fingerprint());
-        let c = AdaptivePolicy::LatencyLoss {
-            loss_penalty_ms: 500.0,
-            p99_weight: 0.5,
-        };
-        assert_ne!(a.fingerprint(), c.fingerprint());
     }
 }

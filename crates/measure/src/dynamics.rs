@@ -13,8 +13,8 @@
 //!   [`PathEpochRecord`] per registered path per epoch plus a companion
 //!   [`ChurnRecord`] stream (appear/disappear straight from the
 //!   `HealthBoard`'s transitions, failover records derived from the
-//!   campaign's own selection tracking, causes attributed from the SCMP
-//!   pipeline's down reasons).
+//!   campaign's own selection tracking, causes rendered from the board's
+//!   typed down reasons). Each epoch reads the board once, by path key.
 //! * [`DynamicsDataset`] is the ML-ready product: versioned-schema JSONL
 //!   in, JSONL out ([`DynamicsDataset::paths_jsonl`] /
 //!   [`DynamicsDataset::from_jsonl`]), with [`DynamicsDataset::validate`]
@@ -22,7 +22,7 @@
 //!   computing the headline statistics (path-lifetime CDF, churn rate per
 //!   epoch, RTT stability).
 //! * [`replay_policies`] closes the loop: it replays the dataset through
-//!   `scion_pan`'s adaptive selection policies — feeding each epoch's
+//!   [`crate::adaptive`]'s selection policies — folding each epoch's
 //!   records into a rolling [`PathStatsView`] *after* the epoch's
 //!   selection, so policies only ever act on the past — and scores them
 //!   against the static baseline on achieved RTT and failover gap.
@@ -36,11 +36,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::{Deserialize, Serialize};
 
 use sciera_telemetry::{Histogram, Telemetry};
-use scion_control::fullpath::FullPath;
-use scion_orchestrator::prober::EchoOutcome;
-use scion_pan::adaptive::{AdaptivePolicy, Candidate, PathObservation, PathStatsView};
+use scion_control::fullpath::{fingerprint_hex, FullPath};
+use scion_orchestrator::health::{DownReason, HealthBoard};
+use scion_orchestrator::prober::{EchoOutcome, ProbeResult};
 use scion_proto::addr::IsdAsn;
 
+use crate::adaptive::{AdaptivePolicy, Candidate, PathStatsView};
 use crate::bed::Rng;
 
 /// Version stamp every exported record carries; bump on any schema change.
@@ -66,17 +67,11 @@ pub trait DynamicsNet {
     fn register_pair(&mut self, src: IsdAsn, dst: IsdAsn, max_paths: usize) -> Vec<FullPath>;
     /// Runs one echo campaign over every registered path and closes the
     /// health board's round.
-    fn probe_round(&mut self) -> Vec<scion_orchestrator::prober::ProbeResult>;
-    /// Every churn event the health board has emitted so far, oldest
-    /// first (the engine tracks how many it has already consumed).
-    fn churn_events(&self) -> Vec<scion_orchestrator::health::ChurnEvent>;
-    /// Liveness verdict and down reason for one probed path, if known.
-    fn path_state(
-        &self,
-        src: IsdAsn,
-        dst: IsdAsn,
-        fingerprint: &str,
-    ) -> Option<(bool, Option<String>)>;
+    fn probe_round(&mut self) -> Vec<ProbeResult>;
+    /// Hands the health board the probe rounds feed to `read`: the engine
+    /// reads an epoch's churn (by count, only what is new) and every
+    /// path's verdict (by key) in one visit.
+    fn read_board<R>(&self, read: impl FnOnce(&HealthBoard) -> R) -> R;
     /// The control plane's current generation stamp (segment store /
     /// path-database invalidation epoch).
     fn generation(&self) -> u64;
@@ -273,8 +268,23 @@ pub struct PolicyOutcome {
 
 struct PathTrack {
     path: FullPath,
+    /// The path's key as hex, the dataset's `fingerprint`.
+    fingerprint: String,
     first_epoch: u64,
     alive_streak: u64,
+}
+
+/// A probed path's liveness and down reason on `board`. A path the board
+/// has not seen counts as alive.
+fn state(
+    board: &HealthBoard,
+    src: IsdAsn,
+    dst: IsdAsn,
+    key: [u8; 8],
+) -> (bool, Option<DownReason>) {
+    board
+        .path(src, dst, key)
+        .map_or((true, None), |p| (p.alive, p.down_reason))
 }
 
 enum Restore {
@@ -302,21 +312,19 @@ pub fn run_campaign<N: DynamicsNet>(
     let gap_gauge = telemetry.gauge("dynamics.last_failover_gap_ms");
 
     let mut rng = Rng::new(cfg.seed);
-    let mut tracks: Vec<((IsdAsn, IsdAsn), BTreeMap<String, PathTrack>)> = Vec::new();
+    let mut tracks = Vec::new();
     for &(src, dst) in pairs {
-        let paths = net.register_pair(src, dst, cfg.max_paths_per_pair);
-        let mut by_fp = BTreeMap::new();
-        for p in paths {
-            by_fp.insert(
-                p.fingerprint(),
-                PathTrack {
-                    path: p,
-                    first_epoch: 0,
-                    alive_streak: 0,
-                },
-            );
-        }
-        tracks.push(((src, dst), by_fp));
+        let snapshot = net.register_pair(src, dst, cfg.max_paths_per_pair);
+        let tracked = snapshot.into_iter().map(|path| {
+            let track = PathTrack {
+                fingerprint: path.fingerprint(),
+                path,
+                first_epoch: 0,
+                alive_streak: 0,
+            };
+            (track.path.fingerprint_key(), track)
+        });
+        tracks.push(((src, dst), tracked.collect::<BTreeMap<_, _>>()));
     }
 
     // Event targets are drawn from links the probe set actually crosses.
@@ -351,7 +359,7 @@ pub fn run_campaign<N: DynamicsNet>(
         // as the tiebreak.
         if let Some(t) = by_fp
             .values()
-            .min_by_key(|t| (t.path.len(), t.path.fingerprint()))
+            .min_by_key(|t| (t.path.len(), t.path.fingerprint_key()))
         {
             primary_links.extend(net.path_links(&t.path));
         }
@@ -393,7 +401,7 @@ pub fn run_campaign<N: DynamicsNet>(
     // Per-pair static selection tracking for failover records: the
     // first-alive path in fingerprint order, and the epoch its outage
     // started (if it is in one).
-    let mut selected: Vec<Option<String>> = vec![None; tracks.len()];
+    let mut selected: Vec<Option<[u8; 8]>> = vec![None; tracks.len()];
     let mut outage_since: Vec<Option<u64>> = vec![None; tracks.len()];
 
     for epoch in 0..cfg.epochs as u64 {
@@ -436,7 +444,7 @@ pub fn run_campaign<N: DynamicsNet>(
 
         // -- Probe rounds. ----------------------------------------------
         net.advance_time(cfg.epoch_secs);
-        let mut samples: BTreeMap<(usize, String), (u64, u64, Histogram)> = BTreeMap::new();
+        let mut samples: BTreeMap<(usize, [u8; 8]), (u64, u64, Histogram)> = BTreeMap::new();
         for _ in 0..cfg.rounds_per_epoch.max(1) {
             let _probe_scope = telemetry.prof_scope("dynamics.probe");
             for result in net.probe_round() {
@@ -447,7 +455,7 @@ pub fn run_campaign<N: DynamicsNet>(
                     continue;
                 };
                 let entry = samples
-                    .entry((pair_idx, result.fingerprint.clone()))
+                    .entry((pair_idx, result.key))
                     .or_insert_with(|| (0, 0, Histogram::default()));
                 entry.0 += 1;
                 if let EchoOutcome::Reply { rtt_ms } = result.outcome {
@@ -457,117 +465,99 @@ pub fn run_campaign<N: DynamicsNet>(
             }
         }
         let now = net.now_unix();
-
-        // -- Churn stream: board transitions map 1:1 to records. --------
-        let board_events = net.churn_events();
-        churn_last_gauge.set((board_events.len() - consumed_churn) as u64);
-        for ev in &board_events[consumed_churn..] {
-            for fp in &ev.added {
-                dataset.events.push(ChurnRecord {
-                    v: SCHEMA_VERSION,
-                    epoch,
-                    t_unix: ev.at_unix,
-                    src: ev.src.to_string(),
-                    dst: ev.dst.to_string(),
-                    fingerprint: fp.clone(),
-                    kind: "appear".into(),
-                    cause: None,
-                });
-                churn_ctr.inc();
-            }
-            for fp in &ev.removed {
-                let cause = net
-                    .path_state(ev.src, ev.dst, fp)
-                    .and_then(|(_, reason)| reason);
-                dataset.events.push(ChurnRecord {
-                    v: SCHEMA_VERSION,
-                    epoch,
-                    t_unix: ev.at_unix,
-                    src: ev.src.to_string(),
-                    dst: ev.dst.to_string(),
-                    fingerprint: fp.clone(),
-                    kind: "disappear".into(),
-                    cause,
-                });
-                churn_ctr.inc();
-            }
-        }
-        consumed_churn = board_events.len();
-
-        // -- Per-path records + failover detection. ----------------------
         let generation = net.generation();
-        let mut live_paths = 0u64;
-        for (pair_idx, ((src, dst), by_fp)) in tracks.iter_mut().enumerate() {
-            let mut first_alive: Option<String> = None;
-            for (fp, track) in by_fp.iter_mut() {
-                let (alive, down_reason) = net.path_state(*src, *dst, fp).unwrap_or((true, None));
-                if alive {
-                    track.alive_streak += 1;
-                    live_paths += 1;
-                    if first_alive.is_none() {
-                        first_alive = Some(fp.clone());
+
+        // One read of the board: the churn logged since the last epoch,
+        // then every tracked path's verdict.
+        let live_paths = net.read_board(|board| {
+            // -- Churn stream: board transitions map 1:1 to records. ----
+            let churn = board.churn_since(consumed_churn);
+            consumed_churn += churn.len();
+            churn_last_gauge.set(churn.len() as u64);
+            for ev in churn {
+                for entered in [true, false] {
+                    for key in ev.keys(entered) {
+                        let (kind, cause) = if entered {
+                            ("appear", None)
+                        } else {
+                            let reason = state(board, ev.src, ev.dst, key).1;
+                            ("disappear", reason.map(|r| r.to_string()))
+                        };
+                        dataset.events.push(ChurnRecord {
+                            v: SCHEMA_VERSION,
+                            epoch,
+                            t_unix: ev.at_unix,
+                            src: ev.src.to_string(),
+                            dst: ev.dst.to_string(),
+                            fingerprint: fingerprint_hex(&key),
+                            kind: kind.into(),
+                            cause,
+                        });
+                        churn_ctr.inc();
                     }
-                } else {
-                    track.alive_streak = 0;
                 }
-                let (probes, replies, hist) = samples
-                    .get(&(pair_idx, fp.clone()))
-                    .map(|(p, r, h)| (*p, *r, h.clone()))
-                    .unwrap_or((0, 0, Histogram::default()));
-                let loss = if probes > 0 {
-                    (probes - replies) as f64 / probes as f64
-                } else {
-                    0.0
-                };
-                dataset.paths.push(PathEpochRecord {
-                    v: SCHEMA_VERSION,
-                    epoch,
-                    t_unix: now,
-                    src: src.to_string(),
-                    dst: dst.to_string(),
-                    fingerprint: fp.clone(),
-                    hops: track.path.len() as u64,
-                    probes,
-                    replies,
-                    loss,
-                    rtt_p50_ms: hist.quantile(0.5),
-                    rtt_p90_ms: hist.quantile(0.9),
-                    rtt_p99_ms: hist.quantile(0.99),
-                    alive,
-                    scmp_dead: down_reason
-                        .as_deref()
-                        .map(|r| r.contains("ext-if-down"))
-                        .unwrap_or(false),
-                    age_epochs: epoch - track.first_epoch,
-                    lifetime_epochs: track.alive_streak,
-                    generation,
-                });
-                records_ctr.inc();
             }
 
-            // Failover: the pair's selected path (first alive, fingerprint
-            // order — the static baseline) left the healthy set.
-            match (&selected[pair_idx], &first_alive) {
-                (Some(old), new) if new.as_deref() != Some(old.as_str()) => {
-                    let still_registered = by_fp.contains_key(old);
-                    let died = still_registered
-                        && net
-                            .path_state(*src, *dst, old)
-                            .map(|(alive, _)| !alive)
-                            .unwrap_or(false);
-                    if died {
-                        let cause = net
-                            .path_state(*src, *dst, old)
-                            .and_then(|(_, reason)| reason);
+            // -- Per-path records + failover detection. ------------------
+            let mut live_paths = 0u64;
+            for (pair_idx, ((src, dst), tracked)) in tracks.iter_mut().enumerate() {
+                let (src, dst) = (*src, *dst);
+                let mut first_alive: Option<[u8; 8]> = None;
+                for (key, track) in tracked.iter_mut() {
+                    let (alive, reason) = state(board, src, dst, *key);
+                    if alive {
+                        track.alive_streak += 1;
+                        live_paths += 1;
+                        first_alive.get_or_insert(*key);
+                    } else {
+                        track.alive_streak = 0;
+                    }
+                    let sample = samples.get(&(pair_idx, *key));
+                    let (probes, replies) = sample.map_or((0, 0), |s| (s.0, s.1));
+                    let rtt = |q| sample.and_then(|s| s.2.quantile(q));
+                    let loss = if probes > 0 {
+                        (probes - replies) as f64 / probes as f64
+                    } else {
+                        0.0
+                    };
+                    dataset.paths.push(PathEpochRecord {
+                        v: SCHEMA_VERSION,
+                        epoch,
+                        t_unix: now,
+                        src: src.to_string(),
+                        dst: dst.to_string(),
+                        fingerprint: track.fingerprint.clone(),
+                        hops: track.path.len() as u64,
+                        probes,
+                        replies,
+                        loss,
+                        rtt_p50_ms: rtt(0.5),
+                        rtt_p90_ms: rtt(0.9),
+                        rtt_p99_ms: rtt(0.99),
+                        alive,
+                        scmp_dead: matches!(reason, Some(DownReason::ExtIfDown { .. })),
+                        age_epochs: epoch - track.first_epoch,
+                        lifetime_epochs: track.alive_streak,
+                        generation,
+                    });
+                    records_ctr.inc();
+                }
+
+                // Failover: the pair's selected path (first alive,
+                // fingerprint order — the static baseline) left the
+                // healthy set.
+                if let Some(old) = selected[pair_idx].filter(|&old| first_alive != Some(old)) {
+                    let (alive, reason) = state(board, src, dst, old);
+                    if !alive {
                         dataset.events.push(ChurnRecord {
                             v: SCHEMA_VERSION,
                             epoch,
                             t_unix: now,
                             src: src.to_string(),
                             dst: dst.to_string(),
-                            fingerprint: old.clone(),
+                            fingerprint: tracked[&old].fingerprint.clone(),
                             kind: "failover".into(),
-                            cause,
+                            cause: reason.map(|r| r.to_string()),
                         });
                         churn_ctr.inc();
                         if outage_since[pair_idx].is_none() {
@@ -575,18 +565,18 @@ pub fn run_campaign<N: DynamicsNet>(
                         }
                     }
                 }
-                _ => {}
-            }
-            if first_alive.is_some() {
-                if let Some(e0) = outage_since[pair_idx].take() {
-                    let gap_ms = (epoch - e0 + 1) * cfg.epoch_secs * 1000;
-                    gap_gauge.set(gap_ms);
+                if first_alive.is_some() {
+                    if let Some(e0) = outage_since[pair_idx].take() {
+                        let gap_ms = (epoch - e0 + 1) * cfg.epoch_secs * 1000;
+                        gap_gauge.set(gap_ms);
+                    }
+                } else if outage_since[pair_idx].is_none() && selected[pair_idx].is_some() {
+                    outage_since[pair_idx] = Some(epoch);
                 }
-            } else if outage_since[pair_idx].is_none() && selected[pair_idx].is_some() {
-                outage_since[pair_idx] = Some(epoch);
+                selected[pair_idx] = first_alive;
             }
-            selected[pair_idx] = first_alive;
-        }
+            live_paths
+        });
 
         live_gauge.set(live_paths);
         epoch_gauge.set(epoch);
@@ -786,8 +776,8 @@ impl DynamicsDataset {
 }
 
 /// Replays a dataset through selection policies, epoch by epoch: each
-/// epoch's selection sees only records from *earlier* epochs (fed into a
-/// rolling [`PathStatsView`] after the fact), then achieves the selected
+/// epoch's selection sees only records from *earlier* epochs (folded into
+/// a rolling [`PathStatsView`] after the fact), then achieves the selected
 /// path's measured epoch-median RTT — or an outage epoch when the
 /// selection was dead. Returns one [`PolicyOutcome`] per policy.
 pub fn replay_policies(
@@ -817,7 +807,7 @@ pub fn replay_policies(
             let mut switches = 0u64;
             let mut epochs_replayed = 0u64;
             for per_epoch in by_pair.values() {
-                let mut view = PathStatsView::new();
+                let mut view = PathStatsView::default();
                 let candidates: Vec<Candidate> = {
                     let mut seen: BTreeMap<&str, u64> = BTreeMap::new();
                     for records in per_epoch.values() {
@@ -872,15 +862,7 @@ pub fn replay_policies(
                     }
                     prev_choice = choice;
                     for r in records {
-                        view.observe(&PathObservation {
-                            fingerprint: r.fingerprint.clone(),
-                            epoch: r.epoch,
-                            rtt_p50_ms: r.rtt_p50_ms,
-                            rtt_p99_ms: r.rtt_p99_ms,
-                            loss: r.loss,
-                            alive: r.alive,
-                            scmp_dead: r.scmp_dead,
-                        });
+                        view.observe(r);
                     }
                 }
                 if gap_run > 0 {

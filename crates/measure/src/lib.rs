@@ -33,10 +33,14 @@
 //!   time-series dataset (per-path epochs plus a churn stream), and
 //!   closed-loop replay of adaptive selection policies against the
 //!   static baseline.
+//! * [`adaptive`] — those policies: a rolling per-path view folded from
+//!   the dataset's epoch records, and the latency/loss-aware and
+//!   churn-penalizing rankings replayed against the static baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod adaptive;
 pub mod analysis;
 mod bed;
 pub mod bootstrapx;

@@ -1,36 +1,67 @@
-//! Path-health aggregation: scoring every (src, dst, path) and detecting
-//! healthy-set churn.
+//! Path-health aggregation: the one engine for path liveness, scoring
+//! every (src, dst, path), detecting healthy-set churn and rolling both up
+//! into §4.4's per-destination alerting.
 //!
 //! The paper reads the network through exactly these lenses: per-path RTT
 //! distributions (Fig. 6), the size of the active-path set over time
-//! (Fig. 8), and outage timelines correlated with SCMP notifications
-//! (§5.4). The [`HealthBoard`] is the aggregation point: the prober feeds
-//! it one [`EchoOutcome`] per probe, it keeps rolling RTT quantiles
+//! (Fig. 8), outage timelines correlated with SCMP notifications (§5.4),
+//! and "our system alerts the affected parties" (§4.4). The
+//! [`HealthBoard`] is the aggregation point: the prober feeds it one
+//! [`EchoOutcome`] per probe, it keeps rolling RTT quantiles
 //! (log-bucketed histograms), loss counts and a liveness verdict per path,
 //! and at the end of every probing round it compares each pair's healthy
 //! path set against the previous round — emitting exactly one
-//! [`ChurnEvent`] per pair per change.
+//! [`ChurnEvent`] per pair per change — and marks a destination AS
+//! unreachable while no probed path to it is alive.
 //!
 //! Paths are keyed by [`FullPath::fingerprint_key`], and each remembers
 //! whether it was in its pair's healthy set when the last round closed, so
 //! closing a round compares flags and allocates nothing unless the set
-//! changed. The churn log keeps keys too. Hex fingerprints are rendered
-//! only where a string leaves the board (churn events and rows); key order
-//! is hex order, so both list paths in fingerprint order.
+//! changed. The churn log keeps keys too, and a path's [`DownReason`] is a
+//! value, not text. Hex fingerprints are rendered only where a string
+//! leaves the board (churn events and rows); key order is hex order, so
+//! both list paths in fingerprint order.
 //!
 //! [`FullPath::fingerprint_key`]: scion_control::fullpath::FullPath::fingerprint_key
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use sciera_telemetry::{Counter, Event, Gauge, Histogram, Severity, Telemetry};
-use scion_control::fullpath::{fingerprint_hex, fingerprint_key_of};
+use scion_control::fullpath::fingerprint_hex;
 use scion_proto::addr::IsdAsn;
 
 use crate::prober::EchoOutcome;
 
 /// Consecutive probe losses after which a path is declared down even
-/// without an SCMP notification.
+/// without an SCMP notification. The one liveness threshold: the
+/// per-destination rollup reads path verdicts and has none of its own.
 pub const LOSS_LIVENESS_THRESHOLD: u32 = 3;
+
+/// Why a path was declared down. Its `Display` is the text `events.jsonl`
+/// carries as a disappearance's `cause`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DownReason {
+    /// This many probes in a row were lost, reaching
+    /// [`LOSS_LIVENESS_THRESHOLD`].
+    Losses(u32),
+    /// An SCMP `ExternalInterfaceDown` named an interface the path crosses.
+    ExtIfDown {
+        /// AS that originated the notification.
+        ia: IsdAsn,
+        /// The dead interface.
+        interface: u64,
+    },
+}
+
+impl fmt::Display for DownReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DownReason::Losses(n) => write!(f, "{n} consecutive probe losses"),
+            DownReason::ExtIfDown { ia, interface } => write!(f, "ext-if-down {ia}#{interface}"),
+        }
+    }
+}
 
 /// Rolling health state of one concrete path.
 #[derive(Debug)]
@@ -44,11 +75,13 @@ pub struct PathHealth {
     /// Whether the path currently counts as healthy.
     pub alive: bool,
     /// Why the path was declared down, when it is.
-    pub down_reason: Option<String>,
+    pub down_reason: Option<DownReason>,
     consecutive_losses: u32,
     rtt: Histogram,
     /// Member of the pair's healthy set when the last round closed.
     in_baseline: bool,
+    /// Probed since the last round closed.
+    probed: bool,
 }
 
 impl PathHealth {
@@ -62,6 +95,7 @@ impl PathHealth {
             consecutive_losses: 0,
             rtt: Histogram::default(),
             in_baseline: false,
+            probed: false,
         }
     }
 
@@ -70,8 +104,17 @@ impl PathHealth {
         self.alive && self.sent > 0
     }
 
+    /// Declares the path down for `reason`, if it is alive.
+    fn kill(&mut self, reason: DownReason, paths_down: &Counter) {
+        if self.alive {
+            self.alive = false;
+            self.down_reason = Some(reason);
+            paths_down.inc();
+        }
+    }
+
     /// Loss fraction over the path's lifetime.
-    pub fn loss_rate(&self) -> f64 {
+    fn loss_rate(&self) -> f64 {
         if self.sent == 0 {
             0.0
         } else {
@@ -87,11 +130,6 @@ impl PathHealth {
     /// 90th-percentile RTT estimate, milliseconds.
     pub fn p90_ms(&self) -> Option<f64> {
         self.rtt.quantile(0.9)
-    }
-
-    /// The rolling RTT histogram itself (for console quantiles / merging).
-    pub fn rtt(&self) -> &Histogram {
-        &self.rtt
     }
 
     /// Health score in `[0, 100]`: a dead path scores 0, a live one scores
@@ -144,21 +182,29 @@ pub struct HealthRow {
 }
 
 /// A [`ChurnEvent`] as the board keeps it: the keys of the paths that
-/// entered (`true`) or left the healthy set, in key order, rendered to hex
-/// where the event leaves the board.
-struct Churn {
-    src: IsdAsn,
-    dst: IsdAsn,
-    at_unix: u64,
-    changes: Vec<([u8; 8], bool)>,
+/// entered (`true`) or left the healthy set, in key order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Churn {
+    /// Source AS.
+    pub src: IsdAsn,
+    /// Destination AS.
+    pub dst: IsdAsn,
+    /// Unix time of the round that detected the change.
+    pub at_unix: u64,
+    /// `(fingerprint key, entered)` per path that changed, in key order.
+    pub changes: Vec<([u8; 8], bool)>,
 }
 
 impl Churn {
+    /// The keys of the paths that entered (`true`) or left the healthy set.
+    pub fn keys(&self, entered: bool) -> impl Iterator<Item = [u8; 8]> + '_ {
+        let changed = self.changes.iter().filter(move |c| c.1 == entered);
+        changed.map(|c| c.0)
+    }
+
+    /// The change with its paths as hex fingerprints.
     fn render(&self) -> ChurnEvent {
-        let hex = |entered: bool| {
-            let keys = self.changes.iter().filter(|c| c.1 == entered);
-            keys.map(|c| fingerprint_hex(&c.0)).collect()
-        };
+        let hex = |entered| self.keys(entered).map(|k| fingerprint_hex(&k)).collect();
         ChurnEvent {
             src: self.src,
             dst: self.dst,
@@ -178,14 +224,30 @@ struct PairState {
     baseline_set: bool,
 }
 
+/// §4.4's view of one destination AS, rolled up from the paths to it that
+/// the closing round probed. A path no longer registered is not probed, so
+/// its last verdict does not count.
+#[derive(Default)]
+struct Reach {
+    /// This round probed some path to the destination.
+    probed: bool,
+    /// This round found some path to the destination alive.
+    reached: bool,
+    /// Unreachable since an outage alert; cleared by the recovery alert.
+    down: bool,
+}
+
 /// The per-pair, per-path health aggregation layer.
 pub struct HealthBoard {
     telemetry: Telemetry,
     pairs: BTreeMap<(IsdAsn, IsdAsn), PairState>,
+    destinations: BTreeMap<IsdAsn, Reach>,
     churn_log: Vec<Churn>,
     churn_counter: Counter,
     extif_correlated: Counter,
     paths_down: Counter,
+    outage_alerts: Counter,
+    recovery_notices: Counter,
     healthy_gauge: Gauge,
     rtt_ms: Histogram,
 }
@@ -197,10 +259,13 @@ impl HealthBoard {
             churn_counter: telemetry.counter("health.churn_events"),
             extif_correlated: telemetry.counter("health.extif_correlated"),
             paths_down: telemetry.counter("health.paths_down"),
+            outage_alerts: telemetry.counter("health.outage_alerts"),
+            recovery_notices: telemetry.counter("health.recovery_notices"),
             healthy_gauge: telemetry.gauge("health.healthy_paths"),
             rtt_ms: telemetry.histogram("health.rtt_ms"),
             telemetry,
             pairs: BTreeMap::new(),
+            destinations: BTreeMap::new(),
             churn_log: Vec::new(),
         }
     }
@@ -228,26 +293,21 @@ impl HealthBoard {
             .entry(key)
             .or_insert_with(|| PathHealth::new(interfaces()));
         path.sent += 1;
-        match outcome {
+        path.probed = true;
+        match *outcome {
             EchoOutcome::Reply { rtt_ms } => {
                 path.consecutive_losses = 0;
-                if !path.alive {
-                    path.alive = true;
-                    path.down_reason = None;
-                }
-                path.rtt.record(*rtt_ms);
-                self.rtt_ms.record(*rtt_ms);
+                path.alive = true;
+                path.down_reason = None;
+                path.rtt.record(rtt_ms);
+                self.rtt_ms.record(rtt_ms);
             }
             EchoOutcome::Lost => {
                 path.lost += 1;
                 path.consecutive_losses += 1;
-                if path.alive && path.consecutive_losses >= LOSS_LIVENESS_THRESHOLD {
-                    path.alive = false;
-                    path.down_reason = Some(format!(
-                        "{} consecutive probe losses",
-                        path.consecutive_losses
-                    ));
-                    self.paths_down.inc();
+                if path.consecutive_losses >= LOSS_LIVENESS_THRESHOLD {
+                    let reason = DownReason::Losses(path.consecutive_losses);
+                    path.kill(reason, &self.paths_down);
                 }
             }
             EchoOutcome::ExtIfDown { ia, interface } => {
@@ -256,29 +316,31 @@ impl HealthBoard {
                 let on_path = path
                     .interfaces
                     .iter()
-                    .any(|(pia, pif)| pia == ia && u64::from(*pif) == *interface);
+                    .any(|&(pia, pif)| pia == ia && u64::from(pif) == interface);
                 if on_path {
                     self.extif_correlated.inc();
-                    if path.alive {
-                        path.alive = false;
-                        path.down_reason = Some(format!("ext-if-down {ia}#{interface}"));
-                        self.paths_down.inc();
-                    }
+                    path.kill(DownReason::ExtIfDown { ia, interface }, &self.paths_down);
                 }
             }
         }
     }
 
     /// Closes a probing round: recomputes every pair's healthy set,
-    /// compares it with the previous round's, and emits exactly one
-    /// [`ChurnEvent`] per changed pair. Returns the events of this round.
-    pub fn finish_round(&mut self, now_unix: u64) -> Vec<ChurnEvent> {
-        let mut round_events = Vec::new();
+    /// compares it with the previous round's and logs exactly one
+    /// [`Churn`] per changed pair; then raises one outage alert for each
+    /// destination AS that no path this round probed reaches any more, and
+    /// one recovery notice for each that such a path reaches again.
+    pub fn finish_round(&mut self, now_unix: u64) {
         let mut healthy_total = 0u64;
         for ((src, dst), pair) in &mut self.pairs {
             let mut healthy = 0usize;
             let mut changes = Vec::new();
+            let mut probed = false;
+            let mut reached = false;
             for (key, p) in &mut pair.paths {
+                let probed_now = std::mem::take(&mut p.probed);
+                probed |= probed_now;
+                reached |= probed_now && p.alive;
                 healthy += usize::from(p.healthy());
                 if p.healthy() != p.in_baseline {
                     p.in_baseline = p.healthy();
@@ -291,18 +353,17 @@ impl HealthBoard {
             }
             healthy_total += healthy as u64;
             pair.baseline_set = true;
+            if probed {
+                let reach = self.destinations.entry(*dst).or_default();
+                reach.probed = true;
+                reach.reached |= reached;
+            }
             if changes.is_empty() {
                 continue;
             }
-            let churn = Churn {
-                src: *src,
-                dst: *dst,
-                at_unix: now_unix,
-                changes,
-            };
-            let event = churn.render();
             self.churn_counter.inc();
             if self.telemetry.enabled(Severity::Info) {
+                let added = changes.iter().filter(|c| c.1).count();
                 self.telemetry.emit(
                     Event::new(
                         now_unix.saturating_mul(1_000_000_000),
@@ -312,16 +373,40 @@ impl HealthBoard {
                         "healthy path set changed",
                     )
                     .field("dst", dst)
-                    .field("added", event.added.len())
-                    .field("removed", event.removed.len())
+                    .field("added", added)
+                    .field("removed", changes.len() - added)
                     .field("healthy", healthy),
                 );
             }
-            round_events.push(event);
-            self.churn_log.push(churn);
+            self.churn_log.push(Churn {
+                src: *src,
+                dst: *dst,
+                at_unix: now_unix,
+                changes,
+            });
         }
         self.healthy_gauge.set(healthy_total);
-        round_events
+
+        for (dst, reach) in &mut self.destinations {
+            let down = !std::mem::take(&mut reach.reached);
+            if !std::mem::take(&mut reach.probed) || down == reach.down {
+                continue;
+            }
+            reach.down = down;
+            let (counter, severity, message) = if down {
+                let m = "destination unreachable on every probed path";
+                (&self.outage_alerts, Severity::Warn, m)
+            } else {
+                let m = "destination reachable again";
+                (&self.recovery_notices, Severity::Info, m)
+            };
+            counter.inc();
+            if self.telemetry.enabled(severity) {
+                let at = now_unix.saturating_mul(1_000_000_000);
+                let event = Event::new(at, dst.to_string(), "health", severity, message);
+                self.telemetry.emit(event.field("dst", dst));
+            }
+        }
     }
 
     /// Every churn event observed so far, oldest first.
@@ -329,9 +414,22 @@ impl HealthBoard {
         self.churn_log.iter().map(Churn::render).collect()
     }
 
+    /// The churn logged after the first `seen` entries, oldest first: a
+    /// reader that keeps count reads each entry once.
+    pub fn churn_since(&self, seen: usize) -> &[Churn] {
+        self.churn_log.get(seen..).unwrap_or_default()
+    }
+
     /// How many churn events have been observed so far.
     pub fn churn_count(&self) -> usize {
         self.churn_log.len()
+    }
+
+    /// Destination ASes between their outage alert and their recovery
+    /// notice, in order.
+    pub fn unreachable(&self) -> impl Iterator<Item = IsdAsn> + '_ {
+        let down = self.destinations.iter().filter(|(_, r)| r.down);
+        down.map(|(dst, _)| *dst)
     }
 
     /// Mean path score of a pair, if it has been probed.
@@ -341,9 +439,8 @@ impl HealthBoard {
         (n > 0).then(|| pair.paths.values().map(|p| p.score()).sum::<f64>() / n as f64)
     }
 
-    /// The health state of the path with hex fingerprint `fingerprint`.
-    pub fn path(&self, src: IsdAsn, dst: IsdAsn, fingerprint: &str) -> Option<&PathHealth> {
-        let key = fingerprint_key_of(fingerprint)?;
+    /// The health state of the path whose fingerprint key is `key`.
+    pub fn path(&self, src: IsdAsn, dst: IsdAsn, key: [u8; 8]) -> Option<&PathHealth> {
         self.pairs.get(&(src, dst))?.paths.get(&key)
     }
 
@@ -390,11 +487,26 @@ mod tests {
     const P1: [u8; 8] = [0x0a, 0, 0, 0, 0, 0, 0, 1];
     const P2: [u8; 8] = [0xb0, 0, 0, 0, 0, 0, 0, 2];
 
+    /// An SCMP report of an interface `ifaces` crosses.
+    fn dead() -> EchoOutcome {
+        EchoOutcome::ExtIfDown {
+            ia: ia("71-10"),
+            interface: 21,
+        }
+    }
+
+    /// The churn logged by the round that closes at `now`.
+    fn close(b: &mut HealthBoard, now: u64) -> Vec<ChurnEvent> {
+        let seen = b.churn_count();
+        b.finish_round(now);
+        b.churn_since(seen).iter().map(Churn::render).collect()
+    }
+
     #[test]
     fn first_round_sets_baseline_without_churn() {
         let mut b = board();
         b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &reply(10.0));
-        assert!(b.finish_round(100).is_empty());
+        assert!(close(&mut b, 100).is_empty());
         assert!(b.churn_events().is_empty());
         assert_eq!(b.pair_score(ia("71-100"), ia("71-1")), Some(100.0));
     }
@@ -415,9 +527,7 @@ mod tests {
         }
         assert_eq!(asked, 2, "once per path, not once per probe");
         for key in [P1, P2] {
-            let p = b
-                .path(ia("71-100"), ia("71-1"), &fingerprint_hex(&key))
-                .unwrap();
+            let p = b.path(ia("71-100"), ia("71-1"), key).unwrap();
             assert_eq!(p.sent, 3);
             assert_eq!(p.interfaces, ifaces());
         }
@@ -430,24 +540,19 @@ mod tests {
             b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &reply(10.0));
             b.finish_round(100);
         }
-        let down = EchoOutcome::ExtIfDown {
-            ia: ia("71-10"),
-            interface: 21,
-        };
-        b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &down);
-        let events = b.finish_round(200);
+        b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &dead());
+        let events = close(&mut b, 200);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].removed, vec![fingerprint_hex(&P1)]);
         assert!(events[0].added.is_empty());
         // A later identical round produces no further churn.
-        b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &down);
-        assert!(b.finish_round(300).is_empty());
+        b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &dead());
+        assert!(close(&mut b, 300).is_empty());
         assert_eq!(b.churn_events().len(), 1);
-        let p = b
-            .path(ia("71-100"), ia("71-1"), &fingerprint_hex(&P1))
-            .unwrap();
+        let p = b.path(ia("71-100"), ia("71-1"), P1).unwrap();
         assert!(!p.alive);
-        assert!(p.down_reason.as_deref().unwrap().contains("ext-if-down"));
+        let reason = p.down_reason.unwrap();
+        assert_eq!(reason.to_string(), "ext-if-down 71-10#21");
         assert_eq!(b.pair_score(ia("71-100"), ia("71-1")), Some(0.0));
     }
 
@@ -461,12 +566,8 @@ mod tests {
             interface: 99,
         };
         b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &unrelated);
-        assert!(b.finish_round(200).is_empty());
-        assert!(
-            b.path(ia("71-100"), ia("71-1"), &fingerprint_hex(&P1))
-                .unwrap()
-                .alive
-        );
+        assert!(close(&mut b, 200).is_empty());
+        assert!(b.path(ia("71-100"), ia("71-1"), P1).unwrap().alive);
     }
 
     #[test]
@@ -477,30 +578,51 @@ mod tests {
         for _ in 0..LOSS_LIVENESS_THRESHOLD {
             b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &EchoOutcome::Lost);
         }
-        assert_eq!(b.finish_round(200).len(), 1);
-        assert!(
-            !b.path(ia("71-100"), ia("71-1"), &fingerprint_hex(&P1))
-                .unwrap()
-                .alive
-        );
+        assert_eq!(close(&mut b, 200).len(), 1);
+        let p = b.path(ia("71-100"), ia("71-1"), P1).unwrap();
+        assert!(!p.alive);
+        let reason = p.down_reason.unwrap();
+        assert_eq!(reason.to_string(), "3 consecutive probe losses");
         // One successful probe brings it back — and that is churn again.
         b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &reply(11.0));
-        let events = b.finish_round(300);
+        let events = close(&mut b, 300);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].added, vec![fingerprint_hex(&P1)]);
         assert_eq!(b.churn_events().len(), 2);
+        assert_eq!(
+            b.path(ia("71-100"), ia("71-1"), P1).unwrap().down_reason,
+            None
+        );
+    }
+
+    /// Losses counted past the threshold while an off-path report kept the
+    /// path alive are the count its reason gives.
+    #[test]
+    fn the_loss_reason_counts_every_loss_in_the_run() {
+        let mut b = board();
+        let off_path = EchoOutcome::ExtIfDown {
+            ia: ia("71-20"),
+            interface: 99,
+        };
+        for _ in 0..LOSS_LIVENESS_THRESHOLD {
+            b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &off_path);
+        }
+        assert!(b.path(ia("71-100"), ia("71-1"), P1).unwrap().alive);
+        b.observe(ia("71-100"), ia("71-1"), P1, ifaces, &EchoOutcome::Lost);
+        let p = b.path(ia("71-100"), ia("71-1"), P1).unwrap();
+        assert_eq!(p.down_reason, Some(DownReason::Losses(4)));
+        assert_eq!(
+            p.down_reason.unwrap().to_string(),
+            "4 consecutive probe losses"
+        );
     }
 
     #[test]
     fn churn_lists_paths_in_fingerprint_order_and_rows_render_hex() {
         let mut b = board();
         let (src, dst) = (ia("71-100"), ia("71-1"));
-        let dead = EchoOutcome::ExtIfDown {
-            ia: ia("71-10"),
-            interface: 21,
-        };
         // P2 is seen first and P1 second, and both come and go together.
-        for (outcome, round) in [(reply(10.0), 100), (dead, 200), (reply(10.0), 300)] {
+        for (outcome, round) in [(reply(10.0), 100), (dead(), 200), (reply(10.0), 300)] {
             for key in [P2, P1] {
                 b.observe(src, dst, key, ifaces, &outcome);
             }
@@ -514,9 +636,76 @@ mod tests {
         assert_eq!((&events[1].added, &events[1].removed), (&both, &vec![]));
         let rows: Vec<String> = b.rows().into_iter().map(|r| r.fingerprint).collect();
         assert_eq!(rows, both);
-        // A string that renders no key names no path.
-        assert!(b.path(src, dst, &both[0]).is_some());
-        assert!(b.path(src, dst, &both[0].to_uppercase()).is_none());
+        // Read by count, the log hands out each entry once, with its keys.
+        assert_eq!(b.churn_since(0).len(), 2);
+        let last = &b.churn_since(1)[0];
+        assert_eq!(last.keys(true).collect::<Vec<_>>(), [P1, P2]);
+        assert_eq!(last.keys(false).count(), 0);
+        assert!(b.churn_since(2).is_empty());
+        assert!(b.churn_since(3).is_empty());
+    }
+
+    /// §4.4's rollup: a destination is unreachable while every probed path
+    /// to it, from any source, is down when a round closes; one outage
+    /// alert when that starts, one recovery notice when it ends.
+    #[test]
+    fn a_destination_alerts_once_per_outage_and_only_when_every_path_is_down() {
+        let telemetry = Telemetry::new();
+        let mut b = HealthBoard::new(telemetry.clone());
+        let (a, c, dst) = (ia("71-100"), ia("71-200"), ia("71-1"));
+        let alerts = |t: &Telemetry| {
+            let snap = t.snapshot();
+            let n = |name| snap.counter(name).unwrap_or(0);
+            (n("health.outage_alerts"), n("health.recovery_notices"))
+        };
+        let round = |b: &mut HealthBoard, outcomes: [&EchoOutcome; 3], now| {
+            b.observe(a, dst, P1, ifaces, outcomes[0]);
+            b.observe(a, dst, P2, ifaces, outcomes[1]);
+            b.observe(c, dst, P1, ifaces, outcomes[2]);
+            b.finish_round(now);
+        };
+        let up = reply(10.0);
+        round(&mut b, [&up, &up, &up], 100);
+        // Two of three paths down: still reachable.
+        round(&mut b, [&dead(), &dead(), &up], 200);
+        assert_eq!(alerts(&telemetry), (0, 0));
+        assert_eq!(b.unreachable().count(), 0);
+        // The last one goes: one alert, and none while the outage lasts,
+        // even as losses pile up on the dead paths.
+        for now in [300, 400, 500] {
+            round(&mut b, [&dead(), &EchoOutcome::Lost, &dead()], now);
+        }
+        assert_eq!(alerts(&telemetry), (1, 0));
+        assert_eq!(b.unreachable().collect::<Vec<_>>(), [dst]);
+        // One path answers again: one recovery notice.
+        for now in [600, 700] {
+            round(&mut b, [&dead(), &dead(), &up], now);
+        }
+        assert_eq!(alerts(&telemetry), (1, 1));
+        assert_eq!(b.unreachable().count(), 0);
+        // Re-registered to one dead path: the paths no longer probed keep
+        // their last verdicts, which do not count. A round that probes
+        // nothing towards the destination changes nothing.
+        b.observe(a, dst, P1, ifaces, &dead());
+        b.finish_round(800);
+        b.finish_round(900);
+        assert_eq!(alerts(&telemetry), (2, 1));
+        assert!(b.path(c, dst, P1).unwrap().alive);
+        let messages: Vec<String> = telemetry
+            .flight_recorder()
+            .events()
+            .into_iter()
+            .filter(|e| e.node == dst.to_string())
+            .map(|e| format!("{:?} {}", e.severity, e.message))
+            .collect();
+        assert_eq!(
+            messages,
+            [
+                "Warn destination unreachable on every probed path",
+                "Info destination reachable again",
+                "Warn destination unreachable on every probed path",
+            ]
+        );
     }
 
     #[test]

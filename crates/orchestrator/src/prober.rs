@@ -16,7 +16,7 @@
 //! external-interface-down notification.
 
 use sciera_telemetry::{Counter, Event, Histogram, Severity, Telemetry};
-use scion_control::fullpath::FullPath;
+use scion_control::fullpath::{fingerprint_hex, FullPath};
 use scion_proto::addr::IsdAsn;
 
 use crate::health::HealthBoard;
@@ -76,8 +76,8 @@ pub struct ProbeResult {
     pub src: IsdAsn,
     /// Destination AS.
     pub dst: IsdAsn,
-    /// Fingerprint of the probed path.
-    pub fingerprint: String,
+    /// The probed path's `FullPath::fingerprint_key`.
+    pub key: [u8; 8],
     /// The outcome.
     pub outcome: EchoOutcome,
 }
@@ -124,14 +124,6 @@ impl PathProber {
         }
     }
 
-    /// Registered pairs as (src, dst, path count).
-    pub fn registered(&self) -> Vec<(IsdAsn, IsdAsn, usize)> {
-        self.pairs
-            .iter()
-            .map(|p| (p.src, p.dst, p.paths.len()))
-            .collect()
-    }
-
     /// Runs one echo campaign: every registered path of every pair gets one
     /// probe. Outcomes land in telemetry, in `board`, and in the returned
     /// list; the board's round is closed afterwards so healthy-set churn is
@@ -160,7 +152,7 @@ impl PathProber {
             for path in &pair.paths {
                 self.seq = self.seq.wrapping_add(1);
                 self.sent.inc();
-                let fingerprint = path.fingerprint();
+                let key = path.fingerprint_key();
                 let outcome = transport.echo(pair.src, pair.dst, path, ECHO_ID, self.seq);
                 match &outcome {
                     EchoOutcome::Reply { rtt_ms } => {
@@ -182,7 +174,7 @@ impl PathProber {
                                     "probe hit a dead interface",
                                 )
                                 .field("dst", pair.dst)
-                                .field("path", &fingerprint)
+                                .field("path", fingerprint_hex(&key))
                                 .field("ia", ia)
                                 .field("interface", interface),
                             );
@@ -192,17 +184,11 @@ impl PathProber {
                         self.lost.inc();
                     }
                 }
-                board.observe(
-                    pair.src,
-                    pair.dst,
-                    path.fingerprint_key(),
-                    || path.interfaces(),
-                    &outcome,
-                );
+                board.observe(pair.src, pair.dst, key, || path.interfaces(), &outcome);
                 results.push(ProbeResult {
                     src: pair.src,
                     dst: pair.dst,
-                    fingerprint,
+                    key,
                     outcome,
                 });
             }
@@ -248,7 +234,6 @@ mod tests {
         let tele = Telemetry::quiet();
         let mut prober = PathProber::new(tele.clone());
         prober.register(ia("71-100"), ia("71-1"), vec![test_path()]);
-        assert_eq!(prober.registered(), vec![(ia("71-100"), ia("71-1"), 1)]);
         let mut board = HealthBoard::new(tele.clone());
         let mut t = ScriptedTransport(vec![
             EchoOutcome::Reply { rtt_ms: 12.0 },
@@ -258,8 +243,10 @@ mod tests {
                 interface: 21,
             },
         ]);
+        let key = test_path().fingerprint_key();
         for _ in 0..3 {
-            prober.run_round(&mut t, &mut board, 1_700_000_000);
+            let results = prober.run_round(&mut t, &mut board, 1_700_000_000);
+            assert_eq!(results.iter().map(|r| r.key).collect::<Vec<_>>(), [key]);
         }
         let snap = tele.snapshot();
         assert_eq!(snap.counter("prober.echo_sent"), Some(3));
@@ -271,9 +258,10 @@ mod tests {
         // What the board made of the three rounds: alive, one loss, then
         // killed by an ext-if-down naming an interface of the path.
         let fp = test_path().fingerprint();
-        let health = board.path(ia("71-100"), ia("71-1"), &fp).unwrap();
+        let health = board.path(ia("71-100"), ia("71-1"), key).unwrap();
         assert_eq!(health.interfaces, test_path().interfaces());
-        assert_eq!(health.down_reason.as_deref(), Some("ext-if-down 71-10#21"));
+        let reason = health.down_reason.map(|r| r.to_string());
+        assert_eq!(reason.as_deref(), Some("ext-if-down 71-10#21"));
         let rows = board.rows();
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
@@ -318,6 +306,9 @@ mod tests {
         let mut prober = PathProber::new(Telemetry::quiet());
         prober.register(ia("71-100"), ia("71-1"), vec![test_path()]);
         prober.register(ia("71-100"), ia("71-1"), vec![test_path(), test_path()]);
-        assert_eq!(prober.registered(), vec![(ia("71-100"), ia("71-1"), 2)]);
+        let mut board = HealthBoard::new(Telemetry::quiet());
+        let mut t = ScriptedTransport(vec![EchoOutcome::Lost, EchoOutcome::Lost]);
+        let results = prober.run_round(&mut t, &mut board, 1_700_000_000);
+        assert_eq!(results.len(), 2, "one pair, its second path set");
     }
 }

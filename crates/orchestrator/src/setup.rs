@@ -156,11 +156,6 @@ impl SetupPlan {
     pub fn hours_manual(&self) -> f64 {
         self.tasks.iter().map(|t| t.manual_hours).sum()
     }
-
-    /// Renders the generated configuration as JSON (what the GUI shows).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("plan serialises")
-    }
 }
 
 #[cfg(test)]
@@ -230,7 +225,7 @@ mod tests {
     #[test]
     fn plan_serialises() {
         let plan = SetupPlan::generate(&decl());
-        let json = plan.to_json();
+        let json = serde_json::to_string_pretty(&plan).unwrap();
         assert!(json.contains("border_routers"));
         let back: SetupPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back.ia, plan.ia);

@@ -16,20 +16,15 @@
 //!   simulator or a real underlay.
 //! * [`happy`] — Happy Eyeballs v2 extended with SCION as a third address
 //!   family, the §4.2.2 alternative integration path.
-//! * [`adaptive`] — measurement-driven selection policies fed from the
-//!   path-dynamics observatory's per-epoch records: latency/loss-aware
-//!   and churn-penalizing ranking against the static baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod happy;
 pub mod modes;
 pub mod selector;
 pub mod socket;
 
-pub use adaptive::{AdaptivePolicy, Candidate, PathObservation, PathStatsView};
 pub use modes::{HostStack, OperatingMode};
 pub use selector::{PathSelector, RttEstimator};
 pub use socket::{PanSocket, PanTransport};

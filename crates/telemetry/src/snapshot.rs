@@ -78,16 +78,6 @@ impl TelemetrySnapshot {
         self.histograms.iter().find(|h| h.name == name)
     }
 
-    /// Sum of all counters whose name starts with `prefix` — handy for
-    /// asserting on families like `router.drop.`.
-    pub fn counter_family(&self, prefix: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(n, _)| n.starts_with(prefix))
-            .map(|(_, v)| v)
-            .sum()
-    }
-
     /// Renders an aligned text table of all metrics for humans.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
@@ -189,7 +179,6 @@ mod tests {
         assert_eq!(s.counter("nope"), None);
         assert_eq!(s.gauge("dispatcher.shard.depth"), Some(17));
         assert_eq!(s.histogram("bootstrap.phase.hint").unwrap().count, 4);
-        assert_eq!(s.counter_family("beacon."), 12);
     }
 
     #[test]

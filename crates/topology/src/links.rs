@@ -400,12 +400,6 @@ impl BuiltTopology {
         Some(self.step(self.node_of(ia)?, ifid)?.link)
     }
 
-    /// One-way latency of the link attached at `(ia, ifid)`.
-    pub fn latency_of(&self, ia: IsdAsn, ifid: u16) -> Option<f64> {
-        self.link_index_of(ia, ifid)
-            .map(|i| self.links[i].spec.latency_ms)
-    }
-
     /// Round-trip time along a combined path, in milliseconds: the sum of
     /// the one-way latencies of every crossed link (taken at each hop's
     /// egress), both directions, plus a small per-AS processing cost.
@@ -705,10 +699,6 @@ mod tests {
         for (i, l) in built.links.iter().enumerate() {
             assert_eq!(built.link_index_of(l.spec.a, l.ifid_a), Some(i));
             assert_eq!(built.link_index_of(l.spec.b, l.ifid_b), Some(i));
-            assert_eq!(
-                built.latency_of(l.spec.a, l.ifid_a),
-                Some(l.spec.latency_ms)
-            );
         }
     }
 }

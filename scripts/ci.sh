@@ -266,6 +266,30 @@ for lib in src/lib.rs crates/*/src/lib.rs; do
     }
 done
 
+# Every pub fn has a caller: a `pub fn` under crates/ whose name is a word of
+# no other file under crates, src, tests, examples or benchmark/src is
+# surface that rustc's `dead_code` lint cannot see. The ones left are listed
+# in scripts/uncalled-pub-fns.txt, as a ratchet: a new one fails, and so does
+# a listed one that gained a caller or is gone.
+echo "==> every pub fn has a caller (crates)"
+lonely=$(mktemp)
+grep -rowH --include='*.rs' '[A-Za-z_][A-Za-z0-9_]*' crates src tests examples benchmark/src |
+    sort -u | awk -F: '{ files[$2]++ } END { for (w in files) if (files[w] == 1) print w }' |
+    sort > "$lonely"
+uncalled=$(grep -rnoE --include='*.rs' '^[[:space:]]*pub fn [A-Za-z_][A-Za-z0-9_]*' crates |
+    sed -E 's/^([^:]+):[0-9]+:[[:space:]]*pub fn /\1 /' | sort -u |
+    awk 'NR == FNR { lonely[$1] = 1; next } ($2 in lonely) { print $1 "::" $2 }' "$lonely" - |
+    sort)
+rm -f "$lonely"
+listed=$(grep -v '^#' scripts/uncalled-pub-fns.txt | sort)
+if [ "$uncalled" != "$listed" ]; then
+    comm -13 <(printf '%s\n' "$listed") <(printf '%s\n' "$uncalled") |
+        sed 's/^/ci: no caller outside its own file: /' >&2
+    comm -23 <(printf '%s\n' "$listed") <(printf '%s\n' "$uncalled") |
+        sed 's/^/ci: listed in scripts\/uncalled-pub-fns.txt but called, or gone: /' >&2
+    exit 1
+fi
+
 # DESIGN names what exists: DESIGN.md is a map of the code that runs, so
 # every name it puts in backticks is a word of the Rust sources (or a bench,
 # test or example), every repo path it names exists, every "DESIGN §N" cited

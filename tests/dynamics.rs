@@ -4,8 +4,8 @@
 //! JSONL, validated, summarized, and replayed through the adaptive
 //! selection policies.
 
+use sciera::measure::adaptive::AdaptivePolicy;
 use sciera::measure::dynamics::{replay_policies, run_campaign, DynamicsConfig, DynamicsDataset};
-use sciera::pan::adaptive::AdaptivePolicy;
 use sciera::prelude::*;
 
 fn campaign_config() -> DynamicsConfig {

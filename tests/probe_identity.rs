@@ -5,6 +5,7 @@
 //! to the echo or the board that alters one verdict, one RTT bit or one row
 //! fails here; one that only makes a probe round cheaper does not.
 
+use sciera::control::fullpath::fingerprint_hex;
 use sciera::crypto::sha256::{to_hex, Sha256};
 use sciera::orchestrator::prober::EchoOutcome;
 use sciera::prelude::*;
@@ -59,7 +60,8 @@ fn identity(net: &SciEraNetwork, pairs: [(&str, &str); 3]) -> (Vec<String>, Stri
                     "lost".to_string()
                 }
             };
-            let line = format!("{} {} {} {outcome}\n", r.src, r.dst, r.fingerprint);
+            let fingerprint = fingerprint_hex(&r.key);
+            let line = format!("{} {} {fingerprint} {outcome}\n", r.src, r.dst);
             results.update(line.as_bytes());
         }
         rounds.push(format!("{}/{}/{}", tally[0], tally[1], tally[2]));

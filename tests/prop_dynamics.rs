@@ -182,19 +182,8 @@ impl DynamicsNet for MockNet {
             .run_round(&mut transport, &mut self.board, self.now)
     }
 
-    fn churn_events(&self) -> Vec<sciera::orchestrator::health::ChurnEvent> {
-        self.board.churn_events()
-    }
-
-    fn path_state(
-        &self,
-        src: IsdAsn,
-        dst: IsdAsn,
-        fingerprint: &str,
-    ) -> Option<(bool, Option<String>)> {
-        self.board
-            .path(src, dst, fingerprint)
-            .map(|p| (p.alive, p.down_reason.clone()))
+    fn read_board<R>(&self, read: impl FnOnce(&HealthBoard) -> R) -> R {
+        read(&self.board)
     }
 
     fn generation(&self) -> u64 {

@@ -1,13 +1,12 @@
 //! Full-stack telemetry integration: one shared registry observes the
-//! control plane, data plane, daemon, bootstrap and monitoring layers of a
-//! complete deployment, and the flight recorder yields an ordered JSONL
+//! control plane, data plane, daemon, bootstrap and §4.4 alerting layers of
+//! a complete deployment, and the flight recorder yields an ordered JSONL
 //! post-mortem stream.
 
 use sciera::bootstrap::client::{BootstrapClient, ModelEnv, OsProfile};
 use sciera::bootstrap::hints::NetworkProfile;
 use sciera::bootstrap::server::{SignedTopology, TopologyDocument};
 use sciera::daemon::daemon::{Daemon, DaemonConfig};
-use sciera::orchestrator::monitor::ConnectivityMonitor;
 use sciera::prelude::*;
 
 use rand::rngs::StdRng;
@@ -116,17 +115,75 @@ fn whole_stack_reports_into_one_registry() {
     assert!(config.count >= 1 && config.max > 0.0);
     assert_eq!(snap.counter("bootstrap.runs"), Some(1));
 
-    // --- Monitoring: a sustained outage mirrors its alert as an event.
-    let mut mon = ConnectivityMonitor::new(2);
-    mon.set_telemetry(telemetry.clone());
-    mon.register(ia("71-225"), "noc@virginia.edu");
-    let mut sink = |_: IsdAsn, _: &str| {};
-    mon.probe_result(ia("71-225"), false, now + 10, &mut sink);
-    mon.probe_result(ia("71-225"), false, now + 20, &mut sink);
-    mon.probe_result(ia("71-225"), true, now + 90, &mut sink);
+    // --- §4.4 alerting, rolled up from the health board: a destination is
+    // unreachable while every probed path to it is down, alerted once when
+    // that starts and once when it ends.
+    let src = ia("71-2:0:42");
+    let (lone, multi) = (ia("71-88"), ia("71-225"));
+    let links = |dst| -> Vec<Vec<usize>> {
+        let paths = net.paths(src, dst);
+        paths.iter().map(|p| net.path_links(p)).collect()
+    };
+    let (to_lone, to_multi) = (links(lone), links(multi));
+    let on_all = |paths: &[Vec<usize>], l: &usize| paths.iter().all(|p| p.contains(l));
+    let on_any = |paths: &[Vec<usize>], l: &usize| paths.iter().any(|p| p.contains(l));
+    // `lone`'s access link is on every path to it and on none to `multi`;
+    // one of `multi`'s uplinks is on some of its paths, and on none to `lone`.
+    let access = *to_lone[0]
+        .iter()
+        .find(|l| on_all(&to_lone, l) && !on_any(&to_multi, l))
+        .expect("a link every path to 71-88 crosses");
+    let uplink = *to_multi
+        .iter()
+        .flatten()
+        .find(|l| !on_all(&to_multi, l) && !on_any(&to_lone, l))
+        .expect("a link some paths to 71-225 cross");
+    assert!(to_lone.len() >= 2 && to_multi.len() >= 2);
+    net.register_probe_pair(src, lone);
+    net.register_probe_pair(src, multi);
+    let alerts = || {
+        let snap = telemetry.snapshot();
+        let n = |name| snap.counter(name).unwrap_or(0);
+        (n("health.outage_alerts"), n("health.recovery_notices"))
+    };
+    let mut console = net.console();
+    let round = |link: usize, up: bool| {
+        net.set_link_index(link, up);
+        net.advance_time(10);
+        net.probe_round();
+    };
+    round(access, true);
+    assert_eq!(alerts(), (0, 0));
+    round(access, false);
+    assert_eq!(alerts(), (1, 0), "one outage alert");
+    assert!(console
+        .render()
+        .contains("unreachable: 71-88 — 1 outage alerts"));
+    for _ in 0..3 {
+        round(access, false);
+    }
+    assert_eq!(alerts(), (1, 0), "nothing more while the link stays down");
+    round(access, true);
+    assert_eq!(alerts(), (1, 1), "one recovery notice");
+    assert!(console
+        .render()
+        .contains("unreachable: none — 1 outage alerts / 1 recovery notices"));
+    round(uplink, false);
+    round(uplink, false);
+    let rows = net.health_rows();
+    let down = rows.iter().filter(|r| r.dst == multi && !r.alive).count();
+    assert!(
+        down > 0 && down < to_multi.len(),
+        "{down} of {}",
+        to_multi.len()
+    );
+    assert_eq!(
+        alerts(),
+        (1, 1),
+        "losing some of several paths is no outage"
+    );
+    round(uplink, true);
     let snap = telemetry.snapshot();
-    assert_eq!(snap.counter("monitor.outage_alerts"), Some(1));
-    assert_eq!(snap.counter("monitor.recovery_notices"), Some(1));
 
     // --- Flight recorder: valid JSONL, ordered by sim_time, non-trivial.
     assert!(snap.events_recorded >= 3, "{snap:?}");
@@ -149,6 +206,12 @@ fn whole_stack_reports_into_one_registry() {
         lines >= 3,
         "flight recorder holds the run's events:\n{dump}"
     );
+    for alert in [
+        "destination unreachable on every probed path",
+        "destination reachable again",
+    ] {
+        assert_eq!(dump.matches(alert).count(), 1, "{alert}:\n{dump}");
+    }
 
     // --- And the operator-facing summary table renders every family.
     let table = snap.render_table();

@@ -206,9 +206,10 @@ fn host_and_lookup_paths_stay_within_their_work_budgets() {
     within("router_batch_of_32_allocations", seen.allocs);
 
     // --- One probe round of one echo over eight hops, turned around in
-    // place: the round's result list and its fingerprint string are left.
+    // place: the round's result list is left.
     let far = pair_apart(&net, &leaves, 8);
-    assert_eq!(net.register_probe_pair_capped(far.src, far.dst, 1), [far]);
+    let probed = net.register_probe_pair_capped(far.src, far.dst, 1);
+    assert_eq!(probed, [far]);
     let seen = steady(
         || net.probe_round(),
         |results| {
@@ -267,6 +268,36 @@ fn host_and_lookup_paths_stay_within_their_work_budgets() {
     within("cold_miss_plans_keyed", work.plans_keyed);
     within("cold_miss_sha256_compressions", work.sha256_compressions);
     within("cold_miss_bodies_built", work.bodies_built);
+
+    // --- Probe rounds in which the probed path dies: by the SCMP report of
+    // a link cut under it, and by its third loss in a row once its hop
+    // fields have expired. The verdict is a value; no string is made for
+    // it or for the path. Tracing is off, so the count is the round's own
+    // work, not the events it records.
+    net.telemetry().disable_tracing();
+    let alive = || {
+        net.health_rows()
+            .iter()
+            .map(|r| r.alive)
+            .collect::<Vec<_>>()
+    };
+    let cut = net.path_links(&probed[0])[0];
+    net.set_link_index(cut, false);
+    let (results, seen) = counted(|| net.probe_round());
+    assert!(matches!(results[0].outcome, EchoOutcome::ExtIfDown { .. }));
+    assert_eq!(alive(), [false]);
+    within("probe_round_scmp_death_allocations", seen.allocs);
+    net.set_link_index(cut, true);
+    net.probe_round();
+    assert_eq!(alive(), [true]);
+    net.advance_time(7 * 3600);
+    net.probe_round();
+    net.probe_round();
+    assert_eq!(alive(), [true]);
+    let (results, seen) = counted(|| net.probe_round());
+    assert_eq!(results[0].outcome, EchoOutcome::Lost);
+    assert_eq!(alive(), [false]);
+    within("probe_round_loss_death_allocations", seen.allocs);
 }
 
 #[test]
