@@ -45,6 +45,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use sciera_telemetry::work::{self, Work};
 use sciera_telemetry::{Counter, Event, Severity, Telemetry};
 use scion_crypto::sign::VerifyingKey;
 use scion_proto::addr::IsdAsn;
@@ -199,6 +200,7 @@ impl<'g> BeaconEngine<'g> {
     ) -> Result<(), ControlError> {
         let _prof = self.telemetry.prof_scope("beacon.verify");
         self.verified.inc();
+        work::add(Work::PcbsHandled, 1);
         let entry = extended.last().expect("an extension has an entry");
         let hop_key = self.secrets.get(&entry.ia).map(|s| &s.hop_key);
         prefix.verify_extension(entry, self.keys.get(&entry.ia), hop_key)

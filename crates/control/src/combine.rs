@@ -14,7 +14,7 @@
 //! The multiplicative effect of this enumeration over SCIERA's segment mix
 //! is exactly what yields the large path counts of Fig. 8.
 
-use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use sciera_telemetry::work::{self, Work};
 use sciera_telemetry::Telemetry;
@@ -71,30 +71,36 @@ pub fn combine_paths(
 pub(crate) struct CombineRecord {
     pub paths: Vec<FullPath>,
     /// Every bucket whose contents influenced `paths`, including empty
-    /// buckets (their emptiness decided the combination shape).
-    pub deps: Vec<BucketDep>,
+    /// buckets (their emptiness decided the combination shape), with its
+    /// content fingerprint ([`SegmentStore::bucket_fingerprint`]) as read.
+    pub deps: Vec<(BucketDep, u64)>,
 }
 
 /// A candidate path, planned but not built: its shape, the segment ranges it
-/// would use, borrowed from the store and packed to 16 bytes each, and the
-/// number of hops it will have if its hops derive ([`joined_hop_count`], the
-/// rule [`derive_hops`] merges by). Whether they *do* derive — end points,
-/// peer entries, loop freedom — is [`Plan::key`]'s to say, once an answer
-/// reaches this length. A plan is 56 bytes.
+/// would use, packed to 10 bytes each with the segment named by its index in
+/// the lookup's segment table ([`Planned::segments`]), and the number of hops
+/// it will have if its hops derive ([`joined_hop_count`], the rule
+/// [`derive_hops`] merges by). Whether they *do* derive — end points, peer
+/// entries, loop freedom — is [`Plan::key`]'s to say, once an answer reaches
+/// this length. A plan is 36 bytes.
 #[derive(Clone, Copy)]
-struct Plan<'a> {
-    uses: [Option<PackedUse<&'a SegmentHandle>>; 3],
+struct Plan {
+    uses: [Option<PackedUse>; 3],
     len: u32,
     kind: PathKind,
 }
 
-impl<'a> Plan<'a> {
-    fn new<const N: usize>(kind: PathKind, uses: [PackedUse<&'a SegmentHandle>; N]) -> Self {
+impl Plan {
+    fn new<const N: usize>(
+        kind: PathKind,
+        uses: [PackedUse; N],
+        segments: &[SegmentHandle],
+    ) -> Self {
         let mut slots = [None; 3];
         for (slot, u) in slots.iter_mut().zip(uses) {
             *slot = Some(u);
         }
-        let len = joined_hop_count(uses.iter().map(PackedUse::view));
+        let len = joined_hop_count(uses.iter().map(|u| u.view(segments)));
         Plan {
             kind,
             uses: slots,
@@ -106,81 +112,94 @@ impl<'a> Plan<'a> {
         self.len as usize
     }
 
-    fn packed(&self) -> impl Iterator<Item = &PackedUse<&'a SegmentHandle>> + Clone {
+    fn packed(&self) -> impl Iterator<Item = &PackedUse> + Clone {
         self.uses.iter().flatten()
     }
 
     /// Appends the path's `len` hops to `hops` and returns their key, or
     /// leaves `hops` as it was if the plan makes no path: no allocation
     /// beyond the buffer's, no reference count.
-    fn key(&self, src: IsdAsn, dst: IsdAsn, hops: &mut Vec<PathHop>) -> Option<[u8; 8]> {
+    fn key(
+        &self,
+        segments: &[SegmentHandle],
+        src: IsdAsn,
+        dst: IsdAsn,
+        hops: &mut Vec<PathHop>,
+    ) -> Option<[u8; 8]> {
         work::add(Work::PlansKeyed, 1);
         let at = hops.len();
-        derive_hops(src, dst, self.packed().map(PackedUse::view), hops).ok()?;
+        derive_hops(src, dst, self.packed().map(|u| u.view(segments)), hops).ok()?;
         Some(hash_hops(&hops[at..]))
     }
 }
 
-/// Every composition of the store's segments that could be a path from `src`
-/// to `dst`, in the order the answer breaks ties by, and the buckets that
-/// were read to list them. All four shapes (each end core or not) come
-/// through here. The list is allocated once, at [`plan_bound`].
-fn enumerate(store: &SegmentStore, src: IsdAsn, dst: IsdAsn) -> (Vec<Plan<'_>>, Vec<BucketDep>) {
-    use Direction::{AgainstCons, Cons};
-    let src_ups = store.up_segment_handles(src);
-    let dst_downs = store.up_segment_handles(dst);
-    let bound = plan_bound(store, src, dst);
-    let mut plans: Vec<Plan> = Vec::with_capacity(bound);
-    // The combination shape is decided by bucket emptiness, so the two
-    // endpoint buckets are dependencies even when empty.
-    let mut deps: BTreeSet<BucketDep> = BTreeSet::new();
-    deps.insert(BucketDep::UpDown(src));
-    deps.insert(BucketDep::UpDown(dst));
-    let mut core_between = |from: IsdAsn, to: IsdAsn| {
-        deps.insert(BucketDep::Core { from, to });
-        store.core_between_handles(from, to)
-    };
+/// What [`enumerate`] lists for one lookup.
+struct Planned {
+    /// Every composition that could be a path, in push order.
+    plans: Vec<Plan>,
+    /// The segments the plans index ([`Reads`]' table), one reference count
+    /// each, shared with every group of the answer.
+    segments: Arc<[SegmentHandle]>,
+    /// The buckets read, sorted, with their fingerprints.
+    deps: Vec<(BucketDep, u64)>,
+}
 
-    match (src_ups.is_empty(), dst_downs.is_empty()) {
+/// Every composition of the store's segments that could be a path from `src`
+/// to `dst`, in the order the answer breaks ties by, the segment table they
+/// index and the buckets that were read to list them. All four shapes (each
+/// end core or not) come through here. Each list is allocated once, at the
+/// size [`plan_bound`] reads off the buckets.
+fn enumerate(store: &SegmentStore, src: IsdAsn, dst: IsdAsn) -> Planned {
+    use Direction::{AgainstCons, Cons};
+    use PathKind::{CoreEnd, SingleSegment};
+    let mut reads = Reads::new(store, src, dst);
+    let bound = plan_bound(&mut reads, src, dst);
+    let segments = reads.table();
+    let (ups, downs) = (reads.ups, reads.downs);
+    let down_at = |j: usize| ups.len() + j;
+    let mut plans: Vec<Plan> = Vec::with_capacity(bound);
+
+    match (ups.is_empty(), downs.is_empty()) {
         (true, true) => {
-            for cs in core_between(src, dst) {
-                let uses = [PackedUse::whole(cs, AgainstCons)];
-                plans.push(Plan::new(PathKind::SingleSegment, uses));
+            let (cores, base) = reads.between(src, dst);
+            for (k, cs) in cores.iter().enumerate() {
+                let uses = [PackedUse::whole(base + k, cs, AgainstCons)];
+                plans.push(Plan::new(SingleSegment, uses, &segments));
             }
         }
         (true, false) => {
-            for d in dst_downs {
+            for (j, d) in downs.iter().enumerate() {
+                let whole_down = PackedUse::whole(down_at(j), d, Cons);
                 if d.origin() == src {
-                    let uses = [PackedUse::whole(d, Cons)];
-                    plans.push(Plan::new(PathKind::SingleSegment, uses));
+                    plans.push(Plan::new(SingleSegment, [whole_down], &segments));
                 } else {
-                    for cs in core_between(src, d.origin()) {
-                        let uses = [PackedUse::whole(cs, AgainstCons), PackedUse::whole(d, Cons)];
-                        plans.push(Plan::new(PathKind::CoreEnd, uses));
+                    let (cores, base) = reads.between(src, d.origin());
+                    for (k, cs) in cores.iter().enumerate() {
+                        let uses = [PackedUse::whole(base + k, cs, AgainstCons), whole_down];
+                        plans.push(Plan::new(CoreEnd, uses, &segments));
                     }
                 }
             }
         }
         (false, true) => {
-            for u in src_ups {
+            for (i, u) in ups.iter().enumerate() {
+                let whole_up = PackedUse::whole(i, u, AgainstCons);
                 if u.origin() == dst {
-                    let uses = [PackedUse::whole(u, AgainstCons)];
-                    plans.push(Plan::new(PathKind::SingleSegment, uses));
+                    plans.push(Plan::new(SingleSegment, [whole_up], &segments));
                 } else {
-                    for cs in core_between(u.origin(), dst) {
-                        let uses = [
-                            PackedUse::whole(u, AgainstCons),
-                            PackedUse::whole(cs, AgainstCons),
-                        ];
-                        plans.push(Plan::new(PathKind::CoreEnd, uses));
+                    let (cores, base) = reads.between(u.origin(), dst);
+                    for (k, cs) in cores.iter().enumerate() {
+                        let uses = [whole_up, PackedUse::whole(base + k, cs, AgainstCons)];
+                        plans.push(Plan::new(CoreEnd, uses, &segments));
                     }
                 }
             }
         }
         (false, false) => {
-            for u in src_ups {
-                for d in dst_downs {
-                    plan_pair(u, d, &mut core_between, &mut plans);
+            for (i, u) in ups.iter().enumerate() {
+                for (j, d) in downs.iter().enumerate() {
+                    let pair = ((i, u), (down_at(j), d));
+                    plan_pair(pair, &mut reads, &segments, &mut plans);
                 }
             }
         }
@@ -190,20 +209,108 @@ fn enumerate(store: &SegmentStore, src: IsdAsn, dst: IsdAsn) -> (Vec<Plan<'_>>, 
         "{} plans over a bound of {bound}",
         plans.len()
     );
-    (plans, deps.into_iter().collect())
+    Planned {
+        plans,
+        segments,
+        deps: reads.deps(src, dst),
+    }
+}
+
+/// The segments one lookup reads, in the one table its plans index: the
+/// source's up segments, the destination's down segments, then the core
+/// segments of each `(from, to)` join in the order the joins were first
+/// read. Each core bucket is looked up in the store once, however many
+/// up/down pairs join through it: a lookup's distinct joins are few (about
+/// six between two leaves of the 400-AS deployment, against some fifty
+/// up/down pairs), so the joins read are a short list searched in order.
+struct Reads<'a> {
+    store: &'a SegmentStore,
+    ups: &'a [SegmentHandle],
+    downs: &'a [SegmentHandle],
+    /// Each join read: from, to, its core segments and where they start in
+    /// the table.
+    joins: Vec<(IsdAsn, IsdAsn, &'a [SegmentHandle], usize)>,
+    /// The table's length so far.
+    len: usize,
+}
+
+impl<'a> Reads<'a> {
+    fn new(store: &'a SegmentStore, src: IsdAsn, dst: IsdAsn) -> Self {
+        let (ups, downs) = (store.up_segment_handles(src), store.up_segment_handles(dst));
+        Reads {
+            store,
+            ups,
+            downs,
+            joins: Vec::with_capacity(ups.len().max(1) * downs.len().max(1)),
+            len: ups.len() + downs.len(),
+        }
+    }
+
+    /// [`SegmentStore::core_between_handles`], remembered, and the table
+    /// index of its first segment.
+    fn between(&mut self, from: IsdAsn, to: IsdAsn) -> (&'a [SegmentHandle], usize) {
+        if let Some(&(.., cores, base)) = self.joins.iter().find(|j| j.0 == from && j.1 == to) {
+            return (cores, base);
+        }
+        let cores = self.store.core_between_handles(from, to);
+        let base = self.len;
+        self.joins.push((from, to, cores, base));
+        self.len += cores.len();
+        (cores, base)
+    }
+
+    /// The table of every segment read so far, in one allocation.
+    fn table(&self) -> Arc<[SegmentHandle]> {
+        let (ups, downs) = (self.ups.len(), self.downs.len());
+        let at = |i: usize| match i {
+            i if i < ups => &self.ups[i],
+            i if i < ups + downs => &self.downs[i - ups],
+            i => {
+                // The last join starting at or before `i` (one read empty
+                // starts where the next one does, and holds nothing).
+                let join = self.joins.iter().rev().find(|j| j.3 <= i);
+                let &(.., cores, base) = join.expect("a join holds every index past the ends");
+                &cores[i - base]
+            }
+        };
+        (0..self.len).map(|i| Arc::clone(at(i))).collect()
+    }
+
+    /// The buckets the combination depends on, sorted, with their content
+    /// fingerprints: the two end points' (their emptiness decided the
+    /// shape, so they count even when empty) and every core bucket read.
+    fn deps(&self, src: IsdAsn, dst: IsdAsn) -> Vec<(BucketDep, u64)> {
+        let cores = self
+            .joins
+            .iter()
+            .map(|&(from, to, ..)| BucketDep::Core { from, to });
+        let ends = [BucketDep::UpDown(src), BucketDep::UpDown(dst)];
+        let mut deps: Vec<(BucketDep, u64)> = Vec::with_capacity(self.joins.len() + 2);
+        deps.extend(ends.into_iter().chain(cores).map(|dep| (dep, 0)));
+        deps.sort_unstable_by_key(|&(dep, _)| dep);
+        for (dep, fingerprint) in &mut deps {
+            *fingerprint = self.store.bucket_fingerprint(*dep);
+        }
+        deps
+    }
 }
 
 /// At most how many plans [`enumerate`] lists from `src` to `dst`, read off
 /// the buckets without planning any: per core-side join one plan a core
 /// segment (or the one same-core join), and per up/down pair at most one
 /// shortcut per up entry past its origin and one peering per peer entry of
-/// the up segment.
-fn plan_bound(store: &SegmentStore, src: IsdAsn, dst: IsdAsn) -> usize {
-    let cores = |from, to| store.core_between_handles(from, to).len();
-    let joins = |from: IsdAsn, to: IsdAsn| if from == to { 1 } else { cores(from, to) };
-    let (ups, downs) = (store.up_segment_handles(src), store.up_segment_handles(dst));
+/// the up segment. Reads every core bucket the plans will.
+fn plan_bound(reads: &mut Reads, src: IsdAsn, dst: IsdAsn) -> usize {
+    let (ups, downs) = (reads.ups, reads.downs);
+    let mut joins = |from: IsdAsn, to: IsdAsn| {
+        if from == to {
+            1
+        } else {
+            reads.between(from, to).0.len()
+        }
+    };
     match (ups.is_empty(), downs.is_empty()) {
-        (true, true) => cores(src, dst),
+        (true, true) => reads.between(src, dst).0.len(),
         (true, false) => downs.iter().map(|d| joins(src, d.origin())).sum(),
         (false, true) => ups.iter().map(|u| joins(u.origin(), dst)).sum(),
         (false, false) => ups
@@ -220,27 +327,34 @@ fn plan_bound(store: &SegmentStore, src: IsdAsn, dst: IsdAsn) -> usize {
     }
 }
 
-/// All combinations of one up and one down segment.
-fn plan_pair<'a>(
-    up: &'a SegmentHandle,
-    down: &'a SegmentHandle,
-    core_between: &mut impl FnMut(IsdAsn, IsdAsn) -> &'a [SegmentHandle],
-    plans: &mut Vec<Plan<'a>>,
+/// All combinations of one up and one down segment, each given with its
+/// index in the segment table.
+fn plan_pair(
+    ((u, up), (d, down)): ((usize, &SegmentHandle), (usize, &SegmentHandle)),
+    reads: &mut Reads,
+    segments: &[SegmentHandle],
+    plans: &mut Vec<Plan>,
 ) {
     use Direction::{AgainstCons, Cons};
-    let whole_up = PackedUse::whole(up, AgainstCons);
-    let whole_down = PackedUse::whole(down, Cons);
+    let whole_up = PackedUse::whole(u, up, AgainstCons);
+    let whole_down = PackedUse::whole(d, down, Cons);
     // Entry indices of a segment fit the packed use's `u8`s (`whole`).
     let at = |i: usize| i as u8;
 
     if up.origin() == down.origin() {
         // Same-core join.
-        plans.push(Plan::new(PathKind::SameCore, [whole_up, whole_down]));
+        let uses = [whole_up, whole_down];
+        plans.push(Plan::new(PathKind::SameCore, uses, segments));
     } else {
         // Core transit.
-        for cs in core_between(up.origin(), down.origin()) {
-            let uses = [whole_up, PackedUse::whole(cs, AgainstCons), whole_down];
-            plans.push(Plan::new(PathKind::CoreTransit, uses));
+        let (cores, base) = reads.between(up.origin(), down.origin());
+        for (k, cs) in cores.iter().enumerate() {
+            let uses = [
+                whole_up,
+                PackedUse::whole(base + k, cs, AgainstCons),
+                whole_down,
+            ];
+            plans.push(Plan::new(PathKind::CoreTransit, uses, segments));
         }
     }
 
@@ -260,7 +374,7 @@ fn plan_pair<'a>(
                     ..whole_down
                 },
             ];
-            plans.push(Plan::new(PathKind::Shortcut, uses));
+            plans.push(Plan::new(PathKind::Shortcut, uses, segments));
         }
     }
 
@@ -294,7 +408,7 @@ fn plan_pair<'a>(
                         ..whole_down
                     },
                 ];
-                plans.push(Plan::new(PathKind::Peering, uses));
+                plans.push(Plan::new(PathKind::Peering, uses, segments));
             }
         }
     }
@@ -310,14 +424,21 @@ fn plan_pair<'a>(
 /// are derived into one hop buffer and keyed from it ([`Plan::key`]); the
 /// paths kept of that length are copied into one shared [`PathGroup`] — a
 /// record per path and their hops in one flat array — and no
-/// [`crate::fullpath::PathBody`] is built. A plan that fails a check,
-/// repeats a path or falls past the cap costs no allocation, and one of a
-/// length the answer never reaches costs its place in the length sort and
-/// nothing else. Every list is sized once: the hop buffer and the key list
-/// by the largest length group, each group by what it keeps.
-fn pick(plans: &[Plan<'_>], max_paths: usize, src: IsdAsn, dst: IsdAsn) -> Vec<FullPath> {
-    let mut by_len: Vec<&Plan> = plans.iter().collect();
-    by_len.sort_by_key(|p| p.len);
+/// [`crate::fullpath::PathBody`] is built. The groups share the lookup's
+/// segment table, the only reference counts the answer takes on segments.
+/// A plan that fails a check, repeats a path or falls past the cap costs no
+/// allocation, and one of a length the answer never reaches costs its place
+/// in the length sort and nothing else. Every list is sized once: the hop
+/// buffer and the key list by the largest length group, each group by what
+/// it keeps.
+fn pick(
+    plans: &[Plan],
+    segments: &Arc<[SegmentHandle]>,
+    max_paths: usize,
+    src: IsdAsn,
+    dst: IsdAsn,
+) -> Vec<FullPath> {
+    let by_len = by_length(plans);
     let groups = || by_len.chunk_by(|a, b| a.len == b.len);
     let widest = groups().map(<[_]>::len).max().unwrap_or(0);
     let most_hops = groups().map(|g| g.len() * g[0].len()).max().unwrap_or(0);
@@ -335,25 +456,54 @@ fn pick(plans: &[Plan<'_>], max_paths: usize, src: IsdAsn, dst: IsdAsn) -> Vec<F
         keyed.clear();
         for &plan in same_len {
             let at = hops.len();
-            if let Some(k) = plan.key(src, dst, &mut hops) {
+            if let Some(k) = plan.key(segments, src, dst, &mut hops) {
                 debug_assert_eq!(hops.len(), at + len, "hops derive to the planned length");
                 keyed.push((k, plan, at));
             }
         }
-        // Both steps are stable, so of equal paths the first pushed survives.
-        keyed.sort_by_key(|&(k, ..)| k);
+        // Equal keys stay in push order (a plan's hops start after those of
+        // the plans pushed before it), so of equal paths the first pushed
+        // survives the dedup.
+        keyed.sort_unstable_by_key(|&(k, _, at)| (k, at));
         keyed.dedup_by_key(|&mut (k, ..)| k);
         let kept = &keyed[..keyed.len().min(max_paths - picked.len())];
         if kept.is_empty() {
             continue;
         }
-        let mut group = PathGroup::with_capacity(src, dst, len, kept.len());
+        let mut group = PathGroup::with_capacity(src, dst, len, segments, kept.len());
         for &(k, plan, at) in kept {
             group.push(k, plan.kind, &hops[at..at + len], plan.packed());
         }
         group.share(&mut picked);
     }
     picked
+}
+
+/// Most hops a plan can have: three uses of at most 256 entries each (a
+/// packed use's entry indices are `u8`s).
+const MOST_HOPS: usize = 3 * 256;
+
+/// `plans` by length, in push order within a length: a counting sort over
+/// the few lengths a lookup's plans have.
+fn by_length(plans: &[Plan]) -> Vec<&Plan> {
+    let Some(first) = plans.first() else {
+        return Vec::new();
+    };
+    // Where each length's plans start in the sorted list.
+    let mut starts = [0u32; MOST_HOPS + 2];
+    for p in plans {
+        starts[p.len() + 1] += 1;
+    }
+    for i in 1..starts.len() {
+        starts[i] += starts[i - 1];
+    }
+    let mut sorted = vec![first; plans.len()];
+    for p in plans {
+        let at = &mut starts[p.len()];
+        sorted[*at as usize] = p;
+        *at += 1;
+    }
+    sorted
 }
 
 /// [`combine_paths`] with dependency recording. The plain entry point runs
@@ -370,9 +520,13 @@ pub(crate) fn combine_paths_recorded(
             deps: Vec::new(),
         };
     }
-    let (plans, deps) = enumerate(store, src, dst);
+    let Planned {
+        plans,
+        segments,
+        deps,
+    } = enumerate(store, src, dst);
     CombineRecord {
-        paths: pick(&plans, max_paths, src, dst),
+        paths: pick(&plans, &segments, max_paths, src, dst),
         deps,
     }
 }
@@ -384,18 +538,24 @@ mod tests {
     use crate::fullpath::{PathBody, SegmentUse};
     use crate::graph::{ControlGraph, LinkType};
     use scion_proto::addr::ia;
+    use std::collections::BTreeSet;
 
-    impl Plan<'_> {
+    impl Plan {
         /// The plan's path on its own, in an answer of one.
-        fn assemble(&self, src: IsdAsn, dst: IsdAsn) -> Option<FullPath> {
-            pick(std::slice::from_ref(self), 1, src, dst).pop()
+        fn assemble(
+            &self,
+            segments: &Arc<[SegmentHandle]>,
+            src: IsdAsn,
+            dst: IsdAsn,
+        ) -> Option<FullPath> {
+            pick(std::slice::from_ref(self), segments, 1, src, dst).pop()
         }
     }
 
     #[test]
-    fn a_plan_is_at_most_64_bytes() {
-        assert_eq!(std::mem::size_of::<PackedUse<&SegmentHandle>>(), 16);
-        assert!(std::mem::size_of::<Plan>() <= 64);
+    fn a_plan_is_36_bytes() {
+        assert_eq!(std::mem::size_of::<PackedUse>(), 10);
+        assert_eq!(std::mem::size_of::<Plan>(), 36);
     }
 
     /// Two cores, two leaves, leaves peered — the canonical diamond.
@@ -604,14 +764,15 @@ mod tests {
         caps: impl IntoIterator<Item = usize>,
     ) -> (usize, usize) {
         let eager = eager_candidates(store, src, dst);
-        let plans = if src == dst {
-            Vec::new()
+        let (plans, segments) = if src == dst {
+            (Vec::new(), Arc::default())
         } else {
-            enumerate(store, src, dst).0
+            let planned = enumerate(store, src, dst);
+            (planned.plans, planned.segments)
         };
         let mut built = Vec::new();
         for plan in &plans {
-            if let Some(p) = plan.assemble(src, dst) {
+            if let Some(p) = plan.assemble(&segments, src, dst) {
                 assert_eq!(p.len(), plan.len(), "{src}->{dst}: {p:?}");
                 // A built body holds no spare capacity.
                 assert_eq!(p.uses.capacity(), p.uses.len());
@@ -732,12 +893,17 @@ mod tests {
     fn of_equal_paths_the_first_pushed_survives() {
         let store = layered_store();
         let (src, dst) = (ia("71-100"), ia("71-101"));
-        let (plans, _) = enumerate(&store, src, dst);
+        let Planned {
+            plans, segments, ..
+        } = enumerate(&store, src, dst);
         let lengths: BTreeSet<usize> = plans.iter().map(Plan::len).collect();
         assert!(lengths.len() >= 3, "lengths {lengths:?}");
         // Every plan once more, last first.
         let twice: Vec<Plan> = plans.iter().chain(plans.iter().rev()).copied().collect();
-        let built: Vec<FullPath> = twice.iter().filter_map(|p| p.assemble(src, dst)).collect();
+        let built: Vec<FullPath> = twice
+            .iter()
+            .filter_map(|p| p.assemble(&segments, src, dst))
+            .collect();
         let answer = combine_paths(&store, src, dst, usize::MAX);
         assert!(
             2 * answer.len() < built.len(),
@@ -745,19 +911,21 @@ mod tests {
         );
         for cap in (0..=answer.len() + 1).chain([usize::MAX]) {
             assert_eq!(
-                pick(&twice, cap, src, dst),
+                pick(&twice, &segments, cap, src, dst),
                 whole_list_finalize(&built, cap),
                 "cap {cap}"
             );
         }
-        assert_eq!(pick(&twice, usize::MAX, src, dst), answer);
+        assert_eq!(pick(&twice, &segments, usize::MAX, src, dst), answer);
     }
 
     #[test]
     fn a_lookup_builds_only_the_paths_it_answers_with() {
         let store = layered_store();
         let (src, dst) = (ia("71-100"), ia("71-101"));
-        let (plans, _) = enumerate(&store, src, dst);
+        let Planned {
+            plans, segments, ..
+        } = enumerate(&store, src, dst);
         let whole = combine_paths(&store, src, dst, usize::MAX).len();
         let winner_len = combine_paths(&store, src, dst, 1)[0].len();
         assert!(
@@ -765,7 +933,7 @@ mod tests {
             "one length only"
         );
         for cap in [0, 1, whole - 1, whole, usize::MAX] {
-            let (answer, done) = work::counted(|| pick(&plans, cap, src, dst));
+            let (answer, done) = work::counted(|| pick(&plans, &segments, cap, src, dst));
             assert_eq!(answer, combine_paths(&store, src, dst, cap), "cap {cap}");
             // The answer is assembled in place: its paths get no body.
             assert_eq!(done.bodies_built, 0, "cap {cap}: bodies built");

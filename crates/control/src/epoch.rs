@@ -69,6 +69,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
+use sciera_telemetry::work::{self, Work};
 use sciera_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use scion_proto::addr::IsdAsn;
 
@@ -349,6 +350,7 @@ impl EpochPathDb {
             .copied()
             .filter(|&(src, dst)| {
                 let key = (src, dst, max_paths);
+                work::add(Work::CacheProbes, 1);
                 let shard = self.inner.shards[self.shard_of(&key)].lock();
                 shard
                     .entries
@@ -431,6 +433,7 @@ impl EpochPathDb {
 
         // Warm fast path plus staleness triage, all under one shard lock.
         {
+            work::add(Work::CacheProbes, 1);
             let mut shard = self.inner.shards[idx].lock();
             shard.tick += 1;
             let tick = shard.tick;
@@ -492,12 +495,9 @@ impl EpochPathDb {
         record: CombineRecord,
     ) -> Arc<Vec<FullPath>> {
         let CombineRecord { paths, deps } = record;
-        let deps: Vec<(BucketDep, u64)> = deps
-            .into_iter()
-            .map(|dep| (dep, snap.store.bucket_fingerprint(dep)))
-            .collect();
         let paths = Arc::new(paths);
         let per_shard = (self.inner.cfg.capacity / SHARDS).max(1);
+        work::add(Work::CacheProbes, 1);
         let mut shard = self.inner.shards[self.shard_of(&key)].lock();
         shard.tick += 1;
         let tick = shard.tick;

@@ -168,13 +168,15 @@ impl UseRef<'_> {
 }
 
 /// A segment use as the combinator plans it and a [`PathGroup`] stores it, in
-/// 16 bytes: the segment, the used entry range as two `u8`s (SCION's path
-/// header carries fewer than 64 hop fields a segment) and, for a peering
-/// use, the *index* of the peer entry at the junction. `S` is a borrowed
-/// handle while the combinator plans and an owned one in a group.
+/// 10 bytes: the index of the segment in the lookup's segment table (every
+/// segment the lookup read, [`PathGroup`]'s `segments`), the used entry range
+/// as two `u8`s (SCION's path header carries fewer than 64 hop fields a
+/// segment) and, for a peering use, the *index* of the peer entry at the
+/// junction. A kept path's uses hold no reference count of their own: the
+/// table does, once per segment per lookup.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PackedUse<S> {
-    pub segment: S,
+pub(crate) struct PackedUse {
+    pub segment: u16,
     pub dir: Direction,
     pub from: u8,
     pub to: u8,
@@ -183,11 +185,12 @@ pub(crate) struct PackedUse<S> {
     pub peer: Option<u16>,
 }
 
-impl<'a> PackedUse<&'a SegmentHandle> {
-    /// The whole of `segment`, no truncation or peering.
-    pub fn whole(segment: &'a SegmentHandle, dir: Direction) -> Self {
+impl PackedUse {
+    /// The whole of `segment`, entry `index` of the segment table, no
+    /// truncation or peering.
+    pub fn whole(index: usize, segment: &SegmentHandle, dir: Direction) -> Self {
         PackedUse {
-            segment,
+            segment: u16::try_from(index).expect("a lookup reads fewer than 2^16 segments"),
             dir,
             from: 0,
             to: u8::try_from(segment.len() - 1).expect("a segment of at most 256 entries"),
@@ -195,22 +198,9 @@ impl<'a> PackedUse<&'a SegmentHandle> {
         }
     }
 
-    /// The same use holding its own reference to the segment.
-    pub fn held(self) -> PackedUse<SegmentHandle> {
-        PackedUse {
-            segment: self.segment.clone(),
-            dir: self.dir,
-            from: self.from,
-            to: self.to,
-            peer: self.peer,
-        }
-    }
-}
-
-impl<S: Borrow<SegmentHandle>> PackedUse<S> {
-    /// The use as the hop rule reads it.
-    pub fn view(&self) -> UseRef<'_> {
-        let segment = self.segment.borrow();
+    /// The use as the hop rule reads it, its segment looked up in `table`.
+    pub fn view<'a, S: Borrow<SegmentHandle>>(&self, table: &'a [S]) -> UseRef<'a> {
+        let segment = table[usize::from(self.segment)].borrow();
         let (from_idx, to_idx) = (usize::from(self.from), usize::from(self.to));
         UseRef {
             segment,
@@ -346,10 +336,16 @@ fn push_hops<'a>(
     if path.last().map(|h| h.ia) != Some(dst) {
         return Err(Rejected::End(dst));
     }
-    // No AS may appear twice (loop freedom).
-    let revisits = |(i, h): (usize, &PathHop)| path[..i].iter().any(|g| g.ia == h.ia);
-    if path.iter().enumerate().any(revisits) {
-        return Err(Rejected::Loop);
+    // No AS may appear twice (loop freedom). One pass sets each AS's bit in
+    // a 64-bit filter (equal ASes, equal bits); only a hop whose bit is
+    // already set is compared with the hops before it.
+    let mut seen = 0u64;
+    for (i, h) in path.iter().enumerate() {
+        let bit = 1u64 << (h.ia.to_u64().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58);
+        if seen & bit != 0 && path[..i].iter().any(|g| g.ia == h.ia) {
+            return Err(Rejected::Loop);
+        }
+        seen |= bit;
     }
     Ok(())
 }
@@ -426,59 +422,70 @@ pub struct PathBody {
 struct GroupPath {
     key: [u8; 8],
     kind: PathKind,
-    uses: [Option<PackedUse<SegmentHandle>>; 3],
+    uses: [Option<PackedUse>; 3],
     body: OnceLock<Box<PathBody>>,
 }
 
 /// The kept paths of one hop count of one lookup's answer, shared by every
 /// handle to them: a record per path and all their hops in one flat array,
-/// `len` hops a path. A lookup's answer is one group per length it keeps,
-/// three allocations each (the shared header and its two lists) whatever
-/// the group's size, and taking a handle to a path is a reference-count
-/// bump. A handle kept after its answer is dropped — a caller holding the
-/// shortest path of many answers, a prober holding a pair's first few —
-/// keeps only the paths of its own length alive, not the whole answer.
+/// `len` hops a path, and the lookup's segment table, which the records'
+/// uses index. A lookup's answer is one group per length it keeps, three
+/// allocations each (the shared header and its two lists) whatever the
+/// group's size, plus the one table all its groups share; taking a handle
+/// to a path is a reference-count bump. A handle kept after its answer is
+/// dropped — a caller holding the shortest path of many answers, a prober
+/// holding a pair's first few — keeps only the paths of its own length
+/// alive, and the table, not the whole answer.
 ///
 /// A path wrapped from a body ([`FullPath::from_body`],
 /// [`FullPath::assemble`]) is a group of one whose body is given and whose
-/// flat array is empty: such a path is read through its body, every other
-/// through its group.
+/// flat array and table are empty: such a path is read through its body,
+/// every other through its group.
 pub(crate) struct PathGroup {
     src: IsdAsn,
     dst: IsdAsn,
     len: usize,
+    segments: Arc<[SegmentHandle]>,
     paths: Vec<GroupPath>,
     hops: Vec<PathHop>,
 }
 
 impl PathGroup {
-    /// An empty group of paths of `len` hops from `src` to `dst`, with room
-    /// for `paths` of them.
-    pub fn with_capacity(src: IsdAsn, dst: IsdAsn, len: usize, paths: usize) -> Self {
+    /// An empty group of paths of `len` hops from `src` to `dst` over the
+    /// segment table `segments`, with room for `paths` of them.
+    pub fn with_capacity(
+        src: IsdAsn,
+        dst: IsdAsn,
+        len: usize,
+        segments: &Arc<[SegmentHandle]>,
+        paths: usize,
+    ) -> Self {
         PathGroup {
             src,
             dst,
             len,
+            segments: Arc::clone(segments),
             paths: Vec::with_capacity(paths),
             hops: Vec::with_capacity(paths * len),
         }
     }
 
     /// Appends a path of `kind` over `hops` (the group's `len` of them) and
-    /// `uses`, keyed `key` ([`hash_hops`] of `hops`).
+    /// `uses` (indices into the group's table), keyed `key` ([`hash_hops`]
+    /// of `hops`).
     pub fn push<'a>(
         &mut self,
         key: [u8; 8],
         kind: PathKind,
         hops: &[PathHop],
-        uses: impl IntoIterator<Item = &'a PackedUse<&'a SegmentHandle>>,
+        uses: impl IntoIterator<Item = &'a PackedUse>,
     ) {
         debug_assert_eq!(hops.len(), self.len, "a group's paths have its length");
         debug_assert_eq!(key, hash_hops(hops), "a key is its hops' hash");
         self.hops.extend_from_slice(hops);
         let mut slots = [None, None, None];
         for (slot, u) in slots.iter_mut().zip(uses) {
-            *slot = Some(u.held());
+            *slot = Some(*u);
         }
         self.paths.push(GroupPath {
             key,
@@ -496,8 +503,9 @@ impl PathGroup {
     }
 
     /// Approximate resident bytes: the shared header (reference counts and
-    /// the group), its two lists and every body built from it. Segment
-    /// bodies are the store's and intentionally not counted (see
+    /// the group), its two lists, the segment table it shares with the
+    /// answer's other groups (counted with each) and every body built from
+    /// it. Segment bodies are the store's and intentionally not counted (see
     /// `SegmentStore::approx_bytes`).
     fn approx_bytes(&self) -> usize {
         let body = |b: &PathBody| {
@@ -509,6 +517,7 @@ impl PathGroup {
             + std::mem::size_of::<PathGroup>()
             + self.paths.capacity() * std::mem::size_of::<GroupPath>()
             + self.hops.capacity() * std::mem::size_of::<PathHop>()
+            + self.segments.len() * std::mem::size_of::<SegmentHandle>()
             + self
                 .paths
                 .iter()
@@ -652,6 +661,7 @@ impl FullPath {
             src,
             dst,
             len,
+            segments: Arc::default(),
             paths: vec![path],
             hops: Vec::new(),
         };
@@ -744,7 +754,8 @@ impl FullPath {
             None => (&[][..], &path.uses[..]),
         };
         let given = given.iter().map(SegmentUse::as_ref);
-        given.chain(packed.iter().flatten().map(PackedUse::view))
+        let table = &self.group.segments;
+        given.chain(packed.iter().flatten().map(|u| u.view(table)))
     }
 
     /// All globally-unique interface identifiers `(ISD-AS, ifid)` touched by

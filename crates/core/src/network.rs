@@ -556,11 +556,14 @@ impl SciEraNetwork {
     }
 
     /// Hands the prober a pair's new path set, and forgets the echo
-    /// requests encoded for the old one.
+    /// requests encoded for the old one and the health rows of paths that
+    /// left it.
     fn register_probe_set(&self, src: IsdAsn, dst: IsdAsn, paths: Vec<FullPath>) {
         let inner = &mut *self.inner.lock();
         let requests = &mut inner.plane.echo_requests;
         requests.retain(|&(s, d, _), _| (s, d) != (src, dst));
+        let listed = |key: &[u8; 8]| paths.iter().any(|p| p.fingerprint_key() == *key);
+        inner.health.forget_paths(src, dst, listed);
         inner.prober.register(src, dst, paths);
     }
 
@@ -2210,11 +2213,46 @@ mod carry_tests {
         let mut keys: Vec<[u8; 8]> = probed.iter().map(|p| p.fingerprint_key()).collect();
         keys.sort_unstable();
         assert_eq!(kept(&fx.net), keys);
+        // The board forgets the two paths that left the set at once: their
+        // rows, their share of the pair's score and of the healthy gauge,
+        // with no churn for dropping them, then or at the next round.
+        let rows = |net: &SciEraNetwork| {
+            let rows = net.health_rows().into_iter();
+            let pair = rows.filter(|r| (r.src, r.dst) == (src, dst));
+            pair.map(|r| (r.fingerprint, r.alive)).collect::<Vec<_>>()
+        };
+        let healthy = |net: &SciEraNetwork| {
+            let snapshot = net.telemetry().snapshot();
+            snapshot
+                .gauge("health.healthy_paths")
+                .expect("set by a round")
+        };
+        assert_eq!(rows(&fx.net).len(), 3);
+        assert!(rows(&fx.net).iter().all(|r| r.1), "all three alive");
+        let (before, churned) = (healthy(&fx.net), fx.net.churn_events().len());
         fx.net.register_probe_pair_capped(src, dst, 1);
         assert!(kept(&fx.net).is_empty());
+        let first = (probed[0].fingerprint(), true);
+        assert_eq!(rows(&fx.net), std::slice::from_ref(&first));
+        assert_eq!(healthy(&fx.net), before - 2);
+        let score = fx.net.pair_score(src, dst);
+        let row = fx
+            .net
+            .health_rows()
+            .into_iter()
+            .find(|r| r.fingerprint == first.0);
+        assert_eq!(score, row.map(|r| r.score));
         fx.net.probe_round();
         assert_eq!(kept(&fx.net), [probed[0].fingerprint_key()]);
+        assert_eq!(rows(&fx.net), [first]);
+        assert_eq!(healthy(&fx.net), before - 2);
+        assert_eq!(
+            fx.net.churn_events().len(),
+            churned,
+            "forgetting is not churn"
+        );
         fx.net.register_probe_pair_capped(src, dst, 0);
+        assert!(rows(&fx.net).is_empty());
     }
 }
 

@@ -1,10 +1,22 @@
 //! AES-128 block encryption (FIPS 197).
 //!
 //! Only encryption is implemented: CMAC (and thus the SCION hop-field MAC)
-//! never needs the inverse cipher. This is a straightforward table-free
-//! implementation — the simulator values clarity and portability over
-//! raw speed, mirroring smoltcp's "simplicity over compile-time tricks"
-//! design goal. Verified against the FIPS 197 Appendix C vector.
+//! never needs the inverse cipher. The key schedule is computed once, in
+//! software; [`Aes128::encrypt_block`] picks its kernel at run time, by
+//! what the CPU has, as SHA-256's `compress` does:
+//!
+//! * on x86_64 with AES-NI (and SSE4.1), a hardware kernel in which each
+//!   round is one `aesenc`;
+//! * everywhere else, `portable`: the straightforward table-free rounds
+//!   of FIPS 197, which the tests keep as the oracle of the other.
+//!
+//! There is no knob: both kernels compute the same function, and [`kernel`]
+//! names the one this process runs. `encrypt_block` counts the blocks it
+//! is handed in the per-thread [`Work::AesBlocks`] counter, whichever
+//! kernel runs them. Verified against the FIPS 197 Appendix B and C
+//! vectors, and kernel against kernel on random keys and blocks.
+
+use sciera_telemetry::work::{self, Work};
 
 /// AES block size in bytes.
 pub const BLOCK_LEN: usize = 16;
@@ -70,18 +82,20 @@ impl Aes128 {
         Aes128 { round_keys }
     }
 
-    /// Encrypts one 16-byte block in place.
+    /// Encrypts one 16-byte block in place: the hardware kernel where the
+    /// CPU has one, `portable` where it does not.
+    #[allow(unsafe_code)]
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        add_round_key(block, &self.round_keys[0]);
-        for r in 1..ROUNDS {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[r]);
+        work::add(Work::AesBlocks, 1);
+        #[cfg(target_arch = "x86_64")]
+        if has_aes_ni() {
+            // SAFETY: `x86::encrypt` needs AES-NI, SSE2 and SSE4.1, and
+            // `has_aes_ni` has just detected AES-NI and SSE4.1; every x86_64
+            // CPU has SSE2.
+            unsafe { x86::encrypt(&self.round_keys, block) };
+            return;
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[ROUNDS]);
+        portable(&self.round_keys, block);
     }
 
     /// Encrypts one block, returning the ciphertext.
@@ -89,6 +103,72 @@ impl Aes128 {
         let mut out = *block;
         self.encrypt_block(&mut out);
         out
+    }
+}
+
+/// The kernel [`Aes128::encrypt_block`] runs on this CPU: `"x86-aesni"` or
+/// `"portable"`.
+pub fn kernel() -> &'static str {
+    if has_aes_ni() {
+        "x86-aesni"
+    } else {
+        "portable"
+    }
+}
+
+/// Whether this CPU runs the hardware kernel (`std` caches the detection,
+/// so asking costs a load).
+fn has_aes_ni() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("aes") && std::is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The portable kernel: every target runs it where the CPU lacks AES-NI.
+fn portable(round_keys: &[[u8; 16]; ROUNDS + 1], block: &mut [u8; BLOCK_LEN]) {
+    add_round_key(block, &round_keys[0]);
+    for rk in &round_keys[1..ROUNDS] {
+        sub_bytes(block);
+        shift_rows(block);
+        mix_columns(block);
+        add_round_key(block, rk);
+    }
+    sub_bytes(block);
+    shift_rows(block);
+    add_round_key(block, &round_keys[ROUNDS]);
+}
+
+/// The kernel on AES-NI.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{BLOCK_LEN, ROUNDS};
+    use std::arch::x86_64::*;
+
+    /// Sixteen bytes in a register, byte 0 in the lowest lane, as a load
+    /// from memory puts them.
+    #[target_feature(enable = "sse2")]
+    fn load(bytes: &[u8; 16]) -> __m128i {
+        let half = |i: usize| i64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
+        _mm_set_epi64x(half(8), half(0))
+    }
+
+    /// [`super::portable`] on AES-NI: the whitening XOR, nine `aesenc`
+    /// rounds and one `aesenclast`, over the same round keys.
+    #[target_feature(enable = "aes,sse2,sse4.1")]
+    pub(super) fn encrypt(round_keys: &[[u8; 16]; ROUNDS + 1], block: &mut [u8; BLOCK_LEN]) {
+        let mut state = _mm_xor_si128(load(block), load(&round_keys[0]));
+        for rk in &round_keys[1..ROUNDS] {
+            state = _mm_aesenc_si128(state, load(rk));
+        }
+        state = _mm_aesenclast_si128(state, load(&round_keys[ROUNDS]));
+        let (lo, hi) = (_mm_extract_epi64(state, 0), _mm_extract_epi64(state, 1));
+        block[..8].copy_from_slice(&lo.to_le_bytes());
+        block[8..].copy_from_slice(&hi.to_le_bytes());
     }
 }
 
@@ -183,6 +263,66 @@ mod tests {
             to_hex(&aes.encrypt(&pt)),
             "3925841d02dc09fbdc118597196a0b32"
         );
+    }
+
+    #[test]
+    fn the_hardware_kernel_runs_wherever_the_cpu_has_it() {
+        // Asked of the CPU here, not through `has_aes_ni`, so a dispatch
+        // that silently falls back fails on a machine with AES-NI.
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("aes") && std::is_x86_feature_detected!("sse4.1") {
+            assert_eq!(kernel(), "x86-aesni");
+            return;
+        }
+        assert_eq!(kernel(), "portable");
+    }
+
+    #[test]
+    fn both_kernels_meet_the_fips_197_vectors() {
+        for (key, pt, ct) in [
+            (
+                "000102030405060708090a0b0c0d0e0f",
+                "00112233445566778899aabbccddeeff",
+                "69c4e0d86a7b0430d8cdb78070b4c55a",
+            ),
+            (
+                "2b7e151628aed2a6abf7158809cf4f3c",
+                "3243f6a8885a308d313198a2e0370734",
+                "3925841d02dc09fbdc118597196a0b32",
+            ),
+        ] {
+            let aes = Aes128::new(&from_hex(key).try_into().unwrap());
+            let mut soft: [u8; 16] = from_hex(pt).try_into().unwrap();
+            portable(&aes.round_keys, &mut soft);
+            assert_eq!(to_hex(&soft), ct);
+            // The dispatched kernel: the hardware one wherever the CPU has it.
+            assert_eq!(to_hex(&aes.encrypt(&from_hex(pt).try_into().unwrap())), ct);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_kernels_agree_on_random_keys_and_blocks(
+            key in proptest::prelude::any::<[u8; 16]>(),
+            block in proptest::prelude::any::<[u8; 16]>(),
+        ) {
+            let aes = Aes128::new(&key);
+            let mut soft = block;
+            portable(&aes.round_keys, &mut soft);
+            proptest::prop_assert_eq!(aes.encrypt(&block), soft);
+        }
+    }
+
+    #[test]
+    fn a_block_is_counted_whichever_kernel_runs_it() {
+        let aes = Aes128::new(&[3u8; 16]);
+        let (_, done) = work::counted(|| {
+            let mut block = [0u8; 16];
+            for _ in 0..5 {
+                aes.encrypt_block(&mut block);
+            }
+        });
+        assert_eq!(done.aes_blocks, 5);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! spec in `tests/spec/`, which the engine must equal in verdict, bytes
 //! and counters (`tests/router_spec.rs`).
 
+use sciera_telemetry::work::{self, Work};
 use sciera_telemetry::{Counter, Event, Severity, Telemetry};
 use scion_crypto::mac::{HopKey, HopMacInput};
 use scion_proto::addr::IsdAsn;
@@ -224,6 +225,7 @@ impl BorderRouter {
             _ => self.canonicalise(frame)?,
         };
         self.processed += 1;
+        work::add(Work::HopSteps, 1);
         let mut cursor = WireCursor::from_offsets(frame, off);
         let trace = cursor.advance_trace();
         let result = match off.path_type() {

@@ -409,6 +409,21 @@ impl HealthBoard {
         }
     }
 
+    /// Forgets the paths of `src → dst` whose key `keep` rejects: the pair's
+    /// probe set was replaced, and a path no longer probed has no verdict to
+    /// show. Its row leaves [`Self::rows`], [`Self::pair_score`], the
+    /// `health.healthy_paths` gauge and the pair's churn baseline, and
+    /// dropping it logs no churn.
+    pub fn forget_paths(&mut self, src: IsdAsn, dst: IsdAsn, keep: impl Fn(&[u8; 8]) -> bool) {
+        let Some(pair) = self.pairs.get_mut(&(src, dst)) else {
+            return;
+        };
+        pair.paths.retain(|key, _| keep(key));
+        let healthy = self.pairs.values().flat_map(|pair| pair.paths.values());
+        self.healthy_gauge
+            .set(healthy.filter(|p| p.healthy()).count() as u64);
+    }
+
     /// Every churn event observed so far, oldest first.
     pub fn churn_events(&self) -> Vec<ChurnEvent> {
         self.churn_log.iter().map(Churn::render).collect()

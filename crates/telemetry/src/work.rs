@@ -2,7 +2,8 @@
 //! a cost rests on.
 //!
 //! A clock reading moves with the machine; a count of SHA-256 compressions,
-//! keyed combination plans or path bodies built does not. `tests/work_budget.rs`
+//! AES blocks, keyed combination plans, path bodies built, router hop steps,
+//! path-cache probes or PCBs handled does not. `tests/work_budget.rs`
 //! holds these counts, with the allocations it counts itself, to the limits
 //! in `BUDGETS.json`, so a change that adds work fails tier-1 by name before
 //! a benchmark has to tell it from noise.
@@ -10,7 +11,8 @@
 //! The counters are always on. Each is a const-initialised thread-local
 //! `Cell` with no destructor: a count is a load and a store on this thread's
 //! own cache line, paid per call of the counted step (a compression call,
-//! a plan keyed, a body built), never per byte.
+//! a block encrypted, a plan keyed, a body built, a frame stepped, a cache
+//! probed, a PCB checked), never per byte.
 
 use std::cell::Cell;
 
@@ -25,12 +27,23 @@ pub enum Work {
     PlansKeyed,
     /// Path bodies built from a combination's answer on first read.
     BodiesBuilt,
+    /// AES-128 blocks encrypted, counted where `scion_crypto::aes`
+    /// dispatches to a kernel, so both kernels count.
+    AesBlocks,
+    /// Frames a border router took a forwarding step on: one per router a
+    /// frame crosses.
+    HopSteps,
+    /// Path-cache probes: a lookup's key looked up in a cache shard, to
+    /// serve it, to prefetch it or to install its answer.
+    CacheProbes,
+    /// PCB entries checked on receipt during beaconing.
+    PcbsHandled,
 }
 
-const KINDS: usize = 3;
+const KINDS: usize = 7;
 
 thread_local! {
-    static COUNTS: [Cell<u64>; KINDS] = const { [Cell::new(0), Cell::new(0), Cell::new(0)] };
+    static COUNTS: [Cell<u64>; KINDS] = const { [const { Cell::new(0) }; KINDS] };
 }
 
 /// Adds `n` to this thread's count of `work`.
@@ -51,15 +64,19 @@ pub struct WorkCounts {
     pub plans_keyed: u64,
     /// [`Work::BodiesBuilt`].
     pub bodies_built: u64,
+    /// [`Work::AesBlocks`].
+    pub aes_blocks: u64,
+    /// [`Work::HopSteps`].
+    pub hop_steps: u64,
+    /// [`Work::CacheProbes`].
+    pub cache_probes: u64,
+    /// [`Work::PcbsHandled`].
+    pub pcbs_handled: u64,
 }
 
 /// This thread's counts since it started.
-fn counts() -> WorkCounts {
-    COUNTS.with(|c| WorkCounts {
-        sha256_compressions: c[Work::Sha256Compressions as usize].get(),
-        plans_keyed: c[Work::PlansKeyed as usize].get(),
-        bodies_built: c[Work::BodiesBuilt as usize].get(),
-    })
+fn counts() -> [u64; KINDS] {
+    COUNTS.with(|c| c.each_ref().map(Cell::get))
 }
 
 /// Runs `f` and returns its result with the work this thread did meanwhile.
@@ -67,10 +84,15 @@ pub fn counted<R>(f: impl FnOnce() -> R) -> (R, WorkCounts) {
     let before = counts();
     let out = f();
     let after = counts();
+    let done = |w: Work| after[w as usize] - before[w as usize];
     let done = WorkCounts {
-        sha256_compressions: after.sha256_compressions - before.sha256_compressions,
-        plans_keyed: after.plans_keyed - before.plans_keyed,
-        bodies_built: after.bodies_built - before.bodies_built,
+        sha256_compressions: done(Work::Sha256Compressions),
+        plans_keyed: done(Work::PlansKeyed),
+        bodies_built: done(Work::BodiesBuilt),
+        aes_blocks: done(Work::AesBlocks),
+        hop_steps: done(Work::HopSteps),
+        cache_probes: done(Work::CacheProbes),
+        pcbs_handled: done(Work::PcbsHandled),
     };
     (out, done)
 }
@@ -84,6 +106,7 @@ mod tests {
         let ((), here) = counted(|| {
             add(Work::PlansKeyed, 3);
             add(Work::BodiesBuilt, 1);
+            add(Work::PcbsHandled, 2);
             // Another thread's work is its own.
             std::thread::spawn(|| add(Work::PlansKeyed, 100))
                 .join()
@@ -92,6 +115,7 @@ mod tests {
         let expect = WorkCounts {
             plans_keyed: 3,
             bodies_built: 1,
+            pcbs_handled: 2,
             ..WorkCounts::default()
         };
         assert_eq!(here, expect);

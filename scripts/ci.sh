@@ -237,23 +237,27 @@ if grep -rn --include='*.rs' 'feature = "profile"' crates src tests examples |
     exit 1
 fi
 
-# One unsafe block in the product: the SHA-256 dispatch to the hardware
-# kernel, under the `// SAFETY:` comment naming the CPU-feature detection
-# it rests on. The crypto crate denies unsafe code around it; every other
-# crate still forbids it outright. (Comment lines may say the word.)
-echo "==> one unsafe block (crypto's SHA-256 dispatch)"
+# Two unsafe blocks in the product, both kernel dispatches in crypto: the
+# SHA-256 one to the SHA-extensions kernel and the AES one to the AES-NI
+# kernel, each under a `// SAFETY:` comment naming the CPU-feature detection
+# it rests on. A third site fails. The crypto crate denies unsafe code around
+# them; every other crate still forbids it outright. (Comment lines may say
+# the word.)
+echo "==> two unsafe blocks (crypto's SHA-256 and AES dispatches)"
 sites=$(grep -rnw --include='*.rs' unsafe crates src | grep -Ev '^[^:]+:[0-9]+:[[:space:]]*//' || true)
-if [ "$(printf '%s\n' "$sites" | grep -c .)" -ne 1 ] ||
-    ! printf '%s\n' "$sites" | grep -q '^crates/crypto/src/sha256\.rs:'; then
-    echo "ci: unsafe code outside the SHA-256 dispatch:" >&2
+files=$(printf '%s\n' "$sites" | grep . | cut -d: -f1 | sort | tr '\n' ' ')
+if [ "$(printf '%s\n' "$sites" | grep -c .)" -ne 2 ] ||
+    [ "$files" != "crates/crypto/src/aes.rs crates/crypto/src/sha256.rs " ]; then
+    echo "ci: unsafe code outside the SHA-256 and AES dispatches:" >&2
     printf '%s\n' "$sites" >&2
     exit 1
 fi
-line=$(printf '%s\n' "$sites" | cut -d: -f2)
-if ! sed -n "$((line - 5)),$((line - 1))p" crates/crypto/src/sha256.rs | grep -q '// SAFETY:'; then
-    echo "ci: the unsafe block at crates/crypto/src/sha256.rs:$line has no SAFETY comment" >&2
-    exit 1
-fi
+while IFS=: read -r file line _; do
+    if ! sed -n "$((line - 5)),$((line - 1))p" "$file" | grep -q '// SAFETY:'; then
+        echo "ci: the unsafe block at $file:$line has no SAFETY comment" >&2
+        exit 1
+    fi
+done <<< "$sites"
 grep -q '^#!\[deny(unsafe_code)\]' crates/crypto/src/lib.rs || {
     echo "ci: crates/crypto/src/lib.rs no longer denies unsafe code" >&2
     exit 1

@@ -1,7 +1,8 @@
 //! Work budgets, counted exactly and held to `BUDGETS.json`: equal or lower
 //! passes, and a change that saves work lowers the entry in the same commit.
 //! Each entry is the work of one operation — allocations and bytes
-//! requested, SHA-256 compressions, plans keyed, path bodies built — and the
+//! requested, SHA-256 compressions, AES blocks, plans keyed, path bodies
+//! built, router hop steps, path-cache probes, PCBs handled — and the
 //! counts repeat exactly, so a budget that moves by one is a real copy,
 //! clone, hash or body, not noise. Allocations are counted by this crate's
 //! allocator (the product crates forbid unsafe code), the rest by
@@ -11,7 +12,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use sciera::control::combine::combine_paths;
 use sciera::control::segment::AsSecrets;
+use sciera::crypto::sha256::{sha256, to_hex, Sha256};
 use sciera::dataplane::router::{BorderRouter, FrameDecision};
 use sciera::orchestrator::prober::EchoOutcome;
 use sciera::prelude::*;
@@ -179,6 +182,7 @@ fn host_and_lookup_paths_stay_within_their_work_budgets() {
         |hops| assert_eq!(hops, Ok(6)),
     );
     within("walk_frame_allocations", seen.allocs);
+    within("walk_frame_hop_steps", seen.work.hop_steps);
 
     // --- One border router, warm: a traced frame, and a batch of 32 (its
     // list of verdicts).
@@ -195,6 +199,8 @@ fn host_and_lookup_paths_stay_within_their_work_budgets() {
         |verdict| assert!(forwarded(&verdict), "{verdict:?}"),
     );
     within("router_traced_frame_allocations", seen.allocs);
+    within("router_traced_frame_hop_steps", seen.work.hop_steps);
+    within("router_traced_frame_aes_blocks", seen.work.aes_blocks);
     let mut batch = vec![plain.clone(); 32];
     let seen = steady(
         || {
@@ -248,6 +254,7 @@ fn host_and_lookup_paths_stay_within_their_work_budgets() {
     let seen = steady(|| connect(false), delivered);
     within("warm_connect_allocations", seen.allocs);
     within("warm_connect_bytes", seen.bytes);
+    within("warm_connect_cache_probes", seen.work.cache_probes);
 
     // --- The same over a flushed path database, as `connect_cold` makes it:
     // the lookup's answer is read, not built into bodies.
@@ -268,6 +275,7 @@ fn host_and_lookup_paths_stay_within_their_work_budgets() {
     within("cold_miss_plans_keyed", work.plans_keyed);
     within("cold_miss_sha256_compressions", work.sha256_compressions);
     within("cold_miss_bodies_built", work.bodies_built);
+    within("cold_miss_cache_probes", work.cache_probes);
 
     // --- Probe rounds in which the probed path dies: by the SCMP report of
     // a link cut under it, and by its third loss in a row once its hop
@@ -301,10 +309,70 @@ fn host_and_lookup_paths_stay_within_their_work_budgets() {
 }
 
 #[test]
-fn a_400_as_build_stays_within_its_compression_budget() {
+fn a_400_as_build_and_its_lookups_stay_within_their_budgets() {
     let topo = synthesize(&SynthConfig::sized(400));
+    let mut leaves: Vec<IsdAsn> = topo
+        .graph
+        .ases()
+        .filter(|n| !n.core)
+        .map(|n| n.ia)
+        .collect();
+    leaves.sort_unstable();
     let build = || SciEraNetwork::build_from_topology(topo, NetworkConfig::default());
     let (net, Seen { work, .. }) = counted(build);
     assert!(!net.pathdb().snapshot().store().is_empty());
     within("build_400_sha256_compressions", work.sha256_compressions);
+    within("build_400_aes_blocks", work.aes_blocks);
+    within("build_400_pcbs_handled", work.pcbs_handled);
+
+    // --- Cold lookups over seeded leaf pairs: every key is the hash of its
+    // hops' triples, and every answer — keys, shapes, hops and the segment
+    // uses each path was kept with, in order — is the one pinned below,
+    // taken from the combinator before its lookups were made cheaper.
+    let snapshot = net.pathdb().snapshot();
+    let mut digest = Sha256::new();
+    let mut draw = 0x5eed_u64;
+    let (mut paths, mut lengths) = (0, std::collections::BTreeSet::new());
+    for _ in 0..LOOKUP_PAIRS {
+        let mut pick = || {
+            draw = draw.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            leaves[(draw >> 33) as usize % leaves.len()]
+        };
+        let (src, dst) = (pick(), pick());
+        for p in combine_paths(snapshot.store(), src, dst, 200) {
+            let mut triples = Vec::new();
+            for h in p.hop_slice() {
+                triples.extend_from_slice(&h.ia.to_u64().to_be_bytes());
+                triples.extend_from_slice(&h.ingress.to_be_bytes());
+                triples.extend_from_slice(&h.egress.to_be_bytes());
+            }
+            assert_eq!(
+                p.fingerprint_key()[..],
+                sha256(&triples)[..8],
+                "{src}->{dst}"
+            );
+            digest.update(&p.fingerprint_key());
+            digest.update(format!("{:?}", p.kind).as_bytes());
+            digest.update(&triples);
+            for u in &p.uses {
+                digest.update(&u.segment.id());
+                let peer = u.peer_with.map_or(0, |ia| ia.to_u64());
+                let range = format!("{:?} {} {} {peer}", u.dir, u.from_idx, u.to_idx);
+                digest.update(range.as_bytes());
+            }
+            paths += 1;
+            lengths.insert(p.len());
+        }
+    }
+    assert!(
+        paths > 10 * LOOKUP_PAIRS && lengths.len() > 3,
+        "{paths} paths"
+    );
+    assert_eq!(to_hex(&digest.finalize()), LOOKUP_DIGEST);
 }
+
+/// Leaf pairs of the 400-AS deployment whose answers are pinned.
+const LOOKUP_PAIRS: usize = 150;
+
+/// The SHA-256 of those answers.
+const LOOKUP_DIGEST: &str = "2ed7ec3e0ffa7482aeddcd6a795d897fa276070fbd5e1c18ad09422f4780406c";
