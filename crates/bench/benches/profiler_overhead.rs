@@ -118,7 +118,7 @@ fn main() {
     }
     let (mut router, frames) = setup();
 
-    // Warm-up (fills the MAC cache).
+    // Warm-up.
     time_router(&mut router, &frames, false);
     time_router(&mut router, &frames, true);
 

@@ -3,10 +3,10 @@
 //! cryptographic operation").
 //!
 //! Besides the criterion groups, this target runs an *interleaved*
-//! comparison of one frame per call against `process_batch` bursts, each
-//! with a warm and a cold MAC cache. Interleaving the variants (A,B,C,A,B,
-//! C,…) rather than running each in one block keeps frequency scaling and
-//! cache pollution from biasing one side. Results land in
+//! comparison of one frame per call against `process_batch` bursts. Every
+//! frame verifies its hop field either way. Interleaving the variants
+//! (A,B,A,B,…) rather than running each in one block keeps frequency
+//! scaling and cache pollution from biasing one side. Results land in
 //! `BENCH_router.json` at the repo root.
 
 use std::time::Instant;
@@ -87,9 +87,9 @@ fn median(mut v: Vec<f64>) -> f64 {
     v[v.len() / 2]
 }
 
-/// Interleaved comparison; returns median ns/packet for (per frame warm
-/// cache, per frame cold cache, batched warm, batched cold).
-fn interleaved(rounds: usize, batch: usize) -> (f64, f64, f64, f64) {
+/// Interleaved comparison; returns median ns/packet for (per frame,
+/// batched).
+fn interleaved(rounds: usize, batch: usize) -> (f64, f64) {
     let (mut router, pkt) = setup();
     let template = pkt.encode().unwrap();
 
@@ -100,11 +100,8 @@ fn interleaved(rounds: usize, batch: usize) -> (f64, f64, f64, f64) {
     batch_step(&mut router, &template, &mut frames, 1);
     assert_eq!(buf, frames[0], "batch diverged from the per-frame call");
 
-    let (mut warm_ns, mut cold_ns) = (Vec::new(), Vec::new());
-    let (mut bwarm_ns, mut bcold_ns) = (Vec::new(), Vec::new());
+    let (mut frame_ns, mut batch_ns) = (Vec::new(), Vec::new());
     for round in 0..=rounds {
-        // Cache warmed by the sanity check / previous rounds.
-        frame_step(&mut router, &template, &mut buf);
         let t = Instant::now();
         for _ in 0..batch {
             frame_step(&mut router, &template, &mut buf);
@@ -113,44 +110,18 @@ fn interleaved(rounds: usize, batch: usize) -> (f64, f64, f64, f64) {
         let a = t.elapsed().as_nanos() as f64 / batch as f64;
 
         let t = Instant::now();
-        for _ in 0..batch {
-            router.reset_mac_cache();
-            frame_step(&mut router, &template, &mut buf);
-            std::hint::black_box(&mut buf);
-        }
-        let b = t.elapsed().as_nanos() as f64 / batch as f64;
-
-        // Batches, warm MAC cache.
-        frame_step(&mut router, &template, &mut buf); // re-warm after cold rounds
-        let t = Instant::now();
         for _ in 0..batch / BATCH_CHUNK {
             batch_step(&mut router, &template, &mut frames, BATCH_CHUNK);
         }
-        let c = t.elapsed().as_nanos() as f64 / (batch - batch % BATCH_CHUNK) as f64;
-
-        // Batches, cold cache per burst: the first frame computes the MAC,
-        // the burst's other frames hit the cache it filled.
-        let t = Instant::now();
-        for _ in 0..batch / BATCH_CHUNK {
-            router.reset_mac_cache();
-            batch_step(&mut router, &template, &mut frames, BATCH_CHUNK);
-        }
-        let d = t.elapsed().as_nanos() as f64 / (batch - batch % BATCH_CHUNK) as f64;
+        let b = t.elapsed().as_nanos() as f64 / (batch - batch % BATCH_CHUNK) as f64;
 
         if round > 0 {
-            // Round 0 is warm-up for all variants.
-            warm_ns.push(a);
-            cold_ns.push(b);
-            bwarm_ns.push(c);
-            bcold_ns.push(d);
+            // Round 0 is warm-up for both variants.
+            frame_ns.push(a);
+            batch_ns.push(b);
         }
     }
-    (
-        median(warm_ns),
-        median(cold_ns),
-        median(bwarm_ns),
-        median(bcold_ns),
-    )
+    (median(frame_ns), median(batch_ns))
 }
 
 /// Sustained forwarding under a realistic traffic plane: a flowgen
@@ -202,23 +173,21 @@ fn sustained_mpps(rounds: usize, packets: usize) -> (f64, f64) {
 }
 
 fn emit_json(
-    (warm, cold, batch_warm, batch_cold): (f64, f64, f64, f64),
+    (frame, batched): (f64, f64),
     (mpps_batched, mpps_seq): (f64, f64),
     rounds: usize,
     batch: usize,
 ) {
     let json = format!(
-        "{{\n  \"bench\": \"router_forwarding\",\n  \"frame_warm_ns_per_pkt\": {warm:.1},\n  \"frame_cold_ns_per_pkt\": {cold:.1},\n  \"batch_warm_ns_per_pkt\": {batch_warm:.1},\n  \"batch_cold_ns_per_pkt\": {batch_cold:.1},\n  \"sustained_mpps\": {mpps_batched:.3},\n  \"sustained_mpps_per_frame\": {mpps_seq:.3},\n  \"batch_chunk\": {BATCH_CHUNK},\n  \"rounds\": {rounds},\n  \"batch\": {batch}\n}}\n",
+        "{{\n  \"bench\": \"router_forwarding\",\n  \"frame_ns_per_pkt\": {frame:.1},\n  \"batch_ns_per_pkt\": {batched:.1},\n  \"sustained_mpps\": {mpps_batched:.3},\n  \"sustained_mpps_per_frame\": {mpps_seq:.3},\n  \"batch_chunk\": {BATCH_CHUNK},\n  \"rounds\": {rounds},\n  \"batch\": {batch}\n}}\n",
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_router.json");
     if let Err(e) = std::fs::write(path, &json) {
         eprintln!("[router_forwarding] could not write {path}: {e}");
     }
     eprintln!("[router_forwarding] interleaved over {rounds}x{batch} packets:");
-    eprintln!("  frame warm     {warm:>8.1} ns/pkt");
-    eprintln!("  frame cold     {cold:>8.1} ns/pkt");
-    eprintln!("  batch warm     {batch_warm:>8.1} ns/pkt");
-    eprintln!("  batch cold     {batch_cold:>8.1} ns/pkt");
+    eprintln!("  frame          {frame:>8.1} ns/pkt");
+    eprintln!("  batch          {batched:>8.1} ns/pkt");
     eprintln!("  sustained load {mpps_batched:>8.3} Mpps batched vs {mpps_seq:.3} Mpps per-frame");
 }
 
@@ -228,21 +197,14 @@ fn bench_forwarding(c: &mut Criterion) {
     let mut g = c.benchmark_group("border_router");
     g.throughput(Throughput::Elements(1));
     let mut buf = Vec::with_capacity(template.len());
-    g.bench_function("frame_warm", |b| {
+    g.bench_function("frame", |b| {
         b.iter(|| {
-            frame_step(&mut router, &template, &mut buf);
-            std::hint::black_box(&mut buf);
-        })
-    });
-    g.bench_function("frame_cold", |b| {
-        b.iter(|| {
-            router.reset_mac_cache();
             frame_step(&mut router, &template, &mut buf);
             std::hint::black_box(&mut buf);
         })
     });
     let mut frames = Vec::with_capacity(BATCH_CHUNK);
-    g.bench_function("batch_warm_burst", |b| {
+    g.bench_function("batch_burst", |b| {
         b.iter(|| batch_step(&mut router, &template, &mut frames, BATCH_CHUNK))
     });
     g.bench_function("encode_decode_1000B", |b| {

@@ -145,15 +145,12 @@ impl OperatorConsole {
         );
 
         // Forwarding health: frames taken as they arrived vs canonicalised,
-        // MAC-verification cache effectiveness, frame-pool occupancy.
+        // frame-pool occupancy.
         let _ = writeln!(
             out,
-            "fastpath: {} hit / {} fallback — mac cache: {} hit / {} miss / {} evict — pool: {} free / {} outstanding",
+            "fastpath: {} hit / {} fallback — pool: {} free / {} outstanding",
             c("router.fastpath.hit"),
             c("router.fastpath.fallback"),
-            c("router.maccache.hit"),
-            c("router.maccache.miss"),
-            c("router.maccache.evict"),
             g("pool.frame.free"),
             g("pool.frame.outstanding"),
         );
@@ -334,7 +331,6 @@ mod tests {
             "{second}"
         );
         assert!(second.contains("fastpath:"), "{second}");
-        assert!(second.contains("mac cache:"), "{second}");
         assert!(second.contains("batch:"), "{second}");
         assert!(second.contains("flowgen:"), "{second}");
         assert!(second.contains("pathdb:"), "{second}");

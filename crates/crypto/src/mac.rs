@@ -54,7 +54,6 @@ impl HopMacInput {
 #[derive(Clone, Debug)]
 pub struct HopKey {
     cmac: Cmac,
-    epoch: u32,
 }
 
 /// Serialised length of the derivation label: `"scion-hop-key-"` plus the
@@ -70,14 +69,7 @@ impl HopKey {
         let key = derive_key16(master_secret, &label);
         HopKey {
             cmac: Cmac::new(&key),
-            epoch,
         }
-    }
-
-    /// The key epoch this key was derived for. Part of any cache key over
-    /// verification results: rotating the key must invalidate cached MACs.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
     }
 
     /// Computes the 6-byte hop-field MAC.
@@ -185,11 +177,6 @@ mod tests {
             ..a
         };
         assert_ne!(key.chain_beta(&a), key.chain_beta(&b));
-    }
-
-    #[test]
-    fn epoch_is_recorded() {
-        assert_eq!(HopKey::derive(b"s", 7).epoch(), 7);
     }
 
     #[test]

@@ -147,12 +147,11 @@ pub const DEFAULT_SHARD_CAPACITY: usize = 4096;
 /// Sharded per-interface ingress queues with round-robin batch drain.
 ///
 /// A router batch wants its input grouped: every frame in one
-/// `process_batch` call shares an ingress interface, and frames of one
-/// flow arrive together, so after the first the MAC cache answers for the
-/// rest. `IngressShards` provides that grouping — one
-/// bounded FIFO per key (an interface, or `(AS, interface)` at the network
-/// level) — and a drain cursor that rotates across non-empty shards so a
-/// single busy interface cannot starve the others.
+/// `process_batch` call shares an ingress interface. `IngressShards`
+/// provides that grouping — one bounded FIFO per key (an interface, or
+/// `(AS, interface)` at the network level) — and a drain cursor that
+/// rotates across non-empty shards so a single busy interface cannot
+/// starve the others.
 ///
 /// Bounded shards drop at enqueue (tail drop), mirroring a real NIC ring.
 #[derive(Debug, Clone)]

@@ -6,9 +6,6 @@
 //!   segment crossings and peering hops, and builds SCMP notifications for
 //!   failures. One engine rewrites raw frames in place
 //!   ([`router::BorderRouter::process_frame`]); a batch is a loop over it.
-//! * [`maccache`] — the bounded LRU cache over successful hop-MAC
-//!   verifications that lets repeated packets on a stable path skip the
-//!   block cipher.
 //! * [`dispatcher`] — the legacy shared end-host dispatcher of §4.8: one
 //!   fixed UDP underlay port, demultiplexing to applications — a faithful
 //!   recreation of a kernel socket in user space, and a deliberate
@@ -40,9 +37,7 @@ pub mod dispatcher;
 pub mod hostnet;
 pub mod lightningfilter;
 pub mod load;
-pub mod maccache;
 pub mod pool;
 pub mod router;
 
-pub use maccache::{MacCache, MacCacheKey};
 pub use router::{BorderRouter, DropReason, FrameDecision, FrameError};

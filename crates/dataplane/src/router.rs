@@ -33,8 +33,6 @@ use scion_proto::trace::TraceContext;
 use scion_proto::wire::{HeaderOffsets, WireCursor};
 use scion_proto::ProtoError;
 
-use crate::maccache::{MacCache, MacCacheKey, DEFAULT_MAC_CACHE_CAPACITY};
-
 /// Why a packet was dropped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DropReason {
@@ -147,7 +145,6 @@ pub struct BorderRouter {
     /// Packets dropped.
     pub dropped: u64,
     metrics: RouterMetrics,
-    mac_cache: MacCache,
 }
 
 impl BorderRouter {
@@ -160,24 +157,12 @@ impl BorderRouter {
             processed: 0,
             dropped: 0,
             metrics: RouterMetrics::register(Telemetry::quiet()),
-            mac_cache: MacCache::new(DEFAULT_MAC_CACHE_CAPACITY),
         }
     }
 
     /// Re-registers the router's counters on a shared telemetry handle.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.mac_cache.set_telemetry(&telemetry);
         self.metrics = RouterMetrics::register(telemetry);
-    }
-
-    /// Drops all cached MAC verifications (for benchmarks and key events).
-    pub fn reset_mac_cache(&mut self) {
-        self.mac_cache.clear();
-    }
-
-    /// Number of hop-MAC verifications currently cached.
-    pub fn mac_cache_len(&self) -> usize {
-        self.mac_cache.len()
     }
 
     /// Processes a raw frame arriving on `ingress_ifid` (0 = from a host or
@@ -197,14 +182,13 @@ impl BorderRouter {
     /// The forwarding engine: [`BorderRouter::process_frame`] with an
     /// explicit simulation timestamp (nanoseconds) for the emitted events.
     ///
-    /// The hop MAC is verified through the per-router verification cache
-    /// and only the bytes the algorithm changes are rewritten, with no
-    /// decode, no allocation and at most one AES call per verified hop. A
-    /// frame carrying a trace context is taken into custody first — its
-    /// extension is advanced in place — so forwarded, delivered *and*
-    /// dropped frames all attribute to this hop, and a tracing telemetry
-    /// handle records `pkt.hop` / `pkt.deliver` / drop events with the
-    /// new span.
+    /// Every hop field the frame crosses here is verified — expiry, then
+    /// its MAC, one AES block — and only the bytes the algorithm changes
+    /// are rewritten, with no decode and no allocation. A frame carrying a
+    /// trace context is taken into custody first — its extension is
+    /// advanced in place — so forwarded, delivered *and* dropped frames all
+    /// attribute to this hop, and a tracing telemetry handle records
+    /// `pkt.hop` / `pkt.deliver` / drop events with the new span.
     ///
     /// A frame that is not canonical — trailing bytes, non-zero reserved
     /// bits, or a header [`HeaderOffsets::locate`] declines — is first
@@ -230,13 +214,9 @@ impl BorderRouter {
         let trace = cursor.advance_trace();
         let result = match off.path_type() {
             PathType::Empty => Ok(None),
-            PathType::Scion => Self::process_scion_frame(
-                &self.hop_key,
-                &mut self.mac_cache,
-                &mut cursor,
-                ingress_ifid,
-                now,
-            ),
+            PathType::Scion => {
+                Self::process_scion_frame(&self.hop_key, &mut cursor, ingress_ifid, now)
+            }
             PathType::OneHop => Err(DropReason::UnsupportedPath),
         };
         let result = match result {
@@ -279,35 +259,24 @@ impl BorderRouter {
         HeaderOffsets::locate(frame).map_err(malformed)
     }
 
-    /// Processes a batch of frames arriving on `ingress_ifid`. See
-    /// [`BorderRouter::process_batch_at`].
+    /// Processes a batch of frames arriving on `ingress_ifid`:
+    /// [`BorderRouter::process_frame`] on every frame, in order. The
+    /// verdicts, bytes and counters are those of the per-frame calls, and
+    /// every frame verifies its own hop fields. The batch adds its
+    /// `router.batch` profiler scope and the `router.batch.{calls,frames}`
+    /// counters.
     pub fn process_batch(
         &mut self,
         frames: &mut [Vec<u8>],
         ingress_ifid: u16,
         now: u64,
     ) -> Vec<Result<FrameDecision, FrameError>> {
-        self.process_batch_at(frames, ingress_ifid, now, now.saturating_mul(1_000_000_000))
-    }
-
-    /// [`BorderRouter::process_frame_at`] on every frame, in order: the
-    /// verdicts, bytes and counters are those of the per-frame calls. The
-    /// batch adds its `router.batch` profiler scope and the
-    /// `router.batch.{calls,frames}` counters. Identical frames cost one
-    /// MAC computation: the first fills the MAC cache, the rest hit it.
-    pub fn process_batch_at(
-        &mut self,
-        frames: &mut [Vec<u8>],
-        ingress_ifid: u16,
-        now: u64,
-        sim_ns: u64,
-    ) -> Vec<Result<FrameDecision, FrameError>> {
         let _prof = self.metrics.telemetry.prof_scope("router.batch");
         self.metrics.batch_calls.inc();
         self.metrics.batch_frames.add(frames.len() as u64);
         frames
             .iter_mut()
-            .map(|frame| self.process_frame_at(frame, ingress_ifid, now, sim_ns))
+            .map(|frame| self.process_frame(frame, ingress_ifid, now))
             .collect()
     }
 
@@ -315,12 +284,11 @@ impl BorderRouter {
     /// ifid)` to forward or `None` to deliver locally.
     fn process_scion_frame(
         hop_key: &HopKey,
-        cache: &mut MacCache,
         cursor: &mut WireCursor<'_>,
         ingress_ifid: u16,
         now: u64,
     ) -> Result<Option<u16>, DropReason> {
-        Self::verify_hop(hop_key, cache, cursor, now)?;
+        Self::verify_hop(hop_key, cursor, now)?;
 
         // Ingress check: packets from inside the AS (ifid 0) skip it.
         if ingress_ifid != 0 {
@@ -353,7 +321,7 @@ impl BorderRouter {
             cursor
                 .advance()
                 .map_err(|e| DropReason::MalformedPath(e.to_string()))?;
-            Self::verify_hop(hop_key, cache, cursor, now)?;
+            Self::verify_hop(hop_key, cursor, now)?;
             Self::chain_seg_id(cursor);
             if cursor.at_last_hop() {
                 return Ok(None);
@@ -400,14 +368,11 @@ impl BorderRouter {
         }
     }
 
-    /// Verifies the current hop: expiry, then the MAC, with the
-    /// verification cache in front of the block cipher. Expiry stays a
-    /// direct comparison — it depends on `now` and must never be cached.
-    /// Against construction direction the hop's own MAC is un-chained from
-    /// `seg_id` first, in place.
+    /// Verifies the current hop: expiry, then the MAC, one AES block, every
+    /// time. Against construction direction the hop's own MAC is un-chained
+    /// from `seg_id` first, in place.
     fn verify_hop(
         hop_key: &HopKey,
-        cache: &mut MacCache,
         cursor: &mut WireCursor<'_>,
         now: u64,
     ) -> Result<(), DropReason> {
@@ -432,14 +397,9 @@ impl BorderRouter {
             cons_ingress: hf.cons_ingress,
             cons_egress: hf.cons_egress,
         };
-        let key = MacCacheKey::new(&input, hf.mac, hop_key.epoch());
-        if cache.check(&key) {
-            return Ok(());
-        }
         if !hop_key.verify(&input, &hf.mac) {
             return Err(DropReason::BadMac);
         }
-        cache.remember_missed(key);
         Ok(())
     }
 
@@ -912,7 +872,6 @@ mod tests {
             r.process_frame(&mut transit_frame(), 0, NOW),
             dropped(DropReason::BadMac)
         );
-        assert_eq!(r.mac_cache_len(), 0, "failed MACs are not cached");
     }
 
     #[test]
@@ -942,25 +901,24 @@ mod tests {
     }
 
     #[test]
-    fn warm_cache_skips_cipher_and_agrees() {
-        let tele = Telemetry::quiet();
+    fn good_frames_of_a_flow_do_not_vouch_for_a_forged_one() {
         let mut r = router("71-100");
-        r.set_telemetry(tele.clone());
         let template = transit_frame();
         let mut first = template.clone();
         let d1 = r.process_frame(&mut first, 0, NOW).unwrap();
-        let mut second = template.clone();
-        assert_eq!(r.process_frame(&mut second, 0, NOW).unwrap(), d1);
-        assert_eq!(first, second, "warm-cache rewrite must be identical");
-        let snap = tele.snapshot();
-        assert_eq!(snap.counter("router.maccache.miss"), Some(1));
-        assert_eq!(snap.counter("router.maccache.hit"), Some(1));
-        // A cache reset restores the cold behaviour.
-        r.reset_mac_cache();
-        assert_eq!(r.mac_cache_len(), 0);
-        let mut third = template;
-        assert_eq!(r.process_frame(&mut third, 0, NOW).unwrap(), d1);
-        assert_eq!(third, first);
+        for _ in 0..8 {
+            let mut again = template.clone();
+            let (verdict, done) = work::counted(|| r.process_frame(&mut again, 0, NOW));
+            assert_eq!(verdict.unwrap(), d1);
+            assert_eq!(again, first, "every frame of the flow is rewritten alike");
+            assert_eq!(done.aes_blocks, 1, "and verifies its hop field again");
+        }
+        let mut dp = full_transit_path().to_dataplane().unwrap();
+        dp.hops[0].mac[5] ^= 1;
+        assert_eq!(
+            r.process_frame(&mut packet_with(dp).encode().unwrap(), 0, NOW),
+            dropped(DropReason::BadMac)
+        );
     }
 
     #[test]

@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
-# Local CI gate: everything the repo requires before a merge.
+# Local CI gate: everything the repo requires before a merge, beyond the
+# tier-1 command `cargo build --release && cargo test -q`. The root
+# manifest's `default-members` is every package, so tier-1 already runs the
+# facade's integration tests and each crate's unit tests; this script does
+# not run them again.
 # Usage: scripts/ci.sh   (run from anywhere; cds to the repo root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release
-
-# Every package's tests: the facade's integration tests and each crate's
-# unit tests.
-echo "==> cargo test -q --workspace"
-cargo test -q --workspace
 
 # Scale-observatory matrix: the facade's `profile` feature (off by default)
 # turns on `sciera-telemetry/profile`, and so every profiler scope in the
@@ -24,7 +23,7 @@ echo "==> cargo test -q -p sciera-telemetry --features profile"
 cargo test -q -p sciera-telemetry --features profile
 
 # The profiler attribution proptest must hold with the profiler compiled
-# in: the run without it is part of `cargo test -q` above.
+# in: the run without it is part of tier-1's `cargo test -q`.
 echo "==> cargo test -q --test prop_profiler --features profile"
 cargo test -q --test prop_profiler --features profile
 
@@ -100,7 +99,7 @@ echo "==> (cd benchmark && cargo test --offline)"
 (cd benchmark && cargo test -q --offline --target-dir ../target)
 
 # The docs build without a warning: no link to a private or missing item,
-# no redundant link target (the 14th cargo invocation of this script).
+# no redundant link target (the 13th cargo invocation of this script).
 echo "==> cargo doc --no-deps --workspace (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
@@ -144,8 +143,9 @@ awk 'FNR == 1 { in_tests = 0 }
 # One border-router engine: the decode-level form of the forwarding
 # algorithm lives in tests/spec/, and the batch is a loop over the
 # frame engine, not a pipeline with its own verify step and batched cipher.
+# Every frame verifies every hop field it crosses: no MAC cache.
 echo "==> one router engine (dataplane, crypto)"
-if grep -rnE 'fn (process_scion_path|batch_mac_pass|verify_batch|encrypt_blocks)\b' crates; then
+if grep -rnE 'fn (process_scion_path|batch_mac_pass|verify_batch|encrypt_blocks)\b|struct MacCache\b' crates; then
     echo "ci: a second router engine is back" >&2
     exit 1
 fi

@@ -103,14 +103,15 @@ fn steady<R>(mut run: impl FnMut() -> R, check: impl Fn(R)) -> Seen {
     seen[0]
 }
 
-/// Holds `seen` to the budget `name` of `BUDGETS.json`: equal or lower.
-fn within(name: &str, seen: u64) {
+/// Holds `seen` to its budget `name` in `BUDGETS.json`; returns the budget.
+fn within(name: &str, seen: u64) -> u64 {
     let budgets: Value =
         serde_json::from_str(include_str!("../BUDGETS.json")).expect("BUDGETS.json parses");
     let limit = budgets.field(name).and_then(u64::deserialize);
     let limit = limit.unwrap_or_else(|e| panic!("BUDGETS.json: {name}: {e}"));
     eprintln!("{name}: {seen} (budget {limit})");
     assert!(seen <= limit, "{name}: {seen}, over its budget of {limit}");
+    limit
 }
 
 /// The first leaf pair, in order, whose shortest path has `hops` ASes.
@@ -184,8 +185,8 @@ fn host_and_lookup_paths_stay_within_their_work_budgets() {
     within("walk_frame_allocations", seen.allocs);
     within("walk_frame_hop_steps", seen.work.hop_steps);
 
-    // --- One border router, warm: a traced frame, and a batch of 32 (its
-    // list of verdicts).
+    // --- One border router: a traced frame, and a batch of 32 (its list of
+    // verdicts). Each frame verifies its hop field: AES blocks are exact.
     let mut router = BorderRouter::new(path.src, AsSecrets::derive(path.src).hop_key);
     pkt.trace = Some(TraceContext::root(7));
     let traced = pkt.encode().unwrap();
@@ -200,7 +201,8 @@ fn host_and_lookup_paths_stay_within_their_work_budgets() {
     );
     within("router_traced_frame_allocations", seen.allocs);
     within("router_traced_frame_hop_steps", seen.work.hop_steps);
-    within("router_traced_frame_aes_blocks", seen.work.aes_blocks);
+    let aes = seen.work.aes_blocks;
+    assert_eq!(within("router_traced_frame_aes_blocks", aes), aes);
     let mut batch = vec![plain.clone(); 32];
     let seen = steady(
         || {
@@ -210,6 +212,8 @@ fn host_and_lookup_paths_stay_within_their_work_budgets() {
         |verdicts| assert!(verdicts.iter().all(forwarded), "{verdicts:?}"),
     );
     within("router_batch_of_32_allocations", seen.allocs);
+    let aes = seen.work.aes_blocks;
+    assert_eq!(within("router_batch_of_32_aes_blocks", aes), aes);
 
     // --- One probe round of one echo over eight hops, turned around in
     // place: the round's result list is left.
